@@ -28,8 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out",
                         help="output directory (created if missing)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for per-frequency work; results "
-                             "are identical for every value")
+                        help="accepted for compatibility; runs are "
+                             "single-threaded and outputs are identical for "
+                             "every value")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     return parser
@@ -46,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     driver = DRIVERS[args.subcommand]
     try:
-        record = driver(cfg, max(args.jobs, 1), seed)
+        record = driver(cfg, seed)
     except WeakHypError as exc:
         from pathlib import Path
         out = Path(args.out)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
+import numpy as np
+
 
 class WeakHypError(Exception):
     """Base class for all package errors."""
@@ -63,6 +68,15 @@ class HyperbolicityError(WeakHypError):
 
 class NumericalError(WeakHypError):
     """A numerical identity check exceeded its tolerance."""
+
+
+@contextmanager
+def numerical_errors() -> Iterator[None]:
+    """Re-raise numpy's ``LinAlgError`` as :class:`NumericalError`."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"linear algebra failure: {exc}") from exc
 
 
 class AlignmentError(WeakHypError):

@@ -2,7 +2,7 @@
 
 Each driver consumes a validated config, runs one experiment family and
 returns an :class:`ExperimentRecord` whose numeric tables are byte-stable
-under re-runs with the same seed, independent of worker count.
+under re-runs with the same seed.
 """
 
 from __future__ import annotations
@@ -69,7 +69,12 @@ def _apply_checks(summary: dict, checks: dict) -> bool:
     return ok
 
 
-def build_problem(cfg: ExperimentConfig, jobs: int) -> VeryWeakProblem:
+def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
+    """The solver problem a config describes.
+
+    ``jobs`` is accepted for callers that still pass a worker count; runs
+    are single-threaded, so it changes nothing.
+    """
     raw = cfg.raw
     horizon = cfg.horizon
     family = build_root_family(raw["roots"], horizon)
@@ -112,7 +117,7 @@ def build_problem(cfg: ExperimentConfig, jobs: int) -> VeryWeakProblem:
         time_steps=int(grid_cfg.get("time_steps", 1024)),
         horizon=horizon, lower_terms=lower, forcing=forcing,
         gevrey_s=cfg.gevrey_s, omega=scale,
-        output_times=output_times, tracked_frequencies=tracked, jobs=jobs)
+        output_times=output_times, tracked_frequencies=tracked)
 
 
 def _reference_values(cfg: ExperimentConfig, problem: VeryWeakProblem
@@ -177,10 +182,10 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
         ("epsilon", "xi", "time", "energy"), energy_rows)
 
 
-def run_solve(cfg: ExperimentConfig, jobs: int, seed: int) -> ExperimentRecord:
+def run_solve(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     """Full very-weak pipeline over the sweep, with reference comparison."""
     started = time.perf_counter()
-    problem = build_problem(cfg, jobs)
+    problem = build_problem(cfg)
     sweep = cfg.epsilon_sweep
     net = solve_very_weak(problem, sweep)
     reference, ref_kind = _reference_values(cfg, problem)
@@ -237,10 +242,10 @@ def run_solve(cfg: ExperimentConfig, jobs: int, seed: int) -> ExperimentRecord:
     return record
 
 
-def run_sweep(cfg: ExperimentConfig, jobs: int, seed: int) -> ExperimentRecord:
+def run_sweep(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     """Moderateness and convergence study over the sweep."""
     started = time.perf_counter()
-    problem = build_problem(cfg, jobs)
+    problem = build_problem(cfg)
     sweep = cfg.epsilon_sweep
     net = solve_very_weak(problem, sweep)
     analysis_cfg = cfg.section("analysis")
@@ -328,8 +333,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int, seed: int) -> ExperimentRecord:
     return record
 
 
-def run_roundtrip(cfg: ExperimentConfig, jobs: int,
-                  seed: int) -> ExperimentRecord:
+def run_roundtrip(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     """Coefficient-recovery audit over random root families."""
     started = time.perf_counter()
     section = cfg.section("roundtrip")
@@ -380,8 +384,7 @@ def run_roundtrip(cfg: ExperimentConfig, jobs: int,
     return record
 
 
-def run_symmetriser(cfg: ExperimentConfig, jobs: int,
-                    seed: int) -> ExperimentRecord:
+def run_symmetriser(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     """Symmetriser identity and bound audit over random root tuples."""
     started = time.perf_counter()
     section = cfg.section("symmetriser")
@@ -444,7 +447,7 @@ def run_symmetriser(cfg: ExperimentConfig, jobs: int,
     return record
 
 
-def run_reduce(cfg: ExperimentConfig, jobs: int, seed: int) -> ExperimentRecord:
+def run_reduce(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     """Block-reduction audit: adjugate identity and block eigenvalues."""
     started = time.perf_counter()
     section = cfg.section("reduce")
@@ -497,7 +500,7 @@ def run_reduce(cfg: ExperimentConfig, jobs: int, seed: int) -> ExperimentRecord:
     return record
 
 
-DRIVERS: dict[str, Callable[[ExperimentConfig, int, int], ExperimentRecord]] = {
+DRIVERS: dict[str, Callable[[ExperimentConfig, int], ExperimentRecord]] = {
     "solve": run_solve,
     "sweep": run_sweep,
     "roundtrip": run_roundtrip,

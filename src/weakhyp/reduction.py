@@ -63,13 +63,34 @@ class PrincipalPart(Protocol):
     def max_normalised_speed(self) -> float: ...
 
 
+# bytes of one block of tabulated last rows; a block holds
+# _ROW_BLOCK_BYTES // (8 m K) stage times
+_ROW_BLOCK_BYTES = 1 << 18
+# a block refill starts this many stage times before the missed one: one RK4
+# step with step doubling reads back at most four stage times
+_ROW_LOOKBACK = 4
+
+
 def _rows_from_root_values(lam: Array, br: Array) -> Array:
-    """l_(j) = -sigma_{m-j+1}(roots) <xi>^(j-m) from root values (m, K)."""
+    """l_(j) = -sigma_{m-j+1}(roots) <xi>^(j-m) from root values (m, K).
+
+    Per-time test oracle for :func:`_row_table`.
+    """
     m = lam.shape[0]
     sig = characteristic_polynomial(np.moveaxis(lam, 0, -1))  # (K, m+1)
     rows = np.empty_like(lam)
     for j in range(1, m + 1):
         rows[j - 1] = -sig[..., m - j + 1] * br ** (j - m)
+    return rows
+
+
+def _row_table(lam: Array, br: Array) -> Array:
+    """Last rows (T, m, K) from root values (T, m, K) in one vectorised call."""
+    m = lam.shape[1]
+    sig = characteristic_polynomial(np.swapaxes(lam, 1, 2))  # (T, K, m+1)
+    rows = np.empty_like(lam)
+    for j in range(1, m + 1):
+        rows[:, j - 1] = -sig[..., m - j + 1] * br ** (j - m)
     return rows
 
 
@@ -89,51 +110,60 @@ class RootValuePrincipal:
     def order(self) -> int:
         return self.regularised.order
 
-    def _lambda_grid(self, t: float, xi: Array) -> Array:
+    def _profiles(self, t: Array, xi: Array) -> tuple[Array, Array]:
+        """Convolved root profiles (m, T) in the directions +1 and -1.
+
+        Only the directions that the frequencies in ``xi`` point along are
+        convolved; an unused one is returned as zeros.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        used = [d for d, hit in (((1.0,), xi >= 0), ((-1.0,), xi < 0))
+                if np.any(hit)]
+        table = self.regularised.direction_table(t, self.epsilon, used)
+        zeros = np.zeros((self.order, t.size))
+        return table.get((1.0,), zeros), table.get((-1.0,), zeros)
+
+    def _root_table(self, profiles: tuple[Array, Array], xi: Array) -> Array:
+        """Separated root values (T, m, K) from :meth:`_profiles` output."""
         m = self.order
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        absxi = np.abs(xi)
-        br = bracket(xi)
         w = self.regularised.omega_of(self.epsilon)
-        lam = np.empty((m, xi.size))
-        pos = xi > 0
-        neg = xi < 0
-        for j in range(1, m + 1):
-            row = np.zeros(xi.size)
-            if np.any(pos):
-                row[pos] = float(np.real(
-                    self.regularised.convolved(j, (1.0,), self.epsilon)(t)))
-            if np.any(neg):
-                row[neg] = float(np.real(
-                    self.regularised.convolved(j, (-1.0,), self.epsilon)(t)))
-            lam[j - 1] = row * absxi + j * w * br
-        return lam
+        sep = np.arange(1, m + 1)[:, None] * (w * bracket(xi))[None, :]
+        tab_pos, tab_neg = profiles
+        profile = np.where(xi >= 0, tab_pos.T[:, :, None],
+                           tab_neg.T[:, :, None])
+        return profile * np.abs(xi) + sep
 
     def roots(self, t: float, xi: Array) -> Array:
-        return self._lambda_grid(t, xi)
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        return self._root_table(self._profiles(t, xi), xi)[0]
 
     def last_row(self, t: float, xi: Array) -> Array:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return _rows_from_root_values(self._lambda_grid(t, xi), bracket(xi))
+        return _row_table(self.roots(t, xi)[None], bracket(xi))[0]
 
     def row_provider(self, t_grid: Array, xi: Array) -> Callable[[int], Array]:
-        m = self.order
-        reg = self.regularised
+        """Last rows at ``t_grid[i]``, tabulated in blocks of stage times.
+
+        Each block is one vectorised characteristic-polynomial call over
+        (time, frequency), held as a real table of at most about
+        ``_ROW_BLOCK_BYTES``; a read outside the current block refills it.
+        """
         xi = np.asarray(xi, dtype=float)
-        absxi = np.abs(xi)
         br = bracket(xi)
-        w = reg.omega_of(self.epsilon)
-        sep = np.arange(1, m + 1)[:, None] * (w * br)[None, :]
-        table = reg.direction_table(np.asarray(t_grid, dtype=float),
-                                    self.epsilon, [(1.0,), (-1.0,)])
-        tab_pos = table[(1.0,)]
-        tab_neg = table[(-1.0,)]
-        pos = xi >= 0
+        profiles = self._profiles(t_grid, xi)
+        length = max(_ROW_LOOKBACK + 1,
+                     _ROW_BLOCK_BYTES // (8 * self.order * max(xi.size, 1)))
+        lo = 0
+        table = np.empty((0, self.order, xi.size))
 
         def rows(i: int) -> Array:
-            profile = np.where(pos, tab_pos[:, i, None], tab_neg[:, i, None])
-            lam = profile * absxi + sep
-            return _rows_from_root_values(lam, br)
+            nonlocal lo, table
+            if not lo <= i < lo + len(table):
+                lo = max(0, i - _ROW_LOOKBACK)
+                block = slice(lo, lo + length)
+                table = _row_table(self._root_table(
+                    (profiles[0][:, block], profiles[1][:, block]), xi), br)
+            return table[i - lo]
 
         return rows
 
@@ -485,6 +515,9 @@ _FD4 = {
         (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)),
     3: ((-3, -2, -1, 1, 2, 3),
         (-1.0 / 8.0, 1.0, -13.0 / 8.0, 13.0 / 8.0, -1.0, 1.0 / 8.0)),
+    4: ((-3, -2, -1, 0, 1, 2, 3),
+        (-1.0 / 6.0, 2.0, -13.0 / 2.0, 28.0 / 3.0, -13.0 / 2.0, 2.0,
+         -1.0 / 6.0)),
 }
 
 
@@ -541,14 +574,6 @@ class BlockSylvesterSystem:
     @property
     def block_count(self) -> int:
         return self.system.order
-
-    @property
-    def block_size(self) -> int:
-        return self.system.order
-
-    @property
-    def total_size(self) -> int:
-        return self.system.order ** 2
 
     def _adjugate(self, t: float, xi: float) -> tuple[list[Array], Array]:
         return _faddeev(self.system.a_symbol(t, xi))

@@ -303,27 +303,11 @@ class RegularisedRoots:
         v = np.atleast_1d(np.asarray(xi, dtype=float))
         return j * self.omega_of(epsilon) * bracket_norm(v)
 
-    @staticmethod
-    def frequency_weights(xi) -> dict[str, float]:
-        """Both candidate frequency weights at xi, for diagnostics.
-
-        The separating shift uses <xi>; the plain modulus is reported next
-        to it so the discrepancy between the two normalisations stays
-        visible in run records.
-        """
-        v = np.atleast_1d(np.asarray(xi, dtype=float))
-        return {"modulus": float(np.linalg.norm(v)),
-                "bracket": bracket_norm(v)}
-
     def value(self, j: int, t: Array | float, xi, epsilon: float) -> Array:
         return self.pure_value(j, t, xi, epsilon) + self.separation(j, xi, epsilon)
 
     def values(self, t: float, xi, epsilon: float) -> Array:
         return np.array([float(self.value(j, t, xi, epsilon))
-                         for j in range(1, self.order + 1)])
-
-    def pure_values(self, t: float, xi, epsilon: float) -> Array:
-        return np.array([float(self.pure_value(j, t, xi, epsilon))
                          for j in range(1, self.order + 1)])
 
     def direction_table(self, t: Array, epsilon: float,

@@ -4,27 +4,29 @@ Space is one-dimensional and periodic: the box is sized so that the causal
 cone of the compactly supported data never meets its periodic images within
 the time horizon, making the discrete transform an exact stand-in for the
 line transform.  Each frequency carries an independent companion ODE,
-integrated with fixed-step fourth-order Runge-Kutta; frequencies are chunked
-for optional threading and merged in frequency order, so results are
-bit-identical for every worker count.
+integrated with fixed-step fourth-order Runge-Kutta.  All frequencies are
+stepped as one batch in a single thread, and no operation mixes frequencies,
+so each frequency's bits do not depend on which others share the batch.  The
+principal last rows are read from a table tabulated in time blocks at the
+stage times only.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (ConfigurationError, DivergenceError,
-                     InvalidParameterError, StabilityError)
+                     InvalidParameterError, StabilityError, WeakHypError,
+                     numerical_errors)
 from .mollifiers import GevreyCutoffMollifier, Mollifier, convolve_profile, \
     scale_mollifier
 from .profiles import RoughProfile
 from .recovery import recover_coefficients
-from .reduction import (CompanionSystem, ForcingPart, InitialData,
+from .reduction import (_FD4, CompanionSystem, ForcingPart, InitialData,
                         LowerOrderPart, LowerTerm, RootValuePrincipal,
                         build_companion)
 from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket, \
@@ -33,8 +35,6 @@ from .symmetrisers import build_symmetriser
 from ._stats import linear_fit
 
 Array = np.ndarray
-
-_CHUNK = 256  # fixed frequency chunk width; workers map over chunks
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,17 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
                         tracked_indices: Sequence[int] = (),
                         output_steps: Sequence[int] = (),
                         dense_first_component: bool = False,
-                        jobs: int = 1,
                         monitor_stride: int | None = None) -> IntegrationResult:
     """Fixed-step RK4 for D_t V = (A + B) V + F over a frequency batch.
 
     The step must satisfy h * max||A + B|| <= 0.5 (sampled); otherwise the
-    integration refuses and reports the required step.  Local error is spot
-    checked by step doubling on roughly one percent of the steps.  The
-    frequency axis is processed in fixed-size chunks merged by index, so the
-    result does not depend on ``jobs``.
+    integration refuses and reports the required step.  Step i evaluates its
+    stages at t_i, t_i + h/2 and t_i + h.  Every ``monitor_stride``-th step
+    is repeated as two half steps, which add the stage times t_i + h/4 and
+    t_i + 3h/4, and the difference spot-checks the local error.  Only these
+    stage times are tabulated: the providers see them as one ascending grid,
+    and the principal rows come from a block table that the stepper only
+    indexes.  The whole batch is stepped in one thread.
     """
     xi = np.asarray(xi, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -149,72 +151,75 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
             f"{h * norm:.3f} > 0.5; need at least {required} steps",
             required_step=required_step, required_steps=required)
 
-    quarter = t_grid[0] + 0.25 * h * np.arange(4 * nt + 1)
     m = system.order
-    k_total = xi.size
     tracked = tuple(int(i) for i in tracked_indices)
     out_steps = tuple(int(i) for i in output_steps)
     stride = monitor_stride if monitor_stride is not None else max(1, nt // 100)
 
+    # stage times as indices q on the quarter-step lattice t_0 + q h / 4: the
+    # half-step grid, plus the quarter steps of the step-doubling steps
+    doubled = 4 * np.arange(0, nt, stride)
+    lattice = np.union1d(np.arange(0, 4 * nt + 1, 2),
+                         np.concatenate([doubled + 1, doubled + 3]))
+    stage_times = t_grid[0] + 0.25 * h * lattice
+    position = dict(zip(lattice.tolist(), range(lattice.size)))
+
+    br = bracket(xi)
+    ibr = 1j * br
+    prow = system.principal.row_provider(stage_times, xi)
+    brow = system.lower.row_provider(stage_times, xi) \
+        if system.lower is not None else None
+    fprov = system.forcing.values_provider(stage_times, xi) \
+        if system.forcing is not None else None
+
+    def rhs(q: int, state: Array) -> Array:
+        i = position[q]
+        rows = prow(i)
+        if brow is not None:
+            rows = rows + brow(i)
+        out = np.empty_like(state)
+        out[:-1] = ibr * state[1:]
+        last = (rows * state).sum(axis=0)
+        if fprov is not None:
+            last = last + fprov(i)
+        out[-1] = 1j * last
+        return out
+
+    def rk4_step(q0: int, dq: int, dt: float, state: Array) -> Array:
+        """One step of length dt with stages at lattice q0, q0+dq, q0+2dq."""
+        k1 = rhs(q0, state)
+        k2 = rhs(q0 + dq, state + 0.5 * dt * k1)
+        k3 = rhs(q0 + dq, state + 0.5 * dt * k2)
+        k4 = rhs(q0 + 2 * dq, state + dt * k3)
+        return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    v = system.V0(xi).astype(complex)
     traces = np.zeros((m, len(tracked), nt + 1), dtype=complex)
     if dense_first_component:
-        first = np.zeros((nt + 1, k_total), dtype=complex)
+        first = np.zeros((nt + 1, xi.size), dtype=complex)
     elif out_steps:
-        first = np.zeros((len(out_steps), k_total), dtype=complex)
+        first = np.zeros((len(out_steps), xi.size), dtype=complex)
     else:
         first = None
-    final_state = np.zeros((m, k_total), dtype=complex)
-    bounds = [(lo, min(lo + _CHUNK, k_total))
-              for lo in range(0, k_total, _CHUNK)]
-    doubling = np.zeros(len(bounds))
+    columns = list(tracked)
+    worst_double = 0.0
 
-    def run_chunk(chunk_index: int, lo: int, hi: int) -> None:
-        xi_c = xi[lo:hi]
-        br = bracket(xi_c)
-        ibr = 1j * br
-        prow = system.principal.row_provider(quarter, xi_c)
-        brow = system.lower.row_provider(quarter, xi_c) \
-            if system.lower is not None else None
-        fprov = system.forcing.values_provider(quarter, xi_c) \
-            if system.forcing is not None else None
-        v = system.V0(xi_c).astype(complex)
-        if v.ndim == 1:
-            v = v[:, None]
-
-        def rhs(idx: int, state: Array) -> Array:
-            rows = prow(idx).astype(complex)
-            if brow is not None:
-                rows = rows + brow(idx)
-            out = np.empty_like(state)
-            out[:-1] = ibr * state[1:]
-            last = (rows * state).sum(axis=0)
-            if fprov is not None:
-                last = last + fprov(idx)
-            out[-1] = 1j * last
-            return out
-
-        def rk4_step(idx0: int, dt: float, state: Array) -> Array:
-            k1 = rhs(idx0, state)
-            k2 = rhs(idx0 + 1, state + 0.5 * dt * k1)
-            k3 = rhs(idx0 + 1, state + 0.5 * dt * k2)
-            k4 = rhs(idx0 + 2, state + dt * k3)
-            return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        local_tracked = [(pos, g - lo) for pos, g in enumerate(tracked)
-                         if lo <= g < hi]
-        for pos, col in local_tracked:
-            traces[:, pos, 0] = v[:, col]
+    def record(step: int) -> None:
+        traces[:, :, step] = v[:, columns]
         if dense_first_component:
-            first[0, lo:hi] = v[0]
-        elif out_steps and 0 in out_steps:
-            first[out_steps.index(0), lo:hi] = v[0]
-        worst_double = 0.0
+            first[step] = v[0]
+        elif step in out_steps:
+            first[out_steps.index(step)] = v[0]
+
+    record(0)
+    # overflow of a diverging state is reported via DivergenceError, not as
+    # a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nt):
-            base = 4 * i
-            v_new = rk4_step(base, h, v)
+            v_new = rk4_step(4 * i, 2, h, v)
             if i % stride == 0:
-                half = rk4_step(base, 0.5 * h, v)
-                half = rk4_step(base + 2, 0.5 * h, half)
+                half = rk4_step(4 * i, 1, 0.5 * h, v)
+                half = rk4_step(4 * i + 2, 1, 0.5 * h, half)
                 scale = float(np.max(np.abs(v_new))) or 1.0
                 worst_double = max(worst_double, float(
                     np.max(np.abs(v_new - half))) / scale)
@@ -223,33 +228,13 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
                 bad = np.flatnonzero(~np.isfinite(v).all(axis=0))[0]
                 raise DivergenceError(
                     f"non-finite state at t={t_grid[i + 1]:g}",
-                    xi=float(xi_c[bad]), epsilon=epsilon)
-            step = i + 1
-            for pos, col in local_tracked:
-                traces[:, pos, step] = v[:, col]
-            if dense_first_component:
-                first[step, lo:hi] = v[0]
-            elif out_steps and step in out_steps:
-                first[out_steps.index(step), lo:hi] = v[0]
-        final_state[:, lo:hi] = v
-        doubling[chunk_index] = worst_double
-
-    # overflow of a diverging state is reported via DivergenceError, not as
-    # a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if jobs > 1 and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(lambda args: run_chunk(*args),
-                              [(i, lo, hi) for i, (lo, hi) in
-                               enumerate(bounds)]))
-        else:
-            for i, (lo, hi) in enumerate(bounds):
-                run_chunk(i, lo, hi)
+                    xi=float(xi[bad]), epsilon=epsilon)
+            record(i + 1)
 
     return IntegrationResult(traces=traces, tracked_indices=tracked,
                              first_component=first, output_steps=out_steps,
-                             final_state=final_state,
-                             step_doubling_max=float(doubling.max()), steps=nt)
+                             final_state=v, step_doubling_max=worst_double,
+                             steps=nt)
 
 
 def solve_frequency(system: CompanionSystem, xi: float, epsilon: float,
@@ -288,7 +273,6 @@ class VeryWeakProblem:
     space_mollifier: GevreyCutoffMollifier | None = None
     output_times: tuple[float, ...] = (0.0, 0.5, 1.0)
     tracked_frequencies: tuple[float, ...] = ()
-    jobs: int = 1
     run_recovery_diagnostics: bool = True
 
     @property
@@ -418,7 +402,7 @@ def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
 
     result = integrate_companion(system, xi_grid, t_grid, epsilon=epsilon,
                                  tracked_indices=tracked,
-                                 output_steps=out_steps, jobs=problem.jobs)
+                                 output_steps=out_steps)
     br = bracket(xi_grid)
     uhat = result.first_component * br[None, :] ** (1 - m)
     u = grid.synthesise(uhat)
@@ -434,9 +418,6 @@ def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
         "initial_condition_residual": ic_residual,
         "imag_fraction": float(np.max(np.abs(u.imag))
                                / max(np.max(np.abs(u)), 1e-300)),
-        "tracked_frequency_weights": {
-            f"{xi_grid[i]:.6g}": reg.frequency_weights(xi_grid[i])
-            for i in tracked},
     }
     if problem.run_recovery_diagnostics:
         t_diag = np.linspace(0.0, problem.horizon, 9)
@@ -457,9 +438,10 @@ def solve_very_weak(problem: VeryWeakProblem,
                     epsilons: Sequence[float]) -> SolutionNet:
     """Solve the regularised family over a decreasing epsilon sweep.
 
-    Stage failures are attached to their epsilon and the sweep continues;
-    outputs are deterministic given the problem (ordered reductions, fixed
-    chunking, no randomness).
+    Package errors (:class:`WeakHypError`, with numpy's ``LinAlgError``
+    raised as :class:`NumericalError`) are attached to their epsilon as stage
+    failures and the sweep continues; any other exception is a bug and
+    propagates.  Outputs are deterministic given the problem.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
@@ -471,8 +453,9 @@ def solve_very_weak(problem: VeryWeakProblem,
     records: dict[float, SolveRecord] = {}
     for e in eps:
         try:
-            records[e] = solve_single(problem, e)
-        except Exception as exc:
+            with numerical_errors():
+                records[e] = solve_single(problem, e)
+        except WeakHypError as exc:
             records[e] = SolveRecord(epsilon=e, omega=float("nan"),
                                      error=f"{type(exc).__name__}: {exc}")
     return SolutionNet(epsilons=tuple(eps), records=records,
@@ -544,16 +527,6 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
 
 # -- residual check ----------------------------------------------------------------
 
-_DT_STENCILS = {
-    1: ((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)),
-    2: ((-2, -1, 0, 1, 2), (-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12)),
-    3: ((-3, -2, -1, 1, 2, 3),
-        (-1 / 8, 1.0, -13 / 8, 13 / 8, -1.0, 1 / 8)),
-    4: ((-3, -2, -1, 0, 1, 2, 3),
-        (-1 / 6, 2.0, -13 / 2, 28 / 3, -13 / 2, 2.0, -1 / 6)),
-}
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     relative_l2: float
@@ -584,36 +557,27 @@ def residual_check(u_dense: Array, t_grid: Array, grid: FrequencyGrid,
     def dt_power(values: Array, k: int) -> Array:
         if k == 0:
             return values[halo:nt + 1 - halo]
-        offsets, weights = _DT_STENCILS[k]
+        offsets, weights = _FD4[k]
         acc = np.zeros((nt + 1 - 2 * halo, values.shape[1]), dtype=complex)
         for off, wgt in zip(offsets, weights):
             acc += wgt * values[halo + off:nt + 1 - halo + off]
         return (-1j) ** k * acc / h ** k
 
-    interior = np.arange(halo, nt + 1 - halo)
+    t_interior = t_grid[halo:nt + 1 - halo]
     residual = dt_power(uhat, m)
     scale = float(np.linalg.norm(residual))
-    for j in range(1, m + 1):
-        coeff = np.empty((interior.size, xi.size))
-        for row, i in enumerate(interior):
-            rows = system.principal.last_row(float(t_grid[i]), xi)
-            coeff[row] = rows[m - j] * br ** (j - 1)
-        term = coeff * dt_power(uhat, m - j)
-        residual = residual - term
-        scale = max(scale, float(np.linalg.norm(term)))
+    providers = [system.principal.row_provider(t_interior, xi)]
     if system.lower is not None:
+        providers.append(system.lower.row_provider(t_interior, xi))
+    for provider in providers:
+        rows = np.array([provider(i) for i in range(t_interior.size)])
         for j in range(1, m + 1):
-            coeff = np.empty((interior.size, xi.size), dtype=complex)
-            for row, i in enumerate(interior):
-                rows = system.lower.last_row(float(t_grid[i]), xi)
-                coeff[row] = rows[m - j] * br ** (j - 1)
-            term = coeff * dt_power(uhat, m - j)
+            term = rows[:, m - j] * br ** (j - 1) * dt_power(uhat, m - j)
             residual = residual - term
             scale = max(scale, float(np.linalg.norm(term)))
     if system.forcing is not None:
-        force = np.empty((interior.size, xi.size), dtype=complex)
-        for row, i in enumerate(interior):
-            force[row] = system.forcing.values(float(t_grid[i]), xi)
+        values = system.forcing.values_provider(t_interior, xi)
+        force = np.array([values(i) for i in range(t_interior.size)])
         residual = residual - force
         scale = max(scale, float(np.linalg.norm(force)))
     rel = float(np.linalg.norm(residual)) / max(scale, 1e-300)

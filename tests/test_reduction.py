@@ -5,14 +5,16 @@ from weakhyp.errors import (ConfigurationError, HyperbolicityError,
                             InvalidParameterError, UnsupportedError)
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.recovery import recover_coefficients
+from weakhyp import reduction
 from weakhyp.reduction import (FirstOrderSystem, ForcingPart, InitialData,
                                LowerOrderPart, LowerTerm, PolynomialPrincipal,
-                               RootValuePrincipal, build_companion,
-                               cofactor_matrix,
+                               RootValuePrincipal, _rows_from_root_values,
+                               build_companion, cofactor_matrix,
                                companion_matrix_from_coefficients,
                                random_hyperbolic_system, to_block_sylvester)
-from weakhyp.roots import (constant_roots, constant_scale, linear_scale,
-                           regularise_roots, wave_speed_roots)
+from weakhyp.roots import (bracket, constant_roots, constant_scale,
+                           linear_scale, regularise_roots,
+                           roots_from_linear_forms, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
 
@@ -114,6 +116,41 @@ def test_root_value_principal_matches_regularised_roots(phi):
                                 for j in (1, 2)])
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(eig - expected)) / scale <= 1e-9
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_row_blocks_match_per_time_oracle(phi, order, monkeypatch):
+    # odd symbols r_j(t, d) = c_j(t) d: negative frequencies read the other
+    # direction's profile
+    coeffs = [[heaviside_profile(0.4, 0.7 * j, 0.7 * j + 0.5, (0.0, 1.0))]
+              for j in range(order)]
+    reg = regularise_roots(roots_from_linear_forms(coeffs), phi,
+                           constant_scale(0.05))
+    principal = RootValuePrincipal(reg, epsilon=0.5)
+    xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
+    br = bracket(xi)
+    steps = 13
+    t_grid = np.linspace(0.0, 1.0, 4 * steps + 1)
+    # 7 stage times per block: 53 is no multiple of it, and blocks straddle
+    # the steps below
+    monkeypatch.setattr(reduction, "_ROW_BLOCK_BYTES", 8 * order * xi.size * 7)
+    table = reg.direction_table(t_grid, 0.5, [(1.0,), (-1.0,)])
+    sep = np.arange(1, order + 1)[:, None] \
+        * (reg.omega_of(0.5) * br)[None, :]
+
+    def oracle(i):
+        profile = np.where(xi >= 0, table[(1.0,)][:, i, None],
+                           table[(-1.0,)][:, i, None])
+        return _rows_from_root_values(profile * np.abs(xi) + sep, br)
+
+    # the integrator's reads on a doubled step: full step, then two halves
+    stepper = [4 * s + d for s in range(steps)
+               for d in (0, 2, 2, 4, 0, 1, 1, 2, 2, 3, 3, 4)]
+    shuffled = np.random.default_rng(order).permutation(t_grid.size)
+    for reads in (stepper, shuffled):
+        rows = principal.row_provider(t_grid, xi)
+        for i in reads:
+            assert np.array_equal(rows(int(i)), oracle(int(i)))
 
 
 def test_polynomial_principal_matches_recovered_sets(phi):

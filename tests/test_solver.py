@@ -4,15 +4,18 @@ import pytest
 from weakhyp.errors import (ConfigurationError, DivergenceError,
                             InvalidParameterError, StabilityError)
 from weakhyp.mollifiers import friedrichs_mollifier
-from weakhyp.profiles import (bump_profile, point_mass_profile,
-                              smooth_bump_profile, zero_profile)
+from weakhyp.profiles import (bump_profile, heaviside_profile,
+                              point_mass_profile, smooth_bump_profile,
+                              zero_profile)
 from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
                                LowerTerm, PolynomialPrincipal,
-                               build_companion)
-from weakhyp.roots import constant_roots, constant_scale, linear_scale
+                               RootValuePrincipal, build_companion)
+from weakhyp.roots import (constant_roots, constant_scale, linear_scale,
+                           wave_speed_roots)
 from weakhyp.solver import (FrequencyGrid, LowerTermSpec, VeryWeakProblem,
-                            auto_box_length, dalembert_reference,
-                            energy_trace, integrate_companion, residual_check,
+                            auto_box_length, build_regularised_system,
+                            dalembert_reference, energy_trace,
+                            integrate_companion, residual_check,
                             solve_frequency, solve_single, solve_very_weak,
                             transport_reference)
 
@@ -302,19 +305,53 @@ def test_spectral_accuracy_super_polynomial():
     assert gains[1] > gains[0]
 
 
-def test_jobs_do_not_change_bits(wave_problem):
-    system = build_companion(
-        PolynomialPrincipal(order=2,
-                            coefficients={1: lambda t: np.zeros(np.shape(t)),
-                                          2: lambda t: np.ones(np.shape(t))}),
-        data=InitialData((
-            lambda xi: bump_profile(0.0, 1.0).fourier_transform(xi),
-            lambda xi: np.zeros(np.shape(xi), dtype=complex))))
-    grid = FrequencyGrid(256, 6.2)
-    t_grid = np.linspace(0.0, 1.0, 513)
-    runs = []
-    for jobs in (1, 3):
-        result = integrate_companion(system, grid.frequencies, t_grid,
-                                     output_steps=(512,), jobs=jobs)
-        runs.append(result.first_component.copy())
-    assert np.array_equal(runs[0], runs[1])
+def test_frequency_subset_does_not_change_bits():
+    speed = heaviside_profile(0.5, 1.0, 2.0, (0.0, 1.0))
+    problem = VeryWeakProblem(
+        family=wave_speed_roots(speed),
+        data=(bump_profile(0.0, 1.0), zero_profile()),
+        grid=FrequencyGrid(64, 6.2), time_steps=320, horizon=1.0,
+        omega=linear_scale(), run_recovery_diagnostics=False)
+    system, _, _ = build_regularised_system(problem, 0.125)
+    xi = problem.grid.frequencies
+    t_grid = np.linspace(0.0, 1.0, 321)
+    full = integrate_companion(system, xi, t_grid, output_steps=(160, 320))
+    part = integrate_companion(system, xi[::3], t_grid,
+                               output_steps=(160, 320))
+    assert np.array_equal(part.first_component, full.first_component[:, ::3])
+    assert np.array_equal(part.final_state, full.final_state[:, ::3])
+
+
+def test_rk4_stage_times_give_fourth_order_in_time():
+    # D_t V = (1 + t) xi V, V(0) = 1, so V(1) = exp(1.5 i xi); a coefficient
+    # read at the wrong stage times degrades the step to first order
+    principal = PolynomialPrincipal(
+        order=1, coefficients={1: lambda t: 1.0 + np.asarray(t)})
+    system = build_companion(principal, data=_unit_data(1))
+    xi = 3.0
+    errors = []
+    for nt in (64, 128, 256):
+        trace = solve_frequency(system, xi, 1.0, np.linspace(0.0, 1.0, nt + 1))
+        errors.append(abs(trace[0, -1] - np.exp(1.5j * xi)))
+    assert errors[0] / errors[1] >= 14.0
+    assert errors[1] / errors[2] >= 14.0
+
+
+def test_bug_inside_principal_propagates(wave_problem, monkeypatch):
+    def broken(self, t_grid, xi):
+        raise TypeError("broken principal")
+
+    monkeypatch.setattr(RootValuePrincipal, "row_provider", broken)
+    with pytest.raises(TypeError, match="broken principal"):
+        solve_very_weak(wave_problem, (0.125, 0.0625, 0.03125))
+
+
+def test_linalg_error_becomes_numerical_stage_failure(wave_problem,
+                                                      monkeypatch):
+    def singular(self, t_grid, xi):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(RootValuePrincipal, "row_provider", singular)
+    net = solve_very_weak(wave_problem, (0.125, 0.0625, 0.03125))
+    for e in net.epsilons:
+        assert net.record(e).error.startswith("NumericalError")
