@@ -258,8 +258,18 @@ def run_sweep(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
         "artifact_version": __version__,
         "seed": seed,
         "epsilon_sweep": list(sweep),
+        "per_epsilon": [],
         "metrics": {},
     }
+    for e in sweep:
+        rec = net.record(e)
+        entry = {"epsilon": e, "ok": rec.ok}
+        if rec.ok:
+            entry.update(omega=rec.omega, step_doubling_max=rec.metadata.get(
+                "step_doubling_max"))
+        else:
+            entry["error"] = rec.error
+        summary["per_epsilon"].append(entry)
     errors = [e for e in sweep if not net.record(e).ok]
     summary["failed_epsilons"] = [
         {"epsilon": e, "error": net.record(e).error} for e in errors]

@@ -1,15 +1,19 @@
 """Friedrichs-type mollifiers, cutoff variants, and convolution against profiles.
 
 Kernels are polynomial bumps on a compact interval, so unit mass and
-vanishing moments are linear conditions solved exactly, derivatives of any
-order are available in closed form, and convolution against polynomial
-density pieces is exact under Gauss-Legendre quadrature.
+vanishing moments are linear conditions solved exactly and derivatives of
+any order are available in closed form.  Convolution against a constant
+density piece is a difference of one kernel primitive at two clipped
+kernel-variable endpoints; higher-degree polynomial pieces are integrated
+by a Gauss-Legendre panel exact for their degree, and general smooth pieces
+adaptively.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,12 +189,25 @@ class GevreyCutoffMollifier:
 # -- convolution ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _primitive_coefficients(base_coef: tuple[float, ...], k: int) -> Array:
+    """Coefficients of Q with ``int P^(k) du = Q``: ``int P`` for k = 0,
+    ``P^(k-1)`` otherwise, for the base polynomial P given by ``base_coef``."""
+    poly = Polynomial(base_coef)
+    return (poly.integ() if k == 0 else poly.deriv(k - 1)).coef
+
+
 class Convolution:
     """Smooth function ``(profile * kernel)``, optionally differentiated.
 
-    Atoms convolve analytically into kernel derivatives; density pieces are
-    integrated per evaluation point, exactly for declared-polynomial pieces
-    and adaptively otherwise (absolute tolerance ``tol``).
+    Atoms convolve analytically into kernel derivatives.  Constant density
+    pieces on [lo, hi) are summed in closed form: with the kernel variable
+    ``u = (t - s)/scale`` clipped to the base support [-R, R], each adds
+    ``c * [Q(u_hi) - Q(u_lo)] / scale^k`` where ``u_lo`` comes from ``hi``
+    and ``u_hi`` from ``lo``, and ``Q`` is the primitive of the k-th
+    derivative of the base polynomial.  Pieces of higher declared degree
+    are integrated exactly by a fixed Gauss-Legendre panel, and pieces
+    with ``degree=None`` adaptively (absolute tolerance ``tol``).
     """
 
     def __init__(self, profile: RoughProfile, kernel: Mollifier,
@@ -207,6 +224,17 @@ class Convolution:
                  + [a.location for a in profile.atoms]
                  + [profile.support[1]])
         self.support = (lo - r, hi + r)
+        constant = [p for p in profile.pieces if p.degree == 0]
+        self._other_pieces = [p for p in profile.pieces if p.degree != 0]
+        # columns over pieces: the sum over pieces then runs in one fixed
+        # order for every evaluation point, whatever the batch of points
+        self._const_edges = np.array([[p.hi] for p in constant]
+                                     + [[p.lo] for p in constant])
+        values = np.array([np.ravel(p.fn(np.array([0.5 * (p.lo + p.hi)])))[0]
+                           for p in constant], dtype=complex)[:, None]
+        self._const_values = values if np.any(values.imag) else values.real
+        self._primitive = _primitive_coefficients(
+            tuple(kernel.base_poly.coef), derivative)
 
     def derivative(self, k: int = 1) -> "Convolution":
         return Convolution(self.profile, self.kernel,
@@ -223,11 +251,20 @@ class Convolution:
         for atom in self.profile.atoms:
             out += atom.weight * kernel.derivative(t - atom.location,
                                                    atom.order + k)
-        # integrate in the kernel variable y = t - s: node positions are then
-        # built at the kernel scale, immune to cancellation when the scale is
-        # many orders below |t|
+        # work in the kernel variable: the clipped endpoints are then built at
+        # the kernel scale, immune to cancellation when the scale is many
+        # orders below |t|
         t_flat = t.ravel()
-        for piece in self.profile.pieces:
+        n_const = self._const_values.shape[0]
+        if n_const:
+            # rows u_lo (from each piece's hi), then u_hi (from its lo)
+            w, big_r = kernel.scale, kernel.base_radius
+            u = np.clip((t_flat - self._const_edges) / w, -big_r, big_r)
+            q = np.polynomial.polynomial.polyval(u, self._primitive)
+            mass = q[n_const:] - q[:n_const]
+            out += ((self._const_values * mass).sum(axis=0)
+                    / w ** k).reshape(t.shape)
+        for piece in self._other_pieces:
             lo_y = np.maximum(-r, t - piece.hi)
             hi_y = np.minimum(r, t - piece.lo)
 

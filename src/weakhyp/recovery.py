@@ -309,11 +309,13 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
                      rng: np.random.Generator | None = None) -> RoundTripReport:
     """Regularise, recover, rebuild the polynomial, root-solve, compare.
 
-    Each probe draws a random (t, xi) in the positive frequency orthant,
-    rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)`` from the recovered
-    coefficients, takes companion-matrix eigenvalues, reattaches the
-    separating shifts to the sorted roots and compares against the
-    regularised root values.  Failures are recorded, not raised.
+    Each probe draws a random (t, xi) in the positive frequency orthant (t
+    first, then xi, probe by probe).  The recovered coefficients of every
+    degree are evaluated once, at all probe times together; each probe then
+    rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)``, takes companion-matrix
+    eigenvalues, reattaches the separating shifts to the sorted roots and
+    compares against the regularised root values.  Failures are recorded,
+    not raised: a failed batched evaluation fails every probe.
     """
     from .reduction import companion_matrix_from_coefficients
 
@@ -324,18 +326,31 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     reg = regularise_roots(family, mollifier, scale)
     m, n = family.order, family.dimension
     sets = {j: recover_coefficients(reg, j, n, epsilon) for j in range(1, m + 1)}
+    plan_warnings = tuple(wrn for s in sets.values() for wrn in s.plan.warnings)
     w = reg.omega_of(epsilon)
+    draws = []
+    for _ in range(trials):
+        t = float(rng.uniform(0.0, family.horizon))
+        draws.append((t, tuple(rng.uniform(0.3, 2.5, size=n))))
+    t_all = np.array([t for t, _ in draws])
+    try:
+        with numerical_errors():
+            values = {h: sets[h].evaluate(t_all) for h in range(1, m + 1)}
+    except WeakHypError as exc:  # reported, not thrown
+        failures = tuple(f"probe (t={t:.6g}, xi={xi}): {exc}"
+                         for t, xi in draws)
+        return RoundTripReport(0.0, (), failures=failures,
+                               plan_warnings=plan_warnings)
     probes: list[RoundTripProbe] = []
     failures: list[str] = []
     worst = 0.0
-    for _ in range(trials):
-        t = float(rng.uniform(0.0, family.horizon))
-        xi = tuple(rng.uniform(0.3, 2.5, size=n))
+    for i, (t, xi) in enumerate(draws):
         try:
             with numerical_errors():
                 coeffs = np.ones(m + 1)
                 for h in range(1, m + 1):
-                    coeffs[h] = float(sets[h].sigma_hat(t, xi))
+                    coeffs[h] = -sum(vals[i] * _monomial(xi, nu)
+                                     for nu, vals in values[h].items())
                 eig = np.linalg.eigvals(
                     companion_matrix_from_coefficients(coeffs))
                 pure = np.sort(np.real(eig))
@@ -347,7 +362,6 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
             worst = max(worst, err)
         except WeakHypError as exc:  # reported, not thrown
             failures.append(f"probe (t={t:.6g}, xi={xi}): {exc}")
-    plan_warnings = tuple(wrn for s in sets.values() for wrn in s.plan.warnings)
     return RoundTripReport(worst, tuple(probes), failures=tuple(failures),
                            plan_warnings=plan_warnings)
 

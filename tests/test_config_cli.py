@@ -177,6 +177,14 @@ def test_cli_sweep_subcommand(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reference"]["strictly_decreasing"] is True
     assert summary["convergence"]["non_cauchy"] is False
+    # the per-epsilon diagnostics that solve reports
+    entries = summary["per_epsilon"]
+    assert [e["epsilon"] for e in entries] == raw["regularisation"][
+        "epsilon_sweep"]
+    for e in entries:
+        assert e["ok"] is True
+        assert e["omega"] == e["epsilon"]  # linear scale
+        assert 0.0 <= e["step_doubling_max"] < 1e-6
 
 
 def test_cli_symmetriser_and_reduce_subcommands(tmp_path):

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakhyp._quadrature import fixed_panel
 from weakhyp.errors import InsufficientDataError, InvalidParameterError
 from weakhyp.mollifiers import (GevreyCutoffMollifier, convolve_profile,
                                 fourier_approximation_rate,
                                 friedrichs_mollifier, plateau_cutoff,
                                 scale_mollifier, vanishing_moment_mollifier)
 from weakhyp.profiles import (bump_profile, constant_profile,
-                              heaviside_profile, point_mass_profile,
-                              zero_profile)
+                              heaviside_profile, hoelder_profile,
+                              piecewise_constant_profile, point_mass_profile,
+                              polynomial_piece_profile, zero_profile)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,59 @@ def test_linf_convergence_for_continuous_density(phi):
         conv = convolve_profile(p, scale_mollifier(phi, eps))
         sups.append(float(np.max(np.abs(conv(t) - target))))
     assert sups[0] > sups[1] > sups[2]
+
+
+def _gauss_oracle(breaks, values, kernel, k, t):
+    """Constant pieces integrated in the kernel variable y = t - s by one
+    Gauss-Legendre panel, exact for the kernel's polynomial degree."""
+    r = kernel.support_radius
+    n = kernel.degree // 2 + 2
+    out = np.zeros(t.shape)
+    for lo, hi, c in zip(breaks, breaks[1:], values):
+        out += c * fixed_panel(lambda y: kernel.derivative(y, k),
+                               np.maximum(-r, t - hi),
+                               np.minimum(r, t - lo), n)
+    return out
+
+
+@given(breaks=st.lists(st.floats(min_value=-1.0, max_value=2.0),
+                       min_size=2, max_size=6, unique=True).map(sorted),
+       data=st.data(),
+       log_omega=st.floats(min_value=-9.0, max_value=0.0),
+       k=st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_constant_pieces_match_gauss_oracle(phi, breaks, data, log_omega, k):
+    values = data.draw(st.lists(
+        st.floats(min_value=-5.0, max_value=5.0).filter(lambda v: v != 0.0),
+        min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    omega = 10.0 ** log_omega
+    kernel = scale_mollifier(phi, omega)
+    offsets = data.draw(st.lists(st.floats(min_value=-1.2, max_value=1.2),
+                                 min_size=1, max_size=8))
+    # points within omega of every breakpoint, and across the support
+    t = np.concatenate(
+        [b + omega * np.array(offsets + [-1.0, 0.0, 1.0]) for b in breaks]
+        + [np.linspace(breaks[0] - 0.5, breaks[-1] + 0.5, 41)])
+    profile = piecewise_constant_profile(breaks, values,
+                                         (breaks[0], breaks[-1]))
+    closed = convolve_profile(profile, kernel, derivative=k)(t)
+    oracle = _gauss_oracle(breaks, values, kernel, k, t)
+    c_max = max(abs(v) for v in values)
+    bound = 1e-13 * c_max if k == 0 else 1e-9 * c_max * omega ** -k
+    assert np.max(np.abs(closed - oracle)) <= bound
+
+
+def test_mixed_profile_is_sum_of_its_parts(phi):
+    parts = [constant_profile(2.0, (0.0, 0.4)),
+             polynomial_piece_profile([1.0, -2.0, 0.5, 3.0], 0.4, 0.7),
+             hoelder_profile(0.5, 0.85, 1.0, 0.3, (0.7, 1.0)),
+             point_mass_profile(0.55, order=1, weight=0.7)]
+    whole = parts[0] + parts[1] + parts[2] + parts[3]
+    kernel = scale_mollifier(phi, 0.05)
+    t = np.linspace(-0.1, 1.1, 49)
+    got = convolve_profile(whole, kernel)(t)
+    split = sum(convolve_profile(p, kernel)(t) for p in parts)
+    assert np.max(np.abs(got - split)) <= 1e-12 * np.max(np.abs(split))
 
 
 # -- cutoff mollifier ---------------------------------------------------------------

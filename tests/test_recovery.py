@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhyp.errors import InvalidParameterError
+from weakhyp.errors import InvalidParameterError, NumericalError
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.profiles import constant_profile
-from weakhyp.recovery import (build_direction_plan, characteristic_polynomial,
+from weakhyp.recovery import (HomogeneousCoefficientSet,
+                              build_direction_plan, characteristic_polynomial,
                               random_ordered_family, random_round_trip_study,
                               recover_coefficients, round_trip_check, sigma,
                               sigma_brute_force)
@@ -201,6 +202,31 @@ def test_round_trip_zero_roots_exact(phi):
 def test_round_trip_rejects_zero_trials(phi):
     with pytest.raises(InvalidParameterError):
         round_trip_check(constant_roots([0.0]), phi, 0.05, trials=0)
+
+
+def test_round_trip_probes_keep_the_draw_order(phi):
+    fam = constant_roots([-1.0, 0.5, 2.0], dimension=2)
+    report = round_trip_check(fam, phi, 0.05, trials=5,
+                              rng=np.random.default_rng(4))
+    fresh = np.random.default_rng(4)
+    expected = []
+    for _ in range(5):  # t, then xi, probe by probe
+        t = float(fresh.uniform(0.0, fam.horizon))
+        expected.append((t, tuple(fresh.uniform(0.3, 2.5, size=2))))
+    assert [(p.t, p.xi) for p in report.probes] == expected
+    assert not report.failures
+
+
+def test_round_trip_failed_evaluation_fails_every_probe(phi, monkeypatch):
+    def broken(self, t):
+        raise NumericalError("singular block")
+
+    monkeypatch.setattr(HomogeneousCoefficientSet, "evaluate", broken)
+    report = round_trip_check(constant_roots([-1.0, 2.0]), phi, 0.05,
+                              trials=4, rng=np.random.default_rng(0))
+    assert report.probes == ()
+    assert len(report.failures) == 4
+    assert all("singular block" in f for f in report.failures)
 
 
 def test_random_round_trip_study_small(phi):
