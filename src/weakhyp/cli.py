@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import config_echo, config_hash, load_config
 from .errors import ConfigurationError, WeakHypError
-from .experiments import DRIVERS
+from .experiments import DRIVERS, run_experiment
 from .reports import write_json
 
 
@@ -45,11 +46,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}{field}", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else cfg.seed
-    driver = DRIVERS[args.subcommand]
     try:
-        record = driver(cfg, seed)
+        record = run_experiment(args.subcommand, cfg, seed)
     except WeakHypError as exc:
-        from pathlib import Path
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo").write_text(config_echo(cfg), encoding="utf-8")
@@ -62,15 +61,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"stage failure: {exc}", file=sys.stderr)
         return 1
     record.write(args.out, config_echo(cfg))
-    status = 0 if (record.complete and record.checks_passed) else 1
-    checks = record.summary.get("checks", [])
-    for entry in checks:
+    summary = record.summary
+    for entry in summary["checks"]:
         mark = "pass" if entry["passed"] else "FAIL"
         print(f"[{mark}] {entry['metric']} = {entry['value']} "
               f"(ceiling {entry['ceiling']})")
-    if not record.complete:
+    if not summary["complete"]:
         print("run incomplete: see summary.json", file=sys.stderr)
-    return status
+    return 0 if summary["complete"] and summary["checks_passed"] else 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
 """Drivers behind the CLI subcommands: build, run, measure, emit tables.
 
-Each driver consumes a validated config, runs one experiment family and
-returns an :class:`ExperimentRecord` whose numeric tables are byte-stable
-under re-runs with the same seed.
+:func:`run_experiment` decides the ``summary.json`` frame for every
+subcommand.  It writes the header (``subcommand``, ``config_hash``,
+``artifact_version``, ``seed``), runs the subcommand's body from
+:data:`DRIVERS`, then appends the tail (``runtime_seconds``, ``complete``,
+``checks``, ``checks_passed``).  A body fills only its own summary keys and
+tables and returns whether every stage completed.  Tables and summaries,
+apart from ``runtime_seconds``, are byte-stable under re-runs with the same
+seed.
 """
 
 from __future__ import annotations
@@ -10,17 +15,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .analysis import convergence_study, fit_moderateness, gevrey_fourier_check
+from .analysis import (convergence_study, fit_moderateness,
+                       gevrey_fourier_check, uniformity_spot_check)
 from .config import (ExperimentConfig, build_profile, build_root_family,
-                     build_scale, config_echo, config_hash)
+                     build_scale, config_hash)
 from .errors import ConfigurationError
 from .mollifiers import friedrichs_mollifier
-from .recovery import random_round_trip_study
+from .recovery import build_direction_plan, random_round_trip_study
 from .reduction import cofactor_matrix, random_hyperbolic_system, \
     to_block_sylvester
 from .reports import write_csv, write_json
@@ -33,16 +39,13 @@ from .symmetrisers import (build_symmetriser, vandermonde_product_squared,
                            verify_quadratic_bounds)
 
 Array = np.ndarray
+Tables = dict[str, tuple[tuple, list]]
 
 
 @dataclass
 class ExperimentRecord:
-    subcommand: str
-    config_hash: str
-    complete: bool
-    checks_passed: bool
     summary: dict
-    tables: dict[str, tuple[tuple, list]] = field(default_factory=dict)
+    tables: Tables = field(default_factory=dict)
 
     def write(self, out_dir: str | Path, echo: str) -> None:
         out = Path(out_dir)
@@ -53,7 +56,7 @@ class ExperimentRecord:
         write_json(out / "summary.json", self.summary)
 
 
-def _apply_checks(summary: dict, checks: dict) -> bool:
+def _apply_checks(summary: dict, checks: dict) -> None:
     """Compare summary metrics against configured ceilings."""
     results = []
     ok = True
@@ -66,7 +69,21 @@ def _apply_checks(summary: dict, checks: dict) -> bool:
                         "ceiling": float(ceiling), "passed": passed})
     summary["checks"] = results
     summary["checks_passed"] = ok
-    return ok
+
+
+def run_experiment(subcommand: str, cfg: ExperimentConfig,
+                   seed: int) -> ExperimentRecord:
+    """Run one subcommand's body inside the shared summary frame."""
+    started = time.perf_counter()
+    record = ExperimentRecord({"subcommand": subcommand,
+                               "config_hash": config_hash(cfg),
+                               "artifact_version": __version__,
+                               "seed": seed})
+    complete = DRIVERS[subcommand](cfg, seed, record.summary, record.tables)
+    record.summary["runtime_seconds"] = time.perf_counter() - started
+    record.summary["complete"] = complete
+    _apply_checks(record.summary, cfg.section("checks"))
+    return record
 
 
 def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
@@ -147,7 +164,7 @@ def _reference_values(cfg: ExperimentConfig, problem: VeryWeakProblem
 
 
 def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
-                record: ExperimentRecord) -> None:
+                tables: Tables) -> None:
     x = problem.grid.x_nodes
     xi = problem.grid.frequencies
     sol_rows = []
@@ -162,10 +179,8 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
             for k in range(xi.size):
                 spec_rows.append((e, t, float(xi[k]),
                                   float(abs(rec.uhat[row, k]))))
-    record.tables["solution"] = (
-        ("epsilon", "time", "x", "re_u", "im_u"), sol_rows)
-    record.tables["spectrum"] = (
-        ("epsilon", "time", "xi", "abs_uhat"), spec_rows)
+    tables["solution"] = (("epsilon", "time", "x", "re_u", "im_u"), sol_rows)
+    tables["spectrum"] = (("epsilon", "time", "xi", "abs_uhat"), spec_rows)
     energy_rows = []
     for e in net.ok_epsilons():
         rec = net.record(e)
@@ -178,31 +193,27 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
                                  sample_stride=stride)
             for t, en in zip(trace.times, trace.energies):
                 energy_rows.append((e, xi_val, float(t), float(en)))
-    record.tables["energy"] = (
-        ("epsilon", "xi", "time", "energy"), energy_rows)
+    tables["energy"] = (("epsilon", "xi", "time", "energy"), energy_rows)
 
 
-def run_solve(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
-    """Full very-weak pipeline over the sweep, with reference comparison."""
-    started = time.perf_counter()
+def _solve_net(cfg: ExperimentConfig, summary: dict, detailed: bool
+               ) -> tuple[VeryWeakProblem, SolutionNet]:
+    """Solve the config's epsilon sweep and list each epsilon's outcome.
+
+    Every solved epsilon reports its omega and step-doubling estimate;
+    ``detailed`` adds its sup norm, imaginary fraction and recovery
+    residuals.
+    """
     problem = build_problem(cfg)
     sweep = cfg.epsilon_sweep
     net = solve_very_weak(problem, sweep)
-    reference, ref_kind = _reference_values(cfg, problem)
-    summary: dict[str, Any] = {
-        "subcommand": "solve",
-        "config_hash": config_hash(cfg),
-        "artifact_version": __version__,
-        "seed": seed,
-        "epsilon_sweep": list(sweep),
-        "per_epsilon": [],
-        "metrics": {},
-    }
-    errors = {}
+    entries = []
     for e in sweep:
         rec = net.record(e)
         entry = {"epsilon": e, "ok": rec.ok}
-        if rec.ok:
+        if not rec.ok:
+            entry["error"] = rec.error
+        elif detailed:
             entry.update({
                 "omega": rec.omega,
                 "sup_norm": rec.sup_norm(),
@@ -213,69 +224,40 @@ def run_solve(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
                     rec.metadata.get("recovery_residuals", {}).items()},
             })
         else:
-            entry["error"] = rec.error
-            errors[e] = rec.error
-        summary["per_epsilon"].append(entry)
+            entry.update(omega=rec.omega, step_doubling_max=rec.metadata.get(
+                "step_doubling_max"))
+        entries.append(entry)
+    summary.update(epsilon_sweep=list(sweep), per_epsilon=entries, metrics={})
+    return problem, net
+
+
+def run_solve(cfg: ExperimentConfig, seed: int, summary: dict,
+              tables: Tables) -> bool:
+    """Full very-weak pipeline over the sweep, with reference comparison."""
+    problem, net = _solve_net(cfg, summary, detailed=True)
+    reference, ref_kind = _reference_values(cfg, problem)
+    _net_tables(net, problem, tables)
     if reference is not None:
-        ref_rows = []
-        for e in net.ok_epsilons():
-            rec = net.record(e)
-            err = float(np.max(np.abs(rec.u - reference)))
-            ref_rows.append((e, err))
-        summary["reference"] = {"kind": ref_kind,
-                                "errors": [list(r) for r in ref_rows]}
+        ref_rows = [[e, float(np.max(np.abs(net.record(e).u - reference)))]
+                    for e in net.ok_epsilons()]
+        summary["reference"] = {"kind": ref_kind, "errors": ref_rows}
         if ref_rows:
             summary["metrics"][f"{ref_kind}_linf_error"] = ref_rows[-1][1]
-    complete = not errors
-    record = ExperimentRecord(
-        subcommand="solve", config_hash=summary["config_hash"],
-        complete=complete, checks_passed=True, summary=summary)
-    _net_tables(net, problem, record)
-    if reference is not None:
-        record.tables["reference"] = (
-            ("epsilon", "linf_error"),
-            [list(r) for r in summary.get("reference", {}).get("errors", [])])
-    summary["runtime_seconds"] = time.perf_counter() - started
-    summary["complete"] = complete
-    record.checks_passed = _apply_checks(summary, cfg.section("checks")) \
-        and complete
-    return record
+        tables["reference"] = (("epsilon", "linf_error"), ref_rows)
+    return all(entry["ok"] for entry in summary["per_epsilon"])
 
 
-def run_sweep(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
+def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
+              tables: Tables) -> bool:
     """Moderateness and convergence study over the sweep."""
-    started = time.perf_counter()
-    problem = build_problem(cfg)
-    sweep = cfg.epsilon_sweep
-    net = solve_very_weak(problem, sweep)
+    problem, net = _solve_net(cfg, summary, detailed=False)
     analysis_cfg = cfg.section("analysis")
     s = cfg.gevrey_s
     nu = float(analysis_cfg.get("nu", 1.0))
     seminorm = analysis_cfg.get("seminorm", "fourier_proxy")
-    summary: dict[str, Any] = {
-        "subcommand": "sweep",
-        "config_hash": config_hash(cfg),
-        "artifact_version": __version__,
-        "seed": seed,
-        "epsilon_sweep": list(sweep),
-        "per_epsilon": [],
-        "metrics": {},
-    }
-    for e in sweep:
-        rec = net.record(e)
-        entry = {"epsilon": e, "ok": rec.ok}
-        if rec.ok:
-            entry.update(omega=rec.omega, step_doubling_max=rec.metadata.get(
-                "step_doubling_max"))
-        else:
-            entry["error"] = rec.error
-        summary["per_epsilon"].append(entry)
-    errors = [e for e in sweep if not net.record(e).ok]
     summary["failed_epsilons"] = [
-        {"epsilon": e, "error": net.record(e).error} for e in errors]
-    record = ExperimentRecord(
-        subcommand="sweep", config_hash=summary["config_hash"],
-        complete=not errors, checks_passed=True, summary=summary)
+        {"epsilon": entry["epsilon"], "error": entry["error"]}
+        for entry in summary["per_epsilon"] if not entry["ok"]]
 
     mod = fit_moderateness(net, s=s, nu=nu)
     summary["moderateness"] = {
@@ -289,7 +271,7 @@ def run_sweep(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     }
     summary["metrics"]["moderateness_r_squared_deficit"] = \
         max(0.0, 1.0 - mod.r_squared)
-    record.tables["moderateness"] = (
+    tables["moderateness"] = (
         ("epsilon", "sup_norm"), [list(r) for r in mod.sup_table])
 
     reference, ref_kind = _reference_values(cfg, problem)
@@ -305,11 +287,11 @@ def run_sweep(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     }
     if conv.mean_ratio is not None:
         summary["metrics"]["convergence_mean_ratio"] = conv.mean_ratio
-    record.tables["convergence"] = (
+    tables["convergence"] = (
         ("epsilon_coarse", "epsilon_fine", "distance"),
         [list(r) for r in conv.pairwise])
     if conv.reference_errors is not None:
-        record.tables["reference"] = (
+        tables["reference"] = (
             ("epsilon", "error"), [list(r) for r in conv.reference_errors])
         summary["reference"] = {
             "kind": ref_kind,
@@ -330,73 +312,58 @@ def run_sweep(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
     # classical-consistency hypotheses cannot be verified symbolically: the
     # config asserts uniformity and the artifact spot-checks a constant
     if cfg.raw.get("roots", {}).get("uniformity_asserted"):
-        from .analysis import uniformity_spot_check
         c_value = uniformity_spot_check(
             problem.family, np.linspace(0.0, problem.horizon, 33),
             [(1.0,), (-1.0,)])
         summary["uniformity"] = {"asserted": True,
                                  "sampled_constant": c_value}
-    summary["runtime_seconds"] = time.perf_counter() - started
-    summary["complete"] = record.complete
-    record.checks_passed = _apply_checks(summary, cfg.section("checks")) \
-        and record.complete
-    return record
+    return not summary["failed_epsilons"]
 
 
-def run_roundtrip(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
+def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
+                  tables: Tables) -> bool:
     """Coefficient-recovery audit over random root families."""
     started = time.perf_counter()
     section = cfg.section("roundtrip")
-    rng = np.random.default_rng(seed)
+    max_order = int(section.get("max_order", 4))
+    max_dimension = int(section.get("max_dimension", 3))
     study = random_round_trip_study(
         n_families=int(section.get("families", 100)),
         mollifier=friedrichs_mollifier(),
         omega=constant_scale(float(section.get("omega", 0.05))),
-        rng=rng,
-        max_order=int(section.get("max_order", 4)),
-        max_dimension=int(section.get("max_dimension", 3)),
+        rng=np.random.default_rng(seed),
+        max_order=max_order,
+        max_dimension=max_dimension,
         probes_per_family=int(section.get("trials_per_family", 2)),
         epsilon=float(section.get("epsilon", 0.5)))
     runtime = time.perf_counter() - started
     # the direction plans behind the recoveries, for reproducibility
-    from .recovery import build_direction_plan
     plans = {}
-    for degree in range(1, int(section.get("max_order", 4)) + 1):
-        for dim in range(1, int(section.get("max_dimension", 3)) + 1):
+    for degree in range(1, max_order + 1):
+        for dim in range(1, max_dimension + 1):
             plan = build_direction_plan(degree, dim)
             plans[f"degree_{degree}_dim_{dim}"] = [
                 {"support": list(block.support),
                  "directions": [list(d) for d in block.directions],
                  "condition": block.condition}
                 for block in plan.blocks]
-    summary = {
-        "subcommand": "roundtrip",
-        "config_hash": config_hash(cfg),
-        "artifact_version": __version__,
-        "seed": seed,
+    summary.update({
         "families": len(study.rows),
         "max_rel_error": study.max_rel_error,
         "failures": list(study.failures),
         "direction_plans": plans,
         "metrics": {"roundtrip_max_rel_error": study.max_rel_error,
                     "roundtrip_runtime_seconds": runtime},
-        "runtime_seconds": runtime,
-        "complete": not study.failures,
-    }
-    record = ExperimentRecord(
-        subcommand="roundtrip", config_hash=summary["config_hash"],
-        complete=not study.failures, checks_passed=True, summary=summary)
-    record.tables["roundtrip"] = (
+    })
+    tables["roundtrip"] = (
         ("family", "order", "dimension", "rel_error"),
         [(i, m, n, err) for i, (m, n, err) in enumerate(study.rows)])
-    record.checks_passed = _apply_checks(summary, cfg.section("checks")) \
-        and record.complete
-    return record
+    return not study.failures
 
 
-def run_symmetriser(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
+def run_symmetriser(cfg: ExperimentConfig, seed: int, summary: dict,
+                    tables: Tables) -> bool:
     """Symmetriser identity and bound audit over random root tuples."""
-    started = time.perf_counter()
     section = cfg.section("symmetriser")
     count = int(section.get("count", 1000))
     max_order = int(section.get("max_order", 4))
@@ -426,12 +393,7 @@ def run_symmetriser(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
         floor_failures += len(report.violations)
         rows.append((index, m, float(np.min(np.diff(mu)) if m > 1 else 0.0),
                      inter, det_err, eig_floor, sym.det_value, vdm))
-    runtime = time.perf_counter() - started
-    summary = {
-        "subcommand": "symmetriser",
-        "config_hash": config_hash(cfg),
-        "artifact_version": __version__,
-        "seed": seed,
+    summary.update({
         "count": count,
         "worst_intertwining": worst_intertwine,
         "worst_det_rel_error": worst_det,
@@ -443,23 +405,17 @@ def run_symmetriser(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
             "symmetriser_eigen_floor_deficit": max(0.0, -worst_eigen - 1e-12),
             "symmetriser_bound_violations": float(floor_failures),
         },
-        "runtime_seconds": runtime,
-        "complete": True,
-    }
-    record = ExperimentRecord(
-        subcommand="symmetriser", config_hash=summary["config_hash"],
-        complete=True, checks_passed=True, summary=summary)
-    record.tables["symmetriser"] = (
+    })
+    tables["symmetriser"] = (
         ("index", "order", "spacing", "intertwining_residual",
          "det_rel_error", "eigen_floor", "det_value", "vandermonde_squared"),
         rows)
-    record.checks_passed = _apply_checks(summary, cfg.section("checks"))
-    return record
+    return True
 
 
-def run_reduce(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
+def run_reduce(cfg: ExperimentConfig, seed: int, summary: dict,
+               tables: Tables) -> bool:
     """Block-reduction audit: adjugate identity and block eigenvalues."""
-    started = time.perf_counter()
     section = cfg.section("reduce")
     count = int(section.get("count", 50))
     sizes = [int(s) for s in section.get("sizes", (2, 3))]
@@ -484,12 +440,7 @@ def run_reduce(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
             worst_cof = max(worst_cof, cof_res)
             worst_eig = max(worst_eig, eig_err)
             rows.append((index, size, xi, cof_res, eig_err))
-    runtime = time.perf_counter() - started
-    summary = {
-        "subcommand": "reduce",
-        "config_hash": config_hash(cfg),
-        "artifact_version": __version__,
-        "seed": seed,
+    summary.update({
         "count": count,
         "worst_cofactor_residual": worst_cof,
         "worst_block_eigen_error": worst_eig,
@@ -497,20 +448,14 @@ def run_reduce(cfg: ExperimentConfig, seed: int) -> ExperimentRecord:
             "reduce_worst_cofactor_residual": worst_cof,
             "reduce_worst_block_eigen_error": worst_eig,
         },
-        "runtime_seconds": runtime,
-        "complete": True,
-    }
-    record = ExperimentRecord(
-        subcommand="reduce", config_hash=summary["config_hash"],
-        complete=True, checks_passed=True, summary=summary)
-    record.tables["reduce"] = (
+    })
+    tables["reduce"] = (
         ("index", "size", "xi", "cofactor_residual", "block_eigen_error"),
         rows)
-    record.checks_passed = _apply_checks(summary, cfg.section("checks"))
-    return record
+    return True
 
 
-DRIVERS: dict[str, Callable[[ExperimentConfig, int], ExperimentRecord]] = {
+DRIVERS: dict[str, Callable[[ExperimentConfig, int, dict, Tables], bool]] = {
     "solve": run_solve,
     "sweep": run_sweep,
     "roundtrip": run_roundtrip,

@@ -521,33 +521,34 @@ _FD4 = {
 }
 
 
-def _dt_matrix(fn: Callable[[float], Array], t: float, order: int,
-               h: float) -> Array:
-    """(D_t^order fn)(t) with D_t = -i d/dt, 4th order central differences."""
+def dt_power(sample: Callable[[int], Array], order: int, h: float) -> Array:
+    """D_t^order (D_t = -i d/dt) by 4th-order central differences.
+
+    ``sample(k)`` is the value k steps of length h from the point of
+    evaluation: a function evaluated at t + k h, or an array slice shifted
+    by k.
+    """
     if order == 0:
-        return np.asarray(fn(t), dtype=complex)
+        return np.asarray(sample(0), dtype=complex)
     offsets, weights = _FD4[order]
     acc = None
     for off, wgt in zip(offsets, weights):
-        term = wgt * np.asarray(fn(t + off * h), dtype=complex)
+        term = wgt * np.asarray(sample(off), dtype=complex)
         acc = term if acc is None else acc + term
     return (-1j) ** order * acc / h ** order
 
 
 @dataclass
 class FirstOrderSystem:
-    """D_t u = A(t, D_x) u + B(t) u + F, u(0) = g0, in one space dimension.
+    """D_t u = A(t, D_x) u + B(t) u, u(0) = g0, in one space dimension.
 
     ``a1`` evaluates the first-order symbol matrix: A(t, xi) = a1(t) * xi.
-    ``b`` is the regularised zero-order matrix (smooth in t).  Forcing
-    components must be density-type in time; time atoms would have no
-    grid realisation under the adjugate's D_t powers.
+    ``b`` is the regularised zero-order matrix (smooth in t).
     """
 
     order: int
     a1: Callable[[float], Array]
     b: Callable[[float], Array] | None = None
-    forcing: tuple[ForcingPart | None, ...] | None = None
     data: tuple[Callable[[Array], Array], ...] | None = None
     horizon: float = 1.0
 
@@ -566,7 +567,7 @@ class FirstOrderSystem:
 @dataclass
 class BlockSylvesterSystem:
     """m identical companion blocks from delta = det(tau I - A), plus the
-    transformed lower-order matrix, forcing and data."""
+    transformed lower-order matrix and data."""
 
     system: FirstOrderSystem
     fd_step: float = 1e-3
@@ -605,7 +606,7 @@ class BlockSylvesterSystem:
 
         Applying L(t, D_t, xi) to (D_t - A - B)u leaves delta(D_t)u plus the
         Leibniz spill-over of D_t powers landing on the coefficients:
-        delta(D_t)u = sum_q W_q D_t^q u + L F with
+        delta(D_t)u = sum_q W_q D_t^q u with
         W_q = sum_{i>=1} C(q+i, i) N~_{q+i} (D_t^i A)
             + sum_{i>=0} C(q+i, i) N~_{q+i} (D_t^i B).
         """
@@ -621,17 +622,17 @@ class BlockSylvesterSystem:
                 p = q + i
                 binom = math.comb(p, i)
                 if i >= 1:
-                    da = _dt_matrix(lambda s: self.system.a_symbol(s, xi),
-                                    t, i, h)
+                    da = dt_power(
+                        lambda k: self.system.a_symbol(t + k * h, xi), i, h)
                     acc += binom * ascending[p] @ da
                 if self.system.b is not None:
-                    db = _dt_matrix(self.system.b, t, i, h)
+                    db = dt_power(lambda k: self.system.b(t + k * h), i, h)
                     acc += binom * ascending[p] @ db
             weights[q] = acc
         return weights
 
     def lower_matrix(self, t: float, xi: float) -> Array:
-        """The m^2 x m^2 lower-order matrix entering D_t U - A U + L U = R."""
+        """The m^2 x m^2 lower-order matrix entering D_t U - A U + L U = 0."""
         m = self.system.order
         br = float(bracket(xi))
         weights = self._tau_weights(t, xi)
@@ -642,43 +643,6 @@ class BlockSylvesterSystem:
                 for p2 in range(m):
                     col = p2 * m + q
                     out[row, col] = -weights[q][p, p2] * br ** (q + 1 - m)
-        return out
-
-    def transformed_forcing(self, t_grid: Array, xi: float) -> Array:
-        """R(t, xi) on a uniform grid; D_t powers realised by 4th-order
-        differences on a 3-step-padded extension of the grid."""
-        m = self.system.order
-        t_grid = np.asarray(t_grid, dtype=float)
-        if self.system.forcing is None:
-            return np.zeros((m * m, t_grid.size), dtype=complex)
-        dt = float(t_grid[1] - t_grid[0])
-        pad = 3
-        t_ext = np.concatenate([t_grid[0] + dt * np.arange(-pad, 0), t_grid,
-                                t_grid[-1] + dt * np.arange(1, pad + 1)])
-        fhat = np.zeros((m, t_ext.size), dtype=complex)
-        for p, part in enumerate(self.system.forcing):
-            if part is None:
-                continue
-            xi_arr = np.array([xi])
-            for k, s in enumerate(t_ext):
-                fhat[p, k] = part.values(float(s), xi_arr)[0]
-        derivs = {0: fhat[:, pad:pad + t_grid.size]}
-        for q in range(1, m):
-            offsets, wts = _FD4[q]
-            acc = np.zeros((m, t_grid.size), dtype=complex)
-            for off, wgt in zip(offsets, wts):
-                acc += wgt * fhat[:, pad + off:pad + off + t_grid.size]
-            derivs[q] = (-1j) ** q * acc / dt ** q
-        out = np.zeros((m * m, t_grid.size), dtype=complex)
-        for k, t in enumerate(t_grid):
-            mats, _ = self._adjugate(float(t), xi)
-            ascending = [mats[m - 1 - q] for q in range(m)]
-            for p in range(m):
-                row = p * m + (m - 1)
-                total = 0.0 + 0.0j
-                for q in range(m):
-                    total += ascending[q][p, :] @ derivs[q][:, k]
-                out[row, k] = total
         return out
 
     def transformed_data(self, xi: float) -> Array:
@@ -693,24 +657,18 @@ class BlockSylvesterSystem:
                            for g in self.system.data])]
         h = self.fd_step
 
-        def rhs_matrix(order: int, t: float) -> Array:
-            total = _dt_matrix(lambda s: self.system.a_symbol(s, xi), t, order, h) \
-                if order else np.asarray(self.system.a_symbol(t, xi), complex)
+        def rhs_matrix(order: int) -> Array:
+            total = dt_power(lambda k: self.system.a_symbol(k * h, xi),
+                             order, h)
             if self.system.b is not None:
-                total = total + _dt_matrix(self.system.b, t, order, h)
+                total = total + dt_power(lambda k: self.system.b(k * h),
+                                         order, h)
             return total
 
         for q in range(1, m):
             total = np.zeros(m, dtype=complex)
             for i in range(q):
-                total += math.comb(q - 1, i) * rhs_matrix(i, 0.0) @ y[q - 1 - i]
-            if self.system.forcing is not None:
-                for p, part in enumerate(self.system.forcing):
-                    if part is None:
-                        continue
-                    total[p] += complex(_dt_matrix(
-                        lambda s, _p=part: np.atleast_1d(_p.values(s, xi_arr)),
-                        0.0, q - 1, h).ravel()[0])
+                total += math.comb(q - 1, i) * rhs_matrix(i) @ y[q - 1 - i]
             y.append(total)
         out = np.zeros(m * m, dtype=complex)
         for p in range(m):
@@ -725,8 +683,7 @@ def to_block_sylvester(system: FirstOrderSystem,
     """Reduce an m x m first-order system to m identical companion blocks.
 
     The block eigenvalues coincide with the eigenvalues of A(t, xi) because
-    both are the roots of delta(t, tau, xi).  Forcing with time atoms is
-    rejected: the adjugate application takes D_t derivatives on a grid.
+    both are the roots of delta(t, tau, xi).
     """
     t_samples = np.linspace(0.0, system.horizon, hyperbolicity_samples)
     system.check_hyperbolic(t_samples)
@@ -750,4 +707,4 @@ def random_hyperbolic_system(rng: np.random.Generator, size: int,
         order=size,
         a1=lambda t, _a=a1: _a,
         b=None if b0 is None else (lambda t, _b=b0: _b),
-        forcing=None, data=None, horizon=horizon)
+        data=None, horizon=horizon)

@@ -22,13 +22,14 @@ import numpy as np
 from .errors import (ConfigurationError, DivergenceError,
                      InvalidParameterError, StabilityError, WeakHypError,
                      numerical_errors)
-from .mollifiers import GevreyCutoffMollifier, Mollifier, convolve_profile, \
-    scale_mollifier
+from .mollifiers import (GevreyCutoffMollifier, convolve_profile,
+                         friedrichs_mollifier, scale_mollifier,
+                         vanishing_moment_mollifier)
 from .profiles import RoughProfile
 from .recovery import recover_coefficients
-from .reduction import (_FD4, CompanionSystem, ForcingPart, InitialData,
+from .reduction import (CompanionSystem, ForcingPart, InitialData,
                         LowerOrderPart, LowerTerm, RootValuePrincipal,
-                        build_companion)
+                        build_companion, dt_power)
 from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket, \
     regularise_roots
 from .symmetrisers import build_symmetriser
@@ -119,15 +120,15 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
                         epsilon: float | None = None,
                         tracked_indices: Sequence[int] = (),
                         output_steps: Sequence[int] = (),
-                        dense_first_component: bool = False,
-                        monitor_stride: int | None = None) -> IntegrationResult:
+                        dense_first_component: bool = False
+                        ) -> IntegrationResult:
     """Fixed-step RK4 for D_t V = (A + B) V + F over a frequency batch.
 
     The step must satisfy h * max||A + B|| <= 0.5 (sampled); otherwise the
     integration refuses and reports the required step.  Step i evaluates its
-    stages at t_i, t_i + h/2 and t_i + h.  Every ``monitor_stride``-th step
-    is repeated as two half steps, which add the stage times t_i + h/4 and
-    t_i + 3h/4, and the difference spot-checks the local error.  Only these
+    stages at t_i, t_i + h/2 and t_i + h.  Every ``max(1, nt // 100)``-th
+    step is repeated as two half steps, which add the stage times t_i + h/4
+    and t_i + 3h/4, and the difference spot-checks the local error.  Only these
     stage times are tabulated: the providers see them as one ascending grid,
     and the principal rows come from a block table that the stepper only
     indexes.  The whole batch is stepped in one thread.
@@ -154,7 +155,7 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
     m = system.order
     tracked = tuple(int(i) for i in tracked_indices)
     out_steps = tuple(int(i) for i in output_steps)
-    stride = monitor_stride if monitor_stride is not None else max(1, nt // 100)
+    stride = max(1, nt // 100)
 
     # stage times as indices q on the quarter-step lattice t_0 + q h / 4: the
     # half-step grid, plus the quarter steps of the step-doubling steps
@@ -269,8 +270,6 @@ class VeryWeakProblem:
     forcing: tuple[RoughProfile, RoughProfile] | None = None
     gevrey_s: float = 2.0
     omega: OmegaScale | None = None
-    time_mollifier: Mollifier | None = None
-    space_mollifier: GevreyCutoffMollifier | None = None
     output_times: tuple[float, ...] = (0.0, 0.5, 1.0)
     tracked_frequencies: tuple[float, ...] = ()
     run_recovery_diagnostics: bool = True
@@ -330,11 +329,8 @@ def _nearest_step(t_grid: Array, t: float) -> int:
 def build_regularised_system(problem: VeryWeakProblem, epsilon: float
                              ) -> tuple[CompanionSystem, RegularisedRoots, dict]:
     """Regularise coefficients, data and forcing at one epsilon and reduce."""
-    from .mollifiers import friedrichs_mollifier, vanishing_moment_mollifier
-
-    phi = problem.time_mollifier or friedrichs_mollifier()
-    rho_base = problem.space_mollifier or GevreyCutoffMollifier(
-        vanishing_moment_mollifier(2), 0.5)
+    phi = friedrichs_mollifier()
+    rho_base = GevreyCutoffMollifier(vanishing_moment_mollifier(2), 0.5)
     omega = problem.omega
     if omega is None:
         from .roots import linear_scale
@@ -554,17 +550,11 @@ def residual_check(u_dense: Array, t_grid: Array, grid: FrequencyGrid,
     xi = grid.frequencies
     br = bracket(xi)
 
-    def dt_power(values: Array, k: int) -> Array:
-        if k == 0:
-            return values[halo:nt + 1 - halo]
-        offsets, weights = _FD4[k]
-        acc = np.zeros((nt + 1 - 2 * halo, values.shape[1]), dtype=complex)
-        for off, wgt in zip(offsets, weights):
-            acc += wgt * values[halo + off:nt + 1 - halo + off]
-        return (-1j) ** k * acc / h ** k
+    def shifted(k: int) -> Array:
+        return uhat[halo + k:nt + 1 - halo + k]
 
     t_interior = t_grid[halo:nt + 1 - halo]
-    residual = dt_power(uhat, m)
+    residual = dt_power(shifted, m, h)
     scale = float(np.linalg.norm(residual))
     providers = [system.principal.row_provider(t_interior, xi)]
     if system.lower is not None:
@@ -572,7 +562,7 @@ def residual_check(u_dense: Array, t_grid: Array, grid: FrequencyGrid,
     for provider in providers:
         rows = np.array([provider(i) for i in range(t_interior.size)])
         for j in range(1, m + 1):
-            term = rows[:, m - j] * br ** (j - 1) * dt_power(uhat, m - j)
+            term = rows[:, m - j] * br ** (j - 1) * dt_power(shifted, m - j, h)
             residual = residual - term
             scale = max(scale, float(np.linalg.norm(term)))
     if system.forcing is not None:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from weakhyp.cli import main
 from weakhyp.config import (config_echo, config_hash, load_config,
                             validate_config)
 from weakhyp.errors import ConfigurationError
@@ -87,6 +88,24 @@ def _run_cli(args):
         capture_output=True, text=True)
 
 
+HEADER = ["subcommand", "config_hash", "artifact_version", "seed"]
+TAIL = ["runtime_seconds", "complete", "checks", "checks_passed"]
+
+
+def _framed_summary(out):
+    """The summary.json in ``out``, checked for the shared header and tail."""
+    summary = json.loads((out / "summary.json").read_text())
+    keys = list(summary)
+    assert keys[:len(HEADER)] == HEADER
+    assert keys[-len(TAIL):] == TAIL
+    return summary
+
+
+def _without_runtime(path):
+    return [line for line in path.read_text().splitlines()
+            if "runtime_seconds" not in line]
+
+
 @pytest.fixture(scope="module")
 def cli_config(tmp_path_factory):
     raw = _base_config()
@@ -111,6 +130,9 @@ def test_cli_solve_passes_and_is_deterministic(cli_config, tmp_path):
     for name in ("solution.csv", "spectrum.csv", "energy.csv",
                  "reference.csv", "config.echo"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert _framed_summary(out1)["complete"] is True
+    assert _without_runtime(out1 / "summary.json") \
+        == _without_runtime(out2 / "summary.json")
 
 
 def test_cli_validation_error_exit_two(tmp_path):
@@ -133,6 +155,24 @@ def test_cli_failed_check_exit_one(cli_config, tmp_path):
                        "--out", str(tmp_path / "out")])
     assert result.returncode == 1
     assert "FAIL" in result.stdout
+    summary = _framed_summary(tmp_path / "out")
+    assert summary["complete"] is True
+    assert summary["checks_passed"] is False
+
+
+def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
+    # one epsilon passes validation but not the solver's sweep checks
+    raw = _base_config()
+    raw["regularisation"]["epsilon_sweep"] = [0.5]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    assert "stage failure" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == ["subcommand", "config_hash", "complete", "error"]
+    assert summary["complete"] is False
+    assert summary["error"].startswith("InvalidParameterError")
 
 
 def test_cli_roundtrip_subcommand(tmp_path):
@@ -149,7 +189,7 @@ def test_cli_roundtrip_subcommand(tmp_path):
     result = _run_cli(["roundtrip", "--config", str(path),
                        "--out", str(tmp_path / "out")])
     assert result.returncode == 0, result.stderr
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    summary = _framed_summary(tmp_path / "out")
     assert summary["checks_passed"] is True
     assert (tmp_path / "out" / "roundtrip.csv").exists()
 
@@ -174,7 +214,7 @@ def test_cli_sweep_subcommand(tmp_path):
     for name in ("moderateness.csv", "convergence.csv", "reference.csv",
                  "summary.json", "config.echo"):
         assert (out / name).exists()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _framed_summary(out)
     assert summary["reference"]["strictly_decreasing"] is True
     assert summary["convergence"]["non_cauchy"] is False
     # the per-epsilon diagnostics that solve reports
@@ -201,11 +241,11 @@ def test_cli_symmetriser_and_reduce_subcommands(tmp_path):
     res_sym = _run_cli(["symmetriser", "--config", str(path),
                         "--out", str(tmp_path / "sym")])
     assert res_sym.returncode == 0, res_sym.stderr
-    sym_summary = json.loads((tmp_path / "sym" / "summary.json").read_text())
+    sym_summary = _framed_summary(tmp_path / "sym")
     assert sym_summary["worst_intertwining"] <= 1e-10
     res_red = _run_cli(["reduce", "--config", str(path),
                         "--out", str(tmp_path / "red")])
     assert res_red.returncode == 0, res_red.stderr
-    red_summary = json.loads((tmp_path / "red" / "summary.json").read_text())
+    red_summary = _framed_summary(tmp_path / "red")
     assert red_summary["worst_cofactor_residual"] <= 1e-9
     assert red_summary["worst_block_eigen_error"] <= 1e-9
