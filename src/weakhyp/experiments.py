@@ -132,8 +132,7 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
     return VeryWeakProblem(
         family=family, data=data, grid=grid,
         time_steps=int(grid_cfg.get("time_steps", 1024)),
-        horizon=horizon, lower_terms=lower, forcing=forcing,
-        gevrey_s=cfg.gevrey_s, omega=scale,
+        horizon=horizon, lower_terms=lower, forcing=forcing, omega=scale,
         output_times=output_times, tracked_frequencies=tracked)
 
 

@@ -142,6 +142,11 @@ def plateau_cutoff(inner: float = 2.0, outer: float = 4.0) -> Callable[[Array], 
     return chi
 
 
+#: outer radius of the cutoff plateau, in units of 1/|log w|
+_CUTOFF_OUTER = 4.0
+_CUTOFF = plateau_cutoff(2.0, _CUTOFF_OUTER)
+
+
 @dataclass(frozen=True)
 class GevreyCutoffMollifier:
     """Scaled kernel multiplied by a plateau cutoff shrinking like 1/|log w|.
@@ -153,14 +158,10 @@ class GevreyCutoffMollifier:
 
     base: Mollifier
     scale: float
-    cutoff: Callable[[Array], Array] = None  # set in __post_init__
-    cutoff_outer: float = 4.0
 
     def __post_init__(self):
         if not 0 < self.scale:
             raise InvalidParameterError("cutoff mollifier scale must be positive")
-        if self.cutoff is None:
-            object.__setattr__(self, "cutoff", plateau_cutoff(2.0, self.cutoff_outer))
 
     @property
     def support_radius(self) -> float:
@@ -168,17 +169,16 @@ class GevreyCutoffMollifier:
         log_factor = abs(math.log(self.scale))
         if log_factor == 0.0:
             return kernel_radius
-        return min(kernel_radius, self.cutoff_outer / log_factor)
+        return min(kernel_radius, _CUTOFF_OUTER / log_factor)
 
     def with_scale(self, omega: float) -> "GevreyCutoffMollifier":
-        return GevreyCutoffMollifier(self.base, omega, self.cutoff,
-                                     self.cutoff_outer)
+        return GevreyCutoffMollifier(self.base, omega)
 
     def __call__(self, x: Array | float) -> Array:
         x = np.asarray(x, dtype=float)
         log_factor = abs(math.log(self.scale))
         scaled = scale_mollifier(self.base, self.scale)
-        return scaled(x) * self.cutoff(x * log_factor)
+        return scaled(x) * _CUTOFF(x * log_factor)
 
     def fourier_transform(self, xi: Array, tol: float = 1e-12) -> Array:
         r = self.support_radius

@@ -132,10 +132,14 @@ def _candidate_rays(support: tuple[int, ...], dimension: int
     return sorted(rays)
 
 
+#: condition numbers of a block's direction matrix above which the plan
+#: records a warning, and above which it treats the block as singular
+_COND_WARN = 1e8
+_COND_SINGULAR = 1e14
+
+
 @lru_cache(maxsize=None)
-def build_direction_plan(degree: int, dimension: int,
-                         cond_warn: float = 1e8,
-                         cond_singular: float = 1e14) -> DirectionPlan:
+def build_direction_plan(degree: int, dimension: int) -> DirectionPlan:
     """Directions and solve matrices for one homogeneity degree.
 
     Support sets are processed smallest first (single coordinates use the
@@ -172,11 +176,11 @@ def build_direction_plan(degree: int, dimension: int,
             if best is None or cond < best[0]:
                 best = (cond, combo)
         cond, combo = best
-        if not math.isfinite(cond) or cond > cond_singular:
+        if not math.isfinite(cond) or cond > _COND_SINGULAR:
             raise PlanError(
                 f"support {support} of degree {degree}: no candidate "
                 f"direction set is invertible (best condition {cond:.3e})")
-        if cond > cond_warn:
+        if cond > _COND_WARN:
             warnings.append(
                 f"support {support} of degree {degree}: condition {cond:.3e}")
         directions = tuple(rays[r] for r in combo)

@@ -20,9 +20,11 @@ import numpy as np
 from .errors import (ConfigurationError, HyperbolicityError,
                      InvalidParameterError, NumericalError, UnsupportedError)
 from .recovery import HomogeneousCoefficientSet, characteristic_polynomial
-from .roots import RegularisedRoots, bracket
+from .roots import RegularisedRoots, bracket, dt_power
 
 Array = np.ndarray
+#: an index into a time array: a slice or an integer array
+Index = slice | Array
 
 
 def companion_matrix_from_coefficients(coeffs: Sequence[float]) -> Array:
@@ -49,26 +51,22 @@ def companion_matrix_from_coefficients(coeffs: Sequence[float]) -> Array:
 
 
 class PrincipalPart(Protocol):
-    """Last-row symbols and root values of the companion principal part."""
+    """Root values and last-row symbols of the companion principal part.
+
+    ``roots(t, xi)`` returns (T, m, K) for an array of T times.
+    ``row_provider(t, xi)`` returns a stateless function of an index into
+    ``t`` (a slice or an integer array) that gives the last rows at those
+    times as one (T, m, K) block.
+    """
 
     order: int
 
-    def roots(self, t: float, xi: Array) -> Array: ...
+    def roots(self, t: Array, xi: Array) -> Array: ...
 
-    def last_row(self, t: float, xi: Array) -> Array: ...
-
-    def row_provider(self, t_grid: Array, xi: Array
-                     ) -> Callable[[int], Array]: ...
+    def row_provider(self, t: Array, xi: Array
+                     ) -> Callable[[Index], Array]: ...
 
     def max_normalised_speed(self) -> float: ...
-
-
-# bytes of one block of tabulated last rows; a block holds
-# _ROW_BLOCK_BYTES // (8 m K) stage times
-_ROW_BLOCK_BYTES = 1 << 18
-# a block refill starts this many stage times before the missed one: one RK4
-# step with step doubling reads back at most four stage times
-_ROW_LOOKBACK = 4
 
 
 def _rows_from_root_values(lam: Array, br: Array) -> Array:
@@ -92,6 +90,16 @@ def _row_table(lam: Array, br: Array) -> Array:
     for j in range(1, m + 1):
         rows[:, j - 1] = -sig[..., m - j + 1] * br ** (j - m)
     return rows
+
+
+def companion_blocks(rows: Array, br: Array) -> Array:
+    """Companion matrices (T, K, m, m) with <xi> = ``br`` on the
+    superdiagonal and the last rows (T, m, K) in the last row."""
+    m = rows.shape[1]
+    mats = np.zeros((rows.shape[0], br.size, m, m), dtype=rows.dtype)
+    mats[..., np.arange(m - 1), np.arange(1, m)] = br[:, None]
+    mats[..., m - 1, :] = np.swapaxes(rows, 1, 2)
+    return mats
 
 
 @dataclass
@@ -133,37 +141,24 @@ class RootValuePrincipal:
                            tab_neg.T[:, :, None])
         return profile * np.abs(xi) + sep
 
-    def roots(self, t: float, xi: Array) -> Array:
+    def roots(self, t: Array, xi: Array) -> Array:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return self._root_table(self._profiles(t, xi), xi)[0]
+        return self._root_table(self._profiles(t, xi), xi)
 
-    def last_row(self, t: float, xi: Array) -> Array:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return _row_table(self.roots(t, xi)[None], bracket(xi))[0]
+    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
+        """Last rows (T, m, K) at the times ``t[index]``.
 
-    def row_provider(self, t_grid: Array, xi: Array) -> Callable[[int], Array]:
-        """Last rows at ``t_grid[i]``, tabulated in blocks of stage times.
-
-        Each block is one vectorised characteristic-polynomial call over
-        (time, frequency), held as a real table of at most about
-        ``_ROW_BLOCK_BYTES``; a read outside the current block refills it.
+        The root profiles are convolved once for all of ``t``; each call is
+        one vectorised characteristic-polynomial call over its (time,
+        frequency) block, so the caller's index sets the block size.
         """
-        xi = np.asarray(xi, dtype=float)
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
         br = bracket(xi)
-        profiles = self._profiles(t_grid, xi)
-        length = max(_ROW_LOOKBACK + 1,
-                     _ROW_BLOCK_BYTES // (8 * self.order * max(xi.size, 1)))
-        lo = 0
-        table = np.empty((0, self.order, xi.size))
+        pos, neg = self._profiles(t, xi)
 
-        def rows(i: int) -> Array:
-            nonlocal lo, table
-            if not lo <= i < lo + len(table):
-                lo = max(0, i - _ROW_LOOKBACK)
-                block = slice(lo, lo + length)
-                table = _row_table(self._root_table(
-                    (profiles[0][:, block], profiles[1][:, block]), xi), br)
-            return table[i - lo]
+        def rows(index: Index) -> Array:
+            return _row_table(self._root_table(
+                (pos[:, index], neg[:, index]), xi), br)
 
         return rows
 
@@ -204,49 +199,30 @@ class PolynomialPrincipal:
         return PolynomialPrincipal(order=max(sets), coefficients=coeffs,
                                    speed_bound=speed_bound)
 
-    def last_row(self, t: float, xi: Array) -> Array:
+    def roots(self, t: Array, xi: Array) -> Array:
+        """Sorted companion eigenvalues (T, m, K) at the times ``t``."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        br = bracket(xi)
-        m = self.order
-        rows = np.empty((m, xi.size))
-        for j in range(1, m + 1):
-            d = m - j + 1
-            a = float(np.real(np.atleast_1d(self.coefficients[d](t))[0]))
-            rows[j - 1] = a * xi ** d * br ** (j - m)
-        return rows
+        mats = companion_blocks(self.row_provider(t, xi)(slice(None)),
+                                bracket(xi))
+        return np.swapaxes(np.sort(np.real(np.linalg.eigvals(mats)),
+                                   axis=-1), 1, 2)
 
-    def roots(self, t: float, xi: Array) -> Array:
+    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
+        """Last rows (T, m, K) at the times ``t[index]``."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        rows = self.last_row(t, xi)
-        br = bracket(xi)
-        m = self.order
-        lam = np.empty((m, xi.size))
-        for k in range(xi.size):
-            coeffs = np.ones(m + 1)
-            for j in range(1, m + 1):
-                coeffs[m - j + 1] = -rows[j - 1, k] * br[k] ** (m - j)
-            lam[:, k] = np.sort(
-                np.real(np.linalg.eigvals(
-                    companion_matrix_from_coefficients(coeffs))))
-        return lam
-
-    def row_provider(self, t_grid: Array, xi: Array) -> Callable[[int], Array]:
-        t_grid = np.asarray(t_grid, dtype=float)
-        xi = np.asarray(xi, dtype=float)
         br = bracket(xi)
         m = self.order
         monomials = np.empty((m, xi.size))
+        values = np.empty((t.size, m))
         for j in range(1, m + 1):
             d = m - j + 1
             monomials[j - 1] = xi ** d * br ** (j - m)
-        values = np.empty((m, t_grid.size))
-        for j in range(1, m + 1):
-            d = m - j + 1
-            values[j - 1] = np.real(np.asarray(
-                self.coefficients[d](t_grid), dtype=complex))
+            values[:, j - 1] = np.real(np.asarray(
+                self.coefficients[d](t), dtype=complex))
 
-        def rows(i: int) -> Array:
-            return values[:, i, None] * monomials
+        def rows(index: Index) -> Array:
+            return values[index, :, None] * monomials
 
         return rows
 
@@ -284,34 +260,24 @@ class LowerOrderPart:
                 raise InvalidParameterError(
                     f"lower-order time order {term.j} exceeds equation order")
 
-    def last_row(self, t: float, xi: Array) -> Array:
+    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
+        """Last rows (T, m, K), complex, at the times ``t[index]``."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        br = bracket(xi)
-        m = self.order
-        row = np.zeros((m, xi.size), dtype=complex)
-        for term in self.terms:
-            k = m - term.j + 1
-            value = complex(np.atleast_1d(term.coefficient(t)).ravel()[0])
-            row[k - 1] += value * xi ** term.nu * br ** (k - m)
-        return row
-
-    def row_provider(self, t_grid: Array, xi: Array) -> Callable[[int], Array]:
-        t_grid = np.asarray(t_grid, dtype=float)
-        xi = np.asarray(xi, dtype=float)
         br = bracket(xi)
         m = self.order
         per_term = []
         for term in self.terms:
             k = m - term.j + 1
             factor = xi ** term.nu * br ** (k - m)
-            values = np.asarray(term.coefficient(t_grid), dtype=complex)
+            values = np.asarray(term.coefficient(t), dtype=complex)
             per_term.append((k - 1, values, factor))
 
-        def rows(i: int) -> Array:
-            row = np.zeros((m, xi.size), dtype=complex)
+        def rows(index: Index) -> Array:
+            block = np.zeros((t[index].size, m, xi.size), dtype=complex)
             for col, values, factor in per_term:
-                row[col] += values[i] * factor
-            return row
+                block[:, col] += values[index, None] * factor
+            return block
 
         return rows
 
@@ -323,17 +289,13 @@ class ForcingPart:
     time_values: Callable[[Array], Array]
     xhat: Callable[[Array], Array]
 
-    def values(self, t: float, xi: Array) -> Array:
-        tv = complex(np.atleast_1d(self.time_values(t)).ravel()[0])
-        return tv * np.asarray(self.xhat(xi), dtype=complex)
-
-    def values_provider(self, t_grid: Array, xi: Array) -> Callable[[int], Array]:
-        tv = np.asarray(self.time_values(np.asarray(t_grid, float)),
-                        dtype=complex)
+    def values_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
+        """Forcing values (T, K) at the times ``t[index]``."""
+        tv = np.asarray(self.time_values(np.asarray(t, float)), dtype=complex)
         xv = np.asarray(self.xhat(np.asarray(xi, float)), dtype=complex)
 
-        def values(i: int) -> Array:
-            return tv[i] * xv
+        def values(index: Index) -> Array:
+            return tv[index, None] * xv
 
         return values
 
@@ -370,12 +332,8 @@ class CompanionSystem:
 
     def A(self, t: float, xi: Array | float) -> Array:
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        m = self.order
-        br = bracket(xi_arr)
-        mat = np.zeros((m, m, xi_arr.size))
-        for i in range(m - 1):
-            mat[i, i + 1] = br
-        mat[m - 1, :, :] = self.principal.last_row(t, xi_arr)
+        rows = self.principal.row_provider([t], xi_arr)(slice(None))
+        mat = np.moveaxis(companion_blocks(rows, bracket(xi_arr))[0], 0, -1)
         return mat[..., 0] if np.ndim(xi) == 0 else mat
 
     def B(self, t: float, xi: Array | float) -> Array:
@@ -383,14 +341,16 @@ class CompanionSystem:
         m = self.order
         mat = np.zeros((m, m, xi_arr.size), dtype=complex)
         if self.lower is not None:
-            mat[m - 1, :, :] = self.lower.last_row(t, xi_arr)
+            mat[m - 1, :, :] = self.lower.row_provider([t], xi_arr)(
+                slice(None))[0]
         return mat[..., 0] if np.ndim(xi) == 0 else mat
 
     def F(self, t: float, xi: Array | float) -> Array:
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
         out = np.zeros((self.order, xi_arr.size), dtype=complex)
         if self.forcing is not None:
-            out[self.order - 1] = self.forcing.values(t, xi_arr)
+            out[self.order - 1] = self.forcing.values_provider([t], xi_arr)(
+                slice(None))[0]
         return out[..., 0] if np.ndim(xi) == 0 else out
 
     def V0(self, xi: Array | float) -> Array:
@@ -423,6 +383,9 @@ def build_companion(principal: PrincipalPart,
 
 
 # -- adjugate (cofactor) matrices ----------------------------------------------------
+
+#: largest scaled residual of the adjugate identity that verify accepts
+_ADJUGATE_TOL = 1e-9
 
 
 def _faddeev(a: Array) -> tuple[list[Array], Array]:
@@ -457,7 +420,6 @@ class PolynomialMatrix:
 
     size: int
     a_eval: Callable[[float, float], Array]
-    tolerance: float = 1e-9
 
     def coefficients(self, t: float, xi: float) -> Array:
         a = np.asarray(self.a_eval(t, xi))
@@ -491,7 +453,7 @@ class PolynomialMatrix:
             scale = max(1.0, (1.0 + abs(tau) + norm_a) ** self.size)
             residual = float(np.linalg.norm(
                 left - delta * np.eye(self.size), 2)) / scale
-            if residual > self.tolerance:
+            if residual > _ADJUGATE_TOL:
                 raise NumericalError(
                     f"adjugate identity residual {residual:.3e} at tau={tau} "
                     f"(t={t}, xi={xi})")
@@ -500,43 +462,17 @@ class PolynomialMatrix:
 
 
 def cofactor_matrix(a_eval: Callable[[float, float], Array],
-                    size: int, tolerance: float = 1e-9) -> PolynomialMatrix:
+                    size: int) -> PolynomialMatrix:
     """Adjugate of (tau I - A(t, xi)) as a polynomial matrix in tau."""
     if size > 4:
         raise UnsupportedError("adjugate reduction is capped at order 4")
-    return PolynomialMatrix(size=size, a_eval=a_eval, tolerance=tolerance)
+    return PolynomialMatrix(size=size, a_eval=a_eval)
 
 
 # -- first-order systems and block reduction ------------------------------------------
 
-_FD4 = {
-    1: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
-    2: ((-2, -1, 0, 1, 2),
-        (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)),
-    3: ((-3, -2, -1, 1, 2, 3),
-        (-1.0 / 8.0, 1.0, -13.0 / 8.0, 13.0 / 8.0, -1.0, 1.0 / 8.0)),
-    4: ((-3, -2, -1, 0, 1, 2, 3),
-        (-1.0 / 6.0, 2.0, -13.0 / 2.0, 28.0 / 3.0, -13.0 / 2.0, 2.0,
-         -1.0 / 6.0)),
-}
-
-
-def dt_power(sample: Callable[[int], Array], order: int, h: float) -> Array:
-    """D_t^order (D_t = -i d/dt) by 4th-order central differences.
-
-    ``sample(k)`` is the value k steps of length h from the point of
-    evaluation: a function evaluated at t + k h, or an array slice shifted
-    by k.
-    """
-    if order == 0:
-        return np.asarray(sample(0), dtype=complex)
-    offsets, weights = _FD4[order]
-    acc = None
-    for off, wgt in zip(offsets, weights):
-        term = wgt * np.asarray(sample(off), dtype=complex)
-        acc = term if acc is None else acc + term
-    return (-1j) ** order * acc / h ** order
-
+#: time step of the finite differences that carry D_t onto the coefficients
+_FD_STEP = 1e-3
 
 @dataclass
 class FirstOrderSystem:
@@ -570,7 +506,6 @@ class BlockSylvesterSystem:
     transformed lower-order matrix and data."""
 
     system: FirstOrderSystem
-    fd_step: float = 1e-3
 
     @property
     def block_count(self) -> int:
@@ -615,7 +550,7 @@ class BlockSylvesterSystem:
         # ascending adjugate coefficients: N~_q multiplies tau^q
         ascending = [mats[m - 1 - q] for q in range(m)]
         weights = np.zeros((m, m, m), dtype=complex)  # (q, m, m)
-        h = self.fd_step
+        h = _FD_STEP
         for q in range(m):
             acc = np.zeros((m, m), dtype=complex)
             for i in range(0, m - q):
@@ -655,7 +590,7 @@ class BlockSylvesterSystem:
         else:
             y = [np.array([np.asarray(g(xi_arr), dtype=complex).ravel()[0]
                            for g in self.system.data])]
-        h = self.fd_step
+        h = _FD_STEP
 
         def rhs_matrix(order: int) -> Array:
             total = dt_power(lambda k: self.system.a_symbol(k * h, xi),
@@ -677,17 +612,14 @@ class BlockSylvesterSystem:
         return out
 
 
-def to_block_sylvester(system: FirstOrderSystem,
-                       fd_step: float = 1e-3,
-                       hyperbolicity_samples: int = 17) -> BlockSylvesterSystem:
+def to_block_sylvester(system: FirstOrderSystem) -> BlockSylvesterSystem:
     """Reduce an m x m first-order system to m identical companion blocks.
 
     The block eigenvalues coincide with the eigenvalues of A(t, xi) because
     both are the roots of delta(t, tau, xi).
     """
-    t_samples = np.linspace(0.0, system.horizon, hyperbolicity_samples)
-    system.check_hyperbolic(t_samples)
-    return BlockSylvesterSystem(system=system, fd_step=fd_step)
+    system.check_hyperbolic(np.linspace(0.0, system.horizon, 17))
+    return BlockSylvesterSystem(system=system)
 
 
 def random_hyperbolic_system(rng: np.random.Generator, size: int,

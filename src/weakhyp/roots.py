@@ -137,14 +137,6 @@ class RootFamily:
         vals = self.profile(j, v / norm).density(t)
         return np.real(vals) * norm
 
-    def check_realness(self, t_samples: Array, directions) -> bool:
-        for d in directions:
-            for j in range(1, self.order + 1):
-                vals = self.profile(j, d).density(t_samples)
-                if np.max(np.abs(np.imag(vals)), initial=0.0) > 0.0:
-                    return False
-        return True
-
     def check_ordered(self, t_samples: Array, directions) -> float:
         """Smallest gap r_{j+1} - r_j over the samples (negative = unordered)."""
         worst = math.inf
@@ -337,14 +329,39 @@ def regularise_roots(family: RootFamily, mollifier: Mollifier,
     return RegularisedRoots(base=family, mollifier=mollifier, omega=omega)
 
 
-# -- moderateness certification ----------------------------------------------------
+# -- time derivatives by finite differences ------------------------------------------
 
-_STENCILS = {
-    1: ((-1, 0, 1), (-0.5, 0.0, 0.5)),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    3: ((-2, -1, 0, 1, 2), (-0.5, 1.0, 0.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
+#: 4th-order central stencils of d^k/dt^k: offsets and weights per order k
+_FD4 = {
+    1: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
+    2: ((-2, -1, 0, 1, 2),
+        (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)),
+    3: ((-3, -2, -1, 1, 2, 3),
+        (-1.0 / 8.0, 1.0, -13.0 / 8.0, 13.0 / 8.0, -1.0, 1.0 / 8.0)),
+    4: ((-3, -2, -1, 0, 1, 2, 3),
+        (-1.0 / 6.0, 2.0, -13.0 / 2.0, 28.0 / 3.0, -13.0 / 2.0, 2.0,
+         -1.0 / 6.0)),
 }
+
+
+def dt_power(sample: Callable[[int], Array], order: int, h: float) -> Array:
+    """D_t^order (D_t = -i d/dt) by 4th-order central differences.
+
+    ``sample(k)`` is the value k steps of length h from the point of
+    evaluation: a function evaluated at t + k h, or an array slice shifted
+    by k.
+    """
+    if order == 0:
+        return np.asarray(sample(0), dtype=complex)
+    offsets, weights = _FD4[order]
+    acc = None
+    for off, wgt in zip(offsets, weights):
+        term = wgt * np.asarray(sample(off), dtype=complex)
+        acc = term if acc is None else acc + term
+    return (-1j) ** order * acc / h ** order
+
+
+# -- moderateness certification ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -368,8 +385,8 @@ def certify_moderateness(reg: RegularisedRoots, k_max: int,
                          sample: ModeratenessSample) -> list[ExponentFit]:
     """Fit N_k in sup_t |d_t^k lambda_{j,eps}| <= c eps^{-N_k} |xi|.
 
-    Derivatives are central finite differences with step omega(eps)/50, fine
-    enough to resolve the mollification scale.  With omega(eps) = eps and a
+    Derivatives are 4th-order central differences (:func:`dt_power`) with
+    step omega(eps)/50, fine enough to resolve the mollification scale.  With omega(eps) = eps and a
     jump-discontinuous profile the fitted exponents track k.
     """
     if k_max > 4 or k_max < 1:
@@ -379,28 +396,25 @@ def certify_moderateness(reg: RegularisedRoots, k_max: int,
     if len(eps_list) < 3:
         raise InsufficientDataError("moderateness fit needs >= 3 epsilon values")
     xi = sample.xi
-    xi_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, float))))
     t_grid = np.linspace(0.0, reg.base.horizon, sample.t_count)
     fits: list[ExponentFit] = []
     for j in range(1, reg.order + 1):
         for k in range(1, k_max + 1):
-            offsets, weights = _STENCILS[k]
+            weight_sum = sum(abs(w) for w in _FD4[k][1])
             sups = []
             floors = []
             for eps in eps_list:
                 h = reg.omega_of(eps) / 50.0
-                acc = np.zeros(t_grid.shape)
-                scale = 0.0
-                for off, wgt in zip(offsets, weights):
-                    vals = np.asarray(
-                        reg.value(j, t_grid + off * h, xi, eps), dtype=float)
-                    scale = max(scale, float(np.max(np.abs(vals))))
-                    acc = acc + wgt * vals
-                sups.append(float(np.max(np.abs(acc / h ** k))))
+                values = {off: np.asarray(reg.value(j, t_grid + off * h, xi,
+                                                    eps), dtype=float)
+                          for off in _FD4[k][0]}
+                sups.append(float(np.max(np.abs(
+                    dt_power(values.__getitem__, k, h)))))
+                scale = max(float(np.max(np.abs(v))) for v in values.values())
                 # rounding noise of the stencil itself; anything below it is
                 # numerically indistinguishable from a zero derivative
                 floors.append(64.0 * np.finfo(float).eps * scale
-                              * sum(abs(w) for w in weights) / h ** k)
+                              * weight_sum / h ** k)
             if all(s_ <= f_ for s_, f_ in zip(sups, floors)):
                 fits.append(ExponentFit(j, k, 0.0, 1.0, tuple(sups), True))
                 continue

@@ -6,9 +6,11 @@ the time horizon, making the discrete transform an exact stand-in for the
 line transform.  Each frequency carries an independent companion ODE,
 integrated with fixed-step fourth-order Runge-Kutta.  All frequencies are
 stepped as one batch in a single thread, and no operation mixes frequencies,
-so each frequency's bits do not depend on which others share the batch.  The
-principal last rows are read from a table tabulated in time blocks at the
-stage times only.
+so each frequency's bits do not depend on which others share the batch.
+Every coefficient read, by the integrator, the stability check, the energy
+traces and the residual check, goes through the companion parts' one
+tabulation call each; the integrator, which alone knows the stage times a
+step reads, owns the blocks it reads.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .mollifiers import (GevreyCutoffMollifier, convolve_profile,
                          vanishing_moment_mollifier)
 from .profiles import RoughProfile
 from .recovery import recover_coefficients
-from .reduction import (CompanionSystem, ForcingPart, InitialData,
+from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
                         LowerOrderPart, LowerTerm, RootValuePrincipal,
-                        build_companion, dt_power)
+                        build_companion, companion_blocks)
 from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket, \
-    regularise_roots
+    dt_power, regularise_roots
 from .symmetrisers import build_symmetriser
 from ._stats import linear_fit
 
@@ -105,15 +107,17 @@ class IntegrationResult:
     steps: int
 
 
-def _estimate_norm(system: CompanionSystem, t_samples: Array,
-                   xi: Array) -> float:
-    worst = 0.0
-    for t in t_samples:
-        mats = system.A(float(t), xi).astype(complex) + system.B(float(t), xi)
-        stacked = np.moveaxis(mats, -1, 0)
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        worst = max(worst, float(svals[:, 0].max()))
-    return worst
+# bytes of the last rows that one block of steps reads: a step reads the
+# real m x K rows at two stage times, four on a step-doubling step
+_ROW_BLOCK_BYTES = 1 << 18
+
+
+def _estimate_norm(rows: Callable[[Index], Array], index: Array,
+                   br: Array) -> float:
+    """Largest spectral norm of A + B at the times ``index`` selects;
+    ``rows`` gives the last rows of A + B."""
+    mats = companion_blocks(rows(index).astype(complex), br)
+    return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
 
 
 def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
@@ -124,14 +128,17 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
                         ) -> IntegrationResult:
     """Fixed-step RK4 for D_t V = (A + B) V + F over a frequency batch.
 
-    The step must satisfy h * max||A + B|| <= 0.5 (sampled); otherwise the
-    integration refuses and reports the required step.  Step i evaluates its
-    stages at t_i, t_i + h/2 and t_i + h.  Every ``max(1, nt // 100)``-th
-    step is repeated as two half steps, which add the stage times t_i + h/4
-    and t_i + 3h/4, and the difference spot-checks the local error.  Only these
-    stage times are tabulated: the providers see them as one ascending grid,
-    and the principal rows come from a block table that the stepper only
-    indexes.  The whole batch is stepped in one thread.
+    Step i evaluates its stages at t_i, t_i + h/2 and t_i + h.  Every
+    ``max(1, nt // 100)``-th step is repeated as two half steps, which add
+    the stage times t_i + h/4 and t_i + 3h/4, and the difference spot-checks
+    the local error.  The companion parts tabulate only these stage times.
+    This function owns the blocks: it walks the steps in blocks of at most
+    ``_ROW_BLOCK_BYTES`` of last rows, reads each block's rows (principal
+    plus lower, summed once) and forcing once, and the stages index them.
+    The step must satisfy h * max||A + B|| <= 0.5 at nine grid times, read
+    as one block, or the integration refuses and reports the required step.
+    A non-finite state, checked every 64 steps and after the last one,
+    raises :class:`DivergenceError`.
     """
     xi = np.asarray(xi, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -141,16 +148,6 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
     h = float(t_grid[1] - t_grid[0])
     if not np.allclose(np.diff(t_grid), h, rtol=1e-12, atol=1e-14):
         raise InvalidParameterError("time grid must be uniform")
-
-    sample = t_grid[:: max(1, nt // 8)]
-    norm = _estimate_norm(system, sample, xi)
-    if h * norm > 0.5 + 1e-12:
-        required_step = 0.5 / norm
-        required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))
-        raise StabilityError(
-            f"step {h:.3e} violates stability budget: h*||A+B|| = "
-            f"{h * norm:.3f} > 0.5; need at least {required} steps",
-            required_step=required_step, required_steps=required)
 
     m = system.order
     tracked = tuple(int(i) for i in tracked_indices)
@@ -173,25 +170,39 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
     fprov = system.forcing.values_provider(stage_times, xi) \
         if system.forcing is not None else None
 
-    def rhs(q: int, state: Array) -> Array:
-        i = position[q]
-        rows = prow(i)
-        if brow is not None:
-            rows = rows + brow(i)
+    def rows(index: Index) -> Array:
+        block = prow(index)
+        return block if brow is None else block + brow(index)
+
+    sample = np.array([position[4 * i]
+                       for i in range(0, nt + 1, max(1, nt // 8))])
+    norm = _estimate_norm(rows, sample, br)
+    if h * norm > 0.5 + 1e-12:
+        required_step = 0.5 / norm
+        required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))
+        raise StabilityError(
+            f"step {h:.3e} violates stability budget: h*||A+B|| = "
+            f"{h * norm:.3f} > 0.5; need at least {required} steps",
+            required_step=required_step, required_steps=required)
+
+    def rhs(block: tuple, q: int, state: Array) -> Array:
+        lo, row_block, force_block = block
+        k = position[q] - lo
         out = np.empty_like(state)
         out[:-1] = ibr * state[1:]
-        last = (rows * state).sum(axis=0)
-        if fprov is not None:
-            last = last + fprov(i)
+        last = (row_block[k] * state).sum(axis=0)
+        if force_block is not None:
+            last = last + force_block[k]
         out[-1] = 1j * last
         return out
 
-    def rk4_step(q0: int, dq: int, dt: float, state: Array) -> Array:
+    def rk4_step(block: tuple, q0: int, dq: int, dt: float,
+                 state: Array) -> Array:
         """One step of length dt with stages at lattice q0, q0+dq, q0+2dq."""
-        k1 = rhs(q0, state)
-        k2 = rhs(q0 + dq, state + 0.5 * dt * k1)
-        k3 = rhs(q0 + dq, state + 0.5 * dt * k2)
-        k4 = rhs(q0 + 2 * dq, state + dt * k3)
+        k1 = rhs(block, q0, state)
+        k2 = rhs(block, q0 + dq, state + 0.5 * dt * k1)
+        k3 = rhs(block, q0 + dq, state + 0.5 * dt * k2)
+        k4 = rhs(block, q0 + 2 * dq, state + dt * k3)
         return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     v = system.V0(xi).astype(complex)
@@ -213,24 +224,32 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
             first[out_steps.index(step)] = v[0]
 
     record(0)
+    block_steps = max(1, _ROW_BLOCK_BYTES // (16 * m * max(xi.size, 1)))
     # overflow of a diverging state is reported via DivergenceError, not as
     # a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(nt):
-            v_new = rk4_step(4 * i, 2, h, v)
-            if i % stride == 0:
-                half = rk4_step(4 * i, 1, 0.5 * h, v)
-                half = rk4_step(4 * i + 2, 1, 0.5 * h, half)
-                scale = float(np.max(np.abs(v_new))) or 1.0
-                worst_double = max(worst_double, float(
-                    np.max(np.abs(v_new - half))) / scale)
-            v = v_new
-            if i % 64 == 0 and not np.all(np.isfinite(v.view(float))):
-                bad = np.flatnonzero(~np.isfinite(v).all(axis=0))[0]
-                raise DivergenceError(
-                    f"non-finite state at t={t_grid[i + 1]:g}",
-                    xi=float(xi[bad]), epsilon=epsilon)
-            record(i + 1)
+        for i0 in range(0, nt, block_steps):
+            i1 = min(nt, i0 + block_steps)
+            lo = position[4 * i0]
+            index = slice(lo, position[4 * i1] + 1)
+            block = (lo, rows(index),
+                     fprov(index) if fprov is not None else None)
+            for i in range(i0, i1):
+                v_new = rk4_step(block, 4 * i, 2, h, v)
+                if i % stride == 0:
+                    half = rk4_step(block, 4 * i, 1, 0.5 * h, v)
+                    half = rk4_step(block, 4 * i + 2, 1, 0.5 * h, half)
+                    scale = float(np.max(np.abs(v_new))) or 1.0
+                    worst_double = max(worst_double, float(
+                        np.max(np.abs(v_new - half))) / scale)
+                v = v_new
+                if (i % 64 == 0 or i == nt - 1) \
+                        and not np.all(np.isfinite(v.view(float))):
+                    bad = np.flatnonzero(~np.isfinite(v).all(axis=0))[0]
+                    raise DivergenceError(
+                        f"non-finite state at t={t_grid[i + 1]:g}",
+                        xi=float(xi[bad]), epsilon=epsilon)
+                record(i + 1)
 
     return IntegrationResult(traces=traces, tracked_indices=tracked,
                              first_component=first, output_steps=out_steps,
@@ -268,7 +287,6 @@ class VeryWeakProblem:
     horizon: float = 1.0
     lower_terms: tuple[LowerTermSpec, ...] = ()
     forcing: tuple[RoughProfile, RoughProfile] | None = None
-    gevrey_s: float = 2.0
     omega: OmegaScale | None = None
     output_times: tuple[float, ...] = (0.0, 0.5, 1.0)
     tracked_frequencies: tuple[float, ...] = ()
@@ -472,7 +490,6 @@ class EnergyTrace:
     energies: Array
     fitted_rate: float | None
     rate_r_squared: float | None
-    forcing_integral: float
 
     def initial(self) -> float:
         return float(self.energies[0])
@@ -489,25 +506,19 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
                  sample_stride: int = 1) -> EnergyTrace:
     """Energy time series along one frequency trace.
 
-    The symmetriser is rebuilt from the principal root values at each
-    sampled time; the fitted rate is the least-squares slope of log E where
-    E is positive.
+    The principal root values at all sampled times come from one ``roots``
+    call, and the symmetriser is rebuilt from them at each sampled time.
+    The fitted rate is the least-squares slope of log E where E is positive.
     """
     times = np.asarray(times, dtype=float)
     trace = np.asarray(trace)
     idx = np.arange(0, times.size, sample_stride)
     br = float(bracket(np.array(xi)))
+    lam = system.principal.roots(times[idx], np.array([float(xi)]))[:, :, 0]
     energies = np.empty(idx.size)
-    xi_arr = np.array([float(xi)])
     for row, i in enumerate(idx):
-        lam = system.principal.roots(float(times[i]), xi_arr)[:, 0]
-        sym = build_symmetriser(np.sort(lam) / br)
+        sym = build_symmetriser(np.sort(lam[row]) / br)
         energies[row] = sym.quadratic_form(trace[:, i])
-    forcing_integral = 0.0
-    if system.forcing is not None:
-        fvals = np.array([abs(system.forcing.values(float(t), xi_arr)[0]) ** 2
-                          for t in times[idx]])
-        forcing_integral = float(np.trapezoid(fvals, times[idx]))
     positive = energies > 1e-300
     if np.count_nonzero(positive) >= 2:
         slope, _, r2 = linear_fit(times[idx][positive],
@@ -517,8 +528,7 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
         rate, rate_r2 = None, None
     return EnergyTrace(xi=float(xi), epsilon=epsilon, times=times[idx],
                        energies=energies, fitted_rate=rate,
-                       rate_r_squared=rate_r2,
-                       forcing_integral=forcing_integral)
+                       rate_r_squared=rate_r2)
 
 
 # -- residual check ----------------------------------------------------------------
@@ -560,14 +570,13 @@ def residual_check(u_dense: Array, t_grid: Array, grid: FrequencyGrid,
     if system.lower is not None:
         providers.append(system.lower.row_provider(t_interior, xi))
     for provider in providers:
-        rows = np.array([provider(i) for i in range(t_interior.size)])
+        rows = provider(slice(None))
         for j in range(1, m + 1):
             term = rows[:, m - j] * br ** (j - 1) * dt_power(shifted, m - j, h)
             residual = residual - term
             scale = max(scale, float(np.linalg.norm(term)))
     if system.forcing is not None:
-        values = system.forcing.values_provider(t_interior, xi)
-        force = np.array([values(i) for i in range(t_interior.size)])
+        force = system.forcing.values_provider(t_interior, xi)(slice(None))
         residual = residual - force
         scale = max(scale, float(np.linalg.norm(force)))
     rel = float(np.linalg.norm(residual)) / max(scale, 1e-300)

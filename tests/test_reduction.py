@@ -5,7 +5,6 @@ from weakhyp.errors import (ConfigurationError, HyperbolicityError,
                             InvalidParameterError, UnsupportedError)
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.recovery import recover_coefficients
-from weakhyp import reduction
 from weakhyp.reduction import (FirstOrderSystem, ForcingPart, InitialData,
                                LowerOrderPart, LowerTerm, PolynomialPrincipal,
                                RootValuePrincipal, _rows_from_root_values,
@@ -119,7 +118,7 @@ def test_root_value_principal_matches_regularised_roots(phi):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_row_blocks_match_per_time_oracle(phi, order, monkeypatch):
+def test_row_blocks_match_per_time_oracle(phi, order):
     # odd symbols r_j(t, d) = c_j(t) d: negative frequencies read the other
     # direction's profile
     coeffs = [[heaviside_profile(0.4, 0.7 * j, 0.7 * j + 0.5, (0.0, 1.0))]
@@ -129,11 +128,7 @@ def test_row_blocks_match_per_time_oracle(phi, order, monkeypatch):
     principal = RootValuePrincipal(reg, epsilon=0.5)
     xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
     br = bracket(xi)
-    steps = 13
-    t_grid = np.linspace(0.0, 1.0, 4 * steps + 1)
-    # 7 stage times per block: 53 is no multiple of it, and blocks straddle
-    # the steps below
-    monkeypatch.setattr(reduction, "_ROW_BLOCK_BYTES", 8 * order * xi.size * 7)
+    t_grid = np.linspace(0.0, 1.0, 53)
     table = reg.direction_table(t_grid, 0.5, [(1.0,), (-1.0,)])
     sep = np.arange(1, order + 1)[:, None] \
         * (reg.omega_of(0.5) * br)[None, :]
@@ -143,14 +138,16 @@ def test_row_blocks_match_per_time_oracle(phi, order, monkeypatch):
                            table[(-1.0,)][:, i, None])
         return _rows_from_root_values(profile * np.abs(xi) + sep, br)
 
-    # the integrator's reads on a doubled step: full step, then two halves
-    stepper = [4 * s + d for s in range(steps)
-               for d in (0, 2, 2, 4, 0, 1, 1, 2, 2, 3, 3, 4)]
-    shuffled = np.random.default_rng(order).permutation(t_grid.size)
-    for reads in (stepper, shuffled):
-        rows = principal.row_provider(t_grid, xi)
-        for i in reads:
-            assert np.array_equal(rows(int(i)), oracle(int(i)))
+    rows = principal.row_provider(t_grid, xi)
+    for i in np.random.default_rng(order).permutation(t_grid.size):
+        assert np.array_equal(rows(np.array([i]))[0], oracle(i))
+    # 7-time slices: 53 is no multiple of 7, so the last slice is short
+    for lo in range(0, t_grid.size, 7):
+        block = rows(slice(lo, lo + 7))
+        times = range(lo, min(lo + 7, t_grid.size))
+        assert block.shape == (len(times), order, xi.size)
+        for k, i in enumerate(times):
+            assert np.array_equal(block[k], oracle(i))
 
 
 def test_polynomial_principal_matches_recovered_sets(phi):
@@ -296,7 +293,7 @@ def test_block_lower_matrix_against_manufactured_solution(size):
     system = FirstOrderSystem(order=size,
                               a1=lambda t: mat(a_coeffs, t),
                               b=lambda t: mat(b_coeffs, t))
-    block_form = to_block_sylvester(system, fd_step=1e-3)
+    block_form = to_block_sylvester(system)
     delta = block_form.delta_coefficients(t0, xi)
     lhs = sum(delta[k] * u_dt(size - k, t0) for k in range(size + 1))
     weights = block_form._tau_weights(t0, xi)

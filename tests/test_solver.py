@@ -12,6 +12,7 @@ from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
                                RootValuePrincipal, build_companion)
 from weakhyp.roots import (constant_roots, constant_scale, linear_scale,
                            wave_speed_roots)
+from weakhyp import solver
 from weakhyp.solver import (FrequencyGrid, LowerTermSpec, VeryWeakProblem,
                             auto_box_length, build_regularised_system,
                             dalembert_reference, energy_trace,
@@ -113,16 +114,27 @@ def test_superposition_linearity():
     assert np.max(np.abs(combined - parts)) <= 1e-10 * scale
 
 
-def test_divergence_reported_with_location():
-    # needle in the lower-order coefficient between stability samples
-    kernel = friedrichs_mollifier()
+def _spiked_wave(spike_time):
+    # a needle in the lower-order coefficient, between stability samples
     from weakhyp.mollifiers import convolve_profile, scale_mollifier
-    spike = convolve_profile(point_mass_profile(0.19, weight=1e7),
-                             scale_mollifier(kernel, 0.05))
+    spike = convolve_profile(point_mass_profile(spike_time, weight=1e7),
+                             scale_mollifier(friedrichs_mollifier(), 0.05))
     lower = LowerOrderPart(order=2, terms=(LowerTerm(0, 1, spike),))
-    system = build_companion(_wave_principal(), lower=lower,
-                             data=_unit_data(2))
+    return build_companion(_wave_principal(), lower=lower,
+                           data=_unit_data(2))
+
+
+def test_divergence_reported_with_location():
+    system = _spiked_wave(0.19)
     with pytest.raises((DivergenceError, StabilityError)):
+        solve_frequency(system, 2.0, 0.5, np.linspace(0.0, 1.0, 257))
+
+
+def test_divergence_after_the_last_periodic_check_is_reported():
+    # the spike overflows the state after step 192, the last multiple of 64;
+    # only the check after the final step sees it
+    system = _spiked_wave(0.95)
+    with pytest.raises(DivergenceError):
         solve_frequency(system, 2.0, 0.5, np.linspace(0.0, 1.0, 257))
 
 
@@ -152,8 +164,8 @@ def test_energy_pure_forcing_bounded_by_quadrature_oracle():
     br = np.sqrt(1.0 + xi * xi)
     fine = np.linspace(0.0, 1.0, 4001)
     norms = []
-    for t in fine:
-        lam = system.principal.roots(float(t), np.array([xi]))[:, 0]
+    roots = system.principal.roots(fine, np.array([xi]))[:, :, 0]
+    for t, lam in zip(fine, roots):
         sym = build_symmetriser(np.sort(lam) / br)
         f_vec = np.array([0.0, np.sin(np.pi * t)], dtype=complex)
         norms.append(np.sqrt(np.real(np.conj(f_vec) @ sym.matrix @ f_vec)))
@@ -320,6 +332,39 @@ def test_frequency_subset_does_not_change_bits():
                                output_steps=(160, 320))
     assert np.array_equal(part.first_component, full.first_component[:, ::3])
     assert np.array_equal(part.final_state, full.final_state[:, ::3])
+
+
+def test_row_block_size_does_not_change_bits(monkeypatch):
+    speed = heaviside_profile(0.5, 1.0, 2.0, (0.0, 1.0))
+    problem = VeryWeakProblem(
+        family=wave_speed_roots(speed),
+        data=(bump_profile(0.0, 1.0), zero_profile()),
+        grid=FrequencyGrid(32, 6.2), time_steps=256, horizon=1.0,
+        lower_terms=(LowerTermSpec(0, 1, heaviside_profile(
+            0.3, 0.5, -0.5, (0.0, 1.0))),),
+        forcing=(bump_profile(0.5, 0.3), bump_profile(0.0, 1.0)),
+        omega=linear_scale(), run_recovery_diagnostics=False)
+    system, _, _ = build_regularised_system(problem, 0.125)
+    assert system.lower is not None and system.forcing is not None
+    xi = problem.grid.frequencies
+    t_grid = np.linspace(0.0, 1.0, 257)
+
+    def run():
+        return integrate_companion(system, xi, t_grid, tracked_indices=(1, 5),
+                                   output_steps=(100, 256))
+
+    # the default budget holds all 256 steps in one block
+    whole = run()
+    # one step per block, then 3-step blocks, which straddle the
+    # step-doubling steps (every second step)
+    for steps in (1, 3):
+        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES",
+                            16 * system.order * xi.size * steps)
+        blocked = run()
+        assert np.array_equal(blocked.first_component, whole.first_component)
+        assert np.array_equal(blocked.final_state, whole.final_state)
+        assert np.array_equal(blocked.traces, whole.traces)
+        assert blocked.step_doubling_max == whole.step_doubling_max
 
 
 def test_rk4_stage_times_give_fourth_order_in_time():
