@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.subcommand)
     except ConfigurationError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"config error: {exc}{field}", file=sys.stderr)

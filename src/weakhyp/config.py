@@ -21,6 +21,10 @@ from .profiles import (RoughProfile, bump_profile, box_profile,
 from .roots import (OmegaScale, RootFamily, constant_roots, linear_scale,
                     logarithmic_scale, roots_from_time_profiles,
                     transport_roots, wave_speed_roots)
+from .solver import MIN_SWEEP
+
+#: subcommands that solve the epsilon sweep as a solution net
+_NET_SUBCOMMANDS = ("solve", "sweep")
 
 
 def _require(mapping: Mapping, key: str, path: str) -> Any:
@@ -160,8 +164,14 @@ _KNOWN_SECTIONS = {"problem", "roots", "lower_terms", "data", "forcing",
                    "checks", "roundtrip", "symmetriser", "reduce", "run"}
 
 
-def validate_config(raw: Mapping, path: str | None = None) -> ExperimentConfig:
-    """Structural validation; errors name the offending field."""
+def validate_config(raw: Mapping, path: str | None = None,
+                    subcommand: str | None = None) -> ExperimentConfig:
+    """Structural validation; errors name the offending field.
+
+    With a ``subcommand``, also the rules of that subcommand: ``solve`` and
+    ``sweep`` need an epsilon sweep of at least ``MIN_SWEEP`` values, while
+    the audits accept one value.
+    """
     if not isinstance(raw, Mapping):
         raise ConfigurationError("configuration must be a JSON object")
     unknown = set(raw) - _KNOWN_SECTIONS
@@ -193,6 +203,10 @@ def validate_config(raw: Mapping, path: str | None = None) -> ExperimentConfig:
             raise ConfigurationError(
                 "epsilon_sweep must decrease strictly",
                 field="regularisation.epsilon_sweep")
+    if subcommand in _NET_SUBCOMMANDS and len(sweep or ()) < MIN_SWEEP:
+        raise ConfigurationError(
+            f"{subcommand} needs an epsilon_sweep of at least {MIN_SWEEP} "
+            "values", field="regularisation.epsilon_sweep")
     grid = raw.get("grid", {})
     points = grid.get("points", 256)
     if not isinstance(points, int) or points < 2 or points & (points - 1):
@@ -227,13 +241,14 @@ def validate_config(raw: Mapping, path: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(raw=dict(raw), path=path)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path,
+                subcommand: str | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw, path=str(path))
+    return validate_config(raw, path=str(path), subcommand=subcommand)
 
 
 # -- normalised echo ----------------------------------------------------------------

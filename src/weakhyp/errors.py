@@ -46,10 +46,12 @@ class ConfigurationError(WeakHypError):
 class StabilityError(WeakHypError):
     """The requested time step violates the integrator stability budget."""
 
-    def __init__(self, message: str, required_step: float, required_steps: int):
+    def __init__(self, message: str, required_step: float, required_steps: int,
+                 epsilon: float | None = None):
         super().__init__(message)
         self.required_step = required_step
         self.required_steps = required_steps
+        self.epsilon = epsilon
 
 
 class DivergenceError(WeakHypError):

@@ -42,12 +42,13 @@ def characteristic_polynomial(roots: Sequence[float] | Array) -> Array:
     if roots.ndim == 0:
         roots = roots[None]
     m = roots.shape[-1]
-    coeffs = np.zeros(roots.shape[:-1] + (m + 1,), dtype=roots.dtype)
-    coeffs[..., 0] = 1
+    # built with the coefficients along the first axis, so that each update
+    # runs over whole batches rather than over the m + 1 coefficients
+    coeffs = np.zeros((m + 1,) + roots.shape[:-1], dtype=roots.dtype)
+    coeffs[0] = 1
     for i in range(m):
-        prev = coeffs[..., :i + 1].copy()
-        coeffs[..., 1:i + 2] -= roots[..., i:i + 1] * prev
-    return coeffs
+        coeffs[1:i + 2] -= roots[..., i] * coeffs[:i + 1]
+    return np.moveaxis(coeffs, 0, -1)
 
 
 def sigma(roots: Sequence[float] | Array, h: int) -> float | Array:

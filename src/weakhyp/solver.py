@@ -4,19 +4,21 @@ Space is one-dimensional and periodic: the box is sized so that the causal
 cone of the compactly supported data never meets its periodic images within
 the time horizon, making the discrete transform an exact stand-in for the
 line transform.  Each frequency carries an independent companion ODE,
-integrated with fixed-step fourth-order Runge-Kutta.  All frequencies are
-stepped as one batch in a single thread, and no operation mixes frequencies,
-so each frequency's bits do not depend on which others share the batch.
-Every coefficient read, by the integrator, the stability check, the energy
-traces and the residual check, goes through the companion parts' one
-tabulation call each; the integrator, which alone knows the stage times a
-step reads, owns the blocks it reads.
+integrated with fixed-step fourth-order Runge-Kutta.  The epsilons of a
+sweep share the time and frequency grids, so all epsilons and frequencies
+are stepped as one batch in a single thread; no operation mixes either, so
+each epsilon's bits equal its solo run's and each frequency's bits do not
+depend on which others share the batch.  Every coefficient read, by the
+integrator, the stability check, the energy traces and the residual check,
+goes through the companion parts' one tabulation call each; the integrator,
+which alone knows the stage times a step reads, owns the blocks it reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +67,15 @@ class FrequencyGrid:
         return -0.5 * self.box_length \
             + self.box_length * np.arange(self.points) / self.points
 
+    def positions(self, xi: Array) -> Array:
+        """Indices into :attr:`frequencies` of the grid frequencies ``xi``."""
+        xi = np.asarray(xi, dtype=float)
+        k = np.rint(xi * self.box_length / (2.0 * math.pi)).astype(int) \
+            % self.points
+        if not np.array_equal(self.frequencies[k], xi):
+            raise InvalidParameterError("frequencies must lie on the grid")
+        return k
+
     def check_fit(self, support_radius: float, max_speed: float,
                   horizon: float, margin: float = 0.5) -> None:
         needed = support_radius + max_speed * horizon + margin
@@ -102,13 +113,15 @@ class IntegrationResult:
     tracked_indices: tuple[int, ...]
     first_component: Array | None  # (n_out, K) or (nt + 1, K) when dense
     output_steps: tuple[int, ...]
+    initial_state: Array           # (m, K)
     final_state: Array             # (m, K)
     step_doubling_max: float
     steps: int
 
 
-# bytes of the last rows that one block of steps reads: a step reads the
-# real m x K rows at two stage times, four on a step-doubling step
+# bytes of the last rows that one block of steps reads for the whole batch:
+# a step reads each member's real m x K rows at two stage times, four on a
+# step-doubling step
 _ROW_BLOCK_BYTES = 1 << 18
 
 
@@ -120,25 +133,41 @@ def _estimate_norm(rows: Callable[[Index], Array], index: Array,
     return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
 
 
-def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
-                        epsilon: float | None = None,
+def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
+                        t_grid: Array,
+                        epsilons: Sequence[float | None] | None = None,
                         tracked_indices: Sequence[int] = (),
                         output_steps: Sequence[int] = (),
                         dense_first_component: bool = False
-                        ) -> IntegrationResult:
-    """Fixed-step RK4 for D_t V = (A + B) V + F over a frequency batch.
+                        ) -> list[IntegrationResult | WeakHypError]:
+    """Fixed-step RK4 for D_t V = (A + B) V + F over a batch of systems.
+
+    The members of the batch, one companion system each (one epsilon of a
+    sweep, named by ``epsilons``), share the frequencies ``xi`` and the time
+    grid; a lone system is the batch of one.  One step loop advances the
+    state (members, m, K) of all epsilons and frequencies, and no operation
+    mixes either, so each member's bits equal its solo run's and do not
+    depend on which frequencies share the batch.  Members must share their
+    order and whether they have lower-order terms and forcing.
 
     Step i evaluates its stages at t_i, t_i + h/2 and t_i + h.  Every
     ``max(1, nt // 100)``-th step is repeated as two half steps, which add
     the stage times t_i + h/4 and t_i + 3h/4, and the difference spot-checks
-    the local error.  The companion parts tabulate only these stage times.
-    This function owns the blocks: it walks the steps in blocks of at most
-    ``_ROW_BLOCK_BYTES`` of last rows, reads each block's rows (principal
-    plus lower, summed once) and forcing once, and the stages index them.
-    The step must satisfy h * max||A + B|| <= 0.5 at nine grid times, read
-    as one block, or the integration refuses and reports the required step.
-    A non-finite state, checked every 64 steps and after the last one,
-    raises :class:`DivergenceError`.
+    each member's local error.  The companion parts tabulate only these
+    stage times.  This function owns the blocks: it walks the steps in
+    blocks of at most ``_ROW_BLOCK_BYTES`` of last rows for the whole batch,
+    reads each block's rows (principal plus lower, summed once) and forcing
+    once, and the stages index them.
+
+    Failures are per member, and a failed member leaves the batch while the
+    others step on.  Before stepping, each member must satisfy
+    h * max||A + B|| <= 0.5 at nine grid times, read as one block, or it
+    gets a :class:`StabilityError` that reports the required step.  A
+    non-finite state, checked every 64 steps and after the last one, gives
+    its member a :class:`DivergenceError`.  A package error while a member
+    sets up (``LinAlgError`` raised as :class:`NumericalError`) is its
+    failure too; any other exception propagates.  Returns, per member in
+    order, its result or the error that removed it.
     """
     xi = np.asarray(xi, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -148,8 +177,20 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
     h = float(t_grid[1] - t_grid[0])
     if not np.allclose(np.diff(t_grid), h, rtol=1e-12, atol=1e-14):
         raise InvalidParameterError("time grid must be uniform")
+    eps = list(epsilons) if epsilons is not None else [None] * len(systems)
+    if len(eps) != len(systems):
+        raise InvalidParameterError("need one epsilon per system")
+    if not systems:
+        return []
+    # one row and one forcing dtype for the batch keeps each member's bits
+    m = systems[0].order
+    lowered = systems[0].lower is not None
+    forced = systems[0].forcing is not None
+    if any((s.order, s.lower is not None, s.forcing is not None)
+           != (m, lowered, forced) for s in systems):
+        raise InvalidParameterError("batched systems must share their order "
+                                    "and which parts they have")
 
-    m = system.order
     tracked = tuple(int(i) for i in tracked_indices)
     out_steps = tuple(int(i) for i in output_steps)
     stride = max(1, nt // 100)
@@ -164,36 +205,60 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
 
     br = bracket(xi)
     ibr = 1j * br
-    prow = system.principal.row_provider(stage_times, xi)
-    brow = system.lower.row_provider(stage_times, xi) \
-        if system.lower is not None else None
-    fprov = system.forcing.values_provider(stage_times, xi) \
-        if system.forcing is not None else None
-
-    def rows(index: Index) -> Array:
-        block = prow(index)
-        return block if brow is None else block + brow(index)
-
     sample = np.array([position[4 * i]
                        for i in range(0, nt + 1, max(1, nt // 8))])
-    norm = _estimate_norm(rows, sample, br)
-    if h * norm > 0.5 + 1e-12:
-        required_step = 0.5 / norm
-        required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))
-        raise StabilityError(
-            f"step {h:.3e} violates stability budget: h*||A+B|| = "
-            f"{h * norm:.3f} > 0.5; need at least {required} steps",
-            required_step=required_step, required_steps=required)
+
+    def set_up(system: CompanionSystem, epsilon: float | None) -> tuple:
+        prow = system.principal.row_provider(stage_times, xi)
+        brow = system.lower.row_provider(stage_times, xi) \
+            if lowered else None
+
+        def rows(index: Index) -> Array:
+            block = prow(index)
+            return block if brow is None else block + brow(index)
+
+        norm = _estimate_norm(rows, sample, br)
+        if h * norm > 0.5 + 1e-12:
+            required_step = 0.5 / norm
+            required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))
+            raise StabilityError(
+                f"step {h:.3e} violates stability budget at epsilon "
+                f"{epsilon}: h*||A+B|| = {h * norm:.3f} > 0.5; need at least "
+                f"{required} steps", required_step=required_step,
+                required_steps=required, epsilon=epsilon)
+        fprov = system.forcing.values_provider(stage_times, xi) \
+            if forced else None
+        return rows, fprov, system.V0(xi).astype(complex)
+
+    outcome: list[IntegrationResult | WeakHypError | None] = \
+        [None] * len(systems)
+    readers = {}   # member -> (rows, forcing values)
+    initial = {}   # member -> V0
+    for member, system in enumerate(systems):
+        try:
+            with numerical_errors():
+                rows, fprov, v0 = set_up(system, eps[member])
+        except WeakHypError as exc:
+            outcome[member] = exc
+        else:
+            readers[member], initial[member] = (rows, fprov), v0
+    live = np.array(list(readers), dtype=int)  # members still stepping
+
+    def read_block(index: slice) -> tuple:
+        rows = np.stack([readers[e][0](index) for e in live])
+        force = np.stack([readers[e][1](index) for e in live]) \
+            if forced else None
+        return index.start, rows, force
 
     def rhs(block: tuple, q: int, state: Array) -> Array:
         lo, row_block, force_block = block
         k = position[q] - lo
         out = np.empty_like(state)
-        out[:-1] = ibr * state[1:]
-        last = (row_block[k] * state).sum(axis=0)
+        out[:, :-1] = ibr * state[:, 1:]
+        last = (row_block[:, k] * state).sum(axis=1)
         if force_block is not None:
-            last = last + force_block[k]
-        out[-1] = 1j * last
+            last = last + force_block[:, k]
+        out[:, -1] = 1j * last
         return out
 
     def rk4_step(block: tuple, q0: int, dq: int, dt: float,
@@ -205,64 +270,90 @@ def integrate_companion(system: CompanionSystem, xi: Array, t_grid: Array,
         k4 = rhs(block, q0 + 2 * dq, state + dt * k3)
         return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    v = system.V0(xi).astype(complex)
-    traces = np.zeros((m, len(tracked), nt + 1), dtype=complex)
+    members = len(systems)
+    traces = np.zeros((members, m, len(tracked), nt + 1), dtype=complex)
     if dense_first_component:
-        first = np.zeros((nt + 1, xi.size), dtype=complex)
+        first = np.zeros((members, nt + 1, xi.size), dtype=complex)
     elif out_steps:
-        first = np.zeros((len(out_steps), xi.size), dtype=complex)
+        first = np.zeros((members, len(out_steps), xi.size), dtype=complex)
     else:
         first = None
     columns = list(tracked)
-    worst_double = 0.0
+    worst_double = np.zeros(members)
 
-    def record(step: int) -> None:
-        traces[:, :, step] = v[:, columns]
+    def record(step: int, v: Array) -> None:
+        traces[live, :, :, step] = v[:, :, columns]
         if dense_first_component:
-            first[step] = v[0]
+            first[live, step] = v[:, 0]
         elif step in out_steps:
-            first[out_steps.index(step)] = v[0]
+            first[live, out_steps.index(step)] = v[:, 0]
 
-    record(0)
-    block_steps = max(1, _ROW_BLOCK_BYTES // (16 * m * max(xi.size, 1)))
+    v = np.array([initial[e] for e in live]).reshape(live.size, m, xi.size)
+    record(0, v)
+    block_steps = max(1, _ROW_BLOCK_BYTES
+                      // (16 * max(live.size, 1) * m * max(xi.size, 1)))
     # overflow of a diverging state is reported via DivergenceError, not as
     # a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, nt, block_steps):
+            if not live.size:
+                break
             i1 = min(nt, i0 + block_steps)
-            lo = position[4 * i0]
-            index = slice(lo, position[4 * i1] + 1)
-            block = (lo, rows(index),
-                     fprov(index) if fprov is not None else None)
+            block = read_block(slice(position[4 * i0], position[4 * i1] + 1))
             for i in range(i0, i1):
                 v_new = rk4_step(block, 4 * i, 2, h, v)
                 if i % stride == 0:
                     half = rk4_step(block, 4 * i, 1, 0.5 * h, v)
                     half = rk4_step(block, 4 * i + 2, 1, 0.5 * h, half)
-                    scale = float(np.max(np.abs(v_new))) or 1.0
-                    worst_double = max(worst_double, float(
-                        np.max(np.abs(v_new - half))) / scale)
+                    scale = np.abs(v_new).max(axis=(1, 2))
+                    scale[scale == 0.0] = 1.0
+                    # fmax, like max() on floats, ignores a NaN estimate
+                    worst_double[live] = np.fmax(
+                        worst_double[live],
+                        np.abs(v_new - half).max(axis=(1, 2)) / scale)
                 v = v_new
-                if (i % 64 == 0 or i == nt - 1) \
-                        and not np.all(np.isfinite(v.view(float))):
-                    bad = np.flatnonzero(~np.isfinite(v).all(axis=0))[0]
-                    raise DivergenceError(
-                        f"non-finite state at t={t_grid[i + 1]:g}",
-                        xi=float(xi[bad]), epsilon=epsilon)
-                record(i + 1)
+                if i % 64 == 0 or i == nt - 1:
+                    finite = np.isfinite(v.view(float)).all(axis=(1, 2))
+                    if not finite.all():
+                        for slot in np.flatnonzero(~finite):
+                            bad = np.flatnonzero(
+                                ~np.isfinite(v[slot]).all(axis=0))[0]
+                            outcome[live[slot]] = DivergenceError(
+                                f"non-finite state at t={t_grid[i + 1]:g}",
+                                xi=float(xi[bad]), epsilon=eps[live[slot]])
+                        lo, rows, force = block
+                        block = (lo, rows[finite],
+                                 force[finite] if forced else None)
+                        live, v = live[finite], v[finite]
+                        if not live.size:
+                            break
+                record(i + 1, v)
 
-    return IntegrationResult(traces=traces, tracked_indices=tracked,
-                             first_component=first, output_steps=out_steps,
-                             final_state=v, step_doubling_max=worst_double,
-                             steps=nt)
+    for slot, member in enumerate(live):
+        outcome[member] = IntegrationResult(
+            traces=traces[member], tracked_indices=tracked,
+            first_component=first[member] if first is not None else None,
+            output_steps=out_steps, initial_state=initial[member],
+            final_state=v[slot], step_doubling_max=float(worst_double[member]),
+            steps=nt)
+    return outcome
+
+
+def _integrate_one(system: CompanionSystem, xi: Array, t_grid: Array,
+                   epsilon: float | None, **options) -> IntegrationResult:
+    """The batch of one: its result, or its failure raised."""
+    result, = integrate_companion([system], xi, t_grid, [epsilon], **options)
+    if isinstance(result, WeakHypError):
+        raise result
+    return result
 
 
 def solve_frequency(system: CompanionSystem, xi: float, epsilon: float,
                     t_grid: Array) -> Array:
     """Full amplitude trace V(t) at one frequency, shape (m, len(t_grid))."""
-    result = integrate_companion(system, np.array([float(xi)]),
-                                 np.asarray(t_grid, dtype=float),
-                                 epsilon=epsilon, tracked_indices=(0,))
+    result = _integrate_one(system, np.array([float(xi)]),
+                            np.asarray(t_grid, dtype=float), epsilon,
+                            tracked_indices=(0,))
     return result.traces[:, 0, :]
 
 
@@ -295,6 +386,17 @@ class VeryWeakProblem:
     @property
     def order(self) -> int:
         return self.family.order
+
+    @cached_property
+    def grid_transforms(self) -> tuple[tuple[Array, ...], Array | None]:
+        """Transforms on the frequency grid of the data and of the forcing's
+        space factor, computed once per problem; each epsilon multiplies
+        them by its own cut-off transform."""
+        xi = self.grid.frequencies
+        data = tuple(g.fourier_transform(xi) for g in self.data)
+        space = self.forcing[1].fourier_transform(xi) \
+            if self.forcing is not None else None
+        return data, space
 
 
 @dataclass
@@ -340,13 +442,22 @@ class SolutionNet:
         return {e: self.records[e].sup_norm() for e in self.ok_epsilons()}
 
 
+#: fewest epsilons a sweep may solve: the net's analyses compare epsilons
+MIN_SWEEP = 3
+
+
 def _nearest_step(t_grid: Array, t: float) -> int:
     return int(np.argmin(np.abs(t_grid - t)))
 
 
 def build_regularised_system(problem: VeryWeakProblem, epsilon: float
                              ) -> tuple[CompanionSystem, RegularisedRoots, dict]:
-    """Regularise coefficients, data and forcing at one epsilon and reduce."""
+    """Regularise coefficients, data and forcing at one epsilon and reduce.
+
+    The regularised data and forcing are defined on the problem's frequency
+    grid: they read the problem's cached transforms, times this epsilon's
+    cut-off transform, at the grid positions of the frequencies asked for.
+    """
     phi = friedrichs_mollifier()
     rho_base = GevreyCutoffMollifier(vanishing_moment_mollifier(2), 0.5)
     omega = problem.omega
@@ -356,16 +467,14 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     reg = regularise_roots(problem.family, phi, omega)
     w = reg.omega_of(epsilon)
     phi_w = scale_mollifier(phi, w)
-    rho_w = rho_base.with_scale(w)
-    rho_hat_grid = rho_w.fourier_transform(problem.grid.frequencies)
+    grid = problem.grid
+    rho_hat = rho_base.with_scale(w).fourier_transform(grid.frequencies)
 
-    def regularised_transform(profile: RoughProfile) -> Callable[[Array], Array]:
-        def ghat(xi: Array) -> Array:
-            return profile.fourier_transform(xi) * rho_hat_grid \
-                if xi.shape == rho_hat_grid.shape \
-                else profile.fourier_transform(xi) * rho_w.fourier_transform(xi)
-        return ghat
+    def on_grid(transform: Array) -> Callable[[Array], Array]:
+        values = transform * rho_hat
+        return lambda xi: values[grid.positions(xi)]
 
+    data_hats, space_hat = problem.grid_transforms
     principal = RootValuePrincipal(reg, epsilon)
     lower = None
     if problem.lower_terms:
@@ -376,55 +485,62 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
         lower = LowerOrderPart(order=problem.order, terms=terms)
     forcing = None
     if problem.forcing is not None:
-        f_time, f_space = problem.forcing
-        forcing = ForcingPart(time_values=convolve_profile(f_time, phi_w),
-                              xhat=regularised_transform(f_space))
-    data = InitialData(tuple(regularised_transform(g) for g in problem.data))
+        forcing = ForcingPart(
+            time_values=convolve_profile(problem.forcing[0], phi_w),
+            xhat=on_grid(space_hat))
+    data = InitialData(tuple(on_grid(g) for g in data_hats))
     system = build_companion(principal, lower=lower, forcing=forcing, data=data)
     info = {"omega": w}
     return system, reg, info
 
 
-def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
-    """Run the full pipeline at one epsilon."""
-    system, reg, info = build_regularised_system(problem, epsilon)
-    w = info["omega"]
-    m = problem.order
-    grid = problem.grid
-    supports = [abs(g.support[0]) for g in problem.data] \
-        + [abs(g.support[1]) for g in problem.data]
-    if problem.forcing is not None:
-        supports += [abs(problem.forcing[1].support[0]),
-                     abs(problem.forcing[1].support[1])]
-    # support transport speed: |d lambda / d xi| <= bound + m omega
-    grid.check_fit(max(supports, default=0.0),
-                   system.principal.max_normalised_speed(),
-                   problem.horizon)
-
+def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
+    """The time grid, the output steps and the tracked frequency indices."""
     t_grid = np.linspace(0.0, problem.horizon, problem.time_steps + 1)
     out_steps = []
     for t in problem.output_times:
         step = _nearest_step(t_grid, t)
         if step not in out_steps:
             out_steps.append(step)
-    xi_grid = grid.frequencies
+    xi_grid = problem.grid.frequencies
     tracked = []
     for target in problem.tracked_frequencies:
         idx = int(np.argmin(np.abs(xi_grid - target)))
         if idx not in tracked:
             tracked.append(idx)
+    return t_grid, out_steps, tracked
 
-    result = integrate_companion(system, xi_grid, t_grid, epsilon=epsilon,
-                                 tracked_indices=tracked,
-                                 output_steps=out_steps)
+
+def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
+    """The regularised system at one epsilon, once its box is checked."""
+    system, reg, info = build_regularised_system(problem, epsilon)
+    supports = [abs(g.support[0]) for g in problem.data] \
+        + [abs(g.support[1]) for g in problem.data]
+    if problem.forcing is not None:
+        supports += [abs(problem.forcing[1].support[0]),
+                     abs(problem.forcing[1].support[1])]
+    # support transport speed: |d lambda / d xi| <= bound + m omega
+    problem.grid.check_fit(max(supports, default=0.0),
+                           system.principal.max_normalised_speed(),
+                           problem.horizon)
+    return system, reg, info["omega"]
+
+
+def _record(problem: VeryWeakProblem, epsilon: float, prepared: tuple,
+            result: IntegrationResult, t_grid: Array,
+            tracked: list[int]) -> SolveRecord:
+    """Synthesise one epsilon's integration and add its diagnostics."""
+    system, reg, w = prepared
+    m = problem.order
+    grid = problem.grid
+    xi_grid = grid.frequencies
     br = bracket(xi_grid)
     uhat = result.first_component * br[None, :] ** (1 - m)
     u = grid.synthesise(uhat)
-    v0 = system.V0(xi_grid)
     ic_residual = 0.0
     if tracked:
         ic_residual = float(np.max(np.abs(
-            result.traces[:, :, 0] - v0[:, tracked])))
+            result.traces[:, :, 0] - result.initial_state[:, tracked])))
     metadata = {
         "omega": w,
         "steps": result.steps,
@@ -448,31 +564,68 @@ def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
         system=system, metadata=metadata)
 
 
+def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
+    """Run the full pipeline at one epsilon, as the sweep's batch of one."""
+    t_grid, out_steps, tracked = _schedule(problem)
+    prepared = _prepare(problem, epsilon)
+    result = _integrate_one(prepared[0], problem.grid.frequencies, t_grid,
+                            epsilon, tracked_indices=tracked,
+                            output_steps=out_steps)
+    return _record(problem, epsilon, prepared, result, t_grid, tracked)
+
+
 def solve_very_weak(problem: VeryWeakProblem,
                     epsilons: Sequence[float]) -> SolutionNet:
     """Solve the regularised family over a decreasing epsilon sweep.
 
-    Package errors (:class:`WeakHypError`, with numpy's ``LinAlgError``
-    raised as :class:`NumericalError`) are attached to their epsilon as stage
+    Each epsilon's system is built on its own; then one
+    :func:`integrate_companion` call steps every built system as a batch,
+    and each epsilon is synthesised from its member's result.  Package
+    errors (:class:`WeakHypError`, with numpy's ``LinAlgError`` raised as
+    :class:`NumericalError`) are attached to their epsilon as stage
     failures and the sweep continues; any other exception is a bug and
     propagates.  Outputs are deterministic given the problem.
     """
     eps = [float(e) for e in epsilons]
-    if len(eps) < 3:
-        raise InvalidParameterError("epsilon sweep needs at least 3 values")
+    if len(eps) < MIN_SWEEP:
+        raise InvalidParameterError(
+            f"epsilon sweep needs at least {MIN_SWEEP} values")
     if any(not 0.0 < e <= 1.0 for e in eps):
         raise InvalidParameterError("epsilon values must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise InvalidParameterError("epsilon sweep must decrease strictly")
-    records: dict[float, SolveRecord] = {}
-    for e in eps:
+    t_grid, out_steps, tracked = _schedule(problem)
+
+    def failed(e: float, exc: WeakHypError) -> SolveRecord:
+        return SolveRecord(epsilon=e, omega=float("nan"),
+                           error=f"{type(exc).__name__}: {exc}")
+
+    def attempt(e: float, stage: Callable, *args):
+        """``stage(*args)``, or e's failed record on a package error."""
         try:
             with numerical_errors():
-                records[e] = solve_single(problem, e)
+                return stage(*args)
         except WeakHypError as exc:
-            records[e] = SolveRecord(epsilon=e, omega=float("nan"),
-                                     error=f"{type(exc).__name__}: {exc}")
-    return SolutionNet(epsilons=tuple(eps), records=records,
+            return failed(e, exc)
+
+    records: dict[float, SolveRecord] = {}
+    prepared = {}
+    for e in eps:
+        built = attempt(e, _prepare, problem, e)
+        if isinstance(built, SolveRecord):
+            records[e] = built
+        else:
+            prepared[e] = built
+    results = integrate_companion(
+        [built[0] for built in prepared.values()], problem.grid.frequencies,
+        t_grid, list(prepared), tracked_indices=tracked,
+        output_steps=out_steps)
+    for (e, built), result in zip(prepared.items(), results):
+        records[e] = failed(e, result) if isinstance(result, WeakHypError) \
+            else attempt(e, _record, problem, e, built, result, t_grid,
+                         tracked)
+    return SolutionNet(epsilons=tuple(eps),
+                       records={e: records[e] for e in eps},
                        grid=problem.grid,
                        output_times=problem.output_times)
 

@@ -160,11 +160,26 @@ def test_cli_failed_check_exit_one(cli_config, tmp_path):
     assert summary["checks_passed"] is False
 
 
-def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
-    # one epsilon passes validation but not the solver's sweep checks
+def test_cli_short_sweep_is_a_config_error(tmp_path, capsys):
+    # the audits accept a one-value sweep; solve and sweep need three
     raw = _base_config()
-    raw["regularisation"]["epsilon_sweep"] = [0.5]
+    raw["regularisation"]["epsilon_sweep"] = [0.5, 0.25]
     path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    for subcommand in ("solve", "sweep"):
+        assert main([subcommand, "--config", str(path),
+                     "--out", str(tmp_path / subcommand)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "regularisation.epsilon_sweep" in err
+
+
+def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
+    # a time grid of one point passes validation, and the integrator, which
+    # all epsilons share, refuses it outside any one epsilon's stage
+    raw = _base_config()
+    raw["grid"]["time_steps"] = 0
+    path = tmp_path / "one_point.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 1

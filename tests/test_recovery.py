@@ -49,6 +49,19 @@ def test_characteristic_polynomial_examples():
                        [1.0, 0.0, -1.0])
 
 
+def test_characteristic_polynomial_batch_matches_scalar_recursion():
+    # each batch entry gets exactly the arithmetic of c_j -= r_i c_(j-1)
+    roots = np.random.default_rng(4).standard_normal((5, 7, 3))
+    batch = characteristic_polynomial(roots)
+    assert batch.shape == (5, 7, 4)
+    for idx in np.ndindex(5, 7):
+        coeffs = [1.0, 0.0, 0.0, 0.0]
+        for i, r in enumerate(roots[idx].tolist()):
+            for j in range(i + 1, 0, -1):
+                coeffs[j] = coeffs[j] - r * coeffs[j - 1]
+        assert batch[idx].tolist() == coeffs
+
+
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0),
                 min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)

@@ -48,6 +48,14 @@ def test_grid_fit_check():
         grid.check_fit(1.0, 1.0, 1.0)
 
 
+def test_grid_positions_of_grid_frequencies():
+    grid = FrequencyGrid(64, 5.0)
+    assert np.array_equal(grid.positions(grid.frequencies[::3]),
+                          np.arange(0, 64, 3))
+    with pytest.raises(InvalidParameterError):
+        grid.positions(np.array([0.5]))
+
+
 def test_grid_transform_round_trip():
     grid = FrequencyGrid(64, 5.0)
     u = np.cos(2.0 * np.pi * grid.x_nodes / 5.0) + 0.3
@@ -114,10 +122,10 @@ def test_superposition_linearity():
     assert np.max(np.abs(combined - parts)) <= 1e-10 * scale
 
 
-def _spiked_wave(spike_time):
+def _spiked_wave(spike_time, weight=1e7):
     # a needle in the lower-order coefficient, between stability samples
     from weakhyp.mollifiers import convolve_profile, scale_mollifier
-    spike = convolve_profile(point_mass_profile(spike_time, weight=1e7),
+    spike = convolve_profile(point_mass_profile(spike_time, weight=weight),
                              scale_mollifier(friedrichs_mollifier(), 0.05))
     lower = LowerOrderPart(order=2, terms=(LowerTerm(0, 1, spike),))
     return build_companion(_wave_principal(), lower=lower,
@@ -182,8 +190,8 @@ def _dense_wave_solution(grid, t_grid):
         data=InitialData((
             lambda xi: bump_profile(0.0, 1.0).fourier_transform(xi),
             lambda xi: np.zeros(np.shape(xi), dtype=complex))))
-    result = integrate_companion(system, grid.frequencies, t_grid,
-                                 dense_first_component=True)
+    result, = integrate_companion([system], grid.frequencies, t_grid,
+                                  dense_first_component=True)
     br = np.sqrt(1.0 + grid.frequencies ** 2)
     u_dense = grid.synthesise(result.first_component * br ** (-1))
     return u_dense, system
@@ -327,44 +335,112 @@ def test_frequency_subset_does_not_change_bits():
     system, _, _ = build_regularised_system(problem, 0.125)
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 321)
-    full = integrate_companion(system, xi, t_grid, output_steps=(160, 320))
-    part = integrate_companion(system, xi[::3], t_grid,
-                               output_steps=(160, 320))
+    full, = integrate_companion([system], xi, t_grid, output_steps=(160, 320))
+    part, = integrate_companion([system], xi[::3], t_grid,
+                                output_steps=(160, 320))
     assert np.array_equal(part.first_component, full.first_component[:, ::3])
     assert np.array_equal(part.final_state, full.final_state[:, ::3])
 
 
-def test_row_block_size_does_not_change_bits(monkeypatch):
+def _lower_forced_problem(**options):
     speed = heaviside_profile(0.5, 1.0, 2.0, (0.0, 1.0))
-    problem = VeryWeakProblem(
+    return VeryWeakProblem(
         family=wave_speed_roots(speed),
         data=(bump_profile(0.0, 1.0), zero_profile()),
-        grid=FrequencyGrid(32, 6.2), time_steps=256, horizon=1.0,
+        grid=FrequencyGrid(32, auto_box_length(1.0, 2.5, 1.0)),
+        time_steps=256, horizon=1.0,
         lower_terms=(LowerTermSpec(0, 1, heaviside_profile(
             0.3, 0.5, -0.5, (0.0, 1.0))),),
         forcing=(bump_profile(0.5, 0.3), bump_profile(0.0, 1.0)),
-        omega=linear_scale(), run_recovery_diagnostics=False)
-    system, _, _ = build_regularised_system(problem, 0.125)
-    assert system.lower is not None and system.forcing is not None
+        omega=linear_scale(), run_recovery_diagnostics=False, **options)
+
+
+def _assert_same_result(batched, solo):
+    assert np.array_equal(batched.first_component, solo.first_component)
+    assert np.array_equal(batched.final_state, solo.final_state)
+    assert np.array_equal(batched.traces, solo.traces)
+    assert batched.step_doubling_max == solo.step_doubling_max
+
+
+def test_row_block_size_does_not_change_bits(monkeypatch):
+    problem = _lower_forced_problem()
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
+    # a batch of one, then of two epsilons
+    for epsilons in ((0.125,), (0.125, 0.0625)):
+        systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+        assert systems[0].lower is not None \
+            and systems[0].forcing is not None
 
-    def run():
-        return integrate_companion(system, xi, t_grid, tracked_indices=(1, 5),
-                                   output_steps=(100, 256))
+        def run():
+            return integrate_companion(systems, xi, t_grid, epsilons,
+                                       tracked_indices=(1, 5),
+                                       output_steps=(100, 256))
 
-    # the default budget holds all 256 steps in one block
-    whole = run()
-    # one step per block, then 3-step blocks, which straddle the
-    # step-doubling steps (every second step)
-    for steps in (1, 3):
-        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES",
-                            16 * system.order * xi.size * steps)
-        blocked = run()
-        assert np.array_equal(blocked.first_component, whole.first_component)
-        assert np.array_equal(blocked.final_state, whole.final_state)
-        assert np.array_equal(blocked.traces, whole.traces)
-        assert blocked.step_doubling_max == whole.step_doubling_max
+        # the default budget holds all 256 steps in one block
+        monkeypatch.undo()
+        whole = run()
+        # one step per block, then 3-step blocks, which straddle the
+        # step-doubling steps (every second step); the budget covers the
+        # rows of the whole batch
+        for steps in (1, 3):
+            monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 16 * len(systems)
+                                * systems[0].order * xi.size * steps)
+            for blocked, reference in zip(run(), whole):
+                _assert_same_result(blocked, reference)
+
+
+def _assert_same_record(batched, solo):
+    assert batched.ok and solo.ok
+    for name in ("u", "uhat", "traces"):
+        assert np.array_equal(getattr(batched, name), getattr(solo, name))
+    assert batched.metadata["step_doubling_max"] \
+        == solo.metadata["step_doubling_max"]
+
+
+def test_sweep_records_equal_solo_runs():
+    problem = _lower_forced_problem(output_times=(0.5, 1.0),
+                                    tracked_frequencies=(2.0, 5.0))
+    net = solve_very_weak(problem, (0.25, 0.125, 0.0625))
+    for e in net.epsilons:
+        _assert_same_record(net.record(e), solve_single(problem, e))
+
+
+def test_stability_reject_leaves_the_other_epsilons_unchanged():
+    # the largest epsilon's separation makes ||A + B|| largest; 96 steps
+    # hold the budget for the other two only
+    problem = VeryWeakProblem(
+        family=constant_roots([-1.0, 1.0]),
+        data=(bump_profile(0.0, 1.0), zero_profile()),
+        grid=FrequencyGrid(64, auto_box_length(1.0, 2.8, 1.0)),
+        time_steps=96, horizon=1.0, omega=linear_scale(),
+        output_times=(1.0,), tracked_frequencies=(2.0,),
+        run_recovery_diagnostics=False)
+    net = solve_very_weak(problem, (0.9, 0.3, 0.1))
+    assert net.record(0.9).error.startswith("StabilityError")
+    assert "epsilon 0.9" in net.record(0.9).error
+    with pytest.raises(StabilityError) as info:
+        solve_single(problem, 0.9)
+    assert info.value.epsilon == 0.9
+    assert info.value.required_steps > 96
+    for e in (0.3, 0.1):
+        _assert_same_record(net.record(e), solve_single(problem, e))
+
+
+def test_divergent_member_leaves_the_batch():
+    # only the middle member's needle is tall enough to overflow the state
+    systems = [_spiked_wave(0.19, weight) for weight in (1.0, 1e7, 0.5)]
+    epsilons = (0.5, 0.25, 0.125)
+    xi = np.array([1.0, 2.0, 3.0])
+    t_grid = np.linspace(0.0, 1.0, 257)
+    options = dict(tracked_indices=(1,), output_steps=(128, 256))
+    batched = integrate_companion(systems, xi, t_grid, epsilons, **options)
+    assert isinstance(batched[1], DivergenceError)
+    assert batched[1].epsilon == 0.25 and batched[1].xi in xi
+    for member in (0, 2):
+        solo, = integrate_companion([systems[member]], xi, t_grid,
+                                    [epsilons[member]], **options)
+        _assert_same_result(batched[member], solo)
 
 
 def test_rk4_stage_times_give_fourth_order_in_time():
