@@ -19,14 +19,12 @@ from .profiles import (PointMass, Piece, RoughProfile, bump_profile,
                        heaviside_profile, hoelder_profile,
                        piecewise_constant_profile, point_mass_profile,
                        polynomial_piece_profile, zero_profile)
-from .mollifiers import (ApproximationRateFit, Convolution,
-                         GevreyCutoffMollifier, Mollifier, convolve_profile,
-                         fourier_approximation_rate, friedrichs_mollifier,
+from .mollifiers import (Convolution, GevreyCutoffMollifier, Mollifier,
+                         convolve_profile, friedrichs_mollifier,
                          plateau_cutoff, scale_mollifier,
                          vanishing_moment_mollifier)
-from .roots import (ExponentFit, ModeratenessSample, OmegaScale,
-                    RegularisedRoots, RootFamily, bracket, bracket_norm,
-                    certify_moderateness, constant_roots, constant_scale,
+from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
+                    bracket_norm, constant_roots, constant_scale,
                     linear_scale, logarithmic_scale, regularise_roots,
                     roots_from_linear_forms, roots_from_time_profiles,
                     transport_roots, wave_speed_roots)
@@ -34,26 +32,23 @@ from .recovery import (DirectionPlan, HomogeneousCoefficientSet,
                        RoundTripReport, build_direction_plan,
                        characteristic_polynomial, random_ordered_family,
                        random_round_trip_study, recover_coefficients,
-                       round_trip_check, sigma, sigma_brute_force)
+                       round_trip_check, sigma)
 from .reduction import (BlockSylvesterSystem, CompanionSystem,
                         FirstOrderSystem, ForcingPart, InitialData,
                         LowerOrderPart, LowerTerm, PolynomialMatrix,
-                        PolynomialPrincipal, RootValuePrincipal,
-                        build_companion, cofactor_matrix,
+                        RootValuePrincipal, build_companion, cofactor_matrix,
                         companion_matrix_from_coefficients,
                         random_hyperbolic_system, to_block_sylvester)
-from .symmetrisers import (BlockSymmetriser, QuadraticBoundsReport,
-                           Symmetriser, block_symmetriser, build_symmetriser,
-                           intertwining_nullspace, normalised_companion,
+from .symmetrisers import (QuadraticBoundsReport, Symmetriser,
+                           build_symmetriser, normalised_companion,
                            vandermonde_product_squared,
                            verify_quadratic_bounds)
 from .solver import (EnergyTrace, FrequencyGrid, LowerTermSpec, SolutionNet,
                      SolveRecord, VeryWeakProblem, auto_box_length,
                      dalembert_reference, energy_trace, integrate_companion,
-                     residual_check, solve_frequency, solve_single,
-                     solve_very_weak, transport_reference)
+                     solve_single, solve_very_weak, transport_reference)
 from .analysis import (ConvergenceReport, GevreyFourierFit,
-                       ModeratenessReport, RegularisedNet, convergence_study,
+                       ModeratenessReport, convergence_study,
                        fit_moderateness, gevrey_fourier_check,
                        proxy_seminorm, uniformity_spot_check)
 from .config import (ExperimentConfig, build_profile, build_root_family,

@@ -9,7 +9,7 @@ computable seminorm, optionally against a classical reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,20 +22,11 @@ from .solver import SolutionNet
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class RegularisedNet:
-    """Sup-norm data of an eps-indexed family of regularised objects."""
-
-    name: str
-    sup_norms: tuple[tuple[float, float], ...]  # (eps, sup)
-
-
 # -- moderateness ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ModeratenessReport:
-    target: str
     s: float
     n_hat: float
     r_squared: float
@@ -44,7 +35,6 @@ class ModeratenessReport:
     span_decades: float
     trivially_moderate: bool
     envelope_prefactor: float | None = None
-    envelope_n: float | None = None
     envelope_c: float | None = None
     envelope_ok: bool = False
 
@@ -52,16 +42,13 @@ class ModeratenessReport:
 def _sup_table(net) -> tuple[tuple[float, float], ...]:
     if isinstance(net, SolutionNet):
         return tuple(sorted(net.sup_norms().items(), reverse=True))
-    if isinstance(net, RegularisedNet):
-        return tuple(sorted(net.sup_norms, reverse=True))
     if isinstance(net, Mapping):
         return tuple(sorted(((float(k), float(v)) for k, v in net.items()),
                             reverse=True))
     raise InvalidParameterError(f"cannot read sup norms from {type(net)!r}")
 
 
-def fit_moderateness(net, s: float, nu: float = 1.0,
-                     target: str = "solution") -> ModeratenessReport:
+def fit_moderateness(net, s: float, nu: float = 1.0) -> ModeratenessReport:
     """Regress log sup-norms on log(1/eps), plus the transform envelope.
 
     The envelope |u_hat| <= c' eps^-N exp(-c eps^(1/s) <xi>^(1/s)) is fitted
@@ -76,7 +63,7 @@ def fit_moderateness(net, s: float, nu: float = 1.0,
     sups = np.array([row[1] for row in table])
     span = float(np.log10(eps.max() / eps.min()))
     if np.all(sups <= 0.0):
-        return ModeratenessReport(target=target, s=s, n_hat=0.0, r_squared=1.0,
+        return ModeratenessReport(s=s, n_hat=0.0, r_squared=1.0,
                                   sup_table=table, n_hat_drop_largest=0.0,
                                   span_decades=span, trivially_moderate=True)
     positive = sups > 0.0
@@ -89,7 +76,7 @@ def fit_moderateness(net, s: float, nu: float = 1.0,
         if np.count_nonzero(keep) >= 2:
             drop, _, _ = linear_fit(np.log(1.0 / eps[keep]),
                                     np.log(sups[keep]))
-    report = ModeratenessReport(target=target, s=s, n_hat=float(slope),
+    report = ModeratenessReport(s=s, n_hat=float(slope),
                                 r_squared=float(r2), sup_table=table,
                                 n_hat_drop_largest=drop, span_decades=span,
                                 trivially_moderate=False)
@@ -117,14 +104,8 @@ def _with_envelope(report: ModeratenessReport, net: SolutionNet,
     sol, *_ = np.linalg.lstsq(design, y_all, rcond=None)
     prefactor = float(math.exp(min(sol[0], 700.0)))
     c_fit = float(sol[1])
-    return ModeratenessReport(
-        target=report.target, s=report.s, n_hat=report.n_hat,
-        r_squared=report.r_squared, sup_table=report.sup_table,
-        n_hat_drop_largest=report.n_hat_drop_largest,
-        span_decades=report.span_decades,
-        trivially_moderate=report.trivially_moderate,
-        envelope_prefactor=prefactor, envelope_n=report.n_hat,
-        envelope_c=c_fit, envelope_ok=c_fit > 0.0)
+    return replace(report, envelope_prefactor=prefactor, envelope_c=c_fit,
+                   envelope_ok=c_fit > 0.0)
 
 
 # -- Gevrey transform envelopes -------------------------------------------------------
@@ -195,9 +176,7 @@ def _record_distance(net: SolutionNet, a, b, seminorm: str, nu: float,
                      s: float) -> float:
     if seminorm == "sup":
         return float(np.max(np.abs(a.u - b.u)))
-    xi = net.grid.frequencies
-    weight = np.exp(-nu * bracket(xi) ** (1.0 / s))
-    return float(np.max(np.abs(a.uhat - b.uhat) * weight))
+    return proxy_seminorm(a.uhat - b.uhat, net.grid.frequencies, nu, s)
 
 
 def convergence_study(net: SolutionNet, reference: Array | None = None,
@@ -243,9 +222,8 @@ def convergence_study(net: SolutionNet, reference: Array | None = None,
             if seminorm == "sup":
                 err = float(np.max(np.abs(rec.u - reference)))
             else:
-                ref_hat = net.grid.analyse(reference)
-                weight = np.exp(-nu * bracket(net.grid.frequencies) ** (1.0 / s))
-                err = float(np.max(np.abs(rec.uhat - ref_hat) * weight))
+                err = proxy_seminorm(rec.uhat - net.grid.analyse(reference),
+                                     net.grid.frequencies, nu, s)
             ref_errors.append((e, err))
         ref_errors = tuple(ref_errors)
     return ConvergenceReport(seminorm=seminorm, pairwise=tuple(pairwise),

@@ -33,8 +33,8 @@ from .reports import write_csv, write_json
 from .roots import constant_scale
 from .solver import (FrequencyGrid, LowerTermSpec, SolutionNet,
                      VeryWeakProblem, auto_box_length, dalembert_reference,
-                     energy_trace, solve_single, solve_very_weak,
-                     transport_reference)
+                     data_support_radius, energy_trace, solve_single,
+                     solve_very_weak, transport_reference)
 from .symmetrisers import (build_symmetriser, vandermonde_product_squared,
                            verify_quadratic_bounds)
 
@@ -114,15 +114,12 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
                                  (0.0, horizon)),
                    build_profile(raw["forcing"]["space"], "forcing.space"))
     grid_cfg = cfg.section("grid")
-    supports = [abs(g.support[0]) for g in data] \
-        + [abs(g.support[1]) for g in data]
-    if forcing is not None:
-        supports += [abs(forcing[1].support[0]), abs(forcing[1].support[1])]
     eps_max = max(cfg.epsilon_sweep)
     speed = family.bound + cfg.order * scale(eps_max)
     box = grid_cfg.get("box_length")
     if box is None:
-        box = auto_box_length(max(supports, default=0.0), speed, horizon,
+        box = auto_box_length(data_support_radius(data, forcing), speed,
+                              horizon,
                               margin=float(grid_cfg.get("margin", 1.0)))
     grid = FrequencyGrid(int(grid_cfg.get("points", 256)), float(box))
     output_times = tuple(float(t) for t in grid_cfg.get(

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from ._quadrature import adaptive_panel, fixed_panel, oscillatory_panel
-from ._stats import linear_fit
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InvalidParameterError
 from .profiles import RoughProfile
 
 Array = np.ndarray
@@ -295,57 +294,3 @@ def convolve_profile(p: RoughProfile, m: Mollifier,
         raise InvalidParameterError("kernel must have positive finite support")
     return Convolution(p, m, derivative=derivative, tol=tol)
 
-
-# -- approximation-rate diagnostics --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ApproximationRateFit:
-    """Fitted decay order of the cutoff-mollifier approximation error."""
-
-    q_hat: float
-    r_squared: float
-    omegas: tuple[float, ...]
-    errors: tuple[float, ...]
-    exact: bool
-    nu: float
-    s: float
-
-    def rows(self):
-        return [(w, e) for w, e in zip(self.omegas, self.errors)]
-
-
-def fourier_approximation_rate(p: RoughProfile, g: GevreyCutoffMollifier,
-                               s: float, xi_grid: Array,
-                               omegas: Sequence[float] | None = None,
-                               nu: float = 2.0) -> ApproximationRateFit:
-    """Fit the order of ``sup_xi |FT(p*rho_w) - FT(p)| exp(-nu <xi>^(1/s))``.
-
-    Sweeps the cutoff-mollifier scale, measures the weighted transform error
-    on the given frequency grid and regresses log-error on log-scale.  A base
-    kernel with q vanishing moments yields a fitted order of at least q.
-    """
-    if g.base.moment_order < 1:
-        raise InvalidParameterError(
-            "approximation-rate fit needs a kernel with vanishing moments")
-    if omegas is None:
-        omegas = tuple(float(w) for w in np.geomspace(0.01, 0.1, 8))
-    if len(omegas) < 3:
-        raise InsufficientDataError(
-            "approximation-rate fit needs at least 3 scale samples")
-    xi = np.asarray(xi_grid, dtype=float)
-    if xi.size == 0:
-        raise InvalidParameterError("frequency grid is empty")
-    weight = np.exp(-nu * (1.0 + xi ** 2) ** (0.5 / s))
-    p_hat = p.fourier_transform(xi)
-    errors = []
-    for w in omegas:
-        rho_hat = g.with_scale(w).fourier_transform(xi)
-        errors.append(float(np.max(np.abs(p_hat * (rho_hat - 1.0)) * weight)))
-    errors_arr = np.asarray(errors)
-    if np.all(errors_arr < 1e-300):
-        return ApproximationRateFit(math.inf, 1.0, tuple(omegas),
-                                    tuple(errors), True, nu, s)
-    slope, _, r2 = linear_fit(np.log(np.asarray(omegas)), np.log(errors_arr))
-    return ApproximationRateFit(float(slope), float(r2), tuple(omegas),
-                                tuple(errors), False, nu, s)

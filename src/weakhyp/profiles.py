@@ -104,28 +104,6 @@ class RoughProfile:
 
     __call__ = density
 
-    def density_bound(self, samples_per_piece: int = 257) -> float:
-        """Sampled sup-norm of the density (boundedness check)."""
-        best = 0.0
-        for p in self.pieces:
-            # stay off the endpoints so endpoint-singular evaluators stay finite
-            t = np.linspace(p.lo, p.hi, samples_per_piece + 2)[1:-1]
-            vals = np.abs(np.asarray(p.fn(t), dtype=complex))
-            if not np.all(np.isfinite(vals)):
-                raise InvalidParameterError(
-                    f"density piece [{p.lo}, {p.hi}] is unbounded at samples")
-            best = max(best, float(vals.max(initial=0.0)))
-        return best
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(p.degree is not None for p in self.pieces)
-
-    @property
-    def max_piece_degree(self) -> int:
-        return max((p.degree for p in self.pieces if p.degree is not None),
-                   default=0)
-
     # -- linear structure ---------------------------------------------------
 
     def scaled(self, a: complex) -> "RoughProfile":
@@ -271,25 +249,6 @@ def bump_profile(center: float, radius: float, amplitude: float = 1.0,
 
     return RoughProfile(
         (Piece(center - radius, center + radius, fn, degree=2 * power),),
-        (), (center - radius, center + radius))
-
-
-def smooth_bump_profile(center: float, radius: float,
-                        amplitude: float = 1.0) -> RoughProfile:
-    """C-infinity bump ``amplitude * exp(1 - 1/(1 - u^2))``; its transform
-    decays faster than any power, unlike the polynomial bump."""
-    if radius <= 0:
-        raise InvalidParameterError("bump radius must be positive")
-
-    def fn(x: Array) -> Array:
-        u = (x - center) / radius
-        out = np.zeros(np.shape(u))
-        inside = np.abs(u) < 1.0
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-        return out
-
-    return RoughProfile(
-        (Piece(center - radius, center + radius, fn, degree=None),),
         (), (center - radius, center + radius))
 
 

@@ -61,19 +61,6 @@ def sigma(roots: Sequence[float] | Array, h: int) -> float | Array:
     return float(coeffs) if coeffs.ndim == 0 else coeffs
 
 
-def sigma_brute_force(roots: Sequence[float], h: int) -> float:
-    """Direct subset enumeration; test oracle for :func:`sigma`."""
-    roots = list(roots)
-    if not 0 <= h <= len(roots):
-        raise InvalidParameterError(f"level {h} outside 0..{len(roots)}")
-    if h == 0:
-        return 1.0
-    total = 0.0
-    for combo in itertools.combinations(roots, h):
-        total += math.prod(combo)
-    return (-1.0) ** h * total
-
-
 # -- direction plans --------------------------------------------------------------
 
 

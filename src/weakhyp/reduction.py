@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .errors import (ConfigurationError, HyperbolicityError,
                      InvalidParameterError, NumericalError, UnsupportedError)
-from .recovery import HomogeneousCoefficientSet, characteristic_polynomial
+from .recovery import characteristic_polynomial
 from .roots import RegularisedRoots, bracket, dt_power
 
 Array = np.ndarray
@@ -67,19 +67,6 @@ class PrincipalPart(Protocol):
                      ) -> Callable[[Index], Array]: ...
 
     def max_normalised_speed(self) -> float: ...
-
-
-def _rows_from_root_values(lam: Array, br: Array) -> Array:
-    """l_(j) = -sigma_{m-j+1}(roots) <xi>^(j-m) from root values (m, K).
-
-    Per-time test oracle for :func:`_row_table`.
-    """
-    m = lam.shape[0]
-    sig = characteristic_polynomial(np.moveaxis(lam, 0, -1))  # (K, m+1)
-    rows = np.empty_like(lam)
-    for j in range(1, m + 1):
-        rows[j - 1] = -sig[..., m - j + 1] * br ** (j - m)
-    return rows
 
 
 def _row_table(lam: Array, br: Array) -> Array:
@@ -165,69 +152,6 @@ class RootValuePrincipal:
     def max_normalised_speed(self) -> float:
         return self.regularised.base.bound \
             + self.order * self.regularised.omega_of(self.epsilon)
-
-
-@dataclass
-class PolynomialPrincipal:
-    """Principal symbols from per-degree coefficient callables (n = 1).
-
-    ``coefficients[d]`` evaluates the degree-d coefficient a_d(t); the last
-    row entries are ``a_{m-j+1}(t) xi^{m-j+1} <xi>^{j-m}``.  Root values come
-    from companion eigenvalues.
-    """
-
-    order: int
-    coefficients: Mapping[int, Callable[[Array], Array]]
-    speed_bound: float = 1.0
-
-    def __post_init__(self):
-        missing = [d for d in range(1, self.order + 1)
-                   if d not in self.coefficients]
-        if missing:
-            raise ConfigurationError(
-                f"missing principal coefficient degree(s) {missing}",
-                field="principal")
-
-    @staticmethod
-    def from_coefficient_sets(sets: Mapping[int, HomogeneousCoefficientSet],
-                              speed_bound: float = 1.0) -> "PolynomialPrincipal":
-        coeffs = {}
-        for degree, cset in sets.items():
-            if cset.dimension != 1:
-                raise UnsupportedError("companion assembly is one-dimensional")
-            coeffs[degree] = cset.coefficient((degree,))
-        return PolynomialPrincipal(order=max(sets), coefficients=coeffs,
-                                   speed_bound=speed_bound)
-
-    def roots(self, t: Array, xi: Array) -> Array:
-        """Sorted companion eigenvalues (T, m, K) at the times ``t``."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        mats = companion_blocks(self.row_provider(t, xi)(slice(None)),
-                                bracket(xi))
-        return np.swapaxes(np.sort(np.real(np.linalg.eigvals(mats)),
-                                   axis=-1), 1, 2)
-
-    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Last rows (T, m, K) at the times ``t[index]``."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        br = bracket(xi)
-        m = self.order
-        monomials = np.empty((m, xi.size))
-        values = np.empty((t.size, m))
-        for j in range(1, m + 1):
-            d = m - j + 1
-            monomials[j - 1] = xi ** d * br ** (j - m)
-            values[:, j - 1] = np.real(np.asarray(
-                self.coefficients[d](t), dtype=complex))
-
-        def rows(index: Index) -> Array:
-            return values[index, :, None] * monomials
-
-        return rows
-
-    def max_normalised_speed(self) -> float:
-        return self.speed_bound
 
 
 # -- lower order, forcing, data ----------------------------------------------------
@@ -330,29 +254,6 @@ class CompanionSystem:
     forcing: ForcingPart | None = None
     data: InitialData | None = None
 
-    def A(self, t: float, xi: Array | float) -> Array:
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        rows = self.principal.row_provider([t], xi_arr)(slice(None))
-        mat = np.moveaxis(companion_blocks(rows, bracket(xi_arr))[0], 0, -1)
-        return mat[..., 0] if np.ndim(xi) == 0 else mat
-
-    def B(self, t: float, xi: Array | float) -> Array:
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        m = self.order
-        mat = np.zeros((m, m, xi_arr.size), dtype=complex)
-        if self.lower is not None:
-            mat[m - 1, :, :] = self.lower.row_provider([t], xi_arr)(
-                slice(None))[0]
-        return mat[..., 0] if np.ndim(xi) == 0 else mat
-
-    def F(self, t: float, xi: Array | float) -> Array:
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.zeros((self.order, xi_arr.size), dtype=complex)
-        if self.forcing is not None:
-            out[self.order - 1] = self.forcing.values_provider([t], xi_arr)(
-                slice(None))[0]
-        return out[..., 0] if np.ndim(xi) == 0 else out
-
     def V0(self, xi: Array | float) -> Array:
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
         if self.data is None:
@@ -360,9 +261,6 @@ class CompanionSystem:
         else:
             out = self.data.v0(xi_arr)
         return out[..., 0] if np.ndim(xi) == 0 else out
-
-    def eigenvalues(self, t: float, xi: float) -> Array:
-        return np.sort(np.real(np.linalg.eigvals(self.A(t, xi))))
 
 
 def build_companion(principal: PrincipalPart,

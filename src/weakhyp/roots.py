@@ -15,8 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._stats import linear_fit
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InvalidParameterError
 from .mollifiers import Convolution, Mollifier, convolve_profile, scale_mollifier
 from .profiles import Piece, RoughProfile, constant_profile, extend_profile
 
@@ -136,16 +135,6 @@ class RootFamily:
             return np.zeros(np.shape(t))
         vals = self.profile(j, v / norm).density(t)
         return np.real(vals) * norm
-
-    def check_ordered(self, t_samples: Array, directions) -> float:
-        """Smallest gap r_{j+1} - r_j over the samples (negative = unordered)."""
-        worst = math.inf
-        for d in directions:
-            stack = np.array([np.real(self.profile(j, d).density(t_samples))
-                              for j in range(1, self.order + 1)])
-            if self.order > 1:
-                worst = min(worst, float(np.min(np.diff(stack, axis=0))))
-        return worst if worst is not math.inf else 0.0
 
     def check_bound(self, t_samples: Array, directions) -> float:
         top = 0.0
@@ -360,66 +349,3 @@ def dt_power(sample: Callable[[int], Array], order: int, h: float) -> Array:
         acc = term if acc is None else acc + term
     return (-1j) ** order * acc / h ** order
 
-
-# -- moderateness certification ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModeratenessSample:
-    epsilons: tuple[float, ...]
-    xi: tuple[float, ...] | float = 8.0
-    t_count: int = 161
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    j: int
-    k: int
-    n_fitted: float
-    r_squared: float
-    sup_norms: tuple[float, ...]
-    trivially_zero: bool
-
-
-def certify_moderateness(reg: RegularisedRoots, k_max: int,
-                         sample: ModeratenessSample) -> list[ExponentFit]:
-    """Fit N_k in sup_t |d_t^k lambda_{j,eps}| <= c eps^{-N_k} |xi|.
-
-    Derivatives are 4th-order central differences (:func:`dt_power`) with
-    step omega(eps)/50, fine enough to resolve the mollification scale.  With omega(eps) = eps and a
-    jump-discontinuous profile the fitted exponents track k.
-    """
-    if k_max > 4 or k_max < 1:
-        raise InvalidParameterError(
-            "finite-difference depth limit: k_max must be in 1..4")
-    eps_list = tuple(sample.epsilons)
-    if len(eps_list) < 3:
-        raise InsufficientDataError("moderateness fit needs >= 3 epsilon values")
-    xi = sample.xi
-    t_grid = np.linspace(0.0, reg.base.horizon, sample.t_count)
-    fits: list[ExponentFit] = []
-    for j in range(1, reg.order + 1):
-        for k in range(1, k_max + 1):
-            weight_sum = sum(abs(w) for w in _FD4[k][1])
-            sups = []
-            floors = []
-            for eps in eps_list:
-                h = reg.omega_of(eps) / 50.0
-                values = {off: np.asarray(reg.value(j, t_grid + off * h, xi,
-                                                    eps), dtype=float)
-                          for off in _FD4[k][0]}
-                sups.append(float(np.max(np.abs(
-                    dt_power(values.__getitem__, k, h)))))
-                scale = max(float(np.max(np.abs(v))) for v in values.values())
-                # rounding noise of the stencil itself; anything below it is
-                # numerically indistinguishable from a zero derivative
-                floors.append(64.0 * np.finfo(float).eps * scale
-                              * weight_sum / h ** k)
-            if all(s_ <= f_ for s_, f_ in zip(sups, floors)):
-                fits.append(ExponentFit(j, k, 0.0, 1.0, tuple(sups), True))
-                continue
-            slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(eps_list)),
-                                      np.log(np.maximum(sups, 1e-300)))
-            fits.append(ExponentFit(j, k, float(slope), float(r2),
-                                    tuple(sups), False))
-    return fits

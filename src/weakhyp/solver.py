@@ -1,4 +1,4 @@
-"""Per-frequency integration, synthesis, energy traces, residual checks.
+"""Per-frequency integration, synthesis and energy traces.
 
 Space is one-dimensional and periodic: the box is sized so that the causal
 cone of the compactly supported data never meets its periodic images within
@@ -9,9 +9,9 @@ sweep share the time and frequency grids, so all epsilons and frequencies
 are stepped as one batch in a single thread; no operation mixes either, so
 each epsilon's bits equal its solo run's and each frequency's bits do not
 depend on which others share the batch.  Every coefficient read, by the
-integrator, the stability check, the energy traces and the residual check,
-goes through the companion parts' one tabulation call each; the integrator,
-which alone knows the stage times a step reads, owns the blocks it reads.
+integrator, the stability check and the energy traces, goes through the
+companion parts' one tabulation call each; the integrator, which alone
+knows the stage times a step reads, owns the blocks it reads.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
                         LowerOrderPart, LowerTerm, RootValuePrincipal,
                         build_companion, companion_blocks)
 from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket, \
-    dt_power, regularise_roots
+    regularise_roots
 from .symmetrisers import build_symmetriser
 from ._stats import linear_fit
 
@@ -99,6 +99,18 @@ class FrequencyGrid:
         return (self.box_length / self.points) * np.fft.fft(u, axis=-1) * phase
 
 
+def data_support_radius(data: Sequence[RoughProfile],
+                        forcing: tuple[RoughProfile, RoughProfile] | None
+                        ) -> float:
+    """Largest |x| over the supports of the data and of the forcing's
+    space factor; the causal cone starts from it."""
+    supports = [abs(g.support[0]) for g in data] \
+        + [abs(g.support[1]) for g in data]
+    if forcing is not None:
+        supports += [abs(forcing[1].support[0]), abs(forcing[1].support[1])]
+    return max(supports, default=0.0)
+
+
 def auto_box_length(support_radius: float, max_speed: float, horizon: float,
                     margin: float = 1.0) -> float:
     return 2.0 * (support_radius + max_speed * horizon + margin)
@@ -111,7 +123,7 @@ def auto_box_length(support_radius: float, max_speed: float, horizon: float,
 class IntegrationResult:
     traces: Array                  # (m, n_tracked, nt + 1)
     tracked_indices: tuple[int, ...]
-    first_component: Array | None  # (n_out, K) or (nt + 1, K) when dense
+    first_component: Array | None  # (n_out, K)
     output_steps: tuple[int, ...]
     initial_state: Array           # (m, K)
     final_state: Array             # (m, K)
@@ -137,8 +149,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                         t_grid: Array,
                         epsilons: Sequence[float | None] | None = None,
                         tracked_indices: Sequence[int] = (),
-                        output_steps: Sequence[int] = (),
-                        dense_first_component: bool = False
+                        output_steps: Sequence[int] = ()
                         ) -> list[IntegrationResult | WeakHypError]:
     """Fixed-step RK4 for D_t V = (A + B) V + F over a batch of systems.
 
@@ -272,9 +283,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     members = len(systems)
     traces = np.zeros((members, m, len(tracked), nt + 1), dtype=complex)
-    if dense_first_component:
-        first = np.zeros((members, nt + 1, xi.size), dtype=complex)
-    elif out_steps:
+    if out_steps:
         first = np.zeros((members, len(out_steps), xi.size), dtype=complex)
     else:
         first = None
@@ -283,9 +292,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     def record(step: int, v: Array) -> None:
         traces[live, :, :, step] = v[:, :, columns]
-        if dense_first_component:
-            first[live, step] = v[:, 0]
-        elif step in out_steps:
+        if step in out_steps:
             first[live, out_steps.index(step)] = v[:, 0]
 
     v = np.array([initial[e] for e in live]).reshape(live.size, m, xi.size)
@@ -339,24 +346,6 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     return outcome
 
 
-def _integrate_one(system: CompanionSystem, xi: Array, t_grid: Array,
-                   epsilon: float | None, **options) -> IntegrationResult:
-    """The batch of one: its result, or its failure raised."""
-    result, = integrate_companion([system], xi, t_grid, [epsilon], **options)
-    if isinstance(result, WeakHypError):
-        raise result
-    return result
-
-
-def solve_frequency(system: CompanionSystem, xi: float, epsilon: float,
-                    t_grid: Array) -> Array:
-    """Full amplitude trace V(t) at one frequency, shape (m, len(t_grid))."""
-    result = _integrate_one(system, np.array([float(xi)]),
-                            np.asarray(t_grid, dtype=float), epsilon,
-                            tracked_indices=(0,))
-    return result.traces[:, 0, :]
-
-
 # -- problem description and the sweep pipeline -----------------------------------
 
 
@@ -381,7 +370,6 @@ class VeryWeakProblem:
     omega: OmegaScale | None = None
     output_times: tuple[float, ...] = (0.0, 0.5, 1.0)
     tracked_frequencies: tuple[float, ...] = ()
-    run_recovery_diagnostics: bool = True
 
     @property
     def order(self) -> int:
@@ -514,13 +502,8 @@ def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
 def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
     """The regularised system at one epsilon, once its box is checked."""
     system, reg, info = build_regularised_system(problem, epsilon)
-    supports = [abs(g.support[0]) for g in problem.data] \
-        + [abs(g.support[1]) for g in problem.data]
-    if problem.forcing is not None:
-        supports += [abs(problem.forcing[1].support[0]),
-                     abs(problem.forcing[1].support[1])]
     # support transport speed: |d lambda / d xi| <= bound + m omega
-    problem.grid.check_fit(max(supports, default=0.0),
+    problem.grid.check_fit(data_support_radius(problem.data, problem.forcing),
                            system.principal.max_normalised_speed(),
                            problem.horizon)
     return system, reg, info["omega"]
@@ -549,13 +532,12 @@ def _record(problem: VeryWeakProblem, epsilon: float, prepared: tuple,
         "imag_fraction": float(np.max(np.abs(u.imag))
                                / max(np.max(np.abs(u)), 1e-300)),
     }
-    if problem.run_recovery_diagnostics:
-        t_diag = np.linspace(0.0, problem.horizon, 9)
-        residuals = {}
-        for j in range(1, m + 1):
-            cs = recover_coefficients(reg, j, 1, epsilon)
-            residuals[j] = cs.reconstruction_residual(t_diag)
-        metadata["recovery_residuals"] = residuals
+    t_diag = np.linspace(0.0, problem.horizon, 9)
+    residuals = {}
+    for j in range(1, m + 1):
+        cs = recover_coefficients(reg, j, 1, epsilon)
+        residuals[j] = cs.reconstruction_residual(t_diag)
+    metadata["recovery_residuals"] = residuals
     return SolveRecord(
         epsilon=epsilon, omega=w, u=u, uhat=uhat,
         output_times=tuple(float(t_grid[s]) for s in result.output_steps),
@@ -568,9 +550,11 @@ def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
     """Run the full pipeline at one epsilon, as the sweep's batch of one."""
     t_grid, out_steps, tracked = _schedule(problem)
     prepared = _prepare(problem, epsilon)
-    result = _integrate_one(prepared[0], problem.grid.frequencies, t_grid,
-                            epsilon, tracked_indices=tracked,
-                            output_steps=out_steps)
+    result, = integrate_companion([prepared[0]], problem.grid.frequencies,
+                                  t_grid, [epsilon], tracked_indices=tracked,
+                                  output_steps=out_steps)
+    if isinstance(result, WeakHypError):
+        raise result
     return _record(problem, epsilon, prepared, result, t_grid, tracked)
 
 
@@ -644,15 +628,6 @@ class EnergyTrace:
     fitted_rate: float | None
     rate_r_squared: float | None
 
-    def initial(self) -> float:
-        return float(self.energies[0])
-
-    def max_relative_drift(self) -> float:
-        e0 = self.initial()
-        if e0 <= 0.0:
-            return float(np.max(np.abs(self.energies)))
-        return float(np.max(np.abs(self.energies - e0)) / e0)
-
 
 def energy_trace(system: CompanionSystem, trace: Array, times: Array,
                  xi: float, epsilon: float | None = None,
@@ -682,60 +657,6 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
     return EnergyTrace(xi=float(xi), epsilon=epsilon, times=times[idx],
                        energies=energies, fitted_rate=rate,
                        rate_r_squared=rate_r2)
-
-
-# -- residual check ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualReport:
-    relative_l2: float
-    interior_steps: tuple[int, int]
-    note: str
-
-
-def residual_check(u_dense: Array, t_grid: Array, grid: FrequencyGrid,
-                   system: CompanionSystem) -> ResidualReport:
-    """Independent check that a gridded solution solves the regularised PDE.
-
-    Time derivatives are 4th-order finite differences on interior nodes,
-    space derivatives are spectral; the coefficients come from the same
-    symbol providers the integrator used, but no ODE machinery is shared.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    u_dense = np.asarray(u_dense)
-    m = system.order
-    nt = t_grid.size - 1
-    h = float(t_grid[1] - t_grid[0])
-    halo = 3  # widest stencil reaches 3 steps either side
-    if nt + 1 <= 2 * halo + 1:
-        raise InvalidParameterError("grid too coarse for the residual stencil")
-    uhat = grid.analyse(u_dense)
-    xi = grid.frequencies
-    br = bracket(xi)
-
-    def shifted(k: int) -> Array:
-        return uhat[halo + k:nt + 1 - halo + k]
-
-    t_interior = t_grid[halo:nt + 1 - halo]
-    residual = dt_power(shifted, m, h)
-    scale = float(np.linalg.norm(residual))
-    providers = [system.principal.row_provider(t_interior, xi)]
-    if system.lower is not None:
-        providers.append(system.lower.row_provider(t_interior, xi))
-    for provider in providers:
-        rows = provider(slice(None))
-        for j in range(1, m + 1):
-            term = rows[:, m - j] * br ** (j - 1) * dt_power(shifted, m - j, h)
-            residual = residual - term
-            scale = max(scale, float(np.linalg.norm(term)))
-    if system.forcing is not None:
-        force = system.forcing.values_provider(t_interior, xi)(slice(None))
-        residual = residual - force
-        scale = max(scale, float(np.linalg.norm(force)))
-    rel = float(np.linalg.norm(residual)) / max(scale, 1e-300)
-    return ResidualReport(relative_l2=rel,
-                          interior_steps=(halo, nt - halo),
-                          note="interior nodes only; 3-step halo excluded")
 
 
 # -- classical references -------------------------------------------------------------

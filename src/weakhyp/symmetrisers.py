@@ -101,27 +101,6 @@ def build_symmetriser(mu: Sequence[float]) -> Symmetriser:
                        spacing=spacing, det_value=det_w ** 2)
 
 
-@dataclass(frozen=True)
-class BlockSymmetriser:
-    """Block-diagonal stack of identical symmetriser blocks."""
-
-    block: Symmetriser
-    count: int
-    matrix: Array
-
-    @property
-    def det_value(self) -> float:
-        return self.block.det_value ** self.count
-
-
-def block_symmetriser(mu: Sequence[float], block_count: int) -> BlockSymmetriser:
-    if block_count < 1:
-        raise InvalidParameterError("block count must be >= 1")
-    block = build_symmetriser(mu)
-    matrix = np.kron(np.eye(block_count), block.matrix)
-    return BlockSymmetriser(block=block, count=block_count, matrix=matrix)
-
-
 # -- bound verification -----------------------------------------------------------
 
 
@@ -179,33 +158,3 @@ def verify_quadratic_bounds(s: Symmetriser, trials: int,
         eigen_max=lam_max, lower_bound=lower, det_floor=det_floor,
         violations=tuple(violations))
 
-
-def intertwining_nullspace(mu: Sequence[float], tol: float = 1e-12) -> Array:
-    """Orthonormal basis of symmetric solutions of S A - A^T S = 0.
-
-    Independent oracle for the construction: it solves the constrained
-    linear system directly, and the built symmetriser must lie in its span.
-    """
-    mu = np.asarray(mu, dtype=float)
-    m = mu.size
-    a = normalised_companion(mu)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    columns = []
-    for (i, j) in pairs:
-        basis = np.zeros((m, m))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        columns.append((basis @ a - a.T @ basis).ravel())
-    system = np.array(columns).T
-    _, svals, vt = np.linalg.svd(system)
-    rank = int(np.sum(svals > tol * max(svals[0], 1.0))) if svals.size else 0
-    null = vt[rank:].T
-    basis_mats = []
-    for col in null.T:
-        mat = np.zeros((m, m))
-        for coef, (i, j) in zip(col, pairs):
-            mat[i, j] += coef
-            if i != j:
-                mat[j, i] += coef
-        basis_mats.append(mat)
-    return np.array(basis_mats)

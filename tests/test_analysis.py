@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from weakhyp.analysis import (RegularisedNet, convergence_study,
-                              fit_moderateness, gevrey_fourier_check,
-                              proxy_seminorm, uniformity_spot_check)
+from weakhyp.analysis import (convergence_study, fit_moderateness,
+                              gevrey_fourier_check, proxy_seminorm,
+                              uniformity_spot_check)
 from weakhyp.errors import (AlignmentError, InsufficientDataError,
                             InvalidParameterError)
 from weakhyp.roots import constant_roots
@@ -50,11 +50,9 @@ def test_needs_four_samples():
 
 
 def test_regularised_net_adapter():
-    net = RegularisedNet("coefficient", ((0.5, 1.0), (0.25, 2.0),
-                                         (0.125, 4.0), (0.0625, 8.0)))
-    report = fit_moderateness(net, s=2.0, target="coefficient")
+    net = {0.5: 1.0, 0.25: 2.0, 0.125: 4.0, 0.0625: 8.0}
+    report = fit_moderateness(net, s=2.0)
     assert report.n_hat == pytest.approx(1.0, abs=0.01)
-    assert report.target == "coefficient"
 
 
 def test_envelope_fit_on_synthetic_solution_net():

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from weakhyp._quadrature import fixed_panel
 from weakhyp.errors import InsufficientDataError, InvalidParameterError
 from weakhyp.mollifiers import (GevreyCutoffMollifier, convolve_profile,
-                                fourier_approximation_rate,
                                 friedrichs_mollifier, plateau_cutoff,
                                 scale_mollifier, vanishing_moment_mollifier)
 from weakhyp.profiles import (bump_profile, constant_profile,
                               heaviside_profile, hoelder_profile,
                               piecewise_constant_profile, point_mass_profile,
                               polynomial_piece_profile, zero_profile)
+
+from oracles import fourier_approximation_rate
 
 
 @pytest.fixture(scope="module")

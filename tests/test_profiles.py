@@ -4,9 +4,9 @@ import pytest
 from weakhyp.errors import InvalidParameterError
 from weakhyp.profiles import (PointMass, RoughProfile, Piece, box_profile,
                               bump_profile, constant_profile, extend_profile,
-                              heaviside_profile, hoelder_profile,
-                              piecewise_constant_profile, point_mass_profile,
-                              polynomial_piece_profile, zero_profile)
+                              heaviside_profile, piecewise_constant_profile,
+                              point_mass_profile, polynomial_piece_profile,
+                              zero_profile)
 
 
 def test_breakpoints_must_lie_in_support():
@@ -20,11 +20,6 @@ def test_density_evaluation_and_right_endpoint():
     p = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
     t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert np.allclose(p.density(t), [1.0, 1.0, 4.0, 4.0, 4.0])
-
-
-def test_density_bound_detects_samples():
-    p = hoelder_profile(0.5, 0.5, 1.0, 2.0, (0.0, 1.0))
-    assert p.density_bound() <= 1.0 + 2.0 * np.sqrt(0.5) + 1e-12
 
 
 def test_linear_structure():
@@ -63,7 +58,6 @@ def test_polynomial_piece_profile():
     p = polynomial_piece_profile([1.0, 2.0, 3.0], 0.0, 1.0)
     t = np.array([0.2, 0.8])
     assert np.allclose(p.density(t), 1.0 + 2.0 * t + 3.0 * t * t)
-    assert p.is_polynomial and p.max_piece_degree == 2
 
 
 def test_extend_profile_continues_edge_values():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from weakhyp.profiles import constant_profile
 from weakhyp.recovery import (HomogeneousCoefficientSet,
                               build_direction_plan, characteristic_polynomial,
                               random_ordered_family, random_round_trip_study,
-                              recover_coefficients, round_trip_check, sigma,
-                              sigma_brute_force)
+                              recover_coefficients, round_trip_check, sigma)
 from weakhyp.roots import (RootFamily, constant_roots, constant_scale,
                            linear_scale, regularise_roots, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
@@ -60,6 +60,19 @@ def test_characteristic_polynomial_batch_matches_scalar_recursion():
             for j in range(i + 1, 0, -1):
                 coeffs[j] = coeffs[j] - r * coeffs[j - 1]
         assert batch[idx].tolist() == coeffs
+
+
+def sigma_brute_force(roots, h):
+    """Direct subset enumeration; test oracle for :func:`sigma`."""
+    roots = list(roots)
+    if not 0 <= h <= len(roots):
+        raise InvalidParameterError(f"level {h} outside 0..{len(roots)}")
+    if h == 0:
+        return 1.0
+    total = 0.0
+    for combo in itertools.combinations(roots, h):
+        total += math.prod(combo)
+    return (-1.0) ** h * total
 
 
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0),

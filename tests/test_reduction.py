@@ -4,17 +4,66 @@ import pytest
 from weakhyp.errors import (ConfigurationError, HyperbolicityError,
                             InvalidParameterError, UnsupportedError)
 from weakhyp.mollifiers import friedrichs_mollifier
-from weakhyp.recovery import recover_coefficients
+from weakhyp.recovery import characteristic_polynomial, recover_coefficients
 from weakhyp.reduction import (FirstOrderSystem, ForcingPart, InitialData,
-                               LowerOrderPart, LowerTerm, PolynomialPrincipal,
-                               RootValuePrincipal, _rows_from_root_values,
+                               LowerOrderPart, LowerTerm, RootValuePrincipal,
                                build_companion, cofactor_matrix,
+                               companion_blocks,
                                companion_matrix_from_coefficients,
                                random_hyperbolic_system, to_block_sylvester)
 from weakhyp.roots import (bracket, constant_roots, constant_scale,
                            linear_scale, regularise_roots,
                            roots_from_linear_forms, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
+
+from oracles import PolynomialPrincipal
+
+
+# the per-time matrices of D_t V = (A + B) V + F at one time, read from the
+# parts' tabulation calls as the integrator reads them
+
+
+def _principal_matrix(system, t, xi):
+    """A(t, xi) at one frequency."""
+    xi_arr = np.array([float(xi)])
+    rows = system.principal.row_provider(np.array([t]), xi_arr)(slice(None))
+    return companion_blocks(rows, bracket(xi_arr))[0, 0]
+
+
+def _eigenvalues(system, t, xi):
+    return np.sort(np.real(np.linalg.eigvals(_principal_matrix(system, t, xi))))
+
+
+def _lower_order_matrix(system, t, xi):
+    """B(t, xi) at one frequency: zero but for the last row."""
+    m = system.order
+    mat = np.zeros((m, m), dtype=complex)
+    if system.lower is not None:
+        mat[m - 1] = system.lower.row_provider(
+            np.array([t]), np.array([float(xi)]))(slice(None))[0, :, 0]
+    return mat
+
+
+def _forcing_vector(system, t, xi):
+    """F(t, xi), shape (m, K): zero but for the last component."""
+    out = np.zeros((system.order, xi.size), dtype=complex)
+    if system.forcing is not None:
+        out[system.order - 1] = system.forcing.values_provider(
+            np.array([t]), xi)(slice(None))[0]
+    return out
+
+
+def _rows_from_root_values(lam, br):
+    """l_(j) = -sigma_{m-j+1}(roots) <xi>^(j-m) from root values (m, K).
+
+    Per-time test oracle for the principal's row blocks.
+    """
+    m = lam.shape[0]
+    sig = characteristic_polynomial(np.moveaxis(lam, 0, -1))  # (K, m+1)
+    rows = np.empty_like(lam)
+    for j in range(1, m + 1):
+        rows[j - 1] = -sig[..., m - j + 1] * br ** (j - m)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +85,7 @@ def test_companion_wave_structure_and_eigenvalues():
     system = _wave_system()
     xi = 3.0
     br = np.sqrt(1.0 + xi * xi)
-    a = system.A(0.2, xi)
+    a = _principal_matrix(system, 0.2, xi)
     assert a[0, 1] == pytest.approx(br)
     assert a[0, 0] == 0.0 and a[1, 1] == 0.0
     assert a[1, 0] == pytest.approx(xi * xi / br)
@@ -49,7 +98,7 @@ def test_companion_sparsity_pattern():
         order=4,
         coefficients={d: (lambda t: np.ones(np.shape(t))) for d in range(1, 5)})
     system = build_companion(principal)
-    a = system.A(0.0, 2.0)
+    a = _principal_matrix(system, 0.0, 2.0)
     br = np.sqrt(5.0)
     for i in range(3):
         assert a[i, i + 1] == pytest.approx(br)
@@ -62,7 +111,7 @@ def test_transport_companion_is_scalar_symbol():
     principal = PolynomialPrincipal(
         order=1, coefficients={1: lambda t: 2.0 * np.ones(np.shape(t))})
     system = build_companion(principal)
-    assert system.A(0.0, 3.0)[0, 0] == pytest.approx(6.0)
+    assert _principal_matrix(system, 0.0, 3.0)[0, 0] == pytest.approx(6.0)
 
 
 def test_zero_data_and_forcing_vanish():
@@ -70,7 +119,7 @@ def test_zero_data_and_forcing_vanish():
                           lambda xi: np.zeros_like(xi, dtype=complex))
     xi = np.linspace(-5.0, 5.0, 11)
     assert np.all(system.V0(xi) == 0.0)
-    assert np.all(system.F(0.3, xi) == 0.0)
+    assert np.all(_forcing_vector(system, 0.3, xi) == 0.0)
 
 
 def test_missing_degree_raises_configuration_error():
@@ -95,7 +144,7 @@ def test_lower_order_block_only_last_row():
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
                                2: lambda t: np.ones(np.shape(t))})
     system = build_companion(principal, lower=lower)
-    b = system.B(0.1, 2.0)
+    b = _lower_order_matrix(system, 0.1, 2.0)
     assert np.all(b[0, :] == 0.0)
     br = np.sqrt(5.0)
     # nu=0, j=2 lands in column k = m - j + 1 = 1 with weight <xi>^(k-m)
@@ -110,7 +159,7 @@ def test_root_value_principal_matches_regularised_roots(phi):
     system = build_companion(principal)
     for t in (0.2, 0.5, 0.9):
         for xi in (1.0, -4.0, 16.0):
-            eig = system.eigenvalues(t, xi)
+            eig = _eigenvalues(system, t, xi)
             expected = np.sort([float(reg.value(j, t, xi, 0.5))
                                 for j in (1, 2)])
             scale = max(1.0, float(np.max(np.abs(expected))))
@@ -156,7 +205,7 @@ def test_polynomial_principal_matches_recovered_sets(phi):
     sets = {j: recover_coefficients(reg, j, 1, epsilon=0.5) for j in (1, 2)}
     principal = PolynomialPrincipal.from_coefficient_sets(sets)
     system = build_companion(principal)
-    eig = system.eigenvalues(0.4, 5.0)
+    eig = _eigenvalues(system, 0.4, 5.0)
     assert np.allclose(eig, [-5.0, 5.0], atol=1e-7)
 
 

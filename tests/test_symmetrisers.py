@@ -3,12 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhyp.errors import InvalidParameterError
-from weakhyp.symmetrisers import (block_symmetriser, build_symmetriser,
-                                  intertwining_nullspace,
-                                  normalised_companion,
+from weakhyp.symmetrisers import (build_symmetriser, normalised_companion,
                                   vandermonde_product_squared,
                                   verify_quadratic_bounds)
+
+
+def intertwining_nullspace(mu, tol=1e-12):
+    """Orthonormal basis of symmetric solutions of S A - A^T S = 0.
+
+    Independent oracle for the construction: it solves the constrained
+    linear system directly, and the built symmetriser must lie in its span.
+    """
+    mu = np.asarray(mu, dtype=float)
+    m = mu.size
+    a = normalised_companion(mu)
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    columns = []
+    for (i, j) in pairs:
+        basis = np.zeros((m, m))
+        basis[i, j] = 1.0
+        basis[j, i] = 1.0
+        columns.append((basis @ a - a.T @ basis).ravel())
+    system = np.array(columns).T
+    _, svals, vt = np.linalg.svd(system)
+    rank = int(np.sum(svals > tol * max(svals[0], 1.0))) if svals.size else 0
+    null = vt[rank:].T
+    basis_mats = []
+    for col in null.T:
+        mat = np.zeros((m, m))
+        for coef, (i, j) in zip(col, pairs):
+            mat[i, j] += coef
+            if i != j:
+                mat[j, i] += coef
+        basis_mats.append(mat)
+    return np.array(basis_mats)
 
 
 def test_two_root_example_matches_constrained_solve_oracle():
@@ -70,19 +98,6 @@ def test_det_floor_three_roots_example():
                                      omega=0.1)
     assert report.det_floor == pytest.approx(1e-6)
     assert not report.violations
-
-
-def test_block_symmetriser_examples():
-    block = block_symmetriser([-1.0, 1.0], 2)
-    assert np.allclose(block.matrix, 2.0 * np.eye(4))
-    assert block.det_value == pytest.approx(16.0)
-    single = block_symmetriser([0.5, 1.5], 1)
-    assert np.allclose(single.matrix, build_symmetriser([0.5, 1.5]).matrix)
-    coincident = block_symmetriser([0.3, 0.3], 3)
-    eig = np.linalg.eigvalsh(coincident.matrix)
-    assert eig[0] >= -1e-12 * max(eig[-1], 1.0)
-    with pytest.raises(InvalidParameterError):
-        block_symmetriser([0.0, 1.0], 0)
 
 
 def test_entry_bound_polynomial_in_root_bound():
