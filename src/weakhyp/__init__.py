@@ -32,7 +32,7 @@ from .recovery import (DirectionPlan, HomogeneousCoefficientSet,
                        RoundTripReport, build_direction_plan,
                        characteristic_polynomial, random_ordered_family,
                        random_round_trip_study, recover_coefficients,
-                       round_trip_check, sigma)
+                       round_trip_check)
 from .reduction import (BlockSylvesterSystem, CompanionSystem,
                         FirstOrderSystem, ForcingPart, InitialData,
                         LowerOrderPart, LowerTerm, PolynomialMatrix,

@@ -17,6 +17,10 @@ from .errors import QuadratureError
 
 #: default absolute tolerance for convolution-type integrals
 DEFAULT_TOL = 1e-10
+#: tolerance of Fourier-type integrals, relative to the largest magnitude
+OSCILLATORY_TOL = 1e-12
+#: fewest nodes of a first panel, in either refinement
+_MIN_NODES = 16
 
 
 @lru_cache(maxsize=None)
@@ -55,8 +59,7 @@ def _indexed_panel(fn, lo: np.ndarray, hi: np.ndarray, n: int,
 
 def adaptive_panel(fn: Callable[..., np.ndarray],
                    lo: np.ndarray, hi: np.ndarray,
-                   tol: float = DEFAULT_TOL,
-                   n0: int = 16, n_max: int = 16384,
+                   tol: float = DEFAULT_TOL, n_max: int = 16384,
                    context: str = "integral") -> np.ndarray:
     """Integrate ``fn`` over per-point intervals, doubling nodes to tolerance.
 
@@ -80,8 +83,9 @@ def adaptive_panel(fn: Callable[..., np.ndarray],
     if pending.size == 0:
         return result.real.reshape(shape)
 
-    result[pending] = _indexed_panel(fn, lo[pending], hi[pending], n0, pending)
-    n = 2 * n0
+    result[pending] = _indexed_panel(fn, lo[pending], hi[pending], _MIN_NODES,
+                                     pending)
+    n = 2 * _MIN_NODES
     while pending.size and n <= n_max:
         fine = _indexed_panel(fn, lo[pending], hi[pending], n, pending)
         err = np.abs(fine - result[pending])
@@ -98,13 +102,13 @@ def adaptive_panel(fn: Callable[..., np.ndarray],
 
 def oscillatory_panel(fn: Callable[[np.ndarray], np.ndarray],
                       lo: float, hi: float, xi: np.ndarray,
-                      tol: float = 1e-12, n_max: int = 1 << 16) -> np.ndarray:
+                      n_max: int = 1 << 16) -> np.ndarray:
     """Fourier-type integral of ``fn(s) * exp(-i*s*xi)`` over [lo, hi].
 
     Vectorised over the frequency array ``xi``; the node count starts at a
     value proportional to the number of oscillation periods per frequency and
-    doubles per unconverged frequency until ``tol`` (relative to the running
-    magnitude scale, with an absolute floor) is met.
+    doubles per unconverged frequency until :data:`OSCILLATORY_TOL` (relative
+    to the running magnitude scale, with an absolute floor) is met.
     """
     xi = np.asarray(xi, dtype=float)
     shape = xi.shape
@@ -122,7 +126,8 @@ def oscillatory_panel(fn: Callable[[np.ndarray], np.ndarray],
         return 0.5 * length * phase @ base
 
     # start each frequency at a node count proportional to its period count
-    n_start = np.maximum(16, (0.75 * np.abs(xi) * length / np.pi + 8).astype(int))
+    n_start = np.maximum(_MIN_NODES,
+                         (0.75 * np.abs(xi) * length / np.pi + 8).astype(int))
     n_start = np.minimum(n_start, n_max // 4)
     pending = np.arange(xi.size)
     n_current = (2 ** np.ceil(np.log2(n_start))).astype(int)
@@ -144,5 +149,5 @@ def oscillatory_panel(fn: Callable[[np.ndarray], np.ndarray],
         err = np.abs(fresh - result[pending])
         result[pending] = fresh
         n_current[pending] = n_next
-        pending = pending[err > tol * scale + 1e-300]
+        pending = pending[err > OSCILLATORY_TOL * scale + 1e-300]
     return result.reshape(shape)

@@ -21,13 +21,16 @@ from .solver import SolutionNet
 
 Array = np.ndarray
 
+#: transform amplitudes at or below this fraction of the largest are left out
+#: of the envelope fits, which regress their logarithms
+_AMPLITUDE_FLOOR = 1e-14
+
 
 # -- moderateness ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ModeratenessReport:
-    s: float
     n_hat: float
     r_squared: float
     sup_table: tuple[tuple[float, float], ...]
@@ -48,7 +51,7 @@ def _sup_table(net) -> tuple[tuple[float, float], ...]:
     raise InvalidParameterError(f"cannot read sup norms from {type(net)!r}")
 
 
-def fit_moderateness(net, s: float, nu: float = 1.0) -> ModeratenessReport:
+def fit_moderateness(net, s: float) -> ModeratenessReport:
     """Regress log sup-norms on log(1/eps), plus the transform envelope.
 
     The envelope |u_hat| <= c' eps^-N exp(-c eps^(1/s) <xi>^(1/s)) is fitted
@@ -63,7 +66,7 @@ def fit_moderateness(net, s: float, nu: float = 1.0) -> ModeratenessReport:
     sups = np.array([row[1] for row in table])
     span = float(np.log10(eps.max() / eps.min()))
     if np.all(sups <= 0.0):
-        return ModeratenessReport(s=s, n_hat=0.0, r_squared=1.0,
+        return ModeratenessReport(n_hat=0.0, r_squared=1.0,
                                   sup_table=table, n_hat_drop_largest=0.0,
                                   span_decades=span, trivially_moderate=True)
     positive = sups > 0.0
@@ -76,7 +79,7 @@ def fit_moderateness(net, s: float, nu: float = 1.0) -> ModeratenessReport:
         if np.count_nonzero(keep) >= 2:
             drop, _, _ = linear_fit(np.log(1.0 / eps[keep]),
                                     np.log(sups[keep]))
-    report = ModeratenessReport(s=s, n_hat=float(slope),
+    report = ModeratenessReport(n_hat=float(slope),
                                 r_squared=float(r2), sup_table=table,
                                 n_hat_drop_largest=drop, span_decades=span,
                                 trivially_moderate=False)
@@ -94,7 +97,7 @@ def _with_envelope(report: ModeratenessReport, net: SolutionNet,
     for e in net.ok_epsilons():
         rec = net.record(e)
         amp = np.max(np.abs(rec.uhat), axis=0)
-        mask = amp > 1e-14 * max(float(amp.max()), 1e-300)
+        mask = amp > _AMPLITUDE_FLOOR * max(float(amp.max()), 1e-300)
         y = np.log(amp[mask]) - report.n_hat * np.log(1.0 / e)
         rows_y.append(y)
         rows_w.append(e ** (1.0 / s) * br_pow[mask])
@@ -113,17 +116,17 @@ def _with_envelope(report: ModeratenessReport, net: SolutionNet,
 
 @dataclass(frozen=True)
 class GevreyFourierFit:
-    s: float
+    """``decay_c`` is the prefactor of the decay and the growth envelope
+    alike; they differ only in the sign of the fitted rate."""
+
     decay_c: float
     decay_delta: float
     decay_ok: bool
-    growth_c: float
     growth_nu: float
     zero: bool
 
 
-def gevrey_fourier_check(uhat: Array, xi: Array, s: float,
-                         floor_factor: float = 1e-14) -> GevreyFourierFit:
+def gevrey_fourier_check(uhat: Array, xi: Array, s: float) -> GevreyFourierFit:
     """Fit |u_hat(xi)| against exp(+/- rate <xi>^(1/s)) envelopes.
 
     A positive fitted decay rate marks Gevrey-function-type data; absent
@@ -137,18 +140,16 @@ def gevrey_fourier_check(uhat: Array, xi: Array, s: float,
     amp = np.abs(uhat)
     top = float(amp.max())
     if top == 0.0:
-        return GevreyFourierFit(s=s, decay_c=0.0, decay_delta=math.inf,
-                                decay_ok=True, growth_c=0.0, growth_nu=0.0,
-                                zero=True)
-    mask = amp > floor_factor * top
+        return GevreyFourierFit(decay_c=0.0, decay_delta=math.inf,
+                                decay_ok=True, growth_nu=0.0, zero=True)
+    mask = amp > _AMPLITUDE_FLOOR * top
     weight = bracket(xi[mask]) ** (1.0 / s)
     slope, intercept, _ = linear_fit(weight, np.log(amp[mask]))
     decay_delta = -float(slope)
     c0 = float(math.exp(min(intercept, 700.0)))
-    return GevreyFourierFit(s=s, decay_c=c0, decay_delta=decay_delta,
+    return GevreyFourierFit(decay_c=c0, decay_delta=decay_delta,
                             decay_ok=decay_delta > 1e-12,
-                            growth_c=c0, growth_nu=max(float(slope), 0.0),
-                            zero=False)
+                            growth_nu=max(float(slope), 0.0), zero=False)
 
 
 def proxy_seminorm(uhat: Array, xi: Array, nu: float, s: float) -> float:
@@ -165,7 +166,6 @@ def proxy_seminorm(uhat: Array, xi: Array, nu: float, s: float) -> float:
 class ConvergenceReport:
     seminorm: str
     pairwise: tuple[tuple[float, float, float], ...]  # (eps_hi, eps_lo, d)
-    ratios: tuple[float, ...]
     mean_ratio: float | None
     non_cauchy: bool
     limit_epsilon: float
@@ -227,7 +227,7 @@ def convergence_study(net: SolutionNet, reference: Array | None = None,
             ref_errors.append((e, err))
         ref_errors = tuple(ref_errors)
     return ConvergenceReport(seminorm=seminorm, pairwise=tuple(pairwise),
-                             ratios=tuple(ratios), mean_ratio=mean_ratio,
+                             mean_ratio=mean_ratio,
                              non_cauchy=non_cauchy, limit_epsilon=eps[-1],
                              reference_errors=ref_errors)
 

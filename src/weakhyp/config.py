@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -21,7 +21,7 @@ from .profiles import (RoughProfile, bump_profile, box_profile,
 from .roots import (OmegaScale, RootFamily, constant_roots, linear_scale,
                     logarithmic_scale, roots_from_time_profiles,
                     transport_roots, wave_speed_roots)
-from .solver import MIN_SWEEP
+from .solver import CONE_MARGIN, MIN_SWEEP
 
 #: subcommands that solve the epsilon sweep as a solution net
 _NET_SUBCOMMANDS = ("solve", "sweep")
@@ -130,7 +130,6 @@ class ExperimentConfig:
     """Validated configuration document plus its raw normalised form."""
 
     raw: dict
-    path: str | None = None
 
     # -- typed accessors used by the drivers ---------------------------------
 
@@ -151,8 +150,8 @@ class ExperimentConfig:
         return tuple(float(e)
                      for e in self.raw["regularisation"]["epsilon_sweep"])
 
-    def section(self, name: str, default: dict | None = None) -> dict:
-        return self.raw.get(name, {} if default is None else default)
+    def section(self, name: str) -> dict:
+        return self.raw.get(name, {})
 
     @property
     def seed(self) -> int:
@@ -164,7 +163,7 @@ _KNOWN_SECTIONS = {"problem", "roots", "lower_terms", "data", "forcing",
                    "checks", "roundtrip", "symmetriser", "reduce", "run"}
 
 
-def validate_config(raw: Mapping, path: str | None = None,
+def validate_config(raw: Mapping,
                     subcommand: str | None = None) -> ExperimentConfig:
     """Structural validation; errors name the offending field.
 
@@ -212,6 +211,20 @@ def validate_config(raw: Mapping, path: str | None = None,
     if not isinstance(points, int) or points < 2 or points & (points - 1):
         raise ConfigurationError("grid.points must be a power of two",
                                  field="grid.points")
+    steps = grid.get("time_steps", 1024)
+    if not isinstance(steps, int) or steps < 1:
+        raise ConfigurationError("grid.time_steps must be an integer >= 1",
+                                 field="grid.time_steps")
+    box = grid.get("box_length")  # absent or null: sized from the cone
+    if box is not None and not (isinstance(box, (int, float)) and box > 0):
+        raise ConfigurationError("grid.box_length must be a positive number",
+                                 field="grid.box_length")
+    margin = grid.get("margin", 1.0)
+    if not (isinstance(margin, (int, float)) and margin >= CONE_MARGIN):
+        raise ConfigurationError(
+            f"grid.margin must be a number >= {CONE_MARGIN:g}, the clearance "
+            "every solve checks between the causal cone and the box edge",
+            field="grid.margin")
     data = raw.get("data", [])
     if data and len(data) != order:
         raise ConfigurationError(
@@ -238,7 +251,7 @@ def validate_config(raw: Mapping, path: str | None = None,
         build_profile(_require(forcing, "time", "forcing"), "forcing.time")
         build_profile(_require(forcing, "space", "forcing"), "forcing.space")
     build_scale(reg, order)
-    return ExperimentConfig(raw=dict(raw), path=path)
+    return ExperimentConfig(raw=dict(raw))
 
 
 def load_config(path: str | Path,
@@ -248,7 +261,7 @@ def load_config(path: str | Path,
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw, path=str(path), subcommand=subcommand)
+    return validate_config(raw, subcommand=subcommand)
 
 
 # -- normalised echo ----------------------------------------------------------------

@@ -23,10 +23,6 @@ class InsufficientDataError(WeakHypError):
 class QuadratureError(WeakHypError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message: str, worst_error: float | None = None):
-        super().__init__(message)
-        self.worst_error = worst_error
-
 
 class PlanError(WeakHypError):
     """A direction plan could not produce an invertible system."""

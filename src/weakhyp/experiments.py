@@ -255,7 +255,7 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
         {"epsilon": entry["epsilon"], "error": entry["error"]}
         for entry in summary["per_epsilon"] if not entry["ok"]]
 
-    mod = fit_moderateness(net, s=s, nu=nu)
+    mod = fit_moderateness(net, s=s)
     summary["moderateness"] = {
         "n_hat": mod.n_hat, "r_squared": mod.r_squared,
         "n_hat_drop_largest": mod.n_hat_drop_largest,

@@ -25,26 +25,27 @@ from .profiles import RoughProfile
 
 Array = np.ndarray
 
+#: exponent of the bump factor (1 - t^2)^power of every kernel
+KERNEL_POWER = 8
+
 
 @dataclass(frozen=True)
 class Mollifier:
     """Smooth compactly supported kernel ``scale^-1 * P(t/scale)``.
 
-    ``base_poly`` lives on [-base_radius, base_radius] and integrates to 1
-    there; the physical kernel at scale ``s`` has support radius
-    ``s * base_radius`` and unchanged unit mass.  ``moment_order`` is the
-    number of vanishing moments beyond the zeroth that the kernel was built
-    to satisfy.
+    ``base_poly`` lives on [-1, 1] and integrates to 1 there; the physical
+    kernel at scale ``s`` has support radius ``s`` and unchanged unit mass.
+    ``moment_order`` is the number of vanishing moments beyond the zeroth
+    that the kernel was built to satisfy.
     """
 
     base_poly: Polynomial
-    base_radius: float = 1.0
     scale: float = 1.0
     moment_order: int = 0
 
     @property
     def support_radius(self) -> float:
-        return self.scale * self.base_radius
+        return self.scale
 
     @property
     def degree(self) -> int:
@@ -57,7 +58,7 @@ class Mollifier:
         """k-th kernel derivative, identically zero outside the support."""
         t = np.asarray(t, dtype=float)
         u = t / self.scale
-        inside = np.abs(u) <= self.base_radius
+        inside = np.abs(u) <= 1.0
         out = np.zeros(t.shape, dtype=float)
         if np.any(inside):
             poly = self.base_poly.deriv(k) if k else self.base_poly
@@ -70,16 +71,17 @@ class Mollifier:
         if k:
             poly = poly * Polynomial([0.0, 1.0]) ** k
         anti = poly.integ()
-        value = anti(self.base_radius) - anti(-self.base_radius)
+        value = anti(1.0) - anti(-1.0)
         return float(value) * self.scale ** k
 
     def integral(self) -> float:
         return self.moment(0)
 
 
-def _even_moment_table(power: int, max_even: int) -> dict[int, float]:
-    """Exact values of ``int_{-1}^{1} u^k (1-u^2)^power du`` for even k."""
-    base = Polynomial([1.0, 0.0, -1.0]) ** power
+def _even_moment_table(max_even: int) -> dict[int, float]:
+    """Exact values of ``int_{-1}^{1} u^k (1-u^2)^KERNEL_POWER du`` for even
+    k."""
+    base = Polynomial([1.0, 0.0, -1.0]) ** KERNEL_POWER
     table = {}
     for k in range(0, max_even + 1, 2):
         poly = base * Polynomial([0.0, 1.0]) ** k if k else base
@@ -88,25 +90,25 @@ def _even_moment_table(power: int, max_even: int) -> dict[int, float]:
     return table
 
 
-def friedrichs_mollifier(power: int = 8) -> Mollifier:
-    """Unit-mass bump ``c (1 - t^2)^power`` on [-1, 1]."""
-    poly = Polynomial([1.0, 0.0, -1.0]) ** power
+def friedrichs_mollifier() -> Mollifier:
+    """Unit-mass bump ``c (1 - t^2)^KERNEL_POWER`` on [-1, 1]."""
+    poly = Polynomial([1.0, 0.0, -1.0]) ** KERNEL_POWER
     anti = poly.integ()
     mass = float(anti(1.0) - anti(-1.0))
-    return Mollifier(poly / mass, base_radius=1.0, scale=1.0, moment_order=0)
+    return Mollifier(poly / mass, scale=1.0, moment_order=0)
 
 
-def vanishing_moment_mollifier(q: int, power: int = 8) -> Mollifier:
+def vanishing_moment_mollifier(q: int) -> Mollifier:
     """Bump kernel whose moments 1..q vanish exactly.
 
-    Built as an even polynomial weight times ``(1-t^2)^power``; odd moments
-    vanish by symmetry and the even ones are killed by a small exact linear
-    solve, so no tabulation or truncation error enters the kernel.
+    Built as an even polynomial weight times ``(1-t^2)^KERNEL_POWER``; odd
+    moments vanish by symmetry and the even ones are killed by a small exact
+    linear solve, so no tabulation or truncation error enters the kernel.
     """
     if q < 0:
         raise InvalidParameterError("moment order must be >= 0")
     n_even = q // 2 + 1  # unknown even weight coefficients a_0, a_2, ...
-    table = _even_moment_table(power, 4 * (n_even - 1) + 2)
+    table = _even_moment_table(4 * (n_even - 1) + 2)
     system = np.array([[table[2 * r + 2 * i] for i in range(n_even)]
                        for r in range(n_even)])
     rhs = np.zeros(n_even)
@@ -114,8 +116,8 @@ def vanishing_moment_mollifier(q: int, power: int = 8) -> Mollifier:
     weights = np.linalg.solve(system, rhs)
     coefs = np.zeros(2 * n_even - 1)
     coefs[::2] = weights
-    poly = Polynomial(coefs) * Polynomial([1.0, 0.0, -1.0]) ** power
-    return Mollifier(poly, base_radius=1.0, scale=1.0, moment_order=q)
+    poly = Polynomial(coefs) * Polynomial([1.0, 0.0, -1.0]) ** KERNEL_POWER
+    return Mollifier(poly, scale=1.0, moment_order=q)
 
 
 def scale_mollifier(m: Mollifier, epsilon: float) -> Mollifier:
@@ -179,10 +181,9 @@ class GevreyCutoffMollifier:
         scaled = scale_mollifier(self.base, self.scale)
         return scaled(x) * _CUTOFF(x * log_factor)
 
-    def fourier_transform(self, xi: Array, tol: float = 1e-12) -> Array:
+    def fourier_transform(self, xi: Array) -> Array:
         r = self.support_radius
-        return oscillatory_panel(self.__call__, -r, r, np.asarray(xi, float),
-                                 tol=tol)
+        return oscillatory_panel(self.__call__, -r, r, np.asarray(xi, float))
 
 
 # -- convolution ---------------------------------------------------------------
@@ -201,20 +202,20 @@ class Convolution:
 
     Atoms convolve analytically into kernel derivatives.  Constant density
     pieces on [lo, hi) are summed in closed form: with the kernel variable
-    ``u = (t - s)/scale`` clipped to the base support [-R, R], each adds
+    ``u = (t - s)/scale`` clipped to the base support [-1, 1], each adds
     ``c * [Q(u_hi) - Q(u_lo)] / scale^k`` where ``u_lo`` comes from ``hi``
     and ``u_hi`` from ``lo``, and ``Q`` is the primitive of the k-th
     derivative of the base polynomial.  Pieces of higher declared degree
     are integrated exactly by a fixed Gauss-Legendre panel, and pieces
-    with ``degree=None`` adaptively (absolute tolerance ``tol``).
+    with ``degree=None`` adaptively (to the quadrature's default absolute
+    tolerance).
     """
 
     def __init__(self, profile: RoughProfile, kernel: Mollifier,
-                 derivative: int = 0, tol: float = 1e-10):
+                 derivative: int = 0):
         self.profile = profile
         self.kernel = kernel
         self.derivative_order = derivative
-        self.tol = tol
         r = kernel.support_radius
         lo = min([p.lo for p in profile.pieces]
                  + [a.location for a in profile.atoms]
@@ -235,10 +236,6 @@ class Convolution:
         self._primitive = _primitive_coefficients(
             tuple(kernel.base_poly.coef), derivative)
 
-    def derivative(self, k: int = 1) -> "Convolution":
-        return Convolution(self.profile, self.kernel,
-                           self.derivative_order + k, self.tol)
-
     def __call__(self, t: Array | float) -> Array:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
@@ -257,8 +254,8 @@ class Convolution:
         n_const = self._const_values.shape[0]
         if n_const:
             # rows u_lo (from each piece's hi), then u_hi (from its lo)
-            w, big_r = kernel.scale, kernel.base_radius
-            u = np.clip((t_flat - self._const_edges) / w, -big_r, big_r)
+            w = kernel.scale
+            u = np.clip((t_flat - self._const_edges) / w, -1.0, 1.0)
             q = np.polynomial.polynomial.polyval(u, self._primitive)
             mass = q[n_const:] - q[:n_const]
             out += ((self._const_values * mass).sum(axis=0)
@@ -279,7 +276,7 @@ class Convolution:
                     return np.asarray(_fn(t_flat[idx][:, None] - y)) \
                         * kernel.derivative(y, k)
 
-                contrib = adaptive_panel(integrand, lo_y, hi_y, tol=self.tol,
+                contrib = adaptive_panel(integrand, lo_y, hi_y,
                                          context="profile convolution")
                 out += contrib.reshape(t.shape)
         if np.max(np.abs(out.imag), initial=0.0) == 0.0:
@@ -288,9 +285,9 @@ class Convolution:
 
 
 def convolve_profile(p: RoughProfile, m: Mollifier,
-                     derivative: int = 0, tol: float = 1e-10) -> Convolution:
+                     derivative: int = 0) -> Convolution:
     """Smooth callable ``t -> (p * m)(t)`` (or its derivative)."""
     if not math.isfinite(m.support_radius) or m.support_radius <= 0:
         raise InvalidParameterError("kernel must have positive finite support")
-    return Convolution(p, m, derivative=derivative, tol=tol)
+    return Convolution(p, m, derivative=derivative)
 

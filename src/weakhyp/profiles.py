@@ -19,6 +19,9 @@ from .errors import InvalidParameterError
 
 Array = np.ndarray
 
+#: exponent of the bump profile (1 - u^2)^power, which is C^(power-1)
+_BUMP_POWER = 8
+
 
 @dataclass(frozen=True)
 class PointMass:
@@ -134,7 +137,7 @@ class RoughProfile:
 
     # -- transforms ---------------------------------------------------------
 
-    def fourier_transform(self, xi: Array, tol: float = 1e-12) -> Array:
+    def fourier_transform(self, xi: Array) -> Array:
         """Continuous Fourier transform ``int p(t) exp(-i t xi) dt``.
 
         Atoms contribute ``weight * (i xi)^order * exp(-i xi location)``
@@ -144,17 +147,17 @@ class RoughProfile:
         xi = np.asarray(xi, dtype=float)
         out = np.zeros(xi.shape, dtype=complex)
         for p in self.pieces:
-            out += oscillatory_panel(p.fn, p.lo, p.hi, xi, tol=tol)
+            out += oscillatory_panel(p.fn, p.lo, p.hi, xi)
         for at in self.atoms:
             out += at.weight * (1j * xi) ** at.order * np.exp(-1j * xi * at.location)
         return out
 
-    def integral(self, tol: float = 1e-12) -> complex:
+    def integral(self) -> complex:
         total = 0.0 + 0.0j
         for p in self.pieces:
             total += complex(adaptive_panel(
                 lambda s, idx, _fn=p.fn: np.asarray(_fn(s)),
-                np.array(p.lo), np.array(p.hi), tol=tol))
+                np.array(p.lo), np.array(p.hi), tol=1e-12))
         for at in self.atoms:
             if at.order == 0:
                 total += at.weight
@@ -216,39 +219,37 @@ def hoelder_profile(alpha: float, center: float, base: float, amplitude: float,
     return RoughProfile(tuple(pieces), (), support)
 
 
-def polynomial_piece_profile(coeffs: Sequence[float], lo: float, hi: float,
-                             support: tuple[float, float] | None = None
-                             ) -> RoughProfile:
-    """Single polynomial piece, coefficients in ascending powers of t."""
+def polynomial_piece_profile(coeffs: Sequence[float], lo: float,
+                             hi: float) -> RoughProfile:
+    """Single polynomial piece on its own support [lo, hi], coefficients in
+    ascending powers of t."""
     poly = np.polynomial.Polynomial(list(coeffs))
 
     def fn(t: Array) -> Array:
         return poly(t)
 
-    sup = support if support is not None else (lo, hi)
     return RoughProfile((Piece(lo, hi, fn, degree=max(len(coeffs) - 1, 0)),),
-                        (), sup)
+                        (), (lo, hi))
 
 
-def point_mass_profile(location: float, order: int = 0, weight: complex = 1.0,
-                       support: tuple[float, float] | None = None
-                       ) -> RoughProfile:
-    sup = support if support is not None else (location, location)
-    return RoughProfile((), (PointMass(location, order, weight),), sup)
+def point_mass_profile(location: float, order: int = 0,
+                       weight: complex = 1.0) -> RoughProfile:
+    return RoughProfile((), (PointMass(location, order, weight),),
+                        (location, location))
 
 
-def bump_profile(center: float, radius: float, amplitude: float = 1.0,
-                 power: int = 8) -> RoughProfile:
-    """Compactly supported C^{power-1} bump ``amplitude*(1-((x-c)/r)^2)^power``."""
+def bump_profile(center: float, radius: float,
+                 amplitude: float = 1.0) -> RoughProfile:
+    """Compactly supported C^7 bump ``amplitude*(1-((x-c)/r)^2)^8``."""
     if radius <= 0:
         raise InvalidParameterError("bump radius must be positive")
 
     def fn(x: Array) -> Array:
         u = (x - center) / radius
-        return amplitude * (1.0 - u * u) ** power
+        return amplitude * (1.0 - u * u) ** _BUMP_POWER
 
     return RoughProfile(
-        (Piece(center - radius, center + radius, fn, degree=2 * power),),
+        (Piece(center - radius, center + radius, fn, degree=2 * _BUMP_POWER),),
         (), (center - radius, center + radius))
 
 
@@ -262,8 +263,8 @@ def box_profile(center: float, halfwidth: float,
         (), (center - halfwidth, center + halfwidth))
 
 
-def zero_profile(support: tuple[float, float] = (0.0, 0.0)) -> RoughProfile:
-    return RoughProfile((), (), support)
+def zero_profile() -> RoughProfile:
+    return RoughProfile((), (), (0.0, 0.0))
 
 
 def extend_profile(profile: RoughProfile, pad: float) -> RoughProfile:

@@ -51,16 +51,6 @@ def characteristic_polynomial(roots: Sequence[float] | Array) -> Array:
     return np.moveaxis(coeffs, 0, -1)
 
 
-def sigma(roots: Sequence[float] | Array, h: int) -> float | Array:
-    """sigma_h = (-1)^h e_h(roots) via the stable product recursion."""
-    roots = np.asarray(roots)
-    m = roots.shape[-1] if roots.ndim else 1
-    if not 0 <= h <= m:
-        raise InvalidParameterError(f"level {h} outside 0..{m}")
-    coeffs = characteristic_polynomial(roots)[..., h]
-    return float(coeffs) if coeffs.ndim == 0 else coeffs
-
-
 # -- direction plans --------------------------------------------------------------
 
 
@@ -95,7 +85,6 @@ class DirectionPlan:
     degree: int
     dimension: int
     blocks: tuple[SupportBlock, ...]
-    warnings: tuple[str, ...]
 
     @property
     def directions(self) -> list[tuple[float, ...]]:
@@ -120,9 +109,8 @@ def _candidate_rays(support: tuple[int, ...], dimension: int
     return sorted(rays)
 
 
-#: condition numbers of a block's direction matrix above which the plan
-#: records a warning, and above which it treats the block as singular
-_COND_WARN = 1e8
+#: condition number of a block's direction matrix above which the plan
+#: treats the block as singular
 _COND_SINGULAR = 1e14
 
 
@@ -135,8 +123,8 @@ def build_direction_plan(degree: int, dimension: int) -> DirectionPlan:
     recovered coefficients.  For each block the candidate pool of {0,1,2}
     direction vectors is searched exhaustively for the best-conditioned
     square submatrix; the pools are tiny at desk scale.  Numerically
-    singular blocks raise; merely ill-conditioned ones are recorded as
-    warnings.
+    singular blocks raise :class:`PlanError`; every block keeps its
+    condition number, which the roundtrip summary lists.
     """
     if degree < 1:
         raise InvalidParameterError("degree must be >= 1")
@@ -146,7 +134,6 @@ def build_direction_plan(degree: int, dimension: int) -> DirectionPlan:
     supports = sorted({tuple(i for i, p in enumerate(nu) if p) for nu in all_nu},
                       key=lambda s: (len(s), s))
     blocks = []
-    warnings: list[str] = []
     for support in supports:
         members = tuple(nu for nu in all_nu
                         if tuple(i for i, p in enumerate(nu) if p) == support)
@@ -168,14 +155,11 @@ def build_direction_plan(degree: int, dimension: int) -> DirectionPlan:
             raise PlanError(
                 f"support {support} of degree {degree}: no candidate "
                 f"direction set is invertible (best condition {cond:.3e})")
-        if cond > _COND_WARN:
-            warnings.append(
-                f"support {support} of degree {degree}: condition {cond:.3e}")
         directions = tuple(rays[r] for r in combo)
         matrix = np.array([[_monomial(d, nu) for nu in members]
                            for d in directions])
         blocks.append(SupportBlock(support, members, directions, matrix, cond))
-    return DirectionPlan(degree, dimension, tuple(blocks), tuple(warnings))
+    return DirectionPlan(degree, dimension, tuple(blocks))
 
 
 # -- coefficient recovery -----------------------------------------------------------
@@ -245,14 +229,12 @@ class HomogeneousCoefficientSet:
         out = -total
         return float(out[0]) if np.ndim(t) == 0 else out
 
-    def reconstruction_residual(self, t: Array,
-                                xis: Sequence[Sequence[float]] | None = None
-                                ) -> float:
-        """Max relative defect of sigma_hat against sigma at directions."""
-        xis = list(xis) if xis is not None else self.plan.directions
+    def reconstruction_residual(self, t: Array) -> float:
+        """Max relative defect of sigma_hat against sigma at the plan's
+        directions."""
         worst = 0.0
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        for xi in xis:
+        for xi in self.plan.directions:
             target = np.asarray(self._sigma_at(t_arr, tuple(xi)), dtype=float)
             got = np.asarray(self.sigma_hat(t_arr, xi), dtype=float)
             scale = max(float(np.max(np.abs(target))), 1.0)
@@ -284,7 +266,6 @@ def recover_coefficients(reg: RegularisedRoots, degree: int, dimension: int,
 class RoundTripProbe:
     t: float
     xi: tuple[float, ...]
-    rel_error: float
 
 
 @dataclass(frozen=True)
@@ -292,7 +273,6 @@ class RoundTripReport:
     max_rel_error: float
     probes: tuple[RoundTripProbe, ...]
     failures: tuple[str, ...]
-    plan_warnings: tuple[str, ...]
 
 
 def round_trip_check(family: RootFamily, mollifier: Mollifier,
@@ -307,7 +287,10 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)``, takes companion-matrix
     eigenvalues, reattaches the separating shifts to the sorted roots and
     compares against the regularised root values.  Failures are recorded,
-    not raised: a failed batched evaluation fails every probe.
+    not raised: a failed batched evaluation fails every probe.  A direction
+    plan with a singular block raises :class:`PlanError` before any probe;
+    the condition numbers of the blocks stay on the plan
+    (``SupportBlock.condition``), not in the report.
     """
     from .reduction import companion_matrix_from_coefficients
 
@@ -318,7 +301,6 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     reg = regularise_roots(family, mollifier, scale)
     m, n = family.order, family.dimension
     sets = {j: recover_coefficients(reg, j, n, epsilon) for j in range(1, m + 1)}
-    plan_warnings = tuple(wrn for s in sets.values() for wrn in s.plan.warnings)
     w = reg.omega_of(epsilon)
     draws = []
     for _ in range(trials):
@@ -331,8 +313,7 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     except WeakHypError as exc:  # reported, not thrown
         failures = tuple(f"probe (t={t:.6g}, xi={xi}): {exc}"
                          for t, xi in draws)
-        return RoundTripReport(0.0, (), failures=failures,
-                               plan_warnings=plan_warnings)
+        return RoundTripReport(0.0, (), failures=failures)
     probes: list[RoundTripProbe] = []
     failures: list[str] = []
     worst = 0.0
@@ -350,38 +331,44 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
                 reference = reg.values(t, xi, epsilon)
                 ref_scale = max(1.0, float(np.max(np.abs(reference))))
                 err = float(np.max(np.abs(shifted - reference))) / ref_scale
-            probes.append(RoundTripProbe(t, xi, err))
+            probes.append(RoundTripProbe(t, xi))
             worst = max(worst, err)
         except WeakHypError as exc:  # reported, not thrown
             failures.append(f"probe (t={t:.6g}, xi={xi}): {exc}")
-    return RoundTripReport(worst, tuple(probes), failures=tuple(failures),
-                           plan_warnings=plan_warnings)
+    return RoundTripReport(worst, tuple(probes), failures=tuple(failures))
 
 
 # -- random families ---------------------------------------------------------------
 
 
-def random_ordered_family(rng: np.random.Generator, order: int, dimension: int,
-                          horizon: float = 1.0, gap: float = 0.8) -> RootFamily:
-    """Random ordered bounded family from piecewise-constant linear forms.
+#: step between the coefficient levels of consecutive random roots
+_ROOT_GAP = 0.8
+
+
+def random_ordered_family(rng: np.random.Generator, order: int,
+                          dimension: int) -> RootFamily:
+    """Random ordered bounded family from piecewise-constant linear forms
+    on the time interval [0, 1].
 
     Coefficients of consecutive roots increase componentwise by at least
-    0.4*gap, which orders the family on the closed positive orthant; probes
-    and plans only sample there.  Linear-form symbols keep every symmetric
-    function exactly polynomial, which is what makes the round trip exact.
+    0.4*_ROOT_GAP, which orders the family on the closed positive orthant;
+    probes and plans only sample there.  Linear-form symbols keep every
+    symmetric function exactly polynomial, which is what makes the round
+    trip exact.
     """
     coeff_profiles = []
     for j in range(1, order + 1):
         row = []
         for _ in range(dimension):
             n_breaks = int(rng.integers(1, 4))
-            inner = np.sort(rng.uniform(0.1 * horizon, 0.9 * horizon, n_breaks))
-            breaks = [0.0] + [float(b) for b in inner] + [horizon]
-            vals = j * gap + rng.uniform(0.0, 0.6 * gap, size=n_breaks + 1)
+            inner = np.sort(rng.uniform(0.1, 0.9, n_breaks))
+            breaks = [0.0] + [float(b) for b in inner] + [1.0]
+            vals = j * _ROOT_GAP + rng.uniform(0.0, 0.6 * _ROOT_GAP,
+                                               size=n_breaks + 1)
             row.append(piecewise_constant_profile(breaks, list(vals),
-                                                  (0.0, horizon)))
+                                                  (0.0, 1.0)))
         coeff_profiles.append(row)
-    return roots_from_linear_forms(coeff_profiles, horizon=horizon)
+    return roots_from_linear_forms(coeff_profiles)
 
 
 @dataclass(frozen=True)

@@ -371,6 +371,9 @@ def cofactor_matrix(a_eval: Callable[[float, float], Array],
 
 #: time step of the finite differences that carry D_t onto the coefficients
 _FD_STEP = 1e-3
+#: largest imaginary part of an eigenvalue of a1, relative to the largest
+#: modulus (or 1), that still counts as real
+_REAL_TOL = 1e-9
 
 @dataclass
 class FirstOrderSystem:
@@ -389,11 +392,11 @@ class FirstOrderSystem:
     def a_symbol(self, t: float, xi: float) -> Array:
         return np.asarray(self.a1(t), dtype=float) * xi
 
-    def check_hyperbolic(self, t_samples: Array, tol: float = 1e-9) -> None:
+    def check_hyperbolic(self, t_samples: Array) -> None:
         for t in np.atleast_1d(t_samples):
             eig = np.linalg.eigvals(np.asarray(self.a1(float(t)), dtype=float))
             scale = max(1.0, float(np.max(np.abs(eig))))
-            if float(np.max(np.abs(eig.imag))) > tol * scale:
+            if float(np.max(np.abs(eig.imag))) > _REAL_TOL * scale:
                 raise HyperbolicityError(
                     f"system matrix has non-real eigenvalue at t={float(t):g}")
 
@@ -520,10 +523,10 @@ def to_block_sylvester(system: FirstOrderSystem) -> BlockSylvesterSystem:
     return BlockSylvesterSystem(system=system)
 
 
-def random_hyperbolic_system(rng: np.random.Generator, size: int,
-                             with_lower: bool = True,
-                             horizon: float = 1.0) -> FirstOrderSystem:
-    """Well-conditioned random constant-coefficient hyperbolic system."""
+def random_hyperbolic_system(rng: np.random.Generator,
+                             size: int) -> FirstOrderSystem:
+    """Well-conditioned random constant-coefficient hyperbolic system with a
+    random zero-order term, on the time interval [0, 1]."""
     spacing = 0.3
     eigs = np.sort(rng.uniform(-2.0, 2.0, size))
     for i in range(1, size):
@@ -532,9 +535,6 @@ def random_hyperbolic_system(rng: np.random.Generator, size: int,
     while np.linalg.cond(basis) > 20.0:
         basis = np.eye(size) + 0.3 * rng.standard_normal((size, size))
     a1 = basis @ np.diag(eigs) @ np.linalg.inv(basis)
-    b0 = 0.3 * rng.standard_normal((size, size)) if with_lower else None
-    return FirstOrderSystem(
-        order=size,
-        a1=lambda t, _a=a1: _a,
-        b=None if b0 is None else (lambda t, _b=b0: _b),
-        data=None, horizon=horizon)
+    b0 = 0.3 * rng.standard_normal((size, size))
+    return FirstOrderSystem(order=size, a1=lambda t, _a=a1: _a,
+                            b=lambda t, _b=b0: _b)

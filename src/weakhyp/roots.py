@@ -185,14 +185,14 @@ def roots_from_time_profiles(profiles: Sequence[RoughProfile],
     return fam
 
 
-def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]],
-                            horizon: float = 1.0,
-                            ordered: bool = True) -> RootFamily:
-    """r_j(t, d) = sum_k c_jk(t) d_k; polynomial symbols for every order.
+def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
+                            ) -> RootFamily:
+    """r_j(t, d) = sum_k c_jk(t) d_k on [0, 1]; polynomial symbols for every
+    order.
 
-    Ordering of distinct linear forms can only hold on the closed positive
-    orthant (componentwise-increasing coefficients), which is where the
-    recovery plans sample.
+    The family is declared ordered.  Ordering of distinct linear forms can
+    only hold on the closed positive orthant (componentwise-increasing
+    coefficients), which is where the recovery plans sample.
     """
     padded = [[extend_profile(c, EDGE_PAD) for c in row]
               for row in coeff_profiles]
@@ -207,8 +207,8 @@ def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]],
         return out
 
     fam = RootFamily(order=m, dimension=n, profile_fn=profile_fn,
-                     bound=0.0, ordered=ordered, horizon=horizon)
-    t = np.linspace(0.0, horizon, 129)
+                     bound=0.0, ordered=True)
+    t = np.linspace(0.0, 1.0, 129)
     fam.bound = max(
         float(np.max(np.abs(padded[j][k].density(t)), initial=0.0))
         for j in range(m) for k in range(n)) * math.sqrt(n)

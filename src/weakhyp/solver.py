@@ -42,6 +42,11 @@ from ._stats import linear_fit
 Array = np.ndarray
 
 
+#: clearance between the causal cone and the box edge that every run keeps;
+#: ``grid.margin`` may not ask for less
+CONE_MARGIN = 0.5
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Periodic frequency grid: K points on a box of length L around 0."""
@@ -77,8 +82,8 @@ class FrequencyGrid:
         return k
 
     def check_fit(self, support_radius: float, max_speed: float,
-                  horizon: float, margin: float = 0.5) -> None:
-        needed = support_radius + max_speed * horizon + margin
+                  horizon: float) -> None:
+        needed = support_radius + max_speed * horizon + CONE_MARGIN
         if needed > 0.5 * self.box_length:
             raise ConfigurationError(
                 f"box length {self.box_length:g} too small: causal cone "
@@ -122,13 +127,11 @@ def auto_box_length(support_radius: float, max_speed: float, horizon: float,
 @dataclass
 class IntegrationResult:
     traces: Array                  # (m, n_tracked, nt + 1)
-    tracked_indices: tuple[int, ...]
     first_component: Array | None  # (n_out, K)
     output_steps: tuple[int, ...]
     initial_state: Array           # (m, K)
     final_state: Array             # (m, K)
     step_doubling_max: float
-    steps: int
 
 
 # bytes of the last rows that one block of steps reads for the whole batch:
@@ -338,11 +341,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     for slot, member in enumerate(live):
         outcome[member] = IntegrationResult(
-            traces=traces[member], tracked_indices=tracked,
+            traces=traces[member],
             first_component=first[member] if first is not None else None,
             output_steps=out_steps, initial_state=initial[member],
-            final_state=v[slot], step_doubling_max=float(worst_double[member]),
-            steps=nt)
+            final_state=v[slot], step_doubling_max=float(worst_double[member]))
     return outcome
 
 
@@ -439,8 +441,10 @@ def _nearest_step(t_grid: Array, t: float) -> int:
 
 
 def build_regularised_system(problem: VeryWeakProblem, epsilon: float
-                             ) -> tuple[CompanionSystem, RegularisedRoots, dict]:
-    """Regularise coefficients, data and forcing at one epsilon and reduce.
+                             ) -> tuple[CompanionSystem, RegularisedRoots,
+                                        float]:
+    """Regularise coefficients, data and forcing at one epsilon and reduce;
+    returns the system, the regularised roots and the scale omega(epsilon).
 
     The regularised data and forcing are defined on the problem's frequency
     grid: they read the problem's cached transforms, times this epsilon's
@@ -478,8 +482,7 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
             xhat=on_grid(space_hat))
     data = InitialData(tuple(on_grid(g) for g in data_hats))
     system = build_companion(principal, lower=lower, forcing=forcing, data=data)
-    info = {"omega": w}
-    return system, reg, info
+    return system, reg, w
 
 
 def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
@@ -501,12 +504,12 @@ def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
 
 def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
     """The regularised system at one epsilon, once its box is checked."""
-    system, reg, info = build_regularised_system(problem, epsilon)
+    system, reg, w = build_regularised_system(problem, epsilon)
     # support transport speed: |d lambda / d xi| <= bound + m omega
     problem.grid.check_fit(data_support_radius(problem.data, problem.forcing),
                            system.principal.max_normalised_speed(),
                            problem.horizon)
-    return system, reg, info["omega"]
+    return system, reg, w
 
 
 def _record(problem: VeryWeakProblem, epsilon: float, prepared: tuple,
@@ -525,8 +528,6 @@ def _record(problem: VeryWeakProblem, epsilon: float, prepared: tuple,
         ic_residual = float(np.max(np.abs(
             result.traces[:, :, 0] - result.initial_state[:, tracked])))
     metadata = {
-        "omega": w,
-        "steps": result.steps,
         "step_doubling_max": result.step_doubling_max,
         "initial_condition_residual": ic_residual,
         "imag_fraction": float(np.max(np.abs(u.imag))
@@ -626,7 +627,6 @@ class EnergyTrace:
     times: Array
     energies: Array
     fitted_rate: float | None
-    rate_r_squared: float | None
 
 
 def energy_trace(system: CompanionSystem, trace: Array, times: Array,
@@ -648,15 +648,13 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
         sym = build_symmetriser(np.sort(lam[row]) / br)
         energies[row] = sym.quadratic_form(trace[:, i])
     positive = energies > 1e-300
+    rate = None
     if np.count_nonzero(positive) >= 2:
-        slope, _, r2 = linear_fit(times[idx][positive],
-                                  np.log(energies[positive]))
-        rate, rate_r2 = float(slope), float(r2)
-    else:
-        rate, rate_r2 = None, None
+        slope, _, _ = linear_fit(times[idx][positive],
+                                 np.log(energies[positive]))
+        rate = float(slope)
     return EnergyTrace(xi=float(xi), epsilon=epsilon, times=times[idx],
-                       energies=energies, fitted_rate=rate,
-                       rate_r_squared=rate_r2)
+                       energies=energies, fitted_rate=rate)
 
 
 # -- classical references -------------------------------------------------------------

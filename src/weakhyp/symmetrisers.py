@@ -110,7 +110,6 @@ class QuadraticBoundsReport:
     max_form: float
     eigen_min: float
     eigen_max: float
-    lower_bound: float
     det_floor: float | None
     violations: tuple[str, ...]
 
@@ -155,6 +154,6 @@ def verify_quadratic_bounds(s: Symmetriser, trials: int,
                 f"det {s.det_value:.6e} below separation floor {det_floor:.6e}")
     return QuadraticBoundsReport(
         min_form=min_form, max_form=max_form, eigen_min=lam_min,
-        eigen_max=lam_max, lower_bound=lower, det_floor=det_floor,
+        eigen_max=lam_max, det_floor=det_floor,
         violations=tuple(violations))
 

@@ -19,8 +19,7 @@ from weakhyp.mollifiers import (GevreyCutoffMollifier, friedrichs_mollifier,
 from weakhyp.profiles import (bump_profile, heaviside_profile,
                               hoelder_profile, point_mass_profile,
                               zero_profile, constant_profile)
-from weakhyp.recovery import (random_round_trip_study, recover_coefficients,
-                              sigma)
+from weakhyp.recovery import random_round_trip_study, recover_coefficients
 from weakhyp.reduction import (cofactor_matrix, random_hyperbolic_system,
                                to_block_sylvester)
 from weakhyp.roots import (RootFamily, constant_roots, constant_scale,

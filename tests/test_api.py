@@ -1,5 +1,7 @@
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -11,6 +13,23 @@ ALLOWED = {
     "transformed_data": "ROADMAP item 5",
     "full_principal": "ROADMAP item 5",
 }
+
+#: defaulted parameters kept although no production call sets them, and why
+ALLOWED_OPTIONS = {
+    "adaptive_panel.n_max": "tests lower it to reach QuadratureError",
+    "oscillatory_panel.n_max": "tests lower it to reach QuadratureError",
+    "convolve_profile.derivative": "ROADMAP item 5",
+    "constant_roots.dimension": "tests build 2-D constant families",
+}
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _callers():
+    """The package modules (not ``__init__``) and the benchmark scripts."""
+    return _modules() + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _definitions(tree):
@@ -26,27 +45,103 @@ def _definitions(tree):
                     yield item.name, item.lineno, item.end_lineno
 
 
-def test_every_src_name_has_a_production_caller():
-    """Each name defined in a package module occurs in the package or the
-    benchmark outside its own definition; the exports in ``__init__`` do
-    not count, and neither do the tests.
+def _name_tokens(path):
+    """(name, line) of every NAME token: code only, not strings or
+    comments."""
+    source = path.read_text(encoding="utf-8")
+    return [(tok.string, tok.start[0])
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NAME]
 
-    The check is coarse: it matches whole words, so a name that appears in
-    a docstring or a comment, or that shares its spelling with another
-    name, counts as used.
+
+def test_every_src_name_has_a_production_caller():
+    """Each name defined in a package module occurs as a name token in the
+    package or the benchmark outside its own definition; the exports in
+    ``__init__`` do not count, and neither do the tests, docstrings or
+    comments.  A name that shares its spelling with another name still
+    counts as used.
     """
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    callers = modules + sorted((ROOT / "perfbench").glob("*.py"))
-    lines = {p: p.read_text(encoding="utf-8").splitlines() for p in callers}
+    tokens = {path: _name_tokens(path) for path in _callers()}
     unused = []
-    for module in modules:
-        tree = ast.parse("\n".join(lines[module]))
+    for module in _modules():
+        tree = ast.parse(module.read_text(encoding="utf-8"))
         for name, first, last in _definitions(tree):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            used = any(word.search(line)
-                       for path, text in lines.items()
-                       for number, line in enumerate(text, 1)
-                       if not (path == module and first <= number <= last))
+            used = any(word == name
+                       and not (path == module and first <= line <= last)
+                       for path, found in tokens.items()
+                       for word, line in found)
             if not used and name not in ALLOWED:
                 unused.append(f"{module.name}: {name}")
     assert not unused, "no production caller: " + ", ".join(unused)
+
+
+def _options(tree):
+    """Defaulted parameters of the top-level functions and of the methods of
+    top-level classes, as (call name, qualified name, definition, parameter
+    name, position in a call or None for keyword-only).  Calls name
+    ``__init__`` by its class; nested functions are skipped, whose defaults
+    bind loop values.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _defaulted(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    call = node.name if item.name == "__init__" else item.name
+                    yield from _defaulted(call, f"{node.name}.{item.name}",
+                                          item, 0 if static else 1)
+
+
+def _defaulted(call, qualified, fn, skipped):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield call, f"{qualified}.{arg.arg}", fn, arg.arg, index - skipped
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield call, f"{qualified}.{arg.arg}", fn, arg.arg, None
+
+
+def _call_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _sets(call, name, position):
+    if any(keyword.arg == name for keyword in call.keywords):
+        return True
+    plain = [a for a in call.args if not isinstance(a, ast.Starred)]
+    return position is not None and len(plain) > position
+
+
+def test_every_option_has_a_caller_that_sets_it():
+    """Each defaulted parameter of a package function or method is passed,
+    by keyword or by position, by some call in the package or the benchmark
+    outside the function's own body.  Calls are matched by name: a method
+    by its own name, ``__init__`` by its class name.  An option that every
+    caller leaves at its default is a constant in disguise.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in _callers()}
+    calls = [(path, node) for path, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = []
+    for module in _modules():
+        for call_name, qualified, fn, name, position in _options(
+                trees[module]):
+            passed = any(
+                _call_name(call) == call_name
+                and not (path == module
+                         and fn.lineno <= call.lineno <= fn.end_lineno)
+                and _sets(call, name, position)
+                for path, call in calls)
+            if not passed and qualified not in ALLOWED_OPTIONS:
+                unset.append(f"{module.name}: {qualified}")
+    assert not unset, "no caller sets: " + ", ".join(unset)

@@ -9,6 +9,7 @@ from weakhyp.cli import main
 from weakhyp.config import (config_echo, config_hash, load_config,
                             validate_config)
 from weakhyp.errors import ConfigurationError
+from weakhyp.solver import CONE_MARGIN
 
 
 def _base_config():
@@ -175,11 +176,12 @@ def test_cli_short_sweep_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
-    # a time grid of one point passes validation, and the integrator, which
-    # all epsilons share, refuses it outside any one epsilon's stage
+    # a reference divisor below one passes validation, and the reference
+    # solve, which runs outside any one epsilon's stage, refuses the
+    # reference epsilon 0.125 / 0.1 > 1
     raw = _base_config()
-    raw["grid"]["time_steps"] = 0
-    path = tmp_path / "one_point.json"
+    raw["reference"] = {"kind": "fine_epsilon", "divisor": 0.1}
+    path = tmp_path / "coarse_reference.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
@@ -188,6 +190,27 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
     assert list(summary) == ["subcommand", "config_hash", "complete", "error"]
     assert summary["complete"] is False
     assert summary["error"].startswith("InvalidParameterError")
+
+
+@pytest.mark.parametrize("key, bad", [("time_steps", 0), ("box_length", -4),
+                                      ("margin", 0.2)])
+def test_cli_malformed_grid_is_a_config_error(tmp_path, capsys, key, bad):
+    raw = _base_config()
+    raw["grid"][key] = bad
+    path = tmp_path / "bad_grid.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert f"(field: grid.{key})" in err
+    if key == "margin":
+        # the smallest margin allowed still fits the cone at every epsilon
+        raw["grid"]["margin"] = CONE_MARGIN
+        path.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [e["ok"] for e in summary["per_epsilon"]] == [True] * 3
 
 
 def test_cli_roundtrip_subcommand(tmp_path):

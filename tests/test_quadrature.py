@@ -41,6 +41,17 @@ def test_adaptive_panel_raises_on_hopeless_integrand():
                        tol=1e-12, n_max=64)
 
 
+def test_oscillatory_panel_raises_on_hopeless_integrand():
+    rng = np.random.default_rng(0)
+
+    def noisy(s):
+        return rng.standard_normal(s.shape)
+
+    with pytest.raises(QuadratureError, match="2 frequencies did not "
+                                              "converge with 64 nodes"):
+        oscillatory_panel(noisy, 0.0, 1.0, np.array([1.0, 2.0]), n_max=64)
+
+
 def test_oscillatory_panel_matches_closed_form():
     xi = np.linspace(0.0, 200.0, 81)
     got = oscillatory_panel(lambda s: np.ones_like(s), -0.5, 0.5, xi)

@@ -12,7 +12,7 @@ from weakhyp.profiles import constant_profile
 from weakhyp.recovery import (HomogeneousCoefficientSet,
                               build_direction_plan, characteristic_polynomial,
                               random_ordered_family, random_round_trip_study,
-                              recover_coefficients, round_trip_check, sigma)
+                              recover_coefficients, round_trip_check)
 from weakhyp.roots import (RootFamily, constant_roots, constant_scale,
                            linear_scale, regularise_roots, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
@@ -24,6 +24,16 @@ def phi():
 
 
 # -- symmetric functions ---------------------------------------------------------
+
+
+def sigma(roots, h):
+    """sigma_h = (-1)^h e_h(roots), read off the characteristic polynomial."""
+    roots = np.asarray(roots)
+    m = roots.shape[-1] if roots.ndim else 1
+    if not 0 <= h <= m:
+        raise InvalidParameterError(f"level {h} outside 0..{m}")
+    coeffs = characteristic_polynomial(roots)[..., h]
+    return float(coeffs) if coeffs.ndim == 0 else coeffs
 
 
 def test_sigma_examples():
