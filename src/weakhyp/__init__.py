@@ -43,10 +43,10 @@ from .symmetrisers import (QuadraticBoundsReport, Symmetriser,
                            build_symmetriser, normalised_companion,
                            vandermonde_product_squared,
                            verify_quadratic_bounds)
-from .solver import (EnergyTrace, FrequencyGrid, LowerTermSpec, SolutionNet,
-                     SolveRecord, VeryWeakProblem, auto_box_length,
-                     dalembert_reference, energy_trace, integrate_companion,
-                     solve_single, solve_very_weak, transport_reference)
+from .solver import (EnergyTrace, FrequencyGrid, SolutionNet, SolveRecord,
+                     VeryWeakProblem, auto_box_length, dalembert_reference,
+                     energy_trace, integrate_companion, solve_single,
+                     solve_very_weak, transport_reference)
 from .analysis import (ConvergenceReport, GevreyFourierFit,
                        ModeratenessReport, convergence_study,
                        fit_moderateness, gevrey_fourier_check,

@@ -25,6 +25,9 @@ Array = np.ndarray
 #: of the envelope fits, which regress their logarithms
 _AMPLITUDE_FLOOR = 1e-14
 
+#: fewest epsilon samples the moderateness fit regresses
+MIN_FIT_SAMPLES = 4
+
 
 # -- moderateness ------------------------------------------------------------------
 
@@ -60,8 +63,9 @@ def fit_moderateness(net, s: float) -> ModeratenessReport:
     zero net short-circuits to the trivially moderate report.
     """
     table = _sup_table(net)
-    if len(table) < 4:
-        raise InsufficientDataError("moderateness fit needs >= 4 epsilon samples")
+    if len(table) < MIN_FIT_SAMPLES:
+        raise InsufficientDataError(
+            f"moderateness fit needs >= {MIN_FIT_SAMPLES} epsilon samples")
     eps = np.array([row[0] for row in table])
     sups = np.array([row[1] for row in table])
     span = float(np.log10(eps.max() / eps.min()))
@@ -179,6 +183,12 @@ def _record_distance(net: SolutionNet, a, b, seminorm: str, nu: float,
     return proxy_seminorm(a.uhat - b.uhat, net.grid.frequencies, nu, s)
 
 
+def check_seminorm(seminorm: str) -> None:
+    """Raise unless ``seminorm`` names a distance the study computes."""
+    if seminorm not in ("sup", "fourier_proxy"):
+        raise InvalidParameterError(f"unknown seminorm {seminorm!r}")
+
+
 def convergence_study(net: SolutionNet, reference: Array | None = None,
                       seminorm: str = "fourier_proxy", nu: float = 1.0,
                       s: float = 2.0,
@@ -189,8 +199,7 @@ def convergence_study(net: SolutionNet, reference: Array | None = None,
     twice in a row.  ``reference`` must share the gridded shape of the
     records.
     """
-    if seminorm not in ("sup", "fourier_proxy"):
-        raise InvalidParameterError(f"unknown seminorm {seminorm!r}")
+    check_seminorm(seminorm)
     eps = list(net.ok_epsilons())
     if len(eps) < 3:
         raise InsufficientDataError("convergence study needs >= 3 solved epsilons")

@@ -3,7 +3,9 @@
 Usage: ``weakhyp <subcommand> --config cfg.json [--out DIR] [--jobs K]
 [--seed N]`` with subcommands ``solve``, ``roundtrip``, ``symmetriser``,
 ``sweep`` and ``reduce``.  Exit status 0 only when every check declared in
-the config passed and all stages completed.
+the config passed and all stages completed; 1 when a stage failed or a check
+did not pass; 2 for a malformed config, which is reported with its field
+before any stage runs and writes no outputs.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.subcommand)
+        seed = args.seed if args.seed is not None else cfg.seed
+        record = run_experiment(args.subcommand, cfg, seed)
     except ConfigurationError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"config error: {exc}{field}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else cfg.seed
-    try:
-        record = run_experiment(args.subcommand, cfg, seed)
     except WeakHypError as exc:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

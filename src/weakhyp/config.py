@@ -3,17 +3,25 @@
 No expression evaluation: rough profiles are preset-parameterised or
 tabulated, so a config is plain data and a run is reproducible from the
 normalised echo alone.
+
+The config is read once.  :func:`validate_config` checks the document's
+shape and the epsilon sweep; the builders here and in ``experiments`` check
+the values they read, before any stage runs.  A malformed value is a
+:class:`ConfigurationError` naming its field, which the CLI reports with
+exit status 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
-from .errors import ConfigurationError
+from .analysis import MIN_FIT_SAMPLES
+from .errors import ConfigurationError, WeakHypError
 from .profiles import (RoughProfile, bump_profile, box_profile,
                        constant_profile, heaviside_profile, hoelder_profile,
                        piecewise_constant_profile, point_mass_profile,
@@ -21,21 +29,33 @@ from .profiles import (RoughProfile, bump_profile, box_profile,
 from .roots import (OmegaScale, RootFamily, constant_roots, linear_scale,
                     logarithmic_scale, roots_from_time_profiles,
                     transport_roots, wave_speed_roots)
-from .solver import CONE_MARGIN, MIN_SWEEP
+from .solver import MIN_SWEEP
 
-#: subcommands that solve the epsilon sweep as a solution net
-_NET_SUBCOMMANDS = ("solve", "sweep")
+#: fewest epsilons each subcommand that solves a net needs: ``solve``
+#: compares epsilons, and ``sweep`` also fits the moderateness exponent
+_MIN_SWEEP = {"solve": MIN_SWEEP, "sweep": MIN_FIT_SAMPLES}
 
 
-def _require(mapping: Mapping, key: str, path: str) -> Any:
-    if key not in mapping:
-        raise ConfigurationError(f"missing required field '{path}.{key}'",
-                                 field=f"{path}.{key}")
+@contextmanager
+def config_field(path: str) -> Iterator[None]:
+    """Report a missing key, an ill-typed value or a package error met
+    while reading the config field ``path`` as a :class:`ConfigurationError`
+    naming it; one raised inside, which names its own field, passes."""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except (WeakHypError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(f"'{path}': {exc}", field=path) from exc
+
+
+def require(mapping: Mapping, key: str, path: str) -> Any:
+    """``mapping[key]``; ``path`` names the mapping, "" for the document."""
+    field = f"{path}.{key}" if path else key
+    if not isinstance(mapping, Mapping) or key not in mapping:
+        raise ConfigurationError(f"missing required field '{field}'",
+                                 field=field)
     return mapping[key]
-
-
-def _opt(mapping: Mapping, key: str, default: Any) -> Any:
-    return mapping.get(key, default)
 
 
 def build_profile(spec: Mapping, path: str,
@@ -43,63 +63,59 @@ def build_profile(spec: Mapping, path: str,
     """Resolve a named profile preset into a RoughProfile."""
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"'{path}' must be an object", field=path)
-    preset = _require(spec, "preset", path)
-    sup = tuple(_opt(spec, "support", support or (0.0, 1.0)))
-    try:
+    preset = require(spec, "preset", path)
+    with config_field(path):
+        sup = tuple(spec.get("support", support or (0.0, 1.0)))
         if preset == "constant":
-            return constant_profile(_require(spec, "value", path), sup)
+            return constant_profile(require(spec, "value", path), sup)
         if preset == "heaviside":
-            return heaviside_profile(_require(spec, "jump", path),
-                                     _require(spec, "low", path),
-                                     _require(spec, "high", path), sup)
+            return heaviside_profile(require(spec, "jump", path),
+                                     require(spec, "low", path),
+                                     require(spec, "high", path), sup)
         if preset == "piecewise_constant":
             return piecewise_constant_profile(
-                _require(spec, "breakpoints", path),
-                _require(spec, "values", path), sup)
+                require(spec, "breakpoints", path),
+                require(spec, "values", path), sup)
         if preset == "hoelder":
-            return hoelder_profile(_require(spec, "alpha", path),
-                                   _require(spec, "center", path),
-                                   _opt(spec, "base", 1.0),
-                                   _opt(spec, "amplitude", 1.0), sup)
+            return hoelder_profile(require(spec, "alpha", path),
+                                   require(spec, "center", path),
+                                   spec.get("base", 1.0),
+                                   spec.get("amplitude", 1.0), sup)
         if preset == "polynomial":
             return polynomial_piece_profile(
-                _require(spec, "coefficients", path),
-                _require(spec, "lo", path), _require(spec, "hi", path))
+                require(spec, "coefficients", path),
+                require(spec, "lo", path), require(spec, "hi", path))
         if preset == "bump":
-            return bump_profile(_opt(spec, "center", 0.0),
-                                _require(spec, "radius", path),
-                                _opt(spec, "amplitude", 1.0))
+            return bump_profile(spec.get("center", 0.0),
+                                require(spec, "radius", path),
+                                spec.get("amplitude", 1.0))
         if preset == "box":
-            return box_profile(_opt(spec, "center", 0.0),
-                               _require(spec, "halfwidth", path),
-                               _opt(spec, "amplitude", 1.0))
+            return box_profile(spec.get("center", 0.0),
+                               require(spec, "halfwidth", path),
+                               spec.get("amplitude", 1.0))
         if preset in ("point_mass", "delta"):
-            return point_mass_profile(_opt(spec, "location", 0.0),
-                                      _opt(spec, "order", 0),
-                                      _opt(spec, "weight", 1.0))
+            return point_mass_profile(spec.get("location", 0.0),
+                                      spec.get("order", 0),
+                                      spec.get("weight", 1.0))
         if preset == "zero":
             return zero_profile()
-    except ConfigurationError:
-        raise
-    except Exception as exc:
-        raise ConfigurationError(f"'{path}': {exc}", field=path) from exc
     raise ConfigurationError(f"unknown profile preset '{preset}' at '{path}'",
                              field=path)
 
 
 def build_root_family(spec: Mapping, horizon: float) -> RootFamily:
-    preset = _require(spec, "preset", "roots")
+    preset = require(spec, "preset", "roots")
     if preset == "constant":
-        values = _require(spec, "values", "roots")
+        values = require(spec, "values", "roots")
         if sorted(values) != list(values):
             raise ConfigurationError("root values must be sorted",
                                      field="roots.values")
         return constant_roots(values, horizon=horizon)
     if preset == "transport":
-        return transport_roots(_require(spec, "speed", "roots"),
+        return transport_roots(require(spec, "speed", "roots"),
                                horizon=horizon)
     if preset == "wave_speed":
-        speed = build_profile(_require(spec, "speed", "roots"), "roots.speed",
+        speed = build_profile(require(spec, "speed", "roots"), "roots.speed",
                               (0.0, horizon))
         return wave_speed_roots(speed, horizon=horizon)
     # shorthand: a speed-profile preset name directly names the wave speed
@@ -109,18 +125,20 @@ def build_root_family(spec: Mapping, horizon: float) -> RootFamily:
         return wave_speed_roots(speed, horizon=horizon)
     if preset == "profiles":
         profiles = [build_profile(p, f"roots.profiles[{i}]", (0.0, horizon))
-                    for i, p in enumerate(_require(spec, "profiles", "roots"))]
+                    for i, p in enumerate(require(spec, "profiles", "roots"))]
         return roots_from_time_profiles(profiles, horizon=horizon)
     raise ConfigurationError(f"unknown roots preset '{preset}'",
                              field="roots.preset")
 
 
 def build_scale(spec: Mapping, order: int) -> OmegaScale:
-    kind = _opt(spec, "scale", "linear")
+    kind = spec.get("scale", "linear")
     if kind == "linear":
-        return linear_scale(_opt(spec, "coefficient", 1.0))
+        with config_field("regularisation.coefficient"):
+            return linear_scale(spec.get("coefficient", 1.0))
     if kind == "logarithmic":
-        return logarithmic_scale(int(_opt(spec, "log_exponent", 1)), order)
+        with config_field("regularisation.log_exponent"):
+            return logarithmic_scale(int(spec.get("log_exponent", 1)), order)
     raise ConfigurationError(f"unknown scale '{kind}'",
                              field="regularisation.scale")
 
@@ -139,11 +157,7 @@ class ExperimentConfig:
 
     @property
     def horizon(self) -> float:
-        return float(self.raw["problem"].get("horizon", 1.0))
-
-    @property
-    def gevrey_s(self) -> float:
-        return float(self.raw["problem"].get("gevrey_s", 2.0))
+        return self.number("problem.horizon", 1.0, float)
 
     @property
     def epsilon_sweep(self) -> tuple[float, ...]:
@@ -153,9 +167,17 @@ class ExperimentConfig:
     def section(self, name: str) -> dict:
         return self.raw.get(name, {})
 
+    def number(self, path: str, default: float, kind: type) -> Any:
+        """The value at ``section.key`` as ``kind``, or ``default`` when
+        absent; a value ``kind`` cannot convert is a ConfigurationError
+        naming ``path``."""
+        section, key = path.split(".", 1)
+        with config_field(path):
+            return kind(self.section(section).get(key, default))
+
     @property
     def seed(self) -> int:
-        return int(self.raw.get("run", {}).get("seed", 0))
+        return self.number("run.seed", 0, int)
 
 
 _KNOWN_SECTIONS = {"problem", "roots", "lower_terms", "data", "forcing",
@@ -165,11 +187,12 @@ _KNOWN_SECTIONS = {"problem", "roots", "lower_terms", "data", "forcing",
 
 def validate_config(raw: Mapping,
                     subcommand: str | None = None) -> ExperimentConfig:
-    """Structural validation; errors name the offending field.
+    """Check the document's shape; errors name the offending field.
 
-    With a ``subcommand``, also the rules of that subcommand: ``solve`` and
-    ``sweep`` need an epsilon sweep of at least ``MIN_SWEEP`` values, while
-    the audits accept one value.
+    With a ``subcommand``, also its minimum sweep: ``solve`` needs
+    ``MIN_SWEEP`` epsilons and ``sweep`` ``MIN_FIT_SAMPLES``, while the
+    audits accept one value.  Everything else is checked by the builders
+    that read it.
     """
     if not isinstance(raw, Mapping):
         raise ConfigurationError("configuration must be a JSON object")
@@ -178,22 +201,29 @@ def validate_config(raw: Mapping,
         raise ConfigurationError(
             f"unknown section(s): {sorted(unknown)}",
             field=sorted(unknown)[0])
-    problem = raw.get("problem", {})
-    order = problem.get("order")
+    for name, section in raw.items():
+        # two sections are arrays, the others objects; forcing may be null
+        array = name in ("data", "lower_terms")
+        if not (isinstance(section, list if array else Mapping)
+                or name == "forcing" and section is None):
+            raise ConfigurationError(
+                f"'{name}' must be {'an array' if array else 'an object'}",
+                field=name)
+    cfg = ExperimentConfig(raw=dict(raw))
+    order = raw.get("problem", {}).get("order")
     if not isinstance(order, int) or order < 1:
         raise ConfigurationError("problem.order must be an integer >= 1",
                                  field="problem.order")
-    horizon = problem.get("horizon", 1.0)
-    if not horizon > 0:
+    if not cfg.horizon > 0:
         raise ConfigurationError("problem.horizon must be positive",
                                  field="problem.horizon")
-    reg = raw.get("regularisation", {})
-    sweep = reg.get("epsilon_sweep", [])
+    sweep = raw.get("regularisation", {}).get("epsilon_sweep", [])
     if sweep is not None:
         if not isinstance(sweep, (list, tuple)) or len(sweep) == 0:
             raise ConfigurationError("epsilon_sweep must be a non-empty array",
                                      field="regularisation.epsilon_sweep")
-        values = [float(e) for e in sweep]
+        with config_field("regularisation.epsilon_sweep"):
+            values = [float(e) for e in sweep]
         if any(not 0.0 < e <= 1.0 for e in values):
             raise ConfigurationError(
                 "epsilon_sweep values must lie in (0, 1]",
@@ -202,56 +232,12 @@ def validate_config(raw: Mapping,
             raise ConfigurationError(
                 "epsilon_sweep must decrease strictly",
                 field="regularisation.epsilon_sweep")
-    if subcommand in _NET_SUBCOMMANDS and len(sweep or ()) < MIN_SWEEP:
+    least = _MIN_SWEEP.get(subcommand)
+    if least is not None and len(sweep or ()) < least:
         raise ConfigurationError(
-            f"{subcommand} needs an epsilon_sweep of at least {MIN_SWEEP} "
+            f"{subcommand} needs an epsilon_sweep of at least {least} "
             "values", field="regularisation.epsilon_sweep")
-    grid = raw.get("grid", {})
-    points = grid.get("points", 256)
-    if not isinstance(points, int) or points < 2 or points & (points - 1):
-        raise ConfigurationError("grid.points must be a power of two",
-                                 field="grid.points")
-    steps = grid.get("time_steps", 1024)
-    if not isinstance(steps, int) or steps < 1:
-        raise ConfigurationError("grid.time_steps must be an integer >= 1",
-                                 field="grid.time_steps")
-    box = grid.get("box_length")  # absent or null: sized from the cone
-    if box is not None and not (isinstance(box, (int, float)) and box > 0):
-        raise ConfigurationError("grid.box_length must be a positive number",
-                                 field="grid.box_length")
-    margin = grid.get("margin", 1.0)
-    if not (isinstance(margin, (int, float)) and margin >= CONE_MARGIN):
-        raise ConfigurationError(
-            f"grid.margin must be a number >= {CONE_MARGIN:g}, the clearance "
-            "every solve checks between the causal cone and the box edge",
-            field="grid.margin")
-    data = raw.get("data", [])
-    if data and len(data) != order:
-        raise ConfigurationError(
-            f"data must list {order} entries (one per derivative order)",
-            field="data")
-    # resolve presets now so unknown names fail at validation time
-    if "roots" in raw:
-        build_root_family(raw["roots"], float(horizon))
-    for i, spec in enumerate(raw.get("data", [])):
-        build_profile(spec, f"data[{i}]")
-    for i, spec in enumerate(raw.get("lower_terms", [])):
-        if "profile" not in spec:
-            raise ConfigurationError(
-                f"lower_terms[{i}] needs a 'profile'",
-                field=f"lower_terms[{i}].profile")
-        build_profile(spec["profile"], f"lower_terms[{i}].profile")
-        nu, j = int(spec.get("nu", -1)), int(spec.get("j", -1))
-        if not 0 <= nu < j or j > order:
-            raise ConfigurationError(
-                f"lower_terms[{i}] needs 0 <= nu < j <= order",
-                field=f"lower_terms[{i}]")
-    forcing = raw.get("forcing")
-    if forcing is not None:
-        build_profile(_require(forcing, "time", "forcing"), "forcing.time")
-        build_profile(_require(forcing, "space", "forcing"), "forcing.space")
-    build_scale(reg, order)
-    return ExperimentConfig(raw=dict(raw))
+    return cfg
 
 
 def load_config(path: str | Path,
@@ -261,6 +247,8 @@ def load_config(path: str | Path,
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config: {exc}") from exc
     return validate_config(raw, subcommand=subcommand)
 
 

@@ -13,25 +13,25 @@ seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .analysis import (convergence_study, fit_moderateness,
+from .analysis import (check_seminorm, convergence_study, fit_moderateness,
                        gevrey_fourier_check, uniformity_spot_check)
 from .config import (ExperimentConfig, build_profile, build_root_family,
-                     build_scale, config_hash)
+                     build_scale, config_field, config_hash, require)
 from .errors import ConfigurationError
 from .mollifiers import friedrichs_mollifier
 from .recovery import build_direction_plan, random_round_trip_study
-from .reduction import cofactor_matrix, random_hyperbolic_system, \
-    to_block_sylvester
+from .reduction import (LowerOrderPart, LowerTerm, cofactor_matrix,
+                        random_hyperbolic_system, to_block_sylvester)
 from .reports import write_csv, write_json
 from .roots import constant_scale
-from .solver import (FrequencyGrid, LowerTermSpec, SolutionNet,
+from .solver import (CONE_MARGIN, FrequencyGrid, SolutionNet,
                      VeryWeakProblem, auto_box_length, dalembert_reference,
                      data_support_radius, energy_trace, solve_single,
                      solve_very_weak, transport_reference)
@@ -45,7 +45,7 @@ Tables = dict[str, tuple[tuple, list]]
 @dataclass
 class ExperimentRecord:
     summary: dict
-    tables: Tables = field(default_factory=dict)
+    tables: Tables
 
     def write(self, out_dir: str | Path, echo: str) -> None:
         out = Path(out_dir)
@@ -56,17 +56,17 @@ class ExperimentRecord:
         write_json(out / "summary.json", self.summary)
 
 
-def _apply_checks(summary: dict, checks: dict) -> None:
+def _apply_checks(summary: dict, ceilings: dict[str, float]) -> None:
     """Compare summary metrics against configured ceilings."""
     results = []
     ok = True
     metrics = summary.get("metrics", {})
-    for name, ceiling in checks.items():
+    for name, ceiling in ceilings.items():
         value = metrics.get(name)
-        passed = value is not None and float(value) <= float(ceiling)
+        passed = value is not None and float(value) <= ceiling
         ok = ok and passed
         results.append({"metric": name, "value": value,
-                        "ceiling": float(ceiling), "passed": passed})
+                        "ceiling": ceiling, "passed": passed})
     summary["checks"] = results
     summary["checks_passed"] = ok
 
@@ -74,87 +74,117 @@ def _apply_checks(summary: dict, checks: dict) -> None:
 def run_experiment(subcommand: str, cfg: ExperimentConfig,
                    seed: int) -> ExperimentRecord:
     """Run one subcommand's body inside the shared summary frame."""
+    ceilings = {name: cfg.number(f"checks.{name}", 0.0, float)
+                for name in cfg.section("checks")}
     started = time.perf_counter()
     record = ExperimentRecord({"subcommand": subcommand,
                                "config_hash": config_hash(cfg),
                                "artifact_version": __version__,
-                               "seed": seed})
+                               "seed": seed}, {})
     complete = DRIVERS[subcommand](cfg, seed, record.summary, record.tables)
     record.summary["runtime_seconds"] = time.perf_counter() - started
     record.summary["complete"] = complete
-    _apply_checks(record.summary, cfg.section("checks"))
+    _apply_checks(record.summary, ceilings)
     return record
 
 
 def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
     """The solver problem a config describes.
 
-    ``jobs`` is accepted for callers that still pass a worker count; runs
-    are single-threaded, so it changes nothing.
+    This is the one reader of ``roots``, ``data``, ``lower_terms``,
+    ``forcing``, the ``regularisation`` scale and ``grid``: it states their
+    defaults and checks their values, and a malformed one raises a
+    :class:`ConfigurationError` naming its field.  ``jobs`` is accepted for
+    callers that still pass a worker count; runs are single-threaded, so it
+    changes nothing.
     """
     raw = cfg.raw
-    horizon = cfg.horizon
-    family = build_root_family(raw["roots"], horizon)
-    scale = build_scale(cfg.section("regularisation"), cfg.order)
-    data_specs = raw.get("data", [])
-    if len(data_specs) != cfg.order:
+    order, horizon = cfg.order, cfg.horizon
+    with config_field("roots"):
+        family = build_root_family(require(raw, "roots", ""), horizon)
+    if family.order != order:
         raise ConfigurationError(
-            f"data must list {cfg.order} entries", field="data")
+            f"the roots have order {family.order}, not problem.order {order}",
+            field="problem.order")
+    scale = build_scale(cfg.section("regularisation"), order)
+    data_specs = raw.get("data", [])
+    if len(data_specs) != order:
+        raise ConfigurationError(
+            f"data must list {order} entries (one per derivative order)",
+            field="data")
     data = tuple(build_profile(spec, f"data[{i}]")
                  for i, spec in enumerate(data_specs))
-    lower = tuple(
-        LowerTermSpec(int(spec["nu"]), int(spec["j"]),
-                      build_profile(spec["profile"],
-                                    f"lower_terms[{i}].profile",
-                                    (0.0, horizon)))
-        for i, spec in enumerate(raw.get("lower_terms", [])))
-    forcing = None
-    if raw.get("forcing"):
-        forcing = (build_profile(raw["forcing"]["time"], "forcing.time",
-                                 (0.0, horizon)),
-                   build_profile(raw["forcing"]["space"], "forcing.space"))
+    terms = []
+    for i, spec in enumerate(raw.get("lower_terms", [])):
+        path = f"lower_terms[{i}]"
+        profile = build_profile(require(spec, "profile", path),
+                                f"{path}.profile", (0.0, horizon))
+        with config_field(path):
+            terms.append(LowerTerm(int(spec["nu"]), int(spec["j"]), profile))
+    with config_field("lower_terms"):
+        lower = LowerOrderPart(order, tuple(terms)) if terms else None
+    forcing = raw.get("forcing")
+    if forcing is not None:
+        forcing = (build_profile(require(forcing, "time", "forcing"),
+                                 "forcing.time", (0.0, horizon)),
+                   build_profile(require(forcing, "space", "forcing"),
+                                 "forcing.space"))
     grid_cfg = cfg.section("grid")
-    eps_max = max(cfg.epsilon_sweep)
-    speed = family.bound + cfg.order * scale(eps_max)
-    box = grid_cfg.get("box_length")
+    steps = grid_cfg.get("time_steps", 1024)
+    if not (isinstance(steps, int) and steps >= 1):
+        raise ConfigurationError("grid.time_steps must be an integer >= 1",
+                                 field="grid.time_steps")
+    margin = grid_cfg.get("margin", 1.0)
+    if not (isinstance(margin, (int, float)) and margin >= CONE_MARGIN):
+        raise ConfigurationError(
+            f"grid.margin must be a number >= {CONE_MARGIN:g}, the clearance "
+            "every solve checks between the causal cone and the box edge",
+            field="grid.margin")
+    box = grid_cfg.get("box_length")  # absent or null: sized from the cone
     if box is None:
+        speed = family.bound + order * scale(max(cfg.epsilon_sweep))
         box = auto_box_length(data_support_radius(data, forcing), speed,
-                              horizon,
-                              margin=float(grid_cfg.get("margin", 1.0)))
-    grid = FrequencyGrid(int(grid_cfg.get("points", 256)), float(box))
-    output_times = tuple(float(t) for t in grid_cfg.get(
-        "output_times", (0.0, 0.5 * horizon, horizon)))
-    tracked = tuple(float(x) for x in grid_cfg.get(
-        "tracked_frequencies", (2.0, 8.0)))
+                              horizon, float(margin))
+    with config_field("grid.box_length"):
+        box = float(box)
+    with config_field("grid.points"):
+        grid = FrequencyGrid(grid_cfg.get("points", 256), box)
+    with config_field("grid"):
+        output_times = tuple(float(t) for t in grid_cfg.get(
+            "output_times", (0.0, 0.5 * horizon, horizon)))
+        tracked = tuple(float(x) for x in grid_cfg.get(
+            "tracked_frequencies", (2.0, 8.0)))
     return VeryWeakProblem(
-        family=family, data=data, grid=grid,
-        time_steps=int(grid_cfg.get("time_steps", 1024)),
-        horizon=horizon, lower_terms=lower, forcing=forcing, omega=scale,
+        family=family, data=data, grid=grid, time_steps=steps, omega=scale,
+        horizon=horizon, lower_terms=lower, forcing=forcing,
         output_times=output_times, tracked_frequencies=tracked)
 
 
-def _reference_values(cfg: ExperimentConfig, problem: VeryWeakProblem
-                      ) -> tuple[Array | None, str]:
+def _reference(cfg: ExperimentConfig, problem: VeryWeakProblem
+               ) -> tuple[str, Callable[[], Array | None]]:
+    """Read the ``reference`` section: its kind, and the function that
+    computes the reference values.  The drivers read it before they solve,
+    so that a malformed reference is a config error."""
     ref = cfg.section("reference")
     kind = ref.get("kind", "none")
     if kind in ("none", None):
-        return None, "none"
-    x = problem.grid.x_nodes
-    if kind == "dalembert":
-        speed = float(ref.get("speed", problem.family.bound))
-        rows = [dalembert_reference(problem.data[0], speed, t, x)
-                for t in problem.output_times]
-        return np.array(rows), kind
-    if kind == "transport":
-        speed = float(ref.get("speed", problem.family.bound))
-        rows = [transport_reference(problem.data[0], speed, t, x)
-                for t in problem.output_times]
-        return np.array(rows), kind
+        return "none", lambda: None
+    if kind in ("dalembert", "transport"):
+        exact = dalembert_reference if kind == "dalembert" \
+            else transport_reference
+        speed = cfg.number("reference.speed", problem.family.bound, float)
+        return kind, lambda: np.array([
+            exact(problem.data[0], speed, t, problem.grid.x_nodes)
+            for t in problem.output_times])
     if kind == "fine_epsilon":
-        divisor = float(ref.get("divisor", 8.0))
+        divisor = cfg.number("reference.divisor", 8.0, float)
+        if not divisor >= 1.0:
+            raise ConfigurationError(
+                "reference.divisor must be >= 1, so that the reference "
+                "epsilon is no coarser than the sweep",
+                field="reference.divisor")
         eps_ref = min(cfg.epsilon_sweep) / divisor
-        rec = solve_single(problem, eps_ref)
-        return np.real(rec.u), kind
+        return kind, lambda: np.real(solve_single(problem, eps_ref).u)
     raise ConfigurationError(f"unknown reference kind '{kind}'",
                              field="reference.kind")
 
@@ -192,16 +222,14 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
     tables["energy"] = (("epsilon", "xi", "time", "energy"), energy_rows)
 
 
-def _solve_net(cfg: ExperimentConfig, summary: dict, detailed: bool
-               ) -> tuple[VeryWeakProblem, SolutionNet]:
-    """Solve the config's epsilon sweep and list each epsilon's outcome.
+def _solve_net(problem: VeryWeakProblem, sweep: tuple[float, ...],
+               summary: dict, detailed: bool) -> SolutionNet:
+    """Solve the epsilon sweep and list each epsilon's outcome.
 
     Every solved epsilon reports its omega and step-doubling estimate;
     ``detailed`` adds its sup norm, imaginary fraction and recovery
     residuals.
     """
-    problem = build_problem(cfg)
-    sweep = cfg.epsilon_sweep
     net = solve_very_weak(problem, sweep)
     entries = []
     for e in sweep:
@@ -224,14 +252,16 @@ def _solve_net(cfg: ExperimentConfig, summary: dict, detailed: bool
                 "step_doubling_max"))
         entries.append(entry)
     summary.update(epsilon_sweep=list(sweep), per_epsilon=entries, metrics={})
-    return problem, net
+    return net
 
 
 def run_solve(cfg: ExperimentConfig, seed: int, summary: dict,
               tables: Tables) -> bool:
     """Full very-weak pipeline over the sweep, with reference comparison."""
-    problem, net = _solve_net(cfg, summary, detailed=True)
-    reference, ref_kind = _reference_values(cfg, problem)
+    problem = build_problem(cfg)
+    ref_kind, ref_values = _reference(cfg, problem)
+    net = _solve_net(problem, cfg.epsilon_sweep, summary, detailed=True)
+    reference = ref_values()
     _net_tables(net, problem, tables)
     if reference is not None:
         ref_rows = [[e, float(np.max(np.abs(net.record(e).u - reference)))]
@@ -246,11 +276,15 @@ def run_solve(cfg: ExperimentConfig, seed: int, summary: dict,
 def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
               tables: Tables) -> bool:
     """Moderateness and convergence study over the sweep."""
-    problem, net = _solve_net(cfg, summary, detailed=False)
+    problem = build_problem(cfg)
+    ref_kind, ref_values = _reference(cfg, problem)
     analysis_cfg = cfg.section("analysis")
-    s = cfg.gevrey_s
-    nu = float(analysis_cfg.get("nu", 1.0))
+    s = cfg.number("problem.gevrey_s", 2.0, float)
+    nu = cfg.number("analysis.nu", 1.0, float)
     seminorm = analysis_cfg.get("seminorm", "fourier_proxy")
+    with config_field("analysis.seminorm"):
+        check_seminorm(seminorm)
+    net = _solve_net(problem, cfg.epsilon_sweep, summary, detailed=False)
     summary["failed_epsilons"] = [
         {"epsilon": entry["epsilon"], "error": entry["error"]}
         for entry in summary["per_epsilon"] if not entry["ok"]]
@@ -270,9 +304,8 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
     tables["moderateness"] = (
         ("epsilon", "sup_norm"), [list(r) for r in mod.sup_table])
 
-    reference, ref_kind = _reference_values(cfg, problem)
-    conv = convergence_study(net, reference=reference, seminorm=seminorm,
-                             nu=nu, s=s,
+    conv = convergence_study(net, reference=ref_values(),
+                             seminorm=seminorm, nu=nu, s=s,
                              require_ratio_two=bool(
                                  analysis_cfg.get("require_ratio_two", True)))
     summary["convergence"] = {
@@ -319,19 +352,19 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
 def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
                   tables: Tables) -> bool:
     """Coefficient-recovery audit over random root families."""
+    n_families = cfg.number("roundtrip.families", 100, int)
+    max_order = cfg.number("roundtrip.max_order", 4, int)
+    max_dimension = cfg.number("roundtrip.max_dimension", 3, int)
+    probes = cfg.number("roundtrip.trials_per_family", 2, int)
+    epsilon = cfg.number("roundtrip.epsilon", 0.5, float)
+    with config_field("roundtrip.omega"):
+        omega = constant_scale(cfg.number("roundtrip.omega", 0.05, float))
     started = time.perf_counter()
-    section = cfg.section("roundtrip")
-    max_order = int(section.get("max_order", 4))
-    max_dimension = int(section.get("max_dimension", 3))
     study = random_round_trip_study(
-        n_families=int(section.get("families", 100)),
-        mollifier=friedrichs_mollifier(),
-        omega=constant_scale(float(section.get("omega", 0.05))),
-        rng=np.random.default_rng(seed),
-        max_order=max_order,
-        max_dimension=max_dimension,
-        probes_per_family=int(section.get("trials_per_family", 2)),
-        epsilon=float(section.get("epsilon", 0.5)))
+        n_families=n_families, mollifier=friedrichs_mollifier(),
+        omega=omega, rng=np.random.default_rng(seed), max_order=max_order,
+        max_dimension=max_dimension, probes_per_family=probes,
+        epsilon=epsilon)
     runtime = time.perf_counter() - started
     # the direction plans behind the recoveries, for reproducibility
     plans = {}
@@ -360,12 +393,11 @@ def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
 def run_symmetriser(cfg: ExperimentConfig, seed: int, summary: dict,
                     tables: Tables) -> bool:
     """Symmetriser identity and bound audit over random root tuples."""
-    section = cfg.section("symmetriser")
-    count = int(section.get("count", 1000))
-    max_order = int(section.get("max_order", 4))
-    spacing = float(section.get("spacing", 0.05))
-    bound = float(section.get("bound", 3.0))
-    form_trials = int(section.get("form_trials", 16))
+    count = cfg.number("symmetriser.count", 1000, int)
+    max_order = cfg.number("symmetriser.max_order", 4, int)
+    spacing = cfg.number("symmetriser.spacing", 0.05, float)
+    bound = cfg.number("symmetriser.bound", 3.0, float)
+    form_trials = cfg.number("symmetriser.form_trials", 16, int)
     rng = np.random.default_rng(seed)
     rows = []
     worst_intertwine = 0.0
@@ -413,10 +445,12 @@ def run_reduce(cfg: ExperimentConfig, seed: int, summary: dict,
                tables: Tables) -> bool:
     """Block-reduction audit: adjugate identity and block eigenvalues."""
     section = cfg.section("reduce")
-    count = int(section.get("count", 50))
-    sizes = [int(s) for s in section.get("sizes", (2, 3))]
-    freqs = [float(x) for x in section.get("frequencies", (1.0, 5.0))]
-    t_sample = float(section.get("t_sample", 0.3))
+    count = cfg.number("reduce.count", 50, int)
+    with config_field("reduce.sizes"):
+        sizes = [int(s) for s in section.get("sizes", (2, 3))]
+    with config_field("reduce.frequencies"):
+        freqs = [float(x) for x in section.get("frequencies", (1.0, 5.0))]
+    t_sample = cfg.number("reduce.t_sample", 0.3, float)
     rng = np.random.default_rng(seed)
     rows = []
     worst_cof = 0.0

@@ -65,18 +65,6 @@ class Mollifier:
             out[inside] = poly(u[inside]) / self.scale ** (k + 1)
         return out
 
-    def moment(self, k: int) -> float:
-        """Exact k-th moment ``int t^k kernel(t) dt``."""
-        poly = self.base_poly
-        if k:
-            poly = poly * Polynomial([0.0, 1.0]) ** k
-        anti = poly.integ()
-        value = anti(1.0) - anti(-1.0)
-        return float(value) * self.scale ** k
-
-    def integral(self) -> float:
-        return self.moment(0)
-
 
 def _even_moment_table(max_even: int) -> dict[int, float]:
     """Exact values of ``int_{-1}^{1} u^k (1-u^2)^KERNEL_POWER du`` for even

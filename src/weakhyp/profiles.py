@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import adaptive_panel, oscillatory_panel
+from ._quadrature import oscillatory_panel
 from .errors import InvalidParameterError
 
 Array = np.ndarray
@@ -151,17 +151,6 @@ class RoughProfile:
         for at in self.atoms:
             out += at.weight * (1j * xi) ** at.order * np.exp(-1j * xi * at.location)
         return out
-
-    def integral(self) -> complex:
-        total = 0.0 + 0.0j
-        for p in self.pieces:
-            total += complex(adaptive_panel(
-                lambda s, idx, _fn=p.fn: np.asarray(_fn(s)),
-                np.array(p.lo), np.array(p.hi), tol=1e-12))
-        for at in self.atoms:
-            if at.order == 0:
-                total += at.weight
-        return total
 
 
 # -- constructors -----------------------------------------------------------

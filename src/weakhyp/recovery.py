@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -207,17 +207,6 @@ class HomogeneousCoefficientSet:
                 values[nu] = sol[i]
         self._cache[key] = values
         return values
-
-    @property
-    def coefficients(self) -> Mapping[tuple[int, ...], Callable[[Array], Array]]:
-        return {nu: self.coefficient(nu)
-                for block in self.plan.blocks for nu in block.members}
-
-    def coefficient(self, nu: tuple[int, ...]) -> Callable[[Array], Array]:
-        def call(t: Array | float) -> Array:
-            out = self.evaluate(t)[tuple(nu)]
-            return float(out[0]) if np.ndim(t) == 0 else out
-        return call
 
     def sigma_hat(self, t: Array | float, xi: Sequence[float]) -> Array:
         """-sum_nu a_nu(t) xi^nu, the polynomial reconstruction of sigma."""

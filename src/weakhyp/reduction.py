@@ -327,11 +327,6 @@ class PolynomialMatrix:
             out[..., self.size - 1 - k] = mat
         return out
 
-    def delta_coefficients(self, t: float, xi: float) -> Array:
-        a = np.asarray(self.a_eval(t, xi))
-        _, coeffs = _faddeev(a)
-        return coeffs
-
     def evaluate(self, t: float, xi: float, tau: complex) -> Array:
         coeffs = self.coefficients(t, xi)
         out = np.zeros((self.size, self.size), dtype=complex)
@@ -369,6 +364,8 @@ def cofactor_matrix(a_eval: Callable[[float, float], Array],
 
 # -- first-order systems and block reduction ------------------------------------------
 
+#: end of the time interval [0, T] every first-order system is posed on
+_HORIZON = 1.0
 #: time step of the finite differences that carry D_t onto the coefficients
 _FD_STEP = 1e-3
 #: largest imaginary part of an eigenvalue of a1, relative to the largest
@@ -387,7 +384,6 @@ class FirstOrderSystem:
     a1: Callable[[float], Array]
     b: Callable[[float], Array] | None = None
     data: tuple[Callable[[Array], Array], ...] | None = None
-    horizon: float = 1.0
 
     def a_symbol(self, t: float, xi: float) -> Array:
         return np.asarray(self.a1(t), dtype=float) * xi
@@ -519,7 +515,7 @@ def to_block_sylvester(system: FirstOrderSystem) -> BlockSylvesterSystem:
     The block eigenvalues coincide with the eigenvalues of A(t, xi) because
     both are the roots of delta(t, tau, xi).
     """
-    system.check_hyperbolic(np.linspace(0.0, system.horizon, 17))
+    system.check_hyperbolic(np.linspace(0.0, _HORIZON, 17))
     return BlockSylvesterSystem(system=system)
 
 

@@ -126,16 +126,6 @@ class RootFamily:
             self._cache[key] = self.profile_fn(j, key[1])
         return self._cache[key]
 
-    def evaluate(self, j: int, t: Array | float, xi: Sequence[float] | float
-                 ) -> Array:
-        """lambda_j(t, xi) for a single frequency point."""
-        v = np.atleast_1d(np.asarray(xi, dtype=float))
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return np.zeros(np.shape(t))
-        vals = self.profile(j, v / norm).density(t)
-        return np.real(vals) * norm
-
     def check_bound(self, t_samples: Array, directions) -> float:
         top = 0.0
         for d in directions:

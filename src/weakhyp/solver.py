@@ -17,7 +17,7 @@ knows the stage times a step reads, owns the blocks it reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -32,7 +32,7 @@ from .mollifiers import (GevreyCutoffMollifier, convolve_profile,
 from .profiles import RoughProfile
 from .recovery import recover_coefficients
 from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
-                        LowerOrderPart, LowerTerm, RootValuePrincipal,
+                        LowerOrderPart, RootValuePrincipal,
                         build_companion, companion_blocks)
 from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket, \
     regularise_roots
@@ -117,7 +117,7 @@ def data_support_radius(data: Sequence[RoughProfile],
 
 
 def auto_box_length(support_radius: float, max_speed: float, horizon: float,
-                    margin: float = 1.0) -> float:
+                    margin: float) -> float:
     return 2.0 * (support_radius + max_speed * horizon + margin)
 
 
@@ -351,25 +351,22 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 # -- problem description and the sweep pipeline -----------------------------------
 
 
-@dataclass(frozen=True)
-class LowerTermSpec:
-    nu: int
-    j: int
-    profile: RoughProfile
-
-
 @dataclass
 class VeryWeakProblem:
-    """Everything needed to run the regularise/recover/reduce/solve pipeline."""
+    """Everything needed to run the regularise/recover/reduce/solve pipeline.
+
+    ``lower_terms`` holds the rough lower-order coefficients as profiles;
+    each epsilon mollifies them on its own scale.
+    """
 
     family: RootFamily
     data: tuple[RoughProfile, ...]
     grid: FrequencyGrid
     time_steps: int
+    omega: OmegaScale
     horizon: float = 1.0
-    lower_terms: tuple[LowerTermSpec, ...] = ()
+    lower_terms: LowerOrderPart | None = None
     forcing: tuple[RoughProfile, RoughProfile] | None = None
-    omega: OmegaScale | None = None
     output_times: tuple[float, ...] = (0.0, 0.5, 1.0)
     tracked_frequencies: tuple[float, ...] = ()
 
@@ -452,11 +449,7 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     """
     phi = friedrichs_mollifier()
     rho_base = GevreyCutoffMollifier(vanishing_moment_mollifier(2), 0.5)
-    omega = problem.omega
-    if omega is None:
-        from .roots import linear_scale
-        omega = linear_scale()
-    reg = regularise_roots(problem.family, phi, omega)
+    reg = regularise_roots(problem.family, phi, problem.omega)
     w = reg.omega_of(epsilon)
     phi_w = scale_mollifier(phi, w)
     grid = problem.grid
@@ -468,13 +461,12 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
 
     data_hats, space_hat = problem.grid_transforms
     principal = RootValuePrincipal(reg, epsilon)
-    lower = None
-    if problem.lower_terms:
-        terms = tuple(
-            LowerTerm(spec.nu, spec.j,
-                      convolve_profile(spec.profile, phi_w))
-            for spec in problem.lower_terms)
-        lower = LowerOrderPart(order=problem.order, terms=terms)
+    lower = problem.lower_terms
+    if lower is not None:
+        lower = replace(lower, terms=tuple(
+            replace(term, coefficient=convolve_profile(term.coefficient,
+                                                       phi_w))
+            for term in lower.terms))
     forcing = None
     if problem.forcing is not None:
         forcing = ForcingPart(

@@ -1,9 +1,10 @@
 """Test oracles and fakes shared by several test modules.
 
-Nothing in the package calls these: a substitute principal part, the
-relative energy drift of a trace, and the approximation-rate audit of the
-cutoff mollifier.  Test modules import them as ``oracles``; pytest's default
-import mode puts ``tests/`` on ``sys.path``.
+Nothing in the package calls these: a recovered coefficient as a callable
+of t, a substitute principal part, the relative energy drift of a trace, and
+the approximation-rate audit of the cutoff mollifier.  Test modules import
+them as ``oracles``; pytest's default import mode puts ``tests/`` on
+``sys.path``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ from weakhyp.roots import bracket
 from weakhyp.solver import EnergyTrace
 
 Array = np.ndarray
+
+
+def coefficient(cset: HomogeneousCoefficientSet, nu: tuple[int, ...]
+                ) -> Callable[[Array], Array]:
+    """The recovered coefficient a_nu as a callable of t (a float at a
+    scalar t)."""
+    def call(t):
+        out = cset.evaluate(t)[tuple(nu)]
+        return float(out[0]) if np.ndim(t) == 0 else out
+    return call
 
 
 @dataclass
@@ -55,7 +66,7 @@ class PolynomialPrincipal:
         for degree, cset in sets.items():
             if cset.dimension != 1:
                 raise UnsupportedError("companion assembly is one-dimensional")
-            coeffs[degree] = cset.coefficient((degree,))
+            coeffs[degree] = coefficient(cset, (degree,))
         return PolynomialPrincipal(order=max(sets), coefficients=coeffs,
                                    speed_bound=speed_bound)
 

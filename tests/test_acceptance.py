@@ -116,7 +116,7 @@ def test_criterion_04_energy_conservation_and_growth_rate():
     g0 = bump_profile(0.0, 1.0)
     problem = VeryWeakProblem(
         family=constant_roots([-1.0, 1.0]), data=(g0, zero_profile()),
-        grid=FrequencyGrid(128, auto_box_length(1.0, 1.1, 1.0)),
+        grid=FrequencyGrid(128, auto_box_length(1.0, 1.1, 1.0, 1.0)),
         time_steps=4096, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,), tracked_frequencies=(2.0, 8.0, 16.0))
     rec = solve_single(problem, 2.0 ** -30)
@@ -135,7 +135,7 @@ def test_criterion_04_energy_conservation_and_growth_rate():
     for omega in omegas:
         prob = VeryWeakProblem(
             family=fam, data=(g0, zero_profile()),
-            grid=FrequencyGrid(128, auto_box_length(1.0, 2.5, 1.0)),
+            grid=FrequencyGrid(128, auto_box_length(1.0, 2.5, 1.0, 1.0)),
             time_steps=2048, horizon=1.0, omega=linear_scale(),
             output_times=(1.0,),
             tracked_frequencies=(4.0, 8.0, 16.0, 24.0))
@@ -163,7 +163,7 @@ def test_criterion_05_classical_agreement_and_rk4_order():
     g0 = bump_profile(0.0, 1.0)
     wave_problem = VeryWeakProblem(
         family=constant_roots([-1.0, 1.0]), data=(g0, zero_profile()),
-        grid=FrequencyGrid(1024, auto_box_length(1.0, 1.1, 1.0)),
+        grid=FrequencyGrid(1024, auto_box_length(1.0, 1.1, 1.0, 1.0)),
         time_steps=2048, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,))
     rec = solve_single(wave_problem, 2.0 ** -18)
@@ -172,7 +172,7 @@ def test_criterion_05_classical_agreement_and_rk4_order():
 
     transport_problem = VeryWeakProblem(
         family=transport_roots(1.0), data=(g0,),
-        grid=FrequencyGrid(256, auto_box_length(1.0, 1.1, 1.0)),
+        grid=FrequencyGrid(256, auto_box_length(1.0, 1.1, 1.0, 1.0)),
         time_steps=512, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,))
     rec_t = solve_single(transport_problem, 2.0 ** -24)
@@ -205,7 +205,7 @@ def test_criterion_06_moderateness_of_delta_datum_net():
     problem = VeryWeakProblem(
         family=wave_speed_roots(speed),
         data=(point_mass_profile(0.0), zero_profile()),
-        grid=FrequencyGrid(256, auto_box_length(0.2, 3.6, 1.0)),
+        grid=FrequencyGrid(256, auto_box_length(0.2, 3.6, 1.0, 1.0)),
         time_steps=1024, horizon=1.0,
         omega=logarithmic_scale(1, 2),
         output_times=(0.0, 0.5, 1.0))
@@ -231,7 +231,7 @@ def test_criterion_07_net_convergence():
     speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
     problem = VeryWeakProblem(
         family=wave_speed_roots(speed), data=(g0, zero_profile()),
-        grid=FrequencyGrid(256, auto_box_length(1.0, 2.5, 1.0)),
+        grid=FrequencyGrid(256, auto_box_length(1.0, 2.5, 1.0, 1.0)),
         time_steps=1024, horizon=1.0, omega=linear_scale(),
         output_times=(0.5, 1.0))
     sweep = [2.0 ** -k for k in range(2, 8)]
@@ -245,7 +245,7 @@ def test_criterion_07_net_convergence():
     a_prof = hoelder_profile(0.5, 0.5, 1.0, 1.0, (0.0, 1.0))
     hoelder_problem = VeryWeakProblem(
         family=wave_speed_roots(a_prof), data=(g0, zero_profile()),
-        grid=FrequencyGrid(256, auto_box_length(1.0, 1.7, 1.0)),
+        grid=FrequencyGrid(256, auto_box_length(1.0, 1.7, 1.0, 1.0)),
         time_steps=1024, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,))
     sweep_h = [2.0 ** -k for k in range(2, 6)]

@@ -14,12 +14,16 @@ ALLOWED = {
     "full_principal": "ROADMAP item 5",
 }
 
-#: defaulted parameters kept although no production call sets them, and why
+#: defaulted parameters and dataclass fields kept although no production
+#: call sets them, and why
 ALLOWED_OPTIONS = {
     "adaptive_panel.n_max": "tests lower it to reach QuadratureError",
     "oscillatory_panel.n_max": "tests lower it to reach QuadratureError",
     "convolve_profile.derivative": "ROADMAP item 5",
     "constant_roots.dimension": "tests build 2-D constant families",
+    "adaptive_panel.tol": "tests tighten it: the integral oracle in "
+                          "test_profiles and the quadrature tests",
+    "FirstOrderSystem.data": "ROADMAP item 5",
 }
 
 
@@ -54,14 +58,25 @@ def _name_tokens(path):
             if tok.type == tokenize.NAME]
 
 
+def _uses(path):
+    """(name, line) of the name tokens of ``path``, less the names that
+    ``def`` and ``class`` statements define: another definition of the same
+    spelling is not a use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {(node.name, node.lineno) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    return [token for token in _name_tokens(path) if token not in defined]
+
+
 def test_every_src_name_has_a_production_caller():
     """Each name defined in a package module occurs as a name token in the
     package or the benchmark outside its own definition; the exports in
-    ``__init__`` do not count, and neither do the tests, docstrings or
-    comments.  A name that shares its spelling with another name still
-    counts as used.
+    ``__init__`` do not count, and neither do the tests, docstrings,
+    comments or the ``def`` and ``class`` lines of other definitions.  A
+    name used under the same spelling as another still counts as used.
     """
-    tokens = {path: _name_tokens(path) for path in _callers()}
+    tokens = {path: _uses(path) for path in _callers()}
     unused = []
     for module in _modules():
         tree = ast.parse(module.read_text(encoding="utf-8"))
@@ -77,15 +92,17 @@ def test_every_src_name_has_a_production_caller():
 
 def _options(tree):
     """Defaulted parameters of the top-level functions and of the methods of
-    top-level classes, as (call name, qualified name, definition, parameter
-    name, position in a call or None for keyword-only).  Calls name
-    ``__init__`` by its class; nested functions are skipped, whose defaults
+    top-level classes, and the defaulted fields of top-level dataclasses, as
+    (call name, qualified name, definition, parameter name, position in a
+    call or None for keyword-only).  Calls name ``__init__`` and a
+    dataclass by its class; nested functions are skipped, whose defaults
     bind loop values.
     """
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield from _defaulted(node.name, node.name, node, 0)
         elif isinstance(node, ast.ClassDef):
+            yield from _defaulted_fields(node)
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     static = any(isinstance(d, ast.Name)
@@ -107,6 +124,27 @@ def _defaulted(call, qualified, fn, skipped):
             yield call, f"{qualified}.{arg.arg}", fn, arg.arg, None
 
 
+def _defaulted_fields(cls):
+    """The defaulted fields of a dataclass that ``__init__`` takes, less the
+    private ones, which hold state such as caches."""
+    if not any(ast.unparse(d).startswith("dataclass")
+               for d in cls.decorator_list):
+        return
+    position = 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _call_name(value) == "field" \
+                and any(k.arg == "init" for k in value.keywords):
+            continue
+        name = item.target.id
+        if value is not None and not name.startswith("_"):
+            yield cls.name, f"{cls.name}.{name}", cls, name, position
+        position += 1
+
+
 def _call_name(call):
     func = call.func
     if isinstance(func, ast.Name):
@@ -114,19 +152,26 @@ def _call_name(call):
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
-def _sets(call, name, position):
-    if any(keyword.arg == name for keyword in call.keywords):
-        return True
+def _sets(call, call_name, definition, name, position):
+    """Whether ``call`` passes ``name`` to ``call_name``, by keyword or by
+    position; a dataclass field is also set by a keyword of ``replace``."""
+    keyword = any(k.arg == name for k in call.keywords)
+    if _call_name(call) == "replace" and isinstance(definition, ast.ClassDef):
+        return keyword
+    if _call_name(call) != call_name:
+        return False
     plain = [a for a in call.args if not isinstance(a, ast.Starred)]
-    return position is not None and len(plain) > position
+    return keyword or position is not None and len(plain) > position
 
 
 def test_every_option_has_a_caller_that_sets_it():
-    """Each defaulted parameter of a package function or method is passed,
-    by keyword or by position, by some call in the package or the benchmark
-    outside the function's own body.  Calls are matched by name: a method
-    by its own name, ``__init__`` by its class name.  An option that every
-    caller leaves at its default is a constant in disguise.
+    """Each defaulted parameter of a package function or method, and each
+    defaulted field of a package dataclass, is passed, by keyword or by
+    position, by some call in the package or the benchmark outside the
+    definition's own body.  Calls are matched by name: a method by its own
+    name, ``__init__`` and a dataclass by its class name, and a field also
+    by a keyword of ``replace``.  An option that every caller leaves at its
+    default is a constant in disguise.
     """
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in _callers()}
@@ -137,10 +182,9 @@ def test_every_option_has_a_caller_that_sets_it():
         for call_name, qualified, fn, name, position in _options(
                 trees[module]):
             passed = any(
-                _call_name(call) == call_name
+                _sets(call, call_name, fn, name, position)
                 and not (path == module
                          and fn.lineno <= call.lineno <= fn.end_lineno)
-                and _sets(call, name, position)
                 for path, call in calls)
             if not passed and qualified not in ALLOWED_OPTIONS:
                 unset.append(f"{module.name}: {qualified}")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,10 @@ from weakhyp.cli import main
 from weakhyp.config import (config_echo, config_hash, load_config,
                             validate_config)
 from weakhyp.errors import ConfigurationError
+from weakhyp.experiments import build_problem
 from weakhyp.solver import CONE_MARGIN
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _base_config():
@@ -45,7 +49,7 @@ def test_unknown_preset_names_field():
     raw = _base_config()
     raw["data"][0] = {"preset": "mystery"}
     with pytest.raises(ConfigurationError) as info:
-        validate_config(raw)
+        build_problem(validate_config(raw))
     assert "data[0]" in (info.value.field or "")
 
 
@@ -53,7 +57,7 @@ def test_grid_points_power_of_two():
     raw = _base_config()
     raw["grid"]["points"] = 100
     with pytest.raises(ConfigurationError) as info:
-        validate_config(raw)
+        build_problem(validate_config(raw))
     assert info.value.field == "grid.points"
 
 
@@ -61,7 +65,17 @@ def test_data_cardinality_checked():
     raw = _base_config()
     raw["data"] = [{"preset": "zero"}]
     with pytest.raises(ConfigurationError):
-        validate_config(raw)
+        build_problem(validate_config(raw))
+
+
+def test_readme_config_is_read_by_the_builders(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Configuration"):]
+    path = tmp_path / "readme.json"
+    path.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    for subcommand in ("solve", "sweep"):
+        problem = build_problem(load_config(path, subcommand))
+        assert problem.order == 2 and problem.grid.points == 256
 
 
 def test_config_round_trip_equality(tmp_path):
@@ -162,12 +176,14 @@ def test_cli_failed_check_exit_one(cli_config, tmp_path):
 
 
 def test_cli_short_sweep_is_a_config_error(tmp_path, capsys):
-    # the audits accept a one-value sweep; solve and sweep need three
+    # the audits accept a one-value sweep; solve needs three, and sweep
+    # four, the fewest its moderateness fit regresses
     raw = _base_config()
-    raw["regularisation"]["epsilon_sweep"] = [0.5, 0.25]
     path = tmp_path / "short.json"
-    path.write_text(json.dumps(raw))
-    for subcommand in ("solve", "sweep"):
+    for subcommand, sweep in (("solve", [0.5, 0.25]), ("sweep", [0.5, 0.25]),
+                              ("sweep", [0.5, 0.25, 0.125])):
+        raw["regularisation"]["epsilon_sweep"] = sweep
+        path.write_text(json.dumps(raw))
         assert main([subcommand, "--config", str(path),
                      "--out", str(tmp_path / subcommand)]) == 2
         err = capsys.readouterr().err
@@ -176,20 +192,65 @@ def test_cli_short_sweep_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
-    # a reference divisor below one passes validation, and the reference
-    # solve, which runs outside any one epsilon's stage, refuses the
-    # reference epsilon 0.125 / 0.1 > 1
+    # 32 steps break the stability budget at every epsilon, so the
+    # moderateness fit, which runs after the sweep, has no samples
     raw = _base_config()
-    raw["reference"] = {"kind": "fine_epsilon", "divisor": 0.1}
-    path = tmp_path / "coarse_reference.json"
+    raw["regularisation"]["epsilon_sweep"] = [0.5, 0.25, 0.125, 0.0625]
+    raw["grid"]["time_steps"] = 32
+    path = tmp_path / "few_steps.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
     assert "stage failure" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert list(summary) == ["subcommand", "config_hash", "complete", "error"]
     assert summary["complete"] is False
-    assert summary["error"].startswith("InvalidParameterError")
+    assert summary["error"].startswith("InsufficientDataError")
+
+
+@pytest.mark.parametrize("subcommand, section, value, field", [
+    pytest.param("solve", "roots", {"preset": "heaviside", "jump": 0.5,
+                                    "low": -1.0, "high": 4.0},
+                 "roots", id="negative_wave_speed"),
+    pytest.param("solve", "regularisation",
+                 {"scale": "linear", "coefficient": 2.0,
+                  "epsilon_sweep": [0.5, 0.25, 0.125]},
+                 "regularisation.coefficient", id="scale_coefficient"),
+    pytest.param("solve", "roots", None, "roots", id="no_roots"),
+    pytest.param("solve", "data", [], "data", id="empty_data"),
+    pytest.param("solve", "reference",
+                 {"kind": "fine_epsilon", "divisor": 0.1},
+                 "reference.divisor", id="reference_divisor"),
+    pytest.param("solve", "reference", {"kind": "fine_epsilonn"},
+                 "reference.kind", id="reference_kind"),
+    pytest.param("solve", "roots",
+                 {"preset": "constant", "values": [-1.0, 0.0, 1.0]},
+                 "problem.order", id="roots_order"),
+    pytest.param("solve", "grid", [64], "grid", id="grid_not_an_object"),
+    pytest.param("solve", "checks", {"dalembert_linf_error": "small"},
+                 "checks.dalembert_linf_error", id="check_ceiling"),
+    pytest.param("sweep", "analysis", {"seminorm": "l2"},
+                 "analysis.seminorm", id="seminorm"),
+    pytest.param("symmetriser", "symmetriser", {"count": "many"},
+                 "symmetriser.count", id="audit_count"),
+])
+def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
+                                                section, value, field):
+    # each is reported before any stage runs, and nothing is written
+    raw = _base_config()
+    raw["regularisation"]["epsilon_sweep"] = [0.5, 0.25, 0.125, 0.0625]
+    if value is None:
+        del raw[section]
+    else:
+        raw[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert f"(field: {field})" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, bad", [("time_steps", 0), ("box_length", -4),

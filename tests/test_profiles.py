@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
+from weakhyp._quadrature import adaptive_panel
 from weakhyp.errors import InvalidParameterError
 from weakhyp.profiles import (PointMass, RoughProfile, Piece, box_profile,
                               bump_profile, constant_profile, extend_profile,
                               heaviside_profile, piecewise_constant_profile,
                               point_mass_profile, polynomial_piece_profile,
                               zero_profile)
+
+
+def integral(profile):
+    """Total mass: the pieces by adaptive quadrature plus the order-0
+    atoms."""
+    total = 0.0 + 0.0j
+    for p in profile.pieces:
+        total += complex(adaptive_panel(
+            lambda s, idx, _fn=p.fn: np.asarray(_fn(s)),
+            np.array(p.lo), np.array(p.hi), tol=1e-12))
+    for at in profile.atoms:
+        if at.order == 0:
+            total += at.weight
+    return total
 
 
 def test_breakpoints_must_lie_in_support():
@@ -48,10 +63,10 @@ def test_fourier_transform_box_closed_form():
 
 
 def test_integral_matches_closed_forms():
-    assert abs(box_profile(0.0, 0.5, 3.0).integral() - 3.0) < 1e-12
-    assert abs(point_mass_profile(0.1, weight=2.5).integral() - 2.5) == 0.0
+    assert abs(integral(box_profile(0.0, 0.5, 3.0)) - 3.0) < 1e-12
+    assert abs(integral(point_mass_profile(0.1, weight=2.5)) - 2.5) == 0.0
     # derivative atoms carry no mass
-    assert point_mass_profile(0.0, order=1).integral() == 0.0
+    assert integral(point_mass_profile(0.0, order=1)) == 0.0
 
 
 def test_polynomial_piece_profile():
@@ -70,7 +85,7 @@ def test_extend_profile_continues_edge_values():
 
 def test_zero_profile_is_empty():
     z = zero_profile()
-    assert z.integral() == 0.0
+    assert integral(z) == 0.0
     assert np.all(z.density(np.linspace(-1, 1, 5)) == 0.0)
 
 

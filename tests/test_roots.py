@@ -90,6 +90,15 @@ def check_ordered(family, t_samples, directions):
     return worst if worst is not math.inf else 0.0
 
 
+def evaluate(family, j, t, xi):
+    """lambda_j(t, xi) of an unregularised family at one frequency point."""
+    v = np.atleast_1d(np.asarray(xi, dtype=float))
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.zeros(np.shape(t))
+    return np.real(family.profile(j, v / norm).density(t)) * norm
+
+
 @pytest.fixture(scope="module")
 def phi():
     return friedrichs_mollifier()
@@ -135,8 +144,8 @@ def test_unordered_family_rejected(phi):
 
 def test_transport_roots_are_odd():
     fam = transport_roots(2.0)
-    assert float(fam.evaluate(1, 0.5, 3.0)) == pytest.approx(6.0)
-    assert float(fam.evaluate(1, 0.5, -3.0)) == pytest.approx(-6.0)
+    assert float(evaluate(fam, 1, 0.5, 3.0)) == pytest.approx(6.0)
+    assert float(evaluate(fam, 1, 0.5, -3.0)) == pytest.approx(-6.0)
 
 
 def test_homogeneity_of_pure_part(phi):
@@ -152,7 +161,7 @@ def test_linf_convergence_continuous_profiles(phi):
     fam = wave_speed_roots(a)
     reg = regularise_roots(fam, phi, linear_scale())
     t = np.linspace(0.0, 1.0, 201)
-    target = fam.evaluate(2, t, 4.0)
+    target = evaluate(fam, 2, t, 4.0)
     sups = []
     for eps in (0.2, 0.1, 0.05):
         vals = np.asarray(reg.pure_value(2, t, 4.0, eps), dtype=float)

@@ -15,11 +15,10 @@ from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
 from weakhyp.roots import (bracket, constant_roots, constant_scale, dt_power,
                            linear_scale, wave_speed_roots)
 from weakhyp import solver
-from weakhyp.solver import (FrequencyGrid, LowerTermSpec, VeryWeakProblem,
-                            auto_box_length, build_regularised_system,
-                            dalembert_reference, energy_trace,
-                            integrate_companion, solve_single, solve_very_weak,
-                            transport_reference)
+from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
+                            build_regularised_system, dalembert_reference,
+                            energy_trace, integrate_companion, solve_single,
+                            solve_very_weak, transport_reference)
 
 from oracles import PolynomialPrincipal, max_relative_drift
 
@@ -293,7 +292,7 @@ def wave_problem():
     return VeryWeakProblem(
         family=constant_roots([-1.0, 1.0]),
         data=(g0, zero_profile()),
-        grid=FrequencyGrid(128, auto_box_length(1.0, 1.2, 1.0)),
+        grid=FrequencyGrid(128, auto_box_length(1.0, 1.2, 1.0, 1.0)),
         time_steps=384, horizon=1.0, omega=linear_scale(),
         output_times=(0.0, 1.0), tracked_frequencies=(2.0, 8.0))
 
@@ -315,7 +314,7 @@ def test_pipeline_transport_reference():
     g0 = bump_profile(0.0, 1.0)
     problem = VeryWeakProblem(
         family=transport_roots(1.0), data=(g0,),
-        grid=FrequencyGrid(128, auto_box_length(1.0, 1.2, 1.0)),
+        grid=FrequencyGrid(128, auto_box_length(1.0, 1.2, 1.0, 1.0)),
         time_steps=384, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,))
     rec = solve_single(problem, 2.0 ** -24)
@@ -426,10 +425,10 @@ def _lower_forced_problem(**options):
     return VeryWeakProblem(
         family=wave_speed_roots(speed),
         data=(bump_profile(0.0, 1.0), zero_profile()),
-        grid=FrequencyGrid(32, auto_box_length(1.0, 2.5, 1.0)),
+        grid=FrequencyGrid(32, auto_box_length(1.0, 2.5, 1.0, 1.0)),
         time_steps=256, horizon=1.0,
-        lower_terms=(LowerTermSpec(0, 1, heaviside_profile(
-            0.3, 0.5, -0.5, (0.0, 1.0))),),
+        lower_terms=LowerOrderPart(2, (LowerTerm(0, 1, heaviside_profile(
+            0.3, 0.5, -0.5, (0.0, 1.0))),)),
         forcing=(bump_profile(0.5, 0.3), bump_profile(0.0, 1.0)),
         omega=linear_scale(), **options)
 
@@ -491,7 +490,7 @@ def test_stability_reject_leaves_the_other_epsilons_unchanged():
     problem = VeryWeakProblem(
         family=constant_roots([-1.0, 1.0]),
         data=(bump_profile(0.0, 1.0), zero_profile()),
-        grid=FrequencyGrid(64, auto_box_length(1.0, 2.8, 1.0)),
+        grid=FrequencyGrid(64, auto_box_length(1.0, 2.8, 1.0, 1.0)),
         time_steps=96, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,), tracked_frequencies=(2.0,))
     net = solve_very_weak(problem, (0.9, 0.3, 0.1))
