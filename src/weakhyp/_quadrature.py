@@ -4,6 +4,11 @@ All integrals in the package are over compact intervals with piecewise-smooth
 integrands, so Gauss-Legendre panels with node doubling converge fast on the
 smooth parts and the per-point convergence mask keeps the cost of the few
 singular evaluation points contained.
+
+The n-point rule comes from Newton iteration on the three-term Legendre
+recurrence, O(n) memory and O(n^2) time, instead of the eigenvalues of a
+dense n x n matrix; and the Fourier panels sum their rows with ``einsum``.
+Neither calls BLAS or LAPACK, so a solve wakes none of their threads.
 """
 
 from __future__ import annotations
@@ -23,11 +28,43 @@ OSCILLATORY_TOL = 1e-12
 _MIN_NODES = 16
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    # (1 - x^2) P_n' = n (P_{n-1} - x P_n), without the cancellation of x^2 - 1
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=None)
 def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The nonnegative nodes are found by vectorised Newton iteration on the
+    Legendre recurrence, started from Tricomi's guesses
+    ``cos(pi (4k - 1) / (4n + 2))``; odd n has the node 0 exactly.  The
+    weights are ``2 / ((1 - x^2) P_n'(x)^2)``.  Both are mirrored, so the
+    nodes ascend and are exactly antisymmetric and the weights exactly
+    symmetric.  Memory is O(n), time O(n^2).
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0
+    # Newton converges from these guesses in at most five steps; a step at
+    # the rounding level means the iterate before it had converged already
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    half = n // 2
+    return (np.concatenate((-x[:half], x[::-1])),
+            np.concatenate((w[:half], w[::-1])))
 
 
 def fixed_panel(fn: Callable[[np.ndarray], np.ndarray],
@@ -123,7 +160,7 @@ def oscillatory_panel(fn: Callable[[np.ndarray], np.ndarray],
         s = 0.5 * (lo + hi) + 0.5 * length * nodes
         base = fn(s) * weights
         phase = np.exp(-1j * np.outer(freqs, s))
-        return 0.5 * length * phase @ base
+        return 0.5 * length * np.einsum("ij,j->i", phase, base)
 
     # start each frequency at a node count proportional to its period count
     n_start = np.maximum(_MIN_NODES,

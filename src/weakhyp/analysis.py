@@ -189,6 +189,14 @@ def check_seminorm(seminorm: str) -> None:
         raise InvalidParameterError(f"unknown seminorm {seminorm!r}")
 
 
+def check_halving(epsilons: Sequence[float]) -> None:
+    """Raise unless each epsilon is half the one before, to within 5 %."""
+    for a, b in zip(epsilons, epsilons[1:]):
+        if abs(a / b - 2.0) > 0.05:
+            raise InvalidParameterError(
+                f"sweep must halve epsilon: got ratio {a / b:g}")
+
+
 def convergence_study(net: SolutionNet, reference: Array | None = None,
                       seminorm: str = "fourier_proxy", nu: float = 1.0,
                       s: float = 2.0,
@@ -204,10 +212,7 @@ def convergence_study(net: SolutionNet, reference: Array | None = None,
     if len(eps) < 3:
         raise InsufficientDataError("convergence study needs >= 3 solved epsilons")
     if require_ratio_two:
-        for a, b in zip(eps, eps[1:]):
-            if abs(a / b - 2.0) > 0.05:
-                raise InvalidParameterError(
-                    f"sweep must halve epsilon: got ratio {a / b:g}")
+        check_halving(eps)
     pairwise = []
     for a, b in zip(eps, eps[1:]):
         d = _record_distance(net, net.record(a), net.record(b), seminorm, nu, s)

@@ -58,6 +58,16 @@ def require(mapping: Mapping, key: str, path: str) -> Any:
     return mapping[key]
 
 
+def integer(value: Any, path: str) -> int:
+    """``value`` as an int; anything but an integral number, a boolean
+    included, is a ConfigurationError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ConfigurationError(f"'{path}' must be an integer, got {value!r}",
+                                 field=path)
+    return int(value)
+
+
 def build_profile(spec: Mapping, path: str,
                   support: tuple[float, float] | None = None) -> RoughProfile:
     """Resolve a named profile preset into a RoughProfile."""
@@ -94,9 +104,10 @@ def build_profile(spec: Mapping, path: str,
                                require(spec, "halfwidth", path),
                                spec.get("amplitude", 1.0))
         if preset in ("point_mass", "delta"):
-            return point_mass_profile(spec.get("location", 0.0),
-                                      spec.get("order", 0),
-                                      spec.get("weight", 1.0))
+            return point_mass_profile(
+                spec.get("location", 0.0),
+                integer(spec.get("order", 0), f"{path}.order"),
+                spec.get("weight", 1.0))
         if preset == "zero":
             return zero_profile()
     raise ConfigurationError(f"unknown profile preset '{preset}' at '{path}'",
@@ -137,8 +148,10 @@ def build_scale(spec: Mapping, order: int) -> OmegaScale:
         with config_field("regularisation.coefficient"):
             return linear_scale(spec.get("coefficient", 1.0))
     if kind == "logarithmic":
-        with config_field("regularisation.log_exponent"):
-            return logarithmic_scale(int(spec.get("log_exponent", 1)), order)
+        path = "regularisation.log_exponent"
+        with config_field(path):
+            return logarithmic_scale(
+                integer(spec.get("log_exponent", 1), path), order)
     raise ConfigurationError(f"unknown scale '{kind}'",
                              field="regularisation.scale")
 
@@ -168,12 +181,15 @@ class ExperimentConfig:
         return self.raw.get(name, {})
 
     def number(self, path: str, default: float, kind: type) -> Any:
-        """The value at ``section.key`` as ``kind``, or ``default`` when
-        absent; a value ``kind`` cannot convert is a ConfigurationError
-        naming ``path``."""
+        """The value at ``section.key`` as ``kind``, float or int, or
+        ``default`` when absent; a value that is not a ``kind`` is a
+        ConfigurationError naming ``path``."""
         section, key = path.split(".", 1)
+        value = self.section(section).get(key, default)
+        if kind is int:
+            return integer(value, path)
         with config_field(path):
-            return kind(self.section(section).get(key, default))
+            return kind(value)
 
     @property
     def seed(self) -> int:
@@ -210,9 +226,8 @@ def validate_config(raw: Mapping,
                 f"'{name}' must be {'an array' if array else 'an object'}",
                 field=name)
     cfg = ExperimentConfig(raw=dict(raw))
-    order = raw.get("problem", {}).get("order")
-    if not isinstance(order, int) or order < 1:
-        raise ConfigurationError("problem.order must be an integer >= 1",
+    if integer(raw.get("problem", {}).get("order"), "problem.order") < 1:
+        raise ConfigurationError("problem.order must be >= 1",
                                  field="problem.order")
     if not cfg.horizon > 0:
         raise ConfigurationError("problem.horizon must be positive",

@@ -20,10 +20,12 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import (check_seminorm, convergence_study, fit_moderateness,
-                       gevrey_fourier_check, uniformity_spot_check)
+from .analysis import (check_halving, check_seminorm, convergence_study,
+                       fit_moderateness, gevrey_fourier_check,
+                       uniformity_spot_check)
 from .config import (ExperimentConfig, build_profile, build_root_family,
-                     build_scale, config_field, config_hash, require)
+                     build_scale, config_field, config_hash, integer,
+                     require)
 from .errors import ConfigurationError
 from .mollifiers import friedrichs_mollifier
 from .recovery import build_direction_plan, random_round_trip_study
@@ -120,7 +122,9 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
         profile = build_profile(require(spec, "profile", path),
                                 f"{path}.profile", (0.0, horizon))
         with config_field(path):
-            terms.append(LowerTerm(int(spec["nu"]), int(spec["j"]), profile))
+            nu, j = (integer(require(spec, key, path), f"{path}.{key}")
+                     for key in ("nu", "j"))
+            terms.append(LowerTerm(nu, j, profile))
     with config_field("lower_terms"):
         lower = LowerOrderPart(order, tuple(terms)) if terms else None
     forcing = raw.get("forcing")
@@ -130,9 +134,9 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
                    build_profile(require(forcing, "space", "forcing"),
                                  "forcing.space"))
     grid_cfg = cfg.section("grid")
-    steps = grid_cfg.get("time_steps", 1024)
-    if not (isinstance(steps, int) and steps >= 1):
-        raise ConfigurationError("grid.time_steps must be an integer >= 1",
+    steps = integer(grid_cfg.get("time_steps", 1024), "grid.time_steps")
+    if steps < 1:
+        raise ConfigurationError("grid.time_steps must be >= 1",
                                  field="grid.time_steps")
     margin = grid_cfg.get("margin", 1.0)
     if not (isinstance(margin, (int, float)) and margin >= CONE_MARGIN):
@@ -147,8 +151,8 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
                               horizon, float(margin))
     with config_field("grid.box_length"):
         box = float(box)
-    with config_field("grid.points"):
-        grid = FrequencyGrid(grid_cfg.get("points", 256), box)
+    grid = FrequencyGrid(integer(grid_cfg.get("points", 256), "grid.points"),
+                         box)
     with config_field("grid"):
         output_times = tuple(float(t) for t in grid_cfg.get(
             "output_times", (0.0, 0.5 * horizon, horizon)))
@@ -284,6 +288,11 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
     seminorm = analysis_cfg.get("seminorm", "fourier_proxy")
     with config_field("analysis.seminorm"):
         check_seminorm(seminorm)
+    require_ratio_two = bool(analysis_cfg.get("require_ratio_two", True))
+    if require_ratio_two:
+        # the convergence study checks the solved epsilons the same way
+        with config_field("regularisation.epsilon_sweep"):
+            check_halving(cfg.epsilon_sweep)
     net = _solve_net(problem, cfg.epsilon_sweep, summary, detailed=False)
     summary["failed_epsilons"] = [
         {"epsilon": entry["epsilon"], "error": entry["error"]}
@@ -306,8 +315,7 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
 
     conv = convergence_study(net, reference=ref_values(),
                              seminorm=seminorm, nu=nu, s=s,
-                             require_ratio_two=bool(
-                                 analysis_cfg.get("require_ratio_two", True)))
+                             require_ratio_two=require_ratio_two)
     summary["convergence"] = {
         "seminorm": conv.seminorm,
         "mean_ratio": conv.mean_ratio,
@@ -447,7 +455,8 @@ def run_reduce(cfg: ExperimentConfig, seed: int, summary: dict,
     section = cfg.section("reduce")
     count = cfg.number("reduce.count", 50, int)
     with config_field("reduce.sizes"):
-        sizes = [int(s) for s in section.get("sizes", (2, 3))]
+        sizes = [integer(s, f"reduce.sizes[{i}]")
+                 for i, s in enumerate(section.get("sizes", (2, 3)))]
     with config_field("reduce.frequencies"):
         freqs = [float(x) for x in section.get("frequencies", (1.0, 5.0))]
     t_sample = cfg.number("reduce.t_sample", 0.3, float)

@@ -233,6 +233,13 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  "analysis.seminorm", id="seminorm"),
     pytest.param("symmetriser", "symmetriser", {"count": "many"},
                  "symmetriser.count", id="audit_count"),
+    pytest.param("symmetriser", "symmetriser", {"count": 2.7},
+                 "symmetriser.count", id="fractional_count"),
+    pytest.param("symmetriser", "problem", {"order": True},
+                 "problem.order", id="boolean_order"),
+    pytest.param("sweep", "regularisation",
+                 {"scale": "linear", "epsilon_sweep": [0.5, 0.2, 0.08, 0.032]},
+                 "regularisation.epsilon_sweep", id="sweep_not_halving"),
 ])
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
                                                 section, value, field):

@@ -175,8 +175,12 @@ def _gauss_oracle(breaks, values, kernel, k, t):
        k=st.integers(min_value=0, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_constant_pieces_match_gauss_oracle(phi, breaks, data, log_omega, k):
+    # subnormal values carry no relative precision, so no relative bound can
+    # hold for them: c * 0.5000000000000010 and c * 0.4999999999999996 round
+    # to different multiples of 5e-324
     values = data.draw(st.lists(
-        st.floats(min_value=-5.0, max_value=5.0).filter(lambda v: v != 0.0),
+        st.floats(min_value=-5.0, max_value=5.0,
+                  allow_subnormal=False).filter(lambda v: v != 0.0),
         min_size=len(breaks) - 1, max_size=len(breaks) - 1))
     omega = 10.0 ** log_omega
     kernel = scale_mollifier(phi, omega)

@@ -66,6 +66,22 @@ def test_gauss_rule_cached_and_normalised():
     assert nodes.shape == (7,)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 64, 256, 1024])
+def test_gauss_rule_matches_dense_eigenvalue_oracle(n):
+    # numpy's leggauss takes the eigenvalues of the dense Jacobi matrix
+    nodes, weights = gauss_rule(n)
+    oracle_nodes, oracle_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - oracle_nodes)) <= 4e-16
+    assert np.max(np.abs(weights - oracle_weights)) <= 1e-13
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert abs(weights.sum() - 2.0) <= 1e-14
+    if n <= 64:
+        for k in range(2 * n):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert abs(np.sum(weights * nodes ** k) - exact) <= 1e-13
+
+
 def test_linear_fit_guards():
     with pytest.raises(InsufficientDataError):
         linear_fit(np.array([1.0]), np.array([2.0]))

@@ -1,4 +1,8 @@
+import json
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,3 +557,58 @@ def test_linalg_error_becomes_numerical_stage_failure(wave_problem,
     net = solve_very_weak(wave_problem, (0.125, 0.0625, 0.03125))
     for e in net.epsilons:
         assert net.record(e).error.startswith("NumericalError")
+
+
+# Run in a fresh process: it reads the CPU clock ticks of every thread but the
+# main one (the BLAS helpers numpy starts) before and after a CLI run.
+_THREAD_PROBE = r"""
+import json, os, sys, time
+
+def helper_ticks():
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:
+            continue
+        ticks[tid] = int(fields[11]) + int(fields[12])  # utime + stime
+    return ticks
+
+from weakhyp.cli import main
+time.sleep(0.5)  # the helpers spin for a while after numpy's import
+before = helper_ticks()
+status = main(sys.argv[1:]) if before else None
+gained = sum(t - before.get(tid, 0) for tid, t in helper_ticks().items())
+print(json.dumps({"helpers": len(before), "status": status, "ticks": gained}))
+"""
+
+
+def test_solve_wakes_no_blas_thread(tmp_path):
+    # runs are single-threaded: no BLAS or LAPACK call on the solve path may
+    # wake a helper thread, which then busy-waits for a tenth of a second
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs /proc/self/task")
+    config = {
+        "problem": {"order": 2, "horizon": 1.0},
+        "roots": {"preset": "heaviside", "jump": 0.5, "low": 1.0,
+                  "high": 4.0},
+        "data": [{"preset": "bump", "radius": 1.0}, {"preset": "zero"}],
+        "regularisation": {"scale": "linear",
+                           "epsilon_sweep": [0.25, 0.125, 0.0625]},
+        "grid": {"points": 256, "time_steps": 1024},
+    }
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(config))
+    probe = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, "solve", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    result = json.loads(probe.stdout.splitlines()[-1])
+    if not result["helpers"]:
+        pytest.skip("numpy started no helper thread")
+    assert result["status"] == 0
+    assert result["ticks"] <= 2
