@@ -68,6 +68,16 @@ def integer(value: Any, path: str) -> int:
     return int(value)
 
 
+def positive_integer(value: Any, path: str) -> int:
+    """``value`` as an int of at least 1, the check of every count and size;
+    anything else is a ConfigurationError naming ``path``."""
+    number = integer(value, path)
+    if number < 1:
+        raise ConfigurationError(f"'{path}' must be at least 1, got {number}",
+                                 field=path)
+    return number
+
+
 def build_profile(spec: Mapping, path: str,
                   support: tuple[float, float] | None = None) -> RoughProfile:
     """Resolve a named profile preset into a RoughProfile."""
@@ -190,6 +200,12 @@ class ExperimentConfig:
             return integer(value, path)
         with config_field(path):
             return kind(value)
+
+    def count(self, path: str, default: int) -> int:
+        """The value at ``section.key``, or ``default``, as an int of at
+        least 1 (see :func:`positive_integer`)."""
+        section, key = path.split(".", 1)
+        return positive_integer(self.section(section).get(key, default), path)
 
     @property
     def seed(self) -> int:

@@ -25,7 +25,7 @@ from .analysis import (check_halving, check_seminorm, convergence_study,
                        uniformity_spot_check)
 from .config import (ExperimentConfig, build_profile, build_root_family,
                      build_scale, config_field, config_hash, integer,
-                     require)
+                     positive_integer, require)
 from .errors import ConfigurationError
 from .mollifiers import friedrichs_mollifier
 from .recovery import build_direction_plan, random_round_trip_study
@@ -134,10 +134,8 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
                    build_profile(require(forcing, "space", "forcing"),
                                  "forcing.space"))
     grid_cfg = cfg.section("grid")
-    steps = integer(grid_cfg.get("time_steps", 1024), "grid.time_steps")
-    if steps < 1:
-        raise ConfigurationError("grid.time_steps must be >= 1",
-                                 field="grid.time_steps")
+    steps = positive_integer(grid_cfg.get("time_steps", 1024),
+                             "grid.time_steps")
     margin = grid_cfg.get("margin", 1.0)
     if not (isinstance(margin, (int, float)) and margin >= CONE_MARGIN):
         raise ConfigurationError(
@@ -360,10 +358,10 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
 def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
                   tables: Tables) -> bool:
     """Coefficient-recovery audit over random root families."""
-    n_families = cfg.number("roundtrip.families", 100, int)
-    max_order = cfg.number("roundtrip.max_order", 4, int)
-    max_dimension = cfg.number("roundtrip.max_dimension", 3, int)
-    probes = cfg.number("roundtrip.trials_per_family", 2, int)
+    n_families = cfg.count("roundtrip.families", 100)
+    max_order = cfg.count("roundtrip.max_order", 4)
+    max_dimension = cfg.count("roundtrip.max_dimension", 3)
+    probes = cfg.count("roundtrip.trials_per_family", 2)
     epsilon = cfg.number("roundtrip.epsilon", 0.5, float)
     with config_field("roundtrip.omega"):
         omega = constant_scale(cfg.number("roundtrip.omega", 0.05, float))
@@ -400,52 +398,70 @@ def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
 
 def run_symmetriser(cfg: ExperimentConfig, seed: int, summary: dict,
                     tables: Tables) -> bool:
-    """Symmetriser identity and bound audit over random root tuples."""
-    count = cfg.number("symmetriser.count", 1000, int)
-    max_order = cfg.number("symmetriser.max_order", 4, int)
+    """Symmetriser identity and bound audit over random root tuples.
+
+    Each tuple draws its order, its roots and then its form-trial vectors,
+    in that order; the tuples of each order are then built, intertwined and
+    bounded in one batched pass.
+    """
+    count = cfg.count("symmetriser.count", 1000)
+    max_order = cfg.count("symmetriser.max_order", 4)
     spacing = cfg.number("symmetriser.spacing", 0.05, float)
     bound = cfg.number("symmetriser.bound", 3.0, float)
-    form_trials = cfg.number("symmetriser.form_trials", 16, int)
+    form_trials = cfg.count("symmetriser.form_trials", 16)
     rng = np.random.default_rng(seed)
-    rows = []
-    worst_intertwine = 0.0
-    worst_det = 0.0
-    worst_eigen = 0.0
-    floor_failures = 0
-    for index in range(count):
+    orders = []
+    # per order, in draw order: the roots (m,) and the complex trial
+    # vectors (trials, m)
+    drawn: dict[int, tuple[list[Array], list[Array]]] = {}
+    for _ in range(count):
         m = int(rng.integers(1, max_order + 1))
         mu = np.sort(rng.uniform(-bound, bound, m))
         for i in range(1, m):
             mu[i] = max(mu[i], mu[i - 1] + spacing)
+        roots, vectors = drawn.setdefault(m, ([], []))
+        roots.append(mu)
+        # each trial draws its real part, then its imaginary part
+        normal = rng.standard_normal((form_trials, 2, m))
+        vectors.append(normal[:, 0] + 1j * normal[:, 1])
+        orders.append(m)
+    columns = np.zeros((6, count))
+    violations = 0
+    for m, (roots, vectors) in sorted(drawn.items()):
+        n = len(roots)
+        mu = np.array(roots)
         sym = build_symmetriser(mu)
-        inter = sym.intertwining_residual()
         vdm = vandermonde_product_squared(mu)
-        det_err = abs(sym.det_value - vdm) / vdm if vdm > 0 else 0.0
-        report = verify_quadratic_bounds(sym, form_trials, rng, omega=spacing)
-        eig_floor = report.eigen_min / max(report.eigen_max, 1e-300)
-        worst_intertwine = max(worst_intertwine, inter)
-        worst_det = max(worst_det, det_err)
-        worst_eigen = min(worst_eigen, eig_floor)
-        floor_failures += len(report.violations)
-        rows.append((index, m, float(np.min(np.diff(mu)) if m > 1 else 0.0),
-                     inter, det_err, eig_floor, sym.det_value, vdm))
+        det_err = np.divide(np.abs(sym.det_value - vdm), vdm,
+                            out=np.zeros(n), where=vdm > 0)
+        report = verify_quadratic_bounds(sym, np.array(vectors),
+                                         omega=spacing)
+        columns[:, np.array(orders) == m] = (
+            sym.spacing if m > 1 else np.zeros(n), sym.intertwining_residual(),
+            det_err, report.eigen_min / np.maximum(report.eigen_max, 1e-300),
+            sym.det_value, vdm)
+        violations += int(np.sum(report.violations))
+    inter, det_err, eig_floor = columns[1:4]
+    worst_intertwine = float(np.max(inter, initial=0.0))
+    worst_det = float(np.max(det_err, initial=0.0))
+    worst_eigen = float(np.min(eig_floor, initial=0.0))
     summary.update({
         "count": count,
         "worst_intertwining": worst_intertwine,
         "worst_det_rel_error": worst_det,
         "worst_eigen_floor": worst_eigen,
-        "bound_violations": floor_failures,
+        "bound_violations": violations,
         "metrics": {
             "symmetriser_worst_intertwining": worst_intertwine,
             "symmetriser_worst_det_rel_error": worst_det,
             "symmetriser_eigen_floor_deficit": max(0.0, -worst_eigen - 1e-12),
-            "symmetriser_bound_violations": float(floor_failures),
+            "symmetriser_bound_violations": float(violations),
         },
     })
     tables["symmetriser"] = (
         ("index", "order", "spacing", "intertwining_residual",
          "det_rel_error", "eigen_floor", "det_value", "vandermonde_squared"),
-        rows)
+        list(zip(range(count), orders, *(c.tolist() for c in columns))))
     return True
 
 
@@ -453,10 +469,13 @@ def run_reduce(cfg: ExperimentConfig, seed: int, summary: dict,
                tables: Tables) -> bool:
     """Block-reduction audit: adjugate identity and block eigenvalues."""
     section = cfg.section("reduce")
-    count = cfg.number("reduce.count", 50, int)
+    count = cfg.count("reduce.count", 50)
     with config_field("reduce.sizes"):
-        sizes = [integer(s, f"reduce.sizes[{i}]")
+        sizes = [positive_integer(s, f"reduce.sizes[{i}]")
                  for i, s in enumerate(section.get("sizes", (2, 3)))]
+    if not sizes:
+        raise ConfigurationError("'reduce.sizes' must list at least one size",
+                                 field="reduce.sizes")
     with config_field("reduce.frequencies"):
         freqs = [float(x) for x in section.get("frequencies", (1.0, 5.0))]
     t_sample = cfg.number("reduce.t_sample", 0.3, float)

@@ -189,7 +189,9 @@ class Convolution:
     """Smooth function ``(profile * kernel)``, optionally differentiated.
 
     Atoms convolve analytically into kernel derivatives.  Constant density
-    pieces on [lo, hi) are summed in closed form: with the kernel variable
+    pieces on [lo, hi) are summed in closed form, each with the constant
+    its ``Piece`` carries as ``value``, so that building a convolution
+    calls no profile function: with the kernel variable
     ``u = (t - s)/scale`` clipped to the base support [-1, 1], each adds
     ``c * [Q(u_hi) - Q(u_lo)] / scale^k`` where ``u_lo`` comes from ``hi``
     and ``u_hi`` from ``lo``, and ``Q`` is the primitive of the k-th
@@ -218,8 +220,7 @@ class Convolution:
         # order for every evaluation point, whatever the batch of points
         self._const_edges = np.array([[p.hi] for p in constant]
                                      + [[p.lo] for p in constant])
-        values = np.array([np.ravel(p.fn(np.array([0.5 * (p.lo + p.hi)])))[0]
-                           for p in constant], dtype=complex)[:, None]
+        values = np.array([p.value for p in constant], dtype=complex)[:, None]
         self._const_values = values if np.any(values.imag) else values.real
         self._primitive = _primitive_coefficients(
             tuple(kernel.base_poly.coef), derivative)

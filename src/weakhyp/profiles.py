@@ -44,22 +44,33 @@ class Piece:
     polynomial; quadrature against polynomial kernels is then exact with a
     fixed node count.  ``degree=None`` marks a general smooth (or endpoint
     singular, e.g. Hoelder) piece handled by adaptive quadrature.
+
+    A constant piece (``degree=0``) also carries its constant as ``value``,
+    equal to what ``fn`` returns, so that readers such as the closed-form
+    convolution need not call ``fn``.  The constructors of constant pieces,
+    scaling, :func:`extend_profile` and the pointwise maps of ``roots`` set
+    it; it is ``None`` on every other piece.
     """
 
     lo: float
     hi: float
     fn: Callable[[Array], Array]
     degree: int | None = None
+    value: complex | None = None
 
     def __post_init__(self):
         if not self.hi > self.lo:
             raise InvalidParameterError("piece must have positive length")
+        if (self.degree == 0) != (self.value is not None):
+            raise InvalidParameterError(
+                "a piece carries a value exactly when it is constant")
 
 
-def _const_fn(value: complex) -> Callable[[Array], Array]:
+def _constant_piece(lo: float, hi: float, value: complex) -> Piece:
+    """The degree-0 piece equal to ``value`` on [lo, hi)."""
     def fn(t: Array) -> Array:
         return np.full(np.shape(t), value)
-    return fn
+    return Piece(lo, hi, fn, degree=0, value=value)
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,8 @@ class RoughProfile:
     def scaled(self, a: complex) -> "RoughProfile":
         pieces = tuple(
             Piece(p.lo, p.hi, (lambda f: (lambda t: a * np.asarray(f(t))))(p.fn),
-                  p.degree)
+                  p.degree,
+                  None if p.value is None else (a * np.asarray(p.value))[()])
             for p in self.pieces)
         atoms = tuple(PointMass(at.location, at.order, a * at.weight)
                       for at in self.atoms)
@@ -157,8 +169,7 @@ class RoughProfile:
 
 def constant_profile(value: complex, support: tuple[float, float]) -> RoughProfile:
     lo, hi = support
-    return RoughProfile((Piece(lo, hi, _const_fn(value), degree=0),),
-                        (), support)
+    return RoughProfile((_constant_piece(lo, hi, value),), (), support)
 
 
 def heaviside_profile(jump: float, low: complex, high: complex,
@@ -167,9 +178,8 @@ def heaviside_profile(jump: float, low: complex, high: complex,
     lo, hi = support
     if not lo < jump < hi:
         raise InvalidParameterError("jump time must lie inside the support")
-    return RoughProfile((Piece(lo, jump, _const_fn(low), degree=0),
-                         Piece(jump, hi, _const_fn(high), degree=0)),
-                        (), support)
+    return RoughProfile((_constant_piece(lo, jump, low),
+                         _constant_piece(jump, hi, high)), (), support)
 
 
 def piecewise_constant_profile(breakpoints: Sequence[float],
@@ -181,7 +191,7 @@ def piecewise_constant_profile(breakpoints: Sequence[float],
         raise InvalidParameterError("need one value per interval")
     if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
         raise InvalidParameterError("breakpoints must increase strictly")
-    pieces = tuple(Piece(b0, b1, _const_fn(v), degree=0)
+    pieces = tuple(_constant_piece(b0, b1, v)
                    for b0, b1, v in zip(bp, bp[1:], values))
     return RoughProfile(pieces, (), support)
 
@@ -211,13 +221,16 @@ def hoelder_profile(alpha: float, center: float, base: float, amplitude: float,
 def polynomial_piece_profile(coeffs: Sequence[float], lo: float,
                              hi: float) -> RoughProfile:
     """Single polynomial piece on its own support [lo, hi], coefficients in
-    ascending powers of t."""
+    ascending powers of t; a single coefficient gives a constant piece."""
     poly = np.polynomial.Polynomial(list(coeffs))
+    if len(coeffs) == 1:
+        return RoughProfile((_constant_piece(lo, hi, poly.coef[0]),), (),
+                            (lo, hi))
 
     def fn(t: Array) -> Array:
         return poly(t)
 
-    return RoughProfile((Piece(lo, hi, fn, degree=max(len(coeffs) - 1, 0)),),
+    return RoughProfile((Piece(lo, hi, fn, degree=len(coeffs) - 1),),
                         (), (lo, hi))
 
 
@@ -247,8 +260,7 @@ def box_profile(center: float, halfwidth: float,
     if halfwidth <= 0:
         raise InvalidParameterError("box halfwidth must be positive")
     return RoughProfile(
-        (Piece(center - halfwidth, center + halfwidth, _const_fn(amplitude),
-               degree=0),),
+        (_constant_piece(center - halfwidth, center + halfwidth, amplitude),),
         (), (center - halfwidth, center + halfwidth))
 
 
@@ -275,9 +287,8 @@ def extend_profile(profile: RoughProfile, pad: float) -> RoughProfile:
     last = max(profile.pieces, key=lambda p: p.hi)
     left_val = complex(np.asarray(first.fn(np.array([lo]))).ravel()[0])
     right_val = complex(np.asarray(last.fn(np.array([hi]))).ravel()[0])
-    pieces = (Piece(lo - pad, lo, _const_fn(left_val), degree=0),) \
-        + profile.pieces \
-        + (Piece(hi, hi + pad, _const_fn(right_val), degree=0),)
+    pieces = (_constant_piece(lo - pad, lo, left_val),) + profile.pieces \
+        + (_constant_piece(hi, hi + pad, right_val),)
     support = (min(profile.support[0], lo) - pad,
                max(profile.support[1], hi) + pad)
     return RoughProfile(pieces, profile.atoms, support)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -165,9 +165,27 @@ def build_direction_plan(degree: int, dimension: int) -> DirectionPlan:
 # -- coefficient recovery -----------------------------------------------------------
 
 
+def sigma_table(reg: RegularisedRoots, t: Array, epsilon: float,
+                directions: Sequence[tuple[float, ...]]
+                ) -> dict[tuple[float, ...], Array]:
+    """Signed symmetric functions ``[1, sigma_1, ..., sigma_m]`` (T, m + 1)
+    of the pure regularised roots at the times ``t`` along each direction.
+
+    The root profiles come from one :meth:`RegularisedRoots.direction_table`
+    call, scaled by each direction's length, and one characteristic
+    polynomial is taken over all directions together.
+    """
+    norms = np.array([np.linalg.norm(np.asarray(d, dtype=float))
+                      for d in directions])
+    table = reg.direction_table(t, epsilon, directions)
+    sigma = characteristic_polynomial(
+        np.swapaxes(table * norms[:, None, None], 1, 2))
+    return dict(zip(directions, sigma))
+
+
 @dataclass
 class HomogeneousCoefficientSet:
-    """Recovered coefficients of one homogeneity degree, as callables of t.
+    """Recovered coefficients of one homogeneity degree.
 
     Evaluation is exact at every requested time: the block matrices are
     time independent, so recovery at a batch of times is one factorised
@@ -179,24 +197,21 @@ class HomogeneousCoefficientSet:
     epsilon: float
     roots: RegularisedRoots
     plan: DirectionPlan
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    def _sigma_at(self, t: Array, xi: tuple[float, ...]) -> Array:
-        vals = np.array([self.roots.pure_value(j, t, xi, self.epsilon)
-                         for j in range(1, self.roots.order + 1)])
-        return characteristic_polynomial(np.moveaxis(vals, 0, -1))[..., self.degree]
+    def evaluate(self, t: Array | float,
+                 sigma: Mapping[tuple[float, ...], Array]
+                 ) -> Mapping[tuple[int, ...], Array]:
+        """Values of every coefficient of this degree at the given times.
 
-    def evaluate(self, t: Array | float) -> Mapping[tuple[int, ...], Array]:
-        """Values of every coefficient of this degree at the given times."""
+        ``sigma`` is a :func:`sigma_table` at these times that holds at
+        least the plan's directions.
+        """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        key = t_arr.tobytes()
-        if key in self._cache:
-            return self._cache[key]
         values: dict[tuple[int, ...], Array] = {}
         for block in self.plan.blocks:
             rhs = np.empty((len(block.directions), t_arr.size))
             for r, xi in enumerate(block.directions):
-                acc = -np.asarray(self._sigma_at(t_arr, xi), dtype=float)
+                acc = -sigma[xi][:, self.degree]
                 for nu, vals in values.items():
                     if all(nu[i] == 0 or i in block.support
                            for i in range(self.dimension)):
@@ -205,27 +220,19 @@ class HomogeneousCoefficientSet:
             sol = np.linalg.solve(block.matrix, rhs)
             for i, nu in enumerate(block.members):
                 values[nu] = sol[i]
-        self._cache[key] = values
         return values
 
-    def sigma_hat(self, t: Array | float, xi: Sequence[float]) -> Array:
-        """-sum_nu a_nu(t) xi^nu, the polynomial reconstruction of sigma."""
-        values = self.evaluate(t)
-        total = None
-        for nu, vals in values.items():
-            term = vals * _monomial(xi, nu)
-            total = term if total is None else total + term
-        out = -total
-        return float(out[0]) if np.ndim(t) == 0 else out
-
     def reconstruction_residual(self, t: Array) -> float:
-        """Max relative defect of sigma_hat against sigma at the plan's
-        directions."""
-        worst = 0.0
+        """Max relative defect of the polynomial reconstruction
+        ``-sum_nu a_nu(t) xi^nu`` against sigma at the plan's directions."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        sigma = sigma_table(self.roots, t_arr, self.epsilon,
+                            self.plan.directions)
+        values = self.evaluate(t_arr, sigma)
+        worst = 0.0
         for xi in self.plan.directions:
-            target = np.asarray(self._sigma_at(t_arr, tuple(xi)), dtype=float)
-            got = np.asarray(self.sigma_hat(t_arr, xi), dtype=float)
+            target = sigma[xi][:, self.degree]
+            got = -sum(vals * _monomial(xi, nu) for nu, vals in values.items())
             scale = max(float(np.max(np.abs(target))), 1.0)
             worst = max(worst, float(np.max(np.abs(got - target))) / scale)
         return worst
@@ -271,8 +278,10 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     """Regularise, recover, rebuild the polynomial, root-solve, compare.
 
     Each probe draws a random (t, xi) in the positive frequency orthant (t
-    first, then xi, probe by probe).  The recovered coefficients of every
-    degree are evaluated once, at all probe times together; each probe then
+    first, then xi, probe by probe).  The family is tabulated once: one
+    :func:`sigma_table` holds every direction of every degree's plan at all
+    probe times, and each degree's recovered coefficients are evaluated
+    from it in one batched solve.  Each probe then
     rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)``, takes companion-matrix
     eigenvalues, reattaches the separating shifts to the sorted roots and
     compares against the regularised root values.  Failures are recorded,
@@ -296,9 +305,13 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
         t = float(rng.uniform(0.0, family.horizon))
         draws.append((t, tuple(rng.uniform(0.3, 2.5, size=n))))
     t_all = np.array([t for t, _ in draws])
+    directions = list(dict.fromkeys(
+        d for cset in sets.values() for d in cset.plan.directions))
     try:
         with numerical_errors():
-            values = {h: sets[h].evaluate(t_all) for h in range(1, m + 1)}
+            sigma = sigma_table(reg, t_all, epsilon, directions)
+            values = {h: sets[h].evaluate(t_all, sigma)
+                      for h in range(1, m + 1)}
     except WeakHypError as exc:  # reported, not thrown
         failures = tuple(f"probe (t={t:.6g}, xi={xi}): {exc}"
                          for t, xi in draws)

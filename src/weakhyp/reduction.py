@@ -32,16 +32,16 @@ def companion_matrix_from_coefficients(coeffs: Sequence[float]) -> Array:
 
     ``coeffs`` are descending with leading entry 1; the matrix has ones on
     the superdiagonal and ``-c_{m-k}`` in the last row, so its eigenvalues
-    are the polynomial roots.
+    are the polynomial roots.  Vectorised over leading axes of ``coeffs``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs[0] != 1.0:
+    if np.any(coeffs[..., 0] != 1.0):
         raise InvalidParameterError("leading coefficient must be exactly 1")
-    m = coeffs.size - 1
-    mat = np.zeros((m, m), dtype=coeffs.dtype)
+    m = coeffs.shape[-1] - 1
+    mat = np.zeros(coeffs.shape[:-1] + (m, m), dtype=coeffs.dtype)
     for i in range(m - 1):
-        mat[i, i + 1] = 1.0
-    mat[m - 1, :] = -coeffs[1:][::-1]
+        mat[..., i, i + 1] = 1.0
+    mat[..., m - 1, :] = -coeffs[..., 1:][..., ::-1]
     if np.all(np.isreal(mat)):
         return mat.real
     return mat
@@ -112,11 +112,11 @@ class RootValuePrincipal:
         convolved; an unused one is returned as zeros.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        used = [d for d, hit in (((1.0,), xi >= 0), ((-1.0,), xi < 0))
-                if np.any(hit)]
-        table = self.regularised.direction_table(t, self.epsilon, used)
-        zeros = np.zeros((self.order, t.size))
-        return table.get((1.0,), zeros), table.get((-1.0,), zeros)
+        hit = np.array([np.any(xi >= 0), np.any(xi < 0)])
+        table = np.zeros((2, self.order, t.size))
+        table[hit] = self.regularised.direction_table(
+            t, self.epsilon, [d for d, h in zip(((1.0,), (-1.0,)), hit) if h])
+        return table[0], table[1]
 
     def _root_table(self, profiles: tuple[Array, Array], xi: Array) -> Array:
         """Separated root values (T, m, K) from :meth:`_profiles` output."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,11 +137,13 @@ class RootFamily:
 
 def _transformed_profile(profile: RoughProfile,
                          func: Callable[[Array], Array]) -> RoughProfile:
-    """Apply a pointwise map to the density; degree-0 pieces stay degree 0."""
+    """Apply a pointwise map to the density; degree-0 pieces stay degree 0,
+    with the map applied to their value."""
     pieces = tuple(
         Piece(p.lo, p.hi,
               (lambda f: (lambda t: func(np.asarray(f(t)))))(p.fn),
-              0 if p.degree == 0 else None)
+              0 if p.degree == 0 else None,
+              func(np.asarray(p.value))[()] if p.degree == 0 else None)
         for p in profile.pieces)
     if profile.atoms:
         raise InvalidParameterError("root profiles cannot carry atoms")
@@ -282,16 +284,14 @@ class RegularisedRoots:
                          for j in range(1, self.order + 1)])
 
     def direction_table(self, t: Array, epsilon: float,
-                        directions: Sequence[Sequence[float]]
-                        ) -> Mapping[tuple[float, ...], Array]:
-        """Convolved profile values, shape (m, len(t)), per unit direction."""
-        out = {}
-        for d in directions:
-            key = _direction_key(d)
-            out[key] = np.array([
-                np.real(self.convolved(j, key, epsilon)(t))
-                for j in range(1, self.order + 1)])
-        return out
+                        directions: Sequence[Sequence[float]]) -> Array:
+        """Convolved profile values (len(directions), m, len(t)) along the
+        unit vectors of ``directions``, in their order: the one path by
+        which the solver and the recovery tabulate root profiles."""
+        return np.array([[np.real(self.convolved(j, d, epsilon)(t))
+                          for j in range(1, self.order + 1)]
+                         for d in directions]).reshape(
+                             len(directions), self.order, np.size(t))
 
 
 def regularise_roots(family: RootFamily, mollifier: Mollifier,

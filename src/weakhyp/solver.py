@@ -627,7 +627,7 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
     """Energy time series along one frequency trace.
 
     The principal root values at all sampled times come from one ``roots``
-    call, and the symmetriser is rebuilt from them at each sampled time.
+    call, and one batched symmetriser over them gives every sampled energy.
     The fitted rate is the least-squares slope of log E where E is positive.
     """
     times = np.asarray(times, dtype=float)
@@ -635,10 +635,8 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
     idx = np.arange(0, times.size, sample_stride)
     br = float(bracket(np.array(xi)))
     lam = system.principal.roots(times[idx], np.array([float(xi)]))[:, :, 0]
-    energies = np.empty(idx.size)
-    for row, i in enumerate(idx):
-        sym = build_symmetriser(np.sort(lam[row]) / br)
-        energies[row] = sym.quadratic_form(trace[:, i])
+    sym = build_symmetriser(np.sort(lam, axis=-1) / br)
+    energies = np.asarray(sym.quadratic_form(trace[:, idx].T))
     positive = energies > 1e-300
     rate = None
     if np.count_nonzero(positive) >= 2:

@@ -1,14 +1,19 @@
 """Test oracles and fakes shared by several test modules.
 
-Nothing in the package calls these: a recovered coefficient as a callable
-of t, a substitute principal part, the relative energy drift of a trace, and
-the approximation-rate audit of the cutoff mollifier.  Test modules import
-them as ``oracles``; pytest's default import mode puts ``tests/`` on
+Nothing in the package calls these: recovered coefficients from a sigma
+table of their own plan (all at once, one as a callable of t, and their
+polynomial reconstruction of sigma), a substitute principal part, the
+relative energy drift of a trace, the approximation-rate audit of the
+cutoff mollifier, and the per-item paths
+that the batched audits replaced (the per-tuple symmetriser and its audit
+loop, and the per-root symmetric functions of the recovery).  Test modules
+import them as ``oracles``; pytest's default import mode puts ``tests/`` on
 ``sys.path``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -20,9 +25,11 @@ from weakhyp.errors import (ConfigurationError, InsufficientDataError,
                             InvalidParameterError, UnsupportedError)
 from weakhyp.mollifiers import GevreyCutoffMollifier
 from weakhyp.profiles import RoughProfile
-from weakhyp.recovery import HomogeneousCoefficientSet
-from weakhyp.reduction import Index, companion_blocks
-from weakhyp.roots import bracket
+from weakhyp.recovery import (HomogeneousCoefficientSet,
+                              characteristic_polynomial, sigma_table)
+from weakhyp.reduction import (Index, companion_blocks,
+                               companion_matrix_from_coefficients)
+from weakhyp.roots import RegularisedRoots, bracket
 from weakhyp.solver import EnergyTrace
 
 Array = np.ndarray
@@ -33,9 +40,26 @@ def coefficient(cset: HomogeneousCoefficientSet, nu: tuple[int, ...]
     """The recovered coefficient a_nu as a callable of t (a float at a
     scalar t)."""
     def call(t):
-        out = cset.evaluate(t)[tuple(nu)]
+        out = evaluate(cset, t)[tuple(nu)]
         return float(out[0]) if np.ndim(t) == 0 else out
     return call
+
+
+def evaluate(cset: HomogeneousCoefficientSet, t: Array | float
+             ) -> Mapping[tuple[int, ...], Array]:
+    """Every coefficient of ``cset`` at the times ``t``, from a sigma table
+    of the plan's directions alone."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    return cset.evaluate(t_arr, sigma_table(cset.roots, t_arr, cset.epsilon,
+                                            cset.plan.directions))
+
+
+def sigma_hat(cset: HomogeneousCoefficientSet, t: float,
+              xi: Sequence[float]) -> float:
+    """-sum_nu a_nu(t) xi^nu at one time, the polynomial reconstruction of
+    the degree's symmetric function."""
+    return -sum(float(vals[0]) * math.prod(x ** k for x, k in zip(xi, nu))
+                for nu, vals in evaluate(cset, t).items())
 
 
 @dataclass
@@ -157,3 +181,115 @@ def fourier_approximation_rate(p: RoughProfile, g: GevreyCutoffMollifier,
     slope, _, r2 = linear_fit(np.log(np.asarray(omegas)), np.log(errors_arr))
     return ApproximationRateFit(float(slope), float(r2), tuple(omegas),
                                 tuple(errors), False, nu, s)
+
+
+# -- the per-tuple symmetriser ------------------------------------------------------
+
+
+def eigenvector_rows(mu: Sequence[float]) -> Array:
+    """Rows of left-eigenvector coefficients, one tuple at a time: W[i]
+    holds, ascending in tau, the coefficients of prod_{j != i} (tau - mu_j).
+    """
+    mu = np.asarray(mu, dtype=float)
+    m = mu.size
+    rows = np.empty((m, m))
+    for i in range(m):
+        others = np.delete(mu, i)
+        descending = np.real(characteristic_polynomial(others)) \
+            if others.size else np.array([1.0])
+        rows[i] = descending[::-1]
+    return rows
+
+
+def symmetriser_figures(mu: Sequence[float], vectors: Array,
+                        omega: float | None) -> dict:
+    """Every figure of one tuple's symmetriser audit, computed alone.
+
+    ``vectors`` (trials, m) are the complex trial vectors; the bound
+    violations are counted.
+    """
+    mu = np.asarray(mu, dtype=float)
+    m = mu.size
+    rows = eigenvector_rows(mu)
+    gram = rows.T @ rows
+    s = 0.5 * (gram + gram.T)
+    det_w = float(np.linalg.det(rows)) if m > 1 else 1.0
+    det_value = det_w ** 2
+    spacing = float(np.min(np.diff(mu))) if m > 1 else math.inf
+    a = np.real(companion_matrix_from_coefficients(
+        characteristic_polynomial(mu)))
+    num = float(np.linalg.norm(s @ a - a.T @ s, 2))
+    den = max(float(np.linalg.norm(s, 2)) * float(np.linalg.norm(a, 2)),
+              1e-300)
+    vandermonde = 1.0
+    for i, j in itertools.combinations(range(m), 2):
+        vandermonde *= (mu[j] - mu[i]) ** 2
+    eigen = np.linalg.eigvalsh(s)
+    min_form = math.inf
+    max_form = -math.inf
+    for v in vectors:
+        v = v / np.linalg.norm(v)
+        q = float(np.real(np.conj(v) @ s @ v))
+        min_form = min(min_form, q)
+        max_form = max(max_form, q)
+    lam_min = float(eigen[0])
+    lam_max = float(eigen[-1])
+    violations = 0
+    if min_form < det_value / max(lam_max, 1e-300) ** (m - 1) - 1e-12:
+        violations += 1
+    if lam_min < -1e-12 * max(lam_max, 1.0):
+        violations += 1
+    det_floor = None
+    if omega is not None and spacing >= omega:
+        det_floor = omega ** (m * m - m)
+        if det_value < det_floor * (1.0 - 1e-12):
+            violations += 1
+    return {"matrix": s, "det_value": det_value, "spacing": spacing,
+            "intertwining": num / den, "vandermonde": vandermonde,
+            "min_form": min_form, "max_form": max_form, "eigen_min": lam_min,
+            "eigen_max": lam_max, "det_floor": det_floor,
+            "violations": violations}
+
+
+def symmetriser_audit_rows(count: int, max_order: int, spacing: float,
+                           bound: float, form_trials: int,
+                           seed: int) -> tuple[list[tuple], int]:
+    """The ``symmetriser`` CSV rows and the violation count, one tuple at a
+    time: each tuple draws its order and roots, then per trial a real and an
+    imaginary part."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    violations = 0
+    for index in range(count):
+        m = int(rng.integers(1, max_order + 1))
+        mu = np.sort(rng.uniform(-bound, bound, m))
+        for i in range(1, m):
+            mu[i] = max(mu[i], mu[i - 1] + spacing)
+        vectors = np.array([rng.standard_normal(m)
+                            + 1j * rng.standard_normal(m)
+                            for _ in range(form_trials)])
+        f = symmetriser_figures(mu, vectors, spacing)
+        vdm = f["vandermonde"]
+        det_err = abs(f["det_value"] - vdm) / vdm if vdm > 0 else 0.0
+        eig_floor = f["eigen_min"] / max(f["eigen_max"], 1e-300)
+        violations += f["violations"]
+        rows.append((index, m, f["spacing"] if m > 1 else 0.0,
+                     f["intertwining"], det_err, eig_floor, f["det_value"],
+                     vdm))
+    return rows, violations
+
+
+# -- per-root symmetric functions ------------------------------------------------------
+
+
+def sigma_per_root(reg: RegularisedRoots, t: Array, epsilon: float,
+                   directions: Sequence[tuple[float, ...]]
+                   ) -> dict[tuple[float, ...], Array]:
+    """What ``recovery.sigma_table`` returns, one direction at a time from
+    each root's ``pure_value``."""
+    out = {}
+    for xi in directions:
+        vals = np.array([reg.pure_value(j, t, xi, epsilon)
+                         for j in range(1, reg.order + 1)])
+        out[xi] = characteristic_polynomial(np.moveaxis(vals, 0, -1))
+    return out

@@ -19,7 +19,8 @@ from weakhyp.mollifiers import (GevreyCutoffMollifier, friedrichs_mollifier,
 from weakhyp.profiles import (bump_profile, heaviside_profile,
                               hoelder_profile, point_mass_profile,
                               zero_profile, constant_profile)
-from weakhyp.recovery import random_round_trip_study, recover_coefficients
+from weakhyp.recovery import (random_round_trip_study, recover_coefficients,
+                              sigma_table)
 from weakhyp.reduction import (cofactor_matrix, random_hyperbolic_system,
                                to_block_sylvester)
 from weakhyp.roots import (RootFamily, constant_roots, constant_scale,
@@ -69,7 +70,9 @@ def test_criterion_02_anisotropic_recovery_exact():
                      ordered=True, horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 2, 2, epsilon=0.5)
-    got = {nu: float(v[0]) for nu, v in cs.evaluate(np.array([0.4])).items()}
+    t = np.array([0.4])
+    sigma = sigma_table(reg, t, 0.5, cs.plan.directions)
+    got = {nu: float(v[0]) for nu, v in cs.evaluate(t, sigma).items()}
     expected = {(2, 0): 1.0, (0, 2): 4.0, (1, 1): 0.0}
     worst = max(abs(got[nu] - expected[nu]) for nu in expected)
     ok = worst <= 1e-10

@@ -189,3 +189,47 @@ def test_every_option_has_a_caller_that_sets_it():
             if not passed and qualified not in ALLOWED_OPTIONS:
                 unset.append(f"{module.name}: {qualified}")
     assert not unset, "no caller sets: " + ", ".join(unset)
+
+
+def test_every_tracer_patch_target_resolves():
+    """Each ``patch(owner, attr, ...)`` call in ``perfbench/tracer.py``'s
+    ``install``, and each attribute it reads off a weakhyp module, names
+    something that exists: a renamed or moved name would otherwise fail
+    only the traced benchmark pass."""
+    import importlib
+
+    source = (ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    install = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+    modules = {alias.asname or alias.name:
+               importlib.import_module(f"weakhyp.{alias.name}")
+               for node in ast.walk(install)
+               if isinstance(node, ast.ImportFrom) and node.module == "weakhyp"
+               for alias in node.names}
+    assert modules, "install imports no weakhyp module"
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return modules[node.id]
+        return getattr(resolve(node.value), node.attr)
+
+    def rooted(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in modules
+
+    patched = []
+    for node in ast.walk(install):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "patch":
+            owner, attr = node.args[0], node.args[1].value
+            assert hasattr(resolve(owner), attr), \
+                f"{ast.unparse(owner)}.{attr} does not exist"
+            patched.append(f"{ast.unparse(owner)}.{attr}")
+        elif isinstance(node, ast.Attribute) and rooted(node):
+            resolve(node)  # raises AttributeError on a missing name
+    for target in ("experiments.build_symmetriser",
+                   "experiments.verify_quadratic_bounds",
+                   "solver.build_symmetriser"):
+        assert target in patched

@@ -4,14 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from weakhyp import recovery
 from weakhyp.cli import main
 from weakhyp.config import (config_echo, config_hash, load_config,
                             validate_config)
 from weakhyp.errors import ConfigurationError
 from weakhyp.experiments import build_problem
+from weakhyp.reports import write_csv
 from weakhyp.solver import CONE_MARGIN
+
+from oracles import sigma_per_root, symmetriser_audit_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,6 +71,16 @@ def test_data_cardinality_checked():
     raw["data"] = [{"preset": "zero"}]
     with pytest.raises(ConfigurationError):
         build_problem(validate_config(raw))
+
+
+def test_one_coefficient_polynomial_preset_is_a_constant_piece():
+    raw = _base_config()
+    raw["data"][0] = {"preset": "polynomial", "coefficients": [2.0],
+                      "lo": -1.0, "hi": 1.0}
+    profile = build_problem(validate_config(raw)).data[0]
+    (piece,) = profile.pieces
+    assert piece.degree == 0 and piece.value == 2.0
+    assert np.array_equal(profile(np.linspace(-1.0, 1.0, 5)), np.full(5, 2.0))
 
 
 def test_readme_config_is_read_by_the_builders(tmp_path):
@@ -240,6 +255,21 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
     pytest.param("sweep", "regularisation",
                  {"scale": "linear", "epsilon_sweep": [0.5, 0.2, 0.08, 0.032]},
                  "regularisation.epsilon_sweep", id="sweep_not_halving"),
+    pytest.param("reduce", "reduce", {"sizes": []}, "reduce.sizes",
+                 id="no_reduce_sizes"),
+    pytest.param("reduce", "reduce", {"sizes": [2, 0]}, "reduce.sizes[1]",
+                 id="zero_reduce_size"),
+    *(pytest.param(subcommand, subcommand, {key: bad},
+                   f"{subcommand}.{key}", id=f"{subcommand}_{key}_{bad}")
+      for subcommand, key, bad in (
+          ("roundtrip", "families", 0),
+          ("roundtrip", "trials_per_family", -1),
+          ("roundtrip", "max_order", 0),
+          ("roundtrip", "max_dimension", -2),
+          ("symmetriser", "count", -5),
+          ("symmetriser", "max_order", 0),
+          ("symmetriser", "form_trials", 0),
+          ("reduce", "count", 0))),
 ])
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
                                                 section, value, field):
@@ -355,3 +385,33 @@ def test_cli_symmetriser_and_reduce_subcommands(tmp_path):
     red_summary = _framed_summary(tmp_path / "red")
     assert red_summary["worst_cofactor_residual"] <= 1e-9
     assert red_summary["worst_block_eigen_error"] <= 1e-9
+
+
+def test_cli_audit_csvs_equal_the_per_item_paths(tmp_path, monkeypatch):
+    raw = {
+        "problem": {"order": 2},
+        "regularisation": {"epsilon_sweep": [0.5]},
+        "symmetriser": {"count": 80, "max_order": 4, "form_trials": 5},
+        "roundtrip": {"families": 12, "max_order": 4, "max_dimension": 3},
+        "run": {"seed": 4},
+    }
+    path = tmp_path / "audits.json"
+    path.write_text(json.dumps(raw))
+
+    def run(subcommand, out):
+        assert main([subcommand, "--config", str(path),
+                     "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / f"{subcommand}.csv").read_bytes()
+
+    # one tuple at a time, drawing each trial's real and imaginary parts
+    rows, violations = symmetriser_audit_rows(80, 4, 0.05, 3.0, 5, seed=4)
+    write_csv(tmp_path / "oracle.csv",
+              ("index", "order", "spacing", "intertwining_residual",
+               "det_rel_error", "eigen_floor", "det_value",
+               "vandermonde_squared"), rows)
+    assert run("symmetriser", "sym") == (tmp_path / "oracle.csv").read_bytes()
+    assert _framed_summary(tmp_path / "sym")["bound_violations"] == violations
+    # symmetric functions root by root instead of one table per family
+    table = run("roundtrip", "table")
+    monkeypatch.setattr(recovery, "sigma_table", sigma_per_root)
+    assert run("roundtrip", "per_root") == table

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhyp._quadrature import adaptive_panel
 from weakhyp.errors import InvalidParameterError
 from weakhyp.profiles import (PointMass, RoughProfile, Piece, box_profile,
                               bump_profile, constant_profile, extend_profile,
-                              heaviside_profile, piecewise_constant_profile,
-                              point_mass_profile, polynomial_piece_profile,
-                              zero_profile)
+                              heaviside_profile, hoelder_profile,
+                              piecewise_constant_profile, point_mass_profile,
+                              polynomial_piece_profile, zero_profile)
+from weakhyp.roots import _transformed_profile
 
 
 def integral(profile):
@@ -101,3 +104,64 @@ def test_piecewise_constant_validation():
         piecewise_constant_profile([0.0, 0.0, 1.0], [1.0, 2.0], (0.0, 1.0))
     with pytest.raises(InvalidParameterError):
         piecewise_constant_profile([0.0, 1.0], [1.0, 2.0], (0.0, 1.0))
+
+
+_levels = st.floats(min_value=0.1, max_value=10.0)
+
+
+@st.composite
+def _built_profiles(draw):
+    """A profile from one constructor, then a chain of scalings, sums,
+    extensions and square roots."""
+    kind = draw(st.sampled_from(["constant", "heaviside", "piecewise", "box",
+                                 "hoelder", "polynomial"]))
+    if kind == "constant":
+        profile = constant_profile(draw(_levels), (0.0, 1.0))
+    elif kind == "heaviside":
+        profile = heaviside_profile(draw(st.floats(0.1, 0.9)),
+                                    draw(_levels), draw(_levels), (0.0, 1.0))
+    elif kind == "piecewise":
+        values = draw(st.lists(_levels, min_size=1, max_size=4))
+        breaks = np.linspace(0.0, 1.0, len(values) + 1)
+        profile = piecewise_constant_profile(breaks, values, (0.0, 1.0))
+    elif kind == "box":
+        profile = box_profile(0.5, 0.25, draw(_levels))
+    elif kind == "hoelder":
+        profile = hoelder_profile(0.5, 0.4, draw(_levels), 0.5, (0.0, 1.0))
+    else:
+        coeffs = draw(st.lists(_levels, min_size=1, max_size=3))
+        profile = polynomial_piece_profile(coeffs, 0.0, 1.0)
+    for op in draw(st.lists(st.sampled_from(
+            ["scale", "complex_scale", "add", "extend", "sqrt"]),
+            max_size=4)):
+        if op == "scale":
+            profile = profile.scaled(draw(st.floats(-3.0, 3.0)))
+        elif op == "complex_scale":
+            profile = profile.scaled(complex(draw(_levels), draw(_levels)))
+        elif op == "add":
+            profile = profile + heaviside_profile(0.3, draw(_levels),
+                                                  draw(_levels), (0.0, 1.0))
+        elif op == "extend":
+            profile = extend_profile(profile, draw(st.floats(0.5, 2.0)))
+        else:
+            profile = _transformed_profile(
+                profile, lambda v: np.sqrt(np.abs(v)))
+    return profile
+
+
+@given(_built_profiles())
+@settings(max_examples=80, deadline=None)
+def test_piece_value_is_the_constant_fn_returns(profile):
+    for piece in profile.pieces:
+        if piece.degree == 0:
+            mid = np.array([0.5 * (piece.lo + piece.hi)])
+            assert piece.fn(mid)[0] == piece.value
+        else:
+            assert piece.value is None
+
+
+def test_piece_value_exactly_on_constant_pieces():
+    with pytest.raises(InvalidParameterError):
+        Piece(0.0, 1.0, lambda t: np.ones(np.shape(t)), degree=0)
+    with pytest.raises(InvalidParameterError):
+        Piece(0.0, 1.0, lambda t: t, degree=1, value=1.0)

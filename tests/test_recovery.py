@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakhyp import recovery
 from weakhyp.errors import InvalidParameterError, NumericalError
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.profiles import constant_profile
@@ -17,7 +18,7 @@ from weakhyp.roots import (RootFamily, constant_roots, constant_scale,
                            linear_scale, regularise_roots, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
-from oracles import coefficient
+from oracles import coefficient, evaluate, sigma_hat, sigma_per_root
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ def test_anisotropic_recovery_matches_single_solve_oracle(phi):
                      ordered=True, horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 2, 2, epsilon=0.5)
-    got = {nu: float(v[0]) for nu, v in cs.evaluate(np.array([0.3])).items()}
+    got = {nu: float(v[0]) for nu, v in evaluate(cs, 0.3).items()}
 
     # oracle: one 3x3 solve over directions (1,0), (0,1), (1,1)
     directions = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
@@ -174,7 +175,7 @@ def test_linear_root_recovery_exact(phi):
                      ordered=True, horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 1, 3, epsilon=0.5)
-    got = cs.evaluate(np.array([0.5]))
+    got = evaluate(cs, 0.5)
     assert float(got[(1, 0, 0)][0]) == pytest.approx(2.0, abs=1e-12)
     assert float(got[(0, 1, 0)][0]) == pytest.approx(-1.0, abs=1e-12)
     assert float(got[(0, 0, 1)][0]) == pytest.approx(0.5, abs=1e-12)
@@ -199,7 +200,7 @@ def test_polynomial_reproduction_at_random_directions(phi):
         lam = np.array([float(reg.pure_value(j, 0.37, xi, 0.5))
                         for j in (1, 2)])
         target = sigma(lam, 2)
-        got = float(cs.sigma_hat(0.37, xi))
+        got = sigma_hat(cs, 0.37, xi)
         assert abs(got - target) <= 1e-9 * max(1.0, abs(target))
 
 
@@ -256,7 +257,7 @@ def test_round_trip_probes_keep_the_draw_order(phi):
 
 
 def test_round_trip_failed_evaluation_fails_every_probe(phi, monkeypatch):
-    def broken(self, t):
+    def broken(self, t, sigma):
         raise NumericalError("singular block")
 
     monkeypatch.setattr(HomogeneousCoefficientSet, "evaluate", broken)
@@ -274,3 +275,23 @@ def test_random_round_trip_study_small(phi):
     assert study.max_rel_error <= 1e-8
     orders = {m for m, _, _ in study.rows}
     assert orders == {1, 2, 3, 4}
+
+
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_round_trip_check_equals_per_root_oracle(phi, order, dimension,
+                                                 seed):
+    # the one table per family against each direction's symmetric
+    # functions taken root by root from pure_value
+    family = random_ordered_family(np.random.default_rng(seed), order,
+                                   dimension)
+    report = round_trip_check(family, phi, 0.05, trials=3,
+                              rng=np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "sigma_table", sigma_per_root)
+        oracle = round_trip_check(family, phi, 0.05, trials=3,
+                                  rng=np.random.default_rng(seed))
+    assert report == oracle
+    assert not report.failures

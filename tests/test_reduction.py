@@ -179,13 +179,12 @@ def test_row_blocks_match_per_time_oracle(phi, order):
     xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
     br = bracket(xi)
     t_grid = np.linspace(0.0, 1.0, 53)
-    table = reg.direction_table(t_grid, 0.5, [(1.0,), (-1.0,)])
+    pos, neg = reg.direction_table(t_grid, 0.5, [(1.0,), (-1.0,)])
     sep = np.arange(1, order + 1)[:, None] \
         * (reg.omega_of(0.5) * br)[None, :]
 
     def oracle(i):
-        profile = np.where(xi >= 0, table[(1.0,)][:, i, None],
-                           table[(-1.0,)][:, i, None])
+        profile = np.where(xi >= 0, pos[:, i, None], neg[:, i, None])
         return _rows_from_root_values(profile * np.abs(xi) + sep, br)
 
     rows = principal.row_provider(t_grid, xi)

@@ -24,7 +24,8 @@ from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             energy_trace, integrate_companion, solve_single,
                             solve_very_weak, transport_reference)
 
-from oracles import PolynomialPrincipal, max_relative_drift
+from oracles import (PolynomialPrincipal, max_relative_drift,
+                     symmetriser_figures)
 
 
 def solve_frequency(system, xi, epsilon, t_grid):
@@ -173,6 +174,25 @@ def test_energy_conserved_for_constant_coefficients():
     trace = solve_frequency(system, xi, 1.0, t_grid)
     energy = energy_trace(system, trace, t_grid, xi, sample_stride=16)
     assert max_relative_drift(energy) <= 1e-8
+
+
+def test_energy_trace_equals_per_time_symmetrisers():
+    principal = PolynomialPrincipal(
+        order=2, coefficients={1: lambda t: 0.3 * np.asarray(t),
+                               2: lambda t: 1.0 + 0.5 * np.sin(
+                                   3.0 * np.asarray(t))})
+    system = build_companion(principal, data=_unit_data(2))
+    t_grid = np.linspace(0.0, 1.0, 1025)
+    xi = 4.0
+    trace = solve_frequency(system, xi, 1.0, t_grid)
+    energy = energy_trace(system, trace, t_grid, xi, sample_stride=8)
+    br = float(bracket(np.array(xi)))
+    lam = principal.roots(energy.times, np.array([xi]))[:, :, 0]
+    for row, i in enumerate(range(0, t_grid.size, 8)):
+        s = symmetriser_figures(np.sort(lam[row]) / br, np.ones((1, 2)),
+                                None)["matrix"]
+        v = trace[:, i]
+        assert energy.energies[row] == float(np.real(np.conj(v) @ s @ v))
 
 
 def test_energy_pure_forcing_bounded_by_quadrature_oracle():

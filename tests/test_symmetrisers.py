@@ -7,6 +7,8 @@ from weakhyp.symmetrisers import (build_symmetriser, normalised_companion,
                                   vandermonde_product_squared,
                                   verify_quadratic_bounds)
 
+from oracles import symmetriser_figures
+
 
 def intertwining_nullspace(mu, tol=1e-12):
     """Orthonormal basis of symmetric solutions of S A - A^T S = 0.
@@ -37,6 +39,13 @@ def intertwining_nullspace(mu, tol=1e-12):
                 mat[j, i] += coef
         basis_mats.append(mat)
     return np.array(basis_mats)
+
+
+def sample_vectors(seed, trials, m):
+    """Complex trial vectors (trials, m), real then imaginary part per
+    trial."""
+    v = np.random.default_rng(seed).standard_normal((trials, 2, m))
+    return v[:, 0] + 1j * v[:, 1]
 
 
 def test_two_root_example_matches_constrained_solve_oracle():
@@ -76,7 +85,7 @@ def test_intertwining_identity():
 
 def test_quadratic_bounds_scalar_matrix():
     sym = build_symmetriser([-1.0, 1.0])
-    report = verify_quadratic_bounds(sym, 100, np.random.default_rng(0))
+    report = verify_quadratic_bounds(sym, sample_vectors(0, 100, 2))
     assert report.min_form == pytest.approx(2.0, abs=1e-12)
     assert report.max_form == pytest.approx(2.0, abs=1e-12)
     assert not report.violations
@@ -84,7 +93,7 @@ def test_quadratic_bounds_scalar_matrix():
 
 def test_det_floor_with_declared_spacing():
     sym = build_symmetriser([0.0, 0.1])
-    report = verify_quadratic_bounds(sym, 20, np.random.default_rng(1),
+    report = verify_quadratic_bounds(sym, sample_vectors(1, 20, 2),
                                      omega=0.1)
     assert report.det_floor == pytest.approx(0.01)
     assert sym.det_value >= report.det_floor - 1e-15
@@ -94,7 +103,7 @@ def test_det_floor_with_declared_spacing():
 def test_det_floor_three_roots_example():
     sym = build_symmetriser([0.0, 0.1, 0.2])
     assert sym.det_value == pytest.approx(4e-6, rel=1e-10)
-    report = verify_quadratic_bounds(sym, 20, np.random.default_rng(2),
+    report = verify_quadratic_bounds(sym, sample_vectors(2, 20, 3),
                                      omega=0.1)
     assert report.det_floor == pytest.approx(1e-6)
     assert not report.violations
@@ -139,3 +148,48 @@ def test_intertwining_random_roots(m, seed):
     residual = np.linalg.norm(sym.matrix @ a - a.T @ sym.matrix, 2)
     scale = np.linalg.norm(sym.matrix, 2) * np.linalg.norm(a, 2)
     assert residual <= 1e-10 * max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_audit_equals_per_tuple_oracle(m):
+    # a third of the tuples have two coincident roots: singular S, no
+    # separation floor
+    rng = np.random.default_rng(40 + m)
+    omega = 0.05
+    mu = np.sort(rng.uniform(-3.0, 3.0, (60, m)), axis=-1)
+    if m > 1:
+        mu[:20, 1] = mu[:20, 0]
+    if m == 2:
+        # gaps whose square by the C library's pow, as Python's ** takes
+        # it, differs from the rounded product: det S and the Vandermonde
+        # product of (0, gap) are such squares
+        gaps = [g for g in rng.uniform(0.1, 3.0, 20000).tolist()
+                if g ** 2 != g * g][:5]
+        mu = np.concatenate([mu, [[0.0, g] for g in gaps]])
+    n = len(mu)
+    draws = rng.standard_normal((n, 8, 2, m))
+    vectors = draws[:, :, 0] + 1j * draws[:, :, 1]
+    sym = build_symmetriser(mu)
+    inter = sym.intertwining_residual()
+    vdm = vandermonde_product_squared(mu)
+    report = verify_quadratic_bounds(sym, vectors, omega=omega)
+    for k in range(n):
+        f = symmetriser_figures(mu[k], vectors[k], omega)
+        assert np.array_equal(sym.matrix[k], f["matrix"])
+        assert sym.det_value[k] == f["det_value"]
+        assert sym.spacing[k] == f["spacing"]
+        assert inter[k] == f["intertwining"]
+        assert vdm[k] == f["vandermonde"]
+        for key in ("min_form", "max_form", "eigen_min", "eigen_max",
+                    "violations"):
+            assert getattr(report, key)[k] == f[key], key
+        if f["det_floor"] is None:
+            assert np.isnan(report.det_floor[k])
+        else:
+            assert report.det_floor[k] == f["det_floor"]
+    # one tuple alone gives the scalars of its row in the stack
+    alone = build_symmetriser(mu[-1])
+    assert alone.det_value == sym.det_value[-1]
+    assert alone.intertwining_residual() == inter[-1]
+    assert verify_quadratic_bounds(alone, vectors[-1], omega=omega) \
+        .min_form == report.min_form[-1]
