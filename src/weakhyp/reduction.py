@@ -54,9 +54,9 @@ class PrincipalPart(Protocol):
     """Root values and last-row symbols of the companion principal part.
 
     ``roots(t, xi)`` returns (T, m, K) for an array of T times.
-    ``row_provider(t, xi)`` returns a stateless function of an index into
-    ``t`` (a slice or an integer array) that gives the last rows at those
-    times as one (T, m, K) block.
+    ``row_provider(t, xi)`` returns a function of an index into ``t`` (a
+    slice or an integer array) that gives the last rows at those times as
+    one (T, m, K) block, which depends on the index alone.
     """
 
     order: int
@@ -69,13 +69,14 @@ class PrincipalPart(Protocol):
     def max_normalised_speed(self) -> float: ...
 
 
-def _row_table(lam: Array, br: Array) -> Array:
-    """Last rows (T, m, K) from root values (T, m, K) in one vectorised call."""
+def _row_table(lam: Array, powers: Sequence[Array]) -> Array:
+    """Last rows (T, m, K) from root values (T, m, K) in one vectorised call;
+    ``powers[j - 1]`` is <xi>^(j - m)."""
     m = lam.shape[1]
     sig = characteristic_polynomial(np.swapaxes(lam, 1, 2))  # (T, K, m+1)
     rows = np.empty_like(lam)
     for j in range(1, m + 1):
-        rows[:, j - 1] = -sig[..., m - j + 1] * br ** (j - m)
+        rows[:, j - 1] = -sig[..., m - j + 1] * powers[j - 1]
     return rows
 
 
@@ -118,34 +119,60 @@ class RootValuePrincipal:
             t, self.epsilon, [d for d, h in zip(((1.0,), (-1.0,)), hit) if h])
         return table[0], table[1]
 
-    def _root_table(self, profiles: tuple[Array, Array], xi: Array) -> Array:
-        """Separated root values (T, m, K) from :meth:`_profiles` output."""
+    def _root_table(self, xi: Array) -> Callable[[Array, Array], Array]:
+        """The separated root values (T, m, K) as a function of the root
+        profiles (m, T) in the directions +1 and -1; the factors that depend
+        on ``xi`` alone are computed here, once."""
         m = self.order
         w = self.regularised.omega_of(self.epsilon)
         sep = np.arange(1, m + 1)[:, None] * (w * bracket(xi))[None, :]
-        tab_pos, tab_neg = profiles
-        profile = np.where(xi >= 0, tab_pos.T[:, :, None],
-                           tab_neg.T[:, :, None])
-        return profile * np.abs(xi) + sep
+        upper = xi >= 0
+        size = np.abs(xi)
+
+        def table(pos: Array, neg: Array) -> Array:
+            profile = np.where(upper, pos.T[:, :, None], neg.T[:, :, None])
+            return profile * size + sep
+
+        return table
 
     def roots(self, t: Array, xi: Array) -> Array:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return self._root_table(self._profiles(t, xi), xi)
+        return self._root_table(xi)(*self._profiles(t, xi))
 
     def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
         """Last rows (T, m, K) at the times ``t[index]``.
 
-        The root profiles are convolved once for all of ``t``; each call is
-        one vectorised characteristic-polynomial call over its (time,
-        frequency) block, so the caller's index sets the block size.
+        The root profiles are convolved once for all of ``t``, and the
+        factors that depend on ``xi`` alone are computed once.  A block
+        whose profile columns are bitwise equal, as on the stretches where
+        a mollified piecewise-constant coefficient is constant, is returned
+        as a read-only broadcast of one row, cached until a block with
+        other columns asks for a constant row; the row has the bits that
+        tabulating each time would give, because every operation is
+        elementwise in time.  Any other block is one vectorised
+        characteristic-polynomial call over its (time, frequency) block, so
+        the caller's index sets the block size.
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         br = bracket(xi)
+        powers = [br ** (j - self.order) for j in range(1, self.order + 1)]
+        table = self._root_table(xi)
         pos, neg = self._profiles(t, xi)
+        # the profiles' bits, so that -0.0 and 0.0 count as different
+        bits = np.concatenate([pos, neg]).view(np.int64)
+        cached: dict[bytes, Array] = {}
 
         def rows(index: Index) -> Array:
-            return _row_table(self._root_table(
-                (pos[:, index], neg[:, index]), xi), br)
+            block = bits[:, index]
+            if not block.shape[1] or (block != block[:, :1]).any():
+                return _row_table(table(pos[:, index], neg[:, index]), powers)
+            key = block[:, 0].tobytes()
+            if key not in cached:
+                cached.clear()
+                cached[key] = _row_table(table(pos[:, index][:, :1],
+                                               neg[:, index][:, :1]), powers)
+            return np.broadcast_to(cached[key],
+                                   (block.shape[1], self.order, xi.size))
 
         return rows
 

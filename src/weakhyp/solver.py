@@ -134,9 +134,10 @@ class IntegrationResult:
     step_doubling_max: float
 
 
-# bytes of the last rows that one block of steps reads for the whole batch:
-# a step reads each member's real m x K rows at two stage times, four on a
-# step-doubling step
+# bytes of the last rows and forcing values that one block of steps reads
+# for the whole batch: a step reads each member's m x K rows (real, or
+# complex with lower-order terms) and its K complex forcing values at two
+# stage times, four on a step-doubling step
 _ROW_BLOCK_BYTES = 1 << 18
 
 
@@ -169,9 +170,27 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     the stage times t_i + h/4 and t_i + 3h/4, and the difference spot-checks
     each member's local error.  The companion parts tabulate only these
     stage times.  This function owns the blocks: it walks the steps in
-    blocks of at most ``_ROW_BLOCK_BYTES`` of last rows for the whole batch,
-    reads each block's rows (principal plus lower, summed once) and forcing
-    once, and the stages index them.
+    blocks of at most ``_ROW_BLOCK_BYTES`` of last rows and forcing for the
+    whole batch, reads each block's rows (principal plus lower, summed once)
+    and forcing once, and the stages index them.
+
+    Where the coefficients are constant, as outside the layers of width
+    2 omega around each jump of a mollified piecewise-constant coefficient,
+    one RK4 step is a fixed linear map V -> P V.  Entry (member e,
+    frequency k) takes it on step i only when its rows are bitwise equal at
+    every lattice point step i reads, quarter points included; one
+    vectorised pass per block decides this for all entries and steps.  P
+    and the half-step map of the step-doubling check come from pushing the
+    m basis vectors through the staged step, from the rows at the step
+    where some entry enters a constant stretch, and are applied as m
+    broadcast multiply-adds.  Both are elementwise in (member, frequency),
+    so an entry's map, its path and its bits depend on its own rows alone,
+    never on the batch or the block length.  On a step where only some
+    entries are constant, the members with an entry off its stretch also
+    take the staged step and keep it there.  The map is the RK4 map, so the
+    stability budget below governs it too, and its outputs differ from the
+    staged steps' by rounding only.  A forced problem always takes the
+    staged steps.
 
     Failures are per member, and a failed member leaves the batch while the
     others step on.  Before stepping, each member must satisfy
@@ -216,6 +235,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                          np.concatenate([doubled + 1, doubled + 3]))
     stage_times = t_grid[0] + 0.25 * h * lattice
     position = dict(zip(lattice.tolist(), range(lattice.size)))
+    starts = np.searchsorted(lattice, 4 * np.arange(nt + 1))
 
     br = bracket(xi)
     ibr = 1j * br
@@ -264,25 +284,73 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
             if forced else None
         return index.start, rows, force
 
-    def rhs(block: tuple, q: int, state: Array) -> Array:
+    def rhs(block: tuple, q: int, state: Array, members: Index) -> Array:
         lo, row_block, force_block = block
         k = position[q] - lo
         out = np.empty_like(state)
         out[:, :-1] = ibr * state[:, 1:]
-        last = (row_block[:, k] * state).sum(axis=1)
+        last = (row_block[members, k] * state).sum(axis=1)
         if force_block is not None:
-            last = last + force_block[:, k]
+            last = last + force_block[members, k]
         out[:, -1] = 1j * last
         return out
 
-    def rk4_step(block: tuple, q0: int, dq: int, dt: float,
-                 state: Array) -> Array:
-        """One step of length dt with stages at lattice q0, q0+dq, q0+2dq."""
-        k1 = rhs(block, q0, state)
-        k2 = rhs(block, q0 + dq, state + 0.5 * dt * k1)
-        k3 = rhs(block, q0 + dq, state + 0.5 * dt * k2)
-        k4 = rhs(block, q0 + 2 * dq, state + dt * k3)
+    def rk4_step(block: tuple, q0: int, dq: int, dt: float, state: Array,
+                 members: Index = slice(None)) -> Array:
+        """One step of length dt with stages at lattice q0, q0+dq, q0+2dq,
+        for the block's ``members`` whose states are ``state``."""
+        k1 = rhs(block, q0, state, members)
+        k2 = rhs(block, q0 + dq, state + 0.5 * dt * k1, members)
+        k3 = rhs(block, q0 + dq, state + 0.5 * dt * k2, members)
+        k4 = rhs(block, q0 + 2 * dq, state + dt * k3, members)
         return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def staged_step(block: tuple, i: int, doubled: bool, state: Array,
+                    members: Index = slice(None)) -> tuple:
+        """Step i by staged RK4, and on a step-doubling step also as two
+        half steps (else None)."""
+        full = rk4_step(block, 4 * i, 2, h, state, members)
+        if not doubled:
+            return full, None
+        half = rk4_step(block, 4 * i, 1, 0.5 * h, state, members)
+        return full, rk4_step(block, 4 * i + 2, 1, 0.5 * h, half, members)
+
+    def step_maps(block: tuple, q: int, shape: tuple) -> tuple[Array, Array]:
+        """The RK4 maps of a full and of a half step, (m, members, m, K)
+        each, for rows held constant at their values at lattice point q:
+        slice j is the image of the j-th basis vector.  Every operation is
+        elementwise in (member, frequency), so an entry's map depends on
+        its rows alone."""
+        full = np.empty((m,) + shape, dtype=complex)
+        half = np.empty_like(full)
+        for j in range(m):
+            unit = np.zeros(shape, dtype=complex)
+            unit[:, j] = 1.0
+            full[j] = rk4_step(block, q, 0, h, unit)
+            half[j] = rk4_step(block, q, 0, 0.5 * h, unit)
+        return full, half
+
+    def apply(step_map: Array, state: Array) -> Array:
+        out = step_map[0] * state[:, :1]
+        for j in range(1, m):
+            out += step_map[j] * state[:, j:j + 1]
+        return out
+
+    def constant_steps(block: tuple, i0: int, i1: int) -> Array:
+        """(members, i1 - i0, K): whether each entry's last rows are bitwise
+        equal at every lattice point that step i0 + s reads, quarter points
+        included; a NaN row never is, and a forced problem has none."""
+        lo, rows, _ = block
+        if forced:
+            return np.zeros((rows.shape[0], i1 - i0, xi.size), dtype=bool)
+        # step i reads the lattice points from starts[i] to starts[i + 1];
+        # spans lists the intervals between them, padded by repeating the
+        # last one
+        first, last = starts[i0:i1] - lo, starts[i0 + 1:i1 + 1] - lo
+        spans = np.minimum(first[:, None] + np.arange((last - first).max()),
+                           last[:, None] - 1)
+        same = (rows[:, 1:] == rows[:, :-1]).all(axis=2)
+        return same[:, spans].all(axis=2)
 
     members = len(systems)
     traces = np.zeros((members, m, len(tracked), nt + 1), dtype=complex)
@@ -300,8 +368,14 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     v = np.array([initial[e] for e in live]).reshape(live.size, m, xi.size)
     record(0, v)
-    block_steps = max(1, _ROW_BLOCK_BYTES
-                      // (16 * max(live.size, 1) * m * max(xi.size, 1)))
+    # principal rows are real, lower-order rows and forcing values complex
+    row_bytes = (16 if lowered else 8) * m + (16 if forced else 0)
+    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * row_bytes * max(live.size, 1)
+                                             * max(xi.size, 1)))
+    # which entries were constant on the previous step, and the step maps
+    # built when one of them last entered a constant stretch
+    previous = np.zeros((live.size, xi.size), dtype=bool)
+    maps = None
     # overflow of a diverging state is reported via DivergenceError, not as
     # a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,11 +384,31 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 break
             i1 = min(nt, i0 + block_steps)
             block = read_block(slice(position[4 * i0], position[4 * i1] + 1))
+            constant = constant_steps(block, i0, i1)
             for i in range(i0, i1):
-                v_new = rk4_step(block, 4 * i, 2, h, v)
-                if i % stride == 0:
-                    half = rk4_step(block, 4 * i, 1, 0.5 * h, v)
-                    half = rk4_step(block, 4 * i + 2, 1, 0.5 * h, half)
+                doubled = i % stride == 0
+                const = constant[:, i - i0]
+                if not const.any():
+                    v_new, half = staged_step(block, i, doubled, v)
+                else:
+                    if (const > previous).any():
+                        maps = step_maps(block, 4 * i, v.shape)
+                    v_new = apply(maps[0], v)
+                    if doubled:
+                        half = apply(maps[1], apply(maps[1], v))
+                    # members with an entry off its constant stretch take
+                    # the staged step there
+                    staged = np.flatnonzero(~const.all(axis=1))
+                    if staged.size:
+                        keep = const[staged, None]
+                        s_new, s_half = staged_step(block, i, doubled,
+                                                    v[staged], staged)
+                        v_new[staged] = np.where(keep, v_new[staged], s_new)
+                        if doubled:
+                            half[staged] = np.where(keep, half[staged],
+                                                    s_half)
+                previous = const
+                if doubled:
                     scale = np.abs(v_new).max(axis=(1, 2))
                     scale[scale == 0.0] = 1.0
                     # fmax, like max() on floats, ignores a NaN estimate
@@ -335,6 +429,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                         block = (lo, rows[finite],
                                  force[finite] if forced else None)
                         live, v = live[finite], v[finite]
+                        previous = previous[finite]
+                        constant = constant[finite]
+                        if maps is not None:
+                            maps = tuple(a[:, finite] for a in maps)
                         if not live.size:
                             break
                 record(i + 1, v)

@@ -4,7 +4,8 @@ Nothing in the package calls these: recovered coefficients from a sigma
 table of their own plan (all at once, one as a callable of t, and their
 polynomial reconstruction of sigma), a substitute principal part, the
 relative energy drift of a trace, the approximation-rate audit of the
-cutoff mollifier, and the per-item paths
+cutoff mollifier, the staged RK4 loop that the integrator's step matrices
+replace on constant stretches, and the per-item paths
 that the batched audits replaced (the per-tuple symmetriser and its audit
 loop, and the per-root symmetric functions of the recovery).  Test modules
 import them as ``oracles``; pytest's default import mode puts ``tests/`` on
@@ -27,12 +28,15 @@ from weakhyp.mollifiers import GevreyCutoffMollifier
 from weakhyp.profiles import RoughProfile
 from weakhyp.recovery import (HomogeneousCoefficientSet,
                               characteristic_polynomial, sigma_table)
-from weakhyp.reduction import (Index, companion_blocks,
+from weakhyp.reduction import (CompanionSystem, Index, companion_blocks,
                                companion_matrix_from_coefficients)
 from weakhyp.roots import RegularisedRoots, bracket
 from weakhyp.solver import EnergyTrace
 
 Array = np.ndarray
+
+#: the trapezoidal rule; numpy before 2.0 names it ``trapz``
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def coefficient(cset: HomogeneousCoefficientSet, nu: tuple[int, ...]
@@ -123,6 +127,43 @@ class PolynomialPrincipal:
 
     def max_normalised_speed(self) -> float:
         return self.speed_bound
+
+
+def staged_rk4(system: CompanionSystem, xi: Array, t_grid: Array) -> Array:
+    """States (nt + 1, m, K) of fixed-step RK4 for D_t V = (A + B) V + F,
+    one step at a time, each stage reading the rows and forcing at its own
+    time, with the integrator's arithmetic for one member."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    nt = t_grid.size - 1
+    h = float(t_grid[1] - t_grid[0])
+    # stage time k is the half step t_0 + k h / 2, as the integrator forms it
+    stage_times = t_grid[0] + 0.25 * h * np.arange(0, 4 * nt + 1, 2)
+    rows = system.principal.row_provider(stage_times, xi)(slice(None))
+    if system.lower is not None:
+        rows = rows + system.lower.row_provider(stage_times, xi)(slice(None))
+    force = None if system.forcing is None else \
+        system.forcing.values_provider(stage_times, xi)(slice(None))
+    ibr = 1j * bracket(xi)
+
+    def rhs(k: int, state: Array) -> Array:
+        out = np.empty_like(state)
+        out[:-1] = ibr * state[1:]
+        last = (rows[k] * state).sum(axis=0)
+        if force is not None:
+            last = last + force[k]
+        out[-1] = 1j * last
+        return out
+
+    states = [system.V0(xi).astype(complex)]
+    for i in range(nt):
+        v = states[-1]
+        k1 = rhs(2 * i, v)
+        k2 = rhs(2 * i + 1, v + 0.5 * h * k1)
+        k3 = rhs(2 * i + 1, v + 0.5 * h * k2)
+        k4 = rhs(2 * i + 2, v + h * k3)
+        states.append(v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(states)
 
 
 def max_relative_drift(trace: EnergyTrace) -> float:

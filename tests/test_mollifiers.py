@@ -16,7 +16,7 @@ from weakhyp.profiles import (bump_profile, constant_profile,
                               piecewise_constant_profile, point_mass_profile,
                               polynomial_piece_profile, zero_profile)
 
-from oracles import fourier_approximation_rate
+from oracles import fourier_approximation_rate, trapezoid
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ def test_heaviside_ramp_matches_cumulative_kernel_oracle(phi):
     # oracle: (H * phi)(t) = int_{-r}^{t - 0.5} phi for t near the jump
     t_probe = 0.53
     s = np.linspace(-eps, t_probe - 0.5, 20001)
-    cumulative = np.trapezoid(scaled(s), s)
+    cumulative = trapezoid(scaled(s), s)
     assert abs(float(conv(t_probe)) - cumulative) <= 1e-7
 
 

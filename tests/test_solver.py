@@ -1,7 +1,7 @@
 import json
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             solve_very_weak, transport_reference)
 
 from oracles import (PolynomialPrincipal, max_relative_drift,
-                     symmetriser_figures)
+                     staged_rk4, symmetriser_figures, trapezoid)
 
 
 def solve_frequency(system, xi, epsilon, t_grid):
@@ -214,7 +214,7 @@ def test_energy_pure_forcing_bounded_by_quadrature_oracle():
         sym = build_symmetriser(np.sort(lam) / br)
         f_vec = np.array([0.0, np.sin(np.pi * t)], dtype=complex)
         norms.append(np.sqrt(np.real(np.conj(f_vec) @ sym.matrix @ f_vec)))
-    bound = float(np.trapezoid(np.asarray(norms), fine)) ** 2
+    bound = float(trapezoid(np.asarray(norms), fine)) ** 2
     assert float(np.max(energy.energies)) <= bound * (1.0 + 1e-6)
 
 
@@ -444,17 +444,20 @@ def test_frequency_subset_does_not_change_bits():
     assert np.array_equal(part.final_state, full.final_state[:, ::3])
 
 
-def _lower_forced_problem(**options):
+def _heaviside_problem(**options):
     speed = heaviside_profile(0.5, 1.0, 2.0, (0.0, 1.0))
     return VeryWeakProblem(
         family=wave_speed_roots(speed),
         data=(bump_profile(0.0, 1.0), zero_profile()),
         grid=FrequencyGrid(32, auto_box_length(1.0, 2.5, 1.0, 1.0)),
-        time_steps=256, horizon=1.0,
+        time_steps=256, horizon=1.0, omega=linear_scale(), **options)
+
+
+def _lower_forced_problem(**options):
+    return _heaviside_problem(
         lower_terms=LowerOrderPart(2, (LowerTerm(0, 1, heaviside_profile(
             0.3, 0.5, -0.5, (0.0, 1.0))),)),
-        forcing=(bump_profile(0.5, 0.3), bump_profile(0.0, 1.0)),
-        omega=linear_scale(), **options)
+        forcing=(bump_profile(0.5, 0.3), bump_profile(0.0, 1.0)), **options)
 
 
 def _assert_same_result(batched, solo):
@@ -468,28 +471,115 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     problem = _lower_forced_problem()
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
+    # the blocks the integrator reads, one lower-order row call each
+    blocks = []
+    provider = LowerOrderPart.row_provider
+
+    def counted(self, t, frequencies):
+        rows = provider(self, t, frequencies)
+
+        def call(index):
+            if isinstance(index, slice):
+                blocks.append(index)
+            return rows(index)
+        return call
+
+    monkeypatch.setattr(LowerOrderPart, "row_provider", counted)
     # a batch of one, then of two epsilons
     for epsilons in ((0.125,), (0.125, 0.0625)):
         systems = [build_regularised_system(problem, e)[0] for e in epsilons]
         assert systems[0].lower is not None \
             and systems[0].forcing is not None
 
-        def run():
-            return integrate_companion(systems, xi, t_grid, epsilons,
-                                       tracked_indices=(1, 5),
-                                       output_steps=(100, 256))
+        def run(steps):
+            # a budget of ``steps`` steps of the whole batch's complex rows
+            # and forcing values at two stage times
+            monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 2 * len(systems)
+                                * xi.size * (16 * systems[0].order + 16)
+                                * steps)
+            blocks.clear()
+            results = integrate_companion(systems, xi, t_grid, epsilons,
+                                          tracked_indices=(1, 5),
+                                          output_steps=(100, 256))
+            assert len(blocks) == len(systems) * -(-256 // steps)
+            return results
 
-        # the default budget holds all 256 steps in one block
-        monkeypatch.undo()
-        whole = run()
+        # all 256 steps in one block
+        whole = run(256)
         # one step per block, then 3-step blocks, which straddle the
-        # step-doubling steps (every second step); the budget covers the
-        # rows of the whole batch
+        # step-doubling steps (every second step)
         for steps in (1, 3):
-            monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 16 * len(systems)
-                                * systems[0].order * xi.size * steps)
-            for blocked, reference in zip(run(), whole):
+            for blocked, reference in zip(run(steps), whole):
                 _assert_same_result(blocked, reference)
+
+
+def test_constant_stretches_keep_each_entrys_bits(monkeypatch):
+    # unforced, so entries step by the RK4 step matrix where their rows are
+    # constant; the layers of width 2 omega around the jump differ per
+    # epsilon, so the members' constant stretches differ in length
+    problem = _heaviside_problem()
+    epsilons = (0.25, 0.125, 0.0625, 0.03125)
+    systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+    xi = problem.grid.frequencies
+    t_grid = np.linspace(0.0, 1.0, 257)
+    options = dict(tracked_indices=(0, 1, 5), output_steps=(100, 256))
+
+    def run(members, frequencies):
+        return integrate_companion([systems[e] for e in members],
+                                   frequencies, t_grid,
+                                   [epsilons[e] for e in members], **options)
+
+    batched = run(range(4), xi)
+    for e in range(4):
+        solo, = run([e], xi)
+        _assert_same_result(batched[e], solo)
+    # block lengths depend on the number of frequencies, bits do not; the
+    # tracked indices now name other frequencies, so they are not compared
+    for full, part in zip(batched, run(range(4), xi[::3])):
+        assert np.array_equal(part.first_component,
+                              full.first_component[:, ::3])
+        assert np.array_equal(part.final_state, full.final_state[:, ::3])
+    # one step per block, then 3-step blocks, which straddle the
+    # step-doubling steps (every second step); the budget counts the
+    # batch's real order-2 rows at two stage times
+    for steps in (1, 3):
+        monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES",
+                            2 * 8 * len(systems) * 2 * xi.size * steps)
+        for blocked, reference in zip(run(range(4), xi), batched):
+            _assert_same_result(blocked, reference)
+
+
+def _agrees_with_staged_rk4(problem, epsilon, exact):
+    system = build_regularised_system(problem, epsilon)[0]
+    xi = problem.grid.frequencies
+    t_grid = np.linspace(0.0, 1.0, problem.time_steps + 1)
+    steps = (problem.time_steps // 2, problem.time_steps)
+    result, = integrate_companion([system], xi, t_grid, [epsilon],
+                                  tracked_indices=range(xi.size),
+                                  output_steps=steps)
+    states = staged_rk4(system, xi, t_grid)
+    got = (np.moveaxis(result.traces, -1, 0), result.final_state,
+           result.first_component)
+    want = (states, states[-1], states[list(steps), 0])
+    for a, b in zip(got, want):
+        if exact:
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(states))
+
+
+def test_step_matrices_agree_with_staged_rk4_on_constant_roots():
+    # constant roots: every step of every entry takes the step matrix
+    problem = replace(_heaviside_problem(), family=constant_roots([-1.0, 2.0]))
+    _agrees_with_staged_rk4(problem, 0.0625, exact=False)
+
+
+def test_step_matrices_agree_with_staged_rk4_across_a_jump():
+    _agrees_with_staged_rk4(_heaviside_problem(), 0.0625, exact=False)
+
+
+def test_forced_problems_take_the_staged_steps_bit_for_bit():
+    _agrees_with_staged_rk4(_lower_forced_problem(), 0.0625, exact=True)
 
 
 def _assert_same_record(batched, solo):
