@@ -24,8 +24,8 @@ from .mollifiers import (Convolution, GevreyCutoffMollifier, Mollifier,
                          plateau_cutoff, scale_mollifier,
                          vanishing_moment_mollifier)
 from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
-                    bracket_norm, constant_roots, constant_scale,
-                    linear_scale, logarithmic_scale, regularise_roots,
+                    constant_roots, constant_scale, linear_scale,
+                    logarithmic_scale, regularise_roots,
                     roots_from_linear_forms, roots_from_time_profiles,
                     transport_roots, wave_speed_roots)
 from .recovery import (DirectionPlan, HomogeneousCoefficientSet,

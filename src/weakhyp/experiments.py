@@ -32,7 +32,7 @@ from .recovery import build_direction_plan, random_round_trip_study
 from .reduction import (LowerOrderPart, LowerTerm, cofactor_matrix,
                         random_hyperbolic_system, to_block_sylvester)
 from .reports import write_csv, write_json
-from .roots import constant_scale
+from .roots import constant_scale, speed_bound
 from .solver import (CONE_MARGIN, FrequencyGrid, SolutionNet,
                      VeryWeakProblem, auto_box_length, dalembert_reference,
                      data_support_radius, energy_trace, solve_single,
@@ -144,7 +144,7 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
             field="grid.margin")
     box = grid_cfg.get("box_length")  # absent or null: sized from the cone
     if box is None:
-        speed = family.bound + order * scale(max(cfg.epsilon_sweep))
+        speed = speed_bound(family, scale(max(cfg.epsilon_sweep)))
         box = auto_box_length(data_support_radius(data, forcing), speed,
                               horizon, float(margin))
     with config_field("grid.box_length"):

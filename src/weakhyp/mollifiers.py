@@ -216,8 +216,9 @@ class Convolution:
         self.support = (lo - r, hi + r)
         constant = [p for p in profile.pieces if p.degree == 0]
         self._other_pieces = [p for p in profile.pieces if p.degree != 0]
-        # columns over pieces: the sum over pieces then runs in one fixed
-        # order for every evaluation point, whatever the batch of points
+        # rows over pieces, columns over points: the sum over pieces is an
+        # accumulation in piece order, the same for every evaluation point
+        # whatever the batch of points
         self._const_edges = np.array([[p.hi] for p in constant]
                                      + [[p.lo] for p in constant])
         values = np.array([p.value for p in constant], dtype=complex)[:, None]
@@ -247,8 +248,9 @@ class Convolution:
             u = np.clip((t_flat - self._const_edges) / w, -1.0, 1.0)
             q = np.polynomial.polynomial.polyval(u, self._primitive)
             mass = q[n_const:] - q[:n_const]
-            out += ((self._const_values * mass).sum(axis=0)
-                    / w ** k).reshape(t.shape)
+            # cumsum, not sum: numpy sums a single column pairwise
+            total = (self._const_values * mass).cumsum(axis=0)[-1]
+            out += (total / w ** k).reshape(t.shape)
         for piece in self._other_pieces:
             lo_y = np.maximum(-r, t - piece.hi)
             hi_y = np.minimum(r, t - piece.lo)

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import (InvalidParameterError, PlanError, WeakHypError,
                      numerical_errors)
 from .mollifiers import Mollifier
-from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket_norm,
-                    constant_scale, regularise_roots, roots_from_linear_forms)
+from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
+                    constant_scale, regularise_roots, roots_from_linear_forms,
+                    separating_shift)
 from .profiles import piecewise_constant_profile
 
 Array = np.ndarray
@@ -281,10 +282,12 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     first, then xi, probe by probe).  The family is tabulated once: one
     :func:`sigma_table` holds every direction of every degree's plan at all
     probe times, and each degree's recovered coefficients are evaluated
-    from it in one batched solve.  Each probe then
-    rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)``, takes companion-matrix
-    eigenvalues, reattaches the separating shifts to the sorted roots and
-    compares against the regularised root values.  Failures are recorded,
+    from it in one batched solve; one :meth:`RegularisedRoots.direction_table`
+    along the probes' own directions gives their reference roots.  Each
+    probe then rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)``, takes
+    companion-matrix eigenvalues and compares the sorted roots, each with its
+    separating shift, against the reference roots with theirs.  Failures are
+    recorded,
     not raised: a failed batched evaluation fails every probe.  A direction
     plan with a singular block raises :class:`PlanError` before any probe;
     the condition numbers of the blocks stay on the plan
@@ -299,12 +302,12 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     reg = regularise_roots(family, mollifier, scale)
     m, n = family.order, family.dimension
     sets = {j: recover_coefficients(reg, j, n, epsilon) for j in range(1, m + 1)}
-    w = reg.omega_of(epsilon)
     draws = []
     for _ in range(trials):
         t = float(rng.uniform(0.0, family.horizon))
         draws.append((t, tuple(rng.uniform(0.3, 2.5, size=n))))
     t_all = np.array([t for t, _ in draws])
+    xis = [xi for _, xi in draws]
     directions = list(dict.fromkeys(
         d for cset in sets.values() for d in cset.plan.directions))
     try:
@@ -312,6 +315,13 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
             sigma = sigma_table(reg, t_all, epsilon, directions)
             values = {h: sets[h].evaluate(t_all, sigma)
                       for h in range(1, m + 1)}
+            # probe i's root profiles along its xi at its own t: (trials, m)
+            table = reg.direction_table(t_all, epsilon, xis)
+            index = np.arange(trials)
+            norms = np.linalg.norm(np.array(xis), axis=1)
+            shifts = separating_shift(m, reg.omega(epsilon),
+                                      bracket(norms)).T
+            references = table[index, :, index] * norms[:, None] + shifts
     except WeakHypError as exc:  # reported, not thrown
         failures = tuple(f"probe (t={t:.6g}, xi={xi}): {exc}"
                          for t, xi in draws)
@@ -328,9 +338,8 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
                                      for nu, vals in values[h].items())
                 eig = np.linalg.eigvals(
                     companion_matrix_from_coefficients(coeffs))
-                pure = np.sort(np.real(eig))
-                shifted = pure + np.arange(1, m + 1) * w * bracket_norm(xi)
-                reference = reg.values(t, xi, epsilon)
+                shifted = np.sort(np.real(eig)) + shifts[i]
+                reference = references[i]
                 ref_scale = max(1.0, float(np.max(np.abs(reference))))
                 err = float(np.max(np.abs(shifted - reference))) / ref_scale
             probes.append(RoundTripProbe(t, xi))

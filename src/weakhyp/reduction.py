@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (ConfigurationError, HyperbolicityError,
                      InvalidParameterError, NumericalError, UnsupportedError)
 from .recovery import characteristic_polynomial
-from .roots import RegularisedRoots, bracket, dt_power
+from .roots import (RegularisedRoots, bracket, dt_power, separating_shift,
+                    speed_bound)
 
 Array = np.ndarray
 #: an index into a time array: a slice or an integer array
@@ -123,9 +124,9 @@ class RootValuePrincipal:
         """The separated root values (T, m, K) as a function of the root
         profiles (m, T) in the directions +1 and -1; the factors that depend
         on ``xi`` alone are computed here, once."""
-        m = self.order
-        w = self.regularised.omega_of(self.epsilon)
-        sep = np.arange(1, m + 1)[:, None] * (w * bracket(xi))[None, :]
+        sep = separating_shift(self.order,
+                               self.regularised.omega(self.epsilon),
+                               bracket(xi))
         upper = xi >= 0
         size = np.abs(xi)
 
@@ -177,8 +178,8 @@ class RootValuePrincipal:
         return rows
 
     def max_normalised_speed(self) -> float:
-        return self.regularised.base.bound \
-            + self.order * self.regularised.omega_of(self.epsilon)
+        return speed_bound(self.regularised.base,
+                           self.regularised.omega(self.epsilon))
 
 
 # -- lower order, forcing, data ----------------------------------------------------

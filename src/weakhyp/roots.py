@@ -3,14 +3,16 @@
 A root family holds, per root index j and unit direction d, a rough time
 profile r_j(., d) with lambda_j(t, xi) = r_j(t, xi/|xi|) |xi| (degree-one
 homogeneity).  Regularisation convolves each profile in time at scale
-omega(eps) and adds the separating shift j*omega(eps)*<xi>, which makes the
-regularised family strictly hyperbolic with gap at least omega(eps)*<xi>.
+omega(eps) along the exact unit direction, and ``direction_table`` is the
+one path to those values.  The separating shift j*omega(eps)*<xi>, which
+makes the regularised family strictly hyperbolic with gap at least
+omega(eps)*<xi>, and the speed bound it implies are written once, here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,12 +31,6 @@ def bracket(xi: Array | float) -> Array:
     """The weight <xi> = (1 + |xi|^2)^(1/2) for scalar frequencies."""
     xi = np.asarray(xi, dtype=float)
     return np.sqrt(1.0 + xi * xi)
-
-
-def bracket_norm(xi_vec: Sequence[float]) -> float:
-    """<xi> for a frequency vector."""
-    v = np.asarray(xi_vec, dtype=float).ravel()
-    return float(math.sqrt(1.0 + float(v @ v)))
 
 
 # -- scale functions -----------------------------------------------------------
@@ -97,12 +93,12 @@ def constant_scale(omega0: float) -> OmegaScale:
 # -- root families ---------------------------------------------------------------
 
 
-def _direction_key(direction: Sequence[float]) -> tuple[float, ...]:
+def _unit_direction(direction: Sequence[float]) -> tuple[float, ...]:
     d = np.asarray(direction, dtype=float).ravel()
     norm = float(np.linalg.norm(d))
     if norm == 0.0:
         raise InvalidParameterError("direction must be nonzero")
-    return tuple(round(float(x), 12) for x in d / norm)
+    return tuple(float(x) for x in d / norm)
 
 
 @dataclass
@@ -115,16 +111,13 @@ class RootFamily:
     bound: float
     ordered: bool
     horizon: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def profile(self, j: int, direction: Sequence[float]) -> RoughProfile:
-        """Time profile of root j (1-based) along a unit direction."""
+        """Time profile of root j (1-based) along the unit vector
+        ``direction/|direction|``."""
         if not 1 <= j <= self.order:
             raise InvalidParameterError(f"root index {j} outside 1..{self.order}")
-        key = (j, _direction_key(direction))
-        if key not in self._cache:
-            self._cache[key] = self.profile_fn(j, key[1])
-        return self._cache[key]
+        return self.profile_fn(j, _unit_direction(direction))
 
     def check_bound(self, t_samples: Array, directions) -> float:
         top = 0.0
@@ -234,60 +227,46 @@ def transport_roots(speed: float, horizon: float = 1.0) -> RootFamily:
 # -- regularisation ---------------------------------------------------------------
 
 
+def separating_shift(order: int, w: float, br: Array) -> Array:
+    """The shifts j*w*<xi> (order, K) for j = 1..order, from the weights
+    ``br`` = <xi> (K,) at the scale w = omega(eps)."""
+    return np.arange(1, order + 1)[:, None] * (w * br)
+
+
+def speed_bound(family: RootFamily, w: float) -> float:
+    """Bound on |lambda_j,eps| / <xi>: the family's bound plus the largest
+    separating shift at the scale w = omega(eps)."""
+    return family.bound + family.order * w
+
+
 @dataclass
 class RegularisedRoots:
-    """Separated mollified root family lambda_{j,eps}(t, xi).
-
-    ``value`` includes the separating shift j*omega(eps)*<xi>; ``pure_value``
-    is the plain time convolution, which keeps the exact degree-one
-    homogeneity and is what coefficient recovery consumes.
-    """
+    """Mollified root family lambda_j * phi_omega(eps), without the
+    separating shift (which :func:`separating_shift` gives); this part keeps
+    the exact degree-one homogeneity and is what coefficient recovery
+    consumes."""
 
     base: RootFamily
     mollifier: Mollifier
     omega: OmegaScale
-    _conv_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
         return self.base.order
 
-    def omega_of(self, epsilon: float) -> float:
-        return self.omega(epsilon)
-
     def convolved(self, j: int, direction: Sequence[float],
                   epsilon: float) -> Convolution:
-        w = self.omega_of(epsilon)
-        key = (j, _direction_key(direction), w)
-        if key not in self._conv_cache:
-            kernel = scale_mollifier(self.mollifier, w)
-            self._conv_cache[key] = convolve_profile(
-                self.base.profile(j, direction), kernel)
-        return self._conv_cache[key]
-
-    def pure_value(self, j: int, t: Array | float, xi, epsilon: float) -> Array:
-        v = np.atleast_1d(np.asarray(xi, dtype=float))
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return np.zeros(np.shape(t))
-        return np.real(self.convolved(j, v / norm, epsilon)(t)) * norm
-
-    def separation(self, j: int, xi, epsilon: float) -> float:
-        v = np.atleast_1d(np.asarray(xi, dtype=float))
-        return j * self.omega_of(epsilon) * bracket_norm(v)
-
-    def value(self, j: int, t: Array | float, xi, epsilon: float) -> Array:
-        return self.pure_value(j, t, xi, epsilon) + self.separation(j, xi, epsilon)
-
-    def values(self, t: float, xi, epsilon: float) -> Array:
-        return np.array([float(self.value(j, t, xi, epsilon))
-                         for j in range(1, self.order + 1)])
+        """Root j's profile along ``direction/|direction|``, convolved at
+        the scale omega(epsilon)."""
+        kernel = scale_mollifier(self.mollifier, self.omega(epsilon))
+        return convolve_profile(self.base.profile(j, direction), kernel)
 
     def direction_table(self, t: Array, epsilon: float,
                         directions: Sequence[Sequence[float]]) -> Array:
         """Convolved profile values (len(directions), m, len(t)) along the
         unit vectors of ``directions``, in their order: the one path by
-        which the solver and the recovery tabulate root profiles."""
+        which the solver, the recovery and its round trip tabulate root
+        profiles."""
         return np.array([[np.real(self.convolved(j, d, epsilon)(t))
                           for j in range(1, self.order + 1)]
                          for d in directions]).reshape(

@@ -548,7 +548,7 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     phi = friedrichs_mollifier()
     rho_base = GevreyCutoffMollifier(vanishing_moment_mollifier(2), 0.5)
     reg = regularise_roots(problem.family, phi, problem.omega)
-    w = reg.omega_of(epsilon)
+    w = reg.omega(epsilon)
     phi_w = scale_mollifier(phi, w)
     grid = problem.grid
     rho_hat = rho_base.with_scale(w).fourier_transform(grid.frequencies)
@@ -595,7 +595,7 @@ def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
 def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
     """The regularised system at one epsilon, once its box is checked."""
     system, reg, w = build_regularised_system(problem, epsilon)
-    # support transport speed: |d lambda / d xi| <= bound + m omega
+    # support transport speed |d lambda / d xi|, within roots.speed_bound
     problem.grid.check_fit(data_support_radius(problem.data, problem.forcing),
                            system.principal.max_normalised_speed(),
                            problem.horizon)

@@ -7,7 +7,8 @@ relative energy drift of a trace, the approximation-rate audit of the
 cutoff mollifier, the staged RK4 loop that the integrator's step matrices
 replace on constant stretches, and the per-item paths
 that the batched audits replaced (the per-tuple symmetriser and its audit
-loop, and the per-root symmetric functions of the recovery).  Test modules
+loop, and the per-root symmetric functions of the recovery), and the
+per-root regularised values, pure and with the separating shift.  Test modules
 import them as ``oracles``; pytest's default import mode puts ``tests/`` on
 ``sys.path``.
 """
@@ -320,17 +321,34 @@ def symmetriser_audit_rows(count: int, max_order: int, spacing: float,
     return rows, violations
 
 
-# -- per-root symmetric functions ------------------------------------------------------
+# -- per-root values and symmetric functions ----------------------------------------
+
+
+def pure_root(reg: RegularisedRoots, j: int, t: Array | float, xi,
+              epsilon: float) -> Array:
+    """(lambda_j * phi_omega)(t, xi) for one root: its convolved profile
+    along ``xi`` (which ``convolved`` normalises), times |xi|."""
+    v = np.atleast_1d(np.asarray(xi, dtype=float))
+    return np.real(reg.convolved(j, v, epsilon)(t)) * float(np.linalg.norm(v))
+
+
+def root_value(reg: RegularisedRoots, j: int, t: Array | float, xi,
+               epsilon: float) -> Array:
+    """The separated regularised root lambda_j,eps(t, xi): the pure root
+    plus its shift j * omega(eps) * <xi>, written out here."""
+    v = np.atleast_1d(np.asarray(xi, dtype=float))
+    return pure_root(reg, j, t, v, epsilon) \
+        + j * reg.omega(epsilon) * math.sqrt(1.0 + float(v @ v))
 
 
 def sigma_per_root(reg: RegularisedRoots, t: Array, epsilon: float,
                    directions: Sequence[tuple[float, ...]]
                    ) -> dict[tuple[float, ...], Array]:
     """What ``recovery.sigma_table`` returns, one direction at a time from
-    each root's ``pure_value``."""
+    each root's :func:`pure_root`."""
     out = {}
     for xi in directions:
-        vals = np.array([reg.pure_value(j, t, xi, epsilon)
+        vals = np.array([pure_root(reg, j, t, xi, epsilon)
                          for j in range(1, reg.order + 1)])
         out[xi] = characteristic_polynomial(np.moveaxis(vals, 0, -1))
     return out

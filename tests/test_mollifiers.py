@@ -199,6 +199,30 @@ def test_constant_pieces_match_gauss_oracle(phi, breaks, data, log_omega, k):
     assert np.max(np.abs(closed - oracle)) <= bound
 
 
+@given(breaks=st.lists(st.floats(min_value=-1.0, max_value=2.0),
+                       min_size=9, max_size=21, unique=True).map(sorted),
+       data=st.data(),
+       log_omega=st.floats(min_value=-1.0, max_value=0.0),
+       k=st.integers(min_value=0, max_value=2))
+@settings(max_examples=60, deadline=None)
+def test_a_point_alone_equals_it_in_a_batch(phi, breaks, data, log_omega, k):
+    # 8 to 20 constant pieces: numpy sums one point's eight or more terms
+    # pairwise, but a batch's in sequence, unless the order is fixed
+    values = data.draw(st.lists(
+        st.floats(min_value=-5.0, max_value=5.0, allow_subnormal=False),
+        min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    profile = piecewise_constant_profile(breaks, values,
+                                         (breaks[0], breaks[-1]))
+    conv = convolve_profile(profile, scale_mollifier(phi, 10.0 ** log_omega),
+                            derivative=k)
+    t = np.array(data.draw(st.lists(
+        st.floats(min_value=breaks[0], max_value=breaks[-1]),
+        min_size=2, max_size=8)))
+    batch = conv(t)
+    for i, point in enumerate(t):
+        assert np.array_equal(np.atleast_1d(conv(point)), batch[i:i + 1])
+
+
 def test_mixed_profile_is_sum_of_its_parts(phi):
     parts = [constant_profile(2.0, (0.0, 0.4)),
              polynomial_piece_profile([1.0, -2.0, 0.5, 3.0], 0.4, 0.7),

@@ -18,7 +18,8 @@ from weakhyp.roots import (RootFamily, constant_roots, constant_scale,
                            linear_scale, regularise_roots, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
-from oracles import coefficient, evaluate, sigma_hat, sigma_per_root
+from oracles import (coefficient, evaluate, pure_root, sigma_hat,
+                     sigma_per_root)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +154,7 @@ def test_anisotropic_recovery_matches_single_solve_oracle(phi):
                     for d in directions])
     rhs = []
     for d in directions:
-        lam = np.array([float(reg.pure_value(j, 0.3, d, 0.5))
+        lam = np.array([float(pure_root(reg, j, 0.3, d, 0.5))
                         for j in (1, 2)])
         rhs.append(-sigma(lam, 2))
     oracle = dict(zip(members, np.linalg.solve(mat, rhs)))
@@ -197,7 +198,7 @@ def test_polynomial_reproduction_at_random_directions(phi):
     t = np.array([0.37])
     for _ in range(50):
         xi = tuple(rng.uniform(0.2, 2.0, 3))
-        lam = np.array([float(reg.pure_value(j, 0.37, xi, 0.5))
+        lam = np.array([float(pure_root(reg, j, 0.37, xi, 0.5))
                         for j in (1, 2)])
         target = sigma(lam, 2)
         got = sigma_hat(cs, 0.37, xi)
@@ -277,6 +278,16 @@ def test_random_round_trip_study_small(phi):
     assert orders == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("seed", [1, 5, 7, 21])
+def test_random_round_trip_error_is_rounding(phi, seed):
+    # each probe's reference comes from its exact direction: recovery is
+    # exact for linear-form families, so only rounding is left
+    study = random_round_trip_study(12, phi, 0.05,
+                                    np.random.default_rng(seed))
+    assert not study.failures
+    assert study.max_rel_error <= 1e-12
+
+
 @given(st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -284,7 +295,7 @@ def test_random_round_trip_study_small(phi):
 def test_round_trip_check_equals_per_root_oracle(phi, order, dimension,
                                                  seed):
     # the one table per family against each direction's symmetric
-    # functions taken root by root from pure_value
+    # functions taken root by root from pure_root
     family = random_ordered_family(np.random.default_rng(seed), order,
                                    dimension)
     report = round_trip_check(family, phi, 0.05, trials=3,

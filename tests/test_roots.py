@@ -6,7 +6,8 @@ import pytest
 
 from weakhyp._stats import linear_fit
 from weakhyp.errors import InsufficientDataError, InvalidParameterError
-from weakhyp.mollifiers import friedrichs_mollifier
+from weakhyp.mollifiers import (convolve_profile, friedrichs_mollifier,
+                                scale_mollifier)
 from weakhyp.profiles import heaviside_profile, hoelder_profile
 from weakhyp.roots import (_FD4, RootFamily, bracket, constant_roots,
                            constant_scale, dt_power, linear_scale,
@@ -14,6 +15,8 @@ from weakhyp.roots import (_FD4, RootFamily, bracket, constant_roots,
                            roots_from_linear_forms, transport_roots,
                            wave_speed_roots)
 from weakhyp.profiles import piecewise_constant_profile
+
+from oracles import pure_root, root_value
 
 
 # -- moderateness certification of the roots (the paper's claim, audited) -----
@@ -58,9 +61,9 @@ def certify_moderateness(reg, k_max, sample):
             sups = []
             floors = []
             for eps in eps_list:
-                h = reg.omega_of(eps) / 50.0
-                values = {off: np.asarray(reg.value(j, t_grid + off * h, xi,
-                                                    eps), dtype=float)
+                h = reg.omega(eps) / 50.0
+                values = {off: np.asarray(root_value(reg, j, t_grid + off * h,
+                                                     xi, eps), dtype=float)
                           for off in _FD4[k][0]}
                 sups.append(float(np.max(np.abs(
                     dt_power(values.__getitem__, k, h)))))
@@ -107,17 +110,20 @@ def phi():
 def test_constant_roots_regularised_values(phi):
     reg = regularise_roots(constant_roots([-1.0, 1.0]), phi, linear_scale())
     xi, eps = 3.0, 0.25
-    w = reg.omega_of(eps)
+    w = reg.omega(eps)
     br = float(bracket(np.array(xi)))
-    assert abs(float(reg.value(1, 0.5, xi, eps)) - (-xi + w * br)) < 1e-12
-    assert abs(float(reg.value(2, 0.5, xi, eps)) - (xi + 2 * w * br)) < 1e-12
+    assert abs(float(root_value(reg, 1, 0.5, xi, eps))
+               - (-xi + w * br)) < 1e-12
+    assert abs(float(root_value(reg, 2, 0.5, xi, eps))
+               - (xi + 2 * w * br)) < 1e-12
 
 
 def test_double_root_spacing_is_exact(phi):
     reg = regularise_roots(constant_roots([0.0, 0.0]), phi, linear_scale())
     xi, eps = 5.0, 0.125
-    gap = float(reg.value(2, 0.4, xi, eps) - reg.value(1, 0.4, xi, eps))
-    assert gap == pytest.approx(reg.omega_of(eps) * float(bracket(np.array(xi))),
+    gap = float(root_value(reg, 2, 0.4, xi, eps)
+                - root_value(reg, 1, 0.4, xi, eps))
+    assert gap == pytest.approx(reg.omega(eps) * float(bracket(np.array(xi))),
                                 rel=1e-14)
 
 
@@ -126,8 +132,8 @@ def test_heaviside_roots_smooth_and_separated(phi):
     reg = regularise_roots(wave_speed_roots(speed), phi, constant_scale(0.1))
     t = np.linspace(0.0, 1.0, 101)
     for xi in (1.0, 10.0):
-        lam1 = np.asarray(reg.value(1, t, xi, 0.5), dtype=float)
-        lam2 = np.asarray(reg.value(2, t, xi, 0.5), dtype=float)
+        lam1 = np.asarray(root_value(reg, 1, t, xi, 0.5), dtype=float)
+        lam2 = np.asarray(root_value(reg, 2, t, xi, 0.5), dtype=float)
         gap = lam2 - lam1
         assert np.min(gap) >= 0.1 * float(bracket(np.array(xi))) - 1e-10
         # smooth: second difference bounded by the mollification scale
@@ -151,8 +157,8 @@ def test_transport_roots_are_odd():
 def test_homogeneity_of_pure_part(phi):
     speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
     reg = regularise_roots(wave_speed_roots(speed), phi, linear_scale())
-    lam2 = float(reg.pure_value(2, 0.3, 2.0, 0.25))
-    lam6 = float(reg.pure_value(2, 0.3, 6.0, 0.25))
+    lam2 = float(pure_root(reg, 2, 0.3, 2.0, 0.25))
+    lam6 = float(pure_root(reg, 2, 0.3, 6.0, 0.25))
     assert lam6 == pytest.approx(3.0 * lam2, rel=1e-13)
 
 
@@ -164,7 +170,7 @@ def test_linf_convergence_continuous_profiles(phi):
     target = evaluate(fam, 2, t, 4.0)
     sups = []
     for eps in (0.2, 0.1, 0.05):
-        vals = np.asarray(reg.pure_value(2, t, 4.0, eps), dtype=float)
+        vals = np.asarray(pure_root(reg, 2, t, 4.0, eps), dtype=float)
         sups.append(float(np.max(np.abs(vals - target))))
     assert sups[0] > sups[1] > sups[2]
 
@@ -221,3 +227,25 @@ def test_linear_form_family_ordered_on_positive_orthant():
     for d in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0)):
         gap = check_ordered(fam, t, [d])
         assert gap > 0.0
+
+
+def test_direction_table_reads_the_exact_unit_direction(phi):
+    # the profile along (1, 2) is built from (1, 2)/sqrt(5) as computed,
+    # not from a rounded copy of it
+    coeffs = [[piecewise_constant_profile([0.0, 0.3, 1.0], [0.9, 1.3],
+                                          (0.0, 1.0)),
+               piecewise_constant_profile([0.0, 0.6, 1.0], [1.1, 0.7],
+                                          (0.0, 1.0))],
+              [piecewise_constant_profile([0.0, 0.5, 1.0], [2.0, 2.4],
+                                          (0.0, 1.0)),
+               piecewise_constant_profile([0.0, 1.0], [2.3], (0.0, 1.0))]]
+    fam = roots_from_linear_forms(coeffs)
+    reg = regularise_roots(fam, phi, constant_scale(0.05))
+    t = np.linspace(0.0, 1.0, 33)
+    table = reg.direction_table(t, 0.5, [(1.0, 2.0)])[0]
+    unit = (1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0))
+    kernel = scale_mollifier(phi, 0.05)
+    for j in (1, 2):
+        expected = np.real(convolve_profile(fam.profile_fn(j, unit),
+                                            kernel)(t))
+        assert np.array_equal(table[j - 1], expected)
