@@ -21,8 +21,7 @@ from .profiles import (PointMass, Piece, RoughProfile, bump_profile,
                        polynomial_piece_profile, zero_profile)
 from .mollifiers import (Convolution, GevreyCutoffMollifier, Mollifier,
                          convolve_profile, friedrichs_mollifier,
-                         plateau_cutoff, scale_mollifier,
-                         vanishing_moment_mollifier)
+                         scale_mollifier, vanishing_moment_mollifier)
 from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
                     constant_roots, constant_scale, linear_scale,
                     logarithmic_scale, regularise_roots,
@@ -50,6 +49,6 @@ from .solver import (EnergyTrace, FrequencyGrid, SolutionNet, SolveRecord,
 from .analysis import (ConvergenceReport, GevreyFourierFit,
                        ModeratenessReport, convergence_study,
                        fit_moderateness, gevrey_fourier_check,
-                       proxy_seminorm, uniformity_spot_check)
+                       proxy_seminorm)
 from .config import (ExperimentConfig, build_profile, build_root_family,
                      config_echo, config_hash, load_config, validate_config)

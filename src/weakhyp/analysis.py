@@ -16,7 +16,7 @@ import numpy as np
 
 from ._stats import linear_fit
 from .errors import AlignmentError, InsufficientDataError, InvalidParameterError
-from .roots import RootFamily, bracket
+from .roots import bracket
 from .solver import SolutionNet
 
 Array = np.ndarray
@@ -244,33 +244,3 @@ def convergence_study(net: SolutionNet, reference: Array | None = None,
                              mean_ratio=mean_ratio,
                              non_cauchy=non_cauchy, limit_epsilon=eps[-1],
                              reference_errors=ref_errors)
-
-
-# -- root-uniformity spot check --------------------------------------------------------
-
-
-def uniformity_spot_check(family: RootFamily, t_samples: Array,
-                          directions: Sequence[Sequence[float]]) -> float:
-    """Smallest admissible constant in |r_i - r_j| <= c |r_k - r_{k-1}|.
-
-    Sampled surrogate for the classical-consistency uniformity hypothesis;
-    returns infinity when some consecutive pair coincides while another pair
-    does not.
-    """
-    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    m = family.order
-    if m < 2:
-        return 1.0
-    worst = 1.0
-    for d in directions:
-        vals = np.array([np.real(family.profile(j, d).density(t_samples))
-                         for j in range(1, m + 1)])
-        widest = np.max(vals, axis=0) - np.min(vals, axis=0)
-        tightest = np.min(np.diff(vals, axis=0), axis=0)
-        for w, g in zip(widest, tightest):
-            if w <= 0.0:
-                continue
-            if g <= 0.0:
-                return math.inf
-            worst = max(worst, float(w / g))
-    return worst

@@ -1,4 +1,4 @@
-"""Friedrichs-type mollifiers, cutoff variants, and convolution against profiles.
+"""Friedrichs-type mollifiers, the data kernel and profile convolution.
 
 Kernels are polynomial bumps on a compact interval, so unit mass and
 vanishing moments are linear conditions solved exactly and derivatives of
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -118,56 +117,35 @@ def scale_mollifier(m: Mollifier, epsilon: float) -> Mollifier:
 # -- cutoff mollifier ---------------------------------------------------------
 
 
-def plateau_cutoff(inner: float = 2.0, outer: float = 4.0) -> Callable[[Array], Array]:
-    """Quintic-smoothstep plateau: 1 on |x|<=inner, 0 on |x|>=outer."""
-    if not outer > inner > 0:
-        raise InvalidParameterError("need outer > inner > 0")
-
-    def chi(x: Array | float) -> Array:
-        u = (np.abs(np.asarray(x, dtype=float)) - inner) / (outer - inner)
-        u = np.clip(u, 0.0, 1.0)
-        return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
-
-    return chi
-
-
-#: outer radius of the cutoff plateau, in units of 1/|log w|
-_CUTOFF_OUTER = 4.0
-_CUTOFF = plateau_cutoff(2.0, _CUTOFF_OUTER)
-
-
 @dataclass(frozen=True)
 class GevreyCutoffMollifier:
-    """Scaled kernel multiplied by a plateau cutoff shrinking like 1/|log w|.
+    """The data kernel ``w^-1 base(x/w)`` of scale w in (0, 1].
 
-    Evaluates to ``w^-1 base(x/w) * chi(x |log w|)``.  For compactly
-    supported base kernels and small scales the cutoff is identically one on
-    the kernel support, so unit mass and vanishing moments are inherited.
+    Garetto and Ruzhansky multiply the scaled kernel by a plateau cutoff
+    ``chi(x |log w|)`` that is one on ``|x| |log w| <= 2``.  On the support
+    ``|x| <= w`` of a base kernel on [-1, 1], ``|x| |log w| <= w |log w|
+    <= 1/e`` for every w in (0, 1], so the cutoff is one wherever the kernel
+    is nonzero, and the kernel keeps the base's unit mass and vanishing
+    moments.
     """
 
     base: Mollifier
     scale: float
 
     def __post_init__(self):
-        if not 0 < self.scale:
-            raise InvalidParameterError("cutoff mollifier scale must be positive")
+        if not 0 < self.scale <= 1:
+            raise InvalidParameterError(
+                f"cutoff mollifier scale must lie in (0, 1], got {self.scale}")
 
     @property
     def support_radius(self) -> float:
-        kernel_radius = self.scale * self.base.support_radius
-        log_factor = abs(math.log(self.scale))
-        if log_factor == 0.0:
-            return kernel_radius
-        return min(kernel_radius, _CUTOFF_OUTER / log_factor)
+        return self.scale * self.base.support_radius
 
     def with_scale(self, omega: float) -> "GevreyCutoffMollifier":
         return GevreyCutoffMollifier(self.base, omega)
 
     def __call__(self, x: Array | float) -> Array:
-        x = np.asarray(x, dtype=float)
-        log_factor = abs(math.log(self.scale))
-        scaled = scale_mollifier(self.base, self.scale)
-        return scaled(x) * _CUTOFF(x * log_factor)
+        return scale_mollifier(self.base, self.scale)(x)
 
     def fourier_transform(self, xi: Array) -> Array:
         r = self.support_radius

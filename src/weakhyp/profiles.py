@@ -141,12 +141,6 @@ class RoughProfile:
         return RoughProfile(self.pieces + other.pieces,
                             self.atoms + other.atoms, support)
 
-    def __neg__(self) -> "RoughProfile":
-        return self.scaled(-1.0)
-
-    def __sub__(self, other: "RoughProfile") -> "RoughProfile":
-        return self + other.scaled(-1.0)
-
     # -- transforms ---------------------------------------------------------
 
     def fourier_transform(self, xi: Array) -> Array:

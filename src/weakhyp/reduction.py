@@ -337,30 +337,14 @@ def _faddeev(a: Array) -> tuple[list[Array], Array]:
 
 @dataclass
 class PolynomialMatrix:
-    """Matrix of tau-polynomials with (t, xi)-dependent coefficients.
-
-    ``coefficients(t, xi)`` returns an (m, m, m) array whose slice [..., k]
-    multiplies tau^k; entry degrees never exceed m - 1, as adjugates of
-    (tau I - A) require.
+    """The adjugate L(tau) = adj(tau I - A(t, xi)), a matrix of
+    tau-polynomials of degree at most m - 1 with (t, xi)-dependent
+    coefficients: ``L(tau) = sum_k N_{m-1-k} tau^k`` with the matrices N_k of
+    :func:`_faddeev`.
     """
 
     size: int
     a_eval: Callable[[float, float], Array]
-
-    def coefficients(self, t: float, xi: float) -> Array:
-        a = np.asarray(self.a_eval(t, xi))
-        mats, _ = _faddeev(a)
-        out = np.empty((self.size, self.size, self.size), dtype=complex)
-        for k, mat in enumerate(mats):
-            out[..., self.size - 1 - k] = mat
-        return out
-
-    def evaluate(self, t: float, xi: float, tau: complex) -> Array:
-        coeffs = self.coefficients(t, xi)
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for k in range(self.size):
-            out += coeffs[..., k] * tau ** k
-        return out
 
     def verify(self, t: float, xi: float) -> float:
         """Residual of L(tau)(tau I - A) = delta(tau) I at m + 1 tau samples."""
@@ -369,7 +353,10 @@ class PolynomialMatrix:
         worst = 0.0
         norm_a = float(np.linalg.norm(a, 2))
         for tau in range(self.size + 1):
-            left = self.evaluate(t, xi, tau) @ (tau * np.eye(self.size) - a)
+            adjugate = np.zeros((self.size, self.size), dtype=complex)
+            for k in range(self.size):
+                adjugate += mats[self.size - 1 - k] * tau ** k
+            left = adjugate @ (tau * np.eye(self.size) - a)
             delta = np.polyval(coeffs, tau)
             scale = max(1.0, (1.0 + abs(tau) + norm_a) ** self.size)
             residual = float(np.linalg.norm(

@@ -119,14 +119,6 @@ class RootFamily:
             raise InvalidParameterError(f"root index {j} outside 1..{self.order}")
         return self.profile_fn(j, _unit_direction(direction))
 
-    def check_bound(self, t_samples: Array, directions) -> float:
-        top = 0.0
-        for d in directions:
-            for j in range(1, self.order + 1):
-                vals = np.abs(self.profile(j, d).density(t_samples))
-                top = max(top, float(np.max(vals, initial=0.0)))
-        return top
-
 
 def _transformed_profile(profile: RoughProfile,
                          func: Callable[[Array], Array]) -> RoughProfile:
@@ -157,17 +149,28 @@ def constant_roots(values: Sequence[float], dimension: int = 1,
 
 def roots_from_time_profiles(profiles: Sequence[RoughProfile],
                              dimension: int = 1, bound: float | None = None,
-                             ordered: bool = True,
                              horizon: float = 1.0) -> RootFamily:
-    """Direction-independent family (even symbols, e.g. wave-type)."""
+    """Direction-independent family (even symbols, e.g. wave-type).
+
+    The profiles must be ordered, r_1 <= ... <= r_m, at 257 times on
+    [0, T]: the separating shift keeps ordered roots apart, and coincident
+    ones are allowed.  ``bound`` defaults to the largest |r_j| at those
+    times.
+    """
     profs = [extend_profile(p, EDGE_PAD) for p in profiles]
-    fam = RootFamily(order=len(profs), dimension=dimension,
-                     profile_fn=lambda j, d: profs[j - 1],
-                     bound=0.0, ordered=ordered, horizon=horizon)
     t = np.linspace(0.0, horizon, 257)
-    fam.bound = bound if bound is not None else fam.check_bound(
-        t, [tuple([1.0] + [0.0] * (dimension - 1))])
-    return fam
+    vals = np.array([p.density(t) for p in profs])
+    crossed = np.argwhere(np.diff(np.real(vals), axis=0) < 0.0)
+    if crossed.size:
+        j, k = crossed[0]
+        raise InvalidParameterError(
+            f"root profiles must be ordered, r_1 <= ... <= r_m: "
+            f"r_{j + 2} < r_{j + 1} at t={t[k]:g}")
+    if bound is None:
+        bound = float(np.max(np.abs(vals), initial=0.0))
+    return RootFamily(order=len(profs), dimension=dimension,
+                      profile_fn=lambda j, d: profs[j - 1],
+                      bound=bound, ordered=True, horizon=horizon)
 
 
 def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
@@ -210,7 +213,7 @@ def wave_speed_roots(speed: RoughProfile, horizon: float = 1.0) -> RootFamily:
     minus = plus.scaled(-1.0)
     return roots_from_time_profiles([minus, plus], dimension=1,
                                     bound=float(np.sqrt(vals.max())),
-                                    ordered=True, horizon=horizon)
+                                    horizon=horizon)
 
 
 def transport_roots(speed: float, horizon: float = 1.0) -> RootFamily:

@@ -129,7 +129,6 @@ class IntegrationResult:
     traces: Array                  # (m, n_tracked, nt + 1)
     first_component: Array | None  # (n_out, K)
     output_steps: tuple[int, ...]
-    initial_state: Array           # (m, K)
     final_state: Array             # (m, K)
     step_doubling_max: float
 
@@ -441,8 +440,8 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         outcome[member] = IntegrationResult(
             traces=traces[member],
             first_component=first[member] if first is not None else None,
-            output_steps=out_steps, initial_state=initial[member],
-            final_state=v[slot], step_doubling_max=float(worst_double[member]))
+            output_steps=out_steps, final_state=v[slot],
+            step_doubling_max=float(worst_double[member]))
     return outcome
 
 
@@ -613,13 +612,8 @@ def _record(problem: VeryWeakProblem, epsilon: float, prepared: tuple,
     br = bracket(xi_grid)
     uhat = result.first_component * br[None, :] ** (1 - m)
     u = grid.synthesise(uhat)
-    ic_residual = 0.0
-    if tracked:
-        ic_residual = float(np.max(np.abs(
-            result.traces[:, :, 0] - result.initial_state[:, tracked])))
     metadata = {
         "step_doubling_max": result.step_doubling_max,
-        "initial_condition_residual": ic_residual,
         "imag_fraction": float(np.max(np.abs(u.imag))
                                / max(np.max(np.abs(u)), 1e-300)),
     }

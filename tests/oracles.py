@@ -5,12 +5,12 @@ table of their own plan (all at once, one as a callable of t, and their
 polynomial reconstruction of sigma), a substitute principal part, the
 relative energy drift of a trace, the approximation-rate audit of the
 cutoff mollifier, the staged RK4 loop that the integrator's step matrices
-replace on constant stretches, and the per-item paths
-that the batched audits replaced (the per-tuple symmetriser and its audit
-loop, and the per-root symmetric functions of the recovery), and the
-per-root regularised values, pure and with the separating shift.  Test modules
-import them as ``oracles``; pytest's default import mode puts ``tests/`` on
-``sys.path``.
+replace on constant stretches, the tau-coefficients of an adjugate, the
+per-item paths that the batched audits replaced (the per-tuple symmetriser
+and its audit loop, and the per-root symmetric functions of the recovery),
+and the per-root regularised values, pure and with the separating shift.
+Test modules import them as ``oracles``; pytest's default import mode puts
+``tests/`` on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from weakhyp.mollifiers import GevreyCutoffMollifier
 from weakhyp.profiles import RoughProfile
 from weakhyp.recovery import (HomogeneousCoefficientSet,
                               characteristic_polynomial, sigma_table)
-from weakhyp.reduction import (CompanionSystem, Index, companion_blocks,
+from weakhyp.reduction import (CompanionSystem, Index, PolynomialMatrix,
+                               _faddeev, companion_blocks,
                                companion_matrix_from_coefficients)
 from weakhyp.roots import RegularisedRoots, bracket
 from weakhyp.solver import EnergyTrace
@@ -223,6 +224,17 @@ def fourier_approximation_rate(p: RoughProfile, g: GevreyCutoffMollifier,
     slope, _, r2 = linear_fit(np.log(np.asarray(omegas)), np.log(errors_arr))
     return ApproximationRateFit(float(slope), float(r2), tuple(omegas),
                                 tuple(errors), False, nu, s)
+
+
+def adjugate_coefficients(poly: PolynomialMatrix, t: float, xi: float
+                          ) -> Array:
+    """The (m, m, m) coefficients of ``poly`` at (t, xi): slice [..., k]
+    multiplies tau^k."""
+    mats, _ = _faddeev(np.asarray(poly.a_eval(t, xi)))
+    out = np.empty((poly.size, poly.size, poly.size), dtype=complex)
+    for k, mat in enumerate(mats):
+        out[..., poly.size - 1 - k] = mat
+    return out
 
 
 # -- the per-tuple symmetriser ------------------------------------------------------

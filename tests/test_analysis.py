@@ -1,14 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from weakhyp.analysis import (convergence_study, fit_moderateness,
-                              gevrey_fourier_check, proxy_seminorm,
-                              uniformity_spot_check)
+                              gevrey_fourier_check, proxy_seminorm)
 from weakhyp.errors import (AlignmentError, InsufficientDataError,
                             InvalidParameterError)
-from weakhyp.roots import constant_roots
 from weakhyp.solver import FrequencyGrid, SolutionNet, SolveRecord
 
 
@@ -138,13 +134,3 @@ def test_convergence_requires_ratio_two():
     # explicit opt-out accepted
     report = convergence_study(net, seminorm="sup", require_ratio_two=False)
     assert len(report.pairwise) == 2
-
-
-def test_uniformity_spot_check_constant_family():
-    fam = constant_roots([-1.0, 0.0, 1.0])
-    c = uniformity_spot_check(fam, np.linspace(0.0, 1.0, 9),
-                              [(1.0,), (-1.0,)])
-    assert c == pytest.approx(2.0)
-    coincident = constant_roots([0.0, 0.0, 1.0])
-    assert uniformity_spot_check(coincident, np.linspace(0.0, 1.0, 5),
-                                 [(1.0,)]) == math.inf

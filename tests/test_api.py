@@ -233,3 +233,24 @@ def test_every_tracer_patch_target_resolves():
                    "experiments.verify_quadratic_bounds",
                    "solver.build_symmetriser"):
         assert target in patched
+
+
+def test_config_raw_is_read_only_by_the_config_readers():
+    """``.raw``, the config document as parsed, is read only in
+    ``config.py`` and in ``experiments.build_problem``, the one reader of
+    the problem sections; every other driver reads a section through the
+    typed accessors, whose defaults and checks then hold for every run."""
+    stray = []
+    for module in _modules():
+        if module.name == "config.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        allowed = [(node.lineno, node.end_lineno) for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and module.name == "experiments.py"
+                   and node.name == "build_problem"]
+        stray += [f"{module.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "raw"
+                  and not any(lo <= node.lineno <= hi for lo, hi in allowed)]
+    assert not stray, "reads of .raw outside the config readers: " \
+        + ", ".join(stray)

@@ -232,6 +232,11 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                   "epsilon_sweep": [0.5, 0.25, 0.125]},
                  "regularisation.coefficient", id="scale_coefficient"),
     pytest.param("solve", "roots", None, "roots", id="no_roots"),
+    pytest.param("solve", "roots",
+                 {"preset": "profiles",
+                  "profiles": [{"preset": "constant", "value": 1.0},
+                               {"preset": "constant", "value": -1.0}]},
+                 "roots", id="unordered_profiles"),
     pytest.param("solve", "data", [], "data", id="empty_data"),
     pytest.param("solve", "reference",
                  {"kind": "fine_epsilon", "divisor": 0.1},
@@ -311,6 +316,19 @@ def test_cli_malformed_grid_is_a_config_error(tmp_path, capsys, key, bad):
         assert [e["ok"] for e in summary["per_epsilon"]] == [True] * 3
 
 
+def test_profile_roots_may_meet():
+    # -/+|2t - 1| coincide at t = 1/2; ordered roots may meet, not cross
+    raw = _base_config()
+    raw["roots"] = {"preset": "profiles", "profiles": [
+        {"preset": "hoelder", "alpha": 1.0, "center": 0.5, "base": 0.0,
+         "amplitude": sign} for sign in (-2.0, 2.0)]}
+    family = build_problem(validate_config(raw)).family
+    assert family.order == 2 and family.bound == 1.0
+    raw["roots"] = {"preset": "heaviside", "jump": 0.5, "low": 1.0,
+                    "high": 4.0}
+    assert build_problem(validate_config(raw)).family.bound == 2.0
+
+
 def test_cli_roundtrip_subcommand(tmp_path):
     raw = {
         "problem": {"order": 2},
@@ -385,6 +403,52 @@ def test_cli_symmetriser_and_reduce_subcommands(tmp_path):
     red_summary = _framed_summary(tmp_path / "red")
     assert red_summary["worst_cofactor_residual"] <= 1e-9
     assert red_summary["worst_block_eigen_error"] <= 1e-9
+
+
+def _rerun_config(subcommand):
+    """A small config for ``subcommand``."""
+    if subcommand == "sweep":
+        raw = _base_config()
+        raw["regularisation"]["epsilon_sweep"] = [0.25, 0.125, 0.0625,
+                                                  0.03125]
+        raw["roots"] = {"preset": "heaviside", "jump": 0.5, "low": 1.0,
+                        "high": 4.0}
+        raw["reference"] = {"kind": "fine_epsilon", "divisor": 2.0}
+        return raw
+    return {"problem": {"order": 2},
+            "regularisation": {"epsilon_sweep": [0.5]},
+            "roundtrip": {"families": 6, "max_order": 3,
+                          "max_dimension": 2},
+            "symmetriser": {"count": 40, "max_order": 4, "form_trials": 3},
+            "reduce": {"count": 4, "sizes": [2, 3, 4]},
+            "run": {"seed": 11}}
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["sweep", "roundtrip", "symmetriser", "reduce"])
+def test_cli_reruns_write_the_same_bytes(tmp_path, subcommand):
+    # solve is covered by test_cli_solve_passes_and_is_deterministic; the
+    # dropped summary lines are the run's wall times, runtime_seconds and,
+    # for roundtrip, metrics.roundtrip_runtime_seconds
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_rerun_config(subcommand)))
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        result = _run_cli([subcommand, "--config", str(path),
+                           "--out", str(out), "--jobs", jobs])
+        assert result.returncode == 0, result.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "summary.json" in names and len(names) >= 3
+    for name in names:
+        if name == "summary.json":
+            assert _without_runtime(outs[0] / name) \
+                == _without_runtime(outs[1] / name)
+        else:
+            assert (outs[0] / name).read_bytes() \
+                == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_audit_csvs_equal_the_per_item_paths(tmp_path, monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from weakhyp._quadrature import fixed_panel
 from weakhyp.errors import InsufficientDataError, InvalidParameterError
 from weakhyp.mollifiers import (GevreyCutoffMollifier, convolve_profile,
-                                friedrichs_mollifier, plateau_cutoff,
-                                scale_mollifier, vanishing_moment_mollifier)
+                                friedrichs_mollifier, scale_mollifier,
+                                vanishing_moment_mollifier)
 from weakhyp.profiles import (bump_profile, constant_profile,
                               heaviside_profile, hoelder_profile,
                               piecewise_constant_profile, point_mass_profile,
@@ -240,12 +240,16 @@ def test_mixed_profile_is_sum_of_its_parts(phi):
 
 
 def test_cutoff_mollifier_evaluation_identity(phi):
-    omega = 0.3
-    g = GevreyCutoffMollifier(phi, omega)
-    chi = plateau_cutoff(2.0, 4.0)
-    x = np.linspace(-0.4, 0.4, 31)
-    manual = scale_mollifier(phi, omega)(x) * chi(x * abs(math.log(omega)))
-    assert np.allclose(g(x), manual, atol=1e-15)
+    # the plateau cutoff is one on the kernel support for every scale in
+    # (0, 1], so the kernel is the scaled base kernel, bit for bit
+    for omega in (1.0, 0.3, 1.0 / math.e, 1e-3, 2.0 ** -30):
+        g = GevreyCutoffMollifier(phi, omega)
+        x = np.linspace(-1.5 * omega, 1.5 * omega, 31)
+        assert np.array_equal(g(x), scale_mollifier(phi, omega)(x))
+        assert g.support_radius == omega
+    for omega in (0.0, -0.5, 1.5, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            GevreyCutoffMollifier(phi, omega)
 
 
 def test_cutoff_support_shrinks_logarithmically(phi):

@@ -17,7 +17,7 @@ from weakhyp.roots import (bracket, constant_roots, constant_scale,
                            roots_from_linear_forms, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
-from oracles import PolynomialPrincipal, root_value
+from oracles import PolynomialPrincipal, adjugate_coefficients, root_value
 
 
 # the per-time matrices of D_t V = (A + B) V + F at one time, read from the
@@ -232,7 +232,7 @@ def delta_coefficients(poly, t, xi):
 
 def test_cofactor_one_by_one():
     poly = cofactor_matrix(lambda t, xi: np.array([[2.0 * xi]]), 1)
-    coeffs = poly.coefficients(0.0, 3.0)
+    coeffs = adjugate_coefficients(poly, 0.0, 3.0)
     assert coeffs[0, 0, 0] == pytest.approx(1.0)
     delta = delta_coefficients(poly, 0.0, 3.0)
     assert np.allclose(delta.real, [1.0, -6.0])
@@ -244,7 +244,7 @@ def test_cofactor_two_by_two_adjugate():
     poly = cofactor_matrix(
         lambda t, xi: np.array([[0.0, xi], [xi, 0.0]]), 2)
     xi = 2.5
-    coeffs = poly.coefficients(0.0, xi)
+    coeffs = adjugate_coefficients(poly, 0.0, xi)
     assert np.allclose(coeffs[..., 1].real, np.eye(2))
     assert np.allclose(coeffs[..., 0].real, [[0.0, xi], [xi, 0.0]])
     delta = delta_coefficients(poly, 0.0, xi)
@@ -353,7 +353,8 @@ def test_block_lower_matrix_against_manufactured_solution(size):
     delta = block_form.delta_coefficients(t0, xi)
     lhs = sum(delta[k] * u_dt(size - k, t0) for k in range(size + 1))
     weights = block_form._tau_weights(t0, xi)
-    adjugate = cofactor_matrix(system.a_symbol, size).coefficients(t0, xi)
+    adjugate = adjugate_coefficients(
+        cofactor_matrix(system.a_symbol, size), t0, xi)
     rhs = np.zeros(size, dtype=complex)
     for q in range(size):
         rhs = rhs + weights[q] @ u_dt(q, t0)

@@ -326,7 +326,6 @@ def test_pipeline_matches_dalembert(wave_problem):
     x = wave_problem.grid.x_nodes
     ref = dalembert_reference(bump_profile(0.0, 1.0), 1.0, 1.0, x)
     assert np.max(np.abs(rec.u[1] - ref)) <= 1e-4
-    assert rec.metadata["initial_condition_residual"] <= 1e-12
     # the separating shift breaks exact transform symmetry at size ~omega,
     # so the reality check is asserted in the vanishing-separation regime
     tiny = solve_single(wave_problem, 2.0 ** -40)
