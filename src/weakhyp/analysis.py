@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._stats import linear_fit
 from .errors import AlignmentError, InsufficientDataError, InvalidParameterError
 from .roots import bracket
 from .solver import SolutionNet
@@ -27,6 +26,25 @@ _AMPLITUDE_FLOOR = 1e-14
 
 #: fewest epsilon samples the moderateness fit regresses
 MIN_FIT_SAMPLES = 4
+
+
+def linear_fit(x: Array, y: Array) -> tuple[float, float, float]:
+    """Ordinary least squares y ~ intercept + slope*x; returns (slope,
+    intercept, r_squared)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2:
+        raise InsufficientDataError("linear fit needs at least 2 samples")
+    xm = x - x.mean()
+    ym = y - y.mean()
+    sxx = float(xm @ xm)
+    if sxx == 0.0:
+        raise InsufficientDataError("linear fit needs distinct abscissae")
+    slope = float(xm @ ym) / sxx
+    intercept = float(y.mean() - slope * x.mean())
+    syy = float(ym @ ym)
+    r2 = 1.0 if syy == 0.0 else float((xm @ ym) ** 2 / (sxx * syy))
+    return slope, intercept, r2
 
 
 # -- moderateness ------------------------------------------------------------------
@@ -45,24 +63,16 @@ class ModeratenessReport:
     envelope_ok: bool = False
 
 
-def _sup_table(net) -> tuple[tuple[float, float], ...]:
-    if isinstance(net, SolutionNet):
-        return tuple(sorted(net.sup_norms().items(), reverse=True))
-    if isinstance(net, Mapping):
-        return tuple(sorted(((float(k), float(v)) for k, v in net.items()),
-                            reverse=True))
-    raise InvalidParameterError(f"cannot read sup norms from {type(net)!r}")
-
-
-def fit_moderateness(net, s: float) -> ModeratenessReport:
-    """Regress log sup-norms on log(1/eps), plus the transform envelope.
+def fit_moderateness(net: SolutionNet, s: float) -> ModeratenessReport:
+    """Regress the log sup-norms of the solved records on log(1/eps), plus
+    the transform envelope.
 
     The envelope |u_hat| <= c' eps^-N exp(-c eps^(1/s) <xi>^(1/s)) is fitted
     with N pinned to the sup-norm exponent, leaving the two parameters
     (c', c) to least squares over the (eps, xi) samples.  An identically
     zero net short-circuits to the trivially moderate report.
     """
-    table = _sup_table(net)
+    table = tuple(sorted(net.sup_norms().items(), reverse=True))
     if len(table) < MIN_FIT_SAMPLES:
         raise InsufficientDataError(
             f"moderateness fit needs >= {MIN_FIT_SAMPLES} epsilon samples")
@@ -87,9 +97,7 @@ def fit_moderateness(net, s: float) -> ModeratenessReport:
                                 r_squared=float(r2), sup_table=table,
                                 n_hat_drop_largest=drop, span_decades=span,
                                 trivially_moderate=False)
-    if isinstance(net, SolutionNet):
-        report = _with_envelope(report, net, s)
-    return report
+    return _with_envelope(report, net, s)
 
 
 def _with_envelope(report: ModeratenessReport, net: SolutionNet,
@@ -120,10 +128,9 @@ def _with_envelope(report: ModeratenessReport, net: SolutionNet,
 
 @dataclass(frozen=True)
 class GevreyFourierFit:
-    """``decay_c`` is the prefactor of the decay and the growth envelope
-    alike; they differ only in the sign of the fitted rate."""
+    """The fitted rate of the transform envelope: ``decay_delta`` as a decay
+    rate, ``growth_nu`` as a growth rate clipped at zero."""
 
-    decay_c: float
     decay_delta: float
     decay_ok: bool
     growth_nu: float
@@ -144,14 +151,13 @@ def gevrey_fourier_check(uhat: Array, xi: Array, s: float) -> GevreyFourierFit:
     amp = np.abs(uhat)
     top = float(amp.max())
     if top == 0.0:
-        return GevreyFourierFit(decay_c=0.0, decay_delta=math.inf,
-                                decay_ok=True, growth_nu=0.0, zero=True)
+        return GevreyFourierFit(decay_delta=math.inf, decay_ok=True,
+                                growth_nu=0.0, zero=True)
     mask = amp > _AMPLITUDE_FLOOR * top
     weight = bracket(xi[mask]) ** (1.0 / s)
-    slope, intercept, _ = linear_fit(weight, np.log(amp[mask]))
+    slope, _, _ = linear_fit(weight, np.log(amp[mask]))
     decay_delta = -float(slope)
-    c0 = float(math.exp(min(intercept, 700.0)))
-    return GevreyFourierFit(decay_c=c0, decay_delta=decay_delta,
+    return GevreyFourierFit(decay_delta=decay_delta,
                             decay_ok=decay_delta > 1e-12,
                             growth_nu=max(float(slope), 0.0), zero=False)
 

@@ -68,6 +68,24 @@ def integer(value: Any, path: str) -> int:
     return int(value)
 
 
+def real(value: Any, path: str) -> float:
+    """``value`` as a float; anything but a number, a boolean or a string
+    included, is a ConfigurationError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"'{path}' must be a number, got {value!r}",
+                                 field=path)
+    return float(value)
+
+
+def reals(values: Any, path: str) -> tuple[float, ...]:
+    """``values``, a JSON array of numbers, as floats; a wrong element is a
+    ConfigurationError naming ``path[i]``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"'{path}' must be an array, got {values!r}",
+                                 field=path)
+    return tuple(real(v, f"{path}[{i}]") for i, v in enumerate(values))
+
+
 def positive_integer(value: Any, path: str) -> int:
     """``value`` as an int of at least 1, the check of every count and size;
     anything else is a ConfigurationError naming ``path``."""
@@ -127,11 +145,9 @@ def build_profile(spec: Mapping, path: str,
 def build_root_family(spec: Mapping, horizon: float) -> RootFamily:
     preset = require(spec, "preset", "roots")
     if preset == "constant":
-        values = require(spec, "values", "roots")
-        if sorted(values) != list(values):
-            raise ConfigurationError("root values must be sorted",
-                                     field="roots.values")
-        return constant_roots(values, horizon=horizon)
+        with config_field("roots.values"):
+            return constant_roots(require(spec, "values", "roots"),
+                                  horizon=horizon)
     if preset == "transport":
         return transport_roots(require(spec, "speed", "roots"),
                                horizon=horizon)
@@ -192,14 +208,12 @@ class ExperimentConfig:
 
     def number(self, path: str, default: float, kind: type) -> Any:
         """The value at ``section.key`` as ``kind``, float or int, or
-        ``default`` when absent; a value that is not a ``kind`` is a
-        ConfigurationError naming ``path``."""
+        ``default`` when absent; a value that is not a ``kind`` (see
+        :func:`integer` and :func:`real`) is a ConfigurationError naming
+        ``path``."""
         section, key = path.split(".", 1)
         value = self.section(section).get(key, default)
-        if kind is int:
-            return integer(value, path)
-        with config_field(path):
-            return kind(value)
+        return integer(value, path) if kind is int else real(value, path)
 
     def count(self, path: str, default: int) -> int:
         """The value at ``section.key``, or ``default``, as an int of at
@@ -253,8 +267,7 @@ def validate_config(raw: Mapping,
         if not isinstance(sweep, (list, tuple)) or len(sweep) == 0:
             raise ConfigurationError("epsilon_sweep must be a non-empty array",
                                      field="regularisation.epsilon_sweep")
-        with config_field("regularisation.epsilon_sweep"):
-            values = [float(e) for e in sweep]
+        values = reals(sweep, "regularisation.epsilon_sweep")
         if any(not 0.0 < e <= 1.0 for e in values):
             raise ConfigurationError(
                 "epsilon_sweep values must lie in (0, 1]",

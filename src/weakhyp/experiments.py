@@ -24,7 +24,7 @@ from .analysis import (check_halving, check_seminorm, convergence_study,
                        fit_moderateness, gevrey_fourier_check)
 from .config import (ExperimentConfig, build_profile, build_root_family,
                      build_scale, config_field, config_hash, integer,
-                     positive_integer, require)
+                     positive_integer, real, reals, require)
 from .errors import ConfigurationError
 from .mollifiers import friedrichs_mollifier
 from .recovery import build_direction_plan, random_round_trip_study
@@ -140,8 +140,8 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
     grid_cfg = cfg.section("grid")
     steps = positive_integer(grid_cfg.get("time_steps", 1024),
                              "grid.time_steps")
-    margin = grid_cfg.get("margin", 1.0)
-    if not (isinstance(margin, (int, float)) and margin >= CONE_MARGIN):
+    margin = real(grid_cfg.get("margin", 1.0), "grid.margin")
+    if not margin >= CONE_MARGIN:
         raise ConfigurationError(
             f"grid.margin must be a number >= {CONE_MARGIN:g}, the clearance "
             "every solve checks between the causal cone and the box edge",
@@ -150,16 +150,19 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
     if box is None:
         speed = speed_bound(family, scale(max(cfg.epsilon_sweep)))
         box = auto_box_length(data_support_radius(data, forcing), speed,
-                              horizon, float(margin))
-    with config_field("grid.box_length"):
-        box = float(box)
+                              horizon, margin)
     grid = FrequencyGrid(integer(grid_cfg.get("points", 256), "grid.points"),
-                         box)
-    with config_field("grid"):
-        output_times = tuple(float(t) for t in grid_cfg.get(
-            "output_times", (0.0, 0.5 * horizon, horizon)))
-        tracked = tuple(float(x) for x in grid_cfg.get(
-            "tracked_frequencies", (2.0, 8.0)))
+                         real(box, "grid.box_length"))
+    output_times = reals(grid_cfg.get(
+        "output_times", (0.0, 0.5 * horizon, horizon)), "grid.output_times")
+    for i, t in enumerate(output_times):
+        if not 0.0 <= t <= horizon:
+            raise ConfigurationError(
+                f"grid.output_times[{i}] = {t:g} lies outside [0, "
+                f"{horizon:g}], the solved horizon",
+                field=f"grid.output_times[{i}]")
+    tracked = reals(grid_cfg.get("tracked_frequencies", (2.0, 8.0)),
+                    "grid.tracked_frequencies")
     return VeryWeakProblem(
         family=family, data=data, grid=grid, time_steps=steps, omega=scale,
         horizon=horizon, lower_terms=lower, forcing=forcing,
@@ -221,7 +224,7 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
         stride = max(1, (rec.trace_times.size - 1) // 64)
         for i, xi_val in enumerate(rec.tracked_xi):
             trace = energy_trace(rec.system, rec.traces[:, i, :],
-                                 rec.trace_times, xi_val, e,
+                                 rec.trace_times, xi_val,
                                  sample_stride=stride)
             for t, en in zip(trace.times, trace.energies):
                 energy_rows.append((e, xi_val, float(t), float(en)))
@@ -286,11 +289,18 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
     ref_kind, ref_values = _reference(cfg, problem)
     analysis_cfg = cfg.section("analysis")
     s = cfg.number("problem.gevrey_s", 2.0, float)
+    if not s > 0.0:
+        raise ConfigurationError(f"problem.gevrey_s must be > 0, got {s:g}",
+                                 field="problem.gevrey_s")
     nu = cfg.number("analysis.nu", 1.0, float)
     seminorm = analysis_cfg.get("seminorm", "fourier_proxy")
     with config_field("analysis.seminorm"):
         check_seminorm(seminorm)
-    require_ratio_two = bool(analysis_cfg.get("require_ratio_two", True))
+    require_ratio_two = analysis_cfg.get("require_ratio_two", True)
+    if not isinstance(require_ratio_two, bool):
+        raise ConfigurationError(
+            "'analysis.require_ratio_two' must be true or false, got "
+            f"{require_ratio_two!r}", field="analysis.require_ratio_two")
     if require_ratio_two:
         # the convergence study checks the solved epsilons the same way
         with config_field("regularisation.epsilon_sweep"):
@@ -472,8 +482,8 @@ def run_reduce(cfg: ExperimentConfig, seed: int, summary: dict,
     if not sizes:
         raise ConfigurationError("'reduce.sizes' must list at least one size",
                                  field="reduce.sizes")
-    with config_field("reduce.frequencies"):
-        freqs = [float(x) for x in section.get("frequencies", (1.0, 5.0))]
+    freqs = reals(section.get("frequencies", (1.0, 5.0)),
+                  "reduce.frequencies")
     rng = np.random.default_rng(seed)
     rows = []
     worst_cof = 0.0

@@ -34,13 +34,10 @@ class Mollifier:
 
     ``base_poly`` lives on [-1, 1] and integrates to 1 there; the physical
     kernel at scale ``s`` has support radius ``s`` and unchanged unit mass.
-    ``moment_order`` is the number of vanishing moments beyond the zeroth
-    that the kernel was built to satisfy.
     """
 
     base_poly: Polynomial
     scale: float = 1.0
-    moment_order: int = 0
 
     @property
     def support_radius(self) -> float:
@@ -82,7 +79,7 @@ def friedrichs_mollifier() -> Mollifier:
     poly = Polynomial([1.0, 0.0, -1.0]) ** KERNEL_POWER
     anti = poly.integ()
     mass = float(anti(1.0) - anti(-1.0))
-    return Mollifier(poly / mass, scale=1.0, moment_order=0)
+    return Mollifier(poly / mass)
 
 
 def vanishing_moment_mollifier(q: int) -> Mollifier:
@@ -104,7 +101,7 @@ def vanishing_moment_mollifier(q: int) -> Mollifier:
     coefs = np.zeros(2 * n_even - 1)
     coefs[::2] = weights
     poly = Polynomial(coefs) * Polynomial([1.0, 0.0, -1.0]) ** KERNEL_POWER
-    return Mollifier(poly, scale=1.0, moment_order=q)
+    return Mollifier(poly)
 
 
 def scale_mollifier(m: Mollifier, epsilon: float) -> Mollifier:
@@ -184,14 +181,6 @@ class Convolution:
         self.profile = profile
         self.kernel = kernel
         self.derivative_order = derivative
-        r = kernel.support_radius
-        lo = min([p.lo for p in profile.pieces]
-                 + [a.location for a in profile.atoms]
-                 + [profile.support[0]])
-        hi = max([p.hi for p in profile.pieces]
-                 + [a.location for a in profile.atoms]
-                 + [profile.support[1]])
-        self.support = (lo - r, hi + r)
         constant = [p for p in profile.pieces if p.degree == 0]
         self._other_pieces = [p for p in profile.pieces if p.degree != 0]
         # rows over pieces, columns over points: the sum over pieces is an

@@ -130,11 +130,6 @@ class RoughProfile:
                       for at in self.atoms)
         return RoughProfile(pieces, atoms, self.support)
 
-    def __mul__(self, a: complex) -> "RoughProfile":
-        return self.scaled(a)
-
-    __rmul__ = __mul__
-
     def __add__(self, other: "RoughProfile") -> "RoughProfile":
         support = (min(self.support[0], other.support[0]),
                    max(self.support[1], other.support[1]))

@@ -260,15 +260,8 @@ def recover_coefficients(reg: RegularisedRoots, degree: int, dimension: int,
 
 
 @dataclass(frozen=True)
-class RoundTripProbe:
-    t: float
-    xi: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class RoundTripReport:
     max_rel_error: float
-    probes: tuple[RoundTripProbe, ...]
     failures: tuple[str, ...]
 
 
@@ -325,8 +318,7 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     except WeakHypError as exc:  # reported, not thrown
         failures = tuple(f"probe (t={t:.6g}, xi={xi}): {exc}"
                          for t, xi in draws)
-        return RoundTripReport(0.0, (), failures=failures)
-    probes: list[RoundTripProbe] = []
+        return RoundTripReport(0.0, failures=failures)
     failures: list[str] = []
     worst = 0.0
     for i, (t, xi) in enumerate(draws):
@@ -342,11 +334,10 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
                 reference = references[i]
                 ref_scale = max(1.0, float(np.max(np.abs(reference))))
                 err = float(np.max(np.abs(shifted - reference))) / ref_scale
-            probes.append(RoundTripProbe(t, xi))
             worst = max(worst, err)
         except WeakHypError as exc:  # reported, not thrown
             failures.append(f"probe (t={t:.6g}, xi={xi}): {exc}")
-    return RoundTripReport(worst, tuple(probes), failures=tuple(failures))
+    return RoundTripReport(worst, failures=tuple(failures))
 
 
 # -- random families ---------------------------------------------------------------

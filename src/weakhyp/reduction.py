@@ -282,13 +282,11 @@ class CompanionSystem:
     forcing: ForcingPart | None = None
     data: InitialData | None = None
 
-    def V0(self, xi: Array | float) -> Array:
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    def V0(self, xi: Array) -> Array:
+        """Initial state (order, K) at the frequencies ``xi`` (K,)."""
         if self.data is None:
-            out = np.zeros((self.order, xi_arr.size), dtype=complex)
-        else:
-            out = self.data.v0(xi_arr)
-        return out[..., 0] if np.ndim(xi) == 0 else out
+            return np.zeros((self.order, np.size(xi)), dtype=complex)
+        return self.data.v0(xi)
 
 
 def build_companion(principal: PrincipalPart,

@@ -109,7 +109,6 @@ class RootFamily:
     dimension: int
     profile_fn: Callable[[int, tuple[float, ...]], RoughProfile]
     bound: float
-    ordered: bool
     horizon: float = 1.0
 
     def profile(self, j: int, direction: Sequence[float]) -> RoughProfile:
@@ -137,14 +136,18 @@ def _transformed_profile(profile: RoughProfile,
 
 def constant_roots(values: Sequence[float], dimension: int = 1,
                    horizon: float = 1.0) -> RootFamily:
+    """Constant roots r_j = values[j-1], which must be ordered, r_1 <= ...
+    <= r_m."""
     vals = [float(v) for v in values]
-    ordered = all(a <= b for a, b in zip(vals, vals[1:]))
+    if any(b < a for a, b in zip(vals, vals[1:])):
+        raise InvalidParameterError(
+            f"root values must be ordered, r_1 <= ... <= r_m: got {vals}")
     profiles = [constant_profile(v, (-EDGE_PAD, horizon + EDGE_PAD))
                 for v in vals]
     return RootFamily(order=len(vals), dimension=dimension,
                       profile_fn=lambda j, d: profiles[j - 1],
                       bound=max((abs(v) for v in vals), default=0.0),
-                      ordered=ordered, horizon=horizon)
+                      horizon=horizon)
 
 
 def roots_from_time_profiles(profiles: Sequence[RoughProfile],
@@ -170,7 +173,7 @@ def roots_from_time_profiles(profiles: Sequence[RoughProfile],
         bound = float(np.max(np.abs(vals), initial=0.0))
     return RootFamily(order=len(profs), dimension=dimension,
                       profile_fn=lambda j, d: profs[j - 1],
-                      bound=bound, ordered=True, horizon=horizon)
+                      bound=bound, horizon=horizon)
 
 
 def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
@@ -178,9 +181,9 @@ def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
     """r_j(t, d) = sum_k c_jk(t) d_k on [0, 1]; polynomial symbols for every
     order.
 
-    The family is declared ordered.  Ordering of distinct linear forms can
-    only hold on the closed positive orthant (componentwise-increasing
-    coefficients), which is where the recovery plans sample.
+    Ordering of distinct linear forms can only hold on the closed positive
+    orthant (componentwise-increasing coefficients), which is where the
+    recovery plans sample; the caller keeps the family ordered there.
     """
     padded = [[extend_profile(c, EDGE_PAD) for c in row]
               for row in coeff_profiles]
@@ -195,7 +198,7 @@ def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
         return out
 
     fam = RootFamily(order=m, dimension=n, profile_fn=profile_fn,
-                     bound=0.0, ordered=True)
+                     bound=0.0)
     t = np.linspace(0.0, 1.0, 129)
     fam.bound = max(
         float(np.max(np.abs(padded[j][k].density(t)), initial=0.0))
@@ -224,7 +227,7 @@ def transport_roots(speed: float, horizon: float = 1.0) -> RootFamily:
         return prof.scaled(math.copysign(1.0, speed) * d[0])
 
     return RootFamily(order=1, dimension=1, profile_fn=profile_fn,
-                      bound=abs(speed), ordered=True, horizon=horizon)
+                      bound=abs(speed), horizon=horizon)
 
 
 # -- regularisation ---------------------------------------------------------------
@@ -278,15 +281,8 @@ class RegularisedRoots:
 
 def regularise_roots(family: RootFamily, mollifier: Mollifier,
                      omega: OmegaScale) -> RegularisedRoots:
-    """Attach a mollifier and scale to an ordered family.
-
-    The separation certificate needs the base ordering, so an unordered
-    family is rejected up front.
-    """
-    if not family.ordered:
-        raise InvalidParameterError(
-            "root family must be declared ordered; separation cannot be "
-            "certified otherwise")
+    """Attach a mollifier and scale to an ordered family (the constructors
+    check the ordering)."""
     return RegularisedRoots(base=family, mollifier=mollifier, omega=omega)
 
 

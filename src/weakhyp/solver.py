@@ -37,7 +37,6 @@ from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
 from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket, \
     regularise_roots
 from .symmetrisers import build_symmetriser
-from ._stats import linear_fit
 
 Array = np.ndarray
 
@@ -704,23 +703,19 @@ def solve_very_weak(problem: VeryWeakProblem,
 
 @dataclass
 class EnergyTrace:
-    """E(t) = (S(t) V, V) at one tracked frequency, with a fitted rate."""
+    """E(t) = (S(t) V, V) at one tracked frequency, at the sampled times."""
 
-    xi: float
-    epsilon: float
     times: Array
     energies: Array
-    fitted_rate: float | None
 
 
 def energy_trace(system: CompanionSystem, trace: Array, times: Array,
-                 xi: float, epsilon: float | None = None,
-                 sample_stride: int = 1) -> EnergyTrace:
-    """Energy time series along one frequency trace.
+                 xi: float, sample_stride: int = 1) -> EnergyTrace:
+    """Energy time series along the trace of the frequency ``xi``, at every
+    ``sample_stride``-th time.
 
     The principal root values at all sampled times come from one ``roots``
     call, and one batched symmetriser over them gives every sampled energy.
-    The fitted rate is the least-squares slope of log E where E is positive.
     """
     times = np.asarray(times, dtype=float)
     trace = np.asarray(trace)
@@ -729,14 +724,7 @@ def energy_trace(system: CompanionSystem, trace: Array, times: Array,
     lam = system.principal.roots(times[idx], np.array([float(xi)]))[:, :, 0]
     sym = build_symmetriser(np.sort(lam, axis=-1) / br)
     energies = np.asarray(sym.quadratic_form(trace[:, idx].T))
-    positive = energies > 1e-300
-    rate = None
-    if np.count_nonzero(positive) >= 2:
-        slope, _, _ = linear_fit(times[idx][positive],
-                                 np.log(energies[positive]))
-        rate = float(slope)
-    return EnergyTrace(xi=float(xi), epsilon=epsilon, times=times[idx],
-                       energies=energies, fitted_rate=rate)
+    return EnergyTrace(times=times[idx], energies=energies)
 
 
 # -- classical references -------------------------------------------------------------

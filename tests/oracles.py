@@ -3,7 +3,8 @@
 Nothing in the package calls these: recovered coefficients from a sigma
 table of their own plan (all at once, one as a callable of t, and their
 polynomial reconstruction of sigma), a substitute principal part, the
-relative energy drift of a trace, the approximation-rate audit of the
+relative energy drift and the fitted growth rate of a trace, the
+approximation-rate audit of the
 cutoff mollifier, the staged RK4 loop that the integrator's step matrices
 replace on constant stretches, the tau-coefficients of an adjugate, the
 per-item paths that the batched audits replaced (the per-tuple symmetriser
@@ -22,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from weakhyp._stats import linear_fit
+from weakhyp.analysis import linear_fit
 from weakhyp.errors import (ConfigurationError, InsufficientDataError,
                             InvalidParameterError, UnsupportedError)
 from weakhyp.mollifiers import GevreyCutoffMollifier
@@ -168,6 +169,17 @@ def staged_rk4(system: CompanionSystem, xi: Array, t_grid: Array) -> Array:
     return np.array(states)
 
 
+def fitted_growth_rate(trace: EnergyTrace) -> float | None:
+    """Least-squares slope of log E(t) over the times where E > 1e-300, or
+    None with fewer than two such times."""
+    positive = trace.energies > 1e-300
+    if np.count_nonzero(positive) < 2:
+        return None
+    slope, _, _ = linear_fit(trace.times[positive],
+                             np.log(trace.energies[positive]))
+    return float(slope)
+
+
 def max_relative_drift(trace: EnergyTrace) -> float:
     """Largest |E(t) - E(0)| / E(0) of an energy trace (absolute when
     E(0) <= 0)."""
@@ -191,16 +203,17 @@ class ApproximationRateFit:
 
 
 def fourier_approximation_rate(p: RoughProfile, g: GevreyCutoffMollifier,
-                               s: float, xi_grid: Array,
+                               q: int, s: float, xi_grid: Array,
                                omegas: Sequence[float] | None = None,
                                nu: float = 2.0) -> ApproximationRateFit:
     """Fit the order of ``sup_xi |FT(p*rho_w) - FT(p)| exp(-nu <xi>^(1/s))``.
 
     Sweeps the cutoff-mollifier scale, measures the weighted transform error
     on the given frequency grid and regresses log-error on log-scale.  A base
-    kernel with q vanishing moments yields a fitted order of at least q.
+    kernel with ``q`` vanishing moments, as its caller built it, yields a
+    fitted order of at least q.
     """
-    if g.base.moment_order < 1:
+    if q < 1:
         raise InvalidParameterError(
             "approximation-rate fit needs a kernel with vanishing moments")
     if omegas is None:

@@ -26,6 +26,17 @@ ALLOWED_OPTIONS = {
     "FirstOrderSystem.data": "ROADMAP item 5",
 }
 
+#: dataclass fields and properties kept although production code never
+#: reads them, and why
+_BATCHING_ORACLE = ("tests compare it across batchings, or against the "
+                    "per-tuple oracle, to catch batching faults")
+ALLOWED_FIELDS = {
+    "IntegrationResult.final_state": _BATCHING_ORACLE,
+    "QuadraticBoundsReport.min_form": _BATCHING_ORACLE,
+    "QuadraticBoundsReport.max_form": _BATCHING_ORACLE,
+    "QuadraticBoundsReport.det_floor": _BATCHING_ORACLE,
+}
+
 
 def _modules():
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -69,13 +80,10 @@ def _uses(path):
     return [token for token in _name_tokens(path) if token not in defined]
 
 
-def test_every_src_name_has_a_production_caller():
-    """Each name defined in a package module occurs as a name token in the
-    package or the benchmark outside its own definition; the exports in
-    ``__init__`` do not count, and neither do the tests, docstrings,
-    comments or the ``def`` and ``class`` lines of other definitions.  A
-    name used under the same spelling as another still counts as used.
-    """
+def _uncalled():
+    """(module file name, name) of the definitions of :func:`_definitions`
+    whose name occurs as a name token nowhere in the package or the
+    benchmark outside the definition itself."""
     tokens = {path: _uses(path) for path in _callers()}
     unused = []
     for module in _modules():
@@ -85,8 +93,20 @@ def test_every_src_name_has_a_production_caller():
                        and not (path == module and first <= line <= last)
                        for path, found in tokens.items()
                        for word, line in found)
-            if not used and name not in ALLOWED:
-                unused.append(f"{module.name}: {name}")
+            if not used:
+                unused.append((module.name, name))
+    return unused
+
+
+def test_every_src_name_has_a_production_caller():
+    """Each name defined in a package module occurs as a name token in the
+    package or the benchmark outside its own definition; the exports in
+    ``__init__`` do not count, and neither do the tests, docstrings,
+    comments or the ``def`` and ``class`` lines of other definitions.  A
+    name used under the same spelling as another still counts as used.
+    """
+    unused = [f"{module}: {name}" for module, name in _uncalled()
+              if name not in ALLOWED]
     assert not unused, "no production caller: " + ", ".join(unused)
 
 
@@ -127,8 +147,7 @@ def _defaulted(call, qualified, fn, skipped):
 def _defaulted_fields(cls):
     """The defaulted fields of a dataclass that ``__init__`` takes, less the
     private ones, which hold state such as caches."""
-    if not any(ast.unparse(d).startswith("dataclass")
-               for d in cls.decorator_list):
+    if not _is_dataclass(cls):
         return
     position = 0
     for item in cls.body:
@@ -164,6 +183,28 @@ def _sets(call, call_name, definition, name, position):
     return keyword or position is not None and len(plain) > position
 
 
+def _unset():
+    """``{qualified name: module file name}`` of the options of
+    :func:`_options` that no call outside the definition's own body
+    passes."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in _callers()}
+    calls = [(path, node) for path, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = {}
+    for module in _modules():
+        for call_name, qualified, fn, name, position in _options(
+                trees[module]):
+            passed = any(
+                _sets(call, call_name, fn, name, position)
+                and not (path == module
+                         and fn.lineno <= call.lineno <= fn.end_lineno)
+                for path, call in calls)
+            if not passed:
+                unset[qualified] = module.name
+    return unset
+
+
 def test_every_option_has_a_caller_that_sets_it():
     """Each defaulted parameter of a package function or method, and each
     defaulted field of a package dataclass, is passed, by keyword or by
@@ -173,22 +214,83 @@ def test_every_option_has_a_caller_that_sets_it():
     by a keyword of ``replace``.  An option that every caller leaves at its
     default is a constant in disguise.
     """
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in _callers()}
-    calls = [(path, node) for path, tree in trees.items()
-             for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    unset = []
-    for module in _modules():
-        for call_name, qualified, fn, name, position in _options(
-                trees[module]):
-            passed = any(
-                _sets(call, call_name, fn, name, position)
-                and not (path == module
-                         and fn.lineno <= call.lineno <= fn.end_lineno)
-                for path, call in calls)
-            if not passed and qualified not in ALLOWED_OPTIONS:
-                unset.append(f"{module.name}: {qualified}")
+    unset = [f"{module}: {qualified}"
+             for qualified, module in _unset().items()
+             if qualified not in ALLOWED_OPTIONS]
     assert not unset, "no caller sets: " + ", ".join(unset)
+
+
+def _is_dataclass(cls):
+    return any(ast.unparse(d).startswith("dataclass")
+               for d in cls.decorator_list)
+
+
+def _fields(tree):
+    """The fields of the top-level dataclasses, and the properties and
+    cached properties of the top-level classes, as (qualified name, name,
+    first line, last line)."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if _is_dataclass(cls) and isinstance(item, ast.AnnAssign) \
+                    and isinstance(item.target, ast.Name):
+                name = item.target.id
+            elif isinstance(item, ast.FunctionDef) and any(
+                    ast.unparse(d) in ("property", "cached_property")
+                    for d in item.decorator_list):
+                name = item.name
+            else:
+                continue
+            yield f"{cls.name}.{name}", name, item.lineno, item.end_lineno
+
+
+def _unread():
+    """``{qualified name: module file name}`` of the fields of
+    :func:`_fields` whose name is loaded as an attribute nowhere in the
+    package or the benchmark outside the field's own definition."""
+    loads = [(path, node.attr, node.lineno) for path in _callers()
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)]
+    unread = {}
+    for module in _modules():
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for qualified, name, first, last in _fields(tree):
+            read = any(attr == name
+                       and not (path == module and first <= line <= last)
+                       for path, attr, line in loads)
+            if not read:
+                unread[qualified] = module.name
+    return unread
+
+
+def test_every_field_has_a_production_reader():
+    """Each field of a package dataclass, and each property or cached
+    property of a package class, is loaded as an attribute somewhere in the
+    package or the benchmark; the tests, and reads under ``getattr``, do
+    not count.  Attributes are matched by spelling, as the name guard
+    matches names: a field read under the same spelling as another still
+    counts as read.  A figure that every run computes and nothing reads is
+    work without an output.
+    """
+    unread = [f"{module}: {qualified}"
+              for qualified, module in _unread().items()
+              if qualified not in ALLOWED_FIELDS]
+    assert not unread, "no production reader: " + ", ".join(unread)
+
+
+def test_allowlists_name_live_exceptions():
+    """Each allowlist entry still names a definition, option or field that
+    exists and still has no production caller, setter or reader: an entry
+    whose name is gone, or is now used, is stale and goes."""
+    uncalled = {name for _, name in _uncalled()}
+    stale = [f"ALLOWED: {name}" for name in ALLOWED if name not in uncalled]
+    stale += [f"ALLOWED_OPTIONS: {name}" for name in ALLOWED_OPTIONS
+              if name not in _unset()]
+    stale += [f"ALLOWED_FIELDS: {name}" for name in ALLOWED_FIELDS
+              if name not in _unread()]
+    assert not stale, "stale allowlist entries: " + ", ".join(stale)
 
 
 def test_every_tracer_patch_target_resolves():

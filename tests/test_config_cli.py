@@ -264,6 +264,42 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  id="no_reduce_sizes"),
     pytest.param("reduce", "reduce", {"sizes": [2, 0]}, "reduce.sizes[1]",
                  id="zero_reduce_size"),
+    pytest.param("solve", "roots",
+                 {"preset": "constant", "values": [1.0, -1.0]},
+                 "roots.values", id="unsorted_constant_roots"),
+    *(pytest.param("sweep", "problem",
+                   {"order": 2, "horizon": 1.0, "gevrey_s": bad},
+                   "problem.gevrey_s", id=f"gevrey_s_{bad}")
+      for bad in (0, -1)),
+    # a number field takes a JSON number, not a string or a boolean, and a
+    # flag takes a JSON boolean
+    pytest.param("solve", "reference",
+                 {"kind": "fine_epsilon", "divisor": "8"},
+                 "reference.divisor", id="string_divisor"),
+    pytest.param("solve", "reference",
+                 {"kind": "fine_epsilon", "divisor": True},
+                 "reference.divisor", id="boolean_divisor"),
+    pytest.param("symmetriser", "symmetriser", {"spacing": "0.05"},
+                 "symmetriser.spacing", id="string_spacing"),
+    pytest.param("solve", "regularisation",
+                 {"scale": "linear", "epsilon_sweep": [0.5, "0.25", 0.125]},
+                 "regularisation.epsilon_sweep[1]", id="string_epsilon"),
+    pytest.param("solve", "grid", {"output_times": ["0.5", 1.0]},
+                 "grid.output_times[0]", id="string_output_time"),
+    pytest.param("solve", "grid", {"tracked_frequencies": [2.0, True]},
+                 "grid.tracked_frequencies[1]", id="boolean_tracked_xi"),
+    pytest.param("solve", "grid", {"margin": True}, "grid.margin",
+                 id="boolean_margin"),
+    pytest.param("reduce", "reduce", {"frequencies": ["1"]},
+                 "reduce.frequencies[0]", id="string_reduce_frequency"),
+    pytest.param("sweep", "analysis", {"require_ratio_two": "false"},
+                 "analysis.require_ratio_two", id="string_flag"),
+    # an output time outside [0, horizon] would be snapped to the nearest
+    # step and written under a time the run never reached
+    pytest.param("solve", "grid", {"output_times": [0.5, 3.0]},
+                 "grid.output_times[1]", id="output_time_past_horizon"),
+    pytest.param("solve", "grid", {"output_times": [-0.1, 1.0]},
+                 "grid.output_times[0]", id="negative_output_time"),
     *(pytest.param(subcommand, subcommand, {key: bad},
                    f"{subcommand}.{key}", id=f"{subcommand}_{key}_{bad}")
       for subcommand, key, bad in (

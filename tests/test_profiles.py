@@ -43,7 +43,7 @@ def test_density_evaluation_and_right_endpoint():
 def test_linear_structure():
     p1 = constant_profile(2.0, (0.0, 1.0))
     p2 = heaviside_profile(0.3, 0.0, 1.0, (0.0, 1.0))
-    combo = 3.0 * p1 + p2
+    combo = p1.scaled(3.0) + p2
     t = np.linspace(0.0, 0.99, 7)
     assert np.allclose(combo.density(t), 3.0 * p1.density(t) + p2.density(t))
 

@@ -3,7 +3,7 @@ import pytest
 
 from weakhyp._quadrature import (adaptive_panel, fixed_panel, gauss_rule,
                                  oscillatory_panel)
-from weakhyp._stats import linear_fit
+from weakhyp.analysis import linear_fit
 from weakhyp.errors import InsufficientDataError, QuadratureError
 
 

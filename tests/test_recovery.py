@@ -14,8 +14,9 @@ from weakhyp.recovery import (HomogeneousCoefficientSet,
                               build_direction_plan, characteristic_polynomial,
                               random_ordered_family, random_round_trip_study,
                               recover_coefficients, round_trip_check)
-from weakhyp.roots import (RootFamily, constant_roots, constant_scale,
-                           linear_scale, regularise_roots, wave_speed_roots)
+from weakhyp.roots import (RegularisedRoots, RootFamily, constant_roots,
+                           constant_scale, linear_scale, regularise_roots,
+                           wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
 from oracles import (coefficient, evaluate, pure_root, sigma_hat,
@@ -142,7 +143,7 @@ def test_anisotropic_recovery_matches_single_solve_oracle(phi):
         return constant_profile(val if j == 2 else -val, (-2.0, 3.0))
 
     fam = RootFamily(order=2, dimension=2, profile_fn=profile_fn, bound=2.0,
-                     ordered=True, horizon=1.0)
+                     horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 2, 2, epsilon=0.5)
     got = {nu: float(v[0]) for nu, v in evaluate(cs, 0.3).items()}
@@ -173,7 +174,7 @@ def test_linear_root_recovery_exact(phi):
                                 (-2.0, 3.0))
 
     fam = RootFamily(order=1, dimension=3, profile_fn=profile_fn, bound=3.0,
-                     ordered=True, horizon=1.0)
+                     horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 1, 3, epsilon=0.5)
     got = evaluate(cs, 0.5)
@@ -244,7 +245,17 @@ def test_round_trip_rejects_zero_trials(phi):
         round_trip_check(constant_roots([0.0]), phi, 0.05, trials=0)
 
 
-def test_round_trip_probes_keep_the_draw_order(phi):
+def test_round_trip_probes_keep_the_draw_order(phi, monkeypatch):
+    # every table is taken at the probe times; the last one, of the
+    # reference roots, along the probe directions
+    seen = []
+    table = RegularisedRoots.direction_table
+
+    def spy(self, t, epsilon, directions):
+        seen.append((list(t), list(directions)))
+        return table(self, t, epsilon, directions)
+
+    monkeypatch.setattr(RegularisedRoots, "direction_table", spy)
     fam = constant_roots([-1.0, 0.5, 2.0], dimension=2)
     report = round_trip_check(fam, phi, 0.05, trials=5,
                               rng=np.random.default_rng(4))
@@ -253,7 +264,8 @@ def test_round_trip_probes_keep_the_draw_order(phi):
     for _ in range(5):  # t, then xi, probe by probe
         t = float(fresh.uniform(0.0, fam.horizon))
         expected.append((t, tuple(fresh.uniform(0.3, 2.5, size=2))))
-    assert [(p.t, p.xi) for p in report.probes] == expected
+    assert all(times == [t for t, _ in expected] for times, _ in seen)
+    assert seen[-1][1] == [xi for _, xi in expected]
     assert not report.failures
 
 
@@ -264,7 +276,6 @@ def test_round_trip_failed_evaluation_fails_every_probe(phi, monkeypatch):
     monkeypatch.setattr(HomogeneousCoefficientSet, "evaluate", broken)
     report = round_trip_check(constant_roots([-1.0, 2.0]), phi, 0.05,
                               trials=4, rng=np.random.default_rng(0))
-    assert report.probes == ()
     assert len(report.failures) == 4
     assert all("singular block" in f for f in report.failures)
 
