@@ -98,44 +98,48 @@ def positive_integer(value: Any, path: str) -> int:
 
 def build_profile(spec: Mapping, path: str,
                   support: tuple[float, float] | None = None) -> RoughProfile:
-    """Resolve a named profile preset into a RoughProfile."""
+    """Resolve a named profile preset into a RoughProfile; every number is
+    read through :func:`real` or :func:`reals`, under ``path.key``."""
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"'{path}' must be an object", field=path)
     preset = require(spec, "preset", path)
+
+    def number(key: str, default: float | None = None) -> float:
+        return real(require(spec, key, path) if default is None
+                    else spec.get(key, default), f"{path}.{key}")
+
+    def numbers(key: str) -> tuple[float, ...]:
+        return reals(require(spec, key, path), f"{path}.{key}")
+
     with config_field(path):
-        sup = tuple(spec.get("support", support or (0.0, 1.0)))
+        sup = reals(spec.get("support", support or (0.0, 1.0)),
+                    f"{path}.support")
         if preset == "constant":
-            return constant_profile(require(spec, "value", path), sup)
+            return constant_profile(number("value"), sup)
         if preset == "heaviside":
-            return heaviside_profile(require(spec, "jump", path),
-                                     require(spec, "low", path),
-                                     require(spec, "high", path), sup)
+            return heaviside_profile(number("jump"), number("low"),
+                                     number("high"), sup)
         if preset == "piecewise_constant":
-            return piecewise_constant_profile(
-                require(spec, "breakpoints", path),
-                require(spec, "values", path), sup)
+            return piecewise_constant_profile(numbers("breakpoints"),
+                                              numbers("values"), sup)
         if preset == "hoelder":
-            return hoelder_profile(require(spec, "alpha", path),
-                                   require(spec, "center", path),
-                                   spec.get("base", 1.0),
-                                   spec.get("amplitude", 1.0), sup)
+            return hoelder_profile(number("alpha"), number("center"),
+                                   number("base", 1.0),
+                                   number("amplitude", 1.0), sup)
         if preset == "polynomial":
-            return polynomial_piece_profile(
-                require(spec, "coefficients", path),
-                require(spec, "lo", path), require(spec, "hi", path))
+            return polynomial_piece_profile(numbers("coefficients"),
+                                            number("lo"), number("hi"))
         if preset == "bump":
-            return bump_profile(spec.get("center", 0.0),
-                                require(spec, "radius", path),
-                                spec.get("amplitude", 1.0))
+            return bump_profile(number("center", 0.0), number("radius"),
+                                number("amplitude", 1.0))
         if preset == "box":
-            return box_profile(spec.get("center", 0.0),
-                               require(spec, "halfwidth", path),
-                               spec.get("amplitude", 1.0))
+            return box_profile(number("center", 0.0), number("halfwidth"),
+                               number("amplitude", 1.0))
         if preset in ("point_mass", "delta"):
             return point_mass_profile(
-                spec.get("location", 0.0),
+                number("location", 0.0),
                 integer(spec.get("order", 0), f"{path}.order"),
-                spec.get("weight", 1.0))
+                number("weight", 1.0))
         if preset == "zero":
             return zero_profile()
     raise ConfigurationError(f"unknown profile preset '{preset}' at '{path}'",
@@ -146,11 +150,12 @@ def build_root_family(spec: Mapping, horizon: float) -> RootFamily:
     preset = require(spec, "preset", "roots")
     if preset == "constant":
         with config_field("roots.values"):
-            return constant_roots(require(spec, "values", "roots"),
-                                  horizon=horizon)
+            return constant_roots(
+                reals(require(spec, "values", "roots"), "roots.values"),
+                horizon=horizon)
     if preset == "transport":
-        return transport_roots(require(spec, "speed", "roots"),
-                               horizon=horizon)
+        return transport_roots(real(require(spec, "speed", "roots"),
+                                    "roots.speed"), horizon=horizon)
     if preset == "wave_speed":
         speed = build_profile(require(spec, "speed", "roots"), "roots.speed",
                               (0.0, horizon))

@@ -107,18 +107,10 @@ class RootValuePrincipal:
     def order(self) -> int:
         return self.regularised.order
 
-    def _profiles(self, t: Array, xi: Array) -> tuple[Array, Array]:
-        """Convolved root profiles (m, T) in the directions +1 and -1.
-
-        Only the directions that the frequencies in ``xi`` point along are
-        convolved; an unused one is returned as zeros.
-        """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        hit = np.array([np.any(xi >= 0), np.any(xi < 0)])
-        table = np.zeros((2, self.order, t.size))
-        table[hit] = self.regularised.direction_table(
-            t, self.epsilon, [d for d, h in zip(((1.0,), (-1.0,)), hit) if h])
-        return table[0], table[1]
+    def _profiles(self, t: Array) -> Array:
+        """Convolved root profiles (2, m, T) in the directions +1 and -1."""
+        return self.regularised.direction_table(t, self.epsilon,
+                                                [(1.0,), (-1.0,)])
 
     def _root_table(self, xi: Array) -> Callable[[Array, Array], Array]:
         """The separated root values (T, m, K) as a function of the root
@@ -138,7 +130,7 @@ class RootValuePrincipal:
 
     def roots(self, t: Array, xi: Array) -> Array:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return self._root_table(xi)(*self._profiles(t, xi))
+        return self._root_table(xi)(*self._profiles(t))
 
     def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
         """Last rows (T, m, K) at the times ``t[index]``.
@@ -158,7 +150,7 @@ class RootValuePrincipal:
         br = bracket(xi)
         powers = [br ** (j - self.order) for j in range(1, self.order + 1)]
         table = self._root_table(xi)
-        pos, neg = self._profiles(t, xi)
+        pos, neg = self._profiles(t)
         # the profiles' bits, so that -0.0 and 0.0 count as different
         bits = np.concatenate([pos, neg]).view(np.int64)
         cached: dict[bytes, Array] = {}

@@ -1,9 +1,9 @@
 """Characteristic root families and their separated mollified regularisations.
 
-A root family holds, per root index j and unit direction d, a rough time
-profile r_j(., d) with lambda_j(t, xi) = r_j(t, xi/|xi|) |xi| (degree-one
-homogeneity).  Regularisation convolves each profile in time at scale
-omega(eps) along the exact unit direction, and ``direction_table`` is the
+Root j along the unit direction d is r_j(t, d) = sum_k c_jk(t) g_k(d), with
+lambda_j(t, xi) = r_j(t, xi/|xi|) |xi| (degree-one homogeneity).  Convolution
+is linear, so regularisation at scale omega(eps) convolves each coefficient
+c_jk once and contracts with the features g(d); ``direction_table`` is the
 one path to those values.  The separating shift j*omega(eps)*<xi>, which
 makes the regularised family strictly hyperbolic with gap at least
 omega(eps)*<xi>, and the speed bound it implies are written once, here.
@@ -103,20 +103,21 @@ def _unit_direction(direction: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass
 class RootFamily:
-    """m real bounded roots, homogeneous of degree one in the frequency."""
+    """m real bounded roots, homogeneous of degree one in the frequency:
+    ``coefficients`` is the (m, n) matrix of padded time profiles c_jk, and
+    ``features`` maps unit directions (D, dimension) to g(d) (D, n)."""
 
     order: int
     dimension: int
-    profile_fn: Callable[[int, tuple[float, ...]], RoughProfile]
+    coefficients: tuple[tuple[RoughProfile, ...], ...]
+    features: Callable[[Array], Array]
     bound: float
     horizon: float = 1.0
 
-    def profile(self, j: int, direction: Sequence[float]) -> RoughProfile:
-        """Time profile of root j (1-based) along the unit vector
-        ``direction/|direction|``."""
-        if not 1 <= j <= self.order:
-            raise InvalidParameterError(f"root index {j} outside 1..{self.order}")
-        return self.profile_fn(j, _unit_direction(direction))
+
+def _even(directions: Array) -> Array:
+    """g(d) = 1, the one feature of a direction-independent family."""
+    return np.ones((len(directions), 1))
 
 
 def _transformed_profile(profile: RoughProfile,
@@ -142,10 +143,11 @@ def constant_roots(values: Sequence[float], dimension: int = 1,
     if any(b < a for a, b in zip(vals, vals[1:])):
         raise InvalidParameterError(
             f"root values must be ordered, r_1 <= ... <= r_m: got {vals}")
-    profiles = [constant_profile(v, (-EDGE_PAD, horizon + EDGE_PAD))
-                for v in vals]
+    pad = (-EDGE_PAD, horizon + EDGE_PAD)
     return RootFamily(order=len(vals), dimension=dimension,
-                      profile_fn=lambda j, d: profiles[j - 1],
+                      coefficients=tuple((constant_profile(v, pad),)
+                                         for v in vals),
+                      features=_even,
                       bound=max((abs(v) for v in vals), default=0.0),
                       horizon=horizon)
 
@@ -172,8 +174,8 @@ def roots_from_time_profiles(profiles: Sequence[RoughProfile],
     if bound is None:
         bound = float(np.max(np.abs(vals), initial=0.0))
     return RootFamily(order=len(profs), dimension=dimension,
-                      profile_fn=lambda j, d: profs[j - 1],
-                      bound=bound, horizon=horizon)
+                      coefficients=tuple((p,) for p in profs),
+                      features=_even, bound=bound, horizon=horizon)
 
 
 def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
@@ -185,25 +187,14 @@ def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
     orthant (componentwise-increasing coefficients), which is where the
     recovery plans sample; the caller keeps the family ordered there.
     """
-    padded = [[extend_profile(c, EDGE_PAD) for c in row]
-              for row in coeff_profiles]
-    m = len(padded)
+    padded = tuple(tuple(extend_profile(c, EDGE_PAD) for c in row)
+                   for row in coeff_profiles)
     n = len(padded[0])
-
-    def profile_fn(j: int, d: tuple[float, ...]) -> RoughProfile:
-        out = None
-        for k, c in enumerate(padded[j - 1]):
-            term = c.scaled(d[k])
-            out = term if out is None else out + term
-        return out
-
-    fam = RootFamily(order=m, dimension=n, profile_fn=profile_fn,
-                     bound=0.0)
     t = np.linspace(0.0, 1.0, 129)
-    fam.bound = max(
-        float(np.max(np.abs(padded[j][k].density(t)), initial=0.0))
-        for j in range(m) for k in range(n)) * math.sqrt(n)
-    return fam
+    bound = max(float(np.max(np.abs(c.density(t)), initial=0.0))
+                for row in padded for c in row) * math.sqrt(n)
+    return RootFamily(order=len(padded), dimension=n, coefficients=padded,
+                      features=lambda d: d, bound=bound)
 
 
 def wave_speed_roots(speed: RoughProfile, horizon: float = 1.0) -> RootFamily:
@@ -220,13 +211,13 @@ def wave_speed_roots(speed: RoughProfile, horizon: float = 1.0) -> RootFamily:
 
 
 def transport_roots(speed: float, horizon: float = 1.0) -> RootFamily:
-    """Single root a*xi (odd symbol), any sign of the speed."""
-    prof = constant_profile(abs(speed), (-EDGE_PAD, horizon + EDGE_PAD))
-
-    def profile_fn(j: int, d: tuple[float, ...]) -> RoughProfile:
-        return prof.scaled(math.copysign(1.0, speed) * d[0])
-
-    return RootFamily(order=1, dimension=1, profile_fn=profile_fn,
+    """Single root a*xi (odd symbol), any sign of the speed: the coefficient
+    |a| with the feature sign(a)*d_0."""
+    sign = math.copysign(1.0, speed)
+    return RootFamily(order=1, dimension=1,
+                      coefficients=((constant_profile(
+                          abs(speed), (-EDGE_PAD, horizon + EDGE_PAD)),),),
+                      features=lambda d: sign * d[:, :1],
                       bound=abs(speed), horizon=horizon)
 
 
@@ -260,23 +251,33 @@ class RegularisedRoots:
     def order(self) -> int:
         return self.base.order
 
-    def convolved(self, j: int, direction: Sequence[float],
-                  epsilon: float) -> Convolution:
-        """Root j's profile along ``direction/|direction|``, convolved at
-        the scale omega(epsilon)."""
+    def convolved(self, epsilon: float) -> list[list[Convolution]]:
+        """The (m, n) coefficient profiles, each convolved at the scale
+        omega(epsilon)."""
         kernel = scale_mollifier(self.mollifier, self.omega(epsilon))
-        return convolve_profile(self.base.profile(j, direction), kernel)
+        return [[convolve_profile(c, kernel) for c in row]
+                for row in self.base.coefficients]
 
     def direction_table(self, t: Array, epsilon: float,
                         directions: Sequence[Sequence[float]]) -> Array:
         """Convolved profile values (len(directions), m, len(t)) along the
         unit vectors of ``directions``, in their order: the one path by
         which the solver, the recovery and its round trip tabulate root
-        profiles."""
-        return np.array([[np.real(self.convolved(j, d, epsilon)(t))
-                          for j in range(1, self.order + 1)]
-                         for d in directions]).reshape(
-                             len(directions), self.order, np.size(t))
+        profiles.  The convolutions are contracted with the features by
+        multiply-adds in feature order, elementwise in the direction, so a
+        row's bits do not depend on the batch, and n = 1 is exact."""
+        base = self.base
+        n = len(base.coefficients[0])
+        values = np.array([[np.real(c(t)) for c in row]
+                           for row in self.convolved(epsilon)]).reshape(
+                               self.order, n, np.size(t))
+        units = np.array([_unit_direction(d) for d in directions]).reshape(
+            len(directions), base.dimension)
+        g = base.features(units)[:, :, None, None]
+        table = g[:, 0] * values[:, 0]
+        for k in range(1, n):
+            table = table + g[:, k] * values[:, k]
+        return table
 
 
 def regularise_roots(family: RootFamily, mollifier: Mollifier,

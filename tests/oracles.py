@@ -9,7 +9,9 @@ cutoff mollifier, the staged RK4 loop that the integrator's step matrices
 replace on constant stretches, the tau-coefficients of an adjugate, the
 per-item paths that the batched audits replaced (the per-tuple symmetriser
 and its audit loop, and the per-root symmetric functions of the recovery),
-and the per-root regularised values, pure and with the separating shift.
+and the per-direction root profiles that the coefficient contraction
+replaced, with the per-root regularised values, pure and with the
+separating shift.
 Test modules import them as ``oracles``; pytest's default import mode puts
 ``tests/`` on ``sys.path``.
 """
@@ -26,14 +28,15 @@ import numpy as np
 from weakhyp.analysis import linear_fit
 from weakhyp.errors import (ConfigurationError, InsufficientDataError,
                             InvalidParameterError, UnsupportedError)
-from weakhyp.mollifiers import GevreyCutoffMollifier
+from weakhyp.mollifiers import (GevreyCutoffMollifier, convolve_profile,
+                                scale_mollifier)
 from weakhyp.profiles import RoughProfile
 from weakhyp.recovery import (HomogeneousCoefficientSet,
                               characteristic_polynomial, sigma_table)
 from weakhyp.reduction import (CompanionSystem, Index, PolynomialMatrix,
                                _faddeev, companion_blocks,
                                companion_matrix_from_coefficients)
-from weakhyp.roots import RegularisedRoots, bracket
+from weakhyp.roots import RegularisedRoots, RootFamily, bracket
 from weakhyp.solver import EnergyTrace
 
 Array = np.ndarray
@@ -349,12 +352,28 @@ def symmetriser_audit_rows(count: int, max_order: int, spacing: float,
 # -- per-root values and symmetric functions ----------------------------------------
 
 
+def root_profile(family: RootFamily, j: int, xi) -> RoughProfile:
+    """Root j's time profile along the unit vector ``xi/|xi|``, written out:
+    its coefficient profiles scaled by the unit direction's features and
+    summed with ``+``, the per-direction path that ``direction_table``'s
+    contraction replaces."""
+    v = np.atleast_1d(np.asarray(xi, dtype=float))
+    features = family.features((v / np.linalg.norm(v))[None, :])[0]
+    out = None
+    for c, g in zip(family.coefficients[j - 1], features):
+        term = c.scaled(g)
+        out = term if out is None else out + term
+    return out
+
+
 def pure_root(reg: RegularisedRoots, j: int, t: Array | float, xi,
               epsilon: float) -> Array:
-    """(lambda_j * phi_omega)(t, xi) for one root: its convolved profile
-    along ``xi`` (which ``convolved`` normalises), times |xi|."""
+    """(lambda_j * phi_omega)(t, xi) for one root: its :func:`root_profile`
+    along ``xi``, convolved on its own, times |xi|."""
     v = np.atleast_1d(np.asarray(xi, dtype=float))
-    return np.real(reg.convolved(j, v, epsilon)(t)) * float(np.linalg.norm(v))
+    kernel = scale_mollifier(reg.mollifier, reg.omega(epsilon))
+    convolution = convolve_profile(root_profile(reg.base, j, v), kernel)
+    return np.real(convolution(t)) * float(np.linalg.norm(v))
 
 
 def root_value(reg: RegularisedRoots, j: int, t: Array | float, xi,
@@ -369,11 +388,12 @@ def root_value(reg: RegularisedRoots, j: int, t: Array | float, xi,
 def sigma_per_root(reg: RegularisedRoots, t: Array, epsilon: float,
                    directions: Sequence[tuple[float, ...]]
                    ) -> dict[tuple[float, ...], Array]:
-    """What ``recovery.sigma_table`` returns, one direction at a time from
-    each root's :func:`pure_root`."""
+    """What ``recovery.sigma_table`` returns, one direction at a time: each
+    direction's roots from a table of that direction alone, whose row has
+    the bits of the batched table's."""
     out = {}
     for xi in directions:
-        vals = np.array([pure_root(reg, j, t, xi, epsilon)
-                         for j in range(1, reg.order + 1)])
+        vals = reg.direction_table(t, epsilon, [xi])[0] \
+            * float(np.linalg.norm(xi))
         out[xi] = characteristic_polynomial(np.moveaxis(vals, 0, -1))
     return out

@@ -63,12 +63,13 @@ def test_criterion_01_round_trip_random_families():
 def test_criterion_02_anisotropic_recovery_exact():
     phi = friedrichs_mollifier()
 
-    def profile_fn(j, d):
-        val = np.sqrt(d[0] ** 2 + 4.0 * d[1] ** 2)
-        return constant_profile(val if j == 2 else -val, (-2.0, 3.0))
+    def features(d):
+        return np.sqrt(d[:, 0] ** 2 + 4.0 * d[:, 1] ** 2)[:, None]
 
-    fam = RootFamily(order=2, dimension=2, profile_fn=profile_fn, bound=2.0,
-                     horizon=1.0)
+    fam = RootFamily(order=2, dimension=2,
+                     coefficients=((constant_profile(-1.0, (-2.0, 3.0)),),
+                                   (constant_profile(1.0, (-2.0, 3.0)),)),
+                     features=features, bound=2.0, horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 2, 2, epsilon=0.5)
     t = np.array([0.4])

@@ -1,4 +1,5 @@
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -80,6 +81,9 @@ def _uses(path):
     return [token for token in _name_tokens(path) if token not in defined]
 
 
+# the scans read sources that no test changes, so each runs once per
+# session and the guards and the allowlist check share its result
+@functools.cache
 def _uncalled():
     """(module file name, name) of the definitions of :func:`_definitions`
     whose name occurs as a name token nowhere in the package or the
@@ -183,6 +187,7 @@ def _sets(call, call_name, definition, name, position):
     return keyword or position is not None and len(plain) > position
 
 
+@functools.cache
 def _unset():
     """``{qualified name: module file name}`` of the options of
     :func:`_options` that no call outside the definition's own body
@@ -245,6 +250,7 @@ def _fields(tree):
             yield f"{cls.name}.{name}", name, item.lineno, item.end_lineno
 
 
+@functools.cache
 def _unread():
     """``{qualified name: module file name}`` of the fields of
     :func:`_fields` whose name is loaded as an attribute nowhere in the

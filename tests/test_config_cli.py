@@ -294,6 +294,14 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  "reduce.frequencies[0]", id="string_reduce_frequency"),
     pytest.param("sweep", "analysis", {"require_ratio_two": "false"},
                  "analysis.require_ratio_two", id="string_flag"),
+    # so does every number of a profile or root preset
+    pytest.param("solve", "data", [{"preset": "constant", "value": True},
+                                   {"preset": "zero"}],
+                 "data[0].value", id="boolean_constant_value"),
+    pytest.param("solve", "roots", {"preset": "constant", "values": [True, 2]},
+                 "roots.values[0]", id="boolean_root_value"),
+    pytest.param("solve", "roots", {"preset": "transport", "speed": "1.0"},
+                 "roots.speed", id="string_transport_speed"),
     # an output time outside [0, horizon] would be snapped to the nearest
     # step and written under a time the run never reached
     pytest.param("solve", "grid", {"output_times": [0.5, 3.0]},

@@ -138,12 +138,13 @@ def test_wave_coefficient_recovery(phi):
 
 def test_anisotropic_recovery_matches_single_solve_oracle(phi):
     # roots -/+ sqrt(xi1^2 + 4 xi2^2): coefficients (1, 4, 0)
-    def profile_fn(j, d):
-        val = np.sqrt(d[0] ** 2 + 4.0 * d[1] ** 2)
-        return constant_profile(val if j == 2 else -val, (-2.0, 3.0))
+    def features(d):
+        return np.sqrt(d[:, 0] ** 2 + 4.0 * d[:, 1] ** 2)[:, None]
 
-    fam = RootFamily(order=2, dimension=2, profile_fn=profile_fn, bound=2.0,
-                     horizon=1.0)
+    fam = RootFamily(order=2, dimension=2,
+                     coefficients=((constant_profile(-1.0, (-2.0, 3.0)),),
+                                   (constant_profile(1.0, (-2.0, 3.0)),)),
+                     features=features, bound=2.0, horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 2, 2, epsilon=0.5)
     got = {nu: float(v[0]) for nu, v in evaluate(cs, 0.3).items()}
@@ -169,12 +170,10 @@ def test_anisotropic_recovery_matches_single_solve_oracle(phi):
 def test_linear_root_recovery_exact(phi):
     b = (2.0, -1.0, 0.5)
 
-    def profile_fn(j, d):
-        return constant_profile(b[0] * d[0] + b[1] * d[1] + b[2] * d[2],
-                                (-2.0, 3.0))
-
-    fam = RootFamily(order=1, dimension=3, profile_fn=profile_fn, bound=3.0,
-                     horizon=1.0)
+    fam = RootFamily(order=1, dimension=3,
+                     coefficients=(tuple(constant_profile(v, (-2.0, 3.0))
+                                         for v in b),),
+                     features=lambda d: d, bound=3.0, horizon=1.0)
     reg = regularise_roots(fam, phi, constant_scale(0.05))
     cs = recover_coefficients(reg, 1, 3, epsilon=0.5)
     got = evaluate(cs, 0.5)

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhyp.analysis import linear_fit
 from weakhyp.errors import InsufficientDataError, InvalidParameterError
@@ -16,7 +18,7 @@ from weakhyp.roots import (_FD4, RootFamily, bracket, constant_roots,
                            wave_speed_roots)
 from weakhyp.profiles import piecewise_constant_profile
 
-from oracles import pure_root, root_value
+from oracles import pure_root, root_profile, root_value
 
 
 # -- moderateness certification of the roots (the paper's claim, audited) -----
@@ -86,7 +88,7 @@ def check_ordered(family, t_samples, directions):
     """Smallest gap r_{j+1} - r_j over the samples (negative = unordered)."""
     worst = math.inf
     for d in directions:
-        stack = np.array([np.real(family.profile(j, d).density(t_samples))
+        stack = np.array([np.real(root_profile(family, j, d)(t_samples))
                           for j in range(1, family.order + 1)])
         if family.order > 1:
             worst = min(worst, float(np.min(np.diff(stack, axis=0))))
@@ -99,7 +101,7 @@ def evaluate(family, j, t, xi):
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return np.zeros(np.shape(t))
-    return np.real(family.profile(j, v / norm).density(t)) * norm
+    return np.real(root_profile(family, j, v).density(t)) * norm
 
 
 @pytest.fixture(scope="module")
@@ -228,8 +230,8 @@ def test_linear_form_family_ordered_on_positive_orthant():
 
 
 def test_direction_table_reads_the_exact_unit_direction(phi):
-    # the profile along (1, 2) is built from (1, 2)/sqrt(5) as computed,
-    # not from a rounded copy of it
+    # the coefficients along (1, 2) are weighted by (1, 2)/sqrt(5) as
+    # computed, not by a rounded copy of it
     coeffs = [[piecewise_constant_profile([0.0, 0.3, 1.0], [0.9, 1.3],
                                           (0.0, 1.0)),
                piecewise_constant_profile([0.0, 0.6, 1.0], [1.1, 0.7],
@@ -244,6 +246,88 @@ def test_direction_table_reads_the_exact_unit_direction(phi):
     unit = (1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0))
     kernel = scale_mollifier(phi, 0.05)
     for j in (1, 2):
-        expected = np.real(convolve_profile(fam.profile_fn(j, unit),
-                                            kernel)(t))
+        c1, c2 = (np.real(convolve_profile(c, kernel)(t))
+                  for c in fam.coefficients[j - 1])
+        expected = unit[0] * c1 + unit[1] * c2
         assert np.array_equal(table[j - 1], expected)
+
+
+def _random_linear_family(rng, order, dimension):
+    """Piecewise-constant coefficients c_jk of either sign on [0, 1]."""
+    coeffs = []
+    for _ in range(order):
+        row = []
+        for _ in range(dimension):
+            inner = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(0, 4))))
+            breaks = [0.0, *inner, 1.0]
+            row.append(piecewise_constant_profile(
+                breaks, list(rng.uniform(-2.0, 2.0, len(breaks) - 1)),
+                (0.0, 1.0)))
+        coeffs.append(row)
+    return roots_from_linear_forms(coeffs)
+
+
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3),
+       st.floats(min_value=-4.0, max_value=0.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_direction_table_matches_per_direction_oracle(phi, order, dimension,
+                                                      log_omega, seed):
+    # the contraction of the coefficient convolutions against each root's
+    # profile along the direction, convolved on its own: equal to rounding
+    rng = np.random.default_rng(seed)
+    fam = _random_linear_family(rng, order, dimension)
+    reg = regularise_roots(fam, phi, constant_scale(10.0 ** log_omega))
+    t = np.concatenate([rng.uniform(-0.2, 1.2, 17), [0.0, 1.0]])
+    directions = [tuple(rng.standard_normal(dimension)) for _ in range(4)]
+    table = reg.direction_table(t, 0.5, directions)
+    for d, rows in zip(directions, table):
+        unit = np.asarray(d) / np.linalg.norm(d)
+        for j in range(1, order + 1):
+            # rounding of each term of the contraction and of the oracle's
+            # own sum over the pieces of every coefficient
+            scale = sum(abs(g) * max(abs(p.value) for p in c.pieces)
+                        for g, c in zip(unit, fam.coefficients[j - 1]))
+            oracle = pure_root(reg, j, t, d, 0.5) / np.linalg.norm(d)
+            assert np.max(np.abs(rows[j - 1] - oracle)) \
+                <= 16.0 * np.finfo(float).eps * scale
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_one_feature_table_is_the_convolution_bit_for_bit(phi):
+    # a one-feature family's row is g(d) times the convolution, which is
+    # exact; far outside the padded support the convolution is +0.0, and a
+    # negative feature keeps the -0.0 that a sum over the features would
+    # turn into 0.0
+    kernel = scale_mollifier(phi, 0.03)
+    t = np.concatenate([np.linspace(-0.1, 1.1, 61), [-50.0, 50.0]])
+    speed = heaviside_profile(0.45, 1.0, 4.0, (0.0, 1.0))
+    for fam, signs in ((wave_speed_roots(speed), (1.0, 1.0)),
+                       (constant_roots([-1.0, 0.0, 2.0]), (1.0, 1.0)),
+                       (transport_roots(1.5), (1.0, -1.0)),
+                       (transport_roots(-1.5), (-1.0, 1.0))):
+        reg = regularise_roots(fam, phi, constant_scale(0.03))
+        table = reg.direction_table(t, 0.5, [(1.0,), (-2.0,)])
+        for rows, sign in zip(table, signs):
+            for row, (c,) in zip(rows, fam.coefficients):
+                expected = np.real(convolve_profile(c, kernel)(t))
+                if sign < 0.0:
+                    expected = sign * expected
+                assert np.array_equal(_bits(row), _bits(expected))
+    assert np.signbit(table[0][0, -1]) and table[0][0, -1] == 0.0
+
+
+def test_direction_row_is_the_same_alone_or_in_a_batch(phi):
+    rng = np.random.default_rng(4)
+    fam = _random_linear_family(rng, 3, 3)
+    reg = regularise_roots(fam, phi, constant_scale(0.02))
+    t = rng.uniform(0.0, 1.0, 29)
+    directions = [tuple(rng.standard_normal(3)) for _ in range(6)]
+    batch = reg.direction_table(t, 0.5, directions)
+    for d, rows in zip(directions, batch):
+        alone = reg.direction_table(t, 0.5, [d])[0]
+        assert np.array_equal(_bits(rows), _bits(alone))
