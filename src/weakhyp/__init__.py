@@ -23,8 +23,7 @@ from .mollifiers import (Convolution, GevreyCutoffMollifier, Mollifier,
                          convolve_profile, friedrichs_mollifier,
                          scale_mollifier, vanishing_moment_mollifier)
 from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
-                    constant_roots, constant_scale, linear_scale,
-                    logarithmic_scale, regularise_roots,
+                    constant_roots, linear_scale, logarithmic_scale,
                     roots_from_linear_forms, roots_from_time_profiles,
                     transport_roots, wave_speed_roots)
 from .recovery import (DirectionPlan, HomogeneousCoefficientSet,

@@ -177,7 +177,8 @@ def build_scale(spec: Mapping, order: int) -> OmegaScale:
     kind = spec.get("scale", "linear")
     if kind == "linear":
         with config_field("regularisation.coefficient"):
-            return linear_scale(spec.get("coefficient", 1.0))
+            return linear_scale(real(spec.get("coefficient", 1.0),
+                                     "regularisation.coefficient"))
     if kind == "logarithmic":
         path = "regularisation.log_exponent"
         with config_field(path):

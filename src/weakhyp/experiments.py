@@ -31,7 +31,7 @@ from .recovery import build_direction_plan, random_round_trip_study
 from .reduction import (LowerOrderPart, LowerTerm, cofactor_matrix,
                         random_hyperbolic_system, to_block_sylvester)
 from .reports import write_csv, write_json
-from .roots import constant_scale, speed_bound
+from .roots import speed_bound
 from .solver import (CONE_MARGIN, FrequencyGrid, SolutionNet,
                      VeryWeakProblem, auto_box_length, dalembert_reference,
                      data_support_radius, energy_trace, solve_single,
@@ -368,15 +368,16 @@ def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
     max_order = cfg.count("roundtrip.max_order", 4)
     max_dimension = cfg.count("roundtrip.max_dimension", 3)
     probes = cfg.count("roundtrip.trials_per_family", 2)
-    epsilon = cfg.number("roundtrip.epsilon", 0.5, float)
-    with config_field("roundtrip.omega"):
-        omega = constant_scale(cfg.number("roundtrip.omega", 0.05, float))
+    omega = cfg.number("roundtrip.omega", 0.05, float)
+    if not 0.0 < omega <= 1.0:
+        raise ConfigurationError(
+            f"roundtrip.omega must lie in (0, 1], got {omega:g}",
+            field="roundtrip.omega")
     started = time.perf_counter()
     study = random_round_trip_study(
         n_families=n_families, mollifier=friedrichs_mollifier(),
         omega=omega, rng=np.random.default_rng(seed), max_order=max_order,
-        max_dimension=max_dimension, probes_per_family=probes,
-        epsilon=epsilon)
+        max_dimension=max_dimension, probes_per_family=probes)
     runtime = time.perf_counter() - started
     # the direction plans behind the recoveries, for reproducibility
     plans = {}

@@ -21,9 +21,8 @@ import numpy as np
 from .errors import (InvalidParameterError, PlanError, WeakHypError,
                      numerical_errors)
 from .mollifiers import Mollifier
-from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
-                    constant_scale, regularise_roots, roots_from_linear_forms,
-                    separating_shift)
+from .roots import (RegularisedRoots, RootFamily, bracket,
+                    roots_from_linear_forms, separating_shift)
 from .profiles import piecewise_constant_profile
 
 Array = np.ndarray
@@ -166,7 +165,7 @@ def build_direction_plan(degree: int, dimension: int) -> DirectionPlan:
 # -- coefficient recovery -----------------------------------------------------------
 
 
-def sigma_table(reg: RegularisedRoots, t: Array, epsilon: float,
+def sigma_table(reg: RegularisedRoots, t: Array,
                 directions: Sequence[tuple[float, ...]]
                 ) -> dict[tuple[float, ...], Array]:
     """Signed symmetric functions ``[1, sigma_1, ..., sigma_m]`` (T, m + 1)
@@ -178,7 +177,7 @@ def sigma_table(reg: RegularisedRoots, t: Array, epsilon: float,
     """
     norms = np.array([np.linalg.norm(np.asarray(d, dtype=float))
                       for d in directions])
-    table = reg.direction_table(t, epsilon, directions)
+    table = reg.direction_table(t, directions)
     sigma = characteristic_polynomial(
         np.swapaxes(table * norms[:, None, None], 1, 2))
     return dict(zip(directions, sigma))
@@ -195,7 +194,6 @@ class HomogeneousCoefficientSet:
 
     degree: int
     dimension: int
-    epsilon: float
     roots: RegularisedRoots
     plan: DirectionPlan
 
@@ -227,8 +225,7 @@ class HomogeneousCoefficientSet:
         """Max relative defect of the polynomial reconstruction
         ``-sum_nu a_nu(t) xi^nu`` against sigma at the plan's directions."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        sigma = sigma_table(self.roots, t_arr, self.epsilon,
-                            self.plan.directions)
+        sigma = sigma_table(self.roots, t_arr, self.plan.directions)
         values = self.evaluate(t_arr, sigma)
         worst = 0.0
         for xi in self.plan.directions:
@@ -239,8 +236,8 @@ class HomogeneousCoefficientSet:
         return worst
 
 
-def recover_coefficients(reg: RegularisedRoots, degree: int, dimension: int,
-                         epsilon: float = 0.5) -> HomogeneousCoefficientSet:
+def recover_coefficients(reg: RegularisedRoots, degree: int, dimension: int
+                         ) -> HomogeneousCoefficientSet:
     """Solve the direction-plan systems for one homogeneity degree.
 
     Works on the pure convolution part of the regularised roots: that part
@@ -253,7 +250,7 @@ def recover_coefficients(reg: RegularisedRoots, degree: int, dimension: int,
             f"degree {degree} exceeds the family order {reg.order}")
     plan = build_direction_plan(degree, dimension)
     return HomogeneousCoefficientSet(degree=degree, dimension=dimension,
-                                     epsilon=epsilon, roots=reg, plan=plan)
+                                     roots=reg, plan=plan)
 
 
 # -- round trip ------------------------------------------------------------------
@@ -266,11 +263,12 @@ class RoundTripReport:
 
 
 def round_trip_check(family: RootFamily, mollifier: Mollifier,
-                     omega: OmegaScale | float, trials: int,
-                     epsilon: float = 0.5,
+                     omega: float, trials: int,
                      rng: np.random.Generator | None = None) -> RoundTripReport:
-    """Regularise, recover, rebuild the polynomial, root-solve, compare.
+    """Regularise at the scale ``omega``, recover, rebuild the polynomial,
+    root-solve, compare.
 
+    ``omega`` is the number omega(eps) itself: no eps enters the round trip.
     Each probe draws a random (t, xi) in the positive frequency orthant (t
     first, then xi, probe by probe).  The family is tabulated once: one
     :func:`sigma_table` holds every direction of every degree's plan at all
@@ -280,10 +278,9 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     probe then rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)``, takes
     companion-matrix eigenvalues and compares the sorted roots, each with its
     separating shift, against the reference roots with theirs.  Failures are
-    recorded,
-    not raised: a failed batched evaluation fails every probe.  A direction
-    plan with a singular block raises :class:`PlanError` before any probe;
-    the condition numbers of the blocks stay on the plan
+    recorded, not raised: a failed batched evaluation fails every probe.  A
+    direction plan with a singular block raises :class:`PlanError` before
+    any probe; the condition numbers of the blocks stay on the plan
     (``SupportBlock.condition``), not in the report.
     """
     from .reduction import companion_matrix_from_coefficients
@@ -291,10 +288,9 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     rng = rng or np.random.default_rng(0)
-    scale = omega if isinstance(omega, OmegaScale) else constant_scale(float(omega))
-    reg = regularise_roots(family, mollifier, scale)
+    reg = RegularisedRoots(family, mollifier, omega)
     m, n = family.order, family.dimension
-    sets = {j: recover_coefficients(reg, j, n, epsilon) for j in range(1, m + 1)}
+    sets = {j: recover_coefficients(reg, j, n) for j in range(1, m + 1)}
     draws = []
     for _ in range(trials):
         t = float(rng.uniform(0.0, family.horizon))
@@ -305,15 +301,14 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
         d for cset in sets.values() for d in cset.plan.directions))
     try:
         with numerical_errors():
-            sigma = sigma_table(reg, t_all, epsilon, directions)
+            sigma = sigma_table(reg, t_all, directions)
             values = {h: sets[h].evaluate(t_all, sigma)
                       for h in range(1, m + 1)}
             # probe i's root profiles along its xi at its own t: (trials, m)
-            table = reg.direction_table(t_all, epsilon, xis)
+            table = reg.direction_table(t_all, xis)
             index = np.arange(trials)
             norms = np.linalg.norm(np.array(xis), axis=1)
-            shifts = separating_shift(m, reg.omega(epsilon),
-                                      bracket(norms)).T
+            shifts = separating_shift(m, omega, bracket(norms)).T
             references = table[index, :, index] * norms[:, None] + shifts
     except WeakHypError as exc:  # reported, not thrown
         failures = tuple(f"probe (t={t:.6g}, xi={xi}): {exc}"
@@ -381,11 +376,9 @@ class RoundTripStudy:
 
 
 def random_round_trip_study(n_families: int, mollifier: Mollifier,
-                            omega: OmegaScale | float,
-                            rng: np.random.Generator,
+                            omega: float, rng: np.random.Generator,
                             max_order: int = 4, max_dimension: int = 3,
-                            probes_per_family: int = 2,
-                            epsilon: float = 0.5) -> RoundTripStudy:
+                            probes_per_family: int = 2) -> RoundTripStudy:
     """Round trips over random families sweeping orders and dimensions."""
     rows: list[tuple[int, int, float]] = []
     failures: list[str] = []
@@ -395,8 +388,7 @@ def random_round_trip_study(n_families: int, mollifier: Mollifier,
         dimension = 1 + (i // max_order) % max_dimension
         family = random_ordered_family(rng, order, dimension)
         report = round_trip_check(family, mollifier, omega,
-                                  trials=probes_per_family,
-                                  epsilon=epsilon, rng=rng)
+                                  trials=probes_per_family, rng=rng)
         rows.append((order, dimension, report.max_rel_error))
         failures.extend(report.failures)
         worst = max(worst, report.max_rel_error)

@@ -101,7 +101,6 @@ class RootValuePrincipal:
     """
 
     regularised: RegularisedRoots
-    epsilon: float
 
     @property
     def order(self) -> int:
@@ -109,15 +108,13 @@ class RootValuePrincipal:
 
     def _profiles(self, t: Array) -> Array:
         """Convolved root profiles (2, m, T) in the directions +1 and -1."""
-        return self.regularised.direction_table(t, self.epsilon,
-                                                [(1.0,), (-1.0,)])
+        return self.regularised.direction_table(t, [(1.0,), (-1.0,)])
 
     def _root_table(self, xi: Array) -> Callable[[Array, Array], Array]:
         """The separated root values (T, m, K) as a function of the root
         profiles (m, T) in the directions +1 and -1; the factors that depend
         on ``xi`` alone are computed here, once."""
-        sep = separating_shift(self.order,
-                               self.regularised.omega(self.epsilon),
+        sep = separating_shift(self.order, self.regularised.omega,
                                bracket(xi))
         upper = xi >= 0
         size = np.abs(xi)
@@ -170,8 +167,7 @@ class RootValuePrincipal:
         return rows
 
     def max_normalised_speed(self) -> float:
-        return speed_bound(self.regularised.base,
-                           self.regularised.omega(self.epsilon))
+        return speed_bound(self.regularised.base, self.regularised.omega)
 
 
 # -- lower order, forcing, data ----------------------------------------------------

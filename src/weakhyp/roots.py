@@ -1,12 +1,14 @@
 """Characteristic root families and their separated mollified regularisations.
 
 Root j along the unit direction d is r_j(t, d) = sum_k c_jk(t) g_k(d), with
-lambda_j(t, xi) = r_j(t, xi/|xi|) |xi| (degree-one homogeneity).  Convolution
-is linear, so regularisation at scale omega(eps) convolves each coefficient
-c_jk once and contracts with the features g(d); ``direction_table`` is the
-one path to those values.  The separating shift j*omega(eps)*<xi>, which
-makes the regularised family strictly hyperbolic with gap at least
-omega(eps)*<xi>, and the speed bound it implies are written once, here.
+lambda_j(t, xi) = r_j(t, xi/|xi|) |xi| (degree-one homogeneity).  eps enters
+a regularisation only through its scale omega = omega(eps), which the caller
+computes once; a :class:`RegularisedRoots` carries that number.  Convolution
+is linear, so regularisation at scale omega convolves each coefficient c_jk
+once and contracts with the features g(d); ``direction_table`` is the one
+path to those values.  The separating shift j*omega*<xi>, which makes the
+regularised family strictly hyperbolic with gap at least omega*<xi>, and the
+speed bound it implies are written once, here.
 """
 
 from __future__ import annotations
@@ -38,56 +40,38 @@ def bracket(xi: Array | float) -> Array:
 
 @dataclass(frozen=True)
 class OmegaScale:
-    """Mollification scale eps -> omega(eps) in (0, 1].
+    """Mollification scale eps -> omega(eps) in (0, 1]; omega(eps) is the
+    one number through which eps enters a solve, and the constructors below
+    keep it in range."""
 
-    ``power_floor = (c, r)`` declares the lower bound omega(eps) >= c*eps^r
-    the scale promises; it is spot-checked when sweeps are run.
-    """
-
-    name: str
     fn: Callable[[float], float]
-    power_floor: tuple[float, float] = (1.0, 1.0)
 
     def __call__(self, epsilon: float) -> float:
         if not 0.0 < epsilon <= 1.0:
             raise InvalidParameterError(
                 f"epsilon must lie in (0, 1], got {epsilon}")
-        w = float(self.fn(epsilon))
-        if not 0.0 < w <= 1.0:
-            raise InvalidParameterError(
-                f"scale {self.name} left (0, 1] at eps={epsilon}: {w}")
-        c, r = self.power_floor
-        if w < 0.999999 * c * epsilon ** r:
-            raise InvalidParameterError(
-                f"scale {self.name} broke its declared floor {c}*eps^{r}")
-        return w
+        return float(self.fn(epsilon))
 
 
 def linear_scale(coefficient: float = 1.0) -> OmegaScale:
     if not 0.0 < coefficient <= 1.0:
         raise InvalidParameterError("linear scale coefficient must be in (0, 1]")
-    return OmegaScale(f"linear({coefficient:g})",
-                      lambda e: coefficient * e,
-                      power_floor=(coefficient, 1.0))
+    return OmegaScale(lambda e: coefficient * e)
 
 
 def logarithmic_scale(n_exponent: int, order: int) -> OmegaScale:
     """omega(eps) = (ln(e + 1/eps))^(-1/(N + m^2 - m)); decays slower than
     any power of eps, which is what keeps the exponential energy factor
-    polynomially bounded."""
+    polynomially bounded.  N + m^2 - m must be at least 1, so that omega
+    is defined and lies in (0, 1]."""
     if order < 1:
         raise InvalidParameterError("order must be >= 1")
+    if n_exponent + order * order - order < 1:
+        raise InvalidParameterError(
+            f"log exponent N + m^2 - m must be >= 1, got N={n_exponent} "
+            f"with m={order}")
     expo = 1.0 / (n_exponent + order * order - order)
-    return OmegaScale(f"logarithmic(N={n_exponent}, m={order})",
-                      lambda e: (math.log(math.e + 1.0 / e)) ** (-expo),
-                      power_floor=((math.log(math.e + 1e9)) ** (-expo), 0.0))
-
-
-def constant_scale(omega0: float) -> OmegaScale:
-    if not 0.0 < omega0 <= 1.0:
-        raise InvalidParameterError("constant scale must be in (0, 1]")
-    return OmegaScale(f"constant({omega0:g})", lambda e: omega0,
-                      power_floor=(omega0, 0.0))
+    return OmegaScale(lambda e: (math.log(math.e + 1.0 / e)) ** (-expo))
 
 
 # -- root families ---------------------------------------------------------------
@@ -238,27 +222,28 @@ def speed_bound(family: RootFamily, w: float) -> float:
 
 @dataclass
 class RegularisedRoots:
-    """Mollified root family lambda_j * phi_omega(eps), without the
-    separating shift (which :func:`separating_shift` gives); this part keeps
-    the exact degree-one homogeneity and is what coefficient recovery
-    consumes."""
+    """Mollified root family lambda_j * phi_omega at the scale
+    ``omega`` = omega(eps), without the separating shift (which
+    :func:`separating_shift` gives); this part keeps the exact degree-one
+    homogeneity and is what coefficient recovery consumes.  The ordering of
+    ``base`` is checked by the family constructors."""
 
     base: RootFamily
     mollifier: Mollifier
-    omega: OmegaScale
+    omega: float
 
     @property
     def order(self) -> int:
         return self.base.order
 
-    def convolved(self, epsilon: float) -> list[list[Convolution]]:
+    def convolved(self) -> list[list[Convolution]]:
         """The (m, n) coefficient profiles, each convolved at the scale
-        omega(epsilon)."""
-        kernel = scale_mollifier(self.mollifier, self.omega(epsilon))
+        omega."""
+        kernel = scale_mollifier(self.mollifier, self.omega)
         return [[convolve_profile(c, kernel) for c in row]
                 for row in self.base.coefficients]
 
-    def direction_table(self, t: Array, epsilon: float,
+    def direction_table(self, t: Array,
                         directions: Sequence[Sequence[float]]) -> Array:
         """Convolved profile values (len(directions), m, len(t)) along the
         unit vectors of ``directions``, in their order: the one path by
@@ -269,7 +254,7 @@ class RegularisedRoots:
         base = self.base
         n = len(base.coefficients[0])
         values = np.array([[np.real(c(t)) for c in row]
-                           for row in self.convolved(epsilon)]).reshape(
+                           for row in self.convolved()]).reshape(
                                self.order, n, np.size(t))
         units = np.array([_unit_direction(d) for d in directions]).reshape(
             len(directions), base.dimension)
@@ -278,13 +263,6 @@ class RegularisedRoots:
         for k in range(1, n):
             table = table + g[:, k] * values[:, k]
         return table
-
-
-def regularise_roots(family: RootFamily, mollifier: Mollifier,
-                     omega: OmegaScale) -> RegularisedRoots:
-    """Attach a mollifier and scale to an ordered family (the constructors
-    check the ordering)."""
-    return RegularisedRoots(base=family, mollifier=mollifier, omega=omega)
 
 
 # -- time derivatives by finite differences ------------------------------------------

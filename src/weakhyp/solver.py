@@ -34,8 +34,7 @@ from .recovery import recover_coefficients
 from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
                         LowerOrderPart, RootValuePrincipal,
                         build_companion, companion_blocks)
-from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket, \
-    regularise_roots
+from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket
 from .symmetrisers import build_symmetriser
 
 Array = np.ndarray
@@ -484,9 +483,9 @@ class VeryWeakProblem:
 
 @dataclass
 class SolveRecord:
-    """One epsilon's worth of gridded output and per-frequency traces."""
+    """One epsilon's worth of gridded output and per-frequency traces; the
+    net keys it by its epsilon."""
 
-    epsilon: float
     omega: float
     u: Array | None = None            # (n_out, K) complex
     uhat: Array | None = None         # (n_out, K) complex
@@ -534,10 +533,10 @@ def _nearest_step(t_grid: Array, t: float) -> int:
 
 
 def build_regularised_system(problem: VeryWeakProblem, epsilon: float
-                             ) -> tuple[CompanionSystem, RegularisedRoots,
-                                        float]:
+                             ) -> tuple[CompanionSystem, RegularisedRoots]:
     """Regularise coefficients, data and forcing at one epsilon and reduce;
-    returns the system, the regularised roots and the scale omega(epsilon).
+    returns the system and the regularised roots, which carry the scale
+    omega(epsilon), the one number through which epsilon enters.
 
     The regularised data and forcing are defined on the problem's frequency
     grid: they read the problem's cached transforms, times this epsilon's
@@ -545,8 +544,8 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     """
     phi = friedrichs_mollifier()
     rho_base = GevreyCutoffMollifier(vanishing_moment_mollifier(2), 0.5)
-    reg = regularise_roots(problem.family, phi, problem.omega)
-    w = reg.omega(epsilon)
+    w = problem.omega(epsilon)
+    reg = RegularisedRoots(problem.family, phi, w)
     phi_w = scale_mollifier(phi, w)
     grid = problem.grid
     rho_hat = rho_base.with_scale(w).fourier_transform(grid.frequencies)
@@ -556,7 +555,7 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
         return lambda xi: values[grid.positions(xi)]
 
     data_hats, space_hat = problem.grid_transforms
-    principal = RootValuePrincipal(reg, epsilon)
+    principal = RootValuePrincipal(reg)
     lower = problem.lower_terms
     if lower is not None:
         lower = replace(lower, terms=tuple(
@@ -570,7 +569,7 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
             xhat=on_grid(space_hat))
     data = InitialData(tuple(on_grid(g) for g in data_hats))
     system = build_companion(principal, lower=lower, forcing=forcing, data=data)
-    return system, reg, w
+    return system, reg
 
 
 def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
@@ -592,19 +591,19 @@ def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
 
 def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
     """The regularised system at one epsilon, once its box is checked."""
-    system, reg, w = build_regularised_system(problem, epsilon)
+    system, reg = build_regularised_system(problem, epsilon)
     # support transport speed |d lambda / d xi|, within roots.speed_bound
     problem.grid.check_fit(data_support_radius(problem.data, problem.forcing),
                            system.principal.max_normalised_speed(),
                            problem.horizon)
-    return system, reg, w
+    return system, reg
 
 
-def _record(problem: VeryWeakProblem, epsilon: float, prepared: tuple,
+def _record(problem: VeryWeakProblem, prepared: tuple,
             result: IntegrationResult, t_grid: Array,
             tracked: list[int]) -> SolveRecord:
     """Synthesise one epsilon's integration and add its diagnostics."""
-    system, reg, w = prepared
+    system, reg = prepared
     m = problem.order
     grid = problem.grid
     xi_grid = grid.frequencies
@@ -619,11 +618,11 @@ def _record(problem: VeryWeakProblem, epsilon: float, prepared: tuple,
     t_diag = np.linspace(0.0, problem.horizon, 9)
     residuals = {}
     for j in range(1, m + 1):
-        cs = recover_coefficients(reg, j, 1, epsilon)
+        cs = recover_coefficients(reg, j, 1)
         residuals[j] = cs.reconstruction_residual(t_diag)
     metadata["recovery_residuals"] = residuals
     return SolveRecord(
-        epsilon=epsilon, omega=w, u=u, uhat=uhat,
+        omega=reg.omega, u=u, uhat=uhat,
         output_times=tuple(float(t_grid[s]) for s in result.output_steps),
         traces=result.traces, trace_times=t_grid,
         tracked_xi=tuple(float(xi_grid[i]) for i in tracked),
@@ -639,7 +638,7 @@ def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
                                   output_steps=out_steps)
     if isinstance(result, WeakHypError):
         raise result
-    return _record(problem, epsilon, prepared, result, t_grid, tracked)
+    return _record(problem, prepared, result, t_grid, tracked)
 
 
 def solve_very_weak(problem: VeryWeakProblem,
@@ -664,22 +663,22 @@ def solve_very_weak(problem: VeryWeakProblem,
         raise InvalidParameterError("epsilon sweep must decrease strictly")
     t_grid, out_steps, tracked = _schedule(problem)
 
-    def failed(e: float, exc: WeakHypError) -> SolveRecord:
-        return SolveRecord(epsilon=e, omega=float("nan"),
+    def failed(exc: WeakHypError) -> SolveRecord:
+        return SolveRecord(omega=float("nan"),
                            error=f"{type(exc).__name__}: {exc}")
 
-    def attempt(e: float, stage: Callable, *args):
-        """``stage(*args)``, or e's failed record on a package error."""
+    def attempt(stage: Callable, *args):
+        """``stage(*args)``, or a failed record on a package error."""
         try:
             with numerical_errors():
                 return stage(*args)
         except WeakHypError as exc:
-            return failed(e, exc)
+            return failed(exc)
 
     records: dict[float, SolveRecord] = {}
     prepared = {}
     for e in eps:
-        built = attempt(e, _prepare, problem, e)
+        built = attempt(_prepare, problem, e)
         if isinstance(built, SolveRecord):
             records[e] = built
         else:
@@ -689,9 +688,8 @@ def solve_very_weak(problem: VeryWeakProblem,
         t_grid, list(prepared), tracked_indices=tracked,
         output_steps=out_steps)
     for (e, built), result in zip(prepared.items(), results):
-        records[e] = failed(e, result) if isinstance(result, WeakHypError) \
-            else attempt(e, _record, problem, e, built, result, t_grid,
-                         tracked)
+        records[e] = failed(result) if isinstance(result, WeakHypError) \
+            else attempt(_record, problem, built, result, t_grid, tracked)
     return SolutionNet(epsilons=tuple(eps),
                        records={e: records[e] for e in eps},
                        grid=problem.grid,

@@ -60,7 +60,7 @@ def evaluate(cset: HomogeneousCoefficientSet, t: Array | float
     """Every coefficient of ``cset`` at the times ``t``, from a sigma table
     of the plan's directions alone."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    return cset.evaluate(t_arr, sigma_table(cset.roots, t_arr, cset.epsilon,
+    return cset.evaluate(t_arr, sigma_table(cset.roots, t_arr,
                                             cset.plan.directions))
 
 
@@ -366,26 +366,25 @@ def root_profile(family: RootFamily, j: int, xi) -> RoughProfile:
     return out
 
 
-def pure_root(reg: RegularisedRoots, j: int, t: Array | float, xi,
-              epsilon: float) -> Array:
+def pure_root(reg: RegularisedRoots, j: int, t: Array | float, xi) -> Array:
     """(lambda_j * phi_omega)(t, xi) for one root: its :func:`root_profile`
     along ``xi``, convolved on its own, times |xi|."""
     v = np.atleast_1d(np.asarray(xi, dtype=float))
-    kernel = scale_mollifier(reg.mollifier, reg.omega(epsilon))
+    kernel = scale_mollifier(reg.mollifier, reg.omega)
     convolution = convolve_profile(root_profile(reg.base, j, v), kernel)
     return np.real(convolution(t)) * float(np.linalg.norm(v))
 
 
-def root_value(reg: RegularisedRoots, j: int, t: Array | float, xi,
-               epsilon: float) -> Array:
+def root_value(reg: RegularisedRoots, j: int, t: Array | float, xi
+               ) -> Array:
     """The separated regularised root lambda_j,eps(t, xi): the pure root
-    plus its shift j * omega(eps) * <xi>, written out here."""
+    plus its shift j * omega * <xi>, written out here."""
     v = np.atleast_1d(np.asarray(xi, dtype=float))
-    return pure_root(reg, j, t, v, epsilon) \
-        + j * reg.omega(epsilon) * math.sqrt(1.0 + float(v @ v))
+    return pure_root(reg, j, t, v) \
+        + j * reg.omega * math.sqrt(1.0 + float(v @ v))
 
 
-def sigma_per_root(reg: RegularisedRoots, t: Array, epsilon: float,
+def sigma_per_root(reg: RegularisedRoots, t: Array,
                    directions: Sequence[tuple[float, ...]]
                    ) -> dict[tuple[float, ...], Array]:
     """What ``recovery.sigma_table`` returns, one direction at a time: each
@@ -393,7 +392,7 @@ def sigma_per_root(reg: RegularisedRoots, t: Array, epsilon: float,
     the bits of the batched table's."""
     out = {}
     for xi in directions:
-        vals = reg.direction_table(t, epsilon, [xi])[0] \
+        vals = reg.direction_table(t, [xi])[0] \
             * float(np.linalg.norm(xi))
         out[xi] = characteristic_polynomial(np.moveaxis(vals, 0, -1))
     return out

@@ -23,9 +23,9 @@ from weakhyp.recovery import (random_round_trip_study, recover_coefficients,
                               sigma_table)
 from weakhyp.reduction import (cofactor_matrix, random_hyperbolic_system,
                                to_block_sylvester)
-from weakhyp.roots import (RootFamily, constant_roots, constant_scale,
-                           linear_scale, logarithmic_scale, regularise_roots,
-                           transport_roots, wave_speed_roots)
+from weakhyp.roots import (RegularisedRoots, RootFamily, constant_roots,
+                           linear_scale, logarithmic_scale, transport_roots,
+                           wave_speed_roots)
 from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             dalembert_reference, energy_trace, solve_single,
                             solve_very_weak, transport_reference)
@@ -45,7 +45,7 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 def test_criterion_01_round_trip_random_families():
     phi = friedrichs_mollifier()
     started = time.perf_counter()
-    study = random_round_trip_study(100, phi, constant_scale(0.05),
+    study = random_round_trip_study(100, phi, 0.05,
                                     np.random.default_rng(20240801),
                                     max_order=4, max_dimension=3,
                                     probes_per_family=2)
@@ -70,10 +70,10 @@ def test_criterion_02_anisotropic_recovery_exact():
                      coefficients=((constant_profile(-1.0, (-2.0, 3.0)),),
                                    (constant_profile(1.0, (-2.0, 3.0)),)),
                      features=features, bound=2.0, horizon=1.0)
-    reg = regularise_roots(fam, phi, constant_scale(0.05))
-    cs = recover_coefficients(reg, 2, 2, epsilon=0.5)
+    reg = RegularisedRoots(fam, phi, 0.05)
+    cs = recover_coefficients(reg, 2, 2)
     t = np.array([0.4])
-    sigma = sigma_table(reg, t, 0.5, cs.plan.directions)
+    sigma = sigma_table(reg, t, cs.plan.directions)
     got = {nu: float(v[0]) for nu, v in cs.evaluate(t, sigma).items()}
     expected = {(2, 0): 1.0, (0, 2): 4.0, (1, 1): 0.0}
     worst = max(abs(got[nu] - expected[nu]) for nu in expected)

@@ -13,8 +13,8 @@ def _synthetic_net(eps_values, u_fn, grid=None):
     records = {}
     for e in eps_values:
         u = u_fn(e, grid)
-        records[e] = SolveRecord(epsilon=e, omega=e, u=u,
-                                 uhat=grid.analyse(u), output_times=(1.0,))
+        records[e] = SolveRecord(omega=e, u=u, uhat=grid.analyse(u),
+                                 output_times=(1.0,))
     return SolutionNet(epsilons=tuple(eps_values), records=records,
                        grid=grid, output_times=(1.0,))
 

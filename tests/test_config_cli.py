@@ -231,6 +231,25 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  {"scale": "linear", "coefficient": 2.0,
                   "epsilon_sweep": [0.5, 0.25, 0.125]},
                  "regularisation.coefficient", id="scale_coefficient"),
+    pytest.param("solve", "regularisation",
+                 {"scale": "linear", "coefficient": True,
+                  "epsilon_sweep": [0.5, 0.25, 0.125]},
+                 "regularisation.coefficient", id="boolean_scale_coefficient"),
+    # N + m^2 - m < 1 leaves the logarithmic scale undefined (m = 1, N = 0)
+    # or outside (0, 1] (m = 2, N = -3); several sections at once when the
+    # section is None
+    pytest.param("solve", None,
+                 {"problem": {"order": 1, "horizon": 1.0},
+                  "roots": {"preset": "transport", "speed": 1.0},
+                  "data": [{"preset": "bump", "center": 0.0, "radius": 1.0}],
+                  "regularisation": {"scale": "logarithmic",
+                                     "log_exponent": 0,
+                                     "epsilon_sweep": [0.5, 0.25, 0.125]}},
+                 "regularisation.log_exponent", id="log_exponent_order_1"),
+    pytest.param("solve", "regularisation",
+                 {"scale": "logarithmic", "log_exponent": -3,
+                  "epsilon_sweep": [0.5, 0.25, 0.125]},
+                 "regularisation.log_exponent", id="log_exponent_order_2"),
     pytest.param("solve", "roots", None, "roots", id="no_roots"),
     pytest.param("solve", "roots",
                  {"preset": "profiles",
@@ -315,6 +334,9 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
           ("roundtrip", "trials_per_family", -1),
           ("roundtrip", "max_order", 0),
           ("roundtrip", "max_dimension", -2),
+          ("roundtrip", "omega", 1.5),
+          ("roundtrip", "omega", 0),
+          ("roundtrip", "omega", True),
           ("symmetriser", "count", -5),
           ("symmetriser", "max_order", 0),
           ("symmetriser", "form_trials", 0),
@@ -327,6 +349,8 @@ def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
     raw["regularisation"]["epsilon_sweep"] = [0.5, 0.25, 0.125, 0.0625]
     if value is None:
         del raw[section]
+    elif section is None:
+        raw.update(value)
     else:
         raw[section] = value
     path = tmp_path / "bad.json"

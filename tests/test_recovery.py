@@ -15,8 +15,7 @@ from weakhyp.recovery import (HomogeneousCoefficientSet,
                               random_ordered_family, random_round_trip_study,
                               recover_coefficients, round_trip_check)
 from weakhyp.roots import (RegularisedRoots, RootFamily, constant_roots,
-                           constant_scale, linear_scale, regularise_roots,
-                           wave_speed_roots)
+                           linear_scale, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
 from oracles import (coefficient, evaluate, pure_root, sigma_hat,
@@ -129,9 +128,8 @@ def test_unit_support_blocks_use_coordinate_directions():
 
 
 def test_wave_coefficient_recovery(phi):
-    reg = regularise_roots(constant_roots([-1.0, 1.0]), phi,
-                           constant_scale(0.05))
-    cs = recover_coefficients(reg, 2, 1, epsilon=0.5)
+    reg = RegularisedRoots(constant_roots([-1.0, 1.0]), phi, 0.05)
+    cs = recover_coefficients(reg, 2, 1)
     value = float(coefficient(cs, (2,))(0.4))
     assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -145,8 +143,8 @@ def test_anisotropic_recovery_matches_single_solve_oracle(phi):
                      coefficients=((constant_profile(-1.0, (-2.0, 3.0)),),
                                    (constant_profile(1.0, (-2.0, 3.0)),)),
                      features=features, bound=2.0, horizon=1.0)
-    reg = regularise_roots(fam, phi, constant_scale(0.05))
-    cs = recover_coefficients(reg, 2, 2, epsilon=0.5)
+    reg = RegularisedRoots(fam, phi, 0.05)
+    cs = recover_coefficients(reg, 2, 2)
     got = {nu: float(v[0]) for nu, v in evaluate(cs, 0.3).items()}
 
     # oracle: one 3x3 solve over directions (1,0), (0,1), (1,1)
@@ -156,8 +154,7 @@ def test_anisotropic_recovery_matches_single_solve_oracle(phi):
                     for d in directions])
     rhs = []
     for d in directions:
-        lam = np.array([float(pure_root(reg, j, 0.3, d, 0.5))
-                        for j in (1, 2)])
+        lam = np.array([float(pure_root(reg, j, 0.3, d)) for j in (1, 2)])
         rhs.append(-sigma(lam, 2))
     oracle = dict(zip(members, np.linalg.solve(mat, rhs)))
     for nu in members:
@@ -174,8 +171,8 @@ def test_linear_root_recovery_exact(phi):
                      coefficients=(tuple(constant_profile(v, (-2.0, 3.0))
                                          for v in b),),
                      features=lambda d: d, bound=3.0, horizon=1.0)
-    reg = regularise_roots(fam, phi, constant_scale(0.05))
-    cs = recover_coefficients(reg, 1, 3, epsilon=0.5)
+    reg = RegularisedRoots(fam, phi, 0.05)
+    cs = recover_coefficients(reg, 1, 3)
     got = evaluate(cs, 0.5)
     assert float(got[(1, 0, 0)][0]) == pytest.approx(2.0, abs=1e-12)
     assert float(got[(0, 1, 0)][0]) == pytest.approx(-1.0, abs=1e-12)
@@ -185,21 +182,20 @@ def test_linear_root_recovery_exact(phi):
 def test_reconstruction_residual_small_on_plan(phi):
     rng = np.random.default_rng(3)
     fam = random_ordered_family(rng, 3, 2)
-    reg = regularise_roots(fam, phi, constant_scale(0.05))
-    cs = recover_coefficients(reg, 3, 2, epsilon=0.5)
+    reg = RegularisedRoots(fam, phi, 0.05)
+    cs = recover_coefficients(reg, 3, 2)
     assert cs.reconstruction_residual(np.linspace(0.0, 1.0, 7)) <= 1e-9
 
 
 def test_polynomial_reproduction_at_random_directions(phi):
     rng = np.random.default_rng(8)
     fam = random_ordered_family(rng, 2, 3)
-    reg = regularise_roots(fam, phi, constant_scale(0.05))
-    cs = recover_coefficients(reg, 2, 3, epsilon=0.5)
+    reg = RegularisedRoots(fam, phi, 0.05)
+    cs = recover_coefficients(reg, 2, 3)
     t = np.array([0.37])
     for _ in range(50):
         xi = tuple(rng.uniform(0.2, 2.0, 3))
-        lam = np.array([float(pure_root(reg, j, 0.37, xi, 0.5))
-                        for j in (1, 2)])
+        lam = np.array([float(pure_root(reg, j, 0.37, xi)) for j in (1, 2)])
         target = sigma(lam, 2)
         got = sigma_hat(cs, 0.37, xi)
         assert abs(got - target) <= 1e-9 * max(1.0, abs(target))
@@ -210,12 +206,12 @@ def test_recovered_coefficients_converge_with_roots(phi):
     from weakhyp.profiles import hoelder_profile
     speed = hoelder_profile(0.5, 0.5, 1.0, 1.0, (0.0, 1.0))
     fam = wave_speed_roots(speed)
-    reg = regularise_roots(fam, phi, linear_scale())
     t = np.linspace(0.0, 1.0, 65)
     reference = np.real(speed.density(t))  # recovered degree-2 value is a(t)
     sups = []
     for eps in (0.2, 0.1, 0.05):
-        cs = recover_coefficients(reg, 2, 1, epsilon=eps)
+        reg = RegularisedRoots(fam, phi, linear_scale()(eps))
+        cs = recover_coefficients(reg, 2, 1)
         vals = np.asarray(coefficient(cs, (2,))(t), dtype=float)
         sups.append(float(np.max(np.abs(vals - reference))))
     assert sups[0] > sups[1] > sups[2]
@@ -250,9 +246,9 @@ def test_round_trip_probes_keep_the_draw_order(phi, monkeypatch):
     seen = []
     table = RegularisedRoots.direction_table
 
-    def spy(self, t, epsilon, directions):
+    def spy(self, t, directions):
         seen.append((list(t), list(directions)))
-        return table(self, t, epsilon, directions)
+        return table(self, t, directions)
 
     monkeypatch.setattr(RegularisedRoots, "direction_table", spy)
     fam = constant_roots([-1.0, 0.5, 2.0], dimension=2)

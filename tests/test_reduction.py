@@ -12,8 +12,7 @@ from weakhyp.reduction import (_faddeev, FirstOrderSystem, ForcingPart,
                                companion_blocks,
                                companion_matrix_from_coefficients,
                                random_hyperbolic_system, to_block_sylvester)
-from weakhyp.roots import (bracket, constant_roots, constant_scale,
-                           linear_scale, regularise_roots,
+from weakhyp.roots import (RegularisedRoots, bracket, constant_roots,
                            roots_from_linear_forms, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
@@ -155,13 +154,13 @@ def test_lower_order_block_only_last_row():
 
 def test_root_value_principal_matches_regularised_roots(phi):
     speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
-    reg = regularise_roots(wave_speed_roots(speed), phi, constant_scale(0.1))
-    principal = RootValuePrincipal(reg, epsilon=0.5)
+    reg = RegularisedRoots(wave_speed_roots(speed), phi, 0.1)
+    principal = RootValuePrincipal(reg)
     system = build_companion(principal)
     for t in (0.2, 0.5, 0.9):
         for xi in (1.0, -4.0, 16.0):
             eig = _eigenvalues(system, t, xi)
-            expected = np.sort([float(root_value(reg, j, t, xi, 0.5))
+            expected = np.sort([float(root_value(reg, j, t, xi))
                                 for j in (1, 2)])
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(eig - expected)) / scale <= 1e-9
@@ -173,15 +172,13 @@ def test_row_blocks_match_per_time_oracle(phi, order):
     # direction's profile
     coeffs = [[heaviside_profile(0.4, 0.7 * j, 0.7 * j + 0.5, (0.0, 1.0))]
               for j in range(order)]
-    reg = regularise_roots(roots_from_linear_forms(coeffs), phi,
-                           constant_scale(0.05))
-    principal = RootValuePrincipal(reg, epsilon=0.5)
+    reg = RegularisedRoots(roots_from_linear_forms(coeffs), phi, 0.05)
+    principal = RootValuePrincipal(reg)
     xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
     br = bracket(xi)
     t_grid = np.linspace(0.0, 1.0, 53)
-    pos, neg = reg.direction_table(t_grid, 0.5, [(1.0,), (-1.0,)])
-    sep = np.arange(1, order + 1)[:, None] \
-        * (reg.omega(0.5) * br)[None, :]
+    pos, neg = reg.direction_table(t_grid, [(1.0,), (-1.0,)])
+    sep = np.arange(1, order + 1)[:, None] * (reg.omega * br)[None, :]
 
     def oracle(i):
         profile = np.where(xi >= 0, pos[:, i, None], neg[:, i, None])
@@ -200,9 +197,8 @@ def test_row_blocks_match_per_time_oracle(phi, order):
 
 
 def test_polynomial_principal_matches_recovered_sets(phi):
-    reg = regularise_roots(constant_roots([-1.0, 1.0]), phi,
-                           constant_scale(1e-9))
-    sets = {j: recover_coefficients(reg, j, 1, epsilon=0.5) for j in (1, 2)}
+    reg = RegularisedRoots(constant_roots([-1.0, 1.0]), phi, 1e-9)
+    sets = {j: recover_coefficients(reg, j, 1) for j in (1, 2)}
     principal = PolynomialPrincipal.from_coefficient_sets(sets)
     system = build_companion(principal)
     eig = _eigenvalues(system, 0.4, 5.0)

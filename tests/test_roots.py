@@ -11,11 +11,10 @@ from weakhyp.errors import InsufficientDataError, InvalidParameterError
 from weakhyp.mollifiers import (convolve_profile, friedrichs_mollifier,
                                 scale_mollifier)
 from weakhyp.profiles import heaviside_profile, hoelder_profile
-from weakhyp.roots import (_FD4, RootFamily, bracket, constant_roots,
-                           constant_scale, dt_power, linear_scale,
-                           logarithmic_scale, regularise_roots,
-                           roots_from_linear_forms, transport_roots,
-                           wave_speed_roots)
+from weakhyp.roots import (_FD4, RegularisedRoots, RootFamily, bracket,
+                           constant_roots, dt_power, linear_scale,
+                           logarithmic_scale, roots_from_linear_forms,
+                           transport_roots, wave_speed_roots)
 from weakhyp.profiles import piecewise_constant_profile
 
 from oracles import pure_root, root_profile, root_value
@@ -41,12 +40,13 @@ class ExponentFit:
     trivially_zero: bool
 
 
-def certify_moderateness(reg, k_max, sample):
-    """Fit N_k in sup_t |d_t^k lambda_{j,eps}| <= c eps^{-N_k} |xi|.
+def certify_moderateness(family, phi, k_max, sample):
+    """Fit N_k in sup_t |d_t^k lambda_{j,eps}| <= c eps^{-N_k} |xi|, with
+    the family regularised at omega(eps) = eps (the linear scale).
 
     Derivatives are 4th-order central differences (:func:`dt_power`) with
-    step omega(eps)/50, fine enough to resolve the mollification scale.  With omega(eps) = eps and a
-    jump-discontinuous profile the fitted exponents track k.
+    step omega(eps)/50, fine enough to resolve the mollification scale.
+    With a jump-discontinuous profile the fitted exponents track k.
     """
     if k_max > 4 or k_max < 1:
         raise InvalidParameterError(
@@ -55,17 +55,19 @@ def certify_moderateness(reg, k_max, sample):
     if len(eps_list) < 3:
         raise InsufficientDataError("moderateness fit needs >= 3 epsilon values")
     xi = sample.xi
-    t_grid = np.linspace(0.0, reg.base.horizon, sample.t_count)
+    t_grid = np.linspace(0.0, family.horizon, sample.t_count)
+    scale = linear_scale()
+    regs = [RegularisedRoots(family, phi, scale(eps)) for eps in eps_list]
     fits: list[ExponentFit] = []
-    for j in range(1, reg.order + 1):
+    for j in range(1, family.order + 1):
         for k in range(1, k_max + 1):
             weight_sum = sum(abs(w) for w in _FD4[k][1])
             sups = []
             floors = []
-            for eps in eps_list:
-                h = reg.omega(eps) / 50.0
+            for reg in regs:
+                h = reg.omega / 50.0
                 values = {off: np.asarray(root_value(reg, j, t_grid + off * h,
-                                                     xi, eps), dtype=float)
+                                                     xi), dtype=float)
                           for off in _FD4[k][0]}
                 sups.append(float(np.max(np.abs(
                     dt_power(values.__getitem__, k, h)))))
@@ -110,32 +112,31 @@ def phi():
 
 
 def test_constant_roots_regularised_values(phi):
-    reg = regularise_roots(constant_roots([-1.0, 1.0]), phi, linear_scale())
-    xi, eps = 3.0, 0.25
-    w = reg.omega(eps)
+    w = linear_scale()(0.25)
+    reg = RegularisedRoots(constant_roots([-1.0, 1.0]), phi, w)
+    xi = 3.0
     br = float(bracket(np.array(xi)))
-    assert abs(float(root_value(reg, 1, 0.5, xi, eps))
-               - (-xi + w * br)) < 1e-12
-    assert abs(float(root_value(reg, 2, 0.5, xi, eps))
+    assert abs(float(root_value(reg, 1, 0.5, xi)) - (-xi + w * br)) < 1e-12
+    assert abs(float(root_value(reg, 2, 0.5, xi))
                - (xi + 2 * w * br)) < 1e-12
 
 
 def test_double_root_spacing_is_exact(phi):
-    reg = regularise_roots(constant_roots([0.0, 0.0]), phi, linear_scale())
-    xi, eps = 5.0, 0.125
-    gap = float(root_value(reg, 2, 0.4, xi, eps)
-                - root_value(reg, 1, 0.4, xi, eps))
-    assert gap == pytest.approx(reg.omega(eps) * float(bracket(np.array(xi))),
+    reg = RegularisedRoots(constant_roots([0.0, 0.0]), phi,
+                           linear_scale()(0.125))
+    xi = 5.0
+    gap = float(root_value(reg, 2, 0.4, xi) - root_value(reg, 1, 0.4, xi))
+    assert gap == pytest.approx(reg.omega * float(bracket(np.array(xi))),
                                 rel=1e-14)
 
 
 def test_heaviside_roots_smooth_and_separated(phi):
     speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
-    reg = regularise_roots(wave_speed_roots(speed), phi, constant_scale(0.1))
+    reg = RegularisedRoots(wave_speed_roots(speed), phi, 0.1)
     t = np.linspace(0.0, 1.0, 101)
     for xi in (1.0, 10.0):
-        lam1 = np.asarray(root_value(reg, 1, t, xi, 0.5), dtype=float)
-        lam2 = np.asarray(root_value(reg, 2, t, xi, 0.5), dtype=float)
+        lam1 = np.asarray(root_value(reg, 1, t, xi), dtype=float)
+        lam2 = np.asarray(root_value(reg, 2, t, xi), dtype=float)
         gap = lam2 - lam1
         assert np.min(gap) >= 0.1 * float(bracket(np.array(xi))) - 1e-10
         # smooth: second difference bounded by the mollification scale
@@ -156,57 +157,57 @@ def test_transport_roots_are_odd():
 
 def test_homogeneity_of_pure_part(phi):
     speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
-    reg = regularise_roots(wave_speed_roots(speed), phi, linear_scale())
-    lam2 = float(pure_root(reg, 2, 0.3, 2.0, 0.25))
-    lam6 = float(pure_root(reg, 2, 0.3, 6.0, 0.25))
+    reg = RegularisedRoots(wave_speed_roots(speed), phi,
+                           linear_scale()(0.25))
+    lam2 = float(pure_root(reg, 2, 0.3, 2.0))
+    lam6 = float(pure_root(reg, 2, 0.3, 6.0))
     assert lam6 == pytest.approx(3.0 * lam2, rel=1e-13)
 
 
 def test_linf_convergence_continuous_profiles(phi):
     a = hoelder_profile(0.5, 0.5, 1.0, 1.0, (0.0, 1.0))
     fam = wave_speed_roots(a)
-    reg = regularise_roots(fam, phi, linear_scale())
     t = np.linspace(0.0, 1.0, 201)
     target = evaluate(fam, 2, t, 4.0)
     sups = []
     for eps in (0.2, 0.1, 0.05):
-        vals = np.asarray(pure_root(reg, 2, t, 4.0, eps), dtype=float)
+        reg = RegularisedRoots(fam, phi, linear_scale()(eps))
+        vals = np.asarray(pure_root(reg, 2, t, 4.0), dtype=float)
         sups.append(float(np.max(np.abs(vals - target))))
     assert sups[0] > sups[1] > sups[2]
 
 
 def test_moderateness_constant_roots_slope_zero(phi):
-    reg = regularise_roots(constant_roots([-1.0, 1.0]), phi, linear_scale())
     fits = certify_moderateness(
-        reg, 1, ModeratenessSample(epsilons=(0.25, 0.125, 0.0625), xi=8.0))
+        constant_roots([-1.0, 1.0]), phi, 1,
+        ModeratenessSample(epsilons=(0.25, 0.125, 0.0625), xi=8.0))
     for fit in fits:
         assert abs(fit.n_fitted) <= 0.2
 
 
 def test_moderateness_heaviside_exponents(phi):
     speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
-    reg = regularise_roots(wave_speed_roots(speed), phi, linear_scale())
     sample = ModeratenessSample(epsilons=(0.25, 0.125, 0.0625, 0.03125),
                                 xi=8.0)
-    fits = {(f.j, f.k): f for f in certify_moderateness(reg, 2, sample)}
+    fits = {(f.j, f.k): f for f in certify_moderateness(
+        wave_speed_roots(speed), phi, 2, sample)}
     for j in (1, 2):
         assert fits[(j, 1)].n_fitted == pytest.approx(1.0, abs=0.2)
         assert fits[(j, 2)].n_fitted == pytest.approx(2.0, abs=0.3)
 
 
 def test_moderateness_guards(phi):
-    reg = regularise_roots(constant_roots([0.0]), phi, linear_scale())
+    fam = constant_roots([0.0])
     with pytest.raises(InvalidParameterError):
-        certify_moderateness(reg, 5, ModeratenessSample((0.5, 0.25, 0.125)))
+        certify_moderateness(fam, phi, 5,
+                             ModeratenessSample((0.5, 0.25, 0.125)))
     with pytest.raises(InsufficientDataError):
-        certify_moderateness(reg, 1, ModeratenessSample((0.5, 0.25)))
+        certify_moderateness(fam, phi, 1, ModeratenessSample((0.5, 0.25)))
 
 
 def test_scale_validation():
     with pytest.raises(InvalidParameterError):
         linear_scale(0.0)
-    with pytest.raises(InvalidParameterError):
-        constant_scale(1.5)
     scale = linear_scale()
     with pytest.raises(InvalidParameterError):
         scale(0.0)
@@ -214,6 +215,17 @@ def test_scale_validation():
         scale(2.0)
     log = logarithmic_scale(1, 2)
     assert 0.0 < log(2.0 ** -9) < log(2.0 ** -3) < 1.0
+    # N + m^2 - m < 1 makes the scale undefined (division by zero) or leave
+    # (0, 1]
+    for n_exponent, order in ((0, 1), (-1, 1), (-3, 2)):
+        with pytest.raises(InvalidParameterError, match="log exponent"):
+            logarithmic_scale(n_exponent, order)
+
+
+def test_logarithmic_scale_holds_below_1e_minus_9():
+    # the scale decays slower than any power of eps, so a tiny eps still
+    # gives a scale in (0, 1): about 0.35 at 1e-10
+    assert 0.0 < logarithmic_scale(1, 2)(1e-10) < 1.0
 
 
 def test_linear_form_family_ordered_on_positive_orthant():
@@ -240,9 +252,9 @@ def test_direction_table_reads_the_exact_unit_direction(phi):
                                           (0.0, 1.0)),
                piecewise_constant_profile([0.0, 1.0], [2.3], (0.0, 1.0))]]
     fam = roots_from_linear_forms(coeffs)
-    reg = regularise_roots(fam, phi, constant_scale(0.05))
+    reg = RegularisedRoots(fam, phi, 0.05)
     t = np.linspace(0.0, 1.0, 33)
-    table = reg.direction_table(t, 0.5, [(1.0, 2.0)])[0]
+    table = reg.direction_table(t, [(1.0, 2.0)])[0]
     unit = (1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0))
     kernel = scale_mollifier(phi, 0.05)
     for j in (1, 2):
@@ -278,10 +290,10 @@ def test_direction_table_matches_per_direction_oracle(phi, order, dimension,
     # profile along the direction, convolved on its own: equal to rounding
     rng = np.random.default_rng(seed)
     fam = _random_linear_family(rng, order, dimension)
-    reg = regularise_roots(fam, phi, constant_scale(10.0 ** log_omega))
+    reg = RegularisedRoots(fam, phi, 10.0 ** log_omega)
     t = np.concatenate([rng.uniform(-0.2, 1.2, 17), [0.0, 1.0]])
     directions = [tuple(rng.standard_normal(dimension)) for _ in range(4)]
-    table = reg.direction_table(t, 0.5, directions)
+    table = reg.direction_table(t, directions)
     for d, rows in zip(directions, table):
         unit = np.asarray(d) / np.linalg.norm(d)
         for j in range(1, order + 1):
@@ -289,7 +301,7 @@ def test_direction_table_matches_per_direction_oracle(phi, order, dimension,
             # own sum over the pieces of every coefficient
             scale = sum(abs(g) * max(abs(p.value) for p in c.pieces)
                         for g, c in zip(unit, fam.coefficients[j - 1]))
-            oracle = pure_root(reg, j, t, d, 0.5) / np.linalg.norm(d)
+            oracle = pure_root(reg, j, t, d) / np.linalg.norm(d)
             assert np.max(np.abs(rows[j - 1] - oracle)) \
                 <= 16.0 * np.finfo(float).eps * scale
 
@@ -310,8 +322,8 @@ def test_one_feature_table_is_the_convolution_bit_for_bit(phi):
                        (constant_roots([-1.0, 0.0, 2.0]), (1.0, 1.0)),
                        (transport_roots(1.5), (1.0, -1.0)),
                        (transport_roots(-1.5), (-1.0, 1.0))):
-        reg = regularise_roots(fam, phi, constant_scale(0.03))
-        table = reg.direction_table(t, 0.5, [(1.0,), (-2.0,)])
+        reg = RegularisedRoots(fam, phi, 0.03)
+        table = reg.direction_table(t, [(1.0,), (-2.0,)])
         for rows, sign in zip(table, signs):
             for row, (c,) in zip(rows, fam.coefficients):
                 expected = np.real(convolve_profile(c, kernel)(t))
@@ -324,10 +336,10 @@ def test_one_feature_table_is_the_convolution_bit_for_bit(phi):
 def test_direction_row_is_the_same_alone_or_in_a_batch(phi):
     rng = np.random.default_rng(4)
     fam = _random_linear_family(rng, 3, 3)
-    reg = regularise_roots(fam, phi, constant_scale(0.02))
+    reg = RegularisedRoots(fam, phi, 0.02)
     t = rng.uniform(0.0, 1.0, 29)
     directions = [tuple(rng.standard_normal(3)) for _ in range(6)]
-    batch = reg.direction_table(t, 0.5, directions)
+    batch = reg.direction_table(t, directions)
     for d, rows in zip(directions, batch):
-        alone = reg.direction_table(t, 0.5, [d])[0]
+        alone = reg.direction_table(t, [d])[0]
         assert np.array_equal(_bits(rows), _bits(alone))

@@ -16,8 +16,8 @@ from weakhyp.profiles import (Piece, RoughProfile, bump_profile,
                               zero_profile)
 from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
                                LowerTerm, RootValuePrincipal, build_companion)
-from weakhyp.roots import (bracket, constant_roots, constant_scale, dt_power,
-                           linear_scale, wave_speed_roots)
+from weakhyp.roots import (bracket, constant_roots, dt_power, linear_scale,
+                           wave_speed_roots)
 from weakhyp import solver
 from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             build_regularised_system, dalembert_reference,
@@ -433,7 +433,7 @@ def test_frequency_subset_does_not_change_bits():
         data=(bump_profile(0.0, 1.0), zero_profile()),
         grid=FrequencyGrid(64, 6.2), time_steps=320, horizon=1.0,
         omega=linear_scale())
-    system, _, _ = build_regularised_system(problem, 0.125)
+    system, _ = build_regularised_system(problem, 0.125)
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 321)
     full, = integrate_companion([system], xi, t_grid, output_steps=(160, 320))
