@@ -28,18 +28,17 @@ from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
                     transport_roots, wave_speed_roots)
 from .recovery import (DirectionPlan, HomogeneousCoefficientSet,
                        RoundTripReport, build_direction_plan,
-                       characteristic_polynomial, random_ordered_family,
-                       random_round_trip_study, recover_coefficients,
-                       round_trip_check)
+                       random_ordered_family, random_round_trip_study,
+                       recover_coefficients, round_trip_check)
 from .reduction import (BlockSylvesterSystem, CompanionSystem,
                         FirstOrderSystem, ForcingPart, InitialData,
                         LowerOrderPart, LowerTerm, PolynomialMatrix,
-                        RootValuePrincipal, build_companion, cofactor_matrix,
-                        companion_matrix_from_coefficients,
+                        RootValuePrincipal, build_companion,
+                        characteristic_polynomial, cofactor_matrix,
+                        companion_matrix, companion_row,
                         random_hyperbolic_system, to_block_sylvester)
 from .symmetrisers import (QuadraticBoundsReport, Symmetriser,
-                           build_symmetriser, normalised_companion,
-                           vandermonde_product_squared,
+                           build_symmetriser, vandermonde_product_squared,
                            verify_quadratic_bounds)
 from .solver import (EnergyTrace, FrequencyGrid, SolutionNet, SolveRecord,
                      VeryWeakProblem, auto_box_length, dalembert_reference,

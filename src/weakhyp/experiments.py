@@ -232,13 +232,10 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
 
 
 def _solve_net(problem: VeryWeakProblem, sweep: tuple[float, ...],
-               summary: dict, detailed: bool) -> SolutionNet:
-    """Solve the epsilon sweep and list each epsilon's outcome.
-
-    Every solved epsilon reports its omega and step-doubling estimate;
-    ``detailed`` adds its sup norm, imaginary fraction and recovery
-    residuals.
-    """
+               summary: dict) -> SolutionNet:
+    """Solve the epsilon sweep and list each epsilon's outcome: its error,
+    or its omega, sup norm, imaginary fraction, step-doubling estimate and
+    recovery residuals."""
     net = solve_very_weak(problem, sweep)
     entries = []
     for e in sweep:
@@ -246,7 +243,7 @@ def _solve_net(problem: VeryWeakProblem, sweep: tuple[float, ...],
         entry = {"epsilon": e, "ok": rec.ok}
         if not rec.ok:
             entry["error"] = rec.error
-        elif detailed:
+        else:
             entry.update({
                 "omega": rec.omega,
                 "sup_norm": rec.sup_norm(),
@@ -256,9 +253,6 @@ def _solve_net(problem: VeryWeakProblem, sweep: tuple[float, ...],
                     str(k): v for k, v in
                     rec.metadata.get("recovery_residuals", {}).items()},
             })
-        else:
-            entry.update(omega=rec.omega, step_doubling_max=rec.metadata.get(
-                "step_doubling_max"))
         entries.append(entry)
     summary.update(epsilon_sweep=list(sweep), per_epsilon=entries, metrics={})
     return net
@@ -269,7 +263,7 @@ def run_solve(cfg: ExperimentConfig, seed: int, summary: dict,
     """Full very-weak pipeline over the sweep, with reference comparison."""
     problem = build_problem(cfg)
     ref_kind, ref_values = _reference(cfg, problem)
-    net = _solve_net(problem, cfg.epsilon_sweep, summary, detailed=True)
+    net = _solve_net(problem, cfg.epsilon_sweep, summary)
     reference = ref_values()
     _net_tables(net, problem, tables)
     if reference is not None:
@@ -305,7 +299,7 @@ def run_sweep(cfg: ExperimentConfig, seed: int, summary: dict,
         # the convergence study checks the solved epsilons the same way
         with config_field("regularisation.epsilon_sweep"):
             check_halving(cfg.epsilon_sweep)
-    net = _solve_net(problem, cfg.epsilon_sweep, summary, detailed=False)
+    net = _solve_net(problem, cfg.epsilon_sweep, summary)
     summary["failed_epsilons"] = [
         {"epsilon": entry["epsilon"], "error": entry["error"]}
         for entry in summary["per_epsilon"] if not entry["ok"]]
@@ -373,12 +367,10 @@ def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
         raise ConfigurationError(
             f"roundtrip.omega must lie in (0, 1], got {omega:g}",
             field="roundtrip.omega")
-    started = time.perf_counter()
     study = random_round_trip_study(
         n_families=n_families, mollifier=friedrichs_mollifier(),
         omega=omega, rng=np.random.default_rng(seed), max_order=max_order,
         max_dimension=max_dimension, probes_per_family=probes)
-    runtime = time.perf_counter() - started
     # the direction plans behind the recoveries, for reproducibility
     plans = {}
     for degree in range(1, max_order + 1):
@@ -394,8 +386,7 @@ def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
         "max_rel_error": study.max_rel_error,
         "failures": list(study.failures),
         "direction_plans": plans,
-        "metrics": {"roundtrip_max_rel_error": study.max_rel_error,
-                    "roundtrip_runtime_seconds": runtime},
+        "metrics": {"roundtrip_max_rel_error": study.max_rel_error},
     })
     tables["roundtrip"] = (
         ("family", "order", "dimension", "rel_error"),

@@ -1,6 +1,7 @@
 """Signed elementary symmetric functions and principal-coefficient recovery.
 
-The characteristic polynomial of a regularised root system has coefficients
+The characteristic polynomial of a regularised root system (built by
+:func:`reduction.characteristic_polynomial`) has coefficients
 ``sigma_h = (-1)^h e_h(roots)``; evaluated along finitely many frequency
 directions these pin down every homogeneous coefficient through a staircase
 of small linear solves, one invertible block per monomial support set.  The
@@ -24,31 +25,10 @@ from .mollifiers import Mollifier
 from .roots import (RegularisedRoots, RootFamily, bracket,
                     roots_from_linear_forms, separating_shift)
 from .profiles import piecewise_constant_profile
+from .reduction import (characteristic_polynomial, companion_matrix,
+                        companion_row)
 
 Array = np.ndarray
-
-
-# -- elementary symmetric machinery ---------------------------------------------
-
-
-def characteristic_polynomial(roots: Sequence[float] | Array) -> Array:
-    """Descending coefficients of prod_j (tau - roots_j); leading entry 1.
-
-    The returned array is ``[1, sigma_1, ..., sigma_m]`` so that the product
-    equals ``tau^m + sum_h sigma_h tau^(m-h)``.  Vectorised over leading axes
-    of ``roots``.
-    """
-    roots = np.asarray(roots)
-    if roots.ndim == 0:
-        roots = roots[None]
-    m = roots.shape[-1]
-    # built with the coefficients along the first axis, so that each update
-    # runs over whole batches rather than over the m + 1 coefficients
-    coeffs = np.zeros((m + 1,) + roots.shape[:-1], dtype=roots.dtype)
-    coeffs[0] = 1
-    for i in range(m):
-        coeffs[1:i + 2] -= roots[..., i] * coeffs[:i + 1]
-    return np.moveaxis(coeffs, 0, -1)
 
 
 # -- direction plans --------------------------------------------------------------
@@ -283,8 +263,6 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     any probe; the condition numbers of the blocks stay on the plan
     (``SupportBlock.condition``), not in the report.
     """
-    from .reduction import companion_matrix_from_coefficients
-
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     rng = rng or np.random.default_rng(0)
@@ -324,7 +302,7 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
                     coeffs[h] = -sum(vals[i] * _monomial(xi, nu)
                                      for nu, vals in values[h].items())
                 eig = np.linalg.eigvals(
-                    companion_matrix_from_coefficients(coeffs))
+                    companion_matrix(companion_row(coeffs)))
                 shifted = np.sort(np.real(eig)) + shifts[i]
                 reference = references[i]
                 ref_scale = max(1.0, float(np.max(np.abs(reference))))

@@ -7,6 +7,12 @@ the principal symbols in its last row, so its eigenvalues are exactly the
 regularised characteristic roots.  General m x m first-order systems are
 reduced to m identical companion blocks through the adjugate of (tau I - A),
 computed by the Faddeev-LeVerrier recursion.
+
+This module owns the companion form: every characteristic polynomial
+(:func:`characteristic_polynomial`), companion last row
+(:func:`companion_row`) and companion matrix (:func:`companion_matrix`) in
+the package comes from here, for the solver's row tables, the round trip,
+the symmetrisers and the block reduction alike.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import numpy as np
 
 from .errors import (ConfigurationError, HyperbolicityError,
                      InvalidParameterError, NumericalError, UnsupportedError)
-from .recovery import characteristic_polynomial
 from .roots import (RegularisedRoots, bracket, dt_power, separating_shift,
                     speed_bound)
 
@@ -28,23 +33,59 @@ Array = np.ndarray
 Index = slice | Array
 
 
-def companion_matrix_from_coefficients(coeffs: Sequence[float]) -> Array:
-    """Plain companion matrix of tau^m + sum_h c_h tau^(m-h).
+def characteristic_polynomial(roots: Sequence[float] | Array) -> Array:
+    """Descending coefficients of prod_j (tau - roots_j); leading entry 1.
 
-    ``coeffs`` are descending with leading entry 1; the matrix has ones on
-    the superdiagonal and ``-c_{m-k}`` in the last row, so its eigenvalues
-    are the polynomial roots.  Vectorised over leading axes of ``coeffs``.
+    The returned array is ``[1, sigma_1, ..., sigma_m]`` so that the product
+    equals ``tau^m + sum_h sigma_h tau^(m-h)``.  Vectorised over leading axes
+    of ``roots``.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if np.any(coeffs[..., 0] != 1.0):
-        raise InvalidParameterError("leading coefficient must be exactly 1")
+    roots = np.asarray(roots)
+    if roots.ndim == 0:
+        roots = roots[None]
+    m = roots.shape[-1]
+    # built with the coefficients along the first axis, so that each update
+    # runs over whole batches rather than over the m + 1 coefficients
+    coeffs = np.zeros((m + 1,) + roots.shape[:-1], dtype=roots.dtype)
+    coeffs[0] = 1
+    for i in range(m):
+        coeffs[1:i + 2] -= roots[..., i] * coeffs[:i + 1]
+    return np.moveaxis(coeffs, 0, -1)
+
+
+def companion_row(coeffs: Array, weight: Array | float = 1.0) -> list[Array]:
+    """The m entries of the last row of the companion matrices of the monic
+    polynomials ``tau^m + sum_h c_h tau^(m-h)`` with ``weight`` on the
+    superdiagonal: entry h is ``-c_(m-h) weight^(h+1-m)``.
+
+    ``coeffs`` (..., m + 1) are descending, ``[1, c_1, ..., c_m]``; the
+    leading 1 is not read.  Each entry has the leading shape, against which
+    ``weight`` broadcasts, so the caller stacks the entries along the axis
+    its layout needs.  Each power takes its exponent as a Python int, so a
+    stack of weights gives each item the bits it gets as a stack of one; a
+    float weight takes the C library's ``pow``, which can round otherwise
+    than numpy's vectorised power.
+    """
     m = coeffs.shape[-1] - 1
-    mat = np.zeros(coeffs.shape[:-1] + (m, m), dtype=coeffs.dtype)
+    return [coeffs[..., m - h] * -weight ** (h + 1 - m) for h in range(m)]
+
+
+def companion_matrix(row: Sequence[Array], weight: Array | float = 1.0
+                     ) -> Array:
+    """Companion matrices (..., m, m) with ``weight`` on the superdiagonal
+    and the m entries of ``row`` (a list, or an array with the row axis
+    first) in the last row.
+
+    With the row of :func:`companion_row` at the same weight, the
+    eigenvalues are the polynomial's roots.  ``weight`` broadcasts against
+    the leading shape of the entries.
+    """
+    m = len(row)
+    mat = np.zeros(np.shape(row[0]) + (m, m), dtype=np.result_type(*row))
     for i in range(m - 1):
-        mat[..., i, i + 1] = 1.0
-    mat[..., m - 1, :] = -coeffs[..., 1:][..., ::-1]
-    if np.all(np.isreal(mat)):
-        return mat.real
+        mat[..., i, i + 1] = weight
+    for h, entry in enumerate(row):
+        mat[..., m - 1, h] = entry
     return mat
 
 
@@ -70,25 +111,14 @@ class PrincipalPart(Protocol):
     def max_normalised_speed(self) -> float: ...
 
 
-def _row_table(lam: Array, powers: Sequence[Array]) -> Array:
-    """Last rows (T, m, K) from root values (T, m, K) in one vectorised call;
-    ``powers[j - 1]`` is <xi>^(j - m)."""
-    m = lam.shape[1]
+def _row_table(lam: Array, br: Array) -> Array:
+    """Last rows (T, m, K), C-contiguous, from root values (T, m, K) and
+    the weights <xi> = ``br`` (K,) in one vectorised call."""
     sig = characteristic_polynomial(np.swapaxes(lam, 1, 2))  # (T, K, m+1)
     rows = np.empty_like(lam)
-    for j in range(1, m + 1):
-        rows[:, j - 1] = -sig[..., m - j + 1] * powers[j - 1]
+    for h, entry in enumerate(companion_row(sig, br)):
+        rows[:, h] = entry
     return rows
-
-
-def companion_blocks(rows: Array, br: Array) -> Array:
-    """Companion matrices (T, K, m, m) with <xi> = ``br`` on the
-    superdiagonal and the last rows (T, m, K) in the last row."""
-    m = rows.shape[1]
-    mats = np.zeros((rows.shape[0], br.size, m, m), dtype=rows.dtype)
-    mats[..., np.arange(m - 1), np.arange(1, m)] = br[:, None]
-    mats[..., m - 1, :] = np.swapaxes(rows, 1, 2)
-    return mats
 
 
 @dataclass
@@ -145,7 +175,6 @@ class RootValuePrincipal:
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         br = bracket(xi)
-        powers = [br ** (j - self.order) for j in range(1, self.order + 1)]
         table = self._root_table(xi)
         pos, neg = self._profiles(t)
         # the profiles' bits, so that -0.0 and 0.0 count as different
@@ -155,12 +184,12 @@ class RootValuePrincipal:
         def rows(index: Index) -> Array:
             block = bits[:, index]
             if not block.shape[1] or (block != block[:, :1]).any():
-                return _row_table(table(pos[:, index], neg[:, index]), powers)
+                return _row_table(table(pos[:, index], neg[:, index]), br)
             key = block[:, 0].tobytes()
             if key not in cached:
                 cached.clear()
                 cached[key] = _row_table(table(pos[:, index][:, :1],
-                                               neg[:, index][:, :1]), powers)
+                                               neg[:, index][:, :1]), br)
             return np.broadcast_to(cached[key],
                                    (block.shape[1], self.order, xi.size))
 
@@ -416,17 +445,14 @@ class BlockSylvesterSystem:
         return self._adjugate(t, xi)[1]
 
     def block(self, t: float, xi: float) -> Array:
-        m = self.system.order
+        """The companion block of delta with <xi> on the superdiagonal; real
+        when its last row is, since the eigenvalues of a real matrix stored
+        as complex come out with other bits."""
         br = float(bracket(xi))
-        coeffs = self.delta_coefficients(t, xi)
-        mat = np.zeros((m, m), dtype=complex)
-        for i in range(m - 1):
-            mat[i, i + 1] = br
-        for h in range(m):
-            mat[m - 1, h] = -coeffs[m - h] * br ** (h + 1 - m)
-        if np.max(np.abs(mat.imag)) == 0.0:
-            return mat.real
-        return mat
+        row = np.array(companion_row(self.delta_coefficients(t, xi), br))
+        if not row.imag.any():
+            row = row.real
+        return companion_matrix(row, br)
 
     def full_principal(self, t: float, xi: float) -> Array:
         return np.kron(np.eye(self.block_count), self.block(t, xi))

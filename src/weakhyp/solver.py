@@ -33,7 +33,7 @@ from .profiles import RoughProfile
 from .recovery import recover_coefficients
 from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
                         LowerOrderPart, RootValuePrincipal,
-                        build_companion, companion_blocks)
+                        build_companion, companion_matrix)
 from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket
 from .symmetrisers import build_symmetriser
 
@@ -142,7 +142,8 @@ def _estimate_norm(rows: Callable[[Index], Array], index: Array,
                    br: Array) -> float:
     """Largest spectral norm of A + B at the times ``index`` selects;
     ``rows`` gives the last rows of A + B."""
-    mats = companion_blocks(rows(index).astype(complex), br)
+    mats = companion_matrix(np.moveaxis(rows(index), 1, 0).astype(complex),
+                            br)
     return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
 
 
@@ -189,15 +190,17 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     staged steps' by rounding only.  A forced problem always takes the
     staged steps.
 
-    Failures are per member, and a failed member leaves the batch while the
-    others step on.  Before stepping, each member must satisfy
-    h * max||A + B|| <= 0.5 at nine grid times, read as one block, or it
-    gets a :class:`StabilityError` that reports the required step.  A
-    non-finite state, checked every 64 steps and after the last one, gives
-    its member a :class:`DivergenceError`.  A package error while a member
-    sets up (``LinAlgError`` raised as :class:`NumericalError`) is its
-    failure too; any other exception propagates.  Returns, per member in
-    order, its result or the error that removed it.
+    Failures are per member, and the others step on.  Before stepping,
+    each member must satisfy h * max||A + B|| <= 0.5 at nine grid times,
+    read as one block, or it gets a :class:`StabilityError` that reports
+    the required step.  A non-finite state, checked every 64 steps and
+    after the last one, gives its member a :class:`DivergenceError`; the
+    member keeps its slot with its state zeroed, and since every operation
+    is elementwise the others' bits do not change.  Stepping stops once no
+    member is left.  A package error while a member sets up (``LinAlgError``
+    raised as :class:`NumericalError`) is its failure too; any other
+    exception propagates.  Returns, per member in order, its result or its
+    error.
     """
     xi = np.asarray(xi, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -273,7 +276,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
             outcome[member] = exc
         else:
             readers[member], initial[member] = (rows, fprov), v0
-    live = np.array(list(readers), dtype=int)  # members still stepping
+    live = np.array(list(readers), dtype=int)  # members that set up
 
     def read_block(index: slice) -> tuple:
         rows = np.stack([readers[e][0](index) for e in live])
@@ -373,73 +376,68 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     # built when one of them last entered a constant stretch
     previous = np.zeros((live.size, xi.size), dtype=bool)
     maps = None
+    diverged = 0  # members whose state went non-finite
     # overflow of a diverging state is reported via DivergenceError, not as
     # a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, nt, block_steps):
-            if not live.size:
+        for i in range(nt):
+            if diverged == live.size:
                 break
-            i1 = min(nt, i0 + block_steps)
-            block = read_block(slice(position[4 * i0], position[4 * i1] + 1))
-            constant = constant_steps(block, i0, i1)
-            for i in range(i0, i1):
-                doubled = i % stride == 0
-                const = constant[:, i - i0]
-                if not const.any():
-                    v_new, half = staged_step(block, i, doubled, v)
-                else:
-                    if (const > previous).any():
-                        maps = step_maps(block, 4 * i, v.shape)
-                    v_new = apply(maps[0], v)
-                    if doubled:
-                        half = apply(maps[1], apply(maps[1], v))
-                    # members with an entry off its constant stretch take
-                    # the staged step there
-                    staged = np.flatnonzero(~const.all(axis=1))
-                    if staged.size:
-                        keep = const[staged, None]
-                        s_new, s_half = staged_step(block, i, doubled,
-                                                    v[staged], staged)
-                        v_new[staged] = np.where(keep, v_new[staged], s_new)
-                        if doubled:
-                            half[staged] = np.where(keep, half[staged],
-                                                    s_half)
-                previous = const
+            if i % block_steps == 0:
+                i0, i1 = i, min(nt, i + block_steps)
+                block = read_block(slice(position[4 * i0],
+                                         position[4 * i1] + 1))
+                constant = constant_steps(block, i0, i1)
+            doubled = i % stride == 0
+            const = constant[:, i - i0]
+            if not const.any():
+                v_new, half = staged_step(block, i, doubled, v)
+            else:
+                if (const > previous).any():
+                    maps = step_maps(block, 4 * i, v.shape)
+                v_new = apply(maps[0], v)
                 if doubled:
-                    scale = np.abs(v_new).max(axis=(1, 2))
-                    scale[scale == 0.0] = 1.0
-                    # fmax, like max() on floats, ignores a NaN estimate
-                    worst_double[live] = np.fmax(
-                        worst_double[live],
-                        np.abs(v_new - half).max(axis=(1, 2)) / scale)
-                v = v_new
-                if i % 64 == 0 or i == nt - 1:
-                    finite = np.isfinite(v.view(float)).all(axis=(1, 2))
-                    if not finite.all():
-                        for slot in np.flatnonzero(~finite):
-                            bad = np.flatnonzero(
-                                ~np.isfinite(v[slot]).all(axis=0))[0]
-                            outcome[live[slot]] = DivergenceError(
-                                f"non-finite state at t={t_grid[i + 1]:g}",
-                                xi=float(xi[bad]), epsilon=eps[live[slot]])
-                        lo, rows, force = block
-                        block = (lo, rows[finite],
-                                 force[finite] if forced else None)
-                        live, v = live[finite], v[finite]
-                        previous = previous[finite]
-                        constant = constant[finite]
-                        if maps is not None:
-                            maps = tuple(a[:, finite] for a in maps)
-                        if not live.size:
-                            break
-                record(i + 1, v)
+                    half = apply(maps[1], apply(maps[1], v))
+                # members with an entry off its constant stretch take the
+                # staged step there
+                staged = np.flatnonzero(~const.all(axis=1))
+                if staged.size:
+                    keep = const[staged, None]
+                    s_new, s_half = staged_step(block, i, doubled,
+                                                v[staged], staged)
+                    v_new[staged] = np.where(keep, v_new[staged], s_new)
+                    if doubled:
+                        half[staged] = np.where(keep, half[staged], s_half)
+            previous = const
+            if doubled:
+                scale = np.abs(v_new).max(axis=(1, 2))
+                scale[scale == 0.0] = 1.0
+                # fmax, like max() on floats, ignores a NaN estimate
+                worst_double[live] = np.fmax(
+                    worst_double[live],
+                    np.abs(v_new - half).max(axis=(1, 2)) / scale)
+            v = v_new
+            if i % 64 == 0 or i == nt - 1:
+                finite = np.isfinite(v.view(float)).all(axis=(1, 2))
+                for slot in np.flatnonzero(~finite):
+                    if outcome[live[slot]] is None:
+                        bad = np.flatnonzero(
+                            ~np.isfinite(v[slot]).all(axis=0))[0]
+                        outcome[live[slot]] = DivergenceError(
+                            f"non-finite state at t={t_grid[i + 1]:g}",
+                            xi=float(xi[bad]), epsilon=eps[live[slot]])
+                        diverged += 1
+                    # a diverged member keeps its slot with a zero state
+                    v[slot] = 0.0
+            record(i + 1, v)
 
     for slot, member in enumerate(live):
-        outcome[member] = IntegrationResult(
-            traces=traces[member],
-            first_component=first[member] if first is not None else None,
-            output_steps=out_steps, final_state=v[slot],
-            step_doubling_max=float(worst_double[member]))
+        if outcome[member] is None:
+            outcome[member] = IntegrationResult(
+                traces=traces[member],
+                first_component=first[member] if first is not None else None,
+                output_steps=out_steps, final_state=v[slot],
+                step_doubling_max=float(worst_double[member]))
     return outcome
 
 

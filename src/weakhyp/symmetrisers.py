@@ -4,7 +4,9 @@ For sorted normalised roots mu_1 <= ... <= mu_m the rows of W hold the
 monomial coefficients of prod_{j != i} (tau - mu_j), the left eigenvectors of
 the companion matrix; S = W^T W is then symmetric, positive semi-definite,
 intertwines S A = A^T S, and has det S = prod_{i<j} (mu_i - mu_j)^2, the
-squared Vandermonde product that the separation lower bound feeds on.
+squared Vandermonde product that the separation lower bound feeds on.  The
+companion matrices, with a unit superdiagonal, and the characteristic
+polynomials come from :mod:`reduction`.
 
 Everything here is vectorised over leading axes: ``mu`` of shape (..., m)
 stacks root tuples of one order, every figure comes back with shape (...),
@@ -24,17 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .recovery import characteristic_polynomial
-from .reduction import companion_matrix_from_coefficients
+from .reduction import (characteristic_polynomial, companion_matrix,
+                        companion_row)
 
 Array = np.ndarray
-
-
-def normalised_companion(mu: Sequence[float] | Array) -> Array:
-    """Companion matrices (..., m, m), unit superdiagonal, with eigenvalues
-    mu (..., m)."""
-    return np.real(companion_matrix_from_coefficients(
-        characteristic_polynomial(np.asarray(mu, dtype=float))))
 
 
 def _eigenvector_rows(mu: Array) -> Array:
@@ -87,7 +82,8 @@ class Symmetriser:
     def intertwining_residual(self) -> Array | float:
         """Relative spectral norm of S A - A^T S for the normalised
         companion A, per tuple."""
-        a = normalised_companion(self.roots)
+        a = companion_matrix(companion_row(
+            characteristic_polynomial(self.roots)))
         s = self.matrix
         num = np.linalg.norm(s @ a - np.swapaxes(a, -1, -2) @ s, 2,
                              axis=(-2, -1))

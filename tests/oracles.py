@@ -31,11 +31,10 @@ from weakhyp.errors import (ConfigurationError, InsufficientDataError,
 from weakhyp.mollifiers import (GevreyCutoffMollifier, convolve_profile,
                                 scale_mollifier)
 from weakhyp.profiles import RoughProfile
-from weakhyp.recovery import (HomogeneousCoefficientSet,
-                              characteristic_polynomial, sigma_table)
+from weakhyp.recovery import HomogeneousCoefficientSet, sigma_table
 from weakhyp.reduction import (CompanionSystem, Index, PolynomialMatrix,
-                               _faddeev, companion_blocks,
-                               companion_matrix_from_coefficients)
+                               _faddeev, characteristic_polynomial,
+                               companion_matrix, companion_row)
 from weakhyp.roots import RegularisedRoots, RootFamily, bracket
 from weakhyp.solver import EnergyTrace
 
@@ -107,8 +106,9 @@ class PolynomialPrincipal:
     def roots(self, t: Array, xi: Array) -> Array:
         """Sorted companion eigenvalues (T, m, K) at the times ``t``."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        mats = companion_blocks(self.row_provider(t, xi)(slice(None)),
-                                bracket(xi))
+        mats = companion_matrix(
+            np.moveaxis(self.row_provider(t, xi)(slice(None)), 1, 0),
+            bracket(xi))
         return np.swapaxes(np.sort(np.real(np.linalg.eigvals(mats)),
                                    axis=-1), 1, 2)
 
@@ -286,8 +286,7 @@ def symmetriser_figures(mu: Sequence[float], vectors: Array,
     det_w = float(np.linalg.det(rows)) if m > 1 else 1.0
     det_value = det_w ** 2
     spacing = float(np.min(np.diff(mu))) if m > 1 else math.inf
-    a = np.real(companion_matrix_from_coefficients(
-        characteristic_polynomial(mu)))
+    a = companion_matrix(companion_row(characteristic_polynomial(mu)))
     num = float(np.linalg.norm(s @ a - a.T @ s, 2))
     den = max(float(np.linalg.norm(s, 2)) * float(np.linalg.norm(a, 2)),
               1e-300)

@@ -362,3 +362,66 @@ def test_config_raw_is_read_only_by_the_config_readers():
                   and not any(lo <= node.lineno <= hi for lo, hi in allowed)]
     assert not stray, "reads of .raw outside the config readers: " \
         + ", ".join(stray)
+
+
+def _package_imports(path):
+    """(imported package module, import statement) for each import of a
+    weakhyp module in ``path``; the package itself is ``__init__``."""
+    def target(name):
+        return name if (PACKAGE / f"{name}.py").is_file() else "__init__"
+
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                if not (node.module == "weakhyp"
+                        or node.module.startswith("weakhyp.")):
+                    continue
+                module = node.module.partition(".")[2] or None
+            else:
+                module = node.module
+            if module:
+                yield target(module.split(".")[0]), node
+            else:
+                for alias in node.names:
+                    yield target(alias.name), node
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "weakhyp" \
+                        or alias.name.startswith("weakhyp."):
+                    yield target(alias.name.partition(".")[2]), node
+
+
+def test_package_imports_are_at_module_level():
+    """Every import of a weakhyp module inside the package is a statement of
+    its module's body: an import inside a function hides a dependency from
+    the reader, and is the usual way round an import cycle."""
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        top = {(node.lineno, node.col_offset) for node in body}
+        nested += [f"{path.name}:{node.lineno}"
+                   for _, node in _package_imports(path)
+                   if (node.lineno, node.col_offset) not in top]
+    assert not nested, "imports below module level: " + ", ".join(nested)
+
+
+def test_package_import_graph_has_no_cycle():
+    """The modules of the package, ``__init__`` included, import one another
+    without a cycle, counting imports at every level."""
+    graph = {path.stem: sorted({name for name, _ in _package_imports(path)}
+                               - {path.stem})
+             for path in sorted(PACKAGE.glob("*.py"))}
+    done: set[str] = set()
+
+    def visit(module, path):
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        for imported in graph[module]:
+            visit(imported, path + [module])
+        done.add(module)
+
+    for module in graph:
+        visit(module, [])

@@ -496,8 +496,7 @@ def _rerun_config(subcommand):
                          ["sweep", "roundtrip", "symmetriser", "reduce"])
 def test_cli_reruns_write_the_same_bytes(tmp_path, subcommand):
     # solve is covered by test_cli_solve_passes_and_is_deterministic; the
-    # dropped summary lines are the run's wall times, runtime_seconds and,
-    # for roundtrip, metrics.roundtrip_runtime_seconds
+    # dropped summary line is the run's wall time, runtime_seconds
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_rerun_config(subcommand)))
     outs = []

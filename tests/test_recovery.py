@@ -11,9 +11,10 @@ from weakhyp.errors import InvalidParameterError, NumericalError
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.profiles import constant_profile
 from weakhyp.recovery import (HomogeneousCoefficientSet,
-                              build_direction_plan, characteristic_polynomial,
-                              random_ordered_family, random_round_trip_study,
-                              recover_coefficients, round_trip_check)
+                              build_direction_plan, random_ordered_family,
+                              random_round_trip_study, recover_coefficients,
+                              round_trip_check)
+from weakhyp.reduction import characteristic_polynomial
 from weakhyp.roots import (RegularisedRoots, RootFamily, constant_roots,
                            linear_scale, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile

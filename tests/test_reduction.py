@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from weakhyp.errors import (ConfigurationError, HyperbolicityError,
-                            InvalidParameterError, UnsupportedError)
+                            UnsupportedError)
 from weakhyp.mollifiers import friedrichs_mollifier
-from weakhyp.recovery import characteristic_polynomial, recover_coefficients
+from weakhyp.recovery import recover_coefficients
 from weakhyp.reduction import (_faddeev, FirstOrderSystem, ForcingPart,
                                InitialData, LowerOrderPart, LowerTerm,
                                RootValuePrincipal, build_companion,
-                               cofactor_matrix,
-                               companion_blocks,
-                               companion_matrix_from_coefficients,
+                               characteristic_polynomial, cofactor_matrix,
+                               companion_matrix, companion_row,
                                random_hyperbolic_system, to_block_sylvester)
 from weakhyp.roots import (RegularisedRoots, bracket, constant_roots,
                            roots_from_linear_forms, wave_speed_roots)
@@ -27,7 +26,7 @@ def _principal_matrix(system, t, xi):
     """A(t, xi) at one frequency."""
     xi_arr = np.array([float(xi)])
     rows = system.principal.row_provider(np.array([t]), xi_arr)(slice(None))
-    return companion_blocks(rows, bracket(xi_arr))[0, 0]
+    return companion_matrix(np.moveaxis(rows, 1, 0), bracket(xi_arr))[0, 0]
 
 
 def _eigenvalues(system, t, xi):
@@ -209,11 +208,27 @@ def test_polynomial_principal_matches_recovered_sets(phi):
 
 
 def test_companion_matrix_from_coefficients():
-    mat = companion_matrix_from_coefficients([1.0, -6.0, 11.0, -6.0])
-    eig = np.sort(np.linalg.eigvals(mat).real)
-    assert np.allclose(eig, [1.0, 2.0, 3.0], atol=1e-10)
-    with pytest.raises(InvalidParameterError):
-        companion_matrix_from_coefficients([2.0, 1.0])
+    # random monic polynomials (separated real roots, m <= 4) and random
+    # weights on the superdiagonal: the eigenvalues are the roots, and a
+    # stacked call gives each item the bits of its own call as a stack of
+    # one (a float weight takes the C library's pow, which can round
+    # otherwise than numpy's vectorised power)
+    rng = np.random.default_rng(3)
+    for m in range(1, 5):
+        roots = np.sort(rng.uniform(-3.0, 3.0, (20, m)), axis=-1) \
+            + 0.5 * np.arange(m)
+        coeffs = characteristic_polynomial(roots)
+        weights = rng.uniform(0.5, 4.0, 20)
+        mats = companion_matrix(companion_row(coeffs, weights), weights)
+        assert mats.shape == (20, m, m)
+        for i in range(20):
+            item = slice(i, i + 1)
+            alone = companion_matrix(companion_row(coeffs[item],
+                                                   weights[item]),
+                                     weights[item])[0]
+            assert alone.tobytes() == mats[i].tobytes()
+            eig = np.sort(np.linalg.eigvals(alone).real)
+            assert np.allclose(eig, roots[i], rtol=1e-9, atol=1e-9)
 
 
 # -- adjugate matrices --------------------------------------------------------------
