@@ -98,7 +98,10 @@ class PrincipalPart(Protocol):
     ``roots(t, xi)`` returns (T, m, K) for an array of T times.
     ``row_provider(t, xi)`` returns a function of an index into ``t`` (a
     slice or an integer array) that gives the last rows at those times as
-    one (T, m, K) block, which depends on the index alone.
+    one (T, m, K) block, which depends on the index alone.  The function
+    carries ``steady`` (T - 1,): true at q only when the rows at ``t[q]`` and
+    ``t[q + 1]`` are bitwise equal at every frequency, read from the time
+    profiles the rows come from, never from the rows.
     """
 
     order: int
@@ -109,6 +112,13 @@ class PrincipalPart(Protocol):
                      ) -> Callable[[Index], Array]: ...
 
     def max_normalised_speed(self) -> float: ...
+
+
+def _steady(columns: Array) -> Array:
+    """(T - 1,): whether columns q and q + 1 of the float array ``columns``
+    (n, T) are bitwise equal, so that -0.0 and 0.0 count as different."""
+    bits = columns.view(np.int64)
+    return (bits[:, 1:] == bits[:, :-1]).all(axis=0)
 
 
 def _row_table(lam: Array, br: Array) -> Array:
@@ -163,36 +173,38 @@ class RootValuePrincipal:
         """Last rows (T, m, K) at the times ``t[index]``.
 
         The root profiles are convolved once for all of ``t``, and the
-        factors that depend on ``xi`` alone are computed once.  A block
-        whose profile columns are bitwise equal, as on the stretches where
-        a mollified piecewise-constant coefficient is constant, is returned
-        as a read-only broadcast of one row, cached until a block with
-        other columns asks for a constant row; the row has the bits that
-        tabulating each time would give, because every operation is
-        elementwise in time.  Any other block is one vectorised
-        characteristic-polynomial call over its (time, frequency) block, so
-        the caller's index sets the block size.
+        factors that depend on ``xi`` alone are computed once.  ``steady``
+        compares neighbouring profile columns bit for bit; every operation
+        is elementwise in time, so equal columns give equal rows at every
+        frequency, as where a mollified piecewise-constant coefficient is
+        constant.  A block inside one such stretch is a read-only broadcast
+        of one row, cached until a block of another stretch asks for one.
+        Any other block is one vectorised characteristic-polynomial call
+        over its (time, frequency) block, so the caller's index sets the
+        block size.
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         br = bracket(xi)
         table = self._root_table(xi)
         pos, neg = self._profiles(t)
-        # the profiles' bits, so that -0.0 and 0.0 count as different
-        bits = np.concatenate([pos, neg]).view(np.int64)
-        cached: dict[bytes, Array] = {}
+        steady = _steady(pos) & _steady(neg)
+        # each time's stretch of equal profile bits, numbered from 0
+        stretch = np.concatenate([[0], np.cumsum(~steady)])
+        cached: dict[int, Array] = {}
 
         def rows(index: Index) -> Array:
-            block = bits[:, index]
-            if not block.shape[1] or (block != block[:, :1]).any():
+            label = stretch[index]
+            if not label.size or (label != label[0]).any():
                 return _row_table(table(pos[:, index], neg[:, index]), br)
-            key = block[:, 0].tobytes()
+            key = int(label[0])
             if key not in cached:
                 cached.clear()
                 cached[key] = _row_table(table(pos[:, index][:, :1],
                                                neg[:, index][:, :1]), br)
             return np.broadcast_to(cached[key],
-                                   (block.shape[1], self.order, xi.size))
+                                   (label.size, self.order, xi.size))
 
+        rows.steady = steady
         return rows
 
     def max_normalised_speed(self) -> float:
@@ -230,7 +242,8 @@ class LowerOrderPart:
                     f"lower-order time order {term.j} exceeds equation order")
 
     def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Last rows (T, m, K), complex, at the times ``t[index]``."""
+        """Last rows (T, m, K), complex, at the times ``t[index]``;
+        ``steady`` compares the coefficients' bits at neighbouring times."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         br = bracket(xi)
@@ -248,6 +261,8 @@ class LowerOrderPart:
                 block[:, col] += values[index, None] * factor
             return block
 
+        values = np.array([v for _, v, _ in per_term]).reshape(-1, t.size)
+        rows.steady = _steady(np.concatenate([values.real, values.imag]))
         return rows
 
 

@@ -174,21 +174,20 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     Where the coefficients are constant, as outside the layers of width
     2 omega around each jump of a mollified piecewise-constant coefficient,
-    one RK4 step is a fixed linear map V -> P V.  Entry (member e,
-    frequency k) takes it on step i only when its rows are bitwise equal at
-    every lattice point step i reads, quarter points included; one
-    vectorised pass per block decides this for all entries and steps.  P
-    and the half-step map of the step-doubling check come from pushing the
-    m basis vectors through the staged step, from the rows at the step
-    where some entry enters a constant stretch, and are applied as m
-    broadcast multiply-adds.  Both are elementwise in (member, frequency),
-    so an entry's map, its path and its bits depend on its own rows alone,
-    never on the batch or the block length.  On a step where only some
-    entries are constant, the members with an entry off its stretch also
-    take the staged step and keep it there.  The map is the RK4 map, so the
-    stability budget below governs it too, and its outputs differ from the
-    staged steps' by rounding only.  A forced problem always takes the
-    staged steps.
+    one RK4 step is a fixed linear map V -> P V.  A member takes it on step
+    i only when its row providers report ``steady`` over every lattice
+    interval the step reads, quarter points included, so that its rows are
+    bitwise equal there at every frequency; this is read once from the time
+    profiles while the member sets up, and no rows are compared.  P and the
+    half-step map of the step-doubling check come from pushing the m basis
+    vectors through the staged step, from the rows at the step where some
+    member enters a constant stretch, and are applied as m broadcast
+    multiply-adds; the other members take the staged step.  All of this is
+    elementwise in (member, frequency), so a member's bits never depend on
+    the batch, the frequencies or the block length.  The map is the RK4
+    map, so the stability budget below governs it too, and its outputs
+    differ from the staged steps' by rounding only.  A forced problem
+    always takes the staged steps.
 
     Failures are per member, and the others step on.  Before stepping,
     each member must satisfy h * max||A + B|| <= 0.5 at nine grid times,
@@ -234,13 +233,13 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     lattice = np.union1d(np.arange(0, 4 * nt + 1, 2),
                          np.concatenate([doubled + 1, doubled + 3]))
     stage_times = t_grid[0] + 0.25 * h * lattice
-    position = dict(zip(lattice.tolist(), range(lattice.size)))
-    starts = np.searchsorted(lattice, 4 * np.arange(nt + 1))
+    # position[q] is the index of lattice point q in ``lattice``
+    position = np.searchsorted(lattice, np.arange(4 * nt + 1))
+    starts = position[::4]
 
     br = bracket(xi)
     ibr = 1j * br
-    sample = np.array([position[4 * i]
-                       for i in range(0, nt + 1, max(1, nt // 8))])
+    sample = starts[::max(1, nt // 8)]
 
     def set_up(system: CompanionSystem, epsilon: float | None) -> tuple:
         prow = system.principal.row_provider(stage_times, xi)
@@ -262,24 +261,41 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 required_steps=required, epsilon=epsilon)
         fprov = system.forcing.values_provider(stage_times, xi) \
             if forced else None
-        return rows, fprov, system.V0(xi).astype(complex)
+        steady = prow.steady if brow is None else prow.steady & brow.steady
+        # step i reads the lattice points from starts[i] to starts[i + 1]
+        constant = np.logical_and.reduceat(steady, starts[:-1]) & (not forced)
+        return (rows, fprov, constant), system.V0(xi).astype(complex)
 
+    # outputs by live slot; taken before the set-up's tables and the loop's
+    # temporaries, they let those be freed from the top of the heap
+    traces = np.zeros((len(systems), m, len(tracked), nt + 1), dtype=complex)
+    first = np.zeros((len(systems), len(out_steps), xi.size), dtype=complex)
     outcome: list[IntegrationResult | WeakHypError | None] = \
         [None] * len(systems)
-    readers = {}   # member -> (rows, forcing values)
+    readers = {}   # member -> (rows, forcing values, constant steps)
     initial = {}   # member -> V0
     for member, system in enumerate(systems):
         try:
             with numerical_errors():
-                rows, fprov, v0 = set_up(system, eps[member])
+                readers[member], initial[member] = set_up(system, eps[member])
         except WeakHypError as exc:
             outcome[member] = exc
-        else:
-            readers[member], initial[member] = (rows, fprov), v0
     live = np.array(list(readers), dtype=int)  # members that set up
+    # (live members, nt): whether each member takes the step map on each step
+    constant = np.array([readers[e][2] for e in live]).reshape(live.size, nt)
+    # principal rows are real, lower-order rows and forcing values complex
+    row_bytes = (16 if lowered else 8) * m + (16 if forced else 0)
+    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * row_bytes * max(live.size, 1)
+                                             * max(xi.size, 1)))
+    # one buffer holds every block's rows; no block holds more step-doubling
+    # steps, and so more lattice points, than the first, which starts on one
+    buffer = np.empty((live.size, starts[min(nt, block_steps)] + 1, m,
+                       xi.size), dtype=complex if lowered else float)
 
     def read_block(index: slice) -> tuple:
-        rows = np.stack([readers[e][0](index) for e in live])
+        rows = buffer[:, :index.stop - index.start]
+        for slot, member in enumerate(live):
+            rows[slot] = readers[member][0](index)
         force = np.stack([readers[e][1](index) for e in live]) \
             if forced else None
         return index.start, rows, force
@@ -336,45 +352,19 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
             out += step_map[j] * state[:, j:j + 1]
         return out
 
-    def constant_steps(block: tuple, i0: int, i1: int) -> Array:
-        """(members, i1 - i0, K): whether each entry's last rows are bitwise
-        equal at every lattice point that step i0 + s reads, quarter points
-        included; a NaN row never is, and a forced problem has none."""
-        lo, rows, _ = block
-        if forced:
-            return np.zeros((rows.shape[0], i1 - i0, xi.size), dtype=bool)
-        # step i reads the lattice points from starts[i] to starts[i + 1];
-        # spans lists the intervals between them, padded by repeating the
-        # last one
-        first, last = starts[i0:i1] - lo, starts[i0 + 1:i1 + 1] - lo
-        spans = np.minimum(first[:, None] + np.arange((last - first).max()),
-                           last[:, None] - 1)
-        same = (rows[:, 1:] == rows[:, :-1]).all(axis=2)
-        return same[:, spans].all(axis=2)
-
-    members = len(systems)
-    traces = np.zeros((members, m, len(tracked), nt + 1), dtype=complex)
-    if out_steps:
-        first = np.zeros((members, len(out_steps), xi.size), dtype=complex)
-    else:
-        first = None
     columns = list(tracked)
-    worst_double = np.zeros(members)
+    worst_double = np.zeros(live.size)
 
     def record(step: int, v: Array) -> None:
-        traces[live, :, :, step] = v[:, :, columns]
+        traces[:live.size, ..., step] = v[:, :, columns]
         if step in out_steps:
-            first[live, out_steps.index(step)] = v[:, 0]
+            first[:live.size, out_steps.index(step)] = v[:, 0]
 
     v = np.array([initial[e] for e in live]).reshape(live.size, m, xi.size)
     record(0, v)
-    # principal rows are real, lower-order rows and forcing values complex
-    row_bytes = (16 if lowered else 8) * m + (16 if forced else 0)
-    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * row_bytes * max(live.size, 1)
-                                             * max(xi.size, 1)))
-    # which entries were constant on the previous step, and the step maps
+    # which members were constant on the previous step, and the step maps
     # built when one of them last entered a constant stretch
-    previous = np.zeros((live.size, xi.size), dtype=bool)
+    previous = np.zeros(live.size, dtype=bool)
     maps = None
     diverged = 0  # members whose state went non-finite
     # overflow of a diverging state is reported via DivergenceError, not as
@@ -384,12 +374,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
             if diverged == live.size:
                 break
             if i % block_steps == 0:
-                i0, i1 = i, min(nt, i + block_steps)
-                block = read_block(slice(position[4 * i0],
-                                         position[4 * i1] + 1))
-                constant = constant_steps(block, i0, i1)
+                block = read_block(slice(starts[i],
+                                         starts[min(nt, i + block_steps)] + 1))
             doubled = i % stride == 0
-            const = constant[:, i - i0]
+            const = constant[:, i]
             if not const.any():
                 v_new, half = staged_step(block, i, doubled, v)
             else:
@@ -398,24 +386,20 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 v_new = apply(maps[0], v)
                 if doubled:
                     half = apply(maps[1], apply(maps[1], v))
-                # members with an entry off its constant stretch take the
-                # staged step there
-                staged = np.flatnonzero(~const.all(axis=1))
+                # members off their constant stretch take the staged step
+                staged = np.flatnonzero(~const)
                 if staged.size:
-                    keep = const[staged, None]
-                    s_new, s_half = staged_step(block, i, doubled,
-                                                v[staged], staged)
-                    v_new[staged] = np.where(keep, v_new[staged], s_new)
+                    v_new[staged], s_half = staged_step(block, i, doubled,
+                                                        v[staged], staged)
                     if doubled:
-                        half[staged] = np.where(keep, half[staged], s_half)
+                        half[staged] = s_half
             previous = const
             if doubled:
                 scale = np.abs(v_new).max(axis=(1, 2))
                 scale[scale == 0.0] = 1.0
                 # fmax, like max() on floats, ignores a NaN estimate
-                worst_double[live] = np.fmax(
-                    worst_double[live],
-                    np.abs(v_new - half).max(axis=(1, 2)) / scale)
+                worst_double = np.fmax(
+                    worst_double, np.abs(v_new - half).max(axis=(1, 2)) / scale)
             v = v_new
             if i % 64 == 0 or i == nt - 1:
                 finite = np.isfinite(v.view(float)).all(axis=(1, 2))
@@ -434,10 +418,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     for slot, member in enumerate(live):
         if outcome[member] is None:
             outcome[member] = IntegrationResult(
-                traces=traces[member],
-                first_component=first[member] if first is not None else None,
+                traces=traces[slot],
+                first_component=first[slot] if out_steps else None,
                 output_steps=out_steps, final_state=v[slot],
-                step_doubling_max=float(worst_double[member]))
+                step_doubling_max=float(worst_double[slot]))
     return outcome
 
 

@@ -6,7 +6,8 @@ polynomial reconstruction of sigma), a substitute principal part, the
 relative energy drift and the fitted growth rate of a trace, the
 approximation-rate audit of the
 cutoff mollifier, the staged RK4 loop that the integrator's step matrices
-replace on constant stretches, the tau-coefficients of an adjugate, the
+replace on constant stretches and the per-entry pass that found those
+stretches by comparing rows, the tau-coefficients of an adjugate, the
 per-item paths that the batched audits replaced (the per-tuple symmetriser
 and its audit loop, and the per-root symmetric functions of the recovery),
 and the per-direction root profiles that the coefficient contraction
@@ -113,7 +114,8 @@ class PolynomialPrincipal:
                                    axis=-1), 1, 2)
 
     def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Last rows (T, m, K) at the times ``t[index]``."""
+        """Last rows (T, m, K) at the times ``t[index]``; ``steady`` marks
+        the neighbouring times where every coefficient's bits are equal."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         br = bracket(xi)
@@ -129,10 +131,39 @@ class PolynomialPrincipal:
         def rows(index: Index) -> Array:
             return values[index, :, None] * monomials
 
+        bits = values.view(np.int64)
+        rows.steady = (bits[1:] == bits[:-1]).all(axis=1)
         return rows
 
     def max_normalised_speed(self) -> float:
         return self.speed_bound
+
+
+def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
+                     ) -> Array:
+    """(nt, K): whether entry k's last rows, principal plus lower, are equal
+    at every stage time that step i of the integrator reads, the quarter
+    points of its step-doubling steps included, compared entry by entry; a
+    forced problem has none.  The per-entry pass that the integrator's
+    per-member ``steady`` steps replaced."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    nt = t_grid.size - 1
+    if system.forcing is not None:
+        return np.zeros((nt, xi.size), dtype=bool)
+    h = float(t_grid[1] - t_grid[0])
+    # stage times as indices on the quarter-step lattice t_0 + q h / 4
+    doubled = 4 * np.arange(0, nt, max(1, nt // 100))
+    lattice = np.union1d(np.arange(0, 4 * nt + 1, 2),
+                         np.concatenate([doubled + 1, doubled + 3]))
+    stage_times = t_grid[0] + 0.25 * h * lattice
+    rows = system.principal.row_provider(stage_times, xi)(slice(None))
+    if system.lower is not None:
+        rows = rows + system.lower.row_provider(stage_times, xi)(slice(None))
+    same = (rows[1:] == rows[:-1]).all(axis=1)  # (intervals, K)
+    starts = np.searchsorted(lattice, 4 * np.arange(nt + 1))
+    return np.array([same[starts[i]:starts[i + 1]].all(axis=0)
+                     for i in range(nt)]).reshape(nt, xi.size)
 
 
 def staged_rk4(system: CompanionSystem, xi: Array, t_grid: Array) -> Array:

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from weakhyp.errors import (ConfigurationError, DivergenceError,
                             WeakHypError)
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.profiles import (Piece, RoughProfile, bump_profile,
-                              heaviside_profile, point_mass_profile,
-                              zero_profile)
+                              heaviside_profile, piecewise_constant_profile,
+                              point_mass_profile, zero_profile)
 from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
                                LowerTerm, RootValuePrincipal, build_companion)
 from weakhyp.roots import (bracket, constant_roots, dt_power, linear_scale,
@@ -24,8 +25,9 @@ from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             energy_trace, integrate_companion, solve_single,
                             solve_very_weak, transport_reference)
 
-from oracles import (PolynomialPrincipal, max_relative_drift,
-                     staged_rk4, symmetriser_figures, trapezoid)
+from oracles import (PolynomialPrincipal, constant_entries,
+                     max_relative_drift, staged_rk4, symmetriser_figures,
+                     trapezoid)
 
 
 def solve_frequency(system, xi, epsilon, t_grid):
@@ -452,10 +454,16 @@ def _heaviside_problem(**options):
         time_steps=256, horizon=1.0, omega=linear_scale(), **options)
 
 
-def _lower_forced_problem(**options):
+def _lower_problem(**options):
+    # the lower-order coefficient jumps at t = 0.3, where the principal part
+    # is constant
     return _heaviside_problem(
         lower_terms=LowerOrderPart(2, (LowerTerm(0, 1, heaviside_profile(
-            0.3, 0.5, -0.5, (0.0, 1.0))),)),
+            0.3, 0.5, -0.5, (0.0, 1.0))),)), **options)
+
+
+def _lower_forced_problem(**options):
+    return _lower_problem(
         forcing=(bump_profile(0.5, 0.3), bump_profile(0.0, 1.0)), **options)
 
 
@@ -477,6 +485,7 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     def counted(self, t, frequencies):
         rows = provider(self, t, frequencies)
 
+        @functools.wraps(rows)  # carries the provider's ``steady``
         def call(index):
             if isinstance(index, slice):
                 blocks.append(index)
@@ -577,8 +586,53 @@ def test_step_matrices_agree_with_staged_rk4_across_a_jump():
     _agrees_with_staged_rk4(_heaviside_problem(), 0.0625, exact=False)
 
 
+def test_step_matrices_agree_with_staged_rk4_with_lower_order_terms():
+    _agrees_with_staged_rk4(_lower_problem(), 0.0625, exact=False)
+
+
 def test_forced_problems_take_the_staged_steps_bit_for_bit():
     _agrees_with_staged_rk4(_lower_forced_problem(), 0.0625, exact=True)
+
+
+def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
+    # the steps on which the integrator gives a member the step map are
+    # those over which its providers report ``steady``; each must be
+    # constant at every entry by the per-entry oracle, and on the heaviside
+    # problem, where only xi = 0 is constant inside the layer, the two sets
+    # are equal
+    reported = []  # (stage times, steady) of each provider the run builds
+    for cls in (RootValuePrincipal, LowerOrderPart):
+        def spy(self, t, frequencies, provider=cls.row_provider):
+            rows = provider(self, t, frequencies)
+            reported.append((t, rows.steady))
+            return rows
+        monkeypatch.setattr(cls, "row_provider", spy)
+    speed = piecewise_constant_profile([0.0, 0.3, 0.35, 1.0],
+                                       [1.0, 25.0, 1.0], (0.0, 1.0))
+    spiked = replace(_heaviside_problem(), family=wave_speed_roots(speed),
+                     grid=FrequencyGrid(32, auto_box_length(1.0, 5.5, 1.0,
+                                                            1.0)))
+    t_grid = np.linspace(0.0, 1.0, 257)
+    h = t_grid[1]
+    for problem, equal in ((_heaviside_problem(), True), (spiked, False),
+                           (_lower_problem(), False)):
+        xi = problem.grid.frequencies
+        for epsilon in (0.125, 0.03125):
+            system = build_regularised_system(problem, epsilon)[0]
+            reported.clear()
+            integrate_companion([system], xi, t_grid, [epsilon])
+            steady = np.logical_and.reduce([s for _, s in reported])
+            # step i reads the stage times from t_i to t_(i+1), which sit at
+            # the quarter-step lattice points 4i to 4(i+1)
+            lattice = np.rint(reported[0][0] / (0.25 * h)).astype(int)
+            starts = np.searchsorted(lattice, 4 * np.arange(t_grid.size))
+            steps = np.array([steady[a:b].all()
+                              for a, b in zip(starts[:-1], starts[1:])])
+            entries = constant_entries(system, xi, t_grid).all(axis=1)
+            assert steps.any() and not steps.all()
+            assert not (steps & ~entries).any()
+            if equal:
+                assert np.array_equal(steps, entries)
 
 
 def _assert_same_record(batched, solo):
