@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,11 +70,13 @@ def integer(value: Any, path: str) -> int:
 
 
 def real(value: Any, path: str) -> float:
-    """``value`` as a float; anything but a number, a boolean or a string
-    included, is a ConfigurationError naming ``path``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"'{path}' must be a number, got {value!r}",
-                                 field=path)
+    """``value`` as a finite float; anything else, a boolean, a string, the
+    NaN and Infinity that JSON readers accept or an integer past the float
+    range included, is a ConfigurationError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(
+            f"'{path}' must be a finite number, got {value!r}", field=path)
     return float(value)
 
 

@@ -155,6 +155,9 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
                          real(box, "grid.box_length"))
     output_times = reals(grid_cfg.get(
         "output_times", (0.0, 0.5 * horizon, horizon)), "grid.output_times")
+    if not output_times:
+        raise ConfigurationError("grid.output_times must list at least one "
+                                 "time", field="grid.output_times")
     for i, t in enumerate(output_times):
         if not 0.0 <= t <= horizon:
             raise ConfigurationError(
@@ -172,8 +175,9 @@ def build_problem(cfg: ExperimentConfig, jobs: int = 1) -> VeryWeakProblem:
 def _reference(cfg: ExperimentConfig, problem: VeryWeakProblem
                ) -> tuple[str, Callable[[], Array | None]]:
     """Read the ``reference`` section: its kind, and the function that
-    computes the reference values.  The drivers read it before they solve,
-    so that a malformed reference is a config error."""
+    computes the reference values at the problem's output times, where the
+    solution is written.  The drivers read it before they solve, so that a
+    malformed reference is a config error."""
     ref = cfg.section("reference")
     kind = ref.get("kind", "none")
     if kind in ("none", None):
@@ -206,7 +210,7 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
     spec_rows = []
     for e in net.ok_epsilons():
         rec = net.record(e)
-        for row, t in enumerate(rec.output_times):
+        for row, t in enumerate(problem.output_times):
             for k in range(x.size):
                 sol_rows.append((e, t, float(x[k]),
                                  float(rec.u[row, k].real),
@@ -217,15 +221,13 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
     tables["solution"] = (("epsilon", "time", "x", "re_u", "im_u"), sol_rows)
     tables["spectrum"] = (("epsilon", "time", "xi", "abs_uhat"), spec_rows)
     energy_rows = []
+    times = problem.time_grid
+    stride = max(1, problem.time_steps // 64)
     for e in net.ok_epsilons():
         rec = net.record(e)
-        if rec.traces is None or not rec.tracked_xi:
-            continue
-        stride = max(1, (rec.trace_times.size - 1) // 64)
-        for i, xi_val in enumerate(rec.tracked_xi):
-            trace = energy_trace(rec.system, rec.traces[:, i, :],
-                                 rec.trace_times, xi_val,
-                                 sample_stride=stride)
+        for i, xi_val in enumerate(problem.tracked_frequencies):
+            trace = energy_trace(rec.system, rec.traces[:, i, :], times,
+                                 xi_val, sample_stride=stride)
             for t, en in zip(trace.times, trace.energies):
                 energy_rows.append((e, xi_val, float(t), float(en)))
     tables["energy"] = (("epsilon", "xi", "time", "energy"), energy_rows)
@@ -247,11 +249,10 @@ def _solve_net(problem: VeryWeakProblem, sweep: tuple[float, ...],
             entry.update({
                 "omega": rec.omega,
                 "sup_norm": rec.sup_norm(),
-                "imag_fraction": rec.metadata.get("imag_fraction"),
-                "step_doubling_max": rec.metadata.get("step_doubling_max"),
+                "imag_fraction": rec.imag_fraction,
+                "step_doubling_max": rec.step_doubling_max,
                 "recovery_residuals": {
-                    str(k): v for k, v in
-                    rec.metadata.get("recovery_residuals", {}).items()},
+                    str(k): v for k, v in rec.recovery_residuals.items()},
             })
         entries.append(entry)
     summary.update(epsilon_sweep=list(sweep), per_epsilon=entries, metrics={})

@@ -138,9 +138,6 @@ class GevreyCutoffMollifier:
     def support_radius(self) -> float:
         return self.scale * self.base.support_radius
 
-    def with_scale(self, omega: float) -> "GevreyCutoffMollifier":
-        return GevreyCutoffMollifier(self.base, omega)
-
     def __call__(self, x: Array | float) -> Array:
         return scale_mollifier(self.base, self.scale)(x)
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, HyperbolicityError,
                      InvalidParameterError, NumericalError, UnsupportedError)
-from .roots import (RegularisedRoots, bracket, dt_power, separating_shift,
-                    speed_bound)
+from .roots import RegularisedRoots, bracket, dt_power, separating_shift
 
 Array = np.ndarray
 #: an index into a time array: a slice or an integer array
@@ -110,8 +109,6 @@ class PrincipalPart(Protocol):
 
     def row_provider(self, t: Array, xi: Array
                      ) -> Callable[[Index], Array]: ...
-
-    def max_normalised_speed(self) -> float: ...
 
 
 def _steady(columns: Array) -> Array:
@@ -206,9 +203,6 @@ class RootValuePrincipal:
 
         rows.steady = steady
         return rows
-
-    def max_normalised_speed(self) -> float:
-        return speed_bound(self.regularised.base, self.regularised.omega)
 
 
 # -- lower order, forcing, data ----------------------------------------------------

@@ -34,7 +34,8 @@ from .recovery import recover_coefficients
 from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
                         LowerOrderPart, RootValuePrincipal,
                         build_companion, companion_matrix)
-from .roots import OmegaScale, RegularisedRoots, RootFamily, bracket
+from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
+                    speed_bound)
 from .symmetrisers import build_symmetriser
 
 Array = np.ndarray
@@ -56,8 +57,8 @@ class FrequencyGrid:
         if self.points < 2 or self.points & (self.points - 1):
             raise ConfigurationError("grid points must be a power of two",
                                      field="grid.points")
-        if self.box_length <= 0:
-            raise ConfigurationError("box length must be positive",
+        if not 0 < self.box_length < math.inf:
+            raise ConfigurationError("box length must be positive and finite",
                                      field="grid.box_length")
 
     @property
@@ -81,11 +82,12 @@ class FrequencyGrid:
 
     def check_fit(self, support_radius: float, max_speed: float,
                   horizon: float) -> None:
-        needed = support_radius + max_speed * horizon + CONE_MARGIN
-        if needed > 0.5 * self.box_length:
+        needed = auto_box_length(support_radius, max_speed, horizon,
+                                 CONE_MARGIN)
+        if needed > self.box_length:
             raise ConfigurationError(
                 f"box length {self.box_length:g} too small: causal cone "
-                f"needs at least {2 * needed:g}", field="grid.box_length")
+                f"needs at least {needed:g}", field="grid.box_length")
 
     def synthesise(self, uhat: Array) -> Array:
         """Inverse transform of line-transform samples onto the x nodes.
@@ -116,6 +118,8 @@ def data_support_radius(data: Sequence[RoughProfile],
 
 def auto_box_length(support_radius: float, max_speed: float, horizon: float,
                     margin: float) -> float:
+    """Length of the box that holds the causal cone up to ``horizon``, with
+    ``margin`` to spare on each side."""
     return 2.0 * (support_radius + max_speed * horizon + margin)
 
 
@@ -124,10 +128,9 @@ def auto_box_length(support_radius: float, max_speed: float, horizon: float,
 
 @dataclass
 class IntegrationResult:
-    traces: Array                  # (m, n_tracked, nt + 1)
-    first_component: Array | None  # (n_out, K)
-    output_steps: tuple[int, ...]
-    final_state: Array             # (m, K)
+    traces: Array           # (m, n_tracked, nt + 1)
+    first_component: Array  # (n_out, K)
+    final_state: Array      # (m, K)
     step_doubling_max: float
 
 
@@ -419,8 +422,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         if outcome[member] is None:
             outcome[member] = IntegrationResult(
                 traces=traces[slot],
-                first_component=first[slot] if out_steps else None,
-                output_steps=out_steps, final_state=v[slot],
+                first_component=first[slot], final_state=v[slot],
                 step_doubling_max=float(worst_double[slot]))
     return outcome
 
@@ -434,6 +436,11 @@ class VeryWeakProblem:
 
     ``lower_terms`` holds the rough lower-order coefficients as profiles;
     each epsilon mollifies them on its own scale.
+
+    The problem owns the schedule every epsilon shares: at construction
+    each output time snaps to its nearest step of :attr:`time_grid` and
+    each tracked frequency to its nearest grid frequency, once each, so the
+    solution, its energy traces and any reference are taken at grid values.
     """
 
     family: RootFamily
@@ -447,9 +454,28 @@ class VeryWeakProblem:
     output_times: tuple[float, ...] = (0.0, 0.5, 1.0)
     tracked_frequencies: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        self.output_times = _snap(self.time_grid, self.output_times)
+        self.tracked_frequencies = _snap(self.grid.frequencies,
+                                         self.tracked_frequencies)
+
     @property
     def order(self) -> int:
         return self.family.order
+
+    @cached_property
+    def time_grid(self) -> Array:
+        return np.linspace(0.0, self.horizon, self.time_steps + 1)
+
+    @property
+    def output_steps(self) -> Array:
+        """Indices into :attr:`time_grid` of the output times."""
+        return np.searchsorted(self.time_grid, self.output_times)
+
+    @property
+    def tracked_indices(self) -> Array:
+        """Indices into the grid frequencies of the tracked frequencies."""
+        return self.grid.positions(self.tracked_frequencies)
 
     @cached_property
     def grid_transforms(self) -> tuple[tuple[Array, ...], Array | None]:
@@ -463,20 +489,27 @@ class VeryWeakProblem:
         return data, space
 
 
+def _snap(points: Array, targets: Sequence[float]) -> tuple[float, ...]:
+    """Each target's nearest value among ``points``, each value once, in
+    the order the targets first reach it."""
+    nearest = (float(points[np.argmin(np.abs(points - t))]) for t in targets)
+    return tuple(dict.fromkeys(nearest))
+
+
 @dataclass
 class SolveRecord:
-    """One epsilon's worth of gridded output and per-frequency traces; the
-    net keys it by its epsilon."""
+    """One epsilon's output and diagnostics, or its error: only what varies
+    with epsilon, on the problem's schedule; the net keys it by epsilon."""
 
     omega: float
     u: Array | None = None            # (n_out, K) complex
     uhat: Array | None = None         # (n_out, K) complex
-    output_times: tuple[float, ...] = ()
     traces: Array | None = None       # (m, n_tracked, nt + 1)
-    trace_times: Array | None = None
-    tracked_xi: tuple[float, ...] = ()
     system: CompanionSystem | None = None
-    metadata: dict = field(default_factory=dict)
+    step_doubling_max: float | None = None
+    imag_fraction: float | None = None
+    # reconstruction residual of the recovered coefficients, per order j
+    recovery_residuals: dict[int, float] = field(default_factory=dict)
     error: str | None = None
 
     @property
@@ -494,7 +527,6 @@ class SolutionNet:
     epsilons: tuple[float, ...]
     records: dict[float, SolveRecord]
     grid: FrequencyGrid
-    output_times: tuple[float, ...]
 
     def record(self, epsilon: float) -> SolveRecord:
         return self.records[epsilon]
@@ -510,10 +542,6 @@ class SolutionNet:
 MIN_SWEEP = 3
 
 
-def _nearest_step(t_grid: Array, t: float) -> int:
-    return int(np.argmin(np.abs(t_grid - t)))
-
-
 def build_regularised_system(problem: VeryWeakProblem, epsilon: float
                              ) -> tuple[CompanionSystem, RegularisedRoots]:
     """Regularise coefficients, data and forcing at one epsilon and reduce;
@@ -525,12 +553,12 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     cut-off transform, at the grid positions of the frequencies asked for.
     """
     phi = friedrichs_mollifier()
-    rho_base = GevreyCutoffMollifier(vanishing_moment_mollifier(2), 0.5)
     w = problem.omega(epsilon)
     reg = RegularisedRoots(problem.family, phi, w)
     phi_w = scale_mollifier(phi, w)
     grid = problem.grid
-    rho_hat = rho_base.with_scale(w).fourier_transform(grid.frequencies)
+    rho_hat = GevreyCutoffMollifier(vanishing_moment_mollifier(2), w) \
+        .fourier_transform(grid.frequencies)
 
     def on_grid(transform: Array) -> Callable[[Array], Array]:
         values = transform * rho_hat
@@ -554,73 +582,52 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     return system, reg
 
 
-def _schedule(problem: VeryWeakProblem) -> tuple[Array, list[int], list[int]]:
-    """The time grid, the output steps and the tracked frequency indices."""
-    t_grid = np.linspace(0.0, problem.horizon, problem.time_steps + 1)
-    out_steps = []
-    for t in problem.output_times:
-        step = _nearest_step(t_grid, t)
-        if step not in out_steps:
-            out_steps.append(step)
-    xi_grid = problem.grid.frequencies
-    tracked = []
-    for target in problem.tracked_frequencies:
-        idx = int(np.argmin(np.abs(xi_grid - target)))
-        if idx not in tracked:
-            tracked.append(idx)
-    return t_grid, out_steps, tracked
-
-
 def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
     """The regularised system at one epsilon, once its box is checked."""
     system, reg = build_regularised_system(problem, epsilon)
-    # support transport speed |d lambda / d xi|, within roots.speed_bound
     problem.grid.check_fit(data_support_radius(problem.data, problem.forcing),
-                           system.principal.max_normalised_speed(),
+                           speed_bound(problem.family, reg.omega),
                            problem.horizon)
     return system, reg
 
 
+def _integrate(problem: VeryWeakProblem, prepared: Sequence[tuple],
+               epsilons: Sequence[float]
+               ) -> list[IntegrationResult | WeakHypError]:
+    """One :func:`integrate_companion` batch of the prepared systems, on
+    the problem's schedule."""
+    return integrate_companion(
+        [system for system, _ in prepared], problem.grid.frequencies,
+        problem.time_grid, epsilons, tracked_indices=problem.tracked_indices,
+        output_steps=problem.output_steps)
+
+
 def _record(problem: VeryWeakProblem, prepared: tuple,
-            result: IntegrationResult, t_grid: Array,
-            tracked: list[int]) -> SolveRecord:
+            result: IntegrationResult) -> SolveRecord:
     """Synthesise one epsilon's integration and add its diagnostics."""
     system, reg = prepared
     m = problem.order
     grid = problem.grid
-    xi_grid = grid.frequencies
-    br = bracket(xi_grid)
-    uhat = result.first_component * br[None, :] ** (1 - m)
+    uhat = result.first_component * bracket(grid.frequencies) ** (1 - m)
     u = grid.synthesise(uhat)
-    metadata = {
-        "step_doubling_max": result.step_doubling_max,
-        "imag_fraction": float(np.max(np.abs(u.imag))
-                               / max(np.max(np.abs(u)), 1e-300)),
-    }
     t_diag = np.linspace(0.0, problem.horizon, 9)
-    residuals = {}
-    for j in range(1, m + 1):
-        cs = recover_coefficients(reg, j, 1)
-        residuals[j] = cs.reconstruction_residual(t_diag)
-    metadata["recovery_residuals"] = residuals
     return SolveRecord(
-        omega=reg.omega, u=u, uhat=uhat,
-        output_times=tuple(float(t_grid[s]) for s in result.output_steps),
-        traces=result.traces, trace_times=t_grid,
-        tracked_xi=tuple(float(xi_grid[i]) for i in tracked),
-        system=system, metadata=metadata)
+        omega=reg.omega, u=u, uhat=uhat, traces=result.traces, system=system,
+        step_doubling_max=result.step_doubling_max,
+        imag_fraction=float(np.max(np.abs(u.imag))
+                            / max(np.max(np.abs(u)), 1e-300)),
+        recovery_residuals={
+            j: recover_coefficients(reg, j, 1).reconstruction_residual(t_diag)
+            for j in range(1, m + 1)})
 
 
 def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
     """Run the full pipeline at one epsilon, as the sweep's batch of one."""
-    t_grid, out_steps, tracked = _schedule(problem)
     prepared = _prepare(problem, epsilon)
-    result, = integrate_companion([prepared[0]], problem.grid.frequencies,
-                                  t_grid, [epsilon], tracked_indices=tracked,
-                                  output_steps=out_steps)
+    result, = _integrate(problem, [prepared], [epsilon])
     if isinstance(result, WeakHypError):
         raise result
-    return _record(problem, prepared, result, t_grid, tracked)
+    return _record(problem, prepared, result)
 
 
 def solve_very_weak(problem: VeryWeakProblem,
@@ -628,12 +635,14 @@ def solve_very_weak(problem: VeryWeakProblem,
     """Solve the regularised family over a decreasing epsilon sweep.
 
     Each epsilon's system is built on its own; then one
-    :func:`integrate_companion` call steps every built system as a batch,
-    and each epsilon is synthesised from its member's result.  Package
-    errors (:class:`WeakHypError`, with numpy's ``LinAlgError`` raised as
-    :class:`NumericalError`) are attached to their epsilon as stage
-    failures and the sweep continues; any other exception is a bug and
-    propagates.  Outputs are deterministic given the problem.
+    :func:`integrate_companion` call steps every built system as a batch on
+    the problem's schedule, and each epsilon is synthesised from its
+    member's result into a :class:`SolveRecord` that holds only what
+    varies with epsilon.  Package errors (:class:`WeakHypError`, with
+    numpy's ``LinAlgError`` raised as :class:`NumericalError`) are attached
+    to their epsilon as stage failures and the sweep continues; any other
+    exception is a bug and propagates.  Outputs are deterministic given the
+    problem.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < MIN_SWEEP:
@@ -643,7 +652,6 @@ def solve_very_weak(problem: VeryWeakProblem,
         raise InvalidParameterError("epsilon values must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise InvalidParameterError("epsilon sweep must decrease strictly")
-    t_grid, out_steps, tracked = _schedule(problem)
 
     def failed(exc: WeakHypError) -> SolveRecord:
         return SolveRecord(omega=float("nan"),
@@ -665,17 +673,13 @@ def solve_very_weak(problem: VeryWeakProblem,
             records[e] = built
         else:
             prepared[e] = built
-    results = integrate_companion(
-        [built[0] for built in prepared.values()], problem.grid.frequencies,
-        t_grid, list(prepared), tracked_indices=tracked,
-        output_steps=out_steps)
+    results = _integrate(problem, list(prepared.values()), list(prepared))
     for (e, built), result in zip(prepared.items(), results):
         records[e] = failed(result) if isinstance(result, WeakHypError) \
-            else attempt(_record, problem, built, result, t_grid, tracked)
+            else attempt(_record, problem, built, result)
     return SolutionNet(epsilons=tuple(eps),
                        records={e: records[e] for e in eps},
-                       grid=problem.grid,
-                       output_times=problem.output_times)
+                       grid=problem.grid)
 
 
 # -- energy ---------------------------------------------------------------------

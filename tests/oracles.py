@@ -83,7 +83,6 @@ class PolynomialPrincipal:
 
     order: int
     coefficients: Mapping[int, Callable[[Array], Array]]
-    speed_bound: float = 1.0
 
     def __post_init__(self):
         missing = [d for d in range(1, self.order + 1)
@@ -94,15 +93,14 @@ class PolynomialPrincipal:
                 field="principal")
 
     @staticmethod
-    def from_coefficient_sets(sets: Mapping[int, HomogeneousCoefficientSet],
-                              speed_bound: float = 1.0) -> "PolynomialPrincipal":
+    def from_coefficient_sets(sets: Mapping[int, HomogeneousCoefficientSet]
+                              ) -> "PolynomialPrincipal":
         coeffs = {}
         for degree, cset in sets.items():
             if cset.dimension != 1:
                 raise UnsupportedError("companion assembly is one-dimensional")
             coeffs[degree] = coefficient(cset, (degree,))
-        return PolynomialPrincipal(order=max(sets), coefficients=coeffs,
-                                   speed_bound=speed_bound)
+        return PolynomialPrincipal(order=max(sets), coefficients=coeffs)
 
     def roots(self, t: Array, xi: Array) -> Array:
         """Sorted companion eigenvalues (T, m, K) at the times ``t``."""
@@ -134,9 +132,6 @@ class PolynomialPrincipal:
         bits = values.view(np.int64)
         rows.steady = (bits[1:] == bits[:-1]).all(axis=1)
         return rows
-
-    def max_normalised_speed(self) -> float:
-        return self.speed_bound
 
 
 def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
@@ -262,7 +257,7 @@ def fourier_approximation_rate(p: RoughProfile, g: GevreyCutoffMollifier,
     p_hat = p.fourier_transform(xi)
     errors = []
     for w in omegas:
-        rho_hat = g.with_scale(w).fourier_transform(xi)
+        rho_hat = GevreyCutoffMollifier(g.base, w).fourier_transform(xi)
         errors.append(float(np.max(np.abs(p_hat * (rho_hat - 1.0)) * weight)))
     errors_arr = np.asarray(errors)
     if np.all(errors_arr < 1e-300):

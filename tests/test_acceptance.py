@@ -126,9 +126,9 @@ def test_criterion_04_energy_conservation_and_growth_rate():
         output_times=(1.0,), tracked_frequencies=(2.0, 8.0, 16.0))
     rec = solve_single(problem, 2.0 ** -30)
     worst_drift = 0.0
-    for i, xi in enumerate(rec.tracked_xi):
-        trace = energy_trace(rec.system, rec.traces[:, i, :], rec.trace_times,
-                             xi, sample_stride=8)
+    for i, xi in enumerate(problem.tracked_frequencies):
+        trace = energy_trace(rec.system, rec.traces[:, i, :],
+                             problem.time_grid, xi, sample_stride=8)
         worst_drift = max(worst_drift, max_relative_drift(trace))
     conservation_ok = worst_drift <= 1e-8
 
@@ -146,9 +146,9 @@ def test_criterion_04_energy_conservation_and_growth_rate():
             tracked_frequencies=(4.0, 8.0, 16.0, 24.0))
         rec = solve_single(prob, omega)  # linear scale: omega(eps) = eps
         best = 0.0
-        for i, xi in enumerate(rec.tracked_xi):
+        for i, xi in enumerate(prob.tracked_frequencies):
             trace = energy_trace(rec.system, rec.traces[:, i, :],
-                                 rec.trace_times, xi, sample_stride=8)
+                                 prob.time_grid, xi, sample_stride=8)
             rate = fitted_growth_rate(trace)
             if rate is not None:
                 best = max(best, rate)

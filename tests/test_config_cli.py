@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import subprocess
@@ -313,6 +314,9 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  "reduce.frequencies[0]", id="string_reduce_frequency"),
     pytest.param("sweep", "analysis", {"require_ratio_two": "false"},
                  "analysis.require_ratio_two", id="string_flag"),
+    # JSON readers accept NaN and Infinity, and a number field takes neither
+    pytest.param("sweep", "analysis", {"nu": float("nan")}, "analysis.nu",
+                 id="nan_nu"),
     # so does every number of a profile or root preset
     pytest.param("solve", "data", [{"preset": "constant", "value": True},
                                    {"preset": "zero"}],
@@ -327,6 +331,8 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  "grid.output_times[1]", id="output_time_past_horizon"),
     pytest.param("solve", "grid", {"output_times": [-0.1, 1.0]},
                  "grid.output_times[0]", id="negative_output_time"),
+    pytest.param("solve", "grid", {"output_times": []}, "grid.output_times",
+                 id="no_output_times"),
     *(pytest.param(subcommand, subcommand, {key: bad},
                    f"{subcommand}.{key}", id=f"{subcommand}_{key}_{bad}")
       for subcommand, key, bad in (
@@ -364,6 +370,10 @@ def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
 
 
 @pytest.mark.parametrize("key, bad", [("time_steps", 0), ("box_length", -4),
+                                      ("box_length", float("inf")),
+                                      ("box_length", float("nan")),
+                                      pytest.param("box_length", 10 ** 400,
+                                                   id="box_length-huge_int"),
                                       ("margin", 0.2)])
 def test_cli_malformed_grid_is_a_config_error(tmp_path, capsys, key, bad):
     raw = _base_config()
@@ -382,6 +392,48 @@ def test_cli_malformed_grid_is_a_config_error(tmp_path, capsys, key, bad):
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert [e["ok"] for e in summary["per_epsilon"]] == [True] * 3
+
+
+def _solve_wave(tmp_path, output_times, sweep):
+    """``solve`` on the wave of speed 1 with a d'Alembert reference, on 128
+    points and 256 steps; returns its output directory."""
+    raw = _base_config()
+    raw["regularisation"]["epsilon_sweep"] = sweep
+    raw["grid"] = {"points": 128, "time_steps": 256,
+                   "output_times": output_times}
+    raw["reference"] = {"kind": "dalembert", "speed": 1.0}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    return out
+
+
+def test_cli_output_times_on_one_step_are_written_once(tmp_path):
+    # 0.001 snaps to step 0, like 0.0: two distinct steps, and the
+    # reference is taken at those two times too
+    sweep = [0.5, 0.25, 0.125]
+    out = _solve_wave(tmp_path, [0.0, 0.001, 1.0], sweep)
+    with open(out / "solution.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(sweep) * 2 * 128
+    for i, e in enumerate(sweep):
+        block = rows[i * 256:(i + 1) * 256]
+        assert {float(r["epsilon"]) for r in block} == {e}
+        assert [float(r["time"]) for r in block] == [0.0] * 128 + [1.0] * 128
+    summary = _framed_summary(out)
+    assert [row[0] for row in summary["reference"]["errors"]] == sweep
+
+
+def test_cli_reference_is_taken_at_the_snapped_time(tmp_path):
+    # 0.3 is no step of 256 on [0, 1]; the solution is written at the
+    # nearest step, 77/256, and the reference must be taken there too
+    out = _solve_wave(tmp_path, [0.3], [2.0 ** -16, 2.0 ** -17, 2.0 ** -18])
+    with open(out / "solution.csv", newline="") as handle:
+        assert {float(r["time"]) for r in csv.DictReader(handle)} \
+            == {77 / 256}
+    metrics = _framed_summary(out)["metrics"]
+    assert metrics["dalembert_linf_error"] <= 1e-5
 
 
 def test_profile_roots_may_meet():

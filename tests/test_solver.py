@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import subprocess
 import sys
 from dataclasses import dataclass, replace
@@ -60,6 +61,12 @@ def _unit_data(m):
 def test_grid_requires_power_of_two():
     with pytest.raises(ConfigurationError):
         FrequencyGrid(100, 6.0)
+
+
+def test_grid_requires_a_positive_finite_box():
+    for box in (0.0, -4.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            FrequencyGrid(64, box)
 
 
 def test_grid_fit_check():
@@ -323,6 +330,21 @@ def wave_problem():
         output_times=(0.0, 1.0), tracked_frequencies=(2.0, 8.0))
 
 
+def test_problem_snaps_its_schedule(wave_problem):
+    # 384 steps on [0, 1]: 0.3 lies nearest step 115 and 0.001 step 0; the
+    # grid frequencies are 2 pi n / 6.4, so 2.0 and 2.1 both snap to n = 2
+    problem = replace(wave_problem, output_times=(0.3, 0.0, 0.001, 0.3),
+                      tracked_frequencies=(2.0, 8.0, 2.1))
+    xi = problem.grid.frequencies
+    assert problem.output_times == (problem.time_grid[115], 0.0)
+    assert np.array_equal(problem.output_steps, [115, 0])
+    assert problem.tracked_frequencies == (xi[2], xi[8])
+    assert np.array_equal(problem.tracked_indices, [2, 8])
+    # the snapped schedule is a fixed point
+    assert replace(problem).output_times == problem.output_times
+    assert replace(problem).tracked_frequencies == problem.tracked_frequencies
+
+
 def test_pipeline_matches_dalembert(wave_problem):
     rec = solve_single(wave_problem, 2.0 ** -18)
     x = wave_problem.grid.x_nodes
@@ -331,7 +353,7 @@ def test_pipeline_matches_dalembert(wave_problem):
     # the separating shift breaks exact transform symmetry at size ~omega,
     # so the reality check is asserted in the vanishing-separation regime
     tiny = solve_single(wave_problem, 2.0 ** -40)
-    assert tiny.metadata["imag_fraction"] <= 1e-8
+    assert tiny.imag_fraction <= 1e-8
 
 
 def test_pipeline_transport_reference():
@@ -639,8 +661,7 @@ def _assert_same_record(batched, solo):
     assert batched.ok and solo.ok
     for name in ("u", "uhat", "traces"):
         assert np.array_equal(getattr(batched, name), getattr(solo, name))
-    assert batched.metadata["step_doubling_max"] \
-        == solo.metadata["step_doubling_max"]
+    assert batched.step_doubling_max == solo.step_doubling_max
 
 
 def test_sweep_records_equal_solo_runs():
