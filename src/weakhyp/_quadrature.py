@@ -168,9 +168,10 @@ def oscillatory_panel(fn: Callable[[np.ndarray], np.ndarray],
     n_start = np.minimum(n_start, n_max // 4)
     pending = np.arange(xi.size)
     n_current = (2 ** np.ceil(np.log2(n_start))).astype(int)
-    for n in np.unique(n_current):
+    # the distinct node counts, ascending; np.unique would import numpy.ma
+    for n in sorted(set(n_current.tolist())):
         sel = np.flatnonzero(n_current == n)
-        result[sel] = one_batch(xi[sel], int(n))
+        result[sel] = one_batch(xi[sel], n)
     scale = max(float(np.max(np.abs(result))), 1e-30)
     while pending.size:
         n_next = n_current[pending] * 2
@@ -180,9 +181,9 @@ def oscillatory_panel(fn: Callable[[np.ndarray], np.ndarray],
                 f"oscillatory integral: {bad.size} frequencies did not "
                 f"converge with {n_max} nodes")
         fresh = np.empty(pending.size, dtype=complex)
-        for n in np.unique(n_next):
+        for n in sorted(set(n_next.tolist())):
             sel = n_next == n
-            fresh[sel] = one_batch(xi[pending[sel]], int(n))
+            fresh[sel] = one_batch(xi[pending[sel]], n)
         err = np.abs(fresh - result[pending])
         result[pending] = fresh
         n_current[pending] = n_next

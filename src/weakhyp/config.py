@@ -13,7 +13,6 @@ exit status 2.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -31,6 +30,16 @@ from .roots import (OmegaScale, RootFamily, constant_roots, linear_scale,
                     logarithmic_scale, roots_from_time_profiles,
                     transport_roots, wave_speed_roots)
 from .solver import MIN_SWEEP
+
+# SHA-256 from the interpreter's own module, as ``random`` takes SHA-512:
+# hashlib loads OpenSSL, several MB, to hash one short echo
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: fewest epsilons each subcommand that solves a net needs: ``solve``
 #: compares epsilons, and ``sweep`` also fits the moderateness exponent
@@ -60,9 +69,10 @@ def require(mapping: Mapping, key: str, path: str) -> Any:
 
 
 def integer(value: Any, path: str) -> int:
-    """``value`` as an int; anything but an integral number, a boolean
-    included, is a ConfigurationError naming ``path``."""
+    """``value`` as an int; anything but an integral number in the float
+    range, a boolean included, is a ConfigurationError naming ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max \
             or not float(value).is_integer():
         raise ConfigurationError(f"'{path}' must be an integer, got {value!r}",
                                  field=path)
@@ -333,4 +343,4 @@ def config_echo(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(config_echo(cfg).encode("utf-8")).hexdigest()
+    return sha256(config_echo(cfg).encode("utf-8")).hexdigest()

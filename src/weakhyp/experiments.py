@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .mollifiers import friedrichs_mollifier
 from .recovery import build_direction_plan, random_round_trip_study
 from .reduction import (LowerOrderPart, LowerTerm, cofactor_matrix,
                         random_hyperbolic_system, to_block_sylvester)
-from .reports import write_csv, write_json
+from .reports import RowSource, write_csv, write_json
 from .roots import speed_bound
 from .solver import (CONE_MARGIN, FrequencyGrid, SolutionNet,
                      VeryWeakProblem, auto_box_length, dalembert_reference,
@@ -40,7 +40,9 @@ from .symmetrisers import (build_symmetriser, vandermonde_product_squared,
                            verify_quadratic_bounds)
 
 Array = np.ndarray
-Tables = dict[str, tuple[tuple, list]]
+#: table name -> (header, rows); rows are a list or a sized
+#: :class:`RowSource`
+Tables = dict[str, tuple[tuple, Sequence | RowSource]]
 
 #: the time at which the ``reduce`` audit samples each system; the systems
 #: of :func:`random_hyperbolic_system` have constant coefficients, so no
@@ -204,33 +206,49 @@ def _reference(cfg: ExperimentConfig, problem: VeryWeakProblem
 
 def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
                 tables: Tables) -> None:
-    x = problem.grid.x_nodes
-    xi = problem.grid.frequencies
-    sol_rows = []
-    spec_rows = []
-    for e in net.ok_epsilons():
-        rec = net.record(e)
-        for row, t in enumerate(problem.output_times):
-            for k in range(x.size):
-                sol_rows.append((e, t, float(x[k]),
-                                 float(rec.u[row, k].real),
-                                 float(rec.u[row, k].imag)))
-            for k in range(xi.size):
-                spec_rows.append((e, t, float(xi[k]),
-                                  float(abs(rec.uhat[row, k]))))
-    tables["solution"] = (("epsilon", "time", "x", "re_u", "im_u"), sol_rows)
-    tables["spectrum"] = (("epsilon", "time", "xi", "abs_uhat"), spec_rows)
-    energy_rows = []
-    times = problem.time_grid
+    """The solution, spectrum and energy tables of the solved epsilons, as
+    row sources that make each row, of Python floats, as it is written."""
+    ok = net.ok_epsilons()
+    times = problem.output_times
+    x = problem.grid.x_nodes.tolist()
+    xi = problem.grid.frequencies.tolist()
+
+    def solution() -> Iterator[tuple]:
+        for e in ok:
+            u = net.record(e).u
+            for t, re_u, im_u in zip(times, u.real.tolist(), u.imag.tolist()):
+                for row in zip(x, re_u, im_u):
+                    yield (e, t) + row
+
+    def spectrum() -> Iterator[tuple]:
+        for e in ok:
+            # Python's complex abs, as numpy's scalar abs: the vectorised
+            # np.abs may round the last bit differently
+            for t, uhat in zip(times, net.record(e).uhat.tolist()):
+                for row in zip(xi, map(abs, uhat)):
+                    yield (e, t) + row
+
+    cells = len(ok) * len(times)
+    tables["solution"] = (("epsilon", "time", "x", "re_u", "im_u"),
+                          RowSource(cells * len(x), solution))
+    tables["spectrum"] = (("epsilon", "time", "xi", "abs_uhat"),
+                          RowSource(cells * len(xi), spectrum))
     stride = max(1, problem.time_steps // 64)
-    for e in net.ok_epsilons():
-        rec = net.record(e)
-        for i, xi_val in enumerate(problem.tracked_frequencies):
-            trace = energy_trace(rec.system, rec.traces[:, i, :], times,
-                                 xi_val, sample_stride=stride)
-            for t, en in zip(trace.times, trace.energies):
-                energy_rows.append((e, xi_val, float(t), float(en)))
-    tables["energy"] = (("epsilon", "xi", "time", "energy"), energy_rows)
+    traces = [(e, xi_val, energy_trace(net.record(e).system,
+                                       net.record(e).traces[:, i, :],
+                                       problem.time_grid, xi_val,
+                                       sample_stride=stride))
+              for e in ok
+              for i, xi_val in enumerate(problem.tracked_frequencies)]
+
+    def energy() -> Iterator[tuple]:
+        for e, xi_val, trace in traces:
+            for t, en in zip(trace.times.tolist(), trace.energies.tolist()):
+                yield e, xi_val, t, en
+
+    tables["energy"] = (("epsilon", "xi", "time", "energy"),
+                        RowSource(sum(trace.times.size
+                                      for _, _, trace in traces), energy))
 
 
 def _solve_net(problem: VeryWeakProblem, sweep: tuple[float, ...],

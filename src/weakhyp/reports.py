@@ -2,8 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+
+@dataclass(frozen=True)
+class RowSource:
+    """``count`` rows that ``make()`` yields as they are written: a sized
+    iterable, so a table states its length without holding its rows."""
+
+    count: int
+    make: Callable[[], Iterator[Sequence[Any]]]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Sequence[Any]]:
+        return self.make()
 
 
 def format_number(x: Any) -> str:
@@ -19,13 +35,15 @@ def format_number(x: Any) -> str:
 
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence[Any]]) -> None:
-    """Fixed column order, header row, newline-terminated records."""
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(format_number(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Fixed column order, header row, newline-terminated records, written
+    one by one as ``rows`` yields them."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"row width {len(row)} != header width {len(header)}")
+            handle.write(",".join(format_number(v) for v in row) + "\n")
 
 
 def _json_render(value: Any, indent: int) -> str:

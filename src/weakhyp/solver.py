@@ -141,13 +141,37 @@ class IntegrationResult:
 _ROW_BLOCK_BYTES = 1 << 18
 
 
+#: relative margin below the limit under which the Frobenius screen clears
+#: an entry: more than the rounding of the screen and of the SVD, so an
+#: entry within rounding of the limit gets its exact norm
+_SCREEN_MARGIN = 1e-9
+
+
 def _estimate_norm(rows: Callable[[Index], Array], index: Array,
-                   br: Array) -> float:
-    """Largest spectral norm of A + B at the times ``index`` selects;
-    ``rows`` gives the last rows of A + B."""
-    mats = companion_matrix(np.moveaxis(rows(index), 1, 0).astype(complex),
-                            br)
-    return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
+                   br: Array, limit: float) -> float:
+    """A bound on the largest spectral norm of A + B at the times ``index``
+    selects, equal to it whenever it exceeds ``limit``; ``rows`` gives the
+    last rows of A + B.
+
+    Each entry (time, frequency) is screened by its Frobenius norm, whose
+    square ``(m - 1) <xi>^2 + sum_h |row_h|^2`` is read from the rows and
+    which bounds its spectral norm.  Only the entries whose screen does not
+    clear the limit get their largest singular value; the others count
+    with their screen, which is below the limit.
+    """
+    block = rows(index)                                  # (T, m, K)
+    m = block.shape[1]
+    frobenius = np.sqrt((m - 1) * br * br
+                        + np.square(np.abs(block)).sum(axis=1))
+    flagged = frobenius > (1.0 - _SCREEN_MARGIN) * limit
+    cleared = float(frobenius[~flagged].max(initial=0.0))
+    if not flagged.any():
+        return cleared
+    times, freqs = np.nonzero(flagged)
+    mats = companion_matrix(block[times, :, freqs].T.astype(complex),
+                            br[freqs])
+    return max(cleared,
+               float(np.linalg.svd(mats, compute_uv=False)[:, 0].max()))
 
 
 def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
@@ -194,9 +218,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     Failures are per member, and the others step on.  Before stepping,
     each member must satisfy h * max||A + B|| <= 0.5 at nine grid times,
-    read as one block, or it gets a :class:`StabilityError` that reports
-    the required step.  A non-finite state, checked every 64 steps and
-    after the last one, gives its member a :class:`DivergenceError`; the
+    read as one block and screened by Frobenius norms (see
+    :func:`_estimate_norm`), or it gets a :class:`StabilityError` that
+    reports the required step.  A non-finite state, checked every 64 steps
+    and after the last one, gives its member a :class:`DivergenceError`; the
     member keeps its slot with its state zeroed, and since every operation
     is elementwise the others' bits do not change.  Stepping stops once no
     member is left.  A package error while a member sets up (``LinAlgError``
@@ -232,9 +257,11 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     # stage times as indices q on the quarter-step lattice t_0 + q h / 4: the
     # half-step grid, plus the quarter steps of the step-doubling steps
+    on_lattice = np.zeros(4 * nt + 1, dtype=bool)
+    on_lattice[::2] = True
     doubled = 4 * np.arange(0, nt, stride)
-    lattice = np.union1d(np.arange(0, 4 * nt + 1, 2),
-                         np.concatenate([doubled + 1, doubled + 3]))
+    on_lattice[doubled + 1] = on_lattice[doubled + 3] = True
+    lattice = np.flatnonzero(on_lattice)
     stage_times = t_grid[0] + 0.25 * h * lattice
     # position[q] is the index of lattice point q in ``lattice``
     position = np.searchsorted(lattice, np.arange(4 * nt + 1))
@@ -253,7 +280,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
             block = prow(index)
             return block if brow is None else block + brow(index)
 
-        norm = _estimate_norm(rows, sample, br)
+        norm = _estimate_norm(rows, sample, br, (0.5 + 1e-12) / h)
         if h * norm > 0.5 + 1e-12:
             required_step = 0.5 / norm
             required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))

@@ -7,7 +7,9 @@ relative energy drift and the fitted growth rate of a trace, the
 approximation-rate audit of the
 cutoff mollifier, the staged RK4 loop that the integrator's step matrices
 replace on constant stretches and the per-entry pass that found those
-stretches by comparing rows, the tau-coefficients of an adjugate, the
+stretches by comparing rows, the stability gate's full SVD of every
+sampled entry that its Frobenius screen replaced, the tau-coefficients of
+an adjugate, the
 per-item paths that the batched audits replaced (the per-tuple symmetriser
 and its audit loop, and the per-root symmetric functions of the recovery),
 and the per-direction root profiles that the coefficient contraction
@@ -196,6 +198,17 @@ def staged_rk4(system: CompanionSystem, xi: Array, t_grid: Array) -> Array:
         k4 = rhs(2 * i + 2, v + h * k3)
         states.append(v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return np.array(states)
+
+
+def estimate_norm_svd(rows: Callable[[Index], Array], index: Array,
+                      br: Array, limit: float = math.inf) -> float:
+    """Largest spectral norm of A + B at the times ``index`` selects, from
+    the singular values of every entry: the stability gate before its
+    Frobenius screen.  ``limit`` is not read; it lets this stand in for the
+    screened gate."""
+    mats = companion_matrix(np.moveaxis(rows(index), 1, 0).astype(complex),
+                            br)
+    return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
 
 
 def fitted_growth_rate(trace: EnergyTrace) -> float | None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import subprocess
@@ -13,9 +14,9 @@ from weakhyp.cli import main
 from weakhyp.config import (config_echo, config_hash, load_config,
                             validate_config)
 from weakhyp.errors import ConfigurationError
-from weakhyp.experiments import build_problem
-from weakhyp.reports import write_csv
-from weakhyp.solver import CONE_MARGIN
+from weakhyp.experiments import _net_tables, build_problem
+from weakhyp.reports import RowSource, write_csv
+from weakhyp.solver import CONE_MARGIN, solve_very_weak
 
 from oracles import sigma_per_root, symmetriser_audit_rows
 
@@ -102,6 +103,15 @@ def test_config_round_trip_equality(tmp_path):
     redumped = json.loads(json.dumps(cfg.raw))
     assert redumped == cfg.raw
     assert config_hash(validate_config(redumped)) == config_hash(cfg)
+
+
+def test_config_hash_is_the_sha256_of_the_echo():
+    labelled = _base_config()
+    labelled["run"]["label"] = "ε sweep, ω = ε"
+    for raw in (_base_config(), labelled):
+        cfg = validate_config(raw)
+        assert config_hash(cfg) == hashlib.sha256(
+            config_echo(cfg).encode("utf-8")).hexdigest()
 
 
 def test_config_echo_is_flat_and_sorted():
@@ -374,6 +384,8 @@ def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
                                       ("box_length", float("nan")),
                                       pytest.param("box_length", 10 ** 400,
                                                    id="box_length-huge_int"),
+                                      pytest.param("time_steps", 10 ** 400,
+                                                   id="time_steps-huge_int"),
                                       ("margin", 0.2)])
 def test_cli_malformed_grid_is_a_config_error(tmp_path, capsys, key, bad):
     raw = _base_config()
@@ -598,3 +610,68 @@ def test_cli_audit_csvs_equal_the_per_item_paths(tmp_path, monkeypatch):
     table = run("roundtrip", "table")
     monkeypatch.setattr(recovery, "sigma_table", sigma_per_root)
     assert run("roundtrip", "per_root") == table
+
+
+def test_write_csv_takes_a_sized_row_source(tmp_path):
+    header = ("index", "value")
+    rows = [(i, 0.1 * i) for i in range(7)]
+    write_csv(tmp_path / "list.csv", header, rows)
+    source = RowSource(7, lambda: ((i, 0.1 * i) for i in range(7)))
+    write_csv(tmp_path / "source.csv", header, source)
+    assert len(source) == 7
+    assert (tmp_path / "source.csv").read_bytes() \
+        == (tmp_path / "list.csv").read_bytes()
+    for bad in ([(1, 2.0), (3,)], RowSource(1, lambda: iter([(1, 2.0, 3)]))):
+        with pytest.raises(ValueError, match="row width"):
+            write_csv(tmp_path / "bad.csv", header, bad)
+
+
+def test_net_tables_state_the_rows_they_write(tmp_path):
+    raw = _base_config()
+    raw["grid"].update(output_times=[0.0, 0.5, 1.0],
+                       tracked_frequencies=[2.0, 5.0])
+    cfg = validate_config(raw)
+    problem = build_problem(cfg)
+    tables = {}
+    _net_tables(solve_very_weak(problem, cfg.epsilon_sweep), problem, tables)
+    assert sorted(tables) == ["energy", "solution", "spectrum"]
+    for name, (header, rows) in tables.items():
+        write_csv(tmp_path / f"{name}.csv", header, rows)
+        with open(tmp_path / f"{name}.csv", newline="") as handle:
+            written = list(csv.reader(handle))
+        assert written[0] == list(header)
+        assert len(written) - 1 == len(rows) > 0
+        # a source may be written again, and gives the same rows
+        assert sum(1 for _ in rows) == len(rows)
+
+
+# Run in a fresh process: which modules a solve and a sweep leave loaded.
+_FOOTPRINT_PROBE = r"""
+import json, sys
+from weakhyp.cli import main
+config, out = sys.argv[1:]
+status = [main([sub, "--config", config, "--out", f"{out}/{sub}"])
+          for sub in ("solve", "sweep")]
+loaded = [name for name in ("_hashlib", "numpy.ma") if name in sys.modules]
+print(json.dumps({"status": status, "loaded": loaded}))
+"""
+
+
+def test_solve_and_sweep_load_neither_openssl_nor_numpy_ma(tmp_path):
+    # the config hash takes the interpreter's own SHA-256, and the solve
+    # path calls no numpy set routine, which would import numpy.ma
+    raw = _base_config()
+    raw["roots"] = {"preset": "heaviside", "jump": 0.5, "low": 1.0,
+                    "high": 4.0}
+    raw["regularisation"]["epsilon_sweep"] = [0.25, 0.125, 0.0625, 0.03125]
+    raw["grid"] = {"points": 64, "time_steps": 256,
+                   "output_times": [0.5, 1.0]}
+    raw["reference"] = {"kind": "fine_epsilon"}
+    path = tmp_path / "footprint.json"
+    path.write_text(json.dumps(raw))
+    probe = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, str(path), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result == {"status": [0, 0], "loaded": []}

@@ -26,7 +26,7 @@ from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             energy_trace, integrate_companion, solve_single,
                             solve_very_weak, transport_reference)
 
-from oracles import (PolynomialPrincipal, constant_entries,
+from oracles import (PolynomialPrincipal, constant_entries, estimate_norm_svd,
                      max_relative_drift, staged_rk4, symmetriser_figures,
                      trapezoid)
 
@@ -690,6 +690,112 @@ def test_stability_reject_leaves_the_other_epsilons_unchanged():
     assert info.value.required_steps > 96
     for e in (0.3, 0.1):
         _assert_same_record(net.record(e), solve_single(problem, e))
+
+
+def _counted_svd(monkeypatch) -> list:
+    """Count the calls of numpy's SVD from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _gate_cases():
+    """(systems, frequencies, time grid, epsilons) of batches on which the
+    Frobenius screen does not clear every member."""
+    yield ([build_companion(_wave_principal(), data=_unit_data(2))],
+           np.array([200.0]), np.linspace(0.0, 1.0, 17), [1.0])
+    problem = VeryWeakProblem(
+        family=constant_roots([-1.0, 1.0]),
+        data=(bump_profile(0.0, 1.0), zero_profile()),
+        grid=FrequencyGrid(64, auto_box_length(1.0, 2.8, 1.0, 1.0)),
+        time_steps=96, horizon=1.0, omega=linear_scale(),
+        output_times=(1.0,), tracked_frequencies=(2.0,))
+    yield ([build_regularised_system(problem, e)[0] for e in (0.9, 0.3, 0.1)],
+           problem.grid.frequencies, problem.time_grid, [0.9, 0.3, 0.1])
+    # complex rows; at 50 steps the screen flags all three members and the
+    # SVD rejects two, at 62 it flags the first only and the SVD passes it
+    for steps in (50, 62):
+        problem = replace(_lower_problem(), time_steps=steps)
+        epsilons = [0.5, 0.25, 0.125]
+        yield ([build_regularised_system(problem, e)[0] for e in epsilons],
+               problem.grid.frequencies, problem.time_grid, epsilons)
+
+
+def test_stability_screen_decides_as_the_full_svd(monkeypatch):
+    # the full SVD of every sampled entry is the oracle
+    for systems, xi, t_grid, epsilons in _gate_cases():
+        with monkeypatch.context() as patch:
+            calls = _counted_svd(patch)
+            screened = integrate_companion(systems, xi, t_grid, epsilons,
+                                           tracked_indices=(0,))
+        assert calls, "the screen cleared every member"
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_estimate_norm", estimate_norm_svd)
+            full = integrate_companion(systems, xi, t_grid, epsilons,
+                                       tracked_indices=(0,))
+        for new, old in zip(screened, full):
+            assert type(new) is type(old)
+            if isinstance(old, StabilityError):
+                assert str(new) == str(old)
+                assert new.required_steps == old.required_steps
+                assert new.required_step == old.required_step
+            else:
+                _assert_same_result(new, old)
+
+
+def test_benchmark_shaped_solve_makes_no_svd_call(monkeypatch):
+    # the heaviside wave speed 1 -> 4 on 512 points, with the steps of the
+    # benchmark's solve and of its sweep: every entry clears the screen
+    speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
+    problem = VeryWeakProblem(
+        family=wave_speed_roots(speed),
+        data=(bump_profile(0.0, 1.0), zero_profile()),
+        grid=FrequencyGrid(512, auto_box_length(1.0, 4.0, 1.0, 1.0)),
+        time_steps=1792, horizon=1.0, omega=linear_scale())
+    systems = [build_regularised_system(problem, e)[0]
+               for e in (0.25, 0.125, 0.0625, 0.03125)]
+    gate = solver._estimate_norm
+    read = []
+
+    def gate_only(rows, index, br, limit):
+        # stop each member after its gate, so that nothing is stepped
+        read.append(gate(rows, index, br, limit) / limit)
+        raise WeakHypError("gate only")
+
+    calls = _counted_svd(monkeypatch)
+    monkeypatch.setattr(solver, "_estimate_norm", gate_only)
+    for steps in (1792, 2048):
+        grid = np.linspace(0.0, 1.0, steps + 1)
+        integrate_companion(systems, problem.grid.frequencies, grid)
+    assert len(read) == 8 and max(read) < 1.0
+    assert not calls
+
+
+def test_stability_screen_sends_a_limit_entry_to_the_svd(monkeypatch):
+    system = build_companion(_wave_principal(), data=_unit_data(2))
+    xi = np.array([3.0, 200.0])
+    br = bracket(xi)
+    rows = system.principal.row_provider(np.linspace(0.0, 1.0, 9), xi)
+    index = np.arange(9)
+    # the wave's companion matrix [[0, <xi>], [xi^2 / <xi>, 0]]
+    screen = math.hypot(br[1], 200.0 ** 2 / br[1])
+    exact = estimate_norm_svd(rows, index, br)
+    calls = _counted_svd(monkeypatch)
+    # a limit within rounding of the screen, on either side, gets the SVD
+    for limit in (screen * (1.0 - 1e-12), screen * (1.0 + 1e-12)):
+        assert solver._estimate_norm(rows, index, br, limit) == exact
+    assert len(calls) == 2
+    # a limit well clear of every screen returns the largest screen
+    assert math.isclose(solver._estimate_norm(rows, index, br,
+                                              screen * (1.0 + 1e-6)),
+                        screen, rel_tol=1e-14)
+    assert len(calls) == 2
 
 
 def test_divergent_member_leaves_the_batch():
