@@ -159,8 +159,13 @@ def oscillatory_panel(fn: Callable[[np.ndarray], np.ndarray],
         nodes, weights = gauss_rule(n)
         s = 0.5 * (lo + hi) + 0.5 * length * nodes
         base = fn(s) * weights
-        phase = np.exp(-1j * np.outer(freqs, s))
-        return 0.5 * length * np.einsum("ij,j->i", phase, base)
+        # phase blocks of 8192 entries (128 KiB), or one row if longer:
+        # freeing a larger one from its own mapping raises malloc's mmap and
+        # trim thresholds, and the heap then keeps what later stages free
+        rows = max(1, 8192 // n)
+        return 0.5 * length * np.concatenate([
+            np.einsum("ij,j->i", np.exp(-1j * np.outer(freqs[k:k + rows], s)),
+                      base) for k in range(0, freqs.size, rows)])
 
     # start each frequency at a node count proportional to its period count
     n_start = np.maximum(_MIN_NODES,

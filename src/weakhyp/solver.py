@@ -4,21 +4,23 @@ Space is one-dimensional and periodic: the box is sized so that the causal
 cone of the compactly supported data never meets its periodic images within
 the time horizon, making the discrete transform an exact stand-in for the
 line transform.  Each frequency carries an independent companion ODE,
-integrated with fixed-step fourth-order Runge-Kutta.  The epsilons of a
-sweep share the time and frequency grids, so all epsilons and frequencies
-are stepped as one batch in a single thread; no operation mixes either, so
-each epsilon's bits equal its solo run's and each frequency's bits do not
-depend on which others share the batch.  Every coefficient read, by the
-integrator, the stability check and the energy traces, goes through the
-companion parts' one tabulation call each; the integrator, which alone
-knows the stage times a step reads, owns the blocks it reads.
+integrated with fixed-step fourth-order Runge-Kutta; constant stretches are
+crossed in powers of the RK4 step map, so an epsilon's cost follows its
+layers, 2 omega(epsilon) / T of the steps.  The epsilons of a sweep share
+the grids and step as one batch in a single thread; no operation mixes
+epsilons or frequencies, so each epsilon's bits equal its solo run's and
+each frequency's bits do not depend on which others share the batch.
+Every coefficient read, by the integrator, the stability check and the
+energy traces, goes through the companion parts' one tabulation call each;
+the integrator, which alone knows the stage times a step reads, owns the
+blocks it reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,11 +136,12 @@ class IntegrationResult:
     step_doubling_max: float
 
 
-# bytes of the last rows and forcing values that one block of steps reads
-# for the whole batch: a step reads each member's m x K rows (real, or
-# complex with lower-order terms) and its K complex forcing values at two
-# stage times, four on a step-doubling step
-_ROW_BLOCK_BYTES = 1 << 18
+# bytes of last rows and forcing that one block of staged steps may read:
+# m x K rows (real, or complex with lower-order terms) and K complex forcing
+# values at two stage times a step, four on a step-doubling step, counted
+# for every live member so that one row read stays short; the block holds
+# only the varying members' rows, as a constant stretch reads one row
+_ROW_BLOCK_BYTES = 1 << 17
 
 
 #: relative margin below the limit under which the Frobenius screen clears
@@ -149,16 +152,11 @@ _SCREEN_MARGIN = 1e-9
 
 def _estimate_norm(rows: Callable[[Index], Array], index: Array,
                    br: Array, limit: float) -> float:
-    """A bound on the largest spectral norm of A + B at the times ``index``
-    selects, equal to it whenever it exceeds ``limit``; ``rows`` gives the
-    last rows of A + B.
-
-    Each entry (time, frequency) is screened by its Frobenius norm, whose
-    square ``(m - 1) <xi>^2 + sum_h |row_h|^2`` is read from the rows and
-    which bounds its spectral norm.  Only the entries whose screen does not
-    clear the limit get their largest singular value; the others count
-    with their screen, which is below the limit.
-    """
+    """A bound on the largest spectral norm of A + B, whose last rows
+    ``rows`` gives, at the times ``index`` selects, equal to it whenever it
+    exceeds ``limit``: each entry (time, frequency) counts with its
+    Frobenius norm, ``sqrt((m - 1) <xi>^2 + sum_h |row_h|^2)``, unless that
+    does not clear the limit, when it gets its largest singular value."""
     block = rows(index)                                  # (T, m, K)
     m = block.shape[1]
     frobenius = np.sqrt((m - 1) * br * br
@@ -174,6 +172,49 @@ def _estimate_norm(rows: Callable[[Index], Array], index: Array,
                float(np.linalg.svd(mats, compute_uv=False)[:, 0].max()))
 
 
+def _rk4(stages: tuple, dt: float, ibr: Array, state: Array) -> Array:
+    """One RK4 step of length dt for the states (..., m, K), whose stages
+    read the (last rows (..., m, K), forcing (..., K) or None) ``stages``."""
+
+    def rhs(stage: tuple, y: Array) -> Array:
+        rows, force = stage
+        out = np.empty_like(y)
+        out[..., :-1, :] = ibr * y[..., 1:, :]
+        last = (rows * y).sum(axis=-2)
+        if force is not None:
+            last = last + force
+        out[..., -1, :] = 1j * last
+        return out
+
+    k1 = rhs(stages[0], state)
+    k2 = rhs(stages[1], state + 0.5 * dt * k1)
+    k3 = rhs(stages[1], state + 0.5 * dt * k2)
+    k4 = rhs(stages[2], state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _staged_step(stage: Callable[[int], tuple], i: int, doubled: bool,
+                 h: float, ibr: Array, state: Array) -> tuple:
+    """Step i by staged RK4, reading ``stage(q)`` at lattice point q, and on
+    a step-doubling step also as two half steps (else None)."""
+    q = 4 * i
+    full = _rk4((stage(q), stage(q + 2), stage(q + 4)), h, ibr, state)
+    if not doubled:
+        return full, None
+    half = _rk4((stage(q), stage(q + 1), stage(q + 2)), 0.5 * h, ibr, state)
+    return full, _rk4((stage(q + 2), stage(q + 3), stage(q + 4)), 0.5 * h,
+                      ibr, half)
+
+
+def _apply(step_map: Array, state: Array) -> Array:
+    """The states (..., m, K) under ``step_map`` (m, m, K), slice j the
+    image of basis vector j; a map as ``state`` gives the composite."""
+    out = step_map[0] * state[..., :1, :]
+    for j in range(1, step_map.shape[0]):
+        out += step_map[j] * state[..., j:j + 1, :]
+    return out
+
+
 def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                         t_grid: Array,
                         epsilons: Sequence[float | None] | None = None,
@@ -183,51 +224,40 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     """Fixed-step RK4 for D_t V = (A + B) V + F over a batch of systems.
 
     The members of the batch, one companion system each (one epsilon of a
-    sweep, named by ``epsilons``), share the frequencies ``xi`` and the time
-    grid; a lone system is the batch of one.  One step loop advances the
-    state (members, m, K) of all epsilons and frequencies, and no operation
-    mixes either, so each member's bits equal its solo run's and do not
-    depend on which frequencies share the batch.  Members must share their
-    order and whether they have lower-order terms and forcing.
+    sweep, named by ``epsilons``), share the frequencies ``xi``, the time
+    grid, their order and which parts they have.  No operation mixes
+    members or frequencies, so a member's bits depend only on its own rows
+    and the schedule.  Step i has stages at t_i, t_i + h/2 and t_i + h;
+    every ``stride = max(1, nt // 100)``-th step is repeated as two half
+    steps, adding t_i + h/4 and t_i + 3h/4, to spot-check the local error.
+    The companion parts tabulate only these stage times.
 
-    Step i evaluates its stages at t_i, t_i + h/2 and t_i + h.  Every
-    ``max(1, nt // 100)``-th step is repeated as two half steps, which add
-    the stage times t_i + h/4 and t_i + 3h/4, and the difference spot-checks
-    each member's local error.  The companion parts tabulate only these
-    stage times.  This function owns the blocks: it walks the steps in
-    blocks of at most ``_ROW_BLOCK_BYTES`` of last rows and forcing for the
-    whole batch, reads each block's rows (principal plus lower, summed once)
-    and forcing once, and the stages index them.
+    Each member keeps its own step position.  Where its row providers report
+    ``steady`` over a step's lattice intervals, as outside the layers of
+    width 2 omega around each jump of a mollified piecewise-constant
+    coefficient, its rows are bitwise constant and an RK4 step is a fixed
+    linear map P, which pushing the m basis vectors through the staged step
+    builds, with the half-step map, from the rows at the stretch's entry.
+    The member crosses the stretch in powers of P: P and the half-step
+    check on each step-doubling step, and between them one P^n (n < stride,
+    by repeated squaring of the per-frequency m x m maps) to the next
+    step-doubling or output step, the tracked traces read from the powers.
+    So a member's cost follows its layers, 2 omega / T of the steps.  Only
+    the members whose rows vary take the staged step, on the steps where
+    they vary, reading their rows (principal plus lower, summed once) and
+    forcing in blocks (see ``_ROW_BLOCK_BYTES``).  P is the RK4 map, so
+    outputs differ from the staged steps' by rounding only.  A forced
+    problem always takes the staged steps.
 
-    Where the coefficients are constant, as outside the layers of width
-    2 omega around each jump of a mollified piecewise-constant coefficient,
-    one RK4 step is a fixed linear map V -> P V.  A member takes it on step
-    i only when its row providers report ``steady`` over every lattice
-    interval the step reads, quarter points included, so that its rows are
-    bitwise equal there at every frequency; this is read once from the time
-    profiles while the member sets up, and no rows are compared.  P and the
-    half-step map of the step-doubling check come from pushing the m basis
-    vectors through the staged step, from the rows at the step where some
-    member enters a constant stretch, and are applied as m broadcast
-    multiply-adds; the other members take the staged step.  All of this is
-    elementwise in (member, frequency), so a member's bits never depend on
-    the batch, the frequencies or the block length.  The map is the RK4
-    map, so the stability budget below governs it too, and its outputs
-    differ from the staged steps' by rounding only.  A forced problem
-    always takes the staged steps.
-
-    Failures are per member, and the others step on.  Before stepping,
-    each member must satisfy h * max||A + B|| <= 0.5 at nine grid times,
-    read as one block and screened by Frobenius norms (see
-    :func:`_estimate_norm`), or it gets a :class:`StabilityError` that
-    reports the required step.  A non-finite state, checked every 64 steps
-    and after the last one, gives its member a :class:`DivergenceError`; the
-    member keeps its slot with its state zeroed, and since every operation
-    is elementwise the others' bits do not change.  Stepping stops once no
-    member is left.  A package error while a member sets up (``LinAlgError``
-    raised as :class:`NumericalError`) is its failure too; any other
-    exception propagates.  Returns, per member in order, its result or its
-    error.
+    Failures are per member.  A member that fails h * max||A + B|| <= 0.5
+    at nine grid times (see :func:`_estimate_norm`) gets a
+    :class:`StabilityError` that reports the required step.  A non-finite
+    state, checked every 64 staged steps, after the last step and at each
+    jump's end (a finite map keeps it non-finite), stops its member with a
+    :class:`DivergenceError`.  A package error while a member sets up
+    (``LinAlgError`` raised as :class:`NumericalError`) is its failure too;
+    any other exception propagates.  Returns, per member in order, its
+    result or its error.
     """
     xi = np.asarray(xi, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -251,16 +281,14 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         raise InvalidParameterError("batched systems must share their order "
                                     "and which parts they have")
 
-    tracked = tuple(int(i) for i in tracked_indices)
+    columns = [int(i) for i in tracked_indices]
     out_steps = tuple(int(i) for i in output_steps)
     stride = max(1, nt // 100)
 
     # stage times as indices q on the quarter-step lattice t_0 + q h / 4: the
     # half-step grid, plus the quarter steps of the step-doubling steps
-    on_lattice = np.zeros(4 * nt + 1, dtype=bool)
-    on_lattice[::2] = True
-    doubled = 4 * np.arange(0, nt, stride)
-    on_lattice[doubled + 1] = on_lattice[doubled + 3] = True
+    on_lattice = np.arange(4 * nt + 1) % 2 == 0
+    on_lattice[4 * np.arange(0, nt, stride)[:, None] + [1, 3]] = True
     lattice = np.flatnonzero(on_lattice)
     stage_times = t_grid[0] + 0.25 * h * lattice
     # position[q] is the index of lattice point q in ``lattice``
@@ -275,11 +303,8 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         prow = system.principal.row_provider(stage_times, xi)
         brow = system.lower.row_provider(stage_times, xi) \
             if lowered else None
-
-        def rows(index: Index) -> Array:
-            block = prow(index)
-            return block if brow is None else block + brow(index)
-
+        rows = prow if brow is None else (lambda index: prow(index)
+                                          + brow(index))
         norm = _estimate_norm(rows, sample, br, (0.5 + 1e-12) / h)
         if h * norm > 0.5 + 1e-12:
             required_step = 0.5 / norm
@@ -294,163 +319,137 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         steady = prow.steady if brow is None else prow.steady & brow.steady
         # step i reads the lattice points from starts[i] to starts[i + 1]
         constant = np.logical_and.reduceat(steady, starts[:-1]) & (not forced)
-        return (rows, fprov, constant), system.V0(xi).astype(complex)
+        return rows, fprov, constant, system.V0(xi).astype(complex)
 
-    # outputs by live slot; taken before the set-up's tables and the loop's
-    # temporaries, they let those be freed from the top of the heap
-    traces = np.zeros((len(systems), m, len(tracked), nt + 1), dtype=complex)
+    # outputs by live slot, one trace array per member, small enough to take
+    # heap pages already in use; taken before the set-up's tables and the
+    # loop's temporaries, they let those be freed from the top of the heap
+    traces = [np.zeros((m, len(columns), nt + 1), complex) for _ in systems]
     first = np.zeros((len(systems), len(out_steps), xi.size), dtype=complex)
-    outcome: list[IntegrationResult | WeakHypError | None] = \
-        [None] * len(systems)
-    readers = {}   # member -> (rows, forcing values, constant steps)
-    initial = {}   # member -> V0
+    v = np.zeros((len(systems), m, xi.size), dtype=complex)  # final states
+    outcome: list = [None] * len(systems)
+    readers = []  # by live slot: rows, forcing values, constant steps, V0
     for member, system in enumerate(systems):
         try:
             with numerical_errors():
-                readers[member], initial[member] = set_up(system, eps[member])
+                readers.append(set_up(system, eps[member]))
         except WeakHypError as exc:
             outcome[member] = exc
-    live = np.array(list(readers), dtype=int)  # members that set up
-    # (live members, nt): whether each member takes the step map on each step
-    constant = np.array([readers[e][2] for e in live]).reshape(live.size, nt)
+    live = [e for e, done in enumerate(outcome) if done is None]
+    # (live members, nt): whether each member's rows vary on each step
+    varying = ~np.array([r[2] for r in readers], bool).reshape(len(live), nt)
+    v[:len(live)] = np.reshape([r[3] for r in readers], (-1, m, xi.size))
     # principal rows are real, lower-order rows and forcing values complex
     row_bytes = (16 if lowered else 8) * m + (16 if forced else 0)
-    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * row_bytes * max(live.size, 1)
+    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * row_bytes * max(len(live), 1)
                                              * max(xi.size, 1)))
-    # one buffer holds every block's rows; no block holds more step-doubling
-    # steps, and so more lattice points, than the first, which starts on one
-    buffer = np.empty((live.size, starts[min(nt, block_steps)] + 1, m,
-                       xi.size), dtype=complex if lowered else float)
+    units = np.eye(m, dtype=complex)[:, :, None] * np.ones(xi.size)
+    # per member: worst step-doubling error, whether it lives, step reached
+    worst_double, alive, at = (np.zeros(len(live)), np.ones(len(live), bool),
+                               np.zeros(len(live), int))
 
-    def read_block(index: slice) -> tuple:
-        rows = buffer[:, :index.stop - index.start]
-        for slot, member in enumerate(live):
-            rows[slot] = readers[member][0](index)
-        force = np.stack([readers[e][1](index) for e in live]) \
-            if forced else None
-        return index.start, rows, force
+    def land(slots: Sequence[int], step: int, x: Array, half: Array | None,
+             check: bool) -> bool:
+        """Record the states x that ``slots`` reach at ``step``, with their
+        doubling error against ``half``; if ``check``, stop any non-finite."""
+        for slot, state in zip(slots, x):
+            traces[slot][..., step] = state[:, columns]
+        for n, s in enumerate(out_steps):
+            if s == step:
+                first[slots, n] = x[:, 0]
+        if half is not None:
+            scale = np.abs(x).max(axis=(1, 2))
+            # fmax, like max() on floats, ignores a NaN estimate
+            worst_double[slots] = np.fmax(
+                worst_double[slots], np.abs(x - half).max(axis=(1, 2))
+                / np.where(scale == 0.0, 1.0, scale))
+        if not check or np.isfinite(x.view(float)).all():
+            return False
+        for slot, state in zip(slots, x):
+            bad = ~np.isfinite(state).all(axis=0)
+            if bad.any():
+                outcome[live[slot]] = DivergenceError(
+                    f"non-finite state at t={t_grid[step]:g}",
+                    xi=float(xi[np.argmax(bad)]), epsilon=eps[live[slot]])
+                alive[slot] = False
+        return True
 
-    def rhs(block: tuple, q: int, state: Array, members: Index) -> Array:
-        lo, row_block, force_block = block
-        k = position[q] - lo
-        out = np.empty_like(state)
-        out[:, :-1] = ibr * state[:, 1:]
-        last = (row_block[members, k] * state).sum(axis=1)
-        if force_block is not None:
-            last = last + force_block[members, k]
-        out[:, -1] = 1j * last
-        return out
-
-    def rk4_step(block: tuple, q0: int, dq: int, dt: float, state: Array,
-                 members: Index = slice(None)) -> Array:
-        """One step of length dt with stages at lattice q0, q0+dq, q0+2dq,
-        for the block's ``members`` whose states are ``state``."""
-        k1 = rhs(block, q0, state, members)
-        k2 = rhs(block, q0 + dq, state + 0.5 * dt * k1, members)
-        k3 = rhs(block, q0 + dq, state + 0.5 * dt * k2, members)
-        k4 = rhs(block, q0 + 2 * dq, state + dt * k3, members)
-        return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def staged_step(block: tuple, i: int, doubled: bool, state: Array,
-                    members: Index = slice(None)) -> tuple:
-        """Step i by staged RK4, and on a step-doubling step also as two
-        half steps (else None)."""
-        full = rk4_step(block, 4 * i, 2, h, state, members)
-        if not doubled:
-            return full, None
-        half = rk4_step(block, 4 * i, 1, 0.5 * h, state, members)
-        return full, rk4_step(block, 4 * i + 2, 1, 0.5 * h, half, members)
-
-    def step_maps(block: tuple, q: int, shape: tuple) -> tuple[Array, Array]:
-        """The RK4 maps of a full and of a half step, (m, members, m, K)
-        each, for rows held constant at their values at lattice point q:
-        slice j is the image of the j-th basis vector.  Every operation is
-        elementwise in (member, frequency), so an entry's map depends on
-        its rows alone."""
-        full = np.empty((m,) + shape, dtype=complex)
-        half = np.empty_like(full)
-        for j in range(m):
-            unit = np.zeros(shape, dtype=complex)
-            unit[:, j] = 1.0
-            full[j] = rk4_step(block, q, 0, h, unit)
-            half[j] = rk4_step(block, q, 0, 0.5 * h, unit)
-        return full, half
-
-    def apply(step_map: Array, state: Array) -> Array:
-        out = step_map[0] * state[:, :1]
-        for j in range(1, m):
-            out += step_map[j] * state[:, j:j + 1]
-        return out
-
-    columns = list(tracked)
-    worst_double = np.zeros(live.size)
-
-    def record(step: int, v: Array) -> None:
-        traces[:live.size, ..., step] = v[:, :, columns]
-        if step in out_steps:
-            first[:live.size, out_steps.index(step)] = v[:, 0]
-
-    v = np.array([initial[e] for e in live]).reshape(live.size, m, xi.size)
-    record(0, v)
-    # which members were constant on the previous step, and the step maps
-    # built when one of them last entered a constant stretch
-    previous = np.zeros(live.size, dtype=bool)
-    maps = None
-    diverged = 0  # members whose state went non-finite
-    # overflow of a diverging state is reported via DivergenceError, not as
-    # a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(nt):
-            if diverged == live.size:
-                break
-            if i % block_steps == 0:
-                block = read_block(slice(starts[i],
-                                         starts[min(nt, i + block_steps)] + 1))
+    def cross(slot: int, stop: int) -> None:
+        """Carry member ``slot`` over its constant stretch from the step it
+        has reached to ``stop`` in powers of the stretch's step map, each
+        jump ending on the next step-doubling or output step."""
+        i, slots = int(at[slot]), [slot]
+        entry = readers[slot][0](slice(starts[i], starts[i] + 1))
+        full, half = (_rk4(((entry, None),) * 3, dt, ibr, units)
+                      for dt in (h, 0.5 * h))
+        squares, powers = [full], {}  # P^(2^b) by b, P^n by n
+        # P, P^2, ... on the tracked columns, as far as a jump reaches
+        path = full[..., columns][None]
+        while len(path) < min(stride - 1, stop - i) - 1:
+            path = np.concatenate([path, _apply(path[-1], path)])
+        x = v[slots]
+        while i < stop:
             doubled = i % stride == 0
-            const = constant[:, i]
-            if not const.any():
-                v_new, half = staged_step(block, i, doubled, v)
-            else:
-                if (const > previous).any():
-                    maps = step_maps(block, 4 * i, v.shape)
-                v_new = apply(maps[0], v)
-                if doubled:
-                    half = apply(maps[1], apply(maps[1], v))
-                # members off their constant stretch take the staged step
-                staged = np.flatnonzero(~const)
-                if staged.size:
-                    v_new[staged], s_half = staged_step(block, i, doubled,
-                                                        v[staged], staged)
-                    if doubled:
-                        half[staged] = s_half
-            previous = const
-            if doubled:
-                scale = np.abs(v_new).max(axis=(1, 2))
-                scale[scale == 0.0] = 1.0
-                # fmax, like max() on floats, ignores a NaN estimate
-                worst_double = np.fmax(
-                    worst_double, np.abs(v_new - half).max(axis=(1, 2)) / scale)
-            v = v_new
-            if i % 64 == 0 or i == nt - 1:
-                finite = np.isfinite(v.view(float)).all(axis=(1, 2))
-                for slot in np.flatnonzero(~finite):
-                    if outcome[live[slot]] is None:
-                        bad = np.flatnonzero(
-                            ~np.isfinite(v[slot]).all(axis=0))[0]
-                        outcome[live[slot]] = DivergenceError(
-                            f"non-finite state at t={t_grid[i + 1]:g}",
-                            xi=float(xi[bad]), epsilon=eps[live[slot]])
-                        diverged += 1
-                    # a diverged member keeps its slot with a zero state
-                    v[slot] = 0.0
-            record(i + 1, v)
+            n = 1 if doubled else min(stop, i - i % stride + stride,
+                                      *(s for s in out_steps if s > i)) - i
+            halves = _apply(half, _apply(half, x)) if doubled else None
+            if n > 1:
+                inside = (path[:n - 1] * x[0][:, None, columns]).sum(axis=1)
+                traces[slot][..., i + 1:i + n] = inside.transpose(1, 2, 0)
+            if n not in powers:
+                while 1 << len(squares) <= n:
+                    squares.append(_apply(squares[-1], squares[-1]))
+                powers[n] = reduce(_apply, [sq for b, sq in enumerate(squares)
+                                            if n >> b & 1])
+            i, x = i + n, _apply(powers[n], x)
+            if land(slots, i, x, halves, True):
+                return
+        v[slots], at[slot] = x, stop
 
-    for slot, member in enumerate(live):
-        if outcome[member] is None:
-            outcome[member] = IntegrationResult(
-                traces=traces[slot],
-                first_component=first[slot], final_state=v[slot],
-                step_doubling_max=float(worst_double[slot]))
+    def stage(q: int) -> tuple:
+        k = position[q] - lo
+        return block[:, k], None if force is None else force[:, k]
+
+    land(np.arange(len(live)), 0, v[:len(live)], None, False)
+    i = 0
+    # a diverging state's overflow is a DivergenceError, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < nt and alive.any():
+            # the run of steps from i on over which the same members vary
+            act = varying[:, i:] & alive[:, None]
+            run = int(np.argmax((act != act[:, :1]).any(axis=0))) or nt - i
+            movers = np.flatnonzero(act[:, 0])
+            if not movers.size:
+                i += run
+                continue
+            for slot in movers[at[movers] < i]:
+                cross(slot, i)
+            if not alive[movers].all():
+                continue
+            # one buffer holds every block's rows; no block holds more
+            # step-doubling steps, and so lattice points, than the first one
+            buffer = np.empty((movers.size, starts[min(nt, block_steps)] + 1,
+                               m, xi.size), complex if lowered else float)
+            x, a = v[movers], i
+            for i in range(a, a + run):
+                if (i - a) % block_steps == 0:
+                    lo, hi = starts[i], starts[min(a + run, i + block_steps)]
+                    block = buffer[:, :hi - lo + 1]
+                    for row, slot in zip(block, movers):
+                        row[...] = readers[slot][0](slice(lo, hi + 1))
+                    force = np.stack([readers[slot][1](slice(lo, hi + 1))
+                                      for slot in movers]) if forced else None
+                x, half = _staged_step(stage, i, i % stride == 0, h, ibr, x)
+                if land(movers, i + 1, x, half, i % 64 == 0 or i == nt - 1):
+                    break
+            v[movers], at[movers] = x, i + 1
+            i += 1
+        for slot in np.flatnonzero(alive & (at < nt)):
+            cross(slot, nt)
+
+    for slot in np.flatnonzero(alive):
+        outcome[live[slot]] = IntegrationResult(
+            traces[slot], first[slot], v[slot], float(worst_double[slot]))
     return outcome
 
 

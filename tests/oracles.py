@@ -5,8 +5,9 @@ table of their own plan (all at once, one as a callable of t, and their
 polynomial reconstruction of sigma), a substitute principal part, the
 relative energy drift and the fitted growth rate of a trace, the
 approximation-rate audit of the
-cutoff mollifier, the staged RK4 loop that the integrator's step matrices
-replace on constant stretches and the per-entry pass that found those
+cutoff mollifier, the staged RK4 loop (its states and its step-doubling
+estimate) that the integrator replaces on each constant stretch by powers
+of its step map, and the per-entry pass that found those
 stretches by comparing rows, the stability gate's full SVD of every
 sampled entry that its Frobenius screen replaced, the tau-coefficients of
 an adjugate, the
@@ -163,16 +164,12 @@ def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
                      for i in range(nt)]).reshape(nt, xi.size)
 
 
-def staged_rk4(system: CompanionSystem, xi: Array, t_grid: Array) -> Array:
-    """States (nt + 1, m, K) of fixed-step RK4 for D_t V = (A + B) V + F,
-    one step at a time, each stage reading the rows and forcing at its own
-    time, with the integrator's arithmetic for one member."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    t_grid = np.asarray(t_grid, dtype=float)
-    nt = t_grid.size - 1
-    h = float(t_grid[1] - t_grid[0])
-    # stage time k is the half step t_0 + k h / 2, as the integrator forms it
-    stage_times = t_grid[0] + 0.25 * h * np.arange(0, 4 * nt + 1, 2)
+def _staged_stepper(system: CompanionSystem, xi: Array, stage_times: Array
+                    ) -> Callable[[int, int, float, Array], Array]:
+    """``step(k, dk, dt, v)``: one RK4 step of length dt from the state v
+    whose stages read the rows and forcing at ``stage_times[k]``,
+    ``[k + dk]`` and ``[k + 2 dk]``, with the integrator's arithmetic for
+    one member."""
     rows = system.principal.row_provider(stage_times, xi)(slice(None))
     if system.lower is not None:
         rows = rows + system.lower.row_provider(stage_times, xi)(slice(None))
@@ -189,15 +186,54 @@ def staged_rk4(system: CompanionSystem, xi: Array, t_grid: Array) -> Array:
         out[-1] = 1j * last
         return out
 
+    def step(k: int, dk: int, dt: float, v: Array) -> Array:
+        k1 = rhs(k, v)
+        k2 = rhs(k + dk, v + 0.5 * dt * k1)
+        k3 = rhs(k + dk, v + 0.5 * dt * k2)
+        k4 = rhs(k + 2 * dk, v + dt * k3)
+        return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def staged_rk4(system: CompanionSystem, xi: Array, t_grid: Array) -> Array:
+    """States (nt + 1, m, K) of fixed-step RK4 for D_t V = (A + B) V + F,
+    one step at a time, each stage reading the rows and forcing at its own
+    time, with the integrator's arithmetic for one member."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    nt = t_grid.size - 1
+    h = float(t_grid[1] - t_grid[0])
+    # stage time k is the half step t_0 + k h / 2, as the integrator forms it
+    step = _staged_stepper(system, xi,
+                           t_grid[0] + 0.25 * h * np.arange(0, 4 * nt + 1, 2))
     states = [system.V0(xi).astype(complex)]
     for i in range(nt):
-        v = states[-1]
-        k1 = rhs(2 * i, v)
-        k2 = rhs(2 * i + 1, v + 0.5 * h * k1)
-        k3 = rhs(2 * i + 1, v + 0.5 * h * k2)
-        k4 = rhs(2 * i + 2, v + h * k3)
-        states.append(v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        states.append(step(2 * i, 1, h, states[-1]))
     return np.array(states)
+
+
+def staged_doubling_max(system: CompanionSystem, xi: Array, t_grid: Array
+                        ) -> float:
+    """The integrator's step-doubling estimate with every step staged: the
+    largest max |full - half| / max |full| over every ``max(1, nt //
+    100)``-th step, where half is the step taken as two half steps."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    nt = t_grid.size - 1
+    h = float(t_grid[1] - t_grid[0])
+    # stage time q is the quarter step t_0 + q h / 4
+    step = _staged_stepper(system, xi,
+                           t_grid[0] + 0.25 * h * np.arange(4 * nt + 1))
+    v, worst = system.V0(xi).astype(complex), 0.0
+    for i in range(nt):
+        full = step(4 * i, 2, h, v)
+        if i % max(1, nt // 100) == 0:
+            half = step(4 * i + 2, 1, 0.5 * h, step(4 * i, 1, 0.5 * h, v))
+            worst = max(worst, float(np.abs(full - half).max()
+                                     / (np.abs(full).max() or 1.0)))
+        v = full
+    return worst
 
 
 def estimate_norm_svd(rows: Callable[[Index], Array], index: Array,

@@ -27,8 +27,8 @@ from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             solve_very_weak, transport_reference)
 
 from oracles import (PolynomialPrincipal, constant_entries, estimate_norm_svd,
-                     max_relative_drift, staged_rk4, symmetriser_figures,
-                     trapezoid)
+                     max_relative_drift, staged_doubling_max, staged_rk4,
+                     symmetriser_figures, trapezoid)
 
 
 def solve_frequency(system, xi, epsilon, t_grid):
@@ -657,6 +657,144 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
                 assert np.array_equal(steps, entries)
 
 
+def _spy_row_reads(monkeypatch) -> list:
+    """Wrap the principal and lower-order row providers: each provider built
+    appends (its stage times, its ``steady``, the slices read from it)."""
+    built = []
+    for cls in (RootValuePrincipal, LowerOrderPart):
+        def spy(self, t, frequencies, provider=cls.row_provider):
+            rows, reads = provider(self, t, frequencies), []
+            built.append((t, rows.steady, reads))
+
+            @functools.wraps(rows)  # carries the provider's ``steady``
+            def read(index):
+                if isinstance(index, slice):
+                    reads.append((index.start, index.stop))
+                return rows(index)
+            return read
+        monkeypatch.setattr(cls, "row_provider", spy)
+    return built
+
+
+def _constant_steps(t, steady, nt):
+    """Whether ``steady`` holds over every lattice interval of each step of
+    [0, 1] in nt steps, for stage times ``t`` on its quarter-step lattice,
+    and the lattice position of each step's start."""
+    starts = np.searchsorted(np.rint(4 * nt * t), 4 * np.arange(nt + 1))
+    return np.array([steady[a:b].all()
+                     for a, b in zip(starts[:-1], starts[1:])]), starts
+
+
+def _stretches(constant):
+    """The maximal runs [a, b) of true steps."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], constant, [0]])))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def _count_staged_steps(monkeypatch) -> list:
+    """Wrap the staged kernel: each staged step appends (step, members)."""
+    staged = []
+    kernel = solver._staged_step
+
+    def counted(stage, i, doubled, h, ibr, state):
+        staged.append((i, state.shape[0]))
+        return kernel(stage, i, doubled, h, ibr, state)
+
+    monkeypatch.setattr(solver, "_staged_step", counted)
+    return staged
+
+
+def test_staged_steps_and_row_reads_follow_the_layers(monkeypatch):
+    # the staged kernel runs on exactly the steps where some member's rows
+    # vary, for those members; on a constant stretch a member's principal
+    # rows are read once, at the stretch's entry, and never inside it
+    staged = _count_staged_steps(monkeypatch)
+    built = _spy_row_reads(monkeypatch)
+    epsilons = (0.25, 0.125, 0.0625, 0.03125)
+    t_grid = np.linspace(0.0, 1.0, 257)
+
+    def run(problem):
+        staged.clear()
+        built.clear()
+        systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+        results = integrate_companion(systems, problem.grid.frequencies,
+                                      t_grid, epsilons, tracked_indices=(1, 5),
+                                      output_steps=(100, 256))
+        assert not any(isinstance(r, WeakHypError) for r in results)
+        return results
+
+    run(_heaviside_problem())
+    assert len(built) == len(epsilons)
+    varying = []
+    for t, steady, reads in built:
+        constant, starts = _constant_steps(t, steady, 256)
+        varying.append(~constant)
+        stretches = _stretches(constant)
+        for a, b in stretches:
+            assert not [r for r in reads
+                        if r[0] < starts[b] and r[1] > starts[a] + 1]
+        assert [r for r in reads if r[1] - r[0] == 1] \
+            == [(starts[a], starts[a] + 1) for a, _ in stretches]
+    varying = np.array(varying)
+    busy = np.flatnonzero(varying.any(axis=0))
+    assert 0 < busy.size < 256
+    assert staged == list(zip(busy.tolist(),
+                              varying.sum(axis=0)[busy].tolist()))
+    # constant roots: every member crosses the whole grid in jumps, and the
+    # step-doubling check still runs on the step map
+    results = run(replace(_heaviside_problem(),
+                          family=constant_roots([-1.0, 2.0])))
+    assert not staged
+    assert all(r.step_doubling_max > 0.0 for r in results)
+
+
+def _spiked_problem(**options):
+    speed = piecewise_constant_profile([0.0, 0.3, 0.35, 1.0],
+                                       [1.0, 25.0, 1.0], (0.0, 1.0))
+    return replace(_heaviside_problem(**options),
+                   family=wave_speed_roots(speed),
+                   grid=FrequencyGrid(32, auto_box_length(1.0, 5.5, 1.0, 1.0)))
+
+
+@pytest.mark.parametrize("nt", [1000, 1005])
+@pytest.mark.parametrize("make, epsilon", [
+    (_heaviside_problem, 0.25), (_heaviside_problem, 0.0625),
+    (_spiked_problem, 0.0625), (_spiked_problem, 0.022),
+    (_lower_problem, 0.0625)])
+def test_jumps_agree_with_staged_rk4_at_their_boundaries(monkeypatch, make,
+                                                          epsilon, nt):
+    # nt // 100 = 10 steps from one step-doubling step to the next, so a jump
+    # crosses up to 9 steps (1005 is not a multiple of 10); stretches shorter
+    # than that come from rounding near the heaviside's support end and from
+    # the spike's two close layers at epsilon 0.022.  Output steps, which
+    # end jumps early, sit at the first, second, last and past-the-last step
+    # of each long stretch, on a step-doubling step inside it and between two
+    problem = make()
+    system = build_regularised_system(problem, epsilon)[0]
+    xi = problem.grid.frequencies
+    t_grid = np.linspace(0.0, 1.0, nt + 1)
+    built = _spy_row_reads(monkeypatch)
+    integrate_companion([system], xi, t_grid, [epsilon])
+    constant = np.logical_and.reduce(
+        [_constant_steps(t, steady, nt)[0] for t, steady, _ in built])
+    stretches = [(a, b) for a, b in _stretches(constant) if b - a > 20]
+    assert stretches
+    steps = sorted({nt}.union(*({a, a + 1, 10 * (a // 10 + 1),
+                                 10 * (a // 10 + 1) + 4, b - 1, b}
+                                for a, b in stretches)))
+    tracked = (0, 3, 7, 20)
+    result, = integrate_companion([system], xi, t_grid, [epsilon],
+                                  tracked_indices=tracked, output_steps=steps)
+    states = staged_rk4(system, xi, t_grid)
+    for got, want in ((result.first_component, states[steps, 0]),
+                      (np.moveaxis(result.traces, -1, 0),
+                       states[:, :, list(tracked)]),
+                      (result.final_state, states[-1])):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(states))
+    assert math.isclose(result.step_doubling_max,
+                        staged_doubling_max(system, xi, t_grid), rel_tol=1e-3)
+
+
 def _assert_same_record(batched, solo):
     assert batched.ok and solo.ok
     for name in ("u", "uhat", "traces"):
@@ -811,6 +949,38 @@ def test_divergent_member_leaves_the_batch():
     for member in (0, 2):
         solo, = integrate_companion([systems[member]], xi, t_grid,
                                     [epsilons[member]], **options)
+        _assert_same_result(batched[member], solo)
+
+
+def _overflowing_wave(scale, growth=25.0):
+    """A wave whose rows are finite and constant and whose state grows like
+    exp(growth t) from data of size ``scale``: from 1e300 it overflows late
+    in the run, with no coefficient the stability gate could see."""
+    growing = LowerTerm(0, 1, lambda t: np.full(np.shape(t), -1j * growth))
+    data = InitialData(
+        (lambda xi: np.full(np.shape(xi), scale, dtype=complex),
+         lambda xi: np.zeros(np.shape(xi), dtype=complex)))
+    return build_companion(_wave_principal(),
+                           lower=LowerOrderPart(2, (growing,)), data=data)
+
+
+def test_divergence_inside_a_jump_stops_only_its_member(monkeypatch):
+    # every step of every member is constant, so the middle member's state
+    # overflows inside a jump and is caught at the jump's end
+    staged = _count_staged_steps(monkeypatch)
+    systems = [_overflowing_wave(scale) for scale in (1.0, 1e300, 0.5)]
+    epsilons = (0.5, 0.25, 0.125)
+    xi = np.array([1.0, 2.0, 3.0])
+    t_grid = np.linspace(0.0, 1.0, 1001)
+    options = dict(tracked_indices=(1,), output_steps=(500, 1000))
+    batched = integrate_companion(systems, xi, t_grid, epsilons, **options)
+    assert not staged
+    assert isinstance(batched[1], DivergenceError)
+    assert batched[1].epsilon == 0.25 and batched[1].xi in xi
+    for member in (0, 2):
+        solo, = integrate_companion([systems[member]], xi, t_grid,
+                                    [epsilons[member]], **options)
+        assert np.isfinite(solo.final_state).all()
         _assert_same_result(batched[member], solo)
 
 
