@@ -233,11 +233,10 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
                           RowSource(cells * len(x), solution))
     tables["spectrum"] = (("epsilon", "time", "xi", "abs_uhat"),
                           RowSource(cells * len(xi), spectrum))
-    stride = max(1, problem.time_steps // 64)
+    samples = problem.time_grid[problem.trace_steps]
     traces = [(e, xi_val, energy_trace(net.record(e).system,
-                                       net.record(e).traces[:, i, :],
-                                       problem.time_grid, xi_val,
-                                       sample_stride=stride))
+                                       net.record(e).traces[:, i],
+                                       samples, xi_val))
               for e in ok
               for i, xi_val in enumerate(problem.tracked_frequencies)]
 

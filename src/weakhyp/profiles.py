@@ -270,14 +270,23 @@ def extend_profile(profile: RoughProfile, pad: float) -> RoughProfile:
     if not profile.pieces:
         return RoughProfile(profile.pieces, profile.atoms,
                             (profile.support[0] - pad, profile.support[1] + pad))
-    lo = min(p.lo for p in profile.pieces)
-    hi = max(p.hi for p in profile.pieces)
-    first = min(profile.pieces, key=lambda p: p.lo)
-    last = max(profile.pieces, key=lambda p: p.hi)
-    left_val = complex(np.asarray(first.fn(np.array([lo]))).ravel()[0])
-    right_val = complex(np.asarray(last.fn(np.array([hi]))).ravel()[0])
-    pieces = (_constant_piece(lo - pad, lo, left_val),) + profile.pieces \
-        + (_constant_piece(hi, hi + pad, right_val),)
+    pieces = list(profile.pieces)
+    first = min(range(len(pieces)), key=lambda k: pieces[k].lo)
+    last = max(range(len(pieces)), key=lambda k: pieces[k].hi)
+    lo, hi = pieces[first].lo, pieces[last].hi
+    head, tail = [], []
+    # a constant edge piece is lengthened over the pad: an equal twin beside
+    # it would round apart from it within the mollifier's reach of the
+    # seam, so that the mollified profile is not bitwise constant there
+    for k, edge, a, b, ends in ((first, lo, lo - pad, lo, head),
+                                (last, hi, hi, hi + pad, tail)):
+        p = pieces[k]
+        if p.degree == 0:
+            pieces[k] = _constant_piece(min(p.lo, a), max(p.hi, b), p.value)
+        else:
+            value = complex(np.asarray(p.fn(np.array([edge]))).ravel()[0])
+            ends.append(_constant_piece(a, b, value))
+    pieces = head + pieces + tail
     support = (min(profile.support[0], lo) - pad,
                max(profile.support[1], hi) + pad)
-    return RoughProfile(pieces, profile.atoms, support)
+    return RoughProfile(tuple(pieces), profile.atoms, support)

@@ -174,34 +174,19 @@ class RootValuePrincipal:
         compares neighbouring profile columns bit for bit; every operation
         is elementwise in time, so equal columns give equal rows at every
         frequency, as where a mollified piecewise-constant coefficient is
-        constant.  A block inside one such stretch is a read-only broadcast
-        of one row, cached until a block of another stretch asks for one.
-        Any other block is one vectorised characteristic-polynomial call
-        over its (time, frequency) block, so the caller's index sets the
-        block size.
+        constant.  Each read is one vectorised characteristic-polynomial
+        call over its (time, frequency) block, so the caller's index sets
+        the block size.
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         br = bracket(xi)
         table = self._root_table(xi)
         pos, neg = self._profiles(t)
-        steady = _steady(pos) & _steady(neg)
-        # each time's stretch of equal profile bits, numbered from 0
-        stretch = np.concatenate([[0], np.cumsum(~steady)])
-        cached: dict[int, Array] = {}
 
         def rows(index: Index) -> Array:
-            label = stretch[index]
-            if not label.size or (label != label[0]).any():
-                return _row_table(table(pos[:, index], neg[:, index]), br)
-            key = int(label[0])
-            if key not in cached:
-                cached.clear()
-                cached[key] = _row_table(table(pos[:, index][:, :1],
-                                               neg[:, index][:, :1]), br)
-            return np.broadcast_to(cached[key],
-                                   (label.size, self.order, xi.size))
+            return _row_table(table(pos[:, index], neg[:, index]), br)
 
-        rows.steady = steady
+        rows.steady = _steady(pos) & _steady(neg)
         return rows
 
 

@@ -130,7 +130,7 @@ def auto_box_length(support_radius: float, max_speed: float, horizon: float,
 
 @dataclass
 class IntegrationResult:
-    traces: Array           # (m, n_tracked, nt + 1)
+    traces: Array           # (m, n_tracked, n_trace)
     first_component: Array  # (n_out, K)
     final_state: Array      # (m, K)
     step_doubling_max: float
@@ -215,11 +215,30 @@ def _apply(step_map: Array, state: Array) -> Array:
     return out
 
 
+def _stretch_reader(provider: Callable[[Index], Array]
+                    ) -> Callable[[int, int], Array]:
+    """The rows of ``provider`` at lattice points lo to hi.  Where they lie
+    in one of its ``steady`` stretches they are the stretch's one row, read
+    once and kept until another stretch's is, for the caller to broadcast."""
+    stretch = np.concatenate([[0], np.cumsum(~provider.steady)])
+    kept = [-1, None]  # the stretch read last and its row
+
+    def read(lo: int, hi: int) -> Array:
+        if stretch[lo] != stretch[hi]:
+            return provider(slice(lo, hi + 1))
+        if kept[0] != stretch[lo]:
+            kept[:] = stretch[lo], provider(slice(lo, lo + 1))
+        return kept[1]
+
+    return read
+
+
 def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                         t_grid: Array,
                         epsilons: Sequence[float | None] | None = None,
                         tracked_indices: Sequence[int] = (),
-                        output_steps: Sequence[int] = ()
+                        output_steps: Sequence[int] = (),
+                        trace_steps: Sequence[int] = ()
                         ) -> list[IntegrationResult | WeakHypError]:
     """Fixed-step RK4 for D_t V = (A + B) V + F over a batch of systems.
 
@@ -230,7 +249,9 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     and the schedule.  Step i has stages at t_i, t_i + h/2 and t_i + h;
     every ``stride = max(1, nt // 100)``-th step is repeated as two half
     steps, adding t_i + h/4 and t_i + 3h/4, to spot-check the local error.
-    The companion parts tabulate only these stage times.
+    The companion parts tabulate only these stage times.  A member keeps
+    the first component of the state landing on each of ``output_steps``,
+    the columns ``tracked_indices`` of that on each of ``trace_steps``.
 
     Each member keeps its own step position.  Where its row providers report
     ``steady`` over a step's lattice intervals, as outside the layers of
@@ -241,11 +262,13 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     The member crosses the stretch in powers of P: P and the half-step
     check on each step-doubling step, and between them one P^n (n < stride,
     by repeated squaring of the per-frequency m x m maps) to the next
-    step-doubling or output step, the tracked traces read from the powers.
-    So a member's cost follows its layers, 2 omega / T of the steps.  Only
+    step-doubling, output or trace step, or to the stretch's end.  So a
+    member's cost follows its layers, 2 omega / T of the steps.  Only
     the members whose rows vary take the staged step, on the steps where
     they vary, reading their rows (principal plus lower, summed once) and
-    forcing in blocks (see ``_ROW_BLOCK_BYTES``).  P is the RK4 map, so
+    forcing in blocks (see ``_ROW_BLOCK_BYTES``); a part steady over a
+    whole block, as a forced member's principal part between its layers,
+    gives the one row of its stretch, read once.  P is the RK4 map, so
     outputs differ from the staged steps' by rounding only.  A forced
     problem always takes the staged steps.
 
@@ -282,8 +305,16 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                                     "and which parts they have")
 
     columns = [int(i) for i in tracked_indices]
-    out_steps = tuple(int(i) for i in output_steps)
     stride = max(1, nt // 100)
+    # step -> the output and the trace column its landing state fills
+    out_at, trace_at = ({int(s): n for n, s in enumerate(steps)}
+                        for steps in (output_steps, trace_steps))
+    if len(out_at) < len(output_steps) or len(trace_at) < len(trace_steps):
+        raise InvalidParameterError("output and trace steps must be distinct")
+    if columns and not trace_at:
+        raise InvalidParameterError("tracked columns need trace steps")
+    # the steps no jump crosses, ending in nt
+    marks = np.array(sorted({*range(0, nt, stride), nt, *out_at, *trace_at}))
 
     # stage times as indices q on the quarter-step lattice t_0 + q h / 4: the
     # half-step grid, plus the quarter steps of the step-doubling steps
@@ -300,12 +331,12 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     sample = starts[::max(1, nt // 8)]
 
     def set_up(system: CompanionSystem, epsilon: float | None) -> tuple:
-        prow = system.principal.row_provider(stage_times, xi)
-        brow = system.lower.row_provider(stage_times, xi) \
-            if lowered else None
-        rows = prow if brow is None else (lambda index: prow(index)
-                                          + brow(index))
-        norm = _estimate_norm(rows, sample, br, (0.5 + 1e-12) / h)
+        parts = [system.principal.row_provider(stage_times, xi)]
+        if lowered:
+            parts.append(system.lower.row_provider(stage_times, xi))
+        reads = [_stretch_reader(p) for p in parts]
+        norm = _estimate_norm(lambda q: reduce(np.add, [p(q) for p in parts]),
+                              sample, br, (0.5 + 1e-12) / h)
         if h * norm > 0.5 + 1e-12:
             required_step = 0.5 / norm
             required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))
@@ -316,16 +347,18 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 required_steps=required, epsilon=epsilon)
         fprov = system.forcing.values_provider(stage_times, xi) \
             if forced else None
-        steady = prow.steady if brow is None else prow.steady & brow.steady
+        steady = reduce(np.logical_and, [p.steady for p in parts])
         # step i reads the lattice points from starts[i] to starts[i + 1]
         constant = np.logical_and.reduceat(steady, starts[:-1]) & (not forced)
-        return rows, fprov, constant, system.V0(xi).astype(complex)
+        return (lambda lo, hi: reduce(np.add, [r(lo, hi) for r in reads]),
+                fprov, constant, system.V0(xi).astype(complex))
 
-    # outputs by live slot, one trace array per member, small enough to take
-    # heap pages already in use; taken before the set-up's tables and the
-    # loop's temporaries, they let those be freed from the top of the heap
-    traces = [np.zeros((m, len(columns), nt + 1), complex) for _ in systems]
-    first = np.zeros((len(systems), len(out_steps), xi.size), dtype=complex)
+    # outputs by live slot, one array each for the batch, small enough to
+    # take heap pages already in use; taken before the set-up's tables and
+    # the loop's temporaries, they let those be freed from the top of the heap
+    traces = np.zeros((len(systems), m, len(columns), len(trace_steps)),
+                      complex)
+    first = np.zeros((len(systems), len(output_steps), xi.size), complex)
     v = np.zeros((len(systems), m, xi.size), dtype=complex)  # final states
     outcome: list = [None] * len(systems)
     readers = []  # by live slot: rows, forcing values, constant steps, V0
@@ -352,11 +385,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
              check: bool) -> bool:
         """Record the states x that ``slots`` reach at ``step``, with their
         doubling error against ``half``; if ``check``, stop any non-finite."""
-        for slot, state in zip(slots, x):
-            traces[slot][..., step] = state[:, columns]
-        for n, s in enumerate(out_steps):
-            if s == step:
-                first[slots, n] = x[:, 0]
+        if step in trace_at:
+            traces[slots, ..., trace_at[step]] = x[..., columns]
+        if step in out_at:
+            first[slots, out_at[step]] = x[:, 0]
         if half is not None:
             scale = np.abs(x).max(axis=(1, 2))
             # fmax, like max() on floats, ignores a NaN estimate
@@ -377,25 +409,17 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     def cross(slot: int, stop: int) -> None:
         """Carry member ``slot`` over its constant stretch from the step it
         has reached to ``stop`` in powers of the stretch's step map, each
-        jump ending on the next step-doubling or output step."""
+        jump ending on the next step-doubling, output or trace step."""
         i, slots = int(at[slot]), [slot]
-        entry = readers[slot][0](slice(starts[i], starts[i] + 1))
+        entry = readers[slot][0](starts[i], starts[i])
         full, half = (_rk4(((entry, None),) * 3, dt, ibr, units)
                       for dt in (h, 0.5 * h))
         squares, powers = [full], {}  # P^(2^b) by b, P^n by n
-        # P, P^2, ... on the tracked columns, as far as a jump reaches
-        path = full[..., columns][None]
-        while len(path) < min(stride - 1, stop - i) - 1:
-            path = np.concatenate([path, _apply(path[-1], path)])
         x = v[slots]
         while i < stop:
             doubled = i % stride == 0
-            n = 1 if doubled else min(stop, i - i % stride + stride,
-                                      *(s for s in out_steps if s > i)) - i
+            n = 1 if doubled else min(stop, marks[marks > i][0]) - i
             halves = _apply(half, _apply(half, x)) if doubled else None
-            if n > 1:
-                inside = (path[:n - 1] * x[0][:, None, columns]).sum(axis=1)
-                traces[slot][..., i + 1:i + n] = inside.transpose(1, 2, 0)
             if n not in powers:
                 while 1 << len(squares) <= n:
                     squares.append(_apply(squares[-1], squares[-1]))
@@ -436,7 +460,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                     lo, hi = starts[i], starts[min(a + run, i + block_steps)]
                     block = buffer[:, :hi - lo + 1]
                     for row, slot in zip(block, movers):
-                        row[...] = readers[slot][0](slice(lo, hi + 1))
+                        row[...] = readers[slot][0](lo, hi)
                     force = np.stack([readers[slot][1](slice(lo, hi + 1))
                                       for slot in movers]) if forced else None
                 x, half = _staged_step(stage, i, i % stride == 0, h, ibr, x)
@@ -463,10 +487,11 @@ class VeryWeakProblem:
     ``lower_terms`` holds the rough lower-order coefficients as profiles;
     each epsilon mollifies them on its own scale.
 
-    The problem owns the schedule every epsilon shares: at construction
-    each output time snaps to its nearest step of :attr:`time_grid` and
-    each tracked frequency to its nearest grid frequency, once each, so the
-    solution, its energy traces and any reference are taken at grid values.
+    The problem owns the schedule every epsilon shares, all grid values:
+    at construction each output time snaps to its nearest step of
+    :attr:`time_grid` and each tracked frequency to its nearest grid
+    frequency, once each, and the tracked frequencies' states are kept
+    only at the energy samples, the steps :attr:`trace_steps`.
     """
 
     family: RootFamily
@@ -497,6 +522,12 @@ class VeryWeakProblem:
     def output_steps(self) -> Array:
         """Indices into :attr:`time_grid` of the output times."""
         return np.searchsorted(self.time_grid, self.output_times)
+
+    @property
+    def trace_steps(self) -> Array:
+        """Indices into :attr:`time_grid` of the energy samples: every
+        ``max(1, time_steps // 64)``-th step from 0."""
+        return np.arange(0, self.time_steps + 1, max(1, self.time_steps // 64))
 
     @property
     def tracked_indices(self) -> Array:
@@ -530,7 +561,7 @@ class SolveRecord:
     omega: float
     u: Array | None = None            # (n_out, K) complex
     uhat: Array | None = None         # (n_out, K) complex
-    traces: Array | None = None       # (m, n_tracked, nt + 1)
+    traces: Array | None = None       # (m, n_tracked, n_trace), at trace_steps
     system: CompanionSystem | None = None
     step_doubling_max: float | None = None
     imag_fraction: float | None = None
@@ -625,7 +656,7 @@ def _integrate(problem: VeryWeakProblem, prepared: Sequence[tuple],
     return integrate_companion(
         [system for system, _ in prepared], problem.grid.frequencies,
         problem.time_grid, epsilons, tracked_indices=problem.tracked_indices,
-        output_steps=problem.output_steps)
+        output_steps=problem.output_steps, trace_steps=problem.trace_steps)
 
 
 def _record(problem: VeryWeakProblem, prepared: tuple,
@@ -720,21 +751,19 @@ class EnergyTrace:
 
 
 def energy_trace(system: CompanionSystem, trace: Array, times: Array,
-                 xi: float, sample_stride: int = 1) -> EnergyTrace:
-    """Energy time series along the trace of the frequency ``xi``, at every
-    ``sample_stride``-th time.
+                 xi: float) -> EnergyTrace:
+    """Energy time series along the trace (m, n) of the frequency ``xi``,
+    whose states were recorded at the n ``times``.
 
-    The principal root values at all sampled times come from one ``roots``
-    call, and one batched symmetriser over them gives every sampled energy.
+    The principal root values at all the times come from one ``roots``
+    call, and one batched symmetriser over them gives every energy.
     """
     times = np.asarray(times, dtype=float)
-    trace = np.asarray(trace)
-    idx = np.arange(0, times.size, sample_stride)
     br = float(bracket(np.array(xi)))
-    lam = system.principal.roots(times[idx], np.array([float(xi)]))[:, :, 0]
+    lam = system.principal.roots(times, np.array([float(xi)]))[:, :, 0]
     sym = build_symmetriser(np.sort(lam, axis=-1) / br)
-    energies = np.asarray(sym.quadratic_form(trace[:, idx].T))
-    return EnergyTrace(times=times[idx], energies=energies)
+    energies = np.asarray(sym.quadratic_form(np.asarray(trace).T))
+    return EnergyTrace(times=times, energies=energies)
 
 
 # -- classical references -------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from weakhyp.analysis import linear_fit
 from weakhyp.analysis import convergence_study, fit_moderateness
+from weakhyp.errors import WeakHypError
 from weakhyp.mollifiers import (GevreyCutoffMollifier, friedrichs_mollifier,
                                 vanishing_moment_mollifier)
 from weakhyp.profiles import (bump_profile, heaviside_profile,
@@ -27,7 +28,8 @@ from weakhyp.roots import (RegularisedRoots, RootFamily, constant_roots,
                            linear_scale, logarithmic_scale, transport_roots,
                            wave_speed_roots)
 from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
-                            dalembert_reference, energy_trace, solve_single,
+                            build_regularised_system, dalembert_reference,
+                            energy_trace, integrate_companion, solve_single,
                             solve_very_weak, transport_reference)
 from weakhyp.symmetrisers import (build_symmetriser,
                                   vandermonde_product_squared,
@@ -117,6 +119,21 @@ def test_criterion_03_symmetriser_identities():
     assert det_floor_ok
 
 
+def _energy_traces(problem, epsilon):
+    """The energy traces of the tracked frequencies at one epsilon, sampled
+    on every 8th step."""
+    system = build_regularised_system(problem, epsilon)[0]
+    samples = range(0, problem.time_steps + 1, 8)
+    result, = integrate_companion(
+        [system], problem.grid.frequencies, problem.time_grid, [epsilon],
+        tracked_indices=problem.tracked_indices, trace_steps=samples)
+    if isinstance(result, WeakHypError):
+        raise result
+    return [energy_trace(system, result.traces[:, i],
+                         problem.time_grid[samples], xi)
+            for i, xi in enumerate(problem.tracked_frequencies)]
+
+
 def test_criterion_04_energy_conservation_and_growth_rate():
     g0 = bump_profile(0.0, 1.0)
     problem = VeryWeakProblem(
@@ -124,12 +141,8 @@ def test_criterion_04_energy_conservation_and_growth_rate():
         grid=FrequencyGrid(128, auto_box_length(1.0, 1.1, 1.0, 1.0)),
         time_steps=4096, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,), tracked_frequencies=(2.0, 8.0, 16.0))
-    rec = solve_single(problem, 2.0 ** -30)
-    worst_drift = 0.0
-    for i, xi in enumerate(problem.tracked_frequencies):
-        trace = energy_trace(rec.system, rec.traces[:, i, :],
-                             problem.time_grid, xi, sample_stride=8)
-        worst_drift = max(worst_drift, max_relative_drift(trace))
+    worst_drift = max(max_relative_drift(trace)
+                      for trace in _energy_traces(problem, 2.0 ** -30))
     conservation_ok = worst_drift <= 1e-8
 
     # rough coefficients: fitted growth rate against the separation scale
@@ -144,11 +157,9 @@ def test_criterion_04_energy_conservation_and_growth_rate():
             time_steps=2048, horizon=1.0, omega=linear_scale(),
             output_times=(1.0,),
             tracked_frequencies=(4.0, 8.0, 16.0, 24.0))
-        rec = solve_single(prob, omega)  # linear scale: omega(eps) = eps
         best = 0.0
-        for i, xi in enumerate(prob.tracked_frequencies):
-            trace = energy_trace(rec.system, rec.traces[:, i, :],
-                                 prob.time_grid, xi, sample_stride=8)
+        # linear scale: omega(eps) = eps
+        for trace in _energy_traces(prob, omega):
             rate = fitted_growth_rate(trace)
             if rate is not None:
                 best = max(best, rate)

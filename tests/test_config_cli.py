@@ -16,7 +16,9 @@ from weakhyp.config import (config_echo, config_hash, load_config,
 from weakhyp.errors import ConfigurationError
 from weakhyp.experiments import _net_tables, build_problem
 from weakhyp.reports import RowSource, write_csv
-from weakhyp.solver import CONE_MARGIN, solve_very_weak
+from weakhyp.solver import (CONE_MARGIN, build_regularised_system,
+                            energy_trace, integrate_companion,
+                            solve_very_weak)
 
 from oracles import sigma_per_root, symmetriser_audit_rows
 
@@ -643,6 +645,46 @@ def test_net_tables_state_the_rows_they_write(tmp_path):
         assert len(written) - 1 == len(rows) > 0
         # a source may be written again, and gives the same rows
         assert sum(1 for _ in rows) == len(rows)
+
+
+def test_energy_table_lands_on_the_sample_steps(tmp_path):
+    # 1000 steps: the energy samples are every 15th step, 0 ... 990, so 67
+    # rows per epsilon and tracked frequency; each is the energy of the
+    # state that lands on its step, as an every-step run's trace gives it
+    raw = _base_config()
+    raw["roots"] = {"preset": "heaviside", "jump": 0.5, "low": 1.0,
+                    "high": 2.0}
+    raw["grid"].update(time_steps=1000, tracked_frequencies=[2.0, 5.0])
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "energy.csv", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        rows = [tuple(map(float, row)) for row in reader]
+    problem = build_problem(validate_config(raw))
+    samples = np.arange(0, 991, 15)
+    assert np.array_equal(problem.trace_steps, samples)
+    t_grid = problem.time_grid
+    expected = []
+    for e in raw["regularisation"]["epsilon_sweep"]:
+        system = build_regularised_system(problem, e)[0]
+        result, = integrate_companion(
+            [system], problem.grid.frequencies, t_grid, [e],
+            tracked_indices=problem.tracked_indices,
+            trace_steps=range(t_grid.size))
+        for i, xi in enumerate(problem.tracked_frequencies):
+            trace = energy_trace(system, result.traces[:, i, samples],
+                                 t_grid[samples], xi)
+            expected += [(e, xi, t, en) for t, en in
+                         zip(trace.times.tolist(), trace.energies.tolist())]
+    assert len(rows) == len(expected) == 3 * 2 * 67
+    got, want = np.array(rows), np.array(expected)
+    # the bump's states are nonzero, so each energy is positive
+    assert (want[:, 3] > 0.0).all()
+    assert np.array_equal(got[:, :3], want[:, :3])
+    assert np.allclose(got[:, 3], want[:, 3], rtol=1e-12, atol=0.0)
 
 
 # Run in a fresh process: which modules a solve and a sweep leave loaded.

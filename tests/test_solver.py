@@ -14,12 +14,13 @@ from weakhyp.errors import (ConfigurationError, DivergenceError,
                             WeakHypError)
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.profiles import (Piece, RoughProfile, bump_profile,
-                              heaviside_profile, piecewise_constant_profile,
-                              point_mass_profile, zero_profile)
+                              constant_profile, heaviside_profile,
+                              piecewise_constant_profile, point_mass_profile,
+                              zero_profile)
 from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
                                LowerTerm, RootValuePrincipal, build_companion)
 from weakhyp.roots import (bracket, constant_roots, dt_power, linear_scale,
-                           wave_speed_roots)
+                           roots_from_time_profiles, wave_speed_roots)
 from weakhyp import solver
 from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             build_regularised_system, dalembert_reference,
@@ -31,12 +32,14 @@ from oracles import (PolynomialPrincipal, constant_entries, estimate_norm_svd,
                      symmetriser_figures, trapezoid)
 
 
-def solve_frequency(system, xi, epsilon, t_grid):
-    """Full amplitude trace V(t) at one frequency, shape (m, len(t_grid)),
-    as the batch of one; the member's failure is raised."""
+def solve_frequency(system, xi, epsilon, t_grid, every=1):
+    """Amplitude trace V(t) at one frequency on every ``every``-th step of
+    ``t_grid``, shape (m, n), as the batch of one; the member's failure is
+    raised."""
     result, = integrate_companion([system], np.array([float(xi)]),
                                   np.asarray(t_grid, dtype=float), [epsilon],
-                                  tracked_indices=(0,))
+                                  tracked_indices=(0,),
+                                  trace_steps=range(0, len(t_grid), every))
     if isinstance(result, WeakHypError):
         raise result
     return result.traces[:, 0, :]
@@ -126,6 +129,17 @@ def test_stability_budget_refusal():
     assert info.value.required_steps > 16
 
 
+def test_ill_formed_output_or_trace_steps_are_refused():
+    # each step names one column, so a repeated step would leave one empty;
+    # tracked columns without trace steps would be kept nowhere
+    system = build_companion(_wave_principal(), data=_unit_data(2))
+    t_grid = np.linspace(0.0, 1.0, 17)
+    for steps in (dict(output_steps=(4, 4)), dict(trace_steps=(0, 8, 8)),
+                  dict(tracked_indices=(0,))):
+        with pytest.raises(InvalidParameterError):
+            integrate_companion([system], np.array([2.0]), t_grid, **steps)
+
+
 def test_superposition_linearity():
     xi = 4.0
     t_grid = np.linspace(0.0, 1.0, 801)
@@ -180,8 +194,8 @@ def test_energy_conserved_for_constant_coefficients():
     system = build_companion(_wave_principal(), data=_unit_data(2))
     t_grid = np.linspace(0.0, 1.0, 2049)
     xi = 5.0
-    trace = solve_frequency(system, xi, 1.0, t_grid)
-    energy = energy_trace(system, trace, t_grid, xi, sample_stride=16)
+    trace = solve_frequency(system, xi, 1.0, t_grid, every=16)
+    energy = energy_trace(system, trace, t_grid[::16], xi)
     assert max_relative_drift(energy) <= 1e-8
 
 
@@ -193,14 +207,14 @@ def test_energy_trace_equals_per_time_symmetrisers():
     system = build_companion(principal, data=_unit_data(2))
     t_grid = np.linspace(0.0, 1.0, 1025)
     xi = 4.0
-    trace = solve_frequency(system, xi, 1.0, t_grid)
-    energy = energy_trace(system, trace, t_grid, xi, sample_stride=8)
+    trace = solve_frequency(system, xi, 1.0, t_grid, every=8)
+    energy = energy_trace(system, trace, t_grid[::8], xi)
     br = float(bracket(np.array(xi)))
     lam = principal.roots(energy.times, np.array([xi]))[:, :, 0]
-    for row, i in enumerate(range(0, t_grid.size, 8)):
+    for row in range(trace.shape[1]):
         s = symmetriser_figures(np.sort(lam[row]) / br, np.ones((1, 2)),
                                 None)["matrix"]
-        v = trace[:, i]
+        v = trace[:, row]
         assert energy.energies[row] == float(np.real(np.conj(v) @ s @ v))
 
 
@@ -211,8 +225,8 @@ def test_energy_pure_forcing_bounded_by_quadrature_oracle():
     system = build_companion(_wave_principal(), forcing=forcing)
     t_grid = np.linspace(0.0, 1.0, 2049)
     xi = 3.0
-    trace = solve_frequency(system, xi, 1.0, t_grid)
-    energy = energy_trace(system, trace, t_grid, xi, sample_stride=8)
+    trace = solve_frequency(system, xi, 1.0, t_grid, every=8)
+    energy = energy_trace(system, trace, t_grid[::8], xi)
     # oracle: sqrt(E)' <= |S^(1/2) F|, so E(T) <= (int |S^(1/2) F| dt)^2
     from weakhyp.symmetrisers import build_symmetriser
     br = np.sqrt(1.0 + xi * xi)
@@ -489,6 +503,24 @@ def _lower_forced_problem(**options):
         forcing=(bump_profile(0.5, 0.3), bump_profile(0.0, 1.0)), **options)
 
 
+def test_constant_edge_of_a_root_profile_stays_steady():
+    # the heaviside speed is constant from its jump to its support's end,
+    # where its extension over the pad continues it: on the quarter-step
+    # lattice of 1005 steps the principal rows vary only within omega plus
+    # one step h of the jump at t = 0.5
+    problem = _heaviside_problem()
+    t = np.linspace(0.0, 1.0, 4 * 1005 + 1)
+    h = 1.0 / 1005
+    for epsilon in (0.25, 0.0625):
+        system, reg = build_regularised_system(problem, epsilon)
+        steady = system.principal.row_provider(
+            t, problem.grid.frequencies).steady
+        q = np.flatnonzero(~steady)
+        assert q.size
+        assert np.abs(t[q] - 0.5).max() <= reg.omega + h
+        assert np.abs(t[q + 1] - 0.5).max() <= reg.omega + h
+
+
 def _assert_same_result(batched, solo):
     assert np.array_equal(batched.first_component, solo.first_component)
     assert np.array_equal(batched.final_state, solo.final_state)
@@ -500,21 +532,20 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     problem = _lower_forced_problem()
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
-    # the blocks the integrator reads, one lower-order row call each
+    # the blocks the integrator reads, one read of each of its two parts'
+    # rows (principal and lower order) each
     blocks = []
-    provider = LowerOrderPart.row_provider
+    reader = solver._stretch_reader
 
-    def counted(self, t, frequencies):
-        rows = provider(self, t, frequencies)
+    def counted(provider):
+        read = reader(provider)
 
-        @functools.wraps(rows)  # carries the provider's ``steady``
-        def call(index):
-            if isinstance(index, slice):
-                blocks.append(index)
-            return rows(index)
+        def call(lo, hi):
+            blocks.append((lo, hi))
+            return read(lo, hi)
         return call
 
-    monkeypatch.setattr(LowerOrderPart, "row_provider", counted)
+    monkeypatch.setattr(solver, "_stretch_reader", counted)
     # a batch of one, then of two epsilons
     for epsilons in ((0.125,), (0.125, 0.0625)):
         systems = [build_regularised_system(problem, e)[0] for e in epsilons]
@@ -530,8 +561,9 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
             blocks.clear()
             results = integrate_companion(systems, xi, t_grid, epsilons,
                                           tracked_indices=(1, 5),
-                                          output_steps=(100, 256))
-            assert len(blocks) == len(systems) * -(-256 // steps)
+                                          output_steps=(100, 256),
+                                          trace_steps=range(0, 257, 5))
+            assert len(blocks) == 2 * len(systems) * -(-256 // steps)
             return results
 
         # all 256 steps in one block
@@ -552,7 +584,8 @@ def test_constant_stretches_keep_each_entrys_bits(monkeypatch):
     systems = [build_regularised_system(problem, e)[0] for e in epsilons]
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
-    options = dict(tracked_indices=(0, 1, 5), output_steps=(100, 256))
+    options = dict(tracked_indices=(0, 1, 5), output_steps=(100, 256),
+                   trace_steps=range(0, 257, 5))
 
     def run(members, frequencies):
         return integrate_companion([systems[e] for e in members],
@@ -584,13 +617,17 @@ def _agrees_with_staged_rk4(problem, epsilon, exact):
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, problem.time_steps + 1)
     steps = (problem.time_steps // 2, problem.time_steps)
+    # a staged run is checked at every step; elsewhere jumps must cross
+    # between the trace steps
+    samples = range(0, t_grid.size, 1 if exact else 3)
     result, = integrate_companion([system], xi, t_grid, [epsilon],
                                   tracked_indices=range(xi.size),
-                                  output_steps=steps)
+                                  output_steps=steps,
+                                  trace_steps=samples)
     states = staged_rk4(system, xi, t_grid)
     got = (np.moveaxis(result.traces, -1, 0), result.final_state,
            result.first_component)
-    want = (states, states[-1], states[list(steps), 0])
+    want = (states[samples], states[-1], states[list(steps), 0])
     for a, b in zip(got, want):
         if exact:
             assert np.array_equal(a, b)
@@ -719,7 +756,8 @@ def test_staged_steps_and_row_reads_follow_the_layers(monkeypatch):
         systems = [build_regularised_system(problem, e)[0] for e in epsilons]
         results = integrate_companion(systems, problem.grid.frequencies,
                                       t_grid, epsilons, tracked_indices=(1, 5),
-                                      output_steps=(100, 256))
+                                      output_steps=(100, 256),
+                                      trace_steps=range(0, 257, 5))
         assert not any(isinstance(r, WeakHypError) for r in results)
         return results
 
@@ -748,6 +786,26 @@ def test_staged_steps_and_row_reads_follow_the_layers(monkeypatch):
     assert all(r.step_doubling_max > 0.0 for r in results)
 
 
+def test_forced_members_read_each_steady_stretch_once(monkeypatch):
+    # a forced member takes the staged step everywhere; a part whose rows
+    # are steady over a whole block, as between the layers, is read at one
+    # lattice point, once per steady stretch, and no read of several points
+    # lies inside one stretch
+    built = _spy_row_reads(monkeypatch)
+    problem = _lower_forced_problem()
+    epsilons = (0.125, 0.0625)
+    systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+    results = integrate_companion(systems, problem.grid.frequencies,
+                                  np.linspace(0.0, 1.0, 257), epsilons)
+    assert not any(isinstance(r, WeakHypError) for r in results)
+    assert len(built) == 2 * len(epsilons)  # principal and lower order
+    for t, steady, reads in built:
+        stretch = np.concatenate([[0], np.cumsum(~steady)])
+        assert all(stretch[a] != stretch[b - 1] for a, b in reads if b - a > 1)
+        single = [stretch[a] for a, b in reads if b - a == 1]
+        assert 0 < len(single) == len(set(single)) < len(reads)
+
+
 def _spiked_problem(**options):
     speed = piecewise_constant_profile([0.0, 0.3, 0.35, 1.0],
                                        [1.0, 25.0, 1.0], (0.0, 1.0))
@@ -765,10 +823,11 @@ def test_jumps_agree_with_staged_rk4_at_their_boundaries(monkeypatch, make,
                                                           epsilon, nt):
     # nt // 100 = 10 steps from one step-doubling step to the next, so a jump
     # crosses up to 9 steps (1005 is not a multiple of 10); stretches shorter
-    # than that come from rounding near the heaviside's support end and from
-    # the spike's two close layers at epsilon 0.022.  Output steps, which
-    # end jumps early, sit at the first, second, last and past-the-last step
-    # of each long stretch, on a step-doubling step inside it and between two
+    # than that come from the spike's two close layers at epsilon 0.022.
+    # Output and trace steps, which end jumps early, sit at the first,
+    # second, last and past-the-last step of each long stretch; the output
+    # steps also on a step-doubling step inside it and between two, and the
+    # trace steps every 37 steps, so that jumps still cross between them
     problem = make()
     system = build_regularised_system(problem, epsilon)[0]
     xi = problem.grid.frequencies
@@ -779,16 +838,19 @@ def test_jumps_agree_with_staged_rk4_at_their_boundaries(monkeypatch, make,
         [_constant_steps(t, steady, nt)[0] for t, steady, _ in built])
     stretches = [(a, b) for a, b in _stretches(constant) if b - a > 20]
     assert stretches
-    steps = sorted({nt}.union(*({a, a + 1, 10 * (a // 10 + 1),
-                                 10 * (a // 10 + 1) + 4, b - 1, b}
-                                for a, b in stretches)))
+    ends = [{a, a + 1, b - 1, b} for a, b in stretches]
+    steps = sorted({nt}.union(*ends, *({10 * (a // 10 + 1),
+                                        10 * (a // 10 + 1) + 4}
+                                       for a, _ in stretches)))
+    samples = sorted(set(range(0, nt + 1, 37)).union(*ends))
     tracked = (0, 3, 7, 20)
     result, = integrate_companion([system], xi, t_grid, [epsilon],
-                                  tracked_indices=tracked, output_steps=steps)
+                                  tracked_indices=tracked, output_steps=steps,
+                                  trace_steps=samples)
     states = staged_rk4(system, xi, t_grid)
     for got, want in ((result.first_component, states[steps, 0]),
                       (np.moveaxis(result.traces, -1, 0),
-                       states[:, :, list(tracked)]),
+                       states[samples][:, :, list(tracked)]),
                       (result.final_state, states[-1])):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(states))
     assert math.isclose(result.step_doubling_max,
@@ -802,12 +864,27 @@ def _assert_same_record(batched, solo):
     assert batched.step_doubling_max == solo.step_doubling_max
 
 
+def _order_three_problem(**options):
+    # a zero root between two heaviside roots that jump at t = 0.5
+    roots = (heaviside_profile(0.5, -1.0, -2.0, (0.0, 1.0)),
+             constant_profile(0.0, (0.0, 1.0)),
+             heaviside_profile(0.5, 1.0, 2.0, (0.0, 1.0)))
+    return VeryWeakProblem(
+        family=roots_from_time_profiles(roots),
+        data=(bump_profile(0.0, 1.0), zero_profile(), bump_profile(0.0, 0.5)),
+        grid=FrequencyGrid(64, auto_box_length(1.0, 2.5, 1.0, 1.0)),
+        time_steps=256, horizon=1.0, omega=linear_scale(), **options)
+
+
 def test_sweep_records_equal_solo_runs():
-    problem = _lower_forced_problem(output_times=(0.5, 1.0),
-                                    tracked_frequencies=(2.0, 5.0))
-    net = solve_very_weak(problem, (0.25, 0.125, 0.0625))
-    for e in net.epsilons:
-        _assert_same_record(net.record(e), solve_single(problem, e))
+    for make in (_lower_forced_problem, _order_three_problem):
+        problem = make(output_times=(0.5, 1.0),
+                       tracked_frequencies=(2.0, 5.0))
+        net = solve_very_weak(problem, (0.25, 0.125, 0.0625))
+        for e in net.epsilons:
+            assert net.record(e).traces.shape \
+                == (problem.order, 2, problem.trace_steps.size)
+            _assert_same_record(net.record(e), solve_single(problem, e))
 
 
 def test_stability_reject_leaves_the_other_epsilons_unchanged():
@@ -871,12 +948,14 @@ def test_stability_screen_decides_as_the_full_svd(monkeypatch):
         with monkeypatch.context() as patch:
             calls = _counted_svd(patch)
             screened = integrate_companion(systems, xi, t_grid, epsilons,
-                                           tracked_indices=(0,))
+                                           tracked_indices=(0,),
+                                           trace_steps=range(t_grid.size))
         assert calls, "the screen cleared every member"
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_estimate_norm", estimate_norm_svd)
             full = integrate_companion(systems, xi, t_grid, epsilons,
-                                       tracked_indices=(0,))
+                                       tracked_indices=(0,),
+                                       trace_steps=range(t_grid.size))
         for new, old in zip(screened, full):
             assert type(new) is type(old)
             if isinstance(old, StabilityError):
@@ -942,7 +1021,8 @@ def test_divergent_member_leaves_the_batch():
     epsilons = (0.5, 0.25, 0.125)
     xi = np.array([1.0, 2.0, 3.0])
     t_grid = np.linspace(0.0, 1.0, 257)
-    options = dict(tracked_indices=(1,), output_steps=(128, 256))
+    options = dict(tracked_indices=(1,), output_steps=(128, 256),
+                   trace_steps=range(0, 257, 16))
     batched = integrate_companion(systems, xi, t_grid, epsilons, **options)
     assert isinstance(batched[1], DivergenceError)
     assert batched[1].epsilon == 0.25 and batched[1].xi in xi
@@ -972,7 +1052,8 @@ def test_divergence_inside_a_jump_stops_only_its_member(monkeypatch):
     epsilons = (0.5, 0.25, 0.125)
     xi = np.array([1.0, 2.0, 3.0])
     t_grid = np.linspace(0.0, 1.0, 1001)
-    options = dict(tracked_indices=(1,), output_steps=(500, 1000))
+    options = dict(tracked_indices=(1,), output_steps=(500, 1000),
+                   trace_steps=range(0, 1001, 125))
     batched = integrate_companion(systems, xi, t_grid, epsilons, **options)
     assert not staged
     assert isinstance(batched[1], DivergenceError)
