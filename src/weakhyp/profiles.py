@@ -257,35 +257,41 @@ def zero_profile() -> RoughProfile:
     return RoughProfile((), (), (0.0, 0.0))
 
 
-def extend_profile(profile: RoughProfile, pad: float) -> RoughProfile:
-    """Continue the density constantly past both support ends.
+def extend_profile(profile: RoughProfile, pad: float,
+                   span: tuple[float, float] | None = None) -> RoughProfile:
+    """Continue the density constantly past both ends of ``span``, by
+    default the extent of its pieces.
 
     Mollifying a coefficient that is meant to hold on a working interval
     must not see artificial jumps at the interval ends, so coefficient-type
     profiles are extended by their one-sided edge values before convolution.
-    Atoms are left untouched.
+    Pieces are cut to ``span``, and only the pieces that reach one of its
+    ends are continued past it: a profile that is zero at an end stays zero
+    beyond it.  Atoms are left untouched.
     """
     if pad <= 0:
         raise InvalidParameterError("extension pad must be positive")
-    if not profile.pieces:
-        return RoughProfile(profile.pieces, profile.atoms,
-                            (profile.support[0] - pad, profile.support[1] + pad))
-    pieces = list(profile.pieces)
-    first = min(range(len(pieces)), key=lambda k: pieces[k].lo)
-    last = max(range(len(pieces)), key=lambda k: pieces[k].hi)
-    lo, hi = pieces[first].lo, pieces[last].hi
+    lo, hi = span if span is not None else (
+        min((p.lo for p in profile.pieces), default=profile.support[0]),
+        max((p.hi for p in profile.pieces), default=profile.support[1]))
+    pieces = [p if lo <= p.lo and p.hi <= hi
+              else Piece(max(p.lo, lo), min(p.hi, hi), p.fn, p.degree, p.value)
+              for p in profile.pieces if p.lo < hi and p.hi > lo]
     head, tail = [], []
     # a constant edge piece is lengthened over the pad: an equal twin beside
     # it would round apart from it within the mollifier's reach of the
     # seam, so that the mollified profile is not bitwise constant there
-    for k, edge, a, b, ends in ((first, lo, lo - pad, lo, head),
-                                (last, hi, hi, hi + pad, tail)):
-        p = pieces[k]
-        if p.degree == 0:
-            pieces[k] = _constant_piece(min(p.lo, a), max(p.hi, b), p.value)
-        else:
-            value = complex(np.asarray(p.fn(np.array([edge]))).ravel()[0])
-            ends.append(_constant_piece(a, b, value))
+    for edge, a, b, ends in ((lo, lo - pad, lo, head),
+                             (hi, hi, hi + pad, tail)):
+        for k, p in enumerate(pieces):
+            if edge not in (p.lo, p.hi):
+                continue
+            if p.degree == 0:
+                pieces[k] = _constant_piece(min(p.lo, a), max(p.hi, b),
+                                            p.value)
+            else:
+                value = complex(np.asarray(p.fn(np.array([edge]))).ravel()[0])
+                ends.append(_constant_piece(a, b, value))
     pieces = head + pieces + tail
     support = (min(profile.support[0], lo) - pad,
                max(profile.support[1], hi) + pad)

@@ -100,7 +100,8 @@ class PrincipalPart(Protocol):
     one (T, m, K) block, which depends on the index alone.  The function
     carries ``steady`` (T - 1,): true at q only when the rows at ``t[q]`` and
     ``t[q + 1]`` are bitwise equal at every frequency, read from the time
-    profiles the rows come from, never from the rows.
+    profiles the rows come from, never from the rows.  The lower-order and
+    forcing parts keep this contract, the forcing with one column (T, 1, K).
     """
 
     order: int
@@ -247,20 +248,24 @@ class LowerOrderPart:
 
 @dataclass
 class ForcingPart:
-    """Transformed forcing f_hat(t, xi), separable in time and frequency."""
+    """Transformed forcing f_hat(t, xi), separable in time and frequency:
+    the last-row entry of the unit component that makes a forced system
+    homogeneous, D_t (V, 1) = [[A + B, F], [0, 0]] (V, 1)."""
 
     time_values: Callable[[Array], Array]
     xhat: Callable[[Array], Array]
 
-    def values_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Forcing values (T, K) at the times ``t[index]``."""
+    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
+        """Forcing values (T, 1, K) at the times ``t[index]``; ``steady``
+        compares the time values' bits at neighbouring times."""
         tv = np.asarray(self.time_values(np.asarray(t, float)), dtype=complex)
         xv = np.asarray(self.xhat(np.asarray(xi, float)), dtype=complex)
 
-        def values(index: Index) -> Array:
-            return tv[index, None] * xv
+        def rows(index: Index) -> Array:
+            return tv[index, None, None] * xv
 
-        return values
+        rows.steady = _steady(np.stack([tv.real, tv.imag]))
+        return rows
 
 
 @dataclass

@@ -31,13 +31,13 @@ from .errors import (ConfigurationError, DivergenceError,
 from .mollifiers import (GevreyCutoffMollifier, convolve_profile,
                          friedrichs_mollifier, scale_mollifier,
                          vanishing_moment_mollifier)
-from .profiles import RoughProfile
+from .profiles import RoughProfile, extend_profile
 from .recovery import recover_coefficients
 from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
                         LowerOrderPart, RootValuePrincipal,
                         build_companion, companion_matrix)
-from .roots import (OmegaScale, RegularisedRoots, RootFamily, bracket,
-                    speed_bound)
+from .roots import (EDGE_PAD, OmegaScale, RegularisedRoots, RootFamily,
+                    bracket, speed_bound)
 from .symmetrisers import build_symmetriser
 
 Array = np.ndarray
@@ -136,11 +136,11 @@ class IntegrationResult:
     step_doubling_max: float
 
 
-# bytes of last rows and forcing that one block of staged steps may read:
-# m x K rows (real, or complex with lower-order terms) and K complex forcing
-# values at two stage times a step, four on a step-doubling step, counted
-# for every live member so that one row read stays short; the block holds
-# only the varying members' rows, as a constant stretch reads one row
+# bytes of last rows that one block of staged steps may read: w x K entries
+# (real, or complex with lower-order terms or forcing) at two stage times a
+# step, four on a step-doubling step, counted for every live member so that
+# one row read stays short; the block holds only the varying members' rows,
+# as a constant stretch reads one row
 _ROW_BLOCK_BYTES = 1 << 17
 
 
@@ -173,17 +173,17 @@ def _estimate_norm(rows: Callable[[Index], Array], index: Array,
 
 
 def _rk4(stages: tuple, dt: float, ibr: Array, state: Array) -> Array:
-    """One RK4 step of length dt for the states (..., m, K), whose stages
-    read the (last rows (..., m, K), forcing (..., K) or None) ``stages``."""
+    """One RK4 step of length dt for the states (..., w, K), whose stages
+    read the last rows (..., w, K) ``stages``: i<xi> ``ibr`` (m - 1, K)
+    shifts the first m - 1 components, component m - 1 reads the last row,
+    and the rest, a forced state's unit component, stays constant."""
+    n = ibr.shape[0]
 
-    def rhs(stage: tuple, y: Array) -> Array:
-        rows, force = stage
+    def rhs(rows: Array, y: Array) -> Array:
         out = np.empty_like(y)
-        out[..., :-1, :] = ibr * y[..., 1:, :]
-        last = (rows * y).sum(axis=-2)
-        if force is not None:
-            last = last + force
-        out[..., -1, :] = 1j * last
+        out[..., :n, :] = ibr * y[..., 1:n + 1, :]
+        out[..., n, :] = 1j * (rows * y).sum(axis=-2)
+        out[..., n + 1:, :] = 0.0
         return out
 
     k1 = rhs(stages[0], state)
@@ -193,7 +193,7 @@ def _rk4(stages: tuple, dt: float, ibr: Array, state: Array) -> Array:
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _staged_step(stage: Callable[[int], tuple], i: int, doubled: bool,
+def _staged_step(stage: Callable[[int], Array], i: int, doubled: bool,
                  h: float, ibr: Array, state: Array) -> tuple:
     """Step i by staged RK4, reading ``stage(q)`` at lattice point q, and on
     a step-doubling step also as two half steps (else None)."""
@@ -207,7 +207,7 @@ def _staged_step(stage: Callable[[int], tuple], i: int, doubled: bool,
 
 
 def _apply(step_map: Array, state: Array) -> Array:
-    """The states (..., m, K) under ``step_map`` (m, m, K), slice j the
+    """The states (..., w, K) under ``step_map`` (w, w, K), slice j the
     image of basis vector j; a map as ``state`` gives the composite."""
     out = step_map[0] * state[..., :1, :]
     for j in range(1, step_map.shape[0]):
@@ -253,24 +253,24 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     the first component of the state landing on each of ``output_steps``,
     the columns ``tracked_indices`` of that on each of ``trace_steps``.
 
-    Each member keeps its own step position.  Where its row providers report
+    A forced member steps the homogeneous system
+    D_t (V, 1) = [[A + B, F], [0, 0]] (V, 1): its state has w = m + 1
+    components, the last a unit one that no output, error or budget reads.
+    Each member keeps its own step position.  Where all its parts report
     ``steady`` over a step's lattice intervals, as outside the layers of
     width 2 omega around each jump of a mollified piecewise-constant
-    coefficient, its rows are bitwise constant and an RK4 step is a fixed
-    linear map P, which pushing the m basis vectors through the staged step
-    builds, with the half-step map, from the rows at the stretch's entry.
-    The member crosses the stretch in powers of P: P and the half-step
-    check on each step-doubling step, and between them one P^n (n < stride,
-    by repeated squaring of the per-frequency m x m maps) to the next
-    step-doubling, output or trace step, or to the stretch's end.  So a
-    member's cost follows its layers, 2 omega / T of the steps.  Only
-    the members whose rows vary take the staged step, on the steps where
-    they vary, reading their rows (principal plus lower, summed once) and
-    forcing in blocks (see ``_ROW_BLOCK_BYTES``); a part steady over a
-    whole block, as a forced member's principal part between its layers,
-    gives the one row of its stretch, read once.  P is the RK4 map, so
-    outputs differ from the staged steps' by rounding only.  A forced
-    problem always takes the staged steps.
+    profile, an RK4 step is a fixed linear map P, which pushing the w basis
+    vectors through the staged step builds, with the half-step map, from
+    the rows at the stretch's entry.  The member crosses the stretch in
+    powers of P: P and the half-step check on each step-doubling step, and
+    between them one P^n (n < stride, by repeated squaring of the
+    per-frequency w x w maps) to the next step-doubling, output or trace
+    step, or to the stretch's end.  So its cost follows its layers,
+    2 omega / T of the steps, and its outputs differ from the staged steps'
+    by rounding only.  Only the members whose rows vary take the staged
+    step, on the steps where they vary, reading A + B (summed once) and F
+    in blocks (see ``_ROW_BLOCK_BYTES``); a part steady over a whole block
+    gives the one row of its stretch, read once.
 
     Failures are per member.  A member that fails h * max||A + B|| <= 0.5
     at nine grid times (see :func:`_estimate_norm`) gets a
@@ -295,7 +295,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         raise InvalidParameterError("need one epsilon per system")
     if not systems:
         return []
-    # one row and one forcing dtype for the batch keeps each member's bits
+    # one row dtype and state width for the batch keeps each member's bits
     m = systems[0].order
     lowered = systems[0].lower is not None
     forced = systems[0].forcing is not None
@@ -303,6 +303,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
            != (m, lowered, forced) for s in systems):
         raise InvalidParameterError("batched systems must share their order "
                                     "and which parts they have")
+    w = m + forced  # a forced state's unit component follows its m
 
     columns = [int(i) for i in tracked_indices]
     stride = max(1, nt // 100)
@@ -327,15 +328,14 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     starts = position[::4]
 
     br = bracket(xi)
-    ibr = 1j * br
+    ibr = np.broadcast_to(1j * br, (m - 1, xi.size))  # superdiagonal, by row
     sample = starts[::max(1, nt // 8)]
 
     def set_up(system: CompanionSystem, epsilon: float | None) -> tuple:
-        parts = [system.principal.row_provider(stage_times, xi)]
-        if lowered:
-            parts.append(system.lower.row_provider(stage_times, xi))
-        reads = [_stretch_reader(p) for p in parts]
-        norm = _estimate_norm(lambda q: reduce(np.add, [p(q) for p in parts]),
+        parts = [p.row_provider(stage_times, xi) for p in (
+            system.principal, system.lower, system.forcing) if p is not None]
+        ab = parts[:1 + lowered]  # the parts of A + B, all the budget reads
+        norm = _estimate_norm(lambda q: reduce(np.add, [p(q) for p in ab]),
                               sample, br, (0.5 + 1e-12) / h)
         if h * norm > 0.5 + 1e-12:
             required_step = 0.5 / norm
@@ -345,13 +345,19 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 f"{epsilon}: h*||A+B|| = {h * norm:.3f} > 0.5; need at least "
                 f"{required} steps", required_step=required_step,
                 required_steps=required, epsilon=epsilon)
-        fprov = system.forcing.values_provider(stage_times, xi) \
-            if forced else None
+        reads = [_stretch_reader(p) for p in parts]
+
+        def rows(lo: int, hi: int, out: Array) -> Array:
+            # the rows at lattice points lo to hi: A + B, then the forcing
+            out[:, :m] = reduce(np.add, [r(lo, hi) for r in reads[:len(ab)]])
+            if forced:
+                out[:, m:] = reads[-1](lo, hi)
+            return out
+
         steady = reduce(np.logical_and, [p.steady for p in parts])
         # step i reads the lattice points from starts[i] to starts[i + 1]
-        constant = np.logical_and.reduceat(steady, starts[:-1]) & (not forced)
-        return (lambda lo, hi: reduce(np.add, [r(lo, hi) for r in reads]),
-                fprov, constant, system.V0(xi).astype(complex))
+        return (rows, np.logical_and.reduceat(steady, starts[:-1]),
+                system.V0(xi).astype(complex))
 
     # outputs by live slot, one array each for the batch, small enough to
     # take heap pages already in use; taken before the set-up's tables and
@@ -359,9 +365,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     traces = np.zeros((len(systems), m, len(columns), len(trace_steps)),
                       complex)
     first = np.zeros((len(systems), len(output_steps), xi.size), complex)
-    v = np.zeros((len(systems), m, xi.size), dtype=complex)  # final states
+    v = np.zeros((len(systems), w, xi.size), dtype=complex)  # final states
+    v[:, m:] = 1.0  # a forced state's unit component
     outcome: list = [None] * len(systems)
-    readers = []  # by live slot: rows, forcing values, constant steps, V0
+    readers = []  # by live slot: rows, constant steps, V0
     for member, system in enumerate(systems):
         try:
             with numerical_errors():
@@ -370,13 +377,13 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
             outcome[member] = exc
     live = [e for e, done in enumerate(outcome) if done is None]
     # (live members, nt): whether each member's rows vary on each step
-    varying = ~np.array([r[2] for r in readers], bool).reshape(len(live), nt)
-    v[:len(live)] = np.reshape([r[3] for r in readers], (-1, m, xi.size))
+    varying = ~np.array([r[1] for r in readers], bool).reshape(len(live), nt)
+    v[:len(live), :m] = np.reshape([r[2] for r in readers], (-1, m, xi.size))
     # principal rows are real, lower-order rows and forcing values complex
-    row_bytes = (16 if lowered else 8) * m + (16 if forced else 0)
-    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * row_bytes * max(len(live), 1)
-                                             * max(xi.size, 1)))
-    units = np.eye(m, dtype=complex)[:, :, None] * np.ones(xi.size)
+    dtype = np.dtype(complex if lowered or forced else float)
+    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * dtype.itemsize * w
+                                             * max(len(live) * xi.size, 1)))
+    units = np.eye(w, dtype=complex)[:, :, None] * np.ones(xi.size)
     # per member: worst step-doubling error, whether it lives, step reached
     worst_double, alive, at = (np.zeros(len(live)), np.ones(len(live), bool),
                                np.zeros(len(live), int))
@@ -385,15 +392,16 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
              check: bool) -> bool:
         """Record the states x that ``slots`` reach at ``step``, with their
         doubling error against ``half``; if ``check``, stop any non-finite."""
+        y = x[:, :m]  # never the unit component
         if step in trace_at:
-            traces[slots, ..., trace_at[step]] = x[..., columns]
+            traces[slots, ..., trace_at[step]] = y[..., columns]
         if step in out_at:
-            first[slots, out_at[step]] = x[:, 0]
+            first[slots, out_at[step]] = y[:, 0]
         if half is not None:
-            scale = np.abs(x).max(axis=(1, 2))
+            scale = np.abs(y).max(axis=(1, 2))
             # fmax, like max() on floats, ignores a NaN estimate
             worst_double[slots] = np.fmax(
-                worst_double[slots], np.abs(x - half).max(axis=(1, 2))
+                worst_double[slots], np.abs(y - half[:, :m]).max(axis=(1, 2))
                 / np.where(scale == 0.0, 1.0, scale))
         if not check or np.isfinite(x.view(float)).all():
             return False
@@ -411,8 +419,9 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         has reached to ``stop`` in powers of the stretch's step map, each
         jump ending on the next step-doubling, output or trace step."""
         i, slots = int(at[slot]), [slot]
-        entry = readers[slot][0](starts[i], starts[i])
-        full, half = (_rk4(((entry, None),) * 3, dt, ibr, units)
+        entry = readers[slot][0](starts[i], starts[i],
+                                 np.empty((1, w, xi.size), dtype))
+        full, half = (_rk4((entry,) * 3, dt, ibr, units)
                       for dt in (h, 0.5 * h))
         squares, powers = [full], {}  # P^(2^b) by b, P^n by n
         x = v[slots]
@@ -430,9 +439,8 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 return
         v[slots], at[slot] = x, stop
 
-    def stage(q: int) -> tuple:
-        k = position[q] - lo
-        return block[:, k], None if force is None else force[:, k]
+    def stage(q: int) -> Array:
+        return block[:, position[q] - lo]
 
     land(np.arange(len(live)), 0, v[:len(live)], None, False)
     i = 0
@@ -453,16 +461,14 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
             # one buffer holds every block's rows; no block holds more
             # step-doubling steps, and so lattice points, than the first one
             buffer = np.empty((movers.size, starts[min(nt, block_steps)] + 1,
-                               m, xi.size), complex if lowered else float)
+                               w, xi.size), dtype)
             x, a = v[movers], i
             for i in range(a, a + run):
                 if (i - a) % block_steps == 0:
                     lo, hi = starts[i], starts[min(a + run, i + block_steps)]
                     block = buffer[:, :hi - lo + 1]
                     for row, slot in zip(block, movers):
-                        row[...] = readers[slot][0](lo, hi)
-                    force = np.stack([readers[slot][1](slice(lo, hi + 1))
-                                      for slot in movers]) if forced else None
+                        readers[slot][0](lo, hi, row)
                 x, half = _staged_step(stage, i, i % stride == 0, h, ibr, x)
                 if land(movers, i + 1, x, half, i % 64 == 0 or i == nt - 1):
                     break
@@ -473,7 +479,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     for slot in np.flatnonzero(alive):
         outcome[live[slot]] = IntegrationResult(
-            traces[slot], first[slot], v[slot], float(worst_double[slot]))
+            traces[slot], first[slot], v[slot, :m], float(worst_double[slot]))
     return outcome
 
 
@@ -608,6 +614,9 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     The regularised data and forcing are defined on the problem's frequency
     grid: they read the problem's cached transforms, times this epsilon's
     cut-off transform, at the grid positions of the frequencies asked for.
+    The lower-order coefficients and the forcing's time profile are
+    continued constantly past [0, T] before mollification, as the roots
+    are, so that convolution sees no jump at t = 0 or t = T.
     """
     phi = friedrichs_mollifier()
     w = problem.omega(epsilon)
@@ -621,19 +630,21 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
         values = transform * rho_hat
         return lambda xi: values[grid.positions(xi)]
 
+    def continued(profile: RoughProfile) -> Callable[[Array], Array]:
+        return convolve_profile(extend_profile(
+            profile, EDGE_PAD, (0.0, problem.horizon)), phi_w)
+
     data_hats, space_hat = problem.grid_transforms
     principal = RootValuePrincipal(reg)
     lower = problem.lower_terms
     if lower is not None:
         lower = replace(lower, terms=tuple(
-            replace(term, coefficient=convolve_profile(term.coefficient,
-                                                       phi_w))
+            replace(term, coefficient=continued(term.coefficient))
             for term in lower.terms))
     forcing = None
     if problem.forcing is not None:
-        forcing = ForcingPart(
-            time_values=convolve_profile(problem.forcing[0], phi_w),
-            xhat=on_grid(space_hat))
+        forcing = ForcingPart(time_values=continued(problem.forcing[0]),
+                              xhat=on_grid(space_hat))
     data = InitialData(tuple(on_grid(g) for g in data_hats))
     system = build_companion(principal, lower=lower, forcing=forcing, data=data)
     return system, reg

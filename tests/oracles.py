@@ -139,16 +139,14 @@ class PolynomialPrincipal:
 
 def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
                      ) -> Array:
-    """(nt, K): whether entry k's last rows, principal plus lower, are equal
-    at every stage time that step i of the integrator reads, the quarter
-    points of its step-doubling steps included, compared entry by entry; a
-    forced problem has none.  The per-entry pass that the integrator's
-    per-member ``steady`` steps replaced."""
+    """(nt, K): whether entry k's last rows, principal plus lower, and its
+    forcing values are equal at every stage time that step i of the
+    integrator reads, the quarter points of its step-doubling steps
+    included, compared entry by entry.  The per-entry pass that the
+    integrator's per-member ``steady`` steps replaced."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float)
     nt = t_grid.size - 1
-    if system.forcing is not None:
-        return np.zeros((nt, xi.size), dtype=bool)
     h = float(t_grid[1] - t_grid[0])
     # stage times as indices on the quarter-step lattice t_0 + q h / 4
     doubled = 4 * np.arange(0, nt, max(1, nt // 100))
@@ -158,6 +156,9 @@ def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
     rows = system.principal.row_provider(stage_times, xi)(slice(None))
     if system.lower is not None:
         rows = rows + system.lower.row_provider(stage_times, xi)(slice(None))
+    if system.forcing is not None:
+        rows = np.concatenate([rows, system.forcing.row_provider(
+            stage_times, xi)(slice(None))], axis=1)
     same = (rows[1:] == rows[:-1]).all(axis=1)  # (intervals, K)
     starts = np.searchsorted(lattice, 4 * np.arange(nt + 1))
     return np.array([same[starts[i]:starts[i + 1]].all(axis=0)
@@ -174,7 +175,7 @@ def _staged_stepper(system: CompanionSystem, xi: Array, stage_times: Array
     if system.lower is not None:
         rows = rows + system.lower.row_provider(stage_times, xi)(slice(None))
     force = None if system.forcing is None else \
-        system.forcing.values_provider(stage_times, xi)(slice(None))
+        system.forcing.row_provider(stage_times, xi)(slice(None))[:, 0]
     ibr = 1j * bracket(xi)
 
     def rhs(k: int, state: Array) -> Array:

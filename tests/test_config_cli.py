@@ -549,6 +549,18 @@ def _rerun_config(subcommand):
                         "high": 4.0}
         raw["reference"] = {"kind": "fine_epsilon", "divisor": 2.0}
         return raw
+    if subcommand == "solve":
+        # the config sections no other CLI test reads: a lower-order term
+        # that jumps where the principal part is constant, and a forcing
+        raw = _base_config()
+        raw["roots"] = {"preset": "heaviside", "jump": 0.5, "low": 1.0,
+                        "high": 2.0}
+        raw["lower_terms"] = [{"nu": 0, "j": 1, "profile": {
+            "preset": "heaviside", "jump": 0.3, "low": 0.5, "high": -0.5}}]
+        raw["forcing"] = {"time": {"preset": "bump", "center": 0.5,
+                                   "radius": 0.3},
+                          "space": {"preset": "bump", "radius": 1.0}}
+        return raw
     return {"problem": {"order": 2},
             "regularisation": {"epsilon_sweep": [0.5]},
             "roundtrip": {"families": 6, "max_order": 3,
@@ -558,11 +570,12 @@ def _rerun_config(subcommand):
             "run": {"seed": 11}}
 
 
-@pytest.mark.parametrize("subcommand",
-                         ["sweep", "roundtrip", "symmetriser", "reduce"])
+@pytest.mark.parametrize("subcommand", ["sweep", "solve", "roundtrip",
+                                        "symmetriser", "reduce"])
 def test_cli_reruns_write_the_same_bytes(tmp_path, subcommand):
-    # solve is covered by test_cli_solve_passes_and_is_deterministic; the
-    # dropped summary line is the run's wall time, runtime_seconds
+    # solve runs with lower-order terms and forcing here, and without them
+    # in test_cli_solve_passes_and_is_deterministic; the dropped summary
+    # line is the run's wall time, runtime_seconds
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_rerun_config(subcommand)))
     outs = []

@@ -84,6 +84,18 @@ def test_extend_profile_continues_edge_values():
     assert np.allclose(ext.density(np.array([-1.5, -0.1])), 1.0)
     assert np.allclose(ext.density(np.array([1.1, 2.9])), 4.0)
     assert ext.support == (-2.0, 3.0)
+    # past a span: the pieces are cut to it and only those reaching an end
+    # are continued, by their values there; a constant one is lengthened
+    bump = bump_profile(0.0, 0.3)
+    ext = extend_profile(bump, 2.0, (0.0, 1.0))
+    t = np.array([-1.5, -0.1, 0.1, 0.5, 2.5])
+    assert np.array_equal(ext.density(t),
+                          [1.0, 1.0, bump.density(np.array([0.1]))[0], 0, 0])
+    ext = extend_profile(box_profile(0.5, 0.1), 2.0, (0.0, 1.0))
+    assert np.array_equal(ext.density(np.array([-1.0, 0.2, 0.5, 0.8, 2.0])),
+                          [0, 0, 1.0, 0, 0])
+    ext = extend_profile(constant_profile(3.0, (0.0, 1.0)), 2.0, (0.0, 1.0))
+    assert [(p.lo, p.hi) for p in ext.pieces] == [(-2.0, 3.0)]
 
 
 def test_zero_profile_is_empty():

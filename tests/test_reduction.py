@@ -47,8 +47,8 @@ def _forcing_vector(system, t, xi):
     """F(t, xi), shape (m, K): zero but for the last component."""
     out = np.zeros((system.order, xi.size), dtype=complex)
     if system.forcing is not None:
-        out[system.order - 1] = system.forcing.values_provider(
-            np.array([t]), xi)(slice(None))[0]
+        out[system.order - 1] = system.forcing.row_provider(
+            np.array([t]), xi)(slice(None))[0, 0]
     return out
 
 

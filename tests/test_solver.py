@@ -12,11 +12,12 @@ import pytest
 from weakhyp.errors import (ConfigurationError, DivergenceError,
                             InvalidParameterError, StabilityError,
                             WeakHypError)
-from weakhyp.mollifiers import friedrichs_mollifier
-from weakhyp.profiles import (Piece, RoughProfile, bump_profile,
+from weakhyp.mollifiers import (convolve_profile, friedrichs_mollifier,
+                                scale_mollifier)
+from weakhyp.profiles import (Piece, RoughProfile, box_profile, bump_profile,
                               constant_profile, heaviside_profile,
                               piecewise_constant_profile, point_mass_profile,
-                              zero_profile)
+                              polynomial_piece_profile, zero_profile)
 from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
                                LowerTerm, RootValuePrincipal, build_companion)
 from weakhyp.roots import (bracket, constant_roots, dt_power, linear_scale,
@@ -286,7 +287,7 @@ def residual_check(u_dense, t_grid, grid, system):
             residual = residual - term
             scale = max(scale, float(np.linalg.norm(term)))
     if system.forcing is not None:
-        force = system.forcing.values_provider(t_interior, xi)(slice(None))
+        force = system.forcing.row_provider(t_interior, xi)(slice(None))[:, 0]
         residual = residual - force
         scale = max(scale, float(np.linalg.norm(force)))
     rel = float(np.linalg.norm(residual)) / max(scale, 1e-300)
@@ -521,6 +522,50 @@ def test_constant_edge_of_a_root_profile_stays_steady():
         assert np.abs(t[q + 1] - 0.5).max() <= reg.omega + h
 
 
+def test_lower_terms_and_forcing_are_continued_past_the_interval():
+    # a constant lower-order coefficient and forcing time profile on [0, 1]
+    # read their constants at t = 0 and t = T once mollified, bitwise equal
+    # to their value inside; uncontinued, they would read half of it there
+    problem = _heaviside_problem(
+        lower_terms=LowerOrderPart(2, (LowerTerm(0, 1, constant_profile(
+            0.5, (0.0, 1.0))),)),
+        forcing=(constant_profile(-2.0, (0.0, 1.0)), bump_profile(0.0, 1.0)))
+    t = np.array([0.0, 0.5, 1.0])
+    for epsilon in (0.25, 0.0625):
+        system = build_regularised_system(problem, epsilon)[0]
+        for profile, value in ((system.lower.terms[0].coefficient, 0.5),
+                               (system.forcing.time_values, -2.0)):
+            values = np.asarray(profile(t))
+            assert math.isclose(values[1], value, rel_tol=1e-12)
+            assert np.array_equal(values, np.full(3, values[1]))
+        xi = problem.grid.frequencies
+        assert system.lower.row_provider(t, xi).steady.all()
+        assert system.forcing.row_provider(t, xi).steady.all()
+
+
+def test_profiles_inside_the_interval_are_left_as_given():
+    # a box forcing on [0.4, 0.6] and a linear lower-order coefficient on
+    # [0.2, 0.7] are zero at t = 0 and t = T, so the continuation adds
+    # nothing: once mollified they are bitwise the uncontinued
+    # mollification, and read 0 at both ends and the box at 0.2 and 0.8
+    box = box_profile(0.5, 0.1)
+    line = polynomial_piece_profile((1.0, 2.0), 0.2, 0.7)
+    problem = _heaviside_problem(
+        lower_terms=LowerOrderPart(2, (LowerTerm(0, 1, line),)),
+        forcing=(box, bump_profile(0.0, 1.0)))
+    t = np.linspace(0.0, 1.0, 101)
+    for epsilon in (0.0625, 0.03125):
+        system, reg = build_regularised_system(problem, epsilon)
+        phi_w = scale_mollifier(friedrichs_mollifier(), reg.omega)
+        for given, mollified, zeros in (
+                (box, system.forcing.time_values, [0, 20, 80, 100]),
+                (line, system.lower.terms[0].coefficient, [0, 100])):
+            values = np.asarray(mollified(t))
+            assert np.array_equal(
+                values, np.asarray(convolve_profile(given, phi_w)(t)))
+            assert not values[zeros].any()
+
+
 def _assert_same_result(batched, solo):
     assert np.array_equal(batched.first_component, solo.first_component)
     assert np.array_equal(batched.final_state, solo.final_state)
@@ -532,10 +577,12 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     problem = _lower_forced_problem()
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
-    # the blocks the integrator reads, one read of each of its two parts'
-    # rows (principal and lower order) each
+    # the reads of each of the integrator's three parts (principal, lower
+    # order and forcing): a block of staged steps reads several lattice
+    # points, a jump's entry one
     blocks = []
     reader = solver._stretch_reader
+    staged = _count_staged_steps(monkeypatch)
 
     def counted(provider):
         read = reader(provider)
@@ -546,24 +593,36 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
         return call
 
     monkeypatch.setattr(solver, "_stretch_reader", counted)
-    # a batch of one, then of two epsilons
-    for epsilons in ((0.125,), (0.125, 0.0625)):
+    # a batch of one, then of two epsilons: at 1/4 and 1/2 the forcing's
+    # layer covers [0, 1], so every step is staged; at 1/8 and 1/16 forced
+    # members jump between their staged steps, and blocks restart after
+    # each jump
+    for epsilons in ((0.25,), (0.25, 0.5), (0.125,), (0.125, 0.0625)):
         systems = [build_regularised_system(problem, e)[0] for e in epsilons]
         assert systems[0].lower is not None \
             and systems[0].forcing is not None
 
         def run(steps):
-            # a budget of ``steps`` steps of the whole batch's complex rows
-            # and forcing values at two stage times
+            # a budget of ``steps`` steps of the whole batch's complex rows,
+            # the forcing their last column, at two stage times
             monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 2 * len(systems)
                                 * xi.size * (16 * systems[0].order + 16)
                                 * steps)
             blocks.clear()
+            staged.clear()
             results = integrate_companion(systems, xi, t_grid, epsilons,
                                           tracked_indices=(1, 5),
                                           output_steps=(100, 256),
                                           trace_steps=range(0, 257, 5))
-            assert len(blocks) == 2 * len(systems) * -(-256 // steps)
+            reads = [(lo, hi) for lo, hi in blocks if lo < hi]
+            if epsilons[0] == 0.25:
+                assert staged == [(i, len(systems)) for i in range(256)]
+                assert len(reads) == len(blocks) \
+                    == 3 * len(systems) * -(-256 // steps)
+            else:
+                assert staged and len(reads) < len(blocks)
+                if steps == 1:
+                    assert len(reads) == 3 * sum(n for _, n in staged)
             return results
 
         # all 256 steps in one block
@@ -649,8 +708,12 @@ def test_step_matrices_agree_with_staged_rk4_with_lower_order_terms():
     _agrees_with_staged_rk4(_lower_problem(), 0.0625, exact=False)
 
 
-def test_forced_problems_take_the_staged_steps_bit_for_bit():
-    _agrees_with_staged_rk4(_lower_forced_problem(), 0.0625, exact=True)
+def test_forced_problems_take_the_staged_steps_bit_for_bit(monkeypatch):
+    # at epsilon 1/4 the forcing's layer covers [0, 1], so every step is
+    # staged and no jump crosses any
+    staged = _count_staged_steps(monkeypatch)
+    _agrees_with_staged_rk4(_lower_forced_problem(), 0.25, exact=True)
+    assert staged == [(i, 1) for i in range(256)]
 
 
 def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
@@ -660,7 +723,7 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
     # problem, where only xi = 0 is constant inside the layer, the two sets
     # are equal
     reported = []  # (stage times, steady) of each provider the run builds
-    for cls in (RootValuePrincipal, LowerOrderPart):
+    for cls in (RootValuePrincipal, LowerOrderPart, ForcingPart):
         def spy(self, t, frequencies, provider=cls.row_provider):
             rows = provider(self, t, frequencies)
             reported.append((t, rows.steady))
@@ -674,7 +737,8 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
     t_grid = np.linspace(0.0, 1.0, 257)
     h = t_grid[1]
     for problem, equal in ((_heaviside_problem(), True), (spiked, False),
-                           (_lower_problem(), False)):
+                           (_lower_problem(), False),
+                           (_lower_forced_problem(), False)):
         xi = problem.grid.frequencies
         for epsilon in (0.125, 0.03125):
             system = build_regularised_system(problem, epsilon)[0]
@@ -695,10 +759,11 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
 
 
 def _spy_row_reads(monkeypatch) -> list:
-    """Wrap the principal and lower-order row providers: each provider built
-    appends (its stage times, its ``steady``, the slices read from it)."""
+    """Wrap the principal, lower-order and forcing row providers: each
+    provider built appends (its stage times, its ``steady``, the slices read
+    from it)."""
     built = []
-    for cls in (RootValuePrincipal, LowerOrderPart):
+    for cls in (RootValuePrincipal, LowerOrderPart, ForcingPart):
         def spy(self, t, frequencies, provider=cls.row_provider):
             rows, reads = provider(self, t, frequencies), []
             built.append((t, rows.steady, reads))
@@ -787,10 +852,10 @@ def test_staged_steps_and_row_reads_follow_the_layers(monkeypatch):
 
 
 def test_forced_members_read_each_steady_stretch_once(monkeypatch):
-    # a forced member takes the staged step everywhere; a part whose rows
-    # are steady over a whole block, as between the layers, is read at one
-    # lattice point, once per steady stretch, and no read of several points
-    # lies inside one stretch
+    # a forced member takes the staged step where its forcing varies; a part
+    # whose rows are steady over a whole block, as the principal part
+    # between its layers, is read at one lattice point, once per steady
+    # stretch, and no read of several points lies inside one stretch
     built = _spy_row_reads(monkeypatch)
     problem = _lower_forced_problem()
     epsilons = (0.125, 0.0625)
@@ -798,7 +863,7 @@ def test_forced_members_read_each_steady_stretch_once(monkeypatch):
     results = integrate_companion(systems, problem.grid.frequencies,
                                   np.linspace(0.0, 1.0, 257), epsilons)
     assert not any(isinstance(r, WeakHypError) for r in results)
-    assert len(built) == 2 * len(epsilons)  # principal and lower order
+    assert len(built) == 3 * len(epsilons)  # principal, lower, forcing
     for t, steady, reads in built:
         stretch = np.concatenate([[0], np.cumsum(~steady)])
         assert all(stretch[a] != stretch[b - 1] for a, b in reads if b - a > 1)
@@ -818,7 +883,7 @@ def _spiked_problem(**options):
 @pytest.mark.parametrize("make, epsilon", [
     (_heaviside_problem, 0.25), (_heaviside_problem, 0.0625),
     (_spiked_problem, 0.0625), (_spiked_problem, 0.022),
-    (_lower_problem, 0.0625)])
+    (_lower_problem, 0.0625), (_lower_forced_problem, 0.0625)])
 def test_jumps_agree_with_staged_rk4_at_their_boundaries(monkeypatch, make,
                                                           epsilon, nt):
     # nt // 100 = 10 steps from one step-doubling step to the next, so a jump
