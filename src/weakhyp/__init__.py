@@ -31,9 +31,9 @@ from .recovery import (DirectionPlan, HomogeneousCoefficientSet,
                        random_ordered_family, random_round_trip_study,
                        recover_coefficients, round_trip_check)
 from .reduction import (BlockSylvesterSystem, CompanionSystem,
-                        FirstOrderSystem, ForcingPart, InitialData,
-                        LowerOrderPart, LowerTerm, PolynomialMatrix,
-                        RootValuePrincipal, build_companion,
+                        FirstOrderSystem, InitialData, LowerOrderPart,
+                        LowerTerm, PolynomialMatrix, RootValuePrincipal,
+                        SeparablePart, build_companion,
                         characteristic_polynomial, cofactor_matrix,
                         companion_matrix, companion_row,
                         random_hyperbolic_system, to_block_sylvester)

@@ -86,14 +86,6 @@ def fixed_panel(fn: Callable[[np.ndarray], np.ndarray],
     return (values * weights).sum(axis=-1) * half
 
 
-def _indexed_panel(fn, lo: np.ndarray, hi: np.ndarray, n: int,
-                   idx: np.ndarray) -> np.ndarray:
-    nodes, weights = gauss_rule(n)
-    half = 0.5 * (hi - lo)
-    points = (lo + half)[:, None] + half[:, None] * nodes
-    return (fn(points, idx) * weights).sum(axis=-1) * half
-
-
 def adaptive_panel(fn: Callable[..., np.ndarray],
                    lo: np.ndarray, hi: np.ndarray,
                    tol: float = DEFAULT_TOL, n_max: int = 16384,
@@ -120,11 +112,12 @@ def adaptive_panel(fn: Callable[..., np.ndarray],
     if pending.size == 0:
         return result.real.reshape(shape)
 
-    result[pending] = _indexed_panel(fn, lo[pending], hi[pending], _MIN_NODES,
-                                     pending)
+    result[pending] = fixed_panel(lambda p: fn(p, pending), lo[pending],
+                                  hi[pending], _MIN_NODES)
     n = 2 * _MIN_NODES
     while pending.size and n <= n_max:
-        fine = _indexed_panel(fn, lo[pending], hi[pending], n, pending)
+        fine = fixed_panel(lambda p: fn(p, pending), lo[pending], hi[pending],
+                           n)
         err = np.abs(fine - result[pending])
         result[pending] = fine
         pending = pending[err > tol]

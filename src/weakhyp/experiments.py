@@ -234,20 +234,20 @@ def _net_tables(net: SolutionNet, problem: VeryWeakProblem,
     tables["spectrum"] = (("epsilon", "time", "xi", "abs_uhat"),
                           RowSource(cells * len(xi), spectrum))
     samples = problem.time_grid[problem.trace_steps]
-    traces = [(e, xi_val, energy_trace(net.record(e).system,
-                                       net.record(e).traces[:, i],
-                                       samples, xi_val))
-              for e in ok
-              for i, xi_val in enumerate(problem.tracked_frequencies)]
+    tracked = problem.tracked_frequencies
+    traces = [(e, energy_trace(net.record(e).system, net.record(e).traces,
+                               samples, tracked))
+              for e in ok] if tracked else []
 
     def energy() -> Iterator[tuple]:
-        for e, xi_val, trace in traces:
-            for t, en in zip(trace.times.tolist(), trace.energies.tolist()):
-                yield e, xi_val, t, en
+        for e, trace in traces:
+            for xi_val, energies in zip(tracked, trace.energies.tolist()):
+                for t, en in zip(trace.times.tolist(), energies):
+                    yield e, xi_val, t, en
 
     tables["energy"] = (("epsilon", "xi", "time", "energy"),
-                        RowSource(sum(trace.times.size
-                                      for _, _, trace in traces), energy))
+                        RowSource(len(traces) * len(tracked) * samples.size,
+                                  energy))
 
 
 def _solve_net(problem: VeryWeakProblem, sweep: tuple[float, ...],

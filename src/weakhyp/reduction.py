@@ -4,9 +4,9 @@ first-order systems.
 Per frequency the scalar m-th order equation becomes ``D_t V = (A + B)V + F``
 with the companion matrix A carrying the weight <xi> on its superdiagonal and
 the principal symbols in its last row, so its eigenvalues are exactly the
-regularised characteristic roots.  General m x m first-order systems are
-reduced to m identical companion blocks through the adjugate of (tau I - A),
-computed by the Faddeev-LeVerrier recursion.
+regularised characteristic roots; one separable part carries B and F.  An
+m x m first-order system is reduced to m identical companion blocks through
+the adjugate of (tau I - A), computed by the Faddeev-LeVerrier recursion.
 
 This module owns the companion form: every characteristic polynomial
 (:func:`characteristic_polynomial`), companion last row
@@ -100,8 +100,8 @@ class PrincipalPart(Protocol):
     one (T, m, K) block, which depends on the index alone.  The function
     carries ``steady`` (T - 1,): true at q only when the rows at ``t[q]`` and
     ``t[q + 1]`` are bitwise equal at every frequency, read from the time
-    profiles the rows come from, never from the rows.  The lower-order and
-    forcing parts keep this contract, the forcing with one column (T, 1, K).
+    profiles the rows come from, never from the rows.  The separable part
+    keeps this contract, with its own width (T, width, K).
     """
 
     order: int
@@ -210,7 +210,7 @@ class LowerTerm:
 
 @dataclass
 class LowerOrderPart:
-    """Last-row symbols of the zero-block B: columns collect all b_{nu,j}."""
+    """The lower-order terms of an m-th order problem, the zero-block B."""
 
     order: int
     terms: tuple[LowerTerm, ...]
@@ -221,50 +221,47 @@ class LowerOrderPart:
                 raise InvalidParameterError(
                     f"lower-order time order {term.j} exceeds equation order")
 
-    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Last rows (T, m, K), complex, at the times ``t[index]``;
-        ``steady`` compares the coefficients' bits at neighbouring times."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        br = bracket(xi)
-        m = self.order
-        per_term = []
-        for term in self.terms:
-            k = m - term.j + 1
-            factor = xi ** term.nu * br ** (k - m)
-            values = np.asarray(term.coefficient(t), dtype=complex)
-            per_term.append((k - 1, values, factor))
-
-        def rows(index: Index) -> Array:
-            block = np.zeros((t[index].size, m, xi.size), dtype=complex)
-            for col, values, factor in per_term:
-                block[:, col] += values[index, None] * factor
-            return block
-
-        values = np.array([v for _, v, _ in per_term]).reshape(-1, t.size)
-        rows.steady = _steady(np.concatenate([values.real, values.imag]))
-        return rows
+    def entries(self, regularise: Callable) -> list[tuple]:
+        """The terms' separable entries, the coefficients mapped through
+        ``regularise``: b_{nu,j}(t) xi^nu <xi>^(1-j) in column m - j."""
+        return [(self.order - term.j, regularise(term.coefficient),
+                 lambda xi, nu=term.nu, j=term.j:
+                 xi ** nu * bracket(xi) ** (1 - j)) for term in self.terms]
 
 
 @dataclass
-class ForcingPart:
-    """Transformed forcing f_hat(t, xi), separable in time and frequency:
-    the last-row entry of the unit component that makes a forced system
-    homogeneous, D_t (V, 1) = [[A + B, F], [0, 0]] (V, 1)."""
+class SeparablePart:
+    """Last-row entries (column, time_values, factor): the lower-order
+    symbols in columns below m and, in column m, the forcing f(t) f_hat(xi),
+    the entry of the unit component that makes a forced system homogeneous,
+    D_t (V, 1) = [[A + B, F], [0, 0]] (V, 1)."""
 
-    time_values: Callable[[Array], Array]
-    xhat: Callable[[Array], Array]
+    width: int
+    entries: tuple[tuple, ...]
+
+    def __post_init__(self):
+        for column, _, _ in self.entries:
+            if not 0 <= column < self.width:
+                raise InvalidParameterError(
+                    f"entry column {column} outside [0, {self.width})")
 
     def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Forcing values (T, 1, K) at the times ``t[index]``; ``steady``
-        compares the time values' bits at neighbouring times."""
-        tv = np.asarray(self.time_values(np.asarray(t, float)), dtype=complex)
-        xv = np.asarray(self.xhat(np.asarray(xi, float)), dtype=complex)
+        """Last rows (T, width, K), complex, at the times ``t[index]``;
+        ``steady`` compares the time values' bits at neighbouring times."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        tabulated = [(column, np.asarray(values(t), dtype=complex), factor(xi))
+                     for column, values, factor in self.entries]
 
         def rows(index: Index) -> Array:
-            return tv[index, None, None] * xv
+            # built column by column, each contiguous, and returned as a view
+            block = np.zeros((self.width, t[index].size, xi.size), complex)
+            for column, values, factor in tabulated:
+                block[column] += values[index, None] * factor
+            return block.transpose(1, 0, 2)
 
-        rows.steady = _steady(np.stack([tv.real, tv.imag]))
+        values = np.array([v for _, v, _ in tabulated]).reshape(-1, t.size)
+        rows.steady = _steady(np.concatenate([values.real, values.imag]))
         return rows
 
 
@@ -290,13 +287,17 @@ class InitialData:
 
 @dataclass
 class CompanionSystem:
-    """Per-frequency first-order data: D_t V = (A + B) V + F, V(0) = V0."""
+    """Per-frequency first-order data: D_t V = (A + B) V + F, V(0) = V0;
+    the principal part gives A, the separable part B and F (width m + 1)."""
 
     order: int
     principal: PrincipalPart
-    lower: LowerOrderPart | None = None
-    forcing: ForcingPart | None = None
+    separable: SeparablePart | None = None
     data: InitialData | None = None
+
+    @property
+    def width(self) -> int:
+        return self.order if self.separable is None else self.separable.width
 
     def V0(self, xi: Array) -> Array:
         """Initial state (order, K) at the frequencies ``xi`` (K,)."""
@@ -306,20 +307,20 @@ class CompanionSystem:
 
 
 def build_companion(principal: PrincipalPart,
-                    lower: LowerOrderPart | None = None,
-                    forcing: ForcingPart | None = None,
+                    separable: SeparablePart | None = None,
                     data: InitialData | None = None) -> CompanionSystem:
     """Assemble the companion system; validates sizes against the order."""
     m = principal.order
-    if lower is not None and lower.order != m:
-        raise ConfigurationError("lower-order block has mismatched order",
-                                 field="lower")
+    if separable is not None and separable.width not in (m, m + 1):
+        raise ConfigurationError(
+            f"separable part has width {separable.width}, not {m} or {m + 1}",
+            field="separable")
     if data is not None and len(data.ghat) != m:
         raise ConfigurationError(
             f"need {m} initial data entries, got {len(data.ghat)}",
             field="data")
-    return CompanionSystem(order=m, principal=principal, lower=lower,
-                           forcing=forcing, data=data)
+    return CompanionSystem(order=m, principal=principal, separable=separable,
+                           data=data)
 
 
 # -- adjugate (cofactor) matrices ----------------------------------------------------

@@ -19,7 +19,7 @@ blocks it reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Sequence
 
@@ -33,9 +33,9 @@ from .mollifiers import (GevreyCutoffMollifier, convolve_profile,
                          vanishing_moment_mollifier)
 from .profiles import RoughProfile, extend_profile
 from .recovery import recover_coefficients
-from .reduction import (CompanionSystem, ForcingPart, Index, InitialData,
-                        LowerOrderPart, RootValuePrincipal,
-                        build_companion, companion_matrix)
+from .reduction import (CompanionSystem, Index, InitialData, LowerOrderPart,
+                        RootValuePrincipal, SeparablePart, build_companion,
+                        companion_matrix)
 from .roots import (EDGE_PAD, OmegaScale, RegularisedRoots, RootFamily,
                     bracket, speed_bound)
 from .symmetrisers import build_symmetriser
@@ -137,7 +137,7 @@ class IntegrationResult:
 
 
 # bytes of last rows that one block of staged steps may read: w x K entries
-# (real, or complex with lower-order terms or forcing) at two stage times a
+# (real, or complex with a separable part) at two stage times a
 # step, four on a step-doubling step, counted for every live member so that
 # one row read stays short; the block holds only the varying members' rows,
 # as a constant stretch reads one row
@@ -253,10 +253,12 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     the first component of the state landing on each of ``output_steps``,
     the columns ``tracked_indices`` of that on each of ``trace_steps``.
 
-    A forced member steps the homogeneous system
+    A member reads its principal part's rows, A's last row, and those of
+    its separable part, if any: B's last row, then F in column m.  A
+    forced member steps the homogeneous system
     D_t (V, 1) = [[A + B, F], [0, 0]] (V, 1): its state has w = m + 1
     components, the last a unit one that no output, error or budget reads.
-    Each member keeps its own step position.  Where all its parts report
+    Each member keeps its own step position.  Where both its parts report
     ``steady`` over a step's lattice intervals, as outside the layers of
     width 2 omega around each jump of a mollified piecewise-constant
     profile, an RK4 step is a fixed linear map P, which pushing the w basis
@@ -296,14 +298,12 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     if not systems:
         return []
     # one row dtype and state width for the batch keeps each member's bits
-    m = systems[0].order
-    lowered = systems[0].lower is not None
-    forced = systems[0].forcing is not None
-    if any((s.order, s.lower is not None, s.forcing is not None)
-           != (m, lowered, forced) for s in systems):
+    m, w = systems[0].order, systems[0].width
+    separable = systems[0].separable is not None
+    if any((s.order, s.width, s.separable is not None) != (m, w, separable)
+           for s in systems):
         raise InvalidParameterError("batched systems must share their order "
                                     "and which parts they have")
-    w = m + forced  # a forced state's unit component follows its m
 
     columns = [int(i) for i in tracked_indices]
     stride = max(1, nt // 100)
@@ -333,10 +333,11 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     def set_up(system: CompanionSystem, epsilon: float | None) -> tuple:
         parts = [p.row_provider(stage_times, xi) for p in (
-            system.principal, system.lower, system.forcing) if p is not None]
-        ab = parts[:1 + lowered]  # the parts of A + B, all the budget reads
-        norm = _estimate_norm(lambda q: reduce(np.add, [p(q) for p in ab]),
-                              sample, br, (0.5 + 1e-12) / h)
+            system.principal, system.separable) if p is not None]
+        # the first m columns of the parts sum to A + B, all the budget reads
+        norm = _estimate_norm(
+            lambda q: reduce(np.add, [p(q)[:, :m] for p in parts]),
+            sample, br, (0.5 + 1e-12) / h)
         if h * norm > 0.5 + 1e-12:
             required_step = 0.5 / norm
             required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))
@@ -349,9 +350,9 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
         def rows(lo: int, hi: int, out: Array) -> Array:
             # the rows at lattice points lo to hi: A + B, then the forcing
-            out[:, :m] = reduce(np.add, [r(lo, hi) for r in reads[:len(ab)]])
-            if forced:
-                out[:, m:] = reads[-1](lo, hi)
+            blocks = [r(lo, hi) for r in reads]
+            out[:, :m] = reduce(np.add, [b[:, :m] for b in blocks])
+            out[:, m:] = blocks[-1][:, m:]
             return out
 
         steady = reduce(np.logical_and, [p.steady for p in parts])
@@ -379,8 +380,8 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     # (live members, nt): whether each member's rows vary on each step
     varying = ~np.array([r[1] for r in readers], bool).reshape(len(live), nt)
     v[:len(live), :m] = np.reshape([r[2] for r in readers], (-1, m, xi.size))
-    # principal rows are real, lower-order rows and forcing values complex
-    dtype = np.dtype(complex if lowered or forced else float)
+    # principal rows are real, separable rows complex
+    dtype = np.dtype(complex if separable else float)
     block_steps = max(1, _ROW_BLOCK_BYTES // (2 * dtype.itemsize * w
                                              * max(len(live) * xi.size, 1)))
     units = np.eye(w, dtype=complex)[:, :, None] * np.ones(xi.size)
@@ -635,19 +636,15 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
             profile, EDGE_PAD, (0.0, problem.horizon)), phi_w)
 
     data_hats, space_hat = problem.grid_transforms
-    principal = RootValuePrincipal(reg)
-    lower = problem.lower_terms
-    if lower is not None:
-        lower = replace(lower, terms=tuple(
-            replace(term, coefficient=continued(term.coefficient))
-            for term in lower.terms))
-    forcing = None
+    m = problem.order
+    entries = [] if problem.lower_terms is None \
+        else problem.lower_terms.entries(continued)
     if problem.forcing is not None:
-        forcing = ForcingPart(time_values=continued(problem.forcing[0]),
-                              xhat=on_grid(space_hat))
+        entries.append((m, continued(problem.forcing[0]), on_grid(space_hat)))
+    separable = SeparablePart(m + (problem.forcing is not None),
+                              tuple(entries)) if entries else None
     data = InitialData(tuple(on_grid(g) for g in data_hats))
-    system = build_companion(principal, lower=lower, forcing=forcing, data=data)
-    return system, reg
+    return build_companion(RootValuePrincipal(reg), separable, data), reg
 
 
 def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
@@ -755,26 +752,26 @@ def solve_very_weak(problem: VeryWeakProblem,
 
 @dataclass
 class EnergyTrace:
-    """E(t) = (S(t) V, V) at one tracked frequency, at the sampled times."""
+    """E(t) = (S(t) V, V), (n_tracked, n), at the n sampled times."""
 
     times: Array
     energies: Array
 
 
-def energy_trace(system: CompanionSystem, trace: Array, times: Array,
-                 xi: float) -> EnergyTrace:
-    """Energy time series along the trace (m, n) of the frequency ``xi``,
-    whose states were recorded at the n ``times``.
+def energy_trace(system: CompanionSystem, traces: Array, times: Array,
+                 xis: Sequence[float]) -> EnergyTrace:
+    """Energy time series along the traces (m, n_tracked, n) of the
+    frequencies ``xis``, whose states were recorded at the n ``times``.
 
-    The principal root values at all the times come from one ``roots``
-    call, and one batched symmetriser over them gives every energy.
+    The principal root values at all of them come from one ``roots`` call,
+    and one batched symmetriser over them gives every energy.
     """
     times = np.asarray(times, dtype=float)
-    br = float(bracket(np.array(xi)))
-    lam = system.principal.roots(times, np.array([float(xi)]))[:, :, 0]
-    sym = build_symmetriser(np.sort(lam, axis=-1) / br)
-    energies = np.asarray(sym.quadratic_form(np.asarray(trace).T))
-    return EnergyTrace(times=times, energies=energies)
+    xis = np.asarray(xis, dtype=float)
+    lam = np.moveaxis(system.principal.roots(times, xis), 2, 0)  # (K, T, m)
+    sym = build_symmetriser(np.sort(lam, axis=-1) / bracket(xis)[:, None, None])
+    energies = sym.quadratic_form(np.moveaxis(np.asarray(traces), 0, -1))
+    return EnergyTrace(times=times, energies=np.asarray(energies))
 
 
 # -- classical references -------------------------------------------------------------

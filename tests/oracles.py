@@ -40,7 +40,6 @@ from weakhyp.reduction import (CompanionSystem, Index, PolynomialMatrix,
                                _faddeev, characteristic_polynomial,
                                companion_matrix, companion_row)
 from weakhyp.roots import RegularisedRoots, RootFamily, bracket
-from weakhyp.solver import EnergyTrace
 
 Array = np.ndarray
 
@@ -154,11 +153,10 @@ def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
                          np.concatenate([doubled + 1, doubled + 3]))
     stage_times = t_grid[0] + 0.25 * h * lattice
     rows = system.principal.row_provider(stage_times, xi)(slice(None))
-    if system.lower is not None:
-        rows = rows + system.lower.row_provider(stage_times, xi)(slice(None))
-    if system.forcing is not None:
-        rows = np.concatenate([rows, system.forcing.row_provider(
-            stage_times, xi)(slice(None))], axis=1)
+    if system.separable is not None:
+        extra = system.separable.row_provider(stage_times, xi)(slice(None))
+        rows = np.concatenate([rows + extra[:, :system.order],
+                               extra[:, system.order:]], axis=1)
     same = (rows[1:] == rows[:-1]).all(axis=1)  # (intervals, K)
     starts = np.searchsorted(lattice, 4 * np.arange(nt + 1))
     return np.array([same[starts[i]:starts[i + 1]].all(axis=0)
@@ -171,11 +169,14 @@ def _staged_stepper(system: CompanionSystem, xi: Array, stage_times: Array
     whose stages read the rows and forcing at ``stage_times[k]``,
     ``[k + dk]`` and ``[k + 2 dk]``, with the integrator's arithmetic for
     one member."""
+    m = system.order
     rows = system.principal.row_provider(stage_times, xi)(slice(None))
-    if system.lower is not None:
-        rows = rows + system.lower.row_provider(stage_times, xi)(slice(None))
-    force = None if system.forcing is None else \
-        system.forcing.row_provider(stage_times, xi)(slice(None))[:, 0]
+    force = None
+    if system.separable is not None:
+        extra = system.separable.row_provider(stage_times, xi)(slice(None))
+        rows = rows + extra[:, :m]
+        if system.width > m:
+            force = extra[:, m]
     ibr = 1j * bracket(xi)
 
     def rhs(k: int, state: Array) -> Array:
@@ -248,24 +249,23 @@ def estimate_norm_svd(rows: Callable[[Index], Array], index: Array,
     return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
 
 
-def fitted_growth_rate(trace: EnergyTrace) -> float | None:
+def fitted_growth_rate(times: Array, energies: Array) -> float | None:
     """Least-squares slope of log E(t) over the times where E > 1e-300, or
     None with fewer than two such times."""
-    positive = trace.energies > 1e-300
+    positive = energies > 1e-300
     if np.count_nonzero(positive) < 2:
         return None
-    slope, _, _ = linear_fit(trace.times[positive],
-                             np.log(trace.energies[positive]))
+    slope, _, _ = linear_fit(times[positive], np.log(energies[positive]))
     return float(slope)
 
 
-def max_relative_drift(trace: EnergyTrace) -> float:
-    """Largest |E(t) - E(0)| / E(0) of an energy trace (absolute when
-    E(0) <= 0)."""
-    e0 = float(trace.energies[0])
+def max_relative_drift(energies: Array) -> float:
+    """Largest |E(t) - E(0)| / E(0) of one frequency's energies (absolute
+    when E(0) <= 0)."""
+    e0 = float(energies[0])
     if e0 <= 0.0:
-        return float(np.max(np.abs(trace.energies)))
-    return float(np.max(np.abs(trace.energies - e0)) / e0)
+        return float(np.max(np.abs(energies)))
+    return float(np.max(np.abs(energies - e0)) / e0)
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,17 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  "grid.output_times[0]", id="negative_output_time"),
     pytest.param("solve", "grid", {"output_times": []}, "grid.output_times",
                  id="no_output_times"),
+    # a lower-order term needs nu < j <= problem.order
+    pytest.param("solve", "lower_terms",
+                 [{"nu": 0, "j": 1, "profile": {"preset": "constant",
+                                                "value": 1.0}},
+                  {"nu": 1, "j": 1, "profile": {"preset": "constant",
+                                                "value": 1.0}}],
+                 "lower_terms[1]", id="lower_term_nu_not_below_j"),
+    pytest.param("solve", "lower_terms",
+                 [{"nu": 0, "j": 3, "profile": {"preset": "constant",
+                                                "value": 1.0}}],
+                 "lower_terms", id="lower_term_j_above_order"),
     *(pytest.param(subcommand, subcommand, {key: bad},
                    f"{subcommand}.{key}", id=f"{subcommand}_{key}_{bad}")
       for subcommand, key, bad in (
@@ -687,11 +698,12 @@ def test_energy_table_lands_on_the_sample_steps(tmp_path):
             [system], problem.grid.frequencies, t_grid, [e],
             tracked_indices=problem.tracked_indices,
             trace_steps=range(t_grid.size))
-        for i, xi in enumerate(problem.tracked_frequencies):
-            trace = energy_trace(system, result.traces[:, i, samples],
-                                 t_grid[samples], xi)
+        trace = energy_trace(system, result.traces[..., samples],
+                             t_grid[samples], problem.tracked_frequencies)
+        for xi, energies in zip(problem.tracked_frequencies,
+                                trace.energies.tolist()):
             expected += [(e, xi, t, en) for t, en in
-                         zip(trace.times.tolist(), trace.energies.tolist())]
+                         zip(trace.times.tolist(), energies)]
     assert len(rows) == len(expected) == 3 * 2 * 67
     got, want = np.array(rows), np.array(expected)
     # the bump's states are nonzero, so each energy is positive

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from weakhyp.errors import (ConfigurationError, HyperbolicityError,
-                            UnsupportedError)
+                            InvalidParameterError, UnsupportedError)
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.recovery import recover_coefficients
-from weakhyp.reduction import (_faddeev, FirstOrderSystem, ForcingPart,
-                               InitialData, LowerOrderPart, LowerTerm,
-                               RootValuePrincipal, build_companion,
+from weakhyp.reduction import (_faddeev, FirstOrderSystem, InitialData,
+                               LowerOrderPart, LowerTerm, RootValuePrincipal,
+                               SeparablePart, build_companion,
                                characteristic_polynomial, cofactor_matrix,
                                companion_matrix, companion_row,
                                random_hyperbolic_system, to_block_sylvester)
@@ -33,22 +33,29 @@ def _eigenvalues(system, t, xi):
     return np.sort(np.real(np.linalg.eigvals(_principal_matrix(system, t, xi))))
 
 
+def _separable_rows(system, t, xi):
+    """The separable part's last row (width, K) at one time, or None."""
+    if system.separable is None:
+        return None
+    return system.separable.row_provider(np.array([t]), xi)(slice(None))[0]
+
+
 def _lower_order_matrix(system, t, xi):
     """B(t, xi) at one frequency: zero but for the last row."""
     m = system.order
     mat = np.zeros((m, m), dtype=complex)
-    if system.lower is not None:
-        mat[m - 1] = system.lower.row_provider(
-            np.array([t]), np.array([float(xi)]))(slice(None))[0, :, 0]
+    rows = _separable_rows(system, t, np.array([float(xi)]))
+    if rows is not None:
+        mat[m - 1] = rows[:m, 0]
     return mat
 
 
 def _forcing_vector(system, t, xi):
     """F(t, xi), shape (m, K): zero but for the last component."""
     out = np.zeros((system.order, xi.size), dtype=complex)
-    if system.forcing is not None:
-        out[system.order - 1] = system.forcing.row_provider(
-            np.array([t]), xi)(slice(None))[0, 0]
+    rows = _separable_rows(system, t, xi)
+    if rows is not None and system.width > system.order:
+        out[system.order - 1] = rows[system.order]
     return out
 
 
@@ -142,13 +149,38 @@ def test_lower_order_block_only_last_row():
     principal = PolynomialPrincipal(
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
                                2: lambda t: np.ones(np.shape(t))})
-    system = build_companion(principal, lower=lower)
+    system = build_companion(principal,
+                             SeparablePart(2, tuple(lower.entries(lambda c: c))))
     b = _lower_order_matrix(system, 0.1, 2.0)
     assert np.all(b[0, :] == 0.0)
     br = np.sqrt(5.0)
     # nu=0, j=2 lands in column k = m - j + 1 = 1 with weight <xi>^(k-m)
     assert b[1, 0] == pytest.approx(1.5 / br)
     assert b[1, 1] == 0.0
+
+
+def _ones(v):
+    return np.ones(np.shape(v))
+
+
+def test_separable_part_refuses_a_column_outside_its_width():
+    assert SeparablePart(3, ((0, _ones, _ones), (2, _ones, _ones))).width == 3
+    for column in (-1, 3):
+        with pytest.raises(InvalidParameterError, match="column"):
+            SeparablePart(3, ((0, _ones, _ones), (column, _ones, _ones)))
+
+
+def test_build_companion_refuses_a_separable_width_other_than_m_or_m_plus_1():
+    # m = 2: B alone has width 2, B and a forcing F width 3
+    principal = _wave_system().principal
+    for width in (2, 3):
+        part = SeparablePart(width, ((width - 1, _ones, _ones),))
+        assert build_companion(principal, part).width == width
+    for width in (1, 4):
+        with pytest.raises(ConfigurationError, match="width") as info:
+            build_companion(principal,
+                            SeparablePart(width, ((0, _ones, _ones),)))
+        assert info.value.field == "separable"
 
 
 def test_root_value_principal_matches_regularised_roots(phi):

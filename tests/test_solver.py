@@ -18,8 +18,9 @@ from weakhyp.profiles import (Piece, RoughProfile, box_profile, bump_profile,
                               constant_profile, heaviside_profile,
                               piecewise_constant_profile, point_mass_profile,
                               polynomial_piece_profile, zero_profile)
-from weakhyp.reduction import (ForcingPart, InitialData, LowerOrderPart,
-                               LowerTerm, RootValuePrincipal, build_companion)
+from weakhyp.reduction import (InitialData, LowerOrderPart, LowerTerm,
+                               RootValuePrincipal, SeparablePart,
+                               build_companion)
 from weakhyp.roots import (bracket, constant_roots, dt_power, linear_scale,
                            roots_from_time_profiles, wave_speed_roots)
 from weakhyp import solver
@@ -50,6 +51,12 @@ def _wave_principal():
     return PolynomialPrincipal(
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
                                2: lambda t: np.ones(np.shape(t))})
+
+
+def _lower_part(m, *terms):
+    """The separable part of the lower-order ``terms`` alone, as given."""
+    return SeparablePart(m, tuple(LowerOrderPart(m, terms).entries(
+        lambda c: c)))
 
 
 def _unit_data(m):
@@ -151,11 +158,10 @@ def test_superposition_linearity():
             lambda x: np.zeros(np.shape(x), dtype=complex)))
         forcing = None
         if f_val:
-            forcing = ForcingPart(
-                time_values=lambda t: f_val * np.ones(np.shape(t)),
-                xhat=lambda x: np.ones(np.shape(x), dtype=complex))
-        system = build_companion(_wave_principal(), forcing=forcing,
-                                 data=data)
+            forcing = SeparablePart(3, ((
+                2, lambda t: f_val * np.ones(np.shape(t)),
+                lambda x: np.ones(np.shape(x), dtype=complex)),))
+        system = build_companion(_wave_principal(), forcing, data)
         return solve_frequency(system, xi, 1.0, t_grid)
 
     combined = run(1.0, 0.5)
@@ -169,9 +175,9 @@ def _spiked_wave(spike_time, weight=1e7):
     from weakhyp.mollifiers import convolve_profile, scale_mollifier
     spike = convolve_profile(point_mass_profile(spike_time, weight=weight),
                              scale_mollifier(friedrichs_mollifier(), 0.05))
-    lower = LowerOrderPart(order=2, terms=(LowerTerm(0, 1, spike),))
-    return build_companion(_wave_principal(), lower=lower,
-                           data=_unit_data(2))
+    return build_companion(_wave_principal(),
+                           _lower_part(2, LowerTerm(0, 1, spike)),
+                           _unit_data(2))
 
 
 def test_divergence_reported_with_location():
@@ -196,8 +202,9 @@ def test_energy_conserved_for_constant_coefficients():
     t_grid = np.linspace(0.0, 1.0, 2049)
     xi = 5.0
     trace = solve_frequency(system, xi, 1.0, t_grid, every=16)
-    energy = energy_trace(system, trace, t_grid[::16], xi)
-    assert max_relative_drift(energy) <= 1e-8
+    energy = energy_trace(system, trace[:, None], t_grid[::16], [xi])
+    assert energy.energies.shape == (1, trace.shape[1])
+    assert max_relative_drift(energy.energies[0]) <= 1e-8
 
 
 def test_energy_trace_equals_per_time_symmetrisers():
@@ -207,27 +214,31 @@ def test_energy_trace_equals_per_time_symmetrisers():
                                    3.0 * np.asarray(t))})
     system = build_companion(principal, data=_unit_data(2))
     t_grid = np.linspace(0.0, 1.0, 1025)
-    xi = 4.0
-    trace = solve_frequency(system, xi, 1.0, t_grid, every=8)
-    energy = energy_trace(system, trace, t_grid[::8], xi)
-    br = float(bracket(np.array(xi)))
-    lam = principal.roots(energy.times, np.array([xi]))[:, :, 0]
-    for row in range(trace.shape[1]):
-        s = symmetriser_figures(np.sort(lam[row]) / br, np.ones((1, 2)),
-                                None)["matrix"]
-        v = trace[:, row]
-        assert energy.energies[row] == float(np.real(np.conj(v) @ s @ v))
+    xis = (4.0, -2.5)
+    traces = np.stack([solve_frequency(system, xi, 1.0, t_grid, every=8)
+                       for xi in xis], axis=1)
+    energy = energy_trace(system, traces, t_grid[::8], xis)
+    assert energy.energies.shape == traces.shape[1:]
+    for k, xi in enumerate(xis):
+        br = float(bracket(np.array(xi)))
+        lam = principal.roots(energy.times, np.array([xi]))[:, :, 0]
+        for row in range(traces.shape[2]):
+            s = symmetriser_figures(np.sort(lam[row]) / br, np.ones((1, 2)),
+                                    None)["matrix"]
+            v = traces[:, k, row]
+            assert energy.energies[k, row] \
+                == float(np.real(np.conj(v) @ s @ v))
 
 
 def test_energy_pure_forcing_bounded_by_quadrature_oracle():
-    forcing = ForcingPart(
-        time_values=lambda t: np.sin(np.pi * np.asarray(t)),
-        xhat=lambda x: np.ones(np.shape(x), dtype=complex))
-    system = build_companion(_wave_principal(), forcing=forcing)
+    forcing = SeparablePart(3, ((
+        2, lambda t: np.sin(np.pi * np.asarray(t)),
+        lambda x: np.ones(np.shape(x), dtype=complex)),))
+    system = build_companion(_wave_principal(), forcing)
     t_grid = np.linspace(0.0, 1.0, 2049)
     xi = 3.0
     trace = solve_frequency(system, xi, 1.0, t_grid, every=8)
-    energy = energy_trace(system, trace, t_grid[::8], xi)
+    energy = energy_trace(system, trace[:, None], t_grid[::8], [xi])
     # oracle: sqrt(E)' <= |S^(1/2) F|, so E(T) <= (int |S^(1/2) F| dt)^2
     from weakhyp.symmetrisers import build_symmetriser
     br = np.sqrt(1.0 + xi * xi)
@@ -277,17 +288,16 @@ def residual_check(u_dense, t_grid, grid, system):
     t_interior = t_grid[halo:nt + 1 - halo]
     residual = dt_power(shifted, m, h)
     scale = float(np.linalg.norm(residual))
-    providers = [system.principal.row_provider(t_interior, xi)]
-    if system.lower is not None:
-        providers.append(system.lower.row_provider(t_interior, xi))
-    for provider in providers:
-        rows = provider(slice(None))
+    parts = [system.principal.row_provider(t_interior, xi)(slice(None))]
+    if system.separable is not None:
+        parts.append(system.separable.row_provider(t_interior, xi)(slice(None)))
+    for rows in parts:
         for j in range(1, m + 1):
             term = rows[:, m - j] * br ** (j - 1) * dt_power(shifted, m - j, h)
             residual = residual - term
             scale = max(scale, float(np.linalg.norm(term)))
-    if system.forcing is not None:
-        force = system.forcing.row_provider(t_interior, xi)(slice(None))[:, 0]
+    if system.width > m:
+        force = parts[-1][:, m]
         residual = residual - force
         scale = max(scale, float(np.linalg.norm(force)))
     rel = float(np.linalg.norm(residual)) / max(scale, 1e-300)
@@ -533,14 +543,16 @@ def test_lower_terms_and_forcing_are_continued_past_the_interval():
     t = np.array([0.0, 0.5, 1.0])
     for epsilon in (0.25, 0.0625):
         system = build_regularised_system(problem, epsilon)[0]
-        for profile, value in ((system.lower.terms[0].coefficient, 0.5),
-                               (system.forcing.time_values, -2.0)):
+        # the lower-order entry in column m - j = 1, the forcing in column m
+        (low, coefficient, _), (top, time_values, _) = \
+            system.separable.entries
+        assert (low, top) == (1, 2)
+        for profile, value in ((coefficient, 0.5), (time_values, -2.0)):
             values = np.asarray(profile(t))
             assert math.isclose(values[1], value, rel_tol=1e-12)
             assert np.array_equal(values, np.full(3, values[1]))
         xi = problem.grid.frequencies
-        assert system.lower.row_provider(t, xi).steady.all()
-        assert system.forcing.row_provider(t, xi).steady.all()
+        assert system.separable.row_provider(t, xi).steady.all()
 
 
 def test_profiles_inside_the_interval_are_left_as_given():
@@ -557,9 +569,10 @@ def test_profiles_inside_the_interval_are_left_as_given():
     for epsilon in (0.0625, 0.03125):
         system, reg = build_regularised_system(problem, epsilon)
         phi_w = scale_mollifier(friedrichs_mollifier(), reg.omega)
+        (_, coefficient, _), (_, time_values, _) = system.separable.entries
         for given, mollified, zeros in (
-                (box, system.forcing.time_values, [0, 20, 80, 100]),
-                (line, system.lower.terms[0].coefficient, [0, 100])):
+                (box, time_values, [0, 20, 80, 100]),
+                (line, coefficient, [0, 100])):
             values = np.asarray(mollified(t))
             assert np.array_equal(
                 values, np.asarray(convolve_profile(given, phi_w)(t)))
@@ -577,9 +590,9 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     problem = _lower_forced_problem()
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
-    # the reads of each of the integrator's three parts (principal, lower
-    # order and forcing): a block of staged steps reads several lattice
-    # points, a jump's entry one
+    # the reads of each of the integrator's two parts (principal, and the
+    # separable part of the lower order and the forcing): a block of staged
+    # steps reads several lattice points, a jump's entry one
     blocks = []
     reader = solver._stretch_reader
     staged = _count_staged_steps(monkeypatch)
@@ -599,8 +612,7 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     # each jump
     for epsilons in ((0.25,), (0.25, 0.5), (0.125,), (0.125, 0.0625)):
         systems = [build_regularised_system(problem, e)[0] for e in epsilons]
-        assert systems[0].lower is not None \
-            and systems[0].forcing is not None
+        assert systems[0].width == systems[0].order + 1
 
         def run(steps):
             # a budget of ``steps`` steps of the whole batch's complex rows,
@@ -618,11 +630,11 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
             if epsilons[0] == 0.25:
                 assert staged == [(i, len(systems)) for i in range(256)]
                 assert len(reads) == len(blocks) \
-                    == 3 * len(systems) * -(-256 // steps)
+                    == 2 * len(systems) * -(-256 // steps)
             else:
                 assert staged and len(reads) < len(blocks)
                 if steps == 1:
-                    assert len(reads) == 3 * sum(n for _, n in staged)
+                    assert len(reads) == 2 * sum(n for _, n in staged)
             return results
 
         # all 256 steps in one block
@@ -723,7 +735,7 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
     # problem, where only xi = 0 is constant inside the layer, the two sets
     # are equal
     reported = []  # (stage times, steady) of each provider the run builds
-    for cls in (RootValuePrincipal, LowerOrderPart, ForcingPart):
+    for cls in (RootValuePrincipal, SeparablePart):
         def spy(self, t, frequencies, provider=cls.row_provider):
             rows = provider(self, t, frequencies)
             reported.append((t, rows.steady))
@@ -759,11 +771,10 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
 
 
 def _spy_row_reads(monkeypatch) -> list:
-    """Wrap the principal, lower-order and forcing row providers: each
-    provider built appends (its stage times, its ``steady``, the slices read
-    from it)."""
+    """Wrap the principal and separable row providers: each provider built
+    appends (its stage times, its ``steady``, the slices read from it)."""
     built = []
-    for cls in (RootValuePrincipal, LowerOrderPart, ForcingPart):
+    for cls in (RootValuePrincipal, SeparablePart):
         def spy(self, t, frequencies, provider=cls.row_provider):
             rows, reads = provider(self, t, frequencies), []
             built.append((t, rows.steady, reads))
@@ -863,7 +874,7 @@ def test_forced_members_read_each_steady_stretch_once(monkeypatch):
     results = integrate_companion(systems, problem.grid.frequencies,
                                   np.linspace(0.0, 1.0, 257), epsilons)
     assert not any(isinstance(r, WeakHypError) for r in results)
-    assert len(built) == 3 * len(epsilons)  # principal, lower, forcing
+    assert len(built) == 2 * len(epsilons)  # principal, separable
     for t, steady, reads in built:
         stretch = np.concatenate([[0], np.cumsum(~steady)])
         assert all(stretch[a] != stretch[b - 1] for a, b in reads if b - a > 1)
@@ -1105,8 +1116,7 @@ def _overflowing_wave(scale, growth=25.0):
     data = InitialData(
         (lambda xi: np.full(np.shape(xi), scale, dtype=complex),
          lambda xi: np.zeros(np.shape(xi), dtype=complex)))
-    return build_companion(_wave_principal(),
-                           lower=LowerOrderPart(2, (growing,)), data=data)
+    return build_companion(_wave_principal(), _lower_part(2, growing), data)
 
 
 def test_divergence_inside_a_jump_stops_only_its_member(monkeypatch):
