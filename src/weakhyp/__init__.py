@@ -5,7 +5,17 @@ The package regularises rough coefficients and data on a mollification
 scale, solves the regularised problems spectrally per frequency, and
 quantifies moderateness, energy growth, net convergence and agreement with
 classical solutions.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller
+has set it, so a process that imports weakhyp before numpy starts no BLAS
+helper thread.
 """
+
+import os
+
+# before the first import of numpy (through .errors): OpenBLAS sizes its
+# thread pool when it loads, and every LAPACK call here is on small matrices
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -155,9 +155,17 @@ def sigma_table(reg: RegularisedRoots, t: Array,
     call, scaled by each direction's length, and one characteristic
     polynomial is taken over all directions together.
     """
+    return symmetric_functions(reg.direction_table(t, directions),
+                               directions)
+
+
+def symmetric_functions(table: Array,
+                        directions: Sequence[tuple[float, ...]]
+                        ) -> dict[tuple[float, ...], Array]:
+    """:func:`sigma_table` of a direction table that holds one row per
+    direction, in order."""
     norms = np.array([np.linalg.norm(np.asarray(d, dtype=float))
                       for d in directions])
-    table = reg.direction_table(t, directions)
     sigma = characteristic_polynomial(
         np.swapaxes(table * norms[:, None, None], 1, 2))
     return dict(zip(directions, sigma))
@@ -251,16 +259,17 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     ``omega`` is the number omega(eps) itself: no eps enters the round trip.
     Each probe draws a random (t, xi) in the positive frequency orthant (t
     first, then xi, probe by probe).  The family is tabulated once: one
-    :func:`sigma_table` holds every direction of every degree's plan at all
-    probe times, and each degree's recovered coefficients are evaluated
-    from it in one batched solve; one :meth:`RegularisedRoots.direction_table`
-    along the probes' own directions gives their reference roots.  Each
-    probe then rebuilds ``tau^m + sum sigma_hat_h tau^(m-h)``, takes
-    companion-matrix eigenvalues and compares the sorted roots, each with its
-    separating shift, against the reference roots with theirs.  Failures are
-    recorded, not raised: a failed batched evaluation fails every probe.  A
-    direction plan with a singular block raises :class:`PlanError` before
-    any probe; the condition numbers of the blocks stay on the plan
+    :meth:`RegularisedRoots.direction_table` at all probe times runs along
+    every direction of every degree's plan and then along the probes' own
+    directions.  The plan rows give the symmetric functions, from which each
+    degree's recovered coefficients are evaluated in one batched solve, and
+    the probe rows give the reference roots.  Each probe then rebuilds
+    ``tau^m + sum sigma_hat_h tau^(m-h)``, takes companion-matrix
+    eigenvalues and compares the sorted roots, each with its separating
+    shift, against the reference roots with theirs.  Failures are recorded,
+    not raised: a failed batched evaluation fails every probe.  A direction
+    plan with a singular block raises :class:`PlanError` before any probe;
+    the condition numbers of the blocks stay on the plan
     (``SupportBlock.condition``), not in the report.
     """
     if trials < 1:
@@ -279,11 +288,12 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
         d for cset in sets.values() for d in cset.plan.directions))
     try:
         with numerical_errors():
-            sigma = sigma_table(reg, t_all, directions)
+            table = reg.direction_table(t_all, directions + xis)
+            sigma = symmetric_functions(table[:len(directions)], directions)
             values = {h: sets[h].evaluate(t_all, sigma)
                       for h in range(1, m + 1)}
             # probe i's root profiles along its xi at its own t: (trials, m)
-            table = reg.direction_table(t_all, xis)
+            table = table[len(directions):]
             index = np.arange(trials)
             norms = np.linalg.norm(np.array(xis), axis=1)
             shifts = separating_shift(m, omega, bracket(norms)).T

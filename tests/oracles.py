@@ -459,15 +459,23 @@ def root_value(reg: RegularisedRoots, j: int, t: Array | float, xi
         + j * reg.omega * math.sqrt(1.0 + float(v @ v))
 
 
-def sigma_per_root(reg: RegularisedRoots, t: Array,
-                   directions: Sequence[tuple[float, ...]]
-                   ) -> dict[tuple[float, ...], Array]:
-    """What ``recovery.sigma_table`` returns, one direction at a time: each
-    direction's roots from a table of that direction alone, whose row has
-    the bits of the batched table's."""
+#: the batched table itself, for the oracle that tests patch in for it
+_direction_table = RegularisedRoots.direction_table
+
+
+def table_per_direction(reg: RegularisedRoots, t: Array,
+                        directions: Sequence[Sequence[float]]) -> Array:
+    """What ``RegularisedRoots.direction_table`` returns, one direction at a
+    time: each row from a table of that direction alone."""
+    return np.array([_direction_table(reg, t, [d])[0] for d in directions])
+
+
+def sigma_per_row(table: Array, directions: Sequence[tuple[float, ...]]
+                  ) -> dict[tuple[float, ...], Array]:
+    """What ``recovery.symmetric_functions`` returns, one direction at a
+    time: each direction's symmetric functions from its own row alone."""
     out = {}
-    for xi in directions:
-        vals = reg.direction_table(t, [xi])[0] \
-            * float(np.linalg.norm(xi))
+    for xi, vals in zip(directions, table):
+        vals = vals * float(np.linalg.norm(xi))
         out[xi] = characteristic_polynomial(np.moveaxis(vals, 0, -1))
     return out

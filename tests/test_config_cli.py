@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,11 +17,13 @@ from weakhyp.config import (config_echo, config_hash, load_config,
 from weakhyp.errors import ConfigurationError
 from weakhyp.experiments import _net_tables, build_problem
 from weakhyp.reports import RowSource, write_csv
+from weakhyp.roots import RegularisedRoots
 from weakhyp.solver import (CONE_MARGIN, build_regularised_system,
                             energy_trace, integrate_companion,
                             solve_very_weak)
 
-from oracles import sigma_per_root, symmetriser_audit_rows
+from oracles import (sigma_per_row, symmetriser_audit_rows,
+                     table_per_direction)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -632,9 +635,12 @@ def test_cli_audit_csvs_equal_the_per_item_paths(tmp_path, monkeypatch):
                "vandermonde_squared"), rows)
     assert run("symmetriser", "sym") == (tmp_path / "oracle.csv").read_bytes()
     assert _framed_summary(tmp_path / "sym")["bound_violations"] == violations
-    # symmetric functions root by root instead of one table per family
+    # a table and symmetric functions per direction instead of one table
+    # per family
     table = run("roundtrip", "table")
-    monkeypatch.setattr(recovery, "sigma_table", sigma_per_root)
+    monkeypatch.setattr(RegularisedRoots, "direction_table",
+                        table_per_direction)
+    monkeypatch.setattr(recovery, "symmetric_functions", sigma_per_row)
     assert run("roundtrip", "per_root") == table
 
 
@@ -742,3 +748,33 @@ def test_solve_and_sweep_load_neither_openssl_nor_numpy_ma(tmp_path):
     assert probe.returncode == 0, probe.stderr
     result = json.loads(probe.stdout.splitlines()[-1])
     assert result == {"status": [0, 0], "loaded": []}
+
+
+# Run in a fresh process: the threads left running once the CLI is imported.
+_THREADS_PROBE = r"""
+import json, os
+import weakhyp.cli
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.parametrize("openblas", [None, "2"])
+def test_cli_import_starts_no_blas_helper_unless_the_caller_asks(openblas):
+    # weakhyp sets OPENBLAS_NUM_THREADS=1 before numpy loads, so OpenBLAS
+    # starts no helper thread; a caller's own value wins, and OpenBLAS then
+    # runs as many threads as it names, up to the cores it may use
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs /proc/self/task")
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    probe = subprocess.run([sys.executable, "-c", _THREADS_PROBE],
+                           capture_output=True, text=True, timeout=120,
+                           env=env)
+    assert probe.returncode == 0, probe.stderr
+    result = json.loads(probe.stdout.splitlines()[-1])
+    threads = 1 if openblas is None else min(int(openblas),
+                                             len(os.sched_getaffinity(0)))
+    assert result == {"threads": threads, "openblas": openblas or "1"}

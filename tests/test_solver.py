@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import dataclass, replace
@@ -1175,8 +1176,10 @@ def test_linalg_error_becomes_numerical_stage_failure(wave_problem,
         assert net.record(e).error.startswith("NumericalError")
 
 
-# Run in a fresh process: it reads the CPU clock ticks of every thread but the
-# main one (the BLAS helpers numpy starts) before and after a CLI run.
+# Run in a fresh process with OPENBLAS_NUM_THREADS=2, so that numpy starts one
+# BLAS helper even though weakhyp asks for none when the caller sets nothing:
+# it reads the CPU clock ticks of every thread but the main one (the helper)
+# before and after a CLI run.
 _THREAD_PROBE = r"""
 import json, os, sys, time
 
@@ -1202,9 +1205,9 @@ print(json.dumps({"helpers": len(before), "status": status, "ticks": gained}))
 """
 
 
-def test_solve_wakes_no_blas_thread(tmp_path):
-    # runs are single-threaded: no BLAS or LAPACK call on the solve path may
-    # wake a helper thread, which then busy-waits for a tenth of a second
+def _helper_ticks_of_run(tmp_path, subcommand, sweep):
+    """The probe's result for one CLI run of the wave config over ``sweep``;
+    skips where the probe cannot see a helper thread."""
     if not Path("/proc/self/task").is_dir():
         pytest.skip("needs /proc/self/task")
     config = {
@@ -1212,19 +1215,34 @@ def test_solve_wakes_no_blas_thread(tmp_path):
         "roots": {"preset": "heaviside", "jump": 0.5, "low": 1.0,
                   "high": 4.0},
         "data": [{"preset": "bump", "radius": 1.0}, {"preset": "zero"}],
-        "regularisation": {"scale": "linear",
-                           "epsilon_sweep": [0.25, 0.125, 0.0625]},
+        "regularisation": {"scale": "linear", "epsilon_sweep": sweep},
         "grid": {"points": 256, "time_steps": 1024},
     }
-    path = tmp_path / "solve.json"
+    path = tmp_path / f"{subcommand}.json"
     path.write_text(json.dumps(config))
     probe = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE, "solve", "--config", str(path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=300)
+        [sys.executable, "-c", _THREAD_PROBE, subcommand, "--config",
+         str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
     assert probe.returncode == 0, probe.stderr
     result = json.loads(probe.stdout.splitlines()[-1])
     if not result["helpers"]:
         pytest.skip("numpy started no helper thread")
+    return result
+
+
+def test_solve_wakes_no_blas_thread(tmp_path):
+    # runs are single-threaded: no BLAS or LAPACK call on the solve path may
+    # wake a helper thread, which then busy-waits for a tenth of a second
+    result = _helper_ticks_of_run(tmp_path, "solve", [0.25, 0.125, 0.0625])
+    assert result["status"] == 0
+    assert result["ticks"] <= 2
+
+
+def test_sweep_wakes_no_blas_thread(tmp_path):
+    # nor does the sweep's, whose moderateness fit calls lstsq
+    result = _helper_ticks_of_run(tmp_path, "sweep",
+                                  [0.25, 0.125, 0.0625, 0.03125])
     assert result["status"] == 0
     assert result["ticks"] <= 2
