@@ -115,10 +115,8 @@ def _with_envelope(report: ModeratenessReport, net: SolutionNet,
         rows_w.append(e ** (1.0 / s) * br_pow[mask])
     y_all = np.concatenate(rows_y)
     w_all = np.concatenate(rows_w)
-    design = np.column_stack([np.ones_like(w_all), -w_all])
-    sol, *_ = np.linalg.lstsq(design, y_all, rcond=None)
-    prefactor = float(math.exp(min(sol[0], 700.0)))
-    c_fit = float(sol[1])
+    c_fit, log_prefactor, _ = linear_fit(-w_all, y_all)
+    prefactor = float(math.exp(min(log_prefactor, 700.0)))
     return replace(report, envelope_prefactor=prefactor, envelope_c=c_fit,
                    envelope_ok=c_fit > 0.0)
 

@@ -12,6 +12,7 @@ seed.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -387,7 +388,7 @@ def run_roundtrip(cfg: ExperimentConfig, seed: int, summary: dict,
             field="roundtrip.omega")
     study = random_round_trip_study(
         n_families=n_families, mollifier=friedrichs_mollifier(),
-        omega=omega, rng=np.random.default_rng(seed), max_order=max_order,
+        omega=omega, rng=random.Random(seed), max_order=max_order,
         max_dimension=max_dimension, probes_per_family=probes)
     # the direction plans behind the recoveries, for reproducibility
     plans = {}
@@ -418,40 +419,44 @@ def run_symmetriser(cfg: ExperimentConfig, seed: int, summary: dict,
 
     Each tuple draws its order, its roots and then its form-trial vectors,
     in that order; the tuples of each order are then built, intertwined and
-    bounded in one batched pass.
+    bounded in one batched pass.  A trial vector's real and imaginary parts
+    are uniform on [-1, 1]^m: the bounds hold for every vector, so a cube
+    serves.  Each tuple takes its trial entries as one list of ``random()``
+    draws, and each order maps its draws onto the cube in one numpy step.
     """
     count = cfg.count("symmetriser.count", 1000)
     max_order = cfg.count("symmetriser.max_order", 4)
     spacing = cfg.number("symmetriser.spacing", 0.05, float)
     bound = cfg.number("symmetriser.bound", 3.0, float)
     form_trials = cfg.count("symmetriser.form_trials", 16)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     orders = []
-    # per order, in draw order: the roots (m,) and the complex trial
-    # vectors (trials, m)
-    drawn: dict[int, tuple[list[Array], list[Array]]] = {}
+    # per order, in draw order: the roots (m,) and the trial-vector draws
+    # (2 * form_trials * m,), each trial's m real parts and then its m
+    # imaginary parts
+    drawn: dict[int, tuple[list[list[float]], list[Array]]] = {}
     for _ in range(count):
-        m = int(rng.integers(1, max_order + 1))
-        mu = np.sort(rng.uniform(-bound, bound, m))
+        m = rng.randint(1, max_order)
+        mu = sorted(rng.uniform(-bound, bound) for _ in range(m))
         for i in range(1, m):
             mu[i] = max(mu[i], mu[i - 1] + spacing)
-        roots, vectors = drawn.setdefault(m, ([], []))
+        roots, uniforms = drawn.setdefault(m, ([], []))
         roots.append(mu)
-        # each trial draws its real part, then its imaginary part
-        normal = rng.standard_normal((form_trials, 2, m))
-        vectors.append(normal[:, 0] + 1j * normal[:, 1])
+        uniforms.append(np.array(
+            [rng.random() for _ in range(2 * form_trials * m)]))
         orders.append(m)
     columns = np.zeros((6, count))
     violations = 0
-    for m, (roots, vectors) in sorted(drawn.items()):
+    for m, (roots, uniforms) in sorted(drawn.items()):
         n = len(roots)
         mu = np.array(roots)
+        cube = 2.0 * np.array(uniforms).reshape(n, form_trials, 2, m) - 1.0
+        vectors = cube[:, :, 0] + 1j * cube[:, :, 1]
         sym = build_symmetriser(mu)
         vdm = vandermonde_product_squared(mu)
         det_err = np.divide(np.abs(sym.det_value - vdm), vdm,
                             out=np.zeros(n), where=vdm > 0)
-        report = verify_quadratic_bounds(sym, np.array(vectors),
-                                         omega=spacing)
+        report = verify_quadratic_bounds(sym, vectors, omega=spacing)
         columns[:, np.array(orders) == m] = (
             sym.spacing if m > 1 else np.zeros(n), sym.intertwining_residual(),
             det_err, report.eigen_min / np.maximum(report.eigen_max, 1e-300),
@@ -494,7 +499,7 @@ def run_reduce(cfg: ExperimentConfig, seed: int, summary: dict,
                                  field="reduce.sizes")
     freqs = reals(section.get("frequencies", (1.0, 5.0)),
                   "reduce.frequencies")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rows = []
     worst_cof = 0.0
     worst_eig = 0.0

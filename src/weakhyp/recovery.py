@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -252,13 +253,15 @@ class RoundTripReport:
 
 def round_trip_check(family: RootFamily, mollifier: Mollifier,
                      omega: float, trials: int,
-                     rng: np.random.Generator | None = None) -> RoundTripReport:
+                     rng: random.Random | None = None) -> RoundTripReport:
     """Regularise at the scale ``omega``, recover, rebuild the polynomial,
     root-solve, compare.
 
     ``omega`` is the number omega(eps) itself: no eps enters the round trip.
-    Each probe draws a random (t, xi) in the positive frequency orthant (t
-    first, then xi, probe by probe).  The family is tabulated once: one
+    Each probe draws a random (t, xi) in the positive frequency orthant from
+    ``rng`` (``random.Random(0)`` by default): t uniform on [0, horizon]
+    first, then xi's components uniform on [0.3, 2.5], probe by probe.
+    The family is tabulated once: one
     :meth:`RegularisedRoots.direction_table` at all probe times runs along
     every direction of every degree's plan and then along the probes' own
     directions.  The plan rows give the symmetric functions, from which each
@@ -274,14 +277,14 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    rng = rng or np.random.default_rng(0)
+    rng = rng or random.Random(0)
     reg = RegularisedRoots(family, mollifier, omega)
     m, n = family.order, family.dimension
     sets = {j: recover_coefficients(reg, j, n) for j in range(1, m + 1)}
     draws = []
     for _ in range(trials):
-        t = float(rng.uniform(0.0, family.horizon))
-        draws.append((t, tuple(rng.uniform(0.3, 2.5, size=n))))
+        t = rng.uniform(0.0, family.horizon)
+        draws.append((t, tuple(rng.uniform(0.3, 2.5) for _ in range(n))))
     t_all = np.array([t for t, _ in draws])
     xis = [xi for _, xi in draws]
     directions = list(dict.fromkeys(
@@ -330,10 +333,15 @@ def round_trip_check(family: RootFamily, mollifier: Mollifier,
 _ROOT_GAP = 0.8
 
 
-def random_ordered_family(rng: np.random.Generator, order: int,
+def random_ordered_family(rng: random.Random, order: int,
                           dimension: int) -> RootFamily:
     """Random ordered bounded family from piecewise-constant linear forms
     on the time interval [0, 1].
+
+    The coefficient profiles draw from ``rng`` root by root, and within a
+    root component by component.  Each draws its number of breaks (1 to 3),
+    the breaks (uniform on [0.1, 0.9], then sorted) and one value per piece
+    (uniform on [0, 0.6*_ROOT_GAP] above root j's level j*_ROOT_GAP).
 
     Coefficients of consecutive roots increase componentwise by at least
     0.4*_ROOT_GAP, which orders the family on the closed positive orthant;
@@ -345,12 +353,11 @@ def random_ordered_family(rng: np.random.Generator, order: int,
     for j in range(1, order + 1):
         row = []
         for _ in range(dimension):
-            n_breaks = int(rng.integers(1, 4))
-            inner = np.sort(rng.uniform(0.1, 0.9, n_breaks))
-            breaks = [0.0] + [float(b) for b in inner] + [1.0]
-            vals = j * _ROOT_GAP + rng.uniform(0.0, 0.6 * _ROOT_GAP,
-                                               size=n_breaks + 1)
-            row.append(piecewise_constant_profile(breaks, list(vals),
+            n_breaks = rng.randint(1, 3)
+            inner = sorted(rng.uniform(0.1, 0.9) for _ in range(n_breaks))
+            vals = [j * _ROOT_GAP + rng.uniform(0.0, 0.6 * _ROOT_GAP)
+                    for _ in range(n_breaks + 1)]
+            row.append(piecewise_constant_profile([0.0, *inner, 1.0], vals,
                                                   (0.0, 1.0)))
         coeff_profiles.append(row)
     return roots_from_linear_forms(coeff_profiles)
@@ -364,10 +371,17 @@ class RoundTripStudy:
 
 
 def random_round_trip_study(n_families: int, mollifier: Mollifier,
-                            omega: float, rng: np.random.Generator,
+                            omega: float, rng: random.Random,
                             max_order: int = 4, max_dimension: int = 3,
                             probes_per_family: int = 2) -> RoundTripStudy:
-    """Round trips over random families sweeping orders and dimensions."""
+    """Round trips over random families sweeping orders and dimensions.
+
+    Family i has order ``1 + i % max_order`` and dimension
+    ``1 + (i // max_order) % max_dimension``.  One ``rng`` serves every
+    draw: each family draws its profiles
+    (:func:`random_ordered_family`) and then its probes
+    (:func:`round_trip_check`) before the next family draws.
+    """
     rows: list[tuple[int, int, float]] = []
     failures: list[str] = []
     worst = 0.0

@@ -18,6 +18,7 @@ the symmetrisers and the block reduction alike.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -546,18 +547,30 @@ def to_block_sylvester(system: FirstOrderSystem) -> BlockSylvesterSystem:
     return BlockSylvesterSystem(system=system)
 
 
-def random_hyperbolic_system(rng: np.random.Generator,
+def random_hyperbolic_system(rng: random.Random,
                              size: int) -> FirstOrderSystem:
     """Well-conditioned random constant-coefficient hyperbolic system with a
-    random zero-order term, on the time interval [0, 1]."""
+    random zero-order term, on the time interval [0, 1].
+
+    It draws from ``rng`` the eigenvalues (uniform on [-2, 2], sorted, then
+    pushed apart to gaps of at least 0.3), the basis entries row by row
+    (the identity plus 0.3 times standard normals, redrawn until the basis
+    has condition number at most 20) and last the zero-order term's entries
+    (0.3 times standard normals).
+    """
     spacing = 0.3
-    eigs = np.sort(rng.uniform(-2.0, 2.0, size))
+    eigs = sorted(rng.uniform(-2.0, 2.0) for _ in range(size))
     for i in range(1, size):
         eigs[i] = max(eigs[i], eigs[i - 1] + spacing)
-    basis = np.eye(size) + 0.3 * rng.standard_normal((size, size))
+
+    def normals() -> Array:
+        return np.array([rng.gauss(0.0, 1.0) for _ in range(size * size)]
+                        ).reshape(size, size)
+
+    basis = np.eye(size) + 0.3 * normals()
     while np.linalg.cond(basis) > 20.0:
-        basis = np.eye(size) + 0.3 * rng.standard_normal((size, size))
+        basis = np.eye(size) + 0.3 * normals()
     a1 = basis @ np.diag(eigs) @ np.linalg.inv(basis)
-    b0 = 0.3 * rng.standard_normal((size, size))
+    b0 = 0.3 * normals()
     return FirstOrderSystem(order=size, a1=lambda t, _a=a1: _a,
                             b=lambda t, _b=b0: _b)

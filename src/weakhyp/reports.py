@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -33,17 +34,45 @@ def format_number(x: Any) -> str:
     return str(x)
 
 
+def _record_format(types: tuple[type, ...]) -> Callable[[Sequence[Any]], str]:
+    """One ``%`` format for the records whose entries have these types.
+
+    ``%.17g`` writes a float as :func:`format_number` does, nan, inf and -0
+    included, and ``%d`` an int; any other entry goes through
+    :func:`format_number` first.
+    """
+    specs = ["%.17g" if issubclass(t, float) else "%d" if t is int else "%s"
+             for t in types]
+    line = ",".join(specs) + "\n"
+    plain = [spec != "%s" for spec in specs]
+    if all(plain):
+        return lambda row: line % tuple(row)
+    return lambda row: line % tuple(v if keep else format_number(v)
+                                    for v, keep in zip(row, plain))
+
+
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence[Any]]) -> None:
     """Fixed column order, header row, newline-terminated records, written
-    one by one as ``rows`` yields them."""
+    one by one as ``rows`` yields them.
+
+    A record takes the format of the record before it while its entries
+    have the same types, which is every record of a table whose columns
+    each hold one type.
+    """
+    types: tuple[type, ...] = ()
+    record = None
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             if len(row) != len(header):
                 raise ValueError(
                     f"row width {len(row)} != header width {len(header)}")
-            handle.write(",".join(format_number(v) for v in row) + "\n")
+            # type by type: a tuple of types per row raised the peak RSS
+            if record is None or not all(map(is_, map(type, row), types)):
+                types = tuple(map(type, row))
+                record = _record_format(types)
+            handle.write(record(row))
 
 
 def _json_render(value: Any, indent: int) -> str:

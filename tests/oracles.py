@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -401,17 +402,20 @@ def symmetriser_audit_rows(count: int, max_order: int, spacing: float,
                            seed: int) -> tuple[list[tuple], int]:
     """The ``symmetriser`` CSV rows and the violation count, one tuple at a
     time: each tuple draws its order and roots, then per trial a real and an
-    imaginary part."""
-    rng = np.random.default_rng(seed)
+    imaginary part, each uniform on [-1, 1]^m."""
+    rng = random.Random(seed)
+
+    def part(m: int) -> Array:
+        return 2.0 * np.array([rng.random() for _ in range(m)]) - 1.0
+
     rows = []
     violations = 0
     for index in range(count):
-        m = int(rng.integers(1, max_order + 1))
-        mu = np.sort(rng.uniform(-bound, bound, m))
+        m = rng.randint(1, max_order)
+        mu = np.sort([rng.uniform(-bound, bound) for _ in range(m)])
         for i in range(1, m):
             mu[i] = max(mu[i], mu[i - 1] + spacing)
-        vectors = np.array([rng.standard_normal(m)
-                            + 1j * rng.standard_normal(m)
+        vectors = np.array([part(m) + 1j * part(m)
                             for _ in range(form_trials)])
         f = symmetriser_figures(mu, vectors, spacing)
         vdm = f["vandermonde"]

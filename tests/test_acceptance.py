@@ -5,6 +5,7 @@ per criterion.
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -48,7 +49,7 @@ def test_criterion_01_round_trip_random_families():
     phi = friedrichs_mollifier()
     started = time.perf_counter()
     study = random_round_trip_study(100, phi, 0.05,
-                                    np.random.default_rng(20240801),
+                                    random.Random(20240801),
                                     max_order=4, max_dimension=3,
                                     probes_per_family=2)
     elapsed = time.perf_counter() - started
@@ -282,7 +283,7 @@ def test_criterion_07_net_convergence():
 
 
 def test_criterion_08_block_sylvester_reduction():
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     worst_cof = 0.0
     worst_eig = 0.0
     for index in range(50):

@@ -16,7 +16,7 @@ from weakhyp.config import (config_echo, config_hash, load_config,
                             validate_config)
 from weakhyp.errors import ConfigurationError
 from weakhyp.experiments import _net_tables, build_problem
-from weakhyp.reports import RowSource, write_csv
+from weakhyp.reports import RowSource, format_number, write_csv
 from weakhyp.roots import RegularisedRoots
 from weakhyp.solver import (CONE_MARGIN, build_regularised_system,
                             energy_trace, integrate_companion,
@@ -658,6 +658,20 @@ def test_write_csv_takes_a_sized_row_source(tmp_path):
             write_csv(tmp_path / "bad.csv", header, bad)
 
 
+
+def test_write_csv_records_equal_format_number(tmp_path):
+    # one % format per row type against the entry-by-entry format_number
+    # join; a table whose entry types change from row to row included
+    header = ("a", "b", "c")
+    rows = [(0.1, 3, -0.0), (float("nan"), -7, float("inf")),
+            (float("-inf"), 10 ** 20, 1e-310), (True, 2, 1.5 + 2.0j),
+            (np.float64(1 / 3), np.int64(4), "x"), (5, 0.25, False),
+            (0.1, 3, -0.0), (1e22, 2 ** 70, complex(-0.0, -1.0))]
+    write_csv(tmp_path / "mixed.csv", header, rows)
+    expected = "a,b,c\n" + "".join(
+        ",".join(format_number(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "mixed.csv").read_text() == expected
+
 def test_net_tables_state_the_rows_they_write(tmp_path):
     raw = _base_config()
     raw["grid"].update(output_times=[0.0, 0.5, 1.0],
@@ -749,6 +763,44 @@ def test_solve_and_sweep_load_neither_openssl_nor_numpy_ma(tmp_path):
     result = json.loads(probe.stdout.splitlines()[-1])
     assert result == {"status": [0, 0], "loaded": []}
 
+
+
+# Run in a fresh process: which of the random-number modules an audit leaves
+# loaded, beyond those that importing numpy loads by itself.
+_AUDIT_FOOTPRINT_PROBE = r"""
+import json, sys
+import numpy
+names = ("numpy.random", "secrets", "_hashlib")
+preloaded = [name for name in names if name in sys.modules]
+from weakhyp.cli import main
+status = main(sys.argv[1:])
+loaded = [name for name in names
+          if name in sys.modules and name not in preloaded]
+print(json.dumps({"status": status, "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["roundtrip", "symmetriser", "reduce"])
+def test_audits_load_neither_numpy_random_nor_openssl(tmp_path, subcommand):
+    # the audits draw from the standard library's random.Random; numpy's
+    # generators would import secrets, hashlib and so OpenSSL
+    raw = {
+        "problem": {"order": 2},
+        "regularisation": {"epsilon_sweep": [0.5]},
+        "roundtrip": {"families": 4},
+        "symmetriser": {"count": 8},
+        "reduce": {"count": 2},
+        "run": {"seed": 3},
+    }
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(raw))
+    probe = subprocess.run(
+        [sys.executable, "-c", _AUDIT_FOOTPRINT_PROBE, subcommand,
+         "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result == {"status": 0, "loaded": []}
 
 # Run in a fresh process: the threads left running once the CLI is imported.
 _THREADS_PROBE = r"""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -181,21 +182,20 @@ def test_linear_root_recovery_exact(phi):
 
 
 def test_reconstruction_residual_small_on_plan(phi):
-    rng = np.random.default_rng(3)
-    fam = random_ordered_family(rng, 3, 2)
+    fam = random_ordered_family(random.Random(3), 3, 2)
     reg = RegularisedRoots(fam, phi, 0.05)
     cs = recover_coefficients(reg, 3, 2)
     assert cs.reconstruction_residual(np.linspace(0.0, 1.0, 7)) <= 1e-9
 
 
 def test_polynomial_reproduction_at_random_directions(phi):
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     fam = random_ordered_family(rng, 2, 3)
     reg = RegularisedRoots(fam, phi, 0.05)
     cs = recover_coefficients(reg, 2, 3)
     t = np.array([0.37])
     for _ in range(50):
-        xi = tuple(rng.uniform(0.2, 2.0, 3))
+        xi = tuple(rng.uniform(0.2, 2.0) for _ in range(3))
         lam = np.array([float(pure_root(reg, j, 0.37, xi)) for j in (1, 2)])
         target = sigma(lam, 2)
         got = sigma_hat(cs, 0.37, xi)
@@ -224,7 +224,7 @@ def test_recovered_coefficients_converge_with_roots(phi):
 def test_round_trip_constant_distinct_roots(phi):
     fam = constant_roots([-1.0, 0.5, 2.0])
     report = round_trip_check(fam, phi, 0.05, trials=4,
-                              rng=np.random.default_rng(0))
+                              rng=random.Random(0))
     assert not report.failures
     assert report.max_rel_error <= 1e-10
 
@@ -232,7 +232,7 @@ def test_round_trip_constant_distinct_roots(phi):
 def test_round_trip_zero_roots_exact(phi):
     fam = constant_roots([0.0, 0.0, 0.0])
     report = round_trip_check(fam, phi, 0.05, trials=3,
-                              rng=np.random.default_rng(1))
+                              rng=random.Random(1))
     assert report.max_rel_error <= 1e-12
 
 
@@ -254,12 +254,12 @@ def test_round_trip_probes_keep_the_draw_order(phi, monkeypatch):
     monkeypatch.setattr(RegularisedRoots, "direction_table", spy)
     fam = constant_roots([-1.0, 0.5, 2.0], dimension=2)
     report = round_trip_check(fam, phi, 0.05, trials=5,
-                              rng=np.random.default_rng(4))
-    fresh = np.random.default_rng(4)
+                              rng=random.Random(4))
+    fresh = random.Random(4)
     expected = []
     for _ in range(5):  # t, then xi, probe by probe
-        t = float(fresh.uniform(0.0, fam.horizon))
-        expected.append((t, tuple(fresh.uniform(0.3, 2.5, size=2))))
+        t = fresh.uniform(0.0, fam.horizon)
+        expected.append((t, tuple(fresh.uniform(0.3, 2.5) for _ in range(2))))
     assert len(seen) == 1
     times, directions = seen[0]
     assert times == [t for t, _ in expected]
@@ -273,14 +273,14 @@ def test_round_trip_failed_evaluation_fails_every_probe(phi, monkeypatch):
 
     monkeypatch.setattr(HomogeneousCoefficientSet, "evaluate", broken)
     report = round_trip_check(constant_roots([-1.0, 2.0]), phi, 0.05,
-                              trials=4, rng=np.random.default_rng(0))
+                              trials=4, rng=random.Random(0))
     assert len(report.failures) == 4
     assert all("singular block" in f for f in report.failures)
 
 
 def test_random_round_trip_study_small(phi):
     study = random_round_trip_study(12, phi, 0.05,
-                                    np.random.default_rng(21))
+                                    random.Random(21))
     assert not study.failures
     assert study.max_rel_error <= 1e-8
     orders = {m for m, _, _ in study.rows}
@@ -292,7 +292,7 @@ def test_random_round_trip_error_is_rounding(phi, seed):
     # each probe's reference comes from its exact direction: recovery is
     # exact for linear-form families, so only rounding is left
     study = random_round_trip_study(12, phi, 0.05,
-                                    np.random.default_rng(seed))
+                                    random.Random(seed))
     assert not study.failures
     assert study.max_rel_error <= 1e-12
 
@@ -305,15 +305,14 @@ def test_round_trip_check_equals_per_root_oracle(phi, order, dimension,
                                                  seed):
     # the one table per family against each direction's roots from a table
     # of that direction alone, and its symmetric functions from them alone
-    family = random_ordered_family(np.random.default_rng(seed), order,
-                                   dimension)
+    family = random_ordered_family(random.Random(seed), order, dimension)
     report = round_trip_check(family, phi, 0.05, trials=3,
-                              rng=np.random.default_rng(seed))
+                              rng=random.Random(seed))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RegularisedRoots, "direction_table",
                       table_per_direction)
         patch.setattr(recovery, "symmetric_functions", sigma_per_row)
         oracle = round_trip_check(family, phi, 0.05, trials=3,
-                                  rng=np.random.default_rng(seed))
+                                  rng=random.Random(seed))
     assert report == oracle
     assert not report.failures

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -296,8 +298,7 @@ def test_cofactor_two_by_two_adjugate():
 
 
 def test_cofactor_random_three_by_three_identity():
-    rng = np.random.default_rng(5)
-    system = random_hyperbolic_system(rng, 3)
+    system = random_hyperbolic_system(random.Random(5), 3)
     poly = cofactor_matrix(system.a_symbol, 3)
     assert poly.verify(0.3, 2.0) <= 1e-9
 
@@ -334,8 +335,7 @@ def test_block_reduction_constant_two_by_two_eigenvalues():
 
 
 def test_block_reduction_random_three_by_three_eigenvalues():
-    rng = np.random.default_rng(13)
-    system = random_hyperbolic_system(rng, 3)
+    system = random_hyperbolic_system(random.Random(13), 3)
     block_form = to_block_sylvester(system)
     for xi in (1.0, 5.0):
         eig = block_form.block_eigenvalues(0.3, xi)
