@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -158,34 +159,49 @@ def _primitive_coefficients(base_coef: tuple[float, ...], k: int) -> Array:
 
 
 class Convolution:
-    """Smooth function ``(profile * kernel)``, optionally differentiated.
+    """Smooth function ``(profile * kernel)``, optionally differentiated, of
+    one profile or of a stack of them.
 
-    Atoms convolve analytically into kernel derivatives.  Constant density
-    pieces on [lo, hi) are summed in closed form, each with the constant
-    its ``Piece`` carries as ``value``, so that building a convolution
-    calls no profile function: with the kernel variable
-    ``u = (t - s)/scale`` clipped to the base support [-1, 1], each adds
+    A stack gives one row per profile, in order; one profile is the
+    one-row case, called without the row axis.  Atoms convolve
+    analytically into kernel derivatives.  Constant density pieces on
+    [lo, hi) are summed in closed form, each with the constant its
+    ``Piece`` carries as ``value``, so that building a convolution calls no
+    profile function: with the kernel variable ``u = (t - s)/scale``
+    clipped to the base support [-1, 1], each adds
     ``c * [Q(u_hi) - Q(u_lo)] / scale^k`` where ``u_lo`` comes from ``hi``
     and ``u_hi`` from ``lo``, and ``Q`` is the primitive of the k-th
-    derivative of the base polynomial.  Pieces of higher declared degree
-    are integrated exactly by a fixed Gauss-Legendre panel, and pieces
-    with ``degree=None`` adaptively (to the quadrature's default absolute
-    tolerance).
+    derivative of the base polynomial.  The constant pieces of the whole
+    stack take one pass, and each row sums its own in piece order, so a
+    row's bits are those of its profile convolved alone when the stack's
+    constants are all real, or all complex, as in a single profile or a
+    root family's coefficients.  Pieces of higher
+    declared degree are integrated exactly by a fixed Gauss-Legendre panel,
+    and pieces with ``degree=None`` adaptively (to the quadrature's default
+    absolute tolerance), profile by profile.
     """
 
-    def __init__(self, profile: RoughProfile, kernel: Mollifier,
-                 derivative: int = 0):
-        self.profile = profile
+    def __init__(self, profiles: RoughProfile | Sequence[RoughProfile],
+                 kernel: Mollifier, derivative: int = 0):
+        self.stacked = not isinstance(profiles, RoughProfile)
+        self.profiles = tuple(profiles) if self.stacked else (profiles,)
         self.kernel = kernel
         self.derivative_order = derivative
-        constant = [p for p in profile.pieces if p.degree == 0]
-        self._other_pieces = [p for p in profile.pieces if p.degree != 0]
-        # rows over pieces, columns over points: the sum over pieces is an
-        # accumulation in piece order, the same for every evaluation point
-        # whatever the batch of points
-        self._const_edges = np.array([[p.hi] for p in constant]
-                                     + [[p.lo] for p in constant])
-        values = np.array([p.value for p in constant], dtype=complex)[:, None]
+        constant = [[p for p in prof.pieces if p.degree == 0]
+                    for prof in self.profiles]
+        self._other_pieces = [[p for p in prof.pieces if p.degree != 0]
+                              for prof in self.profiles]
+        # axes: piece slot, profile, point.  A profile with fewer constant
+        # pieces fills its last slots with zero values on zero-length
+        # spans, whose +0.0 leaves each running sum's bits as they are
+        depth = max(map(len, constant), default=0)
+        slots = [[(p.hi, p.lo, p.value) for p in pieces]
+                 + [(0.0, 0.0, 0.0)] * (depth - len(pieces))
+                 for pieces in constant]
+        hi, lo, values = np.array(slots, dtype=complex).reshape(
+            len(constant), depth, 3).transpose(2, 1, 0)[..., None]
+        # rows u_lo (from each piece's hi), then u_hi (from its lo)
+        self._const_edges = np.concatenate([hi.real, lo.real])
         self._const_values = values if np.any(values.imag) else values.real
         self._primitive = _primitive_coefficients(
             tuple(kernel.base_poly.coef), derivative)
@@ -194,54 +210,66 @@ class Convolution:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.zeros(t.shape, dtype=complex)
+        out = np.zeros((len(self.profiles),) + t.shape, dtype=complex)
         k = self.derivative_order
         kernel = self.kernel
         r = kernel.support_radius
-        for atom in self.profile.atoms:
-            out += atom.weight * kernel.derivative(t - atom.location,
-                                                   atom.order + k)
+        for row, profile in zip(out, self.profiles):
+            for atom in profile.atoms:
+                row += atom.weight * kernel.derivative(t - atom.location,
+                                                       atom.order + k)
         # work in the kernel variable: the clipped endpoints are then built at
         # the kernel scale, immune to cancellation when the scale is many
         # orders below |t|
         t_flat = t.ravel()
-        n_const = self._const_values.shape[0]
-        if n_const:
-            # rows u_lo (from each piece's hi), then u_hi (from its lo)
+        depth = self._const_edges.shape[0] // 2
+        if depth:
             w = kernel.scale
-            u = np.clip((t_flat - self._const_edges) / w, -1.0, 1.0)
-            q = np.polynomial.polynomial.polyval(u, self._primitive)
-            mass = q[n_const:] - q[:n_const]
+            # in place, so that a stack's temporaries stay two arrays of
+            # its edges' size
+            u = t_flat - self._const_edges
+            u /= w
+            np.clip(u, -1.0, 1.0, out=u)
+            # Horner's rule, with the operations of numpy's polyval
+            q = np.full_like(u, self._primitive[-1])
+            for c in self._primitive[-2::-1]:
+                q *= u
+                q += c
+            mass = q[depth:] - q[:depth]
             # cumsum, not sum: numpy sums a single column pairwise
             total = (self._const_values * mass).cumsum(axis=0)[-1]
-            out += (total / w ** k).reshape(t.shape)
-        for piece in self._other_pieces:
-            lo_y = np.maximum(-r, t - piece.hi)
-            hi_y = np.minimum(r, t - piece.lo)
+            out += (total / w ** k).reshape(out.shape)
+        for row, pieces in zip(out, self._other_pieces):
+            for piece in pieces:
+                lo_y = np.maximum(-r, t - piece.hi)
+                hi_y = np.minimum(r, t - piece.lo)
 
-            if piece.degree is not None:
-                def exact_integrand(y: Array, _fn=piece.fn) -> Array:
-                    return np.asarray(_fn(t[..., None] - y)) \
-                        * kernel.derivative(y, k)
+                if piece.degree is not None:
+                    def exact_integrand(y: Array, _fn=piece.fn) -> Array:
+                        return np.asarray(_fn(t[..., None] - y)) \
+                            * kernel.derivative(y, k)
 
-                n_exact = (piece.degree + kernel.degree) // 2 + 2
-                out += fixed_panel(exact_integrand, lo_y, hi_y, n_exact)
-            else:
-                def integrand(y: Array, idx: Array, _fn=piece.fn) -> Array:
-                    return np.asarray(_fn(t_flat[idx][:, None] - y)) \
-                        * kernel.derivative(y, k)
+                    n_exact = (piece.degree + kernel.degree) // 2 + 2
+                    row += fixed_panel(exact_integrand, lo_y, hi_y, n_exact)
+                else:
+                    def integrand(y: Array, idx: Array, _fn=piece.fn
+                                  ) -> Array:
+                        return np.asarray(_fn(t_flat[idx][:, None] - y)) \
+                            * kernel.derivative(y, k)
 
-                contrib = adaptive_panel(integrand, lo_y, hi_y,
-                                         context="profile convolution")
-                out += contrib.reshape(t.shape)
+                    contrib = adaptive_panel(integrand, lo_y, hi_y,
+                                             context="profile convolution")
+                    row += contrib.reshape(t.shape)
         if np.max(np.abs(out.imag), initial=0.0) == 0.0:
             out = out.real
-        return out[0] if scalar else out
+        out = out if self.stacked else out[0]
+        return out[..., 0] if scalar else out
 
 
-def convolve_profile(p: RoughProfile, m: Mollifier,
+def convolve_profile(p: RoughProfile | Sequence[RoughProfile], m: Mollifier,
                      derivative: int = 0) -> Convolution:
-    """Smooth callable ``t -> (p * m)(t)`` (or its derivative)."""
+    """Smooth callable ``t -> (p * m)(t)`` (or its derivative), of one
+    profile or, one row each, of a stack of them."""
     if not math.isfinite(m.support_radius) or m.support_radius <= 0:
         raise InvalidParameterError("kernel must have positive finite support")
     return Convolution(p, m, derivative=derivative)

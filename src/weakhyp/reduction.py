@@ -363,20 +363,30 @@ class PolynomialMatrix:
     a_eval: Callable[[float, float], Array]
 
     def verify(self, t: float, xi: float) -> float:
-        """Residual of L(tau)(tau I - A) = delta(tau) I at m + 1 tau samples."""
+        """Largest residual of L(tau)(tau I - A) = delta(tau) I at the m + 1
+        samples tau = 0..m, each scaled by ``(1 + tau + ||A||)^m``; raises
+        :class:`NumericalError` at the first tau whose residual exceeds the
+        tolerance.
+
+        The samples are stacked: one product forms every residual matrix
+        and one batched 2-norm measures them all.
+        """
         a = np.asarray(self.a_eval(t, xi))
         mats, coeffs = _faddeev(a)
-        worst = 0.0
+        m = self.size
         norm_a = float(np.linalg.norm(a, 2))
-        for tau in range(self.size + 1):
-            adjugate = np.zeros((self.size, self.size), dtype=complex)
-            for k in range(self.size):
-                adjugate += mats[self.size - 1 - k] * tau ** k
-            left = adjugate @ (tau * np.eye(self.size) - a)
-            delta = np.polyval(coeffs, tau)
-            scale = max(1.0, (1.0 + abs(tau) + norm_a) ** self.size)
-            residual = float(np.linalg.norm(
-                left - delta * np.eye(self.size), 2)) / scale
+        taus = np.arange(m + 1)
+        eye = np.eye(m)
+        adjugate = np.zeros((m + 1, m, m), dtype=complex)
+        for k in range(m):
+            adjugate += mats[m - 1 - k] * (taus ** k)[:, None, None]
+        left = adjugate @ (taus[:, None, None] * eye - a)
+        delta = np.polyval(coeffs, taus)
+        norms = np.linalg.norm(left - delta[:, None, None] * eye, 2,
+                               axis=(1, 2))
+        worst = 0.0
+        for tau, norm in enumerate(norms.tolist()):
+            residual = norm / max(1.0, (1.0 + tau + norm_a) ** m)
             if residual > _ADJUGATE_TOL:
                 raise NumericalError(
                     f"adjugate identity residual {residual:.3e} at tau={tau} "
@@ -420,12 +430,17 @@ class FirstOrderSystem:
         return np.asarray(self.a1(t), dtype=float) * xi
 
     def check_hyperbolic(self, t_samples: Array) -> None:
-        for t in np.atleast_1d(t_samples):
-            eig = np.linalg.eigvals(np.asarray(self.a1(float(t)), dtype=float))
-            scale = max(1.0, float(np.max(np.abs(eig))))
-            if float(np.max(np.abs(eig.imag))) > _REAL_TOL * scale:
-                raise HyperbolicityError(
-                    f"system matrix has non-real eigenvalue at t={float(t):g}")
+        """Raise :class:`HyperbolicityError` at the first sample time where
+        a1 has an eigenvalue that is not real; the eigenvalues of every
+        sample come from one stacked call."""
+        times = [float(t) for t in np.atleast_1d(t_samples)]
+        eig = np.linalg.eigvals(np.array(
+            [np.asarray(self.a1(t), dtype=float) for t in times]))
+        scale = np.maximum(1.0, np.abs(eig).max(axis=1))
+        bad = np.abs(eig.imag).max(axis=1) > _REAL_TOL * scale
+        if bad.any():
+            raise HyperbolicityError(f"system matrix has non-real eigenvalue "
+                                     f"at t={times[np.argmax(bad)]:g}")
 
 
 @dataclass

@@ -89,7 +89,13 @@ def _unit_direction(direction: Sequence[float]) -> tuple[float, ...]:
 class RootFamily:
     """m real bounded roots, homogeneous of degree one in the frequency:
     ``coefficients`` is the (m, n) matrix of padded time profiles c_jk, and
-    ``features`` maps unit directions (D, dimension) to g(d) (D, n)."""
+    ``features`` maps unit directions (D, dimension) to g(d) (D, n).
+
+    ``bound`` bounds every |r_j(t, d)| on [0, horizon] over unit d.  The
+    constructors take it from the coefficients' values
+    (:func:`_value_range`): exactly from their degree-0 pieces, and from
+    samples of any other piece.
+    """
 
     order: int
     dimension: int
@@ -119,6 +125,45 @@ def _transformed_profile(profile: RoughProfile,
     return RoughProfile(pieces, (), profile.support)
 
 
+def _value_range(profile: RoughProfile, horizon: float
+                 ) -> tuple[float, float]:
+    """Least and largest value of the real density on [0, horizon].
+
+    A degree-0 piece counts with its value; any other piece with the least
+    and largest of its values at its ends and at the times of a 513-point
+    grid on [0, horizon] inside it.  The pieces covering a time add up, and
+    that set changes only at piece edges, so reading every edge gives the
+    range exactly where the density is piecewise constant.
+    """
+    ranges = []
+    for p in profile.pieces:
+        if p.degree == 0:
+            value = complex(p.value).real
+            ranges.append((p.lo, p.hi, value, value))
+            continue
+        a, b = max(p.lo, 0.0), min(p.hi, horizon)
+        if a > b:
+            continue
+        grid = np.linspace(0.0, horizon, 513)
+        t = np.concatenate([[a], grid[(grid > a) & (grid < b)], [b]])
+        values = np.real(np.asarray(p.fn(t)))
+        ranges.append((p.lo, p.hi, float(values.min()), float(values.max())))
+    # the density's pieces are half-open, but the right-most one is closed
+    top = max((p.hi for p in profile.pieces), default=None)
+    points = {0.0, horizon}.union(
+        e for lo, hi, _, _ in ranges for e in (lo, hi) if 0.0 <= e <= horizon)
+    sums = [[(least, most) for lo, hi, least, most in ranges
+             if lo <= x and (x < hi or x == hi == top)] for x in points]
+    return (min(sum((least for least, _ in c), 0.0) for c in sums),
+            max(sum((most for _, most in c), 0.0) for c in sums))
+
+
+def _sup_abs(profiles: Sequence[RoughProfile], horizon: float) -> float:
+    """The largest |density| of ``profiles`` on [0, horizon]."""
+    return max((max(-least, most) for least, most in
+                (_value_range(p, horizon) for p in profiles)), default=0.0)
+
+
 def constant_roots(values: Sequence[float], dimension: int = 1,
                    horizon: float = 1.0) -> RootFamily:
     """Constant roots r_j = values[j-1], which must be ordered, r_1 <= ...
@@ -137,14 +182,14 @@ def constant_roots(values: Sequence[float], dimension: int = 1,
 
 
 def roots_from_time_profiles(profiles: Sequence[RoughProfile],
-                             dimension: int = 1, bound: float | None = None,
-                             horizon: float = 1.0) -> RootFamily:
+                             dimension: int = 1, horizon: float = 1.0
+                             ) -> RootFamily:
     """Direction-independent family (even symbols, e.g. wave-type).
 
     The profiles must be ordered, r_1 <= ... <= r_m, at 257 times on
     [0, T]: the separating shift keeps ordered roots apart, and coincident
-    ones are allowed.  ``bound`` defaults to the largest |r_j| at those
-    times.
+    ones are allowed.  ``bound`` is the largest |r_j| on [0, T], exact on
+    constant pieces and sampled on the others (see :func:`_value_range`).
     """
     profs = [extend_profile(p, EDGE_PAD) for p in profiles]
     t = np.linspace(0.0, horizon, 257)
@@ -155,11 +200,10 @@ def roots_from_time_profiles(profiles: Sequence[RoughProfile],
         raise InvalidParameterError(
             f"root profiles must be ordered, r_1 <= ... <= r_m: "
             f"r_{j + 2} < r_{j + 1} at t={t[k]:g}")
-    if bound is None:
-        bound = float(np.max(np.abs(vals), initial=0.0))
     return RootFamily(order=len(profs), dimension=dimension,
                       coefficients=tuple((p,) for p in profs),
-                      features=_even, bound=bound, horizon=horizon)
+                      features=_even, bound=_sup_abs(profs, horizon),
+                      horizon=horizon)
 
 
 def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
@@ -174,23 +218,18 @@ def roots_from_linear_forms(coeff_profiles: Sequence[Sequence[RoughProfile]]
     padded = tuple(tuple(extend_profile(c, EDGE_PAD) for c in row)
                    for row in coeff_profiles)
     n = len(padded[0])
-    t = np.linspace(0.0, 1.0, 129)
-    bound = max(float(np.max(np.abs(c.density(t)), initial=0.0))
-                for row in padded for c in row) * math.sqrt(n)
+    bound = _sup_abs([c for row in padded for c in row], 1.0) * math.sqrt(n)
     return RootFamily(order=len(padded), dimension=n, coefficients=padded,
                       features=lambda d: d, bound=bound)
 
 
 def wave_speed_roots(speed: RoughProfile, horizon: float = 1.0) -> RootFamily:
-    """Second-order pair -/+ sqrt(a(t)) |xi| from a positive speed profile."""
-    t = np.linspace(0.0, horizon, 513)
-    vals = np.real(speed.density(t))
-    if np.min(vals) <= 0.0:
+    """Second-order pair -/+ sqrt(a(t)) |xi| from a speed profile that is
+    positive on [0, T] (checked as :func:`_value_range` reads it)."""
+    if _value_range(speed, horizon)[0] <= 0.0:
         raise InvalidParameterError("wave speed profile must be positive")
     plus = _transformed_profile(speed, np.sqrt)
-    minus = plus.scaled(-1.0)
-    return roots_from_time_profiles([minus, plus], dimension=1,
-                                    bound=float(np.sqrt(vals.max())),
+    return roots_from_time_profiles([plus.scaled(-1.0), plus], dimension=1,
                                     horizon=horizon)
 
 
@@ -236,26 +275,26 @@ class RegularisedRoots:
     def order(self) -> int:
         return self.base.order
 
-    def convolved(self) -> list[list[Convolution]]:
-        """The (m, n) coefficient profiles, each convolved at the scale
-        omega."""
+    def convolved(self) -> Convolution:
+        """The (m, n) coefficient profiles, row by row, convolved at the
+        scale omega as one stack of m * n rows."""
         kernel = scale_mollifier(self.mollifier, self.omega)
-        return [[convolve_profile(c, kernel) for c in row]
-                for row in self.base.coefficients]
+        return convolve_profile(
+            [c for row in self.base.coefficients for c in row], kernel)
 
     def direction_table(self, t: Array,
                         directions: Sequence[Sequence[float]]) -> Array:
         """Convolved profile values (len(directions), m, len(t)) along the
         unit vectors of ``directions``, in their order: the one path by
         which the solver, the recovery and its round trip tabulate root
-        profiles.  The convolutions are contracted with the features by
-        multiply-adds in feature order, elementwise in the direction, so a
-        row's bits do not depend on the batch, and n = 1 is exact."""
+        profiles.  The coefficients are convolved in one call, and the
+        convolutions are contracted with the features by multiply-adds in
+        feature order, elementwise in the direction, so a row's bits do not
+        depend on the batch, and n = 1 is exact."""
         base = self.base
         n = len(base.coefficients[0])
-        values = np.array([[np.real(c(t)) for c in row]
-                           for row in self.convolved()]).reshape(
-                               self.order, n, np.size(t))
+        values = np.real(self.convolved()(t)).reshape(
+            self.order, n, np.size(t))
         units = np.array([_unit_direction(d) for d in directions]).reshape(
             len(directions), base.dimension)
         g = base.features(units)[:, :, None, None]

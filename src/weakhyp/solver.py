@@ -137,10 +137,10 @@ class IntegrationResult:
 
 
 # bytes of last rows that one block of staged steps may read: w x K entries
-# (real, or complex with a separable part) at two stage times a
-# step, four on a step-doubling step, counted for every live member so that
-# one row read stays short; the block holds only the varying members' rows,
-# as a constant stretch reads one row
+# (real, or complex with a separable part) at two stage times a step, four
+# on a step-doubling step, counted for each member that takes the staged
+# steps, whose rows are all the block holds (a constant stretch reads one
+# row)
 _ROW_BLOCK_BYTES = 1 << 17
 
 
@@ -382,8 +382,6 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     v[:len(live), :m] = np.reshape([r[2] for r in readers], (-1, m, xi.size))
     # principal rows are real, separable rows complex
     dtype = np.dtype(complex if separable else float)
-    block_steps = max(1, _ROW_BLOCK_BYTES // (2 * dtype.itemsize * w
-                                             * max(len(live) * xi.size, 1)))
     units = np.eye(w, dtype=complex)[:, :, None] * np.ones(xi.size)
     # per member: worst step-doubling error, whether it lives, step reached
     worst_double, alive, at = (np.zeros(len(live)), np.ones(len(live), bool),
@@ -459,6 +457,8 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 cross(slot, i)
             if not alive[movers].all():
                 continue
+            block_steps = max(1, _ROW_BLOCK_BYTES // (
+                2 * dtype.itemsize * w * max(movers.size * xi.size, 1)))
             # one buffer holds every block's rows; no block holds more
             # step-doubling steps, and so lattice points, than the first one
             buffer = np.empty((movers.size, starts[min(nt, block_steps)] + 1,

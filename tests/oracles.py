@@ -12,10 +12,12 @@ stretches by comparing rows, the stability gate's full SVD of every
 sampled entry that its Frobenius screen replaced, the tau-coefficients of
 an adjugate, the
 per-item paths that the batched audits replaced (the per-tuple symmetriser
-and its audit loop, and the per-root symmetric functions of the recovery),
-and the per-direction root profiles that the coefficient contraction
-replaced, with the per-root regularised values, pure and with the
-separating shift.
+and its audit loop, the per-root symmetric functions of the recovery, the
+per-sample hyperbolicity check and the per-tau adjugate residuals), the
+per-direction root profiles that the coefficient contraction replaced,
+with the per-root regularised values, pure and with the separating shift,
+and the direction table built from one convolution per coefficient, which
+the stacked convolution replaced.
 Test modules import them as ``oracles``; pytest's default import mode puts
 ``tests/`` on ``sys.path``.
 """
@@ -30,17 +32,21 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from weakhyp import reduction
 from weakhyp.analysis import linear_fit
 from weakhyp.errors import (ConfigurationError, InsufficientDataError,
-                            InvalidParameterError, UnsupportedError)
+                            InvalidParameterError, NumericalError,
+                            UnsupportedError)
 from weakhyp.mollifiers import (GevreyCutoffMollifier, convolve_profile,
                                 scale_mollifier)
 from weakhyp.profiles import RoughProfile
 from weakhyp.recovery import HomogeneousCoefficientSet, sigma_table
-from weakhyp.reduction import (CompanionSystem, Index, PolynomialMatrix,
-                               _faddeev, characteristic_polynomial,
-                               companion_matrix, companion_row)
-from weakhyp.roots import RegularisedRoots, RootFamily, bracket
+from weakhyp.reduction import (CompanionSystem, FirstOrderSystem, Index,
+                               PolynomialMatrix, _faddeev,
+                               characteristic_polynomial, companion_matrix,
+                               companion_row)
+from weakhyp.roots import (RegularisedRoots, RootFamily, _unit_direction,
+                           bracket)
 
 Array = np.ndarray
 
@@ -319,6 +325,44 @@ def fourier_approximation_rate(p: RoughProfile, g: GevreyCutoffMollifier,
                                 tuple(errors), False, nu, s)
 
 
+def verify_per_tau(poly: PolynomialMatrix, t: float, xi: float) -> float:
+    """What ``PolynomialMatrix.verify`` returns, one tau at a time: each
+    residual matrix from a product and a 2-norm of its own, raising at the
+    first tau over the tolerance."""
+    a = np.asarray(poly.a_eval(t, xi))
+    mats, coeffs = _faddeev(a)
+    worst = 0.0
+    norm_a = float(np.linalg.norm(a, 2))
+    for tau in range(poly.size + 1):
+        adjugate = np.zeros((poly.size, poly.size), dtype=complex)
+        for k in range(poly.size):
+            adjugate += mats[poly.size - 1 - k] * tau ** k
+        left = adjugate @ (tau * np.eye(poly.size) - a)
+        delta = np.polyval(coeffs, tau)
+        scale = max(1.0, (1.0 + abs(tau) + norm_a) ** poly.size)
+        residual = float(np.linalg.norm(
+            left - delta * np.eye(poly.size), 2)) / scale
+        if residual > reduction._ADJUGATE_TOL:
+            raise NumericalError(
+                f"adjugate identity residual {residual:.3e} at tau={tau} "
+                f"(t={t}, xi={xi})")
+        worst = max(worst, residual)
+    return worst
+
+
+def first_non_real_time(system: FirstOrderSystem, t_samples: Array
+                        ) -> float | None:
+    """The first of ``t_samples`` at which ``system.check_hyperbolic``
+    fails, or None, checked one sample at a time: each sample's
+    eigenvalues from a call of their own."""
+    for t in np.atleast_1d(t_samples):
+        eig = np.linalg.eigvals(np.asarray(system.a1(float(t)), dtype=float))
+        scale = max(1.0, float(np.max(np.abs(eig))))
+        if float(np.max(np.abs(eig.imag))) > reduction._REAL_TOL * scale:
+            return float(t)
+    return None
+
+
 def adjugate_coefficients(poly: PolynomialMatrix, t: float, xi: float
                           ) -> Array:
     """The (m, m, m) coefficients of ``poly`` at (t, xi): slice [..., k]
@@ -472,6 +516,22 @@ def table_per_direction(reg: RegularisedRoots, t: Array,
     """What ``RegularisedRoots.direction_table`` returns, one direction at a
     time: each row from a table of that direction alone."""
     return np.array([_direction_table(reg, t, [d])[0] for d in directions])
+
+
+def table_per_coefficient(reg: RegularisedRoots, t: Array,
+                          directions: Sequence[Sequence[float]]) -> Array:
+    """What ``RegularisedRoots.direction_table`` returns, with each
+    coefficient profile convolved by a ``Convolution`` of its own and the
+    convolutions contracted with the features in feature order."""
+    kernel = scale_mollifier(reg.mollifier, reg.omega)
+    values = np.array([[np.real(convolve_profile(c, kernel)(t)) for c in row]
+                       for row in reg.base.coefficients])
+    units = np.array([_unit_direction(d) for d in directions])
+    g = reg.base.features(units)[:, :, None, None]
+    table = g[:, 0] * values[:, 0]
+    for k in range(1, values.shape[1]):
+        table = table + g[:, k] * values[:, k]
+    return table
 
 
 def sigma_per_row(table: Array, directions: Sequence[tuple[float, ...]]

@@ -236,6 +236,36 @@ def test_mixed_profile_is_sum_of_its_parts(phi):
     assert np.max(np.abs(got - split)) <= 1e-12 * np.max(np.abs(split))
 
 
+def test_stack_rows_are_each_profile_convolved_alone(phi):
+    # constant-piece counts differ between rows (the shorter ones padded),
+    # atoms and other pieces keep their own panels: each row has the bits
+    # of its profile alone, at every derivative order and at a scalar time
+    # (the adaptive Hoelder piece at order 0, where its quadrature
+    # converges), in a real stack and in one whose constants are complex
+    profiles = [heaviside_profile(0.45, -1.0, 4.0, (0.0, 1.0)),
+                piecewise_constant_profile([0.0, 0.2, 0.21, 0.5, 1.0],
+                                           [1.0, -3.0, 0.5, 2.0], (0.0, 1.0)),
+                constant_profile(0.7, (-2.0, 3.0))
+                + point_mass_profile(0.55, order=1, weight=-0.7),
+                polynomial_piece_profile([1.0, -2.0], 0.1, 0.4),
+                zero_profile()]
+    hoelder = hoelder_profile(0.5, 0.85, 1.0, 0.3, (0.7, 1.0)) \
+        + constant_profile(-0.5, (0.0, 0.7))
+    kernel = scale_mollifier(phi, 0.05)
+    t = np.concatenate([np.linspace(-0.1, 1.1, 49), [-40.0, 40.0]])
+    for k in (0, 1, 2):
+        real = profiles + [hoelder] if k == 0 else profiles
+        for members in (real, [p.scaled(1.5 - 2.0j) for p in real[:3]]):
+            stack = convolve_profile(members, kernel, derivative=k)
+            rows = stack(t)
+            assert rows.shape == (len(members), t.size)
+            assert rows.dtype == (float if members is real else complex)
+            for row, profile in zip(rows, members):
+                alone = convolve_profile(profile, kernel, k)(t)
+                assert np.array_equal(row.view(float), alone.view(float))
+            assert np.array_equal(stack(0.3), stack(np.array([0.3]))[:, 0])
+
+
 # -- cutoff mollifier ---------------------------------------------------------------
 
 

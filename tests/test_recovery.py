@@ -21,7 +21,8 @@ from weakhyp.roots import (RegularisedRoots, RootFamily, constant_roots,
 from weakhyp.profiles import heaviside_profile
 
 from oracles import (coefficient, evaluate, pure_root, sigma_hat,
-                     sigma_per_row, table_per_direction)
+                     sigma_per_row, table_per_coefficient,
+                     table_per_direction)
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +317,30 @@ def test_round_trip_check_equals_per_root_oracle(phi, order, dimension,
                                   rng=random.Random(seed))
     assert report == oracle
     assert not report.failures
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_round_trip_tables_equal_the_per_coefficient_oracle(phi, seed):
+    # the audit's families, drawn as its study draws them: the stacked
+    # convolution gives each table the bits of one convolution per
+    # coefficient, and so the study its figures
+    rng = random.Random(seed)
+    for i in range(12):
+        order, dimension = 1 + i % 4, 1 + (i // 4) % 3
+        reg = RegularisedRoots(random_ordered_family(rng, order, dimension),
+                               phi, 0.05)
+        t = np.array([rng.uniform(0.0, 1.0) for _ in range(4)] + [0.0, 1.0])
+        directions = [d for h in range(1, order + 1)
+                      for d in build_direction_plan(h, dimension).directions]
+        directions += [tuple(rng.uniform(0.3, 2.5) for _ in range(dimension))
+                       for _ in range(2)]
+        table = reg.direction_table(t, directions)
+        oracle = table_per_coefficient(reg, t, directions)
+        assert np.array_equal(table.view(np.int64), oracle.view(np.int64))
+    study = random_round_trip_study(12, phi, 0.05, random.Random(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RegularisedRoots, "direction_table",
+                      table_per_coefficient)
+        oracle = random_round_trip_study(12, phi, 0.05, random.Random(seed))
+    assert study == oracle
+    assert not study.failures

@@ -3,8 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from weakhyp import reduction
 from weakhyp.errors import (ConfigurationError, HyperbolicityError,
-                            InvalidParameterError, UnsupportedError)
+                            InvalidParameterError, NumericalError,
+                            UnsupportedError)
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.recovery import recover_coefficients
 from weakhyp.reduction import (_faddeev, FirstOrderSystem, InitialData,
@@ -17,7 +19,8 @@ from weakhyp.roots import (RegularisedRoots, bracket, constant_roots,
                            roots_from_linear_forms, wave_speed_roots)
 from weakhyp.profiles import heaviside_profile
 
-from oracles import PolynomialPrincipal, adjugate_coefficients, root_value
+from oracles import (PolynomialPrincipal, adjugate_coefficients,
+                     first_non_real_time, root_value, verify_per_tau)
 
 
 # the per-time matrices of D_t V = (A + B) V + F at one time, read from the
@@ -301,6 +304,52 @@ def test_cofactor_random_three_by_three_identity():
     system = random_hyperbolic_system(random.Random(5), 3)
     poly = cofactor_matrix(system.a_symbol, 3)
     assert poly.verify(0.3, 2.0) <= 1e-9
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_stacked_checks_equal_the_per_sample_oracles(size, monkeypatch):
+    # reduced systems as the reduce audit draws them, at its frequencies
+    rng = random.Random(size)
+    samples = np.linspace(0.0, 1.0, 17)
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except NumericalError as exc:
+            return str(exc)
+
+    raised = 0
+    for _ in range(4):
+        system = random_hyperbolic_system(rng, size)
+        system.check_hyperbolic(samples)
+        assert first_non_real_time(system, samples) is None
+        poly = cofactor_matrix(system.a_symbol, size)
+        for xi in (1.0, 5.0):
+            assert outcome(poly.verify, 0.3, xi) \
+                == outcome(verify_per_tau, poly, 0.3, xi)
+            # with no tolerance, both raise at the first tau whose
+            # residual is not zero, with the same message
+            with monkeypatch.context() as patch:
+                patch.setattr(reduction, "_ADJUGATE_TOL", 0.0)
+                got = outcome(poly.verify, 0.3, xi)
+                assert got == outcome(verify_per_tau, poly, 0.3, xi)
+                raised += isinstance(got, str)
+    assert raised
+    # a 2 x 2 corner with eigenvalues +/- sqrt(onset - t) turns complex
+    # after t = onset: both checks name the first sample past it
+    for onset in (-0.5, 0.3, 0.5, 0.95, 2.0):
+        def a1(t, onset=onset):
+            mat = np.diag(np.arange(1.0, size + 1.0))
+            mat[:2, :2] = [[0.0, 1.0], [onset - t, 0.0]]
+            return mat
+
+        system = FirstOrderSystem(order=size, a1=a1)
+        first = first_non_real_time(system, samples)
+        if first is None:
+            system.check_hyperbolic(samples)
+            continue
+        with pytest.raises(HyperbolicityError, match=f"at t={first:g}$"):
+            system.check_hyperbolic(samples)
 
 
 def test_cofactor_caps_order():

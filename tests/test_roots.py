@@ -14,8 +14,9 @@ from weakhyp.profiles import heaviside_profile, hoelder_profile
 from weakhyp.roots import (_FD4, RegularisedRoots, RootFamily, bracket,
                            constant_roots, dt_power, linear_scale,
                            logarithmic_scale, roots_from_linear_forms,
-                           transport_roots, wave_speed_roots)
-from weakhyp.profiles import piecewise_constant_profile
+                           roots_from_time_profiles, transport_roots,
+                           wave_speed_roots)
+from weakhyp.profiles import constant_profile, piecewise_constant_profile
 
 from oracles import pure_root, root_profile, root_value
 
@@ -262,6 +263,35 @@ def test_direction_table_reads_the_exact_unit_direction(phi):
                   for c in fam.coefficients[j - 1])
         expected = unit[0] * c1 + unit[1] * c2
         assert np.array_equal(table[j - 1], expected)
+
+
+def test_bound_is_the_exact_sup_of_constant_pieces():
+    # a spike 0.0015 wide lies between the 513 times on [0, 1] at which the
+    # wave-speed bound was once sampled, which read 1; the speed bound sizes
+    # the auto box and the cone clearance, so it must see the spike
+    breaks = [0.0, 0.5002, 0.5017, 1.0]
+    spike = piecewise_constant_profile(breaks, [1.0, 25.0, 1.0], (0.0, 1.0))
+    assert wave_speed_roots(spike).bound == 5.0
+    assert roots_from_time_profiles([spike.scaled(-1.0), spike]).bound == 25.0
+    dip = piecewise_constant_profile(breaks, [2.0, -30.0, 2.0], (0.0, 1.0))
+    assert roots_from_linear_forms([[spike, dip]]).bound \
+        == 30.0 * math.sqrt(2.0)
+    # a speed that vanishes on the spike alone is not positive
+    with pytest.raises(InvalidParameterError):
+        wave_speed_roots(piecewise_constant_profile(breaks, [1.0, 0.0, 1.0],
+                                                    (0.0, 1.0)))
+    # overlapping pieces add up, at the start of a piece and at the end of
+    # one: 1 + 2 on [0.4, 0.6), and 1 - 1 then 1 around 0.5
+    bumped = constant_profile(1.0, (0.0, 1.0)) + piecewise_constant_profile(
+        [0.0, 0.4, 0.6, 1.0], [0.0, 2.0, 0.0], (0.0, 1.0))
+    assert roots_from_time_profiles([bumped]).bound == 3.0
+    cancelled = constant_profile(1.0, (0.0, 1.0)) \
+        + constant_profile(-1.0, (0.0, 0.5))
+    assert roots_from_time_profiles([cancelled]).bound == 1.0
+    # a non-constant piece is read at its ends and on the sample grid
+    speed = hoelder_profile(0.5, 0.3, 1.0, 2.0, (0.0, 1.0))
+    assert wave_speed_roots(speed).bound \
+        == float(np.sqrt(speed.density(np.array([1.0]))[0]))
 
 
 def _random_linear_family(rng, order, dimension):

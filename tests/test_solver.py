@@ -616,11 +616,11 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
         assert systems[0].width == systems[0].order + 1
 
         def run(steps):
-            # a budget of ``steps`` steps of the whole batch's complex rows,
-            # the forcing their last column, at two stage times
-            monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 2 * len(systems)
-                                * xi.size * (16 * systems[0].order + 16)
-                                * steps)
+            # a budget of ``steps`` steps of one member's complex rows, the
+            # forcing their last column, at two stage times: a block holds
+            # steps // movers steps, at least one, of the members that move
+            monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 2 * xi.size
+                                * (16 * systems[0].order + 16) * steps)
             blocks.clear()
             staged.clear()
             results = integrate_companion(systems, xi, t_grid, epsilons,
@@ -629,9 +629,11 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
                                           trace_steps=range(0, 257, 5))
             reads = [(lo, hi) for lo, hi in blocks if lo < hi]
             if epsilons[0] == 0.25:
+                # every member moves on every step
                 assert staged == [(i, len(systems)) for i in range(256)]
+                block_steps = max(1, steps // len(systems))
                 assert len(reads) == len(blocks) \
-                    == 2 * len(systems) * -(-256 // steps)
+                    == 2 * len(systems) * -(-256 // block_steps)
             else:
                 assert staged and len(reads) < len(blocks)
                 if steps == 1:
@@ -639,10 +641,11 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
             return results
 
         # all 256 steps in one block
-        whole = run(256)
-        # one step per block, then 3-step blocks, which straddle the
-        # step-doubling steps (every second step)
-        for steps in (1, 3):
+        whole = run(256 * len(systems))
+        # one step per block, then blocks of 3 steps (of 6 where one member
+        # moves alone), which straddle the step-doubling steps (every
+        # second step)
+        for steps in (1, 3 * len(systems)):
             for blocked, reference in zip(run(steps), whole):
                 _assert_same_result(blocked, reference)
 
@@ -674,9 +677,10 @@ def test_constant_stretches_keep_each_entrys_bits(monkeypatch):
         assert np.array_equal(part.first_component,
                               full.first_component[:, ::3])
         assert np.array_equal(part.final_state, full.final_state[:, ::3])
-    # one step per block, then 3-step blocks, which straddle the
-    # step-doubling steps (every second step); the budget counts the
-    # batch's real order-2 rows at two stage times
+    # budgets of one and of 3 steps of the whole batch's real order-2 rows
+    # at two stage times: blocks of that many steps where every member
+    # moves, longer where fewer do, straddling the step-doubling steps
+    # (every second step)
     for steps in (1, 3):
         monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES",
                             2 * 8 * len(systems) * 2 * xi.size * steps)
