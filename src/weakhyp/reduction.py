@@ -4,15 +4,18 @@ first-order systems.
 Per frequency the scalar m-th order equation becomes ``D_t V = (A + B)V + F``
 with the companion matrix A carrying the weight <xi> on its superdiagonal and
 the principal symbols in its last row, so its eigenvalues are exactly the
-regularised characteristic roots; one separable part carries B and F.  An
-m x m first-order system is reduced to m identical companion blocks through
-the adjugate of (tau I - A), computed by the Faddeev-LeVerrier recursion.
+regularised characteristic roots.  Every last-row entry, of A, of B and F,
+is separable, a time table times a frequency table, and the solver reads a
+system's rows from one such table (:func:`table_rows`).  An m x m
+first-order system is reduced to m identical companion blocks through the
+adjugate of (tau I - A), computed by the Faddeev-LeVerrier recursion.
 
 This module owns the companion form: every characteristic polynomial
 (:func:`characteristic_polynomial`), companion last row
 (:func:`companion_row`) and companion matrix (:func:`companion_matrix`) in
-the package comes from here, for the solver's row tables, the round trip,
-the symmetrisers and the block reduction alike.
+the package comes from here, for the round trip, the symmetrisers and the
+block reduction; the solver's table holds the same polynomial's
+coefficients as forms in (|xi|, <xi>).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,110 +92,35 @@ def companion_matrix(row: Sequence[Array], weight: Array | float = 1.0
     return mat
 
 
-# -- principal-part providers ---------------------------------------------------
+# -- last-row tables -------------------------------------------------------------
 
 
-class PrincipalPart(Protocol):
-    """Root values and last-row symbols of the companion principal part.
+def table_rows(parts: Sequence[tuple[Array, Array]]
+               ) -> Callable[[Index], Array]:
+    """One reader of the last rows ``sum_n G[index, :, n] F[n]`` of
+    ``parts``, pairs of a real time table G (T, width, n) and a frequency
+    table F (n, K), stacked once.  A read takes an index into the T times
+    (a slice or an integer array) and is one ``einsum`` (no BLAS), a
+    complex F read as its real and imaginary parts, so a row's bits depend
+    on its time alone.  The reader carries the rows' ``dtype``, F's, and
+    ``steady`` (T - 1,): true at q only when G's rows at q and q + 1 are
+    bitwise equal, so that the last rows are equal at every frequency."""
+    width = max(g.shape[1] for g, _ in parts)
+    g = np.concatenate([np.pad(g, ((0, 0), (0, width - g.shape[1]), (0, 0)))
+                        for g, _ in parts], axis=2)
+    f = np.concatenate([f for _, f in parts])
+    flat = f.view(float)  # (n, 2K) for a complex F: re, im interleaved
 
-    ``roots(t, xi)`` returns (T, m, K) for an array of T times.
-    ``row_provider(t, xi)`` returns a function of an index into ``t`` (a
-    slice or an integer array) that gives the last rows at those times as
-    one (T, m, K) block, which depends on the index alone.  The function
-    carries ``steady`` (T - 1,): true at q only when the rows at ``t[q]`` and
-    ``t[q + 1]`` are bitwise equal at every frequency, read from the time
-    profiles the rows come from, never from the rows.  The separable part
-    keeps this contract, with its own width (T, width, K).
-    """
+    def rows(index: Index) -> Array:
+        return np.einsum("twn,nk->twk", g[index], flat).view(f.dtype)
 
-    order: int
-
-    def roots(self, t: Array, xi: Array) -> Array: ...
-
-    def row_provider(self, t: Array, xi: Array
-                     ) -> Callable[[Index], Array]: ...
-
-
-def _steady(columns: Array) -> Array:
-    """(T - 1,): whether columns q and q + 1 of the float array ``columns``
-    (n, T) are bitwise equal, so that -0.0 and 0.0 count as different."""
-    bits = columns.view(np.int64)
-    return (bits[:, 1:] == bits[:, :-1]).all(axis=0)
-
-
-def _row_table(lam: Array, br: Array) -> Array:
-    """Last rows (T, m, K), C-contiguous, from root values (T, m, K) and
-    the weights <xi> = ``br`` (K,) in one vectorised call."""
-    sig = characteristic_polynomial(np.swapaxes(lam, 1, 2))  # (T, K, m+1)
-    rows = np.empty_like(lam)
-    for h, entry in enumerate(companion_row(sig, br)):
-        rows[:, h] = entry
+    bits = g.reshape(len(g), -1).view(np.int64)
+    rows.steady = (bits[1:] == bits[:-1]).all(axis=1)
+    rows.dtype = f.dtype
     return rows
 
 
-@dataclass
-class RootValuePrincipal:
-    """Principal symbols evaluated from regularised root values.
-
-    Carries the separating shift exactly, so the companion eigenvalues are
-    the separated regularised roots by construction; no polynomial identity
-    in the frequency is needed.
-    """
-
-    regularised: RegularisedRoots
-
-    @property
-    def order(self) -> int:
-        return self.regularised.order
-
-    def _profiles(self, t: Array) -> Array:
-        """Convolved root profiles (2, m, T) in the directions +1 and -1."""
-        return self.regularised.direction_table(t, [(1.0,), (-1.0,)])
-
-    def _root_table(self, xi: Array) -> Callable[[Array, Array], Array]:
-        """The separated root values (T, m, K) as a function of the root
-        profiles (m, T) in the directions +1 and -1; the factors that depend
-        on ``xi`` alone are computed here, once."""
-        sep = separating_shift(self.order, self.regularised.omega,
-                               bracket(xi))
-        upper = xi >= 0
-        size = np.abs(xi)
-
-        def table(pos: Array, neg: Array) -> Array:
-            profile = np.where(upper, pos.T[:, :, None], neg.T[:, :, None])
-            return profile * size + sep
-
-        return table
-
-    def roots(self, t: Array, xi: Array) -> Array:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return self._root_table(xi)(*self._profiles(t))
-
-    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Last rows (T, m, K) at the times ``t[index]``.
-
-        The root profiles are convolved once for all of ``t``, and the
-        factors that depend on ``xi`` alone are computed once.  ``steady``
-        compares neighbouring profile columns bit for bit; every operation
-        is elementwise in time, so equal columns give equal rows at every
-        frequency, as where a mollified piecewise-constant coefficient is
-        constant.  Each read is one vectorised characteristic-polynomial
-        call over its (time, frequency) block, so the caller's index sets
-        the block size.
-        """
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        br = bracket(xi)
-        table = self._root_table(xi)
-        pos, neg = self._profiles(t)
-
-        def rows(index: Index) -> Array:
-            return _row_table(table(pos[:, index], neg[:, index]), br)
-
-        rows.steady = _steady(pos) & _steady(neg)
-        return rows
-
-
-# -- lower order, forcing, data ----------------------------------------------------
+# -- lower order and forcing -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -246,24 +174,99 @@ class SeparablePart:
                 raise InvalidParameterError(
                     f"entry column {column} outside [0, {self.width})")
 
-    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Last rows (T, width, K), complex, at the times ``t[index]``;
-        ``steady`` compares the time values' bits at neighbouring times."""
+    def tables(self, t: Array, xi: Array) -> tuple[Array, Array]:
+        """The :func:`table_rows` tables G (T, width, n) and F (n, K): each
+        entry's time values in its column, the real part against its factor
+        and an imaginary part, if any, against i times its factor."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        tabulated = [(column, np.asarray(values(t), dtype=complex), factor(xi))
-                     for column, values, factor in self.entries]
+        columns, factors = [], []
+        for column, values, factor in self.entries:
+            values = np.asarray(values(t), dtype=complex)
+            factor = np.asarray(factor(xi), dtype=complex)
+            columns.append((column, values.real))
+            factors.append(factor)
+            if values.imag.any():
+                columns.append((column, values.imag))
+                factors.append(1j * factor)
+        g = np.zeros((t.size, self.width, len(columns)))
+        for n, (column, values) in enumerate(columns):
+            g[:, column, n] = values
+        return g, np.reshape(factors, (len(factors), xi.size))
 
-        def rows(index: Index) -> Array:
-            # built column by column, each contiguous, and returned as a view
-            block = np.zeros((self.width, t[index].size, xi.size), complex)
-            for column, values, factor in tabulated:
-                block[column] += values[index, None] * factor
-            return block.transpose(1, 0, 2)
 
-        values = np.array([v for _, v, _ in tabulated]).reshape(-1, t.size)
-        rows.steady = _steady(np.concatenate([values.real, values.imag]))
-        return rows
+# -- principal part ----------------------------------------------------------------
+
+
+def _principal_tables(profiles: Array, shift: Array, xi: Array
+                      ) -> tuple[Array, Array]:
+    """The tables G (T, m, 2(m + 1)) and F (2(m + 1), K) of the last rows
+    whose roots are ``p_j(t, sign xi) |xi| + shift_j <xi>``, from the root
+    profiles p_j (2, m, T) in the directions +1 and -1.  sigma_k is a form
+    of degree k in (|xi|, <xi>), so entry h, -sigma_(m-h) <xi>^(h+1-m), is
+    sum_a G_(h,a)(t) F_a(xi) with F_a = |xi|^a <xi>^(1-a), a = 0..m, one
+    set per sign of xi, masked by sign."""
+    m, size = len(shift), profiles.shape[-1]
+    # coeffs[k, a] multiplies |xi|^a <xi>^(k-a) in sigma_k, by direction,
+    # built root by root as characteristic_polynomial builds sigma
+    coeffs = np.zeros((m + 1, m + 1, 2, size))
+    coeffs[0, 0] = 1.0
+    for j in range(m):
+        prev = coeffs[:j + 1].copy()
+        coeffs[1:j + 2] -= shift[j] * prev
+        coeffs[1:j + 2, 1:] -= profiles[:, j] * prev[:, :-1]
+    g = -np.transpose(coeffs[m:0:-1], (3, 0, 2, 1)).reshape(size, m, -1)
+    factors = np.array([np.abs(xi) ** a * bracket(xi) ** (1 - a)
+                        for a in range(m + 1)])
+    upper = xi >= 0
+    return g, np.concatenate([factors * upper, factors * ~upper])
+
+
+@dataclass
+class RootValuePrincipal:
+    """The last rows of a regularised system: the principal symbols of the
+    regularised roots, with the separating shift exactly, so the companion
+    eigenvalues are the separated roots by construction, and the entries
+    of ``separable``, if given, in the same table."""
+
+    regularised: RegularisedRoots
+    separable: SeparablePart | None = None
+
+    @property
+    def order(self) -> int:
+        return self.regularised.order
+
+    @property
+    def width(self) -> int:
+        return self.order if self.separable is None else self.separable.width
+
+    def _profiles(self, t: Array) -> Array:
+        """Convolved root profiles (2, m, T) in the directions +1 and -1."""
+        return self.regularised.direction_table(t, [(1.0,), (-1.0,)])
+
+    def roots(self, t: Array, xi: Array) -> Array:
+        """The separated root values (T, m, K)."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        pos, neg = self._profiles(t)
+        profile = np.where(xi >= 0, pos.T[:, :, None], neg.T[:, :, None])
+        return profile * np.abs(xi) + separating_shift(
+            self.order, self.regularised.omega, bracket(xi))
+
+    def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
+        """The last rows (T, width, K) at the times ``t[index]``, read from
+        one :func:`table_rows` table of the root profiles, convolved once
+        for all of ``t``, and of the separable entries, so the caller's
+        index sets the block size.  ``steady`` holds where a mollified
+        piecewise-constant coefficient is constant."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        shift = separating_shift(self.order, self.regularised.omega, 1.0)
+        parts = [_principal_tables(self._profiles(t), shift[:, 0], xi)]
+        if self.separable is not None:
+            parts.append(self.separable.tables(t, xi))
+        return table_rows(parts)
+
+
+# -- companion system ---------------------------------------------------------------
 
 
 @dataclass
@@ -283,22 +286,19 @@ class InitialData:
         return out
 
 
-# -- companion system ---------------------------------------------------------------
-
-
 @dataclass
 class CompanionSystem:
     """Per-frequency first-order data: D_t V = (A + B) V + F, V(0) = V0;
-    the principal part gives A, the separable part B and F (width m + 1)."""
+    the principal part's one table gives the last rows of A + B and, at
+    width m + 1, F in column m."""
 
     order: int
-    principal: PrincipalPart
-    separable: SeparablePart | None = None
+    principal: RootValuePrincipal
     data: InitialData | None = None
 
     @property
     def width(self) -> int:
-        return self.order if self.separable is None else self.separable.width
+        return self.principal.width
 
     def V0(self, xi: Array) -> Array:
         """Initial state (order, K) at the frequencies ``xi`` (K,)."""
@@ -307,21 +307,19 @@ class CompanionSystem:
         return self.data.v0(xi)
 
 
-def build_companion(principal: PrincipalPart,
-                    separable: SeparablePart | None = None,
+def build_companion(principal: RootValuePrincipal,
                     data: InitialData | None = None) -> CompanionSystem:
     """Assemble the companion system; validates sizes against the order."""
     m = principal.order
-    if separable is not None and separable.width not in (m, m + 1):
+    if principal.width not in (m, m + 1):
         raise ConfigurationError(
-            f"separable part has width {separable.width}, not {m} or {m + 1}",
+            f"separable part has width {principal.width}, not {m} or {m + 1}",
             field="separable")
     if data is not None and len(data.ghat) != m:
         raise ConfigurationError(
             f"need {m} initial data entries, got {len(data.ghat)}",
             field="data")
-    return CompanionSystem(order=m, principal=principal, separable=separable,
-                           data=data)
+    return CompanionSystem(order=m, principal=principal, data=data)
 
 
 # -- adjugate (cofactor) matrices ----------------------------------------------------

@@ -10,10 +10,10 @@ layers, 2 omega(epsilon) / T of the steps.  The epsilons of a sweep share
 the grids and step as one batch in a single thread; no operation mixes
 epsilons or frequencies, so each epsilon's bits equal its solo run's and
 each frequency's bits do not depend on which others share the batch.
-Every coefficient read, by the integrator, the stability check and the
-energy traces, goes through the companion parts' one tabulation call each;
-the integrator, which alone knows the stage times a step reads, owns the
-blocks it reads.
+Every last-row read, by the integrator and the stability check, goes
+through a system's one row table, and the energy traces read its root
+values; the integrator, which alone knows the stage times a step reads,
+owns the blocks it reads.
 """
 
 from __future__ import annotations
@@ -137,10 +137,10 @@ class IntegrationResult:
 
 
 # bytes of last rows that one block of staged steps may read: w x K entries
-# (real, or complex with a separable part) at two stage times a step, four
-# on a step-doubling step, counted for each member that takes the staged
-# steps, whose rows are all the block holds (a constant stretch reads one
-# row)
+# (real, or complex with lower-order or forcing entries) at two stage times
+# a step, four on a step-doubling step, counted for each member that takes
+# the staged steps, whose rows are all the block holds (a constant stretch
+# reads one row)
 _ROW_BLOCK_BYTES = 1 << 17
 
 
@@ -244,35 +244,34 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
 
     The members of the batch, one companion system each (one epsilon of a
     sweep, named by ``epsilons``), share the frequencies ``xi``, the time
-    grid, their order and which parts they have.  No operation mixes
+    grid, their order, width and row dtype.  No operation mixes
     members or frequencies, so a member's bits depend only on its own rows
     and the schedule.  Step i has stages at t_i, t_i + h/2 and t_i + h;
     every ``stride = max(1, nt // 100)``-th step is repeated as two half
     steps, adding t_i + h/4 and t_i + 3h/4, to spot-check the local error.
-    The companion parts tabulate only these stage times.  A member keeps
-    the first component of the state landing on each of ``output_steps``,
-    the columns ``tracked_indices`` of that on each of ``trace_steps``.
+    The row tables hold only these stage times.  A member keeps the first
+    component of the state landing on each of ``output_steps``, the
+    columns ``tracked_indices`` of that on each of ``trace_steps``.
 
-    A member reads its principal part's rows, A's last row, and those of
-    its separable part, if any: B's last row, then F in column m.  A
-    forced member steps the homogeneous system
-    D_t (V, 1) = [[A + B, F], [0, 0]] (V, 1): its state has w = m + 1
-    components, the last a unit one that no output, error or budget reads.
-    Each member keeps its own step position.  Where both its parts report
-    ``steady`` over a step's lattice intervals, as outside the layers of
-    width 2 omega around each jump of a mollified piecewise-constant
-    profile, an RK4 step is a fixed linear map P, which pushing the w basis
-    vectors through the staged step builds, with the half-step map, from
-    the rows at the stretch's entry.  The member crosses the stretch in
-    powers of P: P and the half-step check on each step-doubling step, and
-    between them one P^n (n < stride, by repeated squaring of the
-    per-frequency w x w maps) to the next step-doubling, output or trace
-    step, or to the stretch's end.  So its cost follows its layers,
-    2 omega / T of the steps, and its outputs differ from the staged steps'
-    by rounding only.  Only the members whose rows vary take the staged
-    step, on the steps where they vary, reading A + B (summed once) and F
-    in blocks (see ``_ROW_BLOCK_BYTES``); a part steady over a whole block
-    gives the one row of its stretch, read once.
+    A member reads one provider, its principal part's ``row_provider``: the
+    last row of A + B, then F in column m.  A forced member steps the
+    homogeneous system D_t (V, 1) = [[A + B, F], [0, 0]] (V, 1): its state
+    has w = m + 1 components, the last a unit one that no output, error or
+    budget reads.  Each member keeps its own step position.  Where its
+    provider reports ``steady`` over a step's lattice intervals, as outside
+    the layers of width 2 omega around each jump of a mollified
+    piecewise-constant profile, an RK4 step is a fixed linear map P, which
+    pushing the w basis vectors through the staged step builds, with the
+    half-step map, from the rows at the stretch's entry.  The member crosses
+    the stretch in powers of P: P and the half-step check on each
+    step-doubling step, and between them one P^n (n < stride, by repeated
+    squaring of the per-frequency w x w maps) to the next step-doubling,
+    output or trace step, or to the stretch's end.  So its cost follows its
+    layers, 2 omega / T of the steps, and its outputs differ from the staged
+    steps' by rounding only.  Only the members whose rows vary take the
+    staged step, on the steps where they vary, reading their rows in blocks
+    (see ``_ROW_BLOCK_BYTES``); rows steady over a whole block are the one
+    row of their stretch, read once.
 
     Failures are per member.  A member that fails h * max||A + B|| <= 0.5
     at nine grid times (see :func:`_estimate_norm`) gets a
@@ -299,11 +298,9 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         return []
     # one row dtype and state width for the batch keeps each member's bits
     m, w = systems[0].order, systems[0].width
-    separable = systems[0].separable is not None
-    if any((s.order, s.width, s.separable is not None) != (m, w, separable)
-           for s in systems):
+    if any((s.order, s.width) != (m, w) for s in systems):
         raise InvalidParameterError("batched systems must share their order "
-                                    "and which parts they have")
+                                    "and width")
 
     columns = [int(i) for i in tracked_indices]
     stride = max(1, nt // 100)
@@ -332,12 +329,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     sample = starts[::max(1, nt // 8)]
 
     def set_up(system: CompanionSystem, epsilon: float | None) -> tuple:
-        parts = [p.row_provider(stage_times, xi) for p in (
-            system.principal, system.separable) if p is not None]
-        # the first m columns of the parts sum to A + B, all the budget reads
-        norm = _estimate_norm(
-            lambda q: reduce(np.add, [p(q)[:, :m] for p in parts]),
-            sample, br, (0.5 + 1e-12) / h)
+        rows = system.principal.row_provider(stage_times, xi)
+        # the first m columns are A + B, all the budget reads
+        norm = _estimate_norm(lambda q: rows(q)[:, :m], sample, br,
+                              (0.5 + 1e-12) / h)
         if h * norm > 0.5 + 1e-12:
             required_step = 0.5 / norm
             required = int(math.ceil((t_grid[-1] - t_grid[0]) / required_step))
@@ -346,19 +341,10 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 f"{epsilon}: h*||A+B|| = {h * norm:.3f} > 0.5; need at least "
                 f"{required} steps", required_step=required_step,
                 required_steps=required, epsilon=epsilon)
-        reads = [_stretch_reader(p) for p in parts]
-
-        def rows(lo: int, hi: int, out: Array) -> Array:
-            # the rows at lattice points lo to hi: A + B, then the forcing
-            blocks = [r(lo, hi) for r in reads]
-            out[:, :m] = reduce(np.add, [b[:, :m] for b in blocks])
-            out[:, m:] = blocks[-1][:, m:]
-            return out
-
-        steady = reduce(np.logical_and, [p.steady for p in parts])
         # step i reads the lattice points from starts[i] to starts[i + 1]
-        return (rows, np.logical_and.reduceat(steady, starts[:-1]),
-                system.V0(xi).astype(complex))
+        return (_stretch_reader(rows),
+                np.logical_and.reduceat(rows.steady, starts[:-1]),
+                system.V0(xi).astype(complex), rows.dtype)
 
     # outputs by live slot, one array each for the batch, small enough to
     # take heap pages already in use; taken before the set-up's tables and
@@ -369,7 +355,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     v = np.zeros((len(systems), w, xi.size), dtype=complex)  # final states
     v[:, m:] = 1.0  # a forced state's unit component
     outcome: list = [None] * len(systems)
-    readers = []  # by live slot: rows, constant steps, V0
+    readers = []  # by live slot: rows, constant steps, V0, row dtype
     for member, system in enumerate(systems):
         try:
             with numerical_errors():
@@ -380,8 +366,11 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     # (live members, nt): whether each member's rows vary on each step
     varying = ~np.array([r[1] for r in readers], bool).reshape(len(live), nt)
     v[:len(live), :m] = np.reshape([r[2] for r in readers], (-1, m, xi.size))
-    # principal rows are real, separable rows complex
-    dtype = np.dtype(complex if separable else float)
+    # principal rows are real, rows with lower-order or forcing entries complex
+    dtype, *others = {r[3] for r in readers} or {np.dtype(float)}
+    if others:
+        raise InvalidParameterError("batched systems must share their row "
+                                    "dtype")
     units = np.eye(w, dtype=complex)[:, :, None] * np.ones(xi.size)
     # per member: worst step-doubling error, whether it lives, step reached
     worst_double, alive, at = (np.zeros(len(live)), np.ones(len(live), bool),
@@ -418,8 +407,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         has reached to ``stop`` in powers of the stretch's step map, each
         jump ending on the next step-doubling, output or trace step."""
         i, slots = int(at[slot]), [slot]
-        entry = readers[slot][0](starts[i], starts[i],
-                                 np.empty((1, w, xi.size), dtype))
+        entry = readers[slot][0](starts[i], starts[i])
         full, half = (_rk4((entry,) * 3, dt, ibr, units)
                       for dt in (h, 0.5 * h))
         squares, powers = [full], {}  # P^(2^b) by b, P^n by n
@@ -469,7 +457,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                     lo, hi = starts[i], starts[min(a + run, i + block_steps)]
                     block = buffer[:, :hi - lo + 1]
                     for row, slot in zip(block, movers):
-                        readers[slot][0](lo, hi, row)
+                        row[:] = readers[slot][0](lo, hi)
                 x, half = _staged_step(stage, i, i % stride == 0, h, ibr, x)
                 if land(movers, i + 1, x, half, i % 64 == 0 or i == nt - 1):
                     break
@@ -644,7 +632,7 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
     separable = SeparablePart(m + (problem.forcing is not None),
                               tuple(entries)) if entries else None
     data = InitialData(tuple(on_grid(g) for g in data_hats))
-    return build_companion(RootValuePrincipal(reg), separable, data), reg
+    return build_companion(RootValuePrincipal(reg, separable), data), reg
 
 
 def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:

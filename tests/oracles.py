@@ -16,8 +16,10 @@ and its audit loop, the per-root symmetric functions of the recovery, the
 per-sample hyperbolicity check and the per-tau adjugate residuals), the
 per-direction root profiles that the coefficient contraction replaced,
 with the per-root regularised values, pure and with the separating shift,
-and the direction table built from one convolution per coefficient, which
-the stacked convolution replaced.
+the direction table built from one convolution per coefficient, which
+the stacked convolution replaced, and the per-time principal rows (root
+values, characteristic polynomial, companion row) and per-entry separable
+rows that the one last-row table replaced.
 Test modules import them as ``oracles``; pytest's default import mode puts
 ``tests/`` on ``sys.path``.
 """
@@ -42,11 +44,11 @@ from weakhyp.mollifiers import (GevreyCutoffMollifier, convolve_profile,
 from weakhyp.profiles import RoughProfile
 from weakhyp.recovery import HomogeneousCoefficientSet, sigma_table
 from weakhyp.reduction import (CompanionSystem, FirstOrderSystem, Index,
-                               PolynomialMatrix, _faddeev,
+                               PolynomialMatrix, SeparablePart, _faddeev,
                                characteristic_polynomial, companion_matrix,
-                               companion_row)
+                               companion_row, table_rows)
 from weakhyp.roots import (RegularisedRoots, RootFamily, _unit_direction,
-                           bracket)
+                           bracket, separating_shift)
 
 Array = np.ndarray
 
@@ -83,15 +85,17 @@ def sigma_hat(cset: HomogeneousCoefficientSet, t: float,
 
 @dataclass
 class PolynomialPrincipal:
-    """Principal symbols from per-degree coefficient callables (n = 1).
+    """Principal symbols from per-degree coefficient callables (n = 1), with
+    the entries of ``separable``, if given, in the same table.
 
     ``coefficients[d]`` evaluates the degree-d coefficient a_d(t); the last
-    row entries are ``a_{m-j+1}(t) xi^{m-j+1} <xi>^{j-m}``.  Root values come
-    from companion eigenvalues.
+    row entries are ``a_{m-j+1}(t) xi^{m-j+1} <xi>^{j-m}``, each monomial
+    one table column.  Root values come from companion eigenvalues.
     """
 
     order: int
     coefficients: Mapping[int, Callable[[Array], Array]]
+    separable: SeparablePart | None = None
 
     def __post_init__(self):
         missing = [d for d in range(1, self.order + 1)
@@ -100,6 +104,10 @@ class PolynomialPrincipal:
             raise ConfigurationError(
                 f"missing principal coefficient degree(s) {missing}",
                 field="principal")
+
+    @property
+    def width(self) -> int:
+        return self.order if self.separable is None else self.separable.width
 
     @staticmethod
     def from_coefficient_sets(sets: Mapping[int, HomogeneousCoefficientSet]
@@ -111,36 +119,69 @@ class PolynomialPrincipal:
             coeffs[degree] = coefficient(cset, (degree,))
         return PolynomialPrincipal(order=max(sets), coefficients=coeffs)
 
+    def _tables(self, t: Array, xi: Array) -> tuple[Array, Array]:
+        """G (T, m, m), entry j - 1's coefficient in column j - 1, and the
+        monomials F (m, K)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        br = bracket(xi)
+        m = self.order
+        monomials = np.empty((m, xi.size))
+        g = np.zeros((t.size, m, m))
+        for j in range(1, m + 1):
+            d = m - j + 1
+            monomials[j - 1] = xi ** d * br ** (j - m)
+            g[:, j - 1, j - 1] = np.real(np.asarray(
+                self.coefficients[d](t), dtype=complex))
+        return g, monomials
+
     def roots(self, t: Array, xi: Array) -> Array:
         """Sorted companion eigenvalues (T, m, K) at the times ``t``."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        mats = companion_matrix(
-            np.moveaxis(self.row_provider(t, xi)(slice(None)), 1, 0),
-            bracket(xi))
+        rows = table_rows([self._tables(t, xi)])(slice(None))
+        mats = companion_matrix(np.moveaxis(rows, 1, 0), bracket(xi))
         return np.swapaxes(np.sort(np.real(np.linalg.eigvals(mats)),
                                    axis=-1), 1, 2)
 
     def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
-        """Last rows (T, m, K) at the times ``t[index]``; ``steady`` marks
+        """Last rows (T, width, K) at the times ``t[index]``, as
+        :func:`weakhyp.reduction.table_rows` reads them; ``steady`` marks
         the neighbouring times where every coefficient's bits are equal."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        br = bracket(xi)
-        m = self.order
-        monomials = np.empty((m, xi.size))
-        values = np.empty((t.size, m))
-        for j in range(1, m + 1):
-            d = m - j + 1
-            monomials[j - 1] = xi ** d * br ** (j - m)
-            values[:, j - 1] = np.real(np.asarray(
-                self.coefficients[d](t), dtype=complex))
+        parts = [self._tables(t, xi)]
+        if self.separable is not None:
+            parts.append(self.separable.tables(t, xi))
+        return table_rows(parts)
 
-        def rows(index: Index) -> Array:
-            return values[index, :, None] * monomials
 
-        bits = values.view(np.int64)
-        rows.steady = (bits[1:] == bits[:-1]).all(axis=1)
-        return rows
+def principal_rows_per_time(reg: RegularisedRoots, t: Array, xi: Array
+                            ) -> Array:
+    """Last rows (T, m, K) of the regularised roots by the per-time path
+    that the one table replaced: the separated root values, then
+    :func:`characteristic_polynomial`, then :func:`companion_row`."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    br = bracket(xi)
+    pos, neg = reg.direction_table(np.atleast_1d(t), [(1.0,), (-1.0,)])
+    profile = np.where(xi >= 0, pos.T[:, :, None], neg.T[:, :, None])
+    lam = profile * np.abs(xi) + separating_shift(reg.order, reg.omega, br)
+    sig = characteristic_polynomial(np.swapaxes(lam, 1, 2))  # (T, K, m+1)
+    rows = np.empty_like(lam)
+    for h, entry in enumerate(companion_row(sig, br)):
+        rows[:, h] = entry
+    return rows
+
+
+def separable_rows_per_entry(separable: SeparablePart, t: Array, xi: Array
+                             ) -> Array:
+    """Last rows (T, width, K), complex, of the separable entries summed one
+    product of time values and factor at a time, as the separable part's
+    own provider built them before the one table."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    block = np.zeros((separable.width, t.size, xi.size), complex)
+    for column, values, factor in separable.entries:
+        block[column] += np.asarray(values(t), dtype=complex)[:, None] \
+            * factor(xi)
+    return block.transpose(1, 0, 2)
 
 
 def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
@@ -160,10 +201,6 @@ def constant_entries(system: CompanionSystem, xi: Array, t_grid: Array
                          np.concatenate([doubled + 1, doubled + 3]))
     stage_times = t_grid[0] + 0.25 * h * lattice
     rows = system.principal.row_provider(stage_times, xi)(slice(None))
-    if system.separable is not None:
-        extra = system.separable.row_provider(stage_times, xi)(slice(None))
-        rows = np.concatenate([rows + extra[:, :system.order],
-                               extra[:, system.order:]], axis=1)
     same = (rows[1:] == rows[:-1]).all(axis=1)  # (intervals, K)
     starts = np.searchsorted(lattice, 4 * np.arange(nt + 1))
     return np.array([same[starts[i]:starts[i + 1]].all(axis=0)
@@ -178,12 +215,8 @@ def _staged_stepper(system: CompanionSystem, xi: Array, stage_times: Array
     one member."""
     m = system.order
     rows = system.principal.row_provider(stage_times, xi)(slice(None))
-    force = None
-    if system.separable is not None:
-        extra = system.separable.row_provider(stage_times, xi)(slice(None))
-        rows = rows + extra[:, :m]
-        if system.width > m:
-            force = extra[:, m]
+    force = rows[:, m] if system.width > m else None
+    rows = rows[:, :m]
     ibr = 1j * bracket(xi)
 
     def rhs(k: int, state: Array) -> Array:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,15 @@ from weakhyp.reduction import (_faddeev, FirstOrderSystem, InitialData,
                                SeparablePart, build_companion,
                                characteristic_polynomial, cofactor_matrix,
                                companion_matrix, companion_row,
-                               random_hyperbolic_system, to_block_sylvester)
+                               random_hyperbolic_system, table_rows,
+                               to_block_sylvester)
 from weakhyp.roots import (RegularisedRoots, bracket, constant_roots,
-                           roots_from_linear_forms, wave_speed_roots)
+                           roots_from_linear_forms, roots_from_time_profiles)
 from weakhyp.profiles import heaviside_profile
 
 from oracles import (PolynomialPrincipal, adjugate_coefficients,
-                     first_non_real_time, root_value, verify_per_tau)
+                     first_non_real_time, principal_rows_per_time,
+                     root_value, separable_rows_per_entry, verify_per_tau)
 
 
 # the per-time matrices of D_t V = (A + B) V + F at one time, read from the
@@ -39,10 +42,11 @@ def _eigenvalues(system, t, xi):
 
 
 def _separable_rows(system, t, xi):
-    """The separable part's last row (width, K) at one time, or None."""
-    if system.separable is None:
+    """The separable entries' last row (width, K) at one time, or None."""
+    separable = system.principal.separable
+    if separable is None:
         return None
-    return system.separable.row_provider(np.array([t]), xi)(slice(None))[0]
+    return table_rows([separable.tables(np.array([t]), xi)])(slice(None))[0]
 
 
 def _lower_order_matrix(system, t, xi):
@@ -62,19 +66,6 @@ def _forcing_vector(system, t, xi):
     if rows is not None and system.width > system.order:
         out[system.order - 1] = rows[system.order]
     return out
-
-
-def _rows_from_root_values(lam, br):
-    """l_(j) = -sigma_{m-j+1}(roots) <xi>^(j-m) from root values (m, K).
-
-    Per-time test oracle for the principal's row blocks.
-    """
-    m = lam.shape[0]
-    sig = characteristic_polynomial(np.moveaxis(lam, 0, -1))  # (K, m+1)
-    rows = np.empty_like(lam)
-    for j in range(1, m + 1):
-        rows[j - 1] = -sig[..., m - j + 1] * br ** (j - m)
-    return rows
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +144,9 @@ def test_lower_order_block_only_last_row():
         LowerTerm(0, 2, lambda t: 1.5 * np.ones(np.shape(t))),))
     principal = PolynomialPrincipal(
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
-                               2: lambda t: np.ones(np.shape(t))})
-    system = build_companion(principal,
-                             SeparablePart(2, tuple(lower.entries(lambda c: c))))
+                               2: lambda t: np.ones(np.shape(t))},
+        separable=SeparablePart(2, tuple(lower.entries(lambda c: c))))
+    system = build_companion(principal)
     b = _lower_order_matrix(system, 0.1, 2.0)
     assert np.all(b[0, :] == 0.0)
     br = np.sqrt(5.0)
@@ -177,59 +168,114 @@ def test_separable_part_refuses_a_column_outside_its_width():
 
 def test_build_companion_refuses_a_separable_width_other_than_m_or_m_plus_1():
     # m = 2: B alone has width 2, B and a forcing F width 3
-    principal = _wave_system().principal
+    def principal(part):
+        return replace(_wave_system().principal, separable=part)
+
     for width in (2, 3):
         part = SeparablePart(width, ((width - 1, _ones, _ones),))
-        assert build_companion(principal, part).width == width
+        assert build_companion(principal(part)).width == width
     for width in (1, 4):
         with pytest.raises(ConfigurationError, match="width") as info:
-            build_companion(principal,
-                            SeparablePart(width, ((0, _ones, _ones),)))
+            build_companion(principal(
+                SeparablePart(width, ((0, _ones, _ones),))))
         assert info.value.field == "separable"
 
 
-def test_root_value_principal_matches_regularised_roots(phi):
-    speed = heaviside_profile(0.5, 1.0, 4.0, (0.0, 1.0))
-    reg = RegularisedRoots(wave_speed_roots(speed), phi, 0.1)
-    principal = RootValuePrincipal(reg)
-    system = build_companion(principal)
+def _ordered_family(order, odd):
+    """``order`` ordered heaviside roots: even (the same profile in both
+    directions) or odd (r_j(t, d) = c_j(t) d, so that negative frequencies
+    read the other direction's profile)."""
+    if odd:
+        return roots_from_linear_forms(
+            [[heaviside_profile(0.4, 0.7 * j, 0.7 * j + 0.5, (0.0, 1.0))]
+             for j in range(order)])
+    return roots_from_time_profiles(
+        [heaviside_profile(0.5, j - 1.5, 1.2 * j - 1.0, (0.0, 1.0))
+         for j in range(order)])
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_root_value_principal_matches_regularised_roots(phi, order, odd):
+    reg = RegularisedRoots(_ordered_family(order, odd), phi, 0.1)
+    system = build_companion(RootValuePrincipal(reg))
     for t in (0.2, 0.5, 0.9):
         for xi in (1.0, -4.0, 16.0):
             eig = _eigenvalues(system, t, xi)
             expected = np.sort([float(root_value(reg, j, t, xi))
-                                for j in (1, 2)])
+                                for j in range(1, order + 1)])
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(eig - expected)) / scale <= 1e-9
 
 
+def _assert_rows_near(got, want):
+    """The one table's rows agree with the per-time path's to 1e-14 of the
+    largest row entry: the same symbols, summed in another order."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _assert_blocks_are_rows(rows, size, oracle):
+    """Every read of ``rows`` (single times in a shuffled order, 7-time
+    slices and an integer array) gives each time the bits of its single
+    read, and those agree with ``oracle(times)``."""
+    single = {}
+    for i in np.random.default_rng(size).permutation(size):
+        single[i] = rows(np.array([i]))[0]
+        assert np.array_equal(rows(slice(i, i + 1))[0], single[i])
+    _assert_rows_near(np.array([single[i] for i in range(size)]),
+                      oracle(slice(None)))
+    # 7-time slices: 53 is no multiple of 7, so the last slice is short
+    for lo in range(0, size, 7):
+        block = rows(slice(lo, lo + 7))
+        times = range(lo, min(lo + 7, size))
+        assert block.shape[0] == len(times)
+        for k, i in enumerate(times):
+            assert np.array_equal(block[k], single[i])
+    sample = np.random.default_rng(size + 1).choice(size, 9)
+    for k, i in enumerate(sample):
+        assert np.array_equal(rows(sample)[k], single[i])
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_row_blocks_match_per_time_oracle(phi, order):
-    # odd symbols r_j(t, d) = c_j(t) d: negative frequencies read the other
-    # direction's profile
-    coeffs = [[heaviside_profile(0.4, 0.7 * j, 0.7 * j + 0.5, (0.0, 1.0))]
-              for j in range(order)]
-    reg = RegularisedRoots(roots_from_linear_forms(coeffs), phi, 0.05)
-    principal = RootValuePrincipal(reg)
+    # odd symbols: negative frequencies read the other direction's profile
+    reg = RegularisedRoots(_ordered_family(order, True), phi, 0.05)
     xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
-    br = bracket(xi)
     t_grid = np.linspace(0.0, 1.0, 53)
-    pos, neg = reg.direction_table(t_grid, [(1.0,), (-1.0,)])
-    sep = np.arange(1, order + 1)[:, None] * (reg.omega * br)[None, :]
+    rows = RootValuePrincipal(reg).row_provider(t_grid, xi)
+    assert rows(slice(None)).shape == (t_grid.size, order, xi.size)
+    _assert_blocks_are_rows(rows, t_grid.size, lambda index:
+                            principal_rows_per_time(reg, t_grid[index], xi))
 
-    def oracle(i):
-        profile = np.where(xi >= 0, pos[:, i, None], neg[:, i, None])
-        return _rows_from_root_values(profile * np.abs(xi) + sep, br)
 
-    rows = principal.row_provider(t_grid, xi)
-    for i in np.random.default_rng(order).permutation(t_grid.size):
-        assert np.array_equal(rows(np.array([i]))[0], oracle(i))
-    # 7-time slices: 53 is no multiple of 7, so the last slice is short
-    for lo in range(0, t_grid.size, 7):
-        block = rows(slice(lo, lo + 7))
-        times = range(lo, min(lo + 7, t_grid.size))
-        assert block.shape == (len(times), order, xi.size)
-        for k, i in enumerate(times):
-            assert np.array_equal(block[k], oracle(i))
+@pytest.mark.parametrize("forced", [False, True])
+def test_one_table_holds_the_lower_order_and_forcing_entries(phi, forced):
+    # a real and a complex lower-order coefficient and, if forced, a forcing
+    # with a complex space factor, at both signs of xi: the one table's
+    # rows are the per-time principal rows plus the per-entry products
+    reg = RegularisedRoots(_ordered_family(3, True), phi, 0.05)
+    lower = LowerOrderPart(3, (
+        LowerTerm(0, 1, lambda t: np.cos(5.0 * np.asarray(t))),
+        LowerTerm(1, 3, lambda t: (1.0 - 2.0j) * np.asarray(t) ** 2)))
+    entries = list(lower.entries(lambda c: c))
+    if forced:
+        entries.append((3, lambda t: np.exp(-np.asarray(t)),
+                        lambda xi: np.exp(0.3j * xi) / (1.0 + xi * xi)))
+    separable = SeparablePart(3 + forced, tuple(entries))
+    xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
+    t_grid = np.linspace(0.0, 1.0, 53)
+    system = build_companion(RootValuePrincipal(reg, separable))
+    assert system.width == 3 + forced
+    rows = system.principal.row_provider(t_grid, xi)
+    assert rows.dtype == complex
+
+    def oracle(index):
+        want = separable_rows_per_entry(separable, t_grid[index], xi)
+        want[:, :3] += principal_rows_per_time(reg, t_grid[index], xi)
+        return want
+
+    _assert_blocks_are_rows(rows, t_grid.size, oracle)
 
 
 def test_polynomial_principal_matches_recovered_sets(phi):

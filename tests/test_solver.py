@@ -21,7 +21,7 @@ from weakhyp.profiles import (Piece, RoughProfile, box_profile, bump_profile,
                               polynomial_piece_profile, zero_profile)
 from weakhyp.reduction import (InitialData, LowerOrderPart, LowerTerm,
                                RootValuePrincipal, SeparablePart,
-                               build_companion)
+                               build_companion, table_rows)
 from weakhyp.roots import (bracket, constant_roots, dt_power, linear_scale,
                            roots_from_time_profiles, wave_speed_roots)
 from weakhyp import solver
@@ -48,10 +48,11 @@ def solve_frequency(system, xi, epsilon, t_grid, every=1):
     return result.traces[:, 0, :]
 
 
-def _wave_principal():
+def _wave_principal(separable=None):
     return PolynomialPrincipal(
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
-                               2: lambda t: np.ones(np.shape(t))})
+                               2: lambda t: np.ones(np.shape(t))},
+        separable=separable)
 
 
 def _lower_part(m, *terms):
@@ -162,7 +163,7 @@ def test_superposition_linearity():
             forcing = SeparablePart(3, ((
                 2, lambda t: f_val * np.ones(np.shape(t)),
                 lambda x: np.ones(np.shape(x), dtype=complex)),))
-        system = build_companion(_wave_principal(), forcing, data)
+        system = build_companion(_wave_principal(forcing), data)
         return solve_frequency(system, xi, 1.0, t_grid)
 
     combined = run(1.0, 0.5)
@@ -176,9 +177,8 @@ def _spiked_wave(spike_time, weight=1e7):
     from weakhyp.mollifiers import convolve_profile, scale_mollifier
     spike = convolve_profile(point_mass_profile(spike_time, weight=weight),
                              scale_mollifier(friedrichs_mollifier(), 0.05))
-    return build_companion(_wave_principal(),
-                           _lower_part(2, LowerTerm(0, 1, spike)),
-                           _unit_data(2))
+    return build_companion(
+        _wave_principal(_lower_part(2, LowerTerm(0, 1, spike))), _unit_data(2))
 
 
 def test_divergence_reported_with_location():
@@ -235,7 +235,7 @@ def test_energy_pure_forcing_bounded_by_quadrature_oracle():
     forcing = SeparablePart(3, ((
         2, lambda t: np.sin(np.pi * np.asarray(t)),
         lambda x: np.ones(np.shape(x), dtype=complex)),))
-    system = build_companion(_wave_principal(), forcing)
+    system = build_companion(_wave_principal(forcing))
     t_grid = np.linspace(0.0, 1.0, 2049)
     xi = 3.0
     trace = solve_frequency(system, xi, 1.0, t_grid, every=8)
@@ -289,16 +289,13 @@ def residual_check(u_dense, t_grid, grid, system):
     t_interior = t_grid[halo:nt + 1 - halo]
     residual = dt_power(shifted, m, h)
     scale = float(np.linalg.norm(residual))
-    parts = [system.principal.row_provider(t_interior, xi)(slice(None))]
-    if system.separable is not None:
-        parts.append(system.separable.row_provider(t_interior, xi)(slice(None)))
-    for rows in parts:
-        for j in range(1, m + 1):
-            term = rows[:, m - j] * br ** (j - 1) * dt_power(shifted, m - j, h)
-            residual = residual - term
-            scale = max(scale, float(np.linalg.norm(term)))
+    rows = system.principal.row_provider(t_interior, xi)(slice(None))
+    for j in range(1, m + 1):
+        term = rows[:, m - j] * br ** (j - 1) * dt_power(shifted, m - j, h)
+        residual = residual - term
+        scale = max(scale, float(np.linalg.norm(term)))
     if system.width > m:
-        force = parts[-1][:, m]
+        force = rows[:, m]
         residual = residual - force
         scale = max(scale, float(np.linalg.norm(force)))
     rel = float(np.linalg.norm(residual)) / max(scale, 1e-300)
@@ -545,15 +542,15 @@ def test_lower_terms_and_forcing_are_continued_past_the_interval():
     for epsilon in (0.25, 0.0625):
         system = build_regularised_system(problem, epsilon)[0]
         # the lower-order entry in column m - j = 1, the forcing in column m
-        (low, coefficient, _), (top, time_values, _) = \
-            system.separable.entries
+        separable = system.principal.separable
+        (low, coefficient, _), (top, time_values, _) = separable.entries
         assert (low, top) == (1, 2)
         for profile, value in ((coefficient, 0.5), (time_values, -2.0)):
             values = np.asarray(profile(t))
             assert math.isclose(values[1], value, rel_tol=1e-12)
             assert np.array_equal(values, np.full(3, values[1]))
         xi = problem.grid.frequencies
-        assert system.separable.row_provider(t, xi).steady.all()
+        assert table_rows([separable.tables(t, xi)]).steady.all()
 
 
 def test_profiles_inside_the_interval_are_left_as_given():
@@ -570,7 +567,8 @@ def test_profiles_inside_the_interval_are_left_as_given():
     for epsilon in (0.0625, 0.03125):
         system, reg = build_regularised_system(problem, epsilon)
         phi_w = scale_mollifier(friedrichs_mollifier(), reg.omega)
-        (_, coefficient, _), (_, time_values, _) = system.separable.entries
+        (_, coefficient, _), (_, time_values, _) = \
+            system.principal.separable.entries
         for given, mollified, zeros in (
                 (box, time_values, [0, 20, 80, 100]),
                 (line, coefficient, [0, 100])):
@@ -591,9 +589,9 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     problem = _lower_forced_problem()
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
-    # the reads of each of the integrator's two parts (principal, and the
-    # separable part of the lower order and the forcing): a block of staged
-    # steps reads several lattice points, a jump's entry one
+    # the reads of each member's one provider (the principal rows with the
+    # lower-order and forcing entries): a block of staged steps reads
+    # several lattice points, a jump's entry one
     blocks = []
     reader = solver._stretch_reader
     staged = _count_staged_steps(monkeypatch)
@@ -633,11 +631,11 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
                 assert staged == [(i, len(systems)) for i in range(256)]
                 block_steps = max(1, steps // len(systems))
                 assert len(reads) == len(blocks) \
-                    == 2 * len(systems) * -(-256 // block_steps)
+                    == len(systems) * -(-256 // block_steps)
             else:
                 assert staged and len(reads) < len(blocks)
                 if steps == 1:
-                    assert len(reads) == 2 * sum(n for _, n in staged)
+                    assert len(reads) == sum(n for _, n in staged)
             return results
 
         # all 256 steps in one block
@@ -735,17 +733,18 @@ def test_forced_problems_take_the_staged_steps_bit_for_bit(monkeypatch):
 
 def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
     # the steps on which the integrator gives a member the step map are
-    # those over which its providers report ``steady``; each must be
+    # those over which its provider reports ``steady``; each must be
     # constant at every entry by the per-entry oracle, and on the heaviside
     # problem, where only xi = 0 is constant inside the layer, the two sets
     # are equal
     reported = []  # (stage times, steady) of each provider the run builds
-    for cls in (RootValuePrincipal, SeparablePart):
-        def spy(self, t, frequencies, provider=cls.row_provider):
-            rows = provider(self, t, frequencies)
-            reported.append((t, rows.steady))
-            return rows
-        monkeypatch.setattr(cls, "row_provider", spy)
+
+    def spy(self, t, frequencies, provider=RootValuePrincipal.row_provider):
+        rows = provider(self, t, frequencies)
+        reported.append((t, rows.steady))
+        return rows
+
+    monkeypatch.setattr(RootValuePrincipal, "row_provider", spy)
     speed = piecewise_constant_profile([0.0, 0.3, 0.35, 1.0],
                                        [1.0, 25.0, 1.0], (0.0, 1.0))
     spiked = replace(_heaviside_problem(), family=wave_speed_roots(speed),
@@ -761,10 +760,10 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
             system = build_regularised_system(problem, epsilon)[0]
             reported.clear()
             integrate_companion([system], xi, t_grid, [epsilon])
-            steady = np.logical_and.reduce([s for _, s in reported])
+            (t, steady), = reported
             # step i reads the stage times from t_i to t_(i+1), which sit at
             # the quarter-step lattice points 4i to 4(i+1)
-            lattice = np.rint(reported[0][0] / (0.25 * h)).astype(int)
+            lattice = np.rint(t / (0.25 * h)).astype(int)
             starts = np.searchsorted(lattice, 4 * np.arange(t_grid.size))
             steps = np.array([steady[a:b].all()
                               for a, b in zip(starts[:-1], starts[1:])])
@@ -776,21 +775,22 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
 
 
 def _spy_row_reads(monkeypatch) -> list:
-    """Wrap the principal and separable row providers: each provider built
-    appends (its stage times, its ``steady``, the slices read from it)."""
+    """Wrap the row provider: each provider built appends (its stage
+    times, its ``steady``, the slices read from it)."""
     built = []
-    for cls in (RootValuePrincipal, SeparablePart):
-        def spy(self, t, frequencies, provider=cls.row_provider):
-            rows, reads = provider(self, t, frequencies), []
-            built.append((t, rows.steady, reads))
 
-            @functools.wraps(rows)  # carries the provider's ``steady``
-            def read(index):
-                if isinstance(index, slice):
-                    reads.append((index.start, index.stop))
-                return rows(index)
-            return read
-        monkeypatch.setattr(cls, "row_provider", spy)
+    def spy(self, t, frequencies, provider=RootValuePrincipal.row_provider):
+        rows, reads = provider(self, t, frequencies), []
+        built.append((t, rows.steady, reads))
+
+        @functools.wraps(rows)  # carries the provider's ``steady``
+        def read(index):
+            if isinstance(index, slice):
+                reads.append((index.start, index.stop))
+            return rows(index)
+        return read
+
+    monkeypatch.setattr(RootValuePrincipal, "row_provider", spy)
     return built
 
 
@@ -879,7 +879,7 @@ def test_forced_members_read_each_steady_stretch_once(monkeypatch):
     results = integrate_companion(systems, problem.grid.frequencies,
                                   np.linspace(0.0, 1.0, 257), epsilons)
     assert not any(isinstance(r, WeakHypError) for r in results)
-    assert len(built) == 2 * len(epsilons)  # principal, separable
+    assert len(built) == len(epsilons)  # one provider per member
     for t, steady, reads in built:
         stretch = np.concatenate([[0], np.cumsum(~steady)])
         assert all(stretch[a] != stretch[b - 1] for a, b in reads if b - a > 1)
@@ -1121,7 +1121,7 @@ def _overflowing_wave(scale, growth=25.0):
     data = InitialData(
         (lambda xi: np.full(np.shape(xi), scale, dtype=complex),
          lambda xi: np.zeros(np.shape(xi), dtype=complex)))
-    return build_companion(_wave_principal(), _lower_part(2, growing), data)
+    return build_companion(_wave_principal(_lower_part(2, growing)), data)
 
 
 def test_divergence_inside_a_jump_stops_only_its_member(monkeypatch):
