@@ -14,8 +14,8 @@ This module owns the companion form: every characteristic polynomial
 (:func:`characteristic_polynomial`), companion last row
 (:func:`companion_row`) and companion matrix (:func:`companion_matrix`) in
 the package comes from here, for the round trip, the symmetrisers and the
-block reduction; the solver's table holds the same polynomial's
-coefficients as forms in (|xi|, <xi>).
+block reduction; the solver's table holds the polynomial's coefficients as
+forms in (phi, <xi>), phi(xi) = g(xi/|xi|) |xi| the family's line factor.
 """
 
 from __future__ import annotations
@@ -177,13 +177,14 @@ class SeparablePart:
     def tables(self, t: Array, xi: Array) -> tuple[Array, Array]:
         """The :func:`table_rows` tables G (T, width, n) and F (n, K): each
         entry's time values in its column, the real part against its factor
-        and an imaginary part, if any, against i times its factor."""
+        and an imaginary part, if any, against i times its factor.  F is
+        real unless an entry's values or factor are complex-typed."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        columns, factors = [], []
+        columns, factors, dtypes = [], [], [float]
         for column, values, factor in self.entries:
-            values = np.asarray(values(t), dtype=complex)
-            factor = np.asarray(factor(xi), dtype=complex)
+            values, factor = np.asarray(values(t)), np.asarray(factor(xi))
+            dtypes += values.dtype, factor.dtype
             columns.append((column, values.real))
             factors.append(factor)
             if values.imag.any():
@@ -192,34 +193,30 @@ class SeparablePart:
         g = np.zeros((t.size, self.width, len(columns)))
         for n, (column, values) in enumerate(columns):
             g[:, column, n] = values
-        return g, np.reshape(factors, (len(factors), xi.size))
+        return g, np.array(factors, np.result_type(*dtypes)).reshape(
+            len(factors), xi.size)
 
 
 # -- principal part ----------------------------------------------------------------
 
 
-def _principal_tables(profiles: Array, shift: Array, xi: Array
+def _principal_tables(c: Array, phi: Array, shift: Array, xi: Array
                       ) -> tuple[Array, Array]:
-    """The tables G (T, m, 2(m + 1)) and F (2(m + 1), K) of the last rows
-    whose roots are ``p_j(t, sign xi) |xi| + shift_j <xi>``, from the root
-    profiles p_j (2, m, T) in the directions +1 and -1.  sigma_k is a form
-    of degree k in (|xi|, <xi>), so entry h, -sigma_(m-h) <xi>^(h+1-m), is
-    sum_a G_(h,a)(t) F_a(xi) with F_a = |xi|^a <xi>^(1-a), a = 0..m, one
-    set per sign of xi, masked by sign."""
-    m, size = len(shift), profiles.shape[-1]
-    # coeffs[k, a] multiplies |xi|^a <xi>^(k-a) in sigma_k, by direction,
-    # built root by root as characteristic_polynomial builds sigma
-    coeffs = np.zeros((m + 1, m + 1, 2, size))
+    """The tables G (T, m, m + 1) and F (m + 1, K) of the last rows whose
+    roots are ``c_j(t) phi(xi) + shift_j <xi>``, from the convolved
+    coefficients c_j (m, T) and the line factor phi (K,).  sigma_k is a form
+    of degree k in (phi, <xi>), so entry h, -sigma_(m-h) <xi>^(h+1-m), is
+    sum_a G_(h,a)(t) F_a(xi) with F_a = phi^a <xi>^(1-a), a = 0..m."""
+    m, size = c.shape
+    # coeffs[k, a] of phi^a <xi>^(k-a) in sigma_k, as characteristic_polynomial
+    coeffs = np.zeros((m + 1, m + 1, size))
     coeffs[0, 0] = 1.0
     for j in range(m):
         prev = coeffs[:j + 1].copy()
         coeffs[1:j + 2] -= shift[j] * prev
-        coeffs[1:j + 2, 1:] -= profiles[:, j] * prev[:, :-1]
-    g = -np.transpose(coeffs[m:0:-1], (3, 0, 2, 1)).reshape(size, m, -1)
-    factors = np.array([np.abs(xi) ** a * bracket(xi) ** (1 - a)
-                        for a in range(m + 1)])
-    upper = xi >= 0
-    return g, np.concatenate([factors * upper, factors * ~upper])
+        coeffs[1:j + 2, 1:] -= c[j] * prev[:, :-1]
+    return -np.transpose(coeffs[m:0:-1], (2, 0, 1)), np.array(
+        [phi ** a * bracket(xi) ** (1 - a) for a in range(m + 1)])
 
 
 @dataclass
@@ -240,27 +237,30 @@ class RootValuePrincipal:
     def width(self) -> int:
         return self.order if self.separable is None else self.separable.width
 
-    def _profiles(self, t: Array) -> Array:
-        """Convolved root profiles (2, m, T) in the directions +1 and -1."""
-        return self.regularised.direction_table(t, [(1.0,), (-1.0,)])
+    def _line(self, t: Array, xi: Array) -> tuple[Array, Array]:
+        """The coefficients c_j (m, T), convolved as one stack, and the line
+        factor phi(xi) = g(xi/|xi|) |xi| (K,) of the family's one feature g,
+        with xi = 0 in the direction +1: root j is c_j(t) phi(xi)."""
+        c = np.real(self.regularised.convolved()(np.atleast_1d(t)))
+        sign = np.where(xi >= 0, 1.0, -1.0)[:, None]
+        return c, self.regularised.base.features(sign)[:, 0] * np.abs(xi)
 
     def roots(self, t: Array, xi: Array) -> Array:
         """The separated root values (T, m, K)."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        pos, neg = self._profiles(t)
-        profile = np.where(xi >= 0, pos.T[:, :, None], neg.T[:, :, None])
-        return profile * np.abs(xi) + separating_shift(
+        c, phi = self._line(t, xi)
+        return c.T[:, :, None] * phi + separating_shift(
             self.order, self.regularised.omega, bracket(xi))
 
     def row_provider(self, t: Array, xi: Array) -> Callable[[Index], Array]:
         """The last rows (T, width, K) at the times ``t[index]``, read from
-        one :func:`table_rows` table of the root profiles, convolved once
-        for all of ``t``, and of the separable entries, so the caller's
-        index sets the block size.  ``steady`` holds where a mollified
+        one :func:`table_rows` table of the convolved coefficients and the
+        line factor, and of the separable entries, so the caller's index
+        sets the block size.  ``steady`` holds where a mollified
         piecewise-constant coefficient is constant."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         shift = separating_shift(self.order, self.regularised.omega, 1.0)
-        parts = [_principal_tables(self._profiles(t), shift[:, 0], xi)]
+        parts = [_principal_tables(*self._line(t, xi), shift[:, 0], xi)]
         if self.separable is not None:
             parts.append(self.separable.tables(t, xi))
         return table_rows(parts)

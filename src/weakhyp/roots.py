@@ -5,10 +5,10 @@ lambda_j(t, xi) = r_j(t, xi/|xi|) |xi| (degree-one homogeneity).  eps enters
 a regularisation only through its scale omega = omega(eps), which the caller
 computes once; a :class:`RegularisedRoots` carries that number.  Convolution
 is linear, so regularisation at scale omega convolves each coefficient c_jk
-once and contracts with the features g(d); ``direction_table`` is the one
-path to those values.  The separating shift j*omega*<xi>, which makes the
-regularised family strictly hyperbolic with gap at least omega*<xi>, and the
-speed bound it implies are written once, here.
+once and contracts with the features g(d), in ``direction_table`` for the
+recovery and as c_j(t) g(xi/|xi|) |xi| for the solver's one-feature family.
+The separating shift j*omega*<xi>, which gives the roots a gap of at least
+omega*<xi>, and the speed bound it implies are written once, here.
 """
 
 from __future__ import annotations
@@ -285,12 +285,12 @@ class RegularisedRoots:
     def direction_table(self, t: Array,
                         directions: Sequence[Sequence[float]]) -> Array:
         """Convolved profile values (len(directions), m, len(t)) along the
-        unit vectors of ``directions``, in their order: the one path by
-        which the solver, the recovery and its round trip tabulate root
-        profiles.  The coefficients are convolved in one call, and the
-        convolutions are contracted with the features by multiply-adds in
-        feature order, elementwise in the direction, so a row's bits do not
-        depend on the batch, and n = 1 is exact."""
+        unit vectors of ``directions``, in their order: the recovery's and
+        its round trip's one path to root profiles.  The coefficients are
+        convolved in one call, and the convolutions are contracted with the
+        features by multiply-adds in feature order, elementwise in the
+        direction, so a row's bits do not depend on the batch, and n = 1 is
+        exact."""
         base = self.base
         n = len(base.coefficients[0])
         values = np.real(self.convolved()(t)).reshape(

@@ -137,7 +137,7 @@ class IntegrationResult:
 
 
 # bytes of last rows that one block of staged steps may read: w x K entries
-# (real, or complex with lower-order or forcing entries) at two stage times
+# (complex where an entry's time values or factor are) at two stage times
 # a step, four on a step-doubling step, counted for each member that takes
 # the staged steps, whose rows are all the block holds (a constant stretch
 # reads one row)
@@ -366,7 +366,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     # (live members, nt): whether each member's rows vary on each step
     varying = ~np.array([r[1] for r in readers], bool).reshape(len(live), nt)
     v[:len(live), :m] = np.reshape([r[2] for r in readers], (-1, m, xi.size))
-    # principal rows are real, rows with lower-order or forcing entries complex
+    # rows are complex only where an entry's values or factor are complex-typed
     dtype, *others = {r[3] for r in readers} or {np.dtype(float)}
     if others:
         raise InvalidParameterError("batched systems must share their row "

@@ -18,7 +18,8 @@ from weakhyp.reduction import (_faddeev, FirstOrderSystem, InitialData,
                                random_hyperbolic_system, table_rows,
                                to_block_sylvester)
 from weakhyp.roots import (RegularisedRoots, bracket, constant_roots,
-                           roots_from_linear_forms, roots_from_time_profiles)
+                           roots_from_linear_forms, roots_from_time_profiles,
+                           transport_roots)
 from weakhyp.profiles import heaviside_profile
 
 from oracles import (PolynomialPrincipal, adjugate_coefficients,
@@ -237,24 +238,59 @@ def _assert_blocks_are_rows(rows, size, oracle):
         assert np.array_equal(rows(sample)[k], single[i])
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_row_blocks_match_per_time_oracle(phi, order):
-    # odd symbols: negative frequencies read the other direction's profile
-    reg = RegularisedRoots(_ordered_family(order, True), phi, 0.05)
+#: the principal families whose rows the one table must give at both signs
+#: of xi: odd (the bare order keeps its id), even, and m = 1 with the
+#: feature -d, so that positive frequencies read the negative speed
+_ROW_FAMILIES = [
+    *(pytest.param(lambda o=order: _ordered_family(o, True), id=str(order))
+      for order in (1, 2, 3, 4)),
+    *(pytest.param(lambda o=order: _ordered_family(o, False),
+                   id=f"even-{order}") for order in (1, 2, 3, 4)),
+    pytest.param(lambda: transport_roots(-1.5), id="transport")]
+
+
+@pytest.mark.parametrize("family", _ROW_FAMILIES)
+def test_row_blocks_match_per_time_oracle(phi, family):
+    reg = RegularisedRoots(family(), phi, 0.05)
     xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
     t_grid = np.linspace(0.0, 1.0, 53)
     rows = RootValuePrincipal(reg).row_provider(t_grid, xi)
-    assert rows(slice(None)).shape == (t_grid.size, order, xi.size)
+    assert rows(slice(None)).shape == (t_grid.size, reg.order, xi.size)
     _assert_blocks_are_rows(rows, t_grid.size, lambda index:
                             principal_rows_per_time(reg, t_grid[index], xi))
 
 
-@pytest.mark.parametrize("forced", [False, True])
-def test_one_table_holds_the_lower_order_and_forcing_entries(phi, forced):
+@pytest.mark.parametrize("order", [2, 3])
+def test_each_read_convolves_the_coefficients_once(monkeypatch, phi, order):
+    # one stack convolution of the coefficients per row_provider call and
+    # per roots call, whatever the order
+    calls = []
+    convolved = RegularisedRoots.convolved
+
+    def counted(self):
+        calls.append(self)
+        return convolved(self)
+
+    monkeypatch.setattr(RegularisedRoots, "convolved", counted)
+    reg = RegularisedRoots(_ordered_family(order, False), phi, 0.05)
+    principal = RootValuePrincipal(reg)
+    t, xi = np.linspace(0.0, 1.0, 9), np.array([-2.0, 0.0, 3.0])
+    for read in (principal.row_provider, principal.roots, principal.roots,
+                 principal.row_provider):
+        before = len(calls)
+        read(t, xi)
+        assert calls[before:] == [reg]
+
+
+@pytest.mark.parametrize("forced, odd", [
+    pytest.param(forced, odd, id=f"{forced}" if odd else f"{forced}-even")
+    for odd in (True, False) for forced in (False, True)])
+def test_one_table_holds_the_lower_order_and_forcing_entries(phi, forced,
+                                                             odd):
     # a real and a complex lower-order coefficient and, if forced, a forcing
     # with a complex space factor, at both signs of xi: the one table's
     # rows are the per-time principal rows plus the per-entry products
-    reg = RegularisedRoots(_ordered_family(3, True), phi, 0.05)
+    reg = RegularisedRoots(_ordered_family(3, odd), phi, 0.05)
     lower = LowerOrderPart(3, (
         LowerTerm(0, 1, lambda t: np.cos(5.0 * np.asarray(t))),
         LowerTerm(1, 3, lambda t: (1.0 - 2.0j) * np.asarray(t) ** 2)))

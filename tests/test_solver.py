@@ -887,6 +887,41 @@ def test_forced_members_read_each_steady_stretch_once(monkeypatch):
         assert 0 < len(single) == len(set(single)) < len(reads)
 
 
+def test_real_entries_read_real_rows():
+    # the lower-order coefficient and its factor are real, so the rows are;
+    # read as complex rows, through the same factor cast to complex, they
+    # give the integrator's outputs the same bits.  A forcing's space
+    # factor is complex-typed, so a forced problem's rows are complex
+    problem = _lower_problem(output_times=(0.5, 1.0),
+                             tracked_frequencies=(2.0, 5.0))
+    epsilons = (0.25, 0.125, 0.0625)
+    real = [build_regularised_system(problem, e)[0] for e in epsilons]
+
+    def complex_rows(system):
+        separable = system.principal.separable
+        entries = tuple((column, values,
+                         lambda xi, f=factor: f(xi).astype(complex))
+                        for column, values, factor in separable.entries)
+        return replace(system, principal=replace(
+            system.principal, separable=replace(separable, entries=entries)))
+
+    xi, t_grid = problem.grid.frequencies, problem.time_grid
+    forced = build_regularised_system(_lower_forced_problem(), 0.25)[0]
+    assert forced.principal.row_provider(t_grid, xi).dtype == complex
+    results = []
+    for systems, dtype in ((real, float), ([complex_rows(s) for s in real],
+                                           complex)):
+        assert all(s.principal.row_provider(t_grid, xi).dtype == dtype
+                   for s in systems)
+        results.append(solver._integrate(
+            problem, [(s, None) for s in systems], epsilons))
+    for got, want in zip(*results):
+        for name in ("first_component", "final_state", "traces"):
+            assert getattr(got, name).tobytes() \
+                == getattr(want, name).tobytes()
+        assert got.step_doubling_max == want.step_doubling_max
+
+
 def _spiked_problem(**options):
     speed = piecewise_constant_profile([0.0, 0.3, 0.35, 1.0],
                                        [1.0, 25.0, 1.0], (0.0, 1.0))
