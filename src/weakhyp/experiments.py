@@ -29,8 +29,9 @@ from .config import (ExperimentConfig, build_profile, build_root_family,
 from .errors import ConfigurationError
 from .mollifiers import friedrichs_mollifier
 from .recovery import build_direction_plan, random_round_trip_study
-from .reduction import (LowerOrderPart, LowerTerm, cofactor_matrix,
-                        random_hyperbolic_system, to_block_sylvester)
+from .reduction import (MAX_ADJUGATE_ORDER, LowerOrderPart, LowerTerm,
+                        cofactor_matrix, random_hyperbolic_system,
+                        to_block_sylvester)
 from .reports import RowSource, write_csv, write_json
 from .roots import speed_bound
 from .solver import (CONE_MARGIN, FrequencyGrid, SolutionNet,
@@ -497,8 +498,17 @@ def run_reduce(cfg: ExperimentConfig, seed: int, summary: dict,
     if not sizes:
         raise ConfigurationError("'reduce.sizes' must list at least one size",
                                  field="reduce.sizes")
+    for i, size in enumerate(sizes):
+        if size > MAX_ADJUGATE_ORDER:
+            raise ConfigurationError(
+                f"'reduce.sizes[{i}]' must be at most {MAX_ADJUGATE_ORDER}, "
+                f"got {size}", field=f"reduce.sizes[{i}]")
     freqs = reals(section.get("frequencies", (1.0, 5.0)),
                   "reduce.frequencies")
+    if not freqs:
+        raise ConfigurationError(
+            "'reduce.frequencies' must list at least one frequency",
+            field="reduce.frequencies")
     rng = random.Random(seed)
     rows = []
     worst_cof = 0.0

@@ -6,9 +6,10 @@ with the companion matrix A carrying the weight <xi> on its superdiagonal and
 the principal symbols in its last row, so its eigenvalues are exactly the
 regularised characteristic roots.  Every last-row entry, of A, of B and F,
 is separable, a time table times a frequency table, and the solver reads a
-system's rows from one such table (:func:`table_rows`).  An m x m
-first-order system is reduced to m identical companion blocks through the
-adjugate of (tau I - A), computed by the Faddeev-LeVerrier recursion.
+system's rows from one such table (:func:`table_rows`).  The principal
+part of an m x m first-order system is reduced to m identical companion
+blocks through the adjugate of (tau I - A), computed by the
+Faddeev-LeVerrier recursion.
 
 This module owns the companion form: every characteristic polynomial
 (:func:`characteristic_polynomial`), companion last row
@@ -20,7 +21,6 @@ forms in (phi, <xi>), phi(xi) = g(xi/|xi|) |xi| the family's line factor.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, HyperbolicityError,
                      InvalidParameterError, NumericalError, UnsupportedError)
-from .roots import RegularisedRoots, bracket, dt_power, separating_shift
+from .roots import RegularisedRoots, bracket, separating_shift
 
 Array = np.ndarray
 #: an index into a time array: a slice or an integer array
@@ -326,6 +326,8 @@ def build_companion(principal: RootValuePrincipal,
 
 #: largest scaled residual of the adjugate identity that verify accepts
 _ADJUGATE_TOL = 1e-9
+#: largest order of the adjugate (and so the block) reduction
+MAX_ADJUGATE_ORDER = 4
 
 
 def _faddeev(a: Array) -> tuple[list[Array], Array]:
@@ -396,8 +398,9 @@ class PolynomialMatrix:
 def cofactor_matrix(a_eval: Callable[[float, float], Array],
                     size: int) -> PolynomialMatrix:
     """Adjugate of (tau I - A(t, xi)) as a polynomial matrix in tau."""
-    if size > 4:
-        raise UnsupportedError("adjugate reduction is capped at order 4")
+    if size > MAX_ADJUGATE_ORDER:
+        raise UnsupportedError(
+            f"adjugate reduction is capped at order {MAX_ADJUGATE_ORDER}")
     return PolynomialMatrix(size=size, a_eval=a_eval)
 
 
@@ -405,24 +408,19 @@ def cofactor_matrix(a_eval: Callable[[float, float], Array],
 
 #: end of the time interval [0, T] every first-order system is posed on
 _HORIZON = 1.0
-#: time step of the finite differences that carry D_t onto the coefficients
-_FD_STEP = 1e-3
 #: largest imaginary part of an eigenvalue of a1, relative to the largest
 #: modulus (or 1), that still counts as real
 _REAL_TOL = 1e-9
 
 @dataclass
 class FirstOrderSystem:
-    """D_t u = A(t, D_x) u + B(t) u, u(0) = g0, in one space dimension.
+    """D_t u = A(t, D_x) u in one space dimension.
 
     ``a1`` evaluates the first-order symbol matrix: A(t, xi) = a1(t) * xi.
-    ``b`` is the regularised zero-order matrix (smooth in t).
     """
 
     order: int
     a1: Callable[[float], Array]
-    b: Callable[[float], Array] | None = None
-    data: tuple[Callable[[Array], Array], ...] | None = None
 
     def a_symbol(self, t: float, xi: float) -> Array:
         return np.asarray(self.a1(t), dtype=float) * xi
@@ -443,20 +441,14 @@ class FirstOrderSystem:
 
 @dataclass
 class BlockSylvesterSystem:
-    """m identical companion blocks from delta = det(tau I - A), plus the
-    transformed lower-order matrix and data."""
+    """The principal part of the block reduction: m identical companion
+    blocks of delta = det(tau I - A).  The lower-order matrix and the
+    transformed data wait for exact time derivatives of A."""
 
     system: FirstOrderSystem
 
-    @property
-    def block_count(self) -> int:
-        return self.system.order
-
-    def _adjugate(self, t: float, xi: float) -> tuple[list[Array], Array]:
-        return _faddeev(self.system.a_symbol(t, xi))
-
     def delta_coefficients(self, t: float, xi: float) -> Array:
-        return self._adjugate(t, xi)[1]
+        return _faddeev(self.system.a_symbol(t, xi))[1]
 
     def block(self, t: float, xi: float) -> Array:
         """The companion block of delta with <xi> on the superdiagonal; real
@@ -468,86 +460,8 @@ class BlockSylvesterSystem:
             row = row.real
         return companion_matrix(row, br)
 
-    def full_principal(self, t: float, xi: float) -> Array:
-        return np.kron(np.eye(self.block_count), self.block(t, xi))
-
     def block_eigenvalues(self, t: float, xi: float) -> Array:
         return np.sort(np.real(np.linalg.eigvals(self.block(t, xi))))
-
-    def _tau_weights(self, t: float, xi: float) -> Array:
-        """W_q: coefficient of D_t^q u on the right of the reduced equation.
-
-        Applying L(t, D_t, xi) to (D_t - A - B)u leaves delta(D_t)u plus the
-        Leibniz spill-over of D_t powers landing on the coefficients:
-        delta(D_t)u = sum_q W_q D_t^q u with
-        W_q = sum_{i>=1} C(q+i, i) N~_{q+i} (D_t^i A)
-            + sum_{i>=0} C(q+i, i) N~_{q+i} (D_t^i B).
-        """
-        m = self.system.order
-        mats, _ = self._adjugate(t, xi)
-        # ascending adjugate coefficients: N~_q multiplies tau^q
-        ascending = [mats[m - 1 - q] for q in range(m)]
-        weights = np.zeros((m, m, m), dtype=complex)  # (q, m, m)
-        h = _FD_STEP
-        for q in range(m):
-            acc = np.zeros((m, m), dtype=complex)
-            for i in range(0, m - q):
-                p = q + i
-                binom = math.comb(p, i)
-                if i >= 1:
-                    da = dt_power(
-                        lambda k: self.system.a_symbol(t + k * h, xi), i, h)
-                    acc += binom * ascending[p] @ da
-                if self.system.b is not None:
-                    db = dt_power(lambda k: self.system.b(t + k * h), i, h)
-                    acc += binom * ascending[p] @ db
-            weights[q] = acc
-        return weights
-
-    def lower_matrix(self, t: float, xi: float) -> Array:
-        """The m^2 x m^2 lower-order matrix entering D_t U - A U + L U = 0."""
-        m = self.system.order
-        br = float(bracket(xi))
-        weights = self._tau_weights(t, xi)
-        out = np.zeros((m * m, m * m), dtype=complex)
-        for p in range(m):
-            row = p * m + (m - 1)
-            for q in range(m):
-                for p2 in range(m):
-                    col = p2 * m + q
-                    out[row, col] = -weights[q][p, p2] * br ** (q + 1 - m)
-        return out
-
-    def transformed_data(self, xi: float) -> Array:
-        """U(0) entries D_t^q <D_x>^(m-1-q) u_p(0) via the system recursion."""
-        m = self.system.order
-        br = float(bracket(xi))
-        xi_arr = np.array([xi])
-        if self.system.data is None:
-            y = [np.zeros(m, dtype=complex)]
-        else:
-            y = [np.array([np.asarray(g(xi_arr), dtype=complex).ravel()[0]
-                           for g in self.system.data])]
-        h = _FD_STEP
-
-        def rhs_matrix(order: int) -> Array:
-            total = dt_power(lambda k: self.system.a_symbol(k * h, xi),
-                             order, h)
-            if self.system.b is not None:
-                total = total + dt_power(lambda k: self.system.b(k * h),
-                                         order, h)
-            return total
-
-        for q in range(1, m):
-            total = np.zeros(m, dtype=complex)
-            for i in range(q):
-                total += math.comb(q - 1, i) * rhs_matrix(i) @ y[q - 1 - i]
-            y.append(total)
-        out = np.zeros(m * m, dtype=complex)
-        for p in range(m):
-            for q in range(m):
-                out[p * m + q] = br ** (m - 1 - q) * y[q][p]
-        return out
 
 
 def to_block_sylvester(system: FirstOrderSystem) -> BlockSylvesterSystem:
@@ -562,14 +476,13 @@ def to_block_sylvester(system: FirstOrderSystem) -> BlockSylvesterSystem:
 
 def random_hyperbolic_system(rng: random.Random,
                              size: int) -> FirstOrderSystem:
-    """Well-conditioned random constant-coefficient hyperbolic system with a
-    random zero-order term, on the time interval [0, 1].
+    """Well-conditioned random constant-coefficient hyperbolic system on the
+    time interval [0, 1].
 
     It draws from ``rng`` the eigenvalues (uniform on [-2, 2], sorted, then
-    pushed apart to gaps of at least 0.3), the basis entries row by row
-    (the identity plus 0.3 times standard normals, redrawn until the basis
-    has condition number at most 20) and last the zero-order term's entries
-    (0.3 times standard normals).
+    pushed apart to gaps of at least 0.3) and then the basis entries row by
+    row (the identity plus 0.3 times standard normals, redrawn until the
+    basis has condition number at most 20), and nothing after them.
     """
     spacing = 0.3
     eigs = sorted(rng.uniform(-2.0, 2.0) for _ in range(size))
@@ -584,6 +497,4 @@ def random_hyperbolic_system(rng: random.Random,
     while np.linalg.cond(basis) > 20.0:
         basis = np.eye(size) + 0.3 * normals()
     a1 = basis @ np.diag(eigs) @ np.linalg.inv(basis)
-    b0 = 0.3 * normals()
-    return FirstOrderSystem(order=size, a1=lambda t, _a=a1: _a,
-                            b=lambda t, _b=b0: _b)
+    return FirstOrderSystem(order=size, a1=lambda t, _a=a1: _a)

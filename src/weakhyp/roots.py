@@ -302,36 +302,3 @@ class RegularisedRoots:
         for k in range(1, n):
             table = table + g[:, k] * values[:, k]
         return table
-
-
-# -- time derivatives by finite differences ------------------------------------------
-
-#: 4th-order central stencils of d^k/dt^k: offsets and weights per order k
-_FD4 = {
-    1: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
-    2: ((-2, -1, 0, 1, 2),
-        (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0)),
-    3: ((-3, -2, -1, 1, 2, 3),
-        (-1.0 / 8.0, 1.0, -13.0 / 8.0, 13.0 / 8.0, -1.0, 1.0 / 8.0)),
-    4: ((-3, -2, -1, 0, 1, 2, 3),
-        (-1.0 / 6.0, 2.0, -13.0 / 2.0, 28.0 / 3.0, -13.0 / 2.0, 2.0,
-         -1.0 / 6.0)),
-}
-
-
-def dt_power(sample: Callable[[int], Array], order: int, h: float) -> Array:
-    """D_t^order (D_t = -i d/dt) by 4th-order central differences.
-
-    ``sample(k)`` is the value k steps of length h from the point of
-    evaluation: a function evaluated at t + k h, or an array slice shifted
-    by k.
-    """
-    if order == 0:
-        return np.asarray(sample(0), dtype=complex)
-    offsets, weights = _FD4[order]
-    acc = None
-    for off, wgt in zip(offsets, weights):
-        term = wgt * np.asarray(sample(off), dtype=complex)
-        acc = term if acc is None else acc + term
-    return (-1j) ** order * acc / h ** order
-

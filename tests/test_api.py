@@ -9,11 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weakhyp"
 
 #: names kept without a production caller, and why
-ALLOWED = {
-    "lower_matrix": "ROADMAP item 5",
-    "transformed_data": "ROADMAP item 5",
-    "full_principal": "ROADMAP item 5",
-}
+ALLOWED: dict[str, str] = {}
 
 #: defaulted parameters and dataclass fields kept although no production
 #: call sets them, and why
@@ -24,7 +20,6 @@ ALLOWED_OPTIONS = {
     "constant_roots.dimension": "tests build 2-D constant families",
     "adaptive_panel.tol": "tests tighten it: the integral oracle in "
                           "test_profiles and the quadrature tests",
-    "FirstOrderSystem.data": "ROADMAP item 5",
 }
 
 #: dataclass fields and properties kept although production code never

@@ -299,6 +299,12 @@ def test_cli_stage_failure_writes_error_summary(tmp_path, capsys):
                  id="no_reduce_sizes"),
     pytest.param("reduce", "reduce", {"sizes": [2, 0]}, "reduce.sizes[1]",
                  id="zero_reduce_size"),
+    # the adjugate reduction is capped at order 4, and an audit of no
+    # frequency checks nothing
+    pytest.param("reduce", "reduce", {"sizes": [2, 5]}, "reduce.sizes[1]",
+                 id="reduce_size_above_cap"),
+    pytest.param("reduce", "reduce", {"frequencies": []},
+                 "reduce.frequencies", id="no_reduce_frequencies"),
     pytest.param("solve", "roots",
                  {"preset": "constant", "values": [1.0, -1.0]},
                  "roots.values", id="unsorted_constant_roots"),

@@ -11,14 +11,14 @@ from weakhyp.errors import InsufficientDataError, InvalidParameterError
 from weakhyp.mollifiers import (convolve_profile, friedrichs_mollifier,
                                 scale_mollifier)
 from weakhyp.profiles import heaviside_profile, hoelder_profile
-from weakhyp.roots import (_FD4, RegularisedRoots, RootFamily, bracket,
-                           constant_roots, dt_power, linear_scale,
+from weakhyp.roots import (RegularisedRoots, RootFamily, bracket,
+                           constant_roots, linear_scale,
                            logarithmic_scale, roots_from_linear_forms,
                            roots_from_time_profiles, transport_roots,
                            wave_speed_roots)
 from weakhyp.profiles import constant_profile, piecewise_constant_profile
 
-from oracles import pure_root, root_profile, root_value
+from oracles import FD4, dt_power, pure_root, root_profile, root_value
 
 
 # -- moderateness certification of the roots (the paper's claim, audited) -----
@@ -62,14 +62,14 @@ def certify_moderateness(family, phi, k_max, sample):
     fits: list[ExponentFit] = []
     for j in range(1, family.order + 1):
         for k in range(1, k_max + 1):
-            weight_sum = sum(abs(w) for w in _FD4[k][1])
+            weight_sum = sum(abs(w) for w in FD4[k][1])
             sups = []
             floors = []
             for reg in regs:
                 h = reg.omega / 50.0
                 values = {off: np.asarray(root_value(reg, j, t_grid + off * h,
                                                      xi), dtype=float)
-                          for off in _FD4[k][0]}
+                          for off in FD4[k][0]}
                 sups.append(float(np.max(np.abs(
                     dt_power(values.__getitem__, k, h)))))
                 scale = max(float(np.max(np.abs(v))) for v in values.values())

@@ -22,7 +22,7 @@ from weakhyp.profiles import (Piece, RoughProfile, box_profile, bump_profile,
 from weakhyp.reduction import (InitialData, LowerOrderPart, LowerTerm,
                                RootValuePrincipal, SeparablePart,
                                build_companion, table_rows)
-from weakhyp.roots import (bracket, constant_roots, dt_power, linear_scale,
+from weakhyp.roots import (bracket, constant_roots, linear_scale,
                            roots_from_time_profiles, wave_speed_roots)
 from weakhyp import solver
 from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
@@ -30,9 +30,10 @@ from weakhyp.solver import (FrequencyGrid, VeryWeakProblem, auto_box_length,
                             energy_trace, integrate_companion, solve_single,
                             solve_very_weak, transport_reference)
 
-from oracles import (PolynomialPrincipal, constant_entries, estimate_norm_svd,
-                     max_relative_drift, staged_doubling_max, staged_rk4,
-                     symmetriser_figures, trapezoid)
+from oracles import (PolynomialPrincipal, constant_entries, dt_power,
+                     estimate_norm_svd, max_relative_drift,
+                     staged_doubling_max, staged_rk4, symmetriser_figures,
+                     trapezoid)
 
 
 def solve_frequency(system, xi, epsilon, t_grid, every=1):
