@@ -41,9 +41,8 @@ from .recovery import (DirectionPlan, HomogeneousCoefficientSet,
                        random_ordered_family, random_round_trip_study,
                        recover_coefficients, round_trip_check)
 from .reduction import (BlockSylvesterSystem, CompanionSystem,
-                        FirstOrderSystem, InitialData, LowerOrderPart,
-                        LowerTerm, PolynomialMatrix, RootValuePrincipal,
-                        SeparablePart, build_companion,
+                        FirstOrderSystem, LowerOrderPart, LowerTerm,
+                        PolynomialMatrix, RootValuePrincipal, SeparablePart,
                         characteristic_polynomial, cofactor_matrix,
                         companion_matrix, companion_row,
                         random_hyperbolic_system, to_block_sylvester)

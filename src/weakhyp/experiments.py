@@ -187,9 +187,16 @@ def _reference(cfg: ExperimentConfig, problem: VeryWeakProblem
     if kind in ("none", None):
         return "none", lambda: None
     if kind in ("dalembert", "transport"):
-        exact = dalembert_reference if kind == "dalembert" \
-            else transport_reference
-        speed = cfg.number("reference.speed", problem.family.bound, float)
+        family = problem.family
+        if kind == "dalembert":
+            exact, default = dalembert_reference, family.bound
+        else:
+            # the signed speed a of the root a xi along xi > 0 at t = 0
+            exact = transport_reference
+            g = family.features(np.eye(family.dimension)[:1])[0]
+            default = float(sum(np.real(c.density(0.0)) * gk
+                                for c, gk in zip(family.coefficients[0], g)))
+        speed = cfg.number("reference.speed", default, float)
         return kind, lambda: np.array([
             exact(problem.data[0], speed, t, problem.grid.x_nodes)
             for t in problem.output_times])

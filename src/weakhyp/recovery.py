@@ -63,8 +63,6 @@ class SupportBlock:
 
 @dataclass(frozen=True)
 class DirectionPlan:
-    degree: int
-    dimension: int
     blocks: tuple[SupportBlock, ...]
 
     @property
@@ -140,7 +138,7 @@ def build_direction_plan(degree: int, dimension: int) -> DirectionPlan:
         matrix = np.array([[_monomial(d, nu) for nu in members]
                            for d in directions])
         blocks.append(SupportBlock(support, members, directions, matrix, cond))
-    return DirectionPlan(degree, dimension, tuple(blocks))
+    return DirectionPlan(tuple(blocks))
 
 
 # -- coefficient recovery -----------------------------------------------------------

@@ -229,6 +229,13 @@ class RootValuePrincipal:
     regularised: RegularisedRoots
     separable: SeparablePart | None = None
 
+    def __post_init__(self):
+        m = self.order
+        if self.width not in (m, m + 1):
+            raise ConfigurationError(
+                f"separable part has width {self.width}, not {m} or {m + 1}",
+                field="separable")
+
     @property
     def order(self) -> int:
         return self.regularised.order
@@ -270,56 +277,39 @@ class RootValuePrincipal:
 
 
 @dataclass
-class InitialData:
-    """Transformed data; V0 entries are <xi>^(m-k) ghat_{k-1}(xi)."""
-
-    ghat: tuple[Callable[[Array], Array], ...]
-
-    def v0(self, xi: Array) -> Array:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        br = bracket(xi)
-        m = len(self.ghat)
-        out = np.empty((m, xi.size), dtype=complex)
-        for k in range(1, m + 1):
-            out[k - 1] = br ** (m - k) * np.asarray(self.ghat[k - 1](xi),
-                                                    dtype=complex)
-        return out
-
-
-@dataclass
 class CompanionSystem:
     """Per-frequency first-order data: D_t V = (A + B) V + F, V(0) = V0;
     the principal part's one table gives the last rows of A + B and, at
-    width m + 1, F in column m."""
+    width m + 1, F in column m.  ``data`` holds the transformed data
+    ghat_0 .. ghat_(m-1), one per component, or nothing for zero data."""
 
-    order: int
     principal: RootValuePrincipal
-    data: InitialData | None = None
+    data: tuple[Callable[[Array], Array], ...] = ()
+
+    def __post_init__(self):
+        if self.data and len(self.data) != self.order:
+            raise ConfigurationError(
+                f"need {self.order} initial data entries, got "
+                f"{len(self.data)}", field="data")
+
+    @property
+    def order(self) -> int:
+        return self.principal.order
 
     @property
     def width(self) -> int:
         return self.principal.width
 
     def V0(self, xi: Array) -> Array:
-        """Initial state (order, K) at the frequencies ``xi`` (K,)."""
-        if self.data is None:
-            return np.zeros((self.order, np.size(xi)), dtype=complex)
-        return self.data.v0(xi)
-
-
-def build_companion(principal: RootValuePrincipal,
-                    data: InitialData | None = None) -> CompanionSystem:
-    """Assemble the companion system; validates sizes against the order."""
-    m = principal.order
-    if principal.width not in (m, m + 1):
-        raise ConfigurationError(
-            f"separable part has width {principal.width}, not {m} or {m + 1}",
-            field="separable")
-    if data is not None and len(data.ghat) != m:
-        raise ConfigurationError(
-            f"need {m} initial data entries, got {len(data.ghat)}",
-            field="data")
-    return CompanionSystem(order=m, principal=principal, data=data)
+        """Initial state (order, K) at the frequencies ``xi`` (K,): entry k
+        is <xi>^(m-1-k) ghat_k(xi)."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        m = self.order
+        out = np.zeros((m, xi.size), dtype=complex)
+        br = bracket(xi)
+        for k, ghat in enumerate(self.data):
+            out[k] = br ** (m - 1 - k) * np.asarray(ghat(xi), dtype=complex)
+        return out
 
 
 # -- adjugate (cofactor) matrices ----------------------------------------------------
@@ -419,7 +409,6 @@ class FirstOrderSystem:
     ``a1`` evaluates the first-order symbol matrix: A(t, xi) = a1(t) * xi.
     """
 
-    order: int
     a1: Callable[[float], Array]
 
     def a_symbol(self, t: float, xi: float) -> Array:
@@ -497,4 +486,4 @@ def random_hyperbolic_system(rng: random.Random,
     while np.linalg.cond(basis) > 20.0:
         basis = np.eye(size) + 0.3 * normals()
     a1 = basis @ np.diag(eigs) @ np.linalg.inv(basis)
-    return FirstOrderSystem(order=size, a1=lambda t, _a=a1: _a)
+    return FirstOrderSystem(a1=lambda t, _a=a1: _a)

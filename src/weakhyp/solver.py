@@ -33,9 +33,8 @@ from .mollifiers import (GevreyCutoffMollifier, convolve_profile,
                          vanishing_moment_mollifier)
 from .profiles import RoughProfile, extend_profile
 from .recovery import recover_coefficients
-from .reduction import (CompanionSystem, Index, InitialData, LowerOrderPart,
-                        RootValuePrincipal, SeparablePart, build_companion,
-                        companion_matrix)
+from .reduction import (CompanionSystem, Index, LowerOrderPart,
+                        RootValuePrincipal, SeparablePart, companion_matrix)
 from .roots import (EDGE_PAD, OmegaScale, RegularisedRoots, RootFamily,
                     bracket, speed_bound)
 from .symmetrisers import build_symmetriser
@@ -139,8 +138,7 @@ class IntegrationResult:
 # bytes of last rows that one block of staged steps may read: w x K entries
 # (complex where an entry's time values or factor are) at two stage times
 # a step, four on a step-doubling step, counted for each member that takes
-# the staged steps, whose rows are all the block holds (a constant stretch
-# reads one row)
+# the staged steps, whose rows are all the block holds
 _ROW_BLOCK_BYTES = 1 << 17
 
 
@@ -215,24 +213,6 @@ def _apply(step_map: Array, state: Array) -> Array:
     return out
 
 
-def _stretch_reader(provider: Callable[[Index], Array]
-                    ) -> Callable[[int, int], Array]:
-    """The rows of ``provider`` at lattice points lo to hi.  Where they lie
-    in one of its ``steady`` stretches they are the stretch's one row, read
-    once and kept until another stretch's is, for the caller to broadcast."""
-    stretch = np.concatenate([[0], np.cumsum(~provider.steady)])
-    kept = [-1, None]  # the stretch read last and its row
-
-    def read(lo: int, hi: int) -> Array:
-        if stretch[lo] != stretch[hi]:
-            return provider(slice(lo, hi + 1))
-        if kept[0] != stretch[lo]:
-            kept[:] = stretch[lo], provider(slice(lo, lo + 1))
-        return kept[1]
-
-    return read
-
-
 def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                         t_grid: Array,
                         epsilons: Sequence[float | None] | None = None,
@@ -270,8 +250,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     layers, 2 omega / T of the steps, and its outputs differ from the staged
     steps' by rounding only.  Only the members whose rows vary take the
     staged step, on the steps where they vary, reading their rows in blocks
-    (see ``_ROW_BLOCK_BYTES``); rows steady over a whole block are the one
-    row of their stretch, read once.
+    (see ``_ROW_BLOCK_BYTES``).
 
     Failures are per member.  A member that fails h * max||A + B|| <= 0.5
     at nine grid times (see :func:`_estimate_norm`) gets a
@@ -328,7 +307,8 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     ibr = np.broadcast_to(1j * br, (m - 1, xi.size))  # superdiagonal, by row
     sample = starts[::max(1, nt // 8)]
 
-    def set_up(system: CompanionSystem, epsilon: float | None) -> tuple:
+    def set_up(system: CompanionSystem, epsilon: float | None
+               ) -> Callable[[Index], Array]:
         rows = system.principal.row_provider(stage_times, xi)
         # the first m columns are A + B, all the budget reads
         norm = _estimate_norm(lambda q: rows(q)[:, :m], sample, br,
@@ -341,10 +321,8 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                 f"{epsilon}: h*||A+B|| = {h * norm:.3f} > 0.5; need at least "
                 f"{required} steps", required_step=required_step,
                 required_steps=required, epsilon=epsilon)
-        # step i reads the lattice points from starts[i] to starts[i + 1]
-        return (_stretch_reader(rows),
-                np.logical_and.reduceat(rows.steady, starts[:-1]),
-                system.V0(xi).astype(complex), rows.dtype)
+        v[len(readers), :m] = system.V0(xi)  # the next live slot
+        return rows
 
     # outputs by live slot, one array each for the batch, small enough to
     # take heap pages already in use; taken before the set-up's tables and
@@ -355,7 +333,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
     v = np.zeros((len(systems), w, xi.size), dtype=complex)  # final states
     v[:, m:] = 1.0  # a forced state's unit component
     outcome: list = [None] * len(systems)
-    readers = []  # by live slot: rows, constant steps, V0, row dtype
+    readers = []  # row providers by live slot
     for member, system in enumerate(systems):
         try:
             with numerical_errors():
@@ -363,11 +341,12 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         except WeakHypError as exc:
             outcome[member] = exc
     live = [e for e, done in enumerate(outcome) if done is None]
-    # (live members, nt): whether each member's rows vary on each step
-    varying = ~np.array([r[1] for r in readers], bool).reshape(len(live), nt)
-    v[:len(live), :m] = np.reshape([r[2] for r in readers], (-1, m, xi.size))
+    # (live members, nt): whether each member's rows vary on each step, step
+    # i reading the lattice points from starts[i] to starts[i + 1]
+    varying = ~np.array([np.logical_and.reduceat(r.steady, starts[:-1])
+                         for r in readers], bool).reshape(len(live), nt)
     # rows are complex only where an entry's values or factor are complex-typed
-    dtype, *others = {r[3] for r in readers} or {np.dtype(float)}
+    dtype, *others = {r.dtype for r in readers} or {np.dtype(float)}
     if others:
         raise InvalidParameterError("batched systems must share their row "
                                     "dtype")
@@ -407,7 +386,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
         has reached to ``stop`` in powers of the stretch's step map, each
         jump ending on the next step-doubling, output or trace step."""
         i, slots = int(at[slot]), [slot]
-        entry = readers[slot][0](starts[i], starts[i])
+        entry = readers[slot](slice(starts[i], starts[i] + 1))
         full, half = (_rk4((entry,) * 3, dt, ibr, units)
                       for dt in (h, 0.5 * h))
         squares, powers = [full], {}  # P^(2^b) by b, P^n by n
@@ -457,7 +436,7 @@ def integrate_companion(systems: Sequence[CompanionSystem], xi: Array,
                     lo, hi = starts[i], starts[min(a + run, i + block_steps)]
                     block = buffer[:, :hi - lo + 1]
                     for row, slot in zip(block, movers):
-                        row[:] = readers[slot][0](lo, hi)
+                        row[:] = readers[slot](slice(lo, hi + 1))
                 x, half = _staged_step(stage, i, i % stride == 0, h, ibr, x)
                 if land(movers, i + 1, x, half, i % 64 == 0 or i == nt - 1):
                     break
@@ -595,10 +574,10 @@ MIN_SWEEP = 3
 
 
 def build_regularised_system(problem: VeryWeakProblem, epsilon: float
-                             ) -> tuple[CompanionSystem, RegularisedRoots]:
-    """Regularise coefficients, data and forcing at one epsilon and reduce;
-    returns the system and the regularised roots, which carry the scale
-    omega(epsilon), the one number through which epsilon enters.
+                             ) -> CompanionSystem:
+    """Regularise coefficients, data and forcing at one epsilon and reduce.
+    The system's regularised roots, ``system.principal.regularised``, carry
+    the scale omega(epsilon), the one number through which epsilon enters.
 
     The regularised data and forcing are defined on the problem's frequency
     grid: they read the problem's cached transforms, times this epsilon's
@@ -631,34 +610,35 @@ def build_regularised_system(problem: VeryWeakProblem, epsilon: float
         entries.append((m, continued(problem.forcing[0]), on_grid(space_hat)))
     separable = SeparablePart(m + (problem.forcing is not None),
                               tuple(entries)) if entries else None
-    data = InitialData(tuple(on_grid(g) for g in data_hats))
-    return build_companion(RootValuePrincipal(reg, separable), data), reg
+    return CompanionSystem(RootValuePrincipal(reg, separable),
+                           tuple(on_grid(g) for g in data_hats))
 
 
-def _prepare(problem: VeryWeakProblem, epsilon: float) -> tuple:
+def _prepare(problem: VeryWeakProblem, epsilon: float) -> CompanionSystem:
     """The regularised system at one epsilon, once its box is checked."""
-    system, reg = build_regularised_system(problem, epsilon)
+    system = build_regularised_system(problem, epsilon)
     problem.grid.check_fit(data_support_radius(problem.data, problem.forcing),
-                           speed_bound(problem.family, reg.omega),
+                           speed_bound(problem.family,
+                                       system.principal.regularised.omega),
                            problem.horizon)
-    return system, reg
+    return system
 
 
-def _integrate(problem: VeryWeakProblem, prepared: Sequence[tuple],
+def _integrate(problem: VeryWeakProblem, systems: Sequence[CompanionSystem],
                epsilons: Sequence[float]
                ) -> list[IntegrationResult | WeakHypError]:
     """One :func:`integrate_companion` batch of the prepared systems, on
     the problem's schedule."""
     return integrate_companion(
-        [system for system, _ in prepared], problem.grid.frequencies,
-        problem.time_grid, epsilons, tracked_indices=problem.tracked_indices,
+        systems, problem.grid.frequencies, problem.time_grid, epsilons,
+        tracked_indices=problem.tracked_indices,
         output_steps=problem.output_steps, trace_steps=problem.trace_steps)
 
 
-def _record(problem: VeryWeakProblem, prepared: tuple,
+def _record(problem: VeryWeakProblem, system: CompanionSystem,
             result: IntegrationResult) -> SolveRecord:
     """Synthesise one epsilon's integration and add its diagnostics."""
-    system, reg = prepared
+    reg = system.principal.regularised
     m = problem.order
     grid = problem.grid
     uhat = result.first_component * bracket(grid.frequencies) ** (1 - m)
@@ -676,11 +656,11 @@ def _record(problem: VeryWeakProblem, prepared: tuple,
 
 def solve_single(problem: VeryWeakProblem, epsilon: float) -> SolveRecord:
     """Run the full pipeline at one epsilon, as the sweep's batch of one."""
-    prepared = _prepare(problem, epsilon)
-    result, = _integrate(problem, [prepared], [epsilon])
+    system = _prepare(problem, epsilon)
+    result, = _integrate(problem, [system], [epsilon])
     if isinstance(result, WeakHypError):
         raise result
-    return _record(problem, prepared, result)
+    return _record(problem, system, result)
 
 
 def solve_very_weak(problem: VeryWeakProblem,

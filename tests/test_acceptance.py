@@ -123,7 +123,7 @@ def test_criterion_03_symmetriser_identities():
 def _energy_traces(problem, epsilon):
     """The energy traces (times, energies) of the tracked frequencies at
     one epsilon, sampled on every 8th step."""
-    system = build_regularised_system(problem, epsilon)[0]
+    system = build_regularised_system(problem, epsilon)
     samples = range(0, problem.time_steps + 1, 8)
     result, = integrate_companion(
         [system], problem.grid.frequencies, problem.time_grid, [epsilon],

@@ -470,6 +470,28 @@ def test_cli_reference_is_taken_at_the_snapped_time(tmp_path):
     assert metrics["dalembert_linf_error"] <= 1e-5
 
 
+def test_transport_reference_moves_with_the_roots_signed_speed(tmp_path):
+    # the root a xi with a = -1: a reference moving at |a| would run the
+    # other way and read an error near 1
+    raw = {
+        "problem": {"order": 1, "horizon": 1.0},
+        "roots": {"preset": "transport", "speed": -1.0},
+        "data": [{"preset": "bump", "center": 0.0, "radius": 1.0}],
+        "regularisation": {"scale": "linear",
+                           "epsilon_sweep": [1e-3, 5e-4, 2.5e-4]},
+        "grid": {"points": 256, "time_steps": 512},
+        "reference": {"kind": "transport"},
+        "checks": {"transport_linf_error": 1e-3},
+    }
+    path = tmp_path / "transport.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    summary = _framed_summary(out)
+    assert summary["checks_passed"] is True
+    assert summary["metrics"]["transport_linf_error"] <= 1e-3
+
+
 def test_profile_roots_may_meet():
     # -/+|2t - 1| coincide at t = 1/2; ordered roots may meet, not cross
     raw = _base_config()
@@ -719,7 +741,7 @@ def test_energy_table_lands_on_the_sample_steps(tmp_path):
     t_grid = problem.time_grid
     expected = []
     for e in raw["regularisation"]["epsilon_sweep"]:
-        system = build_regularised_system(problem, e)[0]
+        system = build_regularised_system(problem, e)
         result, = integrate_companion(
             [system], problem.grid.frequencies, t_grid, [e],
             tracked_indices=problem.tracked_indices,

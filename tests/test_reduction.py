@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +9,9 @@ from weakhyp.errors import (ConfigurationError, HyperbolicityError,
                             UnsupportedError)
 from weakhyp.mollifiers import friedrichs_mollifier
 from weakhyp.recovery import recover_coefficients
-from weakhyp.reduction import (_faddeev, FirstOrderSystem, InitialData,
+from weakhyp.reduction import (_faddeev, CompanionSystem, FirstOrderSystem,
                                LowerOrderPart, LowerTerm, RootValuePrincipal,
-                               SeparablePart, build_companion,
+                               SeparablePart,
                                characteristic_polynomial, cofactor_matrix,
                                companion_matrix, companion_row,
                                random_hyperbolic_system, table_rows,
@@ -78,10 +77,8 @@ def _wave_system(ghat0=None, ghat1=None):
     principal = PolynomialPrincipal(
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
                                2: lambda t: np.ones(np.shape(t))})
-    data = None
-    if ghat0 is not None:
-        data = InitialData((ghat0, ghat1))
-    return build_companion(principal, data=data)
+    data = () if ghat0 is None else (ghat0, ghat1)
+    return CompanionSystem(principal, data)
 
 
 def test_companion_wave_structure_and_eigenvalues():
@@ -100,7 +97,7 @@ def test_companion_sparsity_pattern():
     principal = PolynomialPrincipal(
         order=4,
         coefficients={d: (lambda t: np.ones(np.shape(t))) for d in range(1, 5)})
-    system = build_companion(principal)
+    system = CompanionSystem(principal)
     a = _principal_matrix(system, 0.0, 2.0)
     br = np.sqrt(5.0)
     for i in range(3):
@@ -113,7 +110,7 @@ def test_companion_sparsity_pattern():
 def test_transport_companion_is_scalar_symbol():
     principal = PolynomialPrincipal(
         order=1, coefficients={1: lambda t: 2.0 * np.ones(np.shape(t))})
-    system = build_companion(principal)
+    system = CompanionSystem(principal)
     assert _principal_matrix(system, 0.0, 3.0)[0, 0] == pytest.approx(6.0)
 
 
@@ -136,8 +133,7 @@ def test_data_length_validated():
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
                                2: lambda t: np.ones(np.shape(t))})
     with pytest.raises(ConfigurationError):
-        build_companion(principal,
-                        data=InitialData((lambda xi: np.ones_like(xi),)))
+        CompanionSystem(principal, (lambda xi: np.ones_like(xi),))
 
 
 def test_lower_order_block_only_last_row():
@@ -147,7 +143,7 @@ def test_lower_order_block_only_last_row():
         order=2, coefficients={1: lambda t: np.zeros(np.shape(t)),
                                2: lambda t: np.ones(np.shape(t))},
         separable=SeparablePart(2, tuple(lower.entries(lambda c: c))))
-    system = build_companion(principal)
+    system = CompanionSystem(principal)
     b = _lower_order_matrix(system, 0.1, 2.0)
     assert np.all(b[0, :] == 0.0)
     br = np.sqrt(5.0)
@@ -167,18 +163,16 @@ def test_separable_part_refuses_a_column_outside_its_width():
             SeparablePart(3, ((0, _ones, _ones), (column, _ones, _ones)))
 
 
-def test_build_companion_refuses_a_separable_width_other_than_m_or_m_plus_1():
+def test_root_value_principal_refuses_a_separable_width_other_than_m_or_m_plus_1(
+        phi):
     # m = 2: B alone has width 2, B and a forcing F width 3
-    def principal(part):
-        return replace(_wave_system().principal, separable=part)
-
+    reg = RegularisedRoots(constant_roots([-1.0, 1.0]), phi, 0.1)
     for width in (2, 3):
         part = SeparablePart(width, ((width - 1, _ones, _ones),))
-        assert build_companion(principal(part)).width == width
+        assert CompanionSystem(RootValuePrincipal(reg, part)).width == width
     for width in (1, 4):
         with pytest.raises(ConfigurationError, match="width") as info:
-            build_companion(principal(
-                SeparablePart(width, ((0, _ones, _ones),))))
+            RootValuePrincipal(reg, SeparablePart(width, ((0, _ones, _ones),)))
         assert info.value.field == "separable"
 
 
@@ -199,7 +193,7 @@ def _ordered_family(order, odd):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_root_value_principal_matches_regularised_roots(phi, order, odd):
     reg = RegularisedRoots(_ordered_family(order, odd), phi, 0.1)
-    system = build_companion(RootValuePrincipal(reg))
+    system = CompanionSystem(RootValuePrincipal(reg))
     for t in (0.2, 0.5, 0.9):
         for xi in (1.0, -4.0, 16.0):
             eig = _eigenvalues(system, t, xi)
@@ -301,7 +295,7 @@ def test_one_table_holds_the_lower_order_and_forcing_entries(phi, forced,
     separable = SeparablePart(3 + forced, tuple(entries))
     xi = np.array([-7.5, -1.0, 0.0, 0.5, 3.0, 12.0])
     t_grid = np.linspace(0.0, 1.0, 53)
-    system = build_companion(RootValuePrincipal(reg, separable))
+    system = CompanionSystem(RootValuePrincipal(reg, separable))
     assert system.width == 3 + forced
     rows = system.principal.row_provider(t_grid, xi)
     assert rows.dtype == complex
@@ -318,7 +312,7 @@ def test_polynomial_principal_matches_recovered_sets(phi):
     reg = RegularisedRoots(constant_roots([-1.0, 1.0]), phi, 1e-9)
     sets = {j: recover_coefficients(reg, j, 1) for j in (1, 2)}
     principal = PolynomialPrincipal.from_coefficient_sets(sets)
-    system = build_companion(principal)
+    system = CompanionSystem(principal)
     eig = _eigenvalues(system, 0.4, 5.0)
     assert np.allclose(eig, [-5.0, 5.0], atol=1e-7)
 
@@ -425,7 +419,7 @@ def test_stacked_checks_equal_the_per_sample_oracles(size, monkeypatch):
             mat[:2, :2] = [[0.0, 1.0], [onset - t, 0.0]]
             return mat
 
-        system = FirstOrderSystem(order=size, a1=a1)
+        system = FirstOrderSystem(a1=a1)
         first = first_non_real_time(system, samples)
         if first is None:
             system.check_hyperbolic(samples)
@@ -443,7 +437,7 @@ def test_cofactor_caps_order():
 
 
 def test_block_reduction_one_by_one_is_identity():
-    system = FirstOrderSystem(order=1, a1=lambda t: np.array([[2.0]]))
+    system = FirstOrderSystem(a1=lambda t: np.array([[2.0]]))
     block_form = to_block_sylvester(system)
     xi = 3.0
     assert block_form.block(0.2, xi)[0, 0] == pytest.approx(2.0 * xi)
@@ -452,7 +446,7 @@ def test_block_reduction_one_by_one_is_identity():
 def test_block_reduction_constant_two_by_two_eigenvalues():
     basis = np.array([[1.0, 1.0], [0.0, 1.0]])
     a1 = basis @ np.diag([-1.0, 2.0]) @ np.linalg.inv(basis)
-    system = FirstOrderSystem(order=2, a1=lambda t: a1)
+    system = FirstOrderSystem(a1=lambda t: a1)
     block_form = to_block_sylvester(system)
     xi = 4.0
     eig = block_form.block_eigenvalues(0.5, xi)
@@ -496,6 +490,6 @@ def test_random_hyperbolic_system_draw_order(seed, size, redraws):
 
 def test_block_reduction_rejects_non_real_spectrum():
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
-    system = FirstOrderSystem(order=2, a1=lambda t: rotation)
+    system = FirstOrderSystem(a1=lambda t: rotation)
     with pytest.raises(HyperbolicityError):
         to_block_sylvester(system)

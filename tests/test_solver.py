@@ -19,9 +19,8 @@ from weakhyp.profiles import (Piece, RoughProfile, box_profile, bump_profile,
                               constant_profile, heaviside_profile,
                               piecewise_constant_profile, point_mass_profile,
                               polynomial_piece_profile, zero_profile)
-from weakhyp.reduction import (InitialData, LowerOrderPart, LowerTerm,
-                               RootValuePrincipal, SeparablePart,
-                               build_companion, table_rows)
+from weakhyp.reduction import (CompanionSystem, LowerOrderPart, LowerTerm,
+                               RootValuePrincipal, SeparablePart, table_rows)
 from weakhyp.roots import (bracket, constant_roots, linear_scale,
                            roots_from_time_profiles, wave_speed_roots)
 from weakhyp import solver
@@ -63,10 +62,10 @@ def _lower_part(m, *terms):
 
 
 def _unit_data(m):
-    return InitialData(tuple(
+    return tuple(
         (lambda xi: np.ones(np.shape(xi), dtype=complex)) if k == 0
         else (lambda xi: np.zeros(np.shape(xi), dtype=complex))
-        for k in range(m)))
+        for k in range(m))
 
 
 # -- grid --------------------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_grid_transform_round_trip():
 
 
 def test_zero_data_zero_forcing_stays_zero():
-    system = build_companion(_wave_principal())
+    system = CompanionSystem(_wave_principal())
     trace = solve_frequency(system, 2.0, 1.0, np.linspace(0.0, 1.0, 65))
     assert np.all(trace == 0.0)
 
@@ -116,7 +115,7 @@ def test_zero_data_zero_forcing_stays_zero():
 def test_scalar_exponential_modulus():
     principal = PolynomialPrincipal(
         order=1, coefficients={1: lambda t: np.ones(np.shape(t))})
-    system = build_companion(principal, data=_unit_data(1))
+    system = CompanionSystem(principal, _unit_data(1))
     t_grid = np.linspace(0.0, 1.0, 1001)
     trace = solve_frequency(system, 2.0, 1.0, t_grid)
     assert abs(abs(trace[0, -1]) - 1.0) <= 1e-10
@@ -124,7 +123,7 @@ def test_scalar_exponential_modulus():
 
 
 def test_wave_first_component_closed_form():
-    system = build_companion(_wave_principal(), data=_unit_data(2))
+    system = CompanionSystem(_wave_principal(), _unit_data(2))
     xi = 3.0
     t_grid = np.linspace(0.0, 1.0, 2001)
     trace = solve_frequency(system, xi, 1.0, t_grid)
@@ -134,7 +133,7 @@ def test_wave_first_component_closed_form():
 
 
 def test_stability_budget_refusal():
-    system = build_companion(_wave_principal(), data=_unit_data(2))
+    system = CompanionSystem(_wave_principal(), _unit_data(2))
     with pytest.raises(StabilityError) as info:
         solve_frequency(system, 200.0, 1.0, np.linspace(0.0, 1.0, 17))
     assert info.value.required_steps > 16
@@ -143,7 +142,7 @@ def test_stability_budget_refusal():
 def test_ill_formed_output_or_trace_steps_are_refused():
     # each step names one column, so a repeated step would leave one empty;
     # tracked columns without trace steps would be kept nowhere
-    system = build_companion(_wave_principal(), data=_unit_data(2))
+    system = CompanionSystem(_wave_principal(), _unit_data(2))
     t_grid = np.linspace(0.0, 1.0, 17)
     for steps in (dict(output_steps=(4, 4)), dict(trace_steps=(0, 8, 8)),
                   dict(tracked_indices=(0,))):
@@ -156,15 +155,14 @@ def test_superposition_linearity():
     t_grid = np.linspace(0.0, 1.0, 801)
 
     def run(g0_val, f_val):
-        data = InitialData((
-            lambda x: g0_val * np.ones(np.shape(x), dtype=complex),
-            lambda x: np.zeros(np.shape(x), dtype=complex)))
+        data = (lambda x: g0_val * np.ones(np.shape(x), dtype=complex),
+                lambda x: np.zeros(np.shape(x), dtype=complex))
         forcing = None
         if f_val:
             forcing = SeparablePart(3, ((
                 2, lambda t: f_val * np.ones(np.shape(t)),
                 lambda x: np.ones(np.shape(x), dtype=complex)),))
-        system = build_companion(_wave_principal(forcing), data)
+        system = CompanionSystem(_wave_principal(forcing), data)
         return solve_frequency(system, xi, 1.0, t_grid)
 
     combined = run(1.0, 0.5)
@@ -178,7 +176,7 @@ def _spiked_wave(spike_time, weight=1e7):
     from weakhyp.mollifiers import convolve_profile, scale_mollifier
     spike = convolve_profile(point_mass_profile(spike_time, weight=weight),
                              scale_mollifier(friedrichs_mollifier(), 0.05))
-    return build_companion(
+    return CompanionSystem(
         _wave_principal(_lower_part(2, LowerTerm(0, 1, spike))), _unit_data(2))
 
 
@@ -200,7 +198,7 @@ def test_divergence_after_the_last_periodic_check_is_reported():
 
 
 def test_energy_conserved_for_constant_coefficients():
-    system = build_companion(_wave_principal(), data=_unit_data(2))
+    system = CompanionSystem(_wave_principal(), _unit_data(2))
     t_grid = np.linspace(0.0, 1.0, 2049)
     xi = 5.0
     trace = solve_frequency(system, xi, 1.0, t_grid, every=16)
@@ -214,7 +212,7 @@ def test_energy_trace_equals_per_time_symmetrisers():
         order=2, coefficients={1: lambda t: 0.3 * np.asarray(t),
                                2: lambda t: 1.0 + 0.5 * np.sin(
                                    3.0 * np.asarray(t))})
-    system = build_companion(principal, data=_unit_data(2))
+    system = CompanionSystem(principal, _unit_data(2))
     t_grid = np.linspace(0.0, 1.0, 1025)
     xis = (4.0, -2.5)
     traces = np.stack([solve_frequency(system, xi, 1.0, t_grid, every=8)
@@ -236,7 +234,7 @@ def test_energy_pure_forcing_bounded_by_quadrature_oracle():
     forcing = SeparablePart(3, ((
         2, lambda t: np.sin(np.pi * np.asarray(t)),
         lambda x: np.ones(np.shape(x), dtype=complex)),))
-    system = build_companion(_wave_principal(forcing))
+    system = CompanionSystem(_wave_principal(forcing))
     t_grid = np.linspace(0.0, 1.0, 2049)
     xi = 3.0
     trace = solve_frequency(system, xi, 1.0, t_grid, every=8)
@@ -306,11 +304,10 @@ def residual_check(u_dense, t_grid, grid, system):
 
 
 def _dense_wave_solution(grid, t_grid):
-    system = build_companion(
+    system = CompanionSystem(
         _wave_principal(),
-        data=InitialData((
-            lambda xi: bump_profile(0.0, 1.0).fourier_transform(xi),
-            lambda xi: np.zeros(np.shape(xi), dtype=complex))))
+        (lambda xi: bump_profile(0.0, 1.0).fourier_transform(xi),
+         lambda xi: np.zeros(np.shape(xi), dtype=complex)))
     result, = integrate_companion([system], grid.frequencies, t_grid,
                                   output_steps=tuple(range(t_grid.size)))
     br = np.sqrt(1.0 + grid.frequencies ** 2)
@@ -323,7 +320,7 @@ def test_residual_manufactured_plane_wave():
     t_grid = np.linspace(0.0, 1.0, 257)
     xi0 = grid.frequencies[3]
     u = np.exp(1j * (xi0 * grid.x_nodes[None, :] - xi0 * t_grid[:, None]))
-    system = build_companion(_wave_principal())
+    system = CompanionSystem(_wave_principal())
     report = residual_check(u, t_grid, grid, system)
     assert report.relative_l2 <= 1e-6
 
@@ -481,7 +478,7 @@ def test_frequency_subset_does_not_change_bits():
         data=(bump_profile(0.0, 1.0), zero_profile()),
         grid=FrequencyGrid(64, 6.2), time_steps=320, horizon=1.0,
         omega=linear_scale())
-    system, _ = build_regularised_system(problem, 0.125)
+    system = build_regularised_system(problem, 0.125)
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 321)
     full, = integrate_companion([system], xi, t_grid, output_steps=(160, 320))
@@ -522,7 +519,8 @@ def test_constant_edge_of_a_root_profile_stays_steady():
     t = np.linspace(0.0, 1.0, 4 * 1005 + 1)
     h = 1.0 / 1005
     for epsilon in (0.25, 0.0625):
-        system, reg = build_regularised_system(problem, epsilon)
+        system = build_regularised_system(problem, epsilon)
+        reg = system.principal.regularised
         steady = system.principal.row_provider(
             t, problem.grid.frequencies).steady
         q = np.flatnonzero(~steady)
@@ -541,7 +539,7 @@ def test_lower_terms_and_forcing_are_continued_past_the_interval():
         forcing=(constant_profile(-2.0, (0.0, 1.0)), bump_profile(0.0, 1.0)))
     t = np.array([0.0, 0.5, 1.0])
     for epsilon in (0.25, 0.0625):
-        system = build_regularised_system(problem, epsilon)[0]
+        system = build_regularised_system(problem, epsilon)
         # the lower-order entry in column m - j = 1, the forcing in column m
         separable = system.principal.separable
         (low, coefficient, _), (top, time_values, _) = separable.entries
@@ -566,7 +564,8 @@ def test_profiles_inside_the_interval_are_left_as_given():
         forcing=(box, bump_profile(0.0, 1.0)))
     t = np.linspace(0.0, 1.0, 101)
     for epsilon in (0.0625, 0.03125):
-        system, reg = build_regularised_system(problem, epsilon)
+        system = build_regularised_system(problem, epsilon)
+        reg = system.principal.regularised
         phi_w = scale_mollifier(friedrichs_mollifier(), reg.omega)
         (_, coefficient, _), (_, time_values, _) = \
             system.principal.separable.entries
@@ -590,28 +589,17 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
     problem = _lower_forced_problem()
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
-    # the reads of each member's one provider (the principal rows with the
-    # lower-order and forcing entries): a block of staged steps reads
-    # several lattice points, a jump's entry one
-    blocks = []
-    reader = solver._stretch_reader
+    # the slice reads of each member's one provider (the principal rows
+    # with the lower-order and forcing entries): a block of staged steps
+    # reads several lattice points, a jump's entry one
+    built = _spy_row_reads(monkeypatch)
     staged = _count_staged_steps(monkeypatch)
-
-    def counted(provider):
-        read = reader(provider)
-
-        def call(lo, hi):
-            blocks.append((lo, hi))
-            return read(lo, hi)
-        return call
-
-    monkeypatch.setattr(solver, "_stretch_reader", counted)
     # a batch of one, then of two epsilons: at 1/4 and 1/2 the forcing's
     # layer covers [0, 1], so every step is staged; at 1/8 and 1/16 forced
     # members jump between their staged steps, and blocks restart after
     # each jump
     for epsilons in ((0.25,), (0.25, 0.5), (0.125,), (0.125, 0.0625)):
-        systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+        systems = [build_regularised_system(problem, e) for e in epsilons]
         assert systems[0].width == systems[0].order + 1
 
         def run(steps):
@@ -620,13 +608,14 @@ def test_row_block_size_does_not_change_bits(monkeypatch):
             # steps // movers steps, at least one, of the members that move
             monkeypatch.setattr(solver, "_ROW_BLOCK_BYTES", 2 * xi.size
                                 * (16 * systems[0].order + 16) * steps)
-            blocks.clear()
+            built.clear()
             staged.clear()
             results = integrate_companion(systems, xi, t_grid, epsilons,
                                           tracked_indices=(1, 5),
                                           output_steps=(100, 256),
                                           trace_steps=range(0, 257, 5))
-            reads = [(lo, hi) for lo, hi in blocks if lo < hi]
+            blocks = [read for _, _, reads in built for read in reads]
+            reads = [(a, b) for a, b in blocks if b - a > 1]
             if epsilons[0] == 0.25:
                 # every member moves on every step
                 assert staged == [(i, len(systems)) for i in range(256)]
@@ -655,7 +644,7 @@ def test_constant_stretches_keep_each_entrys_bits(monkeypatch):
     # epsilon, so the members' constant stretches differ in length
     problem = _heaviside_problem()
     epsilons = (0.25, 0.125, 0.0625, 0.03125)
-    systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+    systems = [build_regularised_system(problem, e) for e in epsilons]
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, 257)
     options = dict(tracked_indices=(0, 1, 5), output_steps=(100, 256),
@@ -688,7 +677,7 @@ def test_constant_stretches_keep_each_entrys_bits(monkeypatch):
 
 
 def _agrees_with_staged_rk4(problem, epsilon, exact):
-    system = build_regularised_system(problem, epsilon)[0]
+    system = build_regularised_system(problem, epsilon)
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, problem.time_steps + 1)
     steps = (problem.time_steps // 2, problem.time_steps)
@@ -758,7 +747,7 @@ def test_step_map_steps_are_constant_at_every_entry(monkeypatch):
                            (_lower_forced_problem(), False)):
         xi = problem.grid.frequencies
         for epsilon in (0.125, 0.03125):
-            system = build_regularised_system(problem, epsilon)[0]
+            system = build_regularised_system(problem, epsilon)
             reported.clear()
             integrate_companion([system], xi, t_grid, [epsilon])
             (t, steady), = reported
@@ -835,7 +824,7 @@ def test_staged_steps_and_row_reads_follow_the_layers(monkeypatch):
     def run(problem):
         staged.clear()
         built.clear()
-        systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+        systems = [build_regularised_system(problem, e) for e in epsilons]
         results = integrate_companion(systems, problem.grid.frequencies,
                                       t_grid, epsilons, tracked_indices=(1, 5),
                                       output_steps=(100, 256),
@@ -876,7 +865,7 @@ def test_forced_members_read_each_steady_stretch_once(monkeypatch):
     built = _spy_row_reads(monkeypatch)
     problem = _lower_forced_problem()
     epsilons = (0.125, 0.0625)
-    systems = [build_regularised_system(problem, e)[0] for e in epsilons]
+    systems = [build_regularised_system(problem, e) for e in epsilons]
     results = integrate_companion(systems, problem.grid.frequencies,
                                   np.linspace(0.0, 1.0, 257), epsilons)
     assert not any(isinstance(r, WeakHypError) for r in results)
@@ -896,7 +885,7 @@ def test_real_entries_read_real_rows():
     problem = _lower_problem(output_times=(0.5, 1.0),
                              tracked_frequencies=(2.0, 5.0))
     epsilons = (0.25, 0.125, 0.0625)
-    real = [build_regularised_system(problem, e)[0] for e in epsilons]
+    real = [build_regularised_system(problem, e) for e in epsilons]
 
     def complex_rows(system):
         separable = system.principal.separable
@@ -907,15 +896,14 @@ def test_real_entries_read_real_rows():
             system.principal, separable=replace(separable, entries=entries)))
 
     xi, t_grid = problem.grid.frequencies, problem.time_grid
-    forced = build_regularised_system(_lower_forced_problem(), 0.25)[0]
+    forced = build_regularised_system(_lower_forced_problem(), 0.25)
     assert forced.principal.row_provider(t_grid, xi).dtype == complex
     results = []
     for systems, dtype in ((real, float), ([complex_rows(s) for s in real],
                                            complex)):
         assert all(s.principal.row_provider(t_grid, xi).dtype == dtype
                    for s in systems)
-        results.append(solver._integrate(
-            problem, [(s, None) for s in systems], epsilons))
+        results.append(solver._integrate(problem, systems, epsilons))
     for got, want in zip(*results):
         for name in ("first_component", "final_state", "traces"):
             assert getattr(got, name).tobytes() \
@@ -946,7 +934,7 @@ def test_jumps_agree_with_staged_rk4_at_their_boundaries(monkeypatch, make,
     # steps also on a step-doubling step inside it and between two, and the
     # trace steps every 37 steps, so that jumps still cross between them
     problem = make()
-    system = build_regularised_system(problem, epsilon)[0]
+    system = build_regularised_system(problem, epsilon)
     xi = problem.grid.frequencies
     t_grid = np.linspace(0.0, 1.0, nt + 1)
     built = _spy_row_reads(monkeypatch)
@@ -1040,7 +1028,7 @@ def _counted_svd(monkeypatch) -> list:
 def _gate_cases():
     """(systems, frequencies, time grid, epsilons) of batches on which the
     Frobenius screen does not clear every member."""
-    yield ([build_companion(_wave_principal(), data=_unit_data(2))],
+    yield ([CompanionSystem(_wave_principal(), _unit_data(2))],
            np.array([200.0]), np.linspace(0.0, 1.0, 17), [1.0])
     problem = VeryWeakProblem(
         family=constant_roots([-1.0, 1.0]),
@@ -1048,14 +1036,14 @@ def _gate_cases():
         grid=FrequencyGrid(64, auto_box_length(1.0, 2.8, 1.0, 1.0)),
         time_steps=96, horizon=1.0, omega=linear_scale(),
         output_times=(1.0,), tracked_frequencies=(2.0,))
-    yield ([build_regularised_system(problem, e)[0] for e in (0.9, 0.3, 0.1)],
+    yield ([build_regularised_system(problem, e) for e in (0.9, 0.3, 0.1)],
            problem.grid.frequencies, problem.time_grid, [0.9, 0.3, 0.1])
     # complex rows; at 50 steps the screen flags all three members and the
     # SVD rejects two, at 62 it flags the first only and the SVD passes it
     for steps in (50, 62):
         problem = replace(_lower_problem(), time_steps=steps)
         epsilons = [0.5, 0.25, 0.125]
-        yield ([build_regularised_system(problem, e)[0] for e in epsilons],
+        yield ([build_regularised_system(problem, e) for e in epsilons],
                problem.grid.frequencies, problem.time_grid, epsilons)
 
 
@@ -1092,7 +1080,7 @@ def test_benchmark_shaped_solve_makes_no_svd_call(monkeypatch):
         data=(bump_profile(0.0, 1.0), zero_profile()),
         grid=FrequencyGrid(512, auto_box_length(1.0, 4.0, 1.0, 1.0)),
         time_steps=1792, horizon=1.0, omega=linear_scale())
-    systems = [build_regularised_system(problem, e)[0]
+    systems = [build_regularised_system(problem, e)
                for e in (0.25, 0.125, 0.0625, 0.03125)]
     gate = solver._estimate_norm
     read = []
@@ -1112,7 +1100,7 @@ def test_benchmark_shaped_solve_makes_no_svd_call(monkeypatch):
 
 
 def test_stability_screen_sends_a_limit_entry_to_the_svd(monkeypatch):
-    system = build_companion(_wave_principal(), data=_unit_data(2))
+    system = CompanionSystem(_wave_principal(), _unit_data(2))
     xi = np.array([3.0, 200.0])
     br = bracket(xi)
     rows = system.principal.row_provider(np.linspace(0.0, 1.0, 9), xi)
@@ -1149,15 +1137,16 @@ def test_divergent_member_leaves_the_batch():
         _assert_same_result(batched[member], solo)
 
 
-def _overflowing_wave(scale, growth=25.0):
-    """A wave whose rows are finite and constant and whose state grows like
+def _overflowing_wave(scale, growth=25.0, start=math.inf):
+    """A wave whose rows are finite and constant until ``start``, where a
+    ramp joins its lower-order coefficient, and whose state grows like
     exp(growth t) from data of size ``scale``: from 1e300 it overflows late
     in the run, with no coefficient the stability gate could see."""
-    growing = LowerTerm(0, 1, lambda t: np.full(np.shape(t), -1j * growth))
-    data = InitialData(
-        (lambda xi: np.full(np.shape(xi), scale, dtype=complex),
-         lambda xi: np.zeros(np.shape(xi), dtype=complex)))
-    return build_companion(_wave_principal(_lower_part(2, growing)), data)
+    growing = LowerTerm(0, 1, lambda t: -1j * growth
+                        + np.maximum(np.asarray(t) - start, 0.0))
+    data = (lambda xi: np.full(np.shape(xi), scale, dtype=complex),
+            lambda xi: np.zeros(np.shape(xi), dtype=complex))
+    return CompanionSystem(_wave_principal(_lower_part(2, growing)), data)
 
 
 def test_divergence_inside_a_jump_stops_only_its_member(monkeypatch):
@@ -1181,12 +1170,35 @@ def test_divergence_inside_a_jump_stops_only_its_member(monkeypatch):
         _assert_same_result(batched[member], solo)
 
 
+def test_divergence_inside_a_catch_up_jump_stops_only_its_member(monkeypatch):
+    # member 0's rows are constant until t = 0.9, and its state overflows
+    # near t = 0.77: inside the jump that brings it up to member 1, whose
+    # rows vary from t = 0, when it first has to step with it.  It stops
+    # there, never staged, and member 1 steps on alone as in its solo run
+    staged = _count_staged_steps(monkeypatch)
+    systems = [_overflowing_wave(1e300, start=0.9),
+               _overflowing_wave(1.0, growth=0.0, start=0.0)]
+    epsilons = (0.5, 0.25)
+    xi = np.array([1.0, 2.0, 3.0])
+    t_grid = np.linspace(0.0, 1.0, 1001)
+    options = dict(tracked_indices=(1,), output_steps=(500, 1000),
+                   trace_steps=range(0, 1001, 125))
+    batched = integrate_companion(systems, xi, t_grid, epsilons, **options)
+    assert staged == [(i, 1) for i in range(1000)]
+    assert isinstance(batched[0], DivergenceError)
+    assert batched[0].epsilon == 0.5 and batched[0].xi in xi
+    solo, = integrate_companion([systems[1]], xi, t_grid, [epsilons[1]],
+                                **options)
+    assert np.isfinite(solo.final_state).all()
+    _assert_same_result(batched[1], solo)
+
+
 def test_rk4_stage_times_give_fourth_order_in_time():
     # D_t V = (1 + t) xi V, V(0) = 1, so V(1) = exp(1.5 i xi); a coefficient
     # read at the wrong stage times degrades the step to first order
     principal = PolynomialPrincipal(
         order=1, coefficients={1: lambda t: 1.0 + np.asarray(t)})
-    system = build_companion(principal, data=_unit_data(1))
+    system = CompanionSystem(principal, _unit_data(1))
     xi = 3.0
     errors = []
     for nt in (64, 128, 256):
